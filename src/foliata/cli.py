@@ -73,19 +73,6 @@ def _config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _derived_doc(dp) -> dict:
-    return {
-        "a": dp.a,
-        "cbar": dp.cbar,
-        "dbar": dp.dbar,
-        "delta": dp.delta,
-        "xminus": dp.xminus,
-        "xplus": dp.xplus,
-        "yminus": dp.yminus,
-        "yplus": dp.yplus,
-    }
-
-
 def _build_field(args) -> OmegaField:
     point = ModuliPoint(args.c0, args.c, args.d)
     point.validate()
@@ -148,7 +135,7 @@ def _cmd_profile(args) -> int:
     _emit("\n".join(rows) + "\n", args.out)
     sidecar = {
         "kind": sol.kind,
-        "params": _derived_doc(dp),
+        "params": dp.document(),
         "period": sol.period,
         "first_integral_drift": sol.first_integral_drift,
         "config": _config(args),

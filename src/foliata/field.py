@@ -142,7 +142,7 @@ class ReconstructedSource:
         # every point but the constants branch gives omega = 0 exactly
         self.flat_trivial = c0 == 0 and ffn.trivial and gfn.trivial
         self._point: dict[tuple[str, float], tuple[float, float]] = {}
-        self._batch: dict[tuple[str, bytes], tuple[np.ndarray, np.ndarray]] = {}
+        self._batch: dict[tuple[str, tuple, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
     def prime_x(self, xs: np.ndarray) -> None:
         f, fx = self.ffn.eval_many(xs)
@@ -153,8 +153,8 @@ class ReconstructedSource:
         self._point.update(zip((("y", float(v)) for v in ys), zip(g, gy)))
 
     def _axis_profiles(self, vals: np.ndarray, axis: str):
-        """Cache-backed profile values along one axis."""
-        key = (axis, vals.tobytes())
+        """Cache-backed profile values along one axis, in the shape of ``vals``."""
+        key = (axis, vals.shape, vals.tobytes())
         hit = self._batch.get(key)
         if hit is not None:
             return hit

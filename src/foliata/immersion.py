@@ -182,7 +182,8 @@ def _march(
 
     Returns (psi, u1, u2, alive) arrays shaped (len(t_nodes), n_lanes).
     Lanes stop (NaN onward) at singular field data or when the chart point
-    leaves the chart domain.
+    leaves the chart domain.  Each step evaluates the source at its midpoint
+    and end node only: its start node is the previous step's end node.
     """
     n, lanes = t_nodes.size, lane_coords.size
     psi = np.full((n, lanes), np.nan)
@@ -190,15 +191,14 @@ def _march(
     u2 = np.full((n, lanes), np.nan)
     alive = np.zeros((n, lanes), dtype=bool)
     psi[i_start], u1[i_start], u2[i_start] = psi0, u10, u20
-    alive[i_start] = alive0 & np.asarray(
-        _eval_data(source, direction, t_nodes[i_start], lane_coords).ok
-    )
+    fd_start = _eval_data(source, direction, t_nodes[i_start], lane_coords)
+    alive[i_start] = alive0 & np.asarray(fd_start.ok)
 
     def sweep(indices):
+        fd0 = fd_start
         for prev, nxt in zip(indices[:-1], indices[1:]):
             h = t_nodes[nxt] - t_nodes[prev]
             tm = t_nodes[prev] + 0.5 * h
-            fd0 = _eval_data(source, direction, t_nodes[prev], lane_coords)
             fdm = _eval_data(source, direction, tm, lane_coords)
             fd1 = _eval_data(source, direction, t_nodes[nxt], lane_coords)
             ok = alive[prev] & fd0.ok & fdm.ok & fd1.ok
@@ -217,6 +217,7 @@ def _march(
             u1[nxt] = np.where(ok, an, np.nan)
             u2[nxt] = np.where(ok, bn, np.nan)
             alive[nxt] = ok
+            fd0 = fd1
 
     sweep(list(range(i_start, n)))
     sweep(list(range(i_start, -1, -1)))
@@ -583,12 +584,11 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
         [0.5 * (ginv - g) * eta, 0.5j * (ginv + g) * eta, np.full_like(g, eta)],
         axis=-1,
     )
+    wy, wx = np.gradient(w, grid.ys, grid.xs, edge_order=2)
     if field.source is not None:
-        src = field.source
-        data = src.eval_grid(grid.xs, grid.ys)
+        data = field.source.eval_grid(grid.xs, grid.ys)
         zeta_z = data.wx - 1j * data.wy
     else:
-        wy, wx = np.gradient(w, grid.ys, grid.xs, edge_order=2)
         zeta_z = wx - 1j * wy
     dphi = np.stack(
         [
@@ -626,7 +626,6 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
     valid = frame.valid & ~field.mask & np.isfinite(x_vec).all(axis=-1)
     x_vec = np.where(valid[..., None], x_vec, np.nan)
     faces, foliation = _mesh_topology(valid)
-    wy, wx = np.gradient(w, grid.ys, grid.xs, edge_order=2)
     py, px = np.gradient(psi, grid.ys, grid.xs, edge_order=2)
     cr = np.nanmax(np.abs(np.stack([wx - py, wy + px]))[:, 1:-1, 1:-1])
     meta = {
@@ -743,7 +742,7 @@ def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyRep
     if not candidates:
         raise PeriodUnavailable("no valid base nodes with x + period in range")
     base_idx = candidates[:: max(1, len(candidates) // 8)]
-    targets = np.array(sorted({float(xs[i] + period) for i in base_idx}))
+    targets = [float(xs[i] + period) for i in base_idx]
 
     # prime the exact node and midpoint abscissae the row marches will visit
     if hasattr(source, "prime_x"):
@@ -756,18 +755,13 @@ def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyRep
             stages.extend(map(float, nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])))
         source.prime_x(np.array(sorted(set(stages))))
 
-    shifted = _row_states_at(source, space, grid, j0, i0, frame, targets)
-    pairs = []
-    for i in base_idx:
-        t = float(xs[i] + period)
-        st = shifted.get(round(t, 12))
-        if st is None or not st[3]:
-            continue
-        psi_t, u1_t, u2_t = st[0], st[1], st[2]
-        pairs.append(
-            ((frame.u[j0, i, 0], frame.u[j0, i, 1], frame.psi[j0, i]),
-             (u1_t, u2_t, psi_t))
+    pairs = [
+        ((frame.u[j0, i, 0], frame.u[j0, i, 1], frame.psi[j0, i]), (u1_t, u2_t, psi_t))
+        for i, (psi_t, u1_t, u2_t, ok) in zip(
+            base_idx, _row_states_at(source, space, grid, j0, i0, frame, targets)
         )
+        if ok
+    ]
     if not pairs:
         raise PeriodUnavailable("frame could not be continued across the period")
 
@@ -817,13 +811,14 @@ def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyRep
 
 
 def _row_states_at(source, space, grid, j0, i0, frame, targets):
-    """Frame states along the seed row at arbitrary abscissae.
+    """Frame states (psi, u1, u2, alive) along the seed row at each target
+    abscissa, in target order.
 
     Marches from the seed with substeps no larger than the grid step,
     splitting each leg at panel midpoints for the RK4 stages.
     """
     ys = grid.ys
-    out = {}
+    out = []
     for t in targets:
         lo = float(grid.xs[i0])
         n = max(1, math.ceil(abs(t - lo) / grid.hx))
@@ -835,5 +830,5 @@ def _row_states_at(source, space, grid, j0, i0, frame, targets):
         p, a, b, al = _march(
             source, space, "x", np.array([ys[j0]]), nodes, 0, psi, u1, u2, alive
         )
-        out[round(float(t), 12)] = (p[-1, 0], a[-1, 0], b[-1, 0], bool(al[-1, 0]))
+        out.append((p[-1, 0], a[-1, 0], b[-1, 0], bool(al[-1, 0])))
     return out

@@ -16,26 +16,12 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidParams
 
 #: Relative tolerance for the shared-discriminant cross-check.
 DISCRIMINANT_RTOL = 1e-12
-
-
-def worker_count() -> int:
-    """Worker cap from FOLIATA_THREADS (unset or 0 means automatic)."""
-    raw = os.environ.get("FOLIATA_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(8, os.cpu_count() or 1)
-    return n
 
 
 def normalize_curvature(c0: float) -> tuple[int, float]:
@@ -95,6 +81,10 @@ class DerivedParams:
     def d_const(self) -> float:
         """First-integral constant of the y-profile, recovered from delta."""
         return (self.dbar * self.dbar - self.delta) / 4.0
+
+    def document(self) -> dict:
+        """JSON-ready fields in declaration order, as every output writes them."""
+        return asdict(self)
 
 
 def derive_params(p: ModuliPoint, a: float | None = None) -> DerivedParams:
@@ -267,12 +257,7 @@ def moduli_scan(
     wd = (dmax - dmin) / ny
     centers_c = [cmin + (i + 0.5) * wc for i in range(nx)]
     centers_d = [dmin + (j + 0.5) * wd for j in range(ny)]
-
-    def label_row(d: float) -> list[RegionLabel]:
-        return [_cell_label(c0, c, d) for c in centers_c]
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(label_row, centers_d))
+    return [[_cell_label(c0, c, d) for c in centers_c] for d in centers_d]
 
 
 def scan_csv(c0, rect, nx, ny) -> str:
@@ -292,7 +277,6 @@ def scan_csv(c0, rect, nx, ny) -> str:
 
 def classification_document(p: ModuliPoint, report: RegionReport) -> dict:
     """JSON-ready document for a classification result."""
-    dp = report.derived
     return {
         "c0": p.c0,
         "c": p.c,
@@ -302,14 +286,5 @@ def classification_document(p: ModuliPoint, report: RegionReport) -> dict:
             {"name": name, "value": value, "ok": ok}
             for name, value, ok in report.certificate
         ],
-        "derived": {
-            "a": dp.a,
-            "cbar": dp.cbar,
-            "dbar": dp.dbar,
-            "delta": dp.delta,
-            "xminus": dp.xminus,
-            "xplus": dp.xplus,
-            "yminus": dp.yminus,
-            "yplus": dp.yplus,
-        },
+        "derived": report.derived.document(),
     }

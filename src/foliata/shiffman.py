@@ -23,6 +23,7 @@ from .field import (
     _interior_laplacian,
     _margin_blank,
     dilate_mask,
+    level_curvatures,
     stats_from,
 )
 
@@ -41,18 +42,59 @@ def _masked_omega(field: OmegaField) -> np.ndarray:
     return np.where(field.mask, np.nan, field.omega)
 
 
-def _gradient(field: OmegaField) -> tuple[np.ndarray, np.ndarray]:
-    w = _masked_omega(field)
-    wy, wx = np.gradient(w, field.grid.ys, field.grid.xs, edge_order=2)
-    return wx, wy
+def _finite_max(values: np.ndarray) -> float:
+    vals = values[np.isfinite(values)]
+    return float(np.max(vals)) if vals.size else float("nan")
 
 
-def _cross_derivative(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    out = np.full_like(w, np.nan)
-    out[1:-1, 1:-1] = (
-        w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]
-    ) / (4.0 * hx * hy)
-    return out
+def _gauss_log_route(grid, cosh: np.ndarray) -> np.ndarray:
+    lap = _interior_laplacian(2.0 * np.log(cosh), grid.hx, grid.hy)
+    return -lap / (2.0 * cosh ** 2)
+
+
+class _Derivatives:
+    """Masked omega of one field, its gradient from one np.gradient pass and
+    cosh(omega), shared by the diagnostics below; ``nodes`` is the grid size
+    the caller's stencils need, 3 (cross) or 5 (Jacobi)."""
+
+    def __init__(self, field: OmegaField, nodes: int = 0):
+        for need, stencil in ((3, "cross"), (5, "Jacobi")):
+            if need <= nodes and (field.nx < need or field.ny < need):
+                raise TooFewNodes(f"need at least {need}x{need} nodes for the {stencil} stencil")
+        self.field = field
+        self.w = _masked_omega(field)
+        self.wy, self.wx = np.gradient(self.w, field.grid.ys, field.grid.xs, edge_order=2)
+        self.cosh = np.cosh(self.w)
+        self.grad2 = self.wx * self.wx + self.wy * self.wy
+
+    def shiffman(self) -> np.ndarray:
+        w, grid = self.w, self.field.grid
+        wxy = np.full_like(w, np.nan)  # NaN on the boundary ring, and so is u
+        wxy[1:-1, 1:-1] = w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]
+        u = wxy / (4.0 * grid.hx * grid.hy) - np.tanh(w) * self.wx * self.wy
+        u[dilate_mask(self.field.mask)] = np.nan
+        return u
+
+    def jacobi_residual(self, u: np.ndarray, margin: float) -> ResidualStats:
+        grid = self.field.grid
+        res = _interior_laplacian(np.asarray(u, dtype=float), grid.hx, grid.hy)
+        res += (self.field.c0 + 2.0 * self.grad2 / (self.cosh * self.cosh)) * u
+        return stats_from(_margin_blank(res, grid, margin), max(grid.hx, grid.hy))
+
+    def potential(self) -> np.ndarray:
+        cosh2 = self.cosh ** 2
+        return self.field.c0 / cosh2 + 2.0 * self.grad2 / (cosh2 * cosh2)
+
+    def potential_identity(self) -> float:
+        cosh2 = self.cosh ** 2
+        rhs = self.field.c0 + 2.0 * self.grad2 / cosh2
+        return _finite_max(np.abs(cosh2 * self.potential() - rhs))
+
+    def gauss(self) -> np.ndarray:
+        return self.field.c0 * np.tanh(self.w) ** 2 - self.grad2 / self.cosh ** 4
+
+    def gauss_dual_route(self) -> float:
+        return _finite_max(np.abs(self.gauss() - _gauss_log_route(self.field.grid, self.cosh)))
 
 
 def shiffman_field(field: OmegaField) -> np.ndarray:
@@ -61,46 +103,24 @@ def shiffman_field(field: OmegaField) -> np.ndarray:
     Defined on interior nodes clear of the dilated singular mask; NaN on the
     boundary ring and near the singular set.
     """
-    if field.nx < 3 or field.ny < 3:
-        raise TooFewNodes("need at least 3x3 nodes for the cross stencil")
-    w = _masked_omega(field)
-    hx, hy = field.grid.hx, field.grid.hy
-    wxy = _cross_derivative(w, hx, hy)
-    wy, wx = np.gradient(w, field.grid.ys, field.grid.xs, edge_order=2)
-    u = wxy - np.tanh(w) * wx * wy
-    u[dilate_mask(field.mask)] = np.nan
-    u[[0, -1], :] = np.nan
-    u[:, [0, -1]] = np.nan
-    return u
+    return _Derivatives(field, 3).shiffman()
 
 
 def shiffman_from_curvature(field: OmegaField) -> np.ndarray:
     """Cross-check route: -cosh(omega) d/dx of the horizontal curvature."""
-    from .field import level_curvatures
-
     k_h, _ = level_curvatures(field)
     _, dk = np.gradient(k_h, field.grid.ys, field.grid.xs, edge_order=2)
     return -np.cosh(_masked_omega(field)) * dk
 
 
-def jacobi_residual(
-    field: OmegaField, u: np.ndarray, margin: float = 0.0
-) -> ResidualStats:
+def jacobi_residual(field: OmegaField, u: np.ndarray, margin: float = 0.0) -> ResidualStats:
     """Residual of lap(u) + (c0 + 2 |grad omega|^2 / cosh^2) u.
 
     The identity holds in the continuum for the Shiffman field of any
     structure-equation solution; for an arbitrary u it has no reason to be
     small (that non-example is part of the test suite).
     """
-    if field.nx < 5 or field.ny < 5:
-        raise TooFewNodes("need at least 5x5 nodes for the Jacobi stencil")
-    wx, wy = _gradient(field)
-    cosh = np.cosh(_masked_omega(field))
-    potential = field.c0 + 2.0 * (wx * wx + wy * wy) / (cosh * cosh)
-    res = _interior_laplacian(np.asarray(u, dtype=float), field.grid.hx, field.grid.hy)
-    res += potential * u
-    res = _margin_blank(res, field.grid, margin)
-    return stats_from(res, max(field.grid.hx, field.grid.hy))
+    return _Derivatives(field, 5).jacobi_residual(u, margin)
 
 
 def jacobi_potential(field: OmegaField) -> np.ndarray:
@@ -109,64 +129,43 @@ def jacobi_potential(field: OmegaField) -> np.ndarray:
     Equals c0 / cosh^2(omega) + 2 |grad omega|^2 / cosh^4(omega), with the
     gradient by finite differences.
     """
-    wx, wy = _gradient(field)
-    cosh2 = np.cosh(_masked_omega(field)) ** 2
-    return field.c0 / cosh2 + 2.0 * (wx * wx + wy * wy) / (cosh2 * cosh2)
+    return _Derivatives(field).potential()
 
 
 def potential_identity_linf(field: OmegaField) -> float:
     """Max of |cosh^2 * potential - c0 - 2 |grad omega|^2 / cosh^2|."""
-    wx, wy = _gradient(field)
-    cosh2 = np.cosh(_masked_omega(field)) ** 2
-    lhs = cosh2 * jacobi_potential(field)
-    rhs = field.c0 + 2.0 * (wx * wx + wy * wy) / cosh2
-    diff = np.abs(lhs - rhs)
-    vals = diff[np.isfinite(diff)]
-    return float(np.max(vals)) if vals.size else float("nan")
+    return _Derivatives(field).potential_identity()
 
 
 def gauss_curvature(field: OmegaField) -> np.ndarray:
     """K = c0 tanh^2(omega) - |grad omega|^2 / cosh^4(omega)."""
-    wx, wy = _gradient(field)
-    w = _masked_omega(field)
-    return field.c0 * np.tanh(w) ** 2 - (wx * wx + wy * wy) / np.cosh(w) ** 4
+    return _Derivatives(field).gauss()
 
 
 def gauss_curvature_log_route(field: OmegaField) -> np.ndarray:
     """Independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2."""
-    w = _masked_omega(field)
-    log_lam = 2.0 * np.log(np.cosh(w))
-    lap = _interior_laplacian(log_lam, field.grid.hx, field.grid.hy)
-    return -lap / (2.0 * np.cosh(w) ** 2)
+    return _gauss_log_route(field.grid, np.cosh(_masked_omega(field)))
 
 
 def gauss_dual_route_linf(field: OmegaField) -> float:
-    diff = np.abs(gauss_curvature(field) - gauss_curvature_log_route(field))
-    vals = diff[np.isfinite(diff)]
-    return float(np.max(vals)) if vals.size else float("nan")
+    return _Derivatives(field).gauss_dual_route()
 
 
 def shiffman_report(field: OmegaField, margin: float = 0.0) -> JacobiReport:
-    u = shiffman_field(field)
-    return JacobiReport(
-        u=u,
-        residual=jacobi_residual(field, u, margin=margin),
-        potential=jacobi_potential(field),
-        gauss=gauss_curvature(field),
-    )
+    d = _Derivatives(field, 5)
+    u = d.shiffman()
+    return JacobiReport(u, d.jacobi_residual(u, margin), d.potential(), d.gauss())
 
 
 def shiffman_document(field: OmegaField, margin: float = 0.0) -> dict:
-    """JSON-ready summary used by the verification CLI."""
-    report = shiffman_report(field, margin=margin)
-    finite_u = report.u[np.isfinite(report.u)]
+    """JSON-ready summary used by the verification CLI, from one gradient pass."""
+    d = _Derivatives(field, 5)
+    u = d.shiffman()
+    residual = d.jacobi_residual(u, margin)
+    finite_u = u[np.isfinite(u)]
     return {
         "max_u": float(np.max(np.abs(finite_u))) if finite_u.size else None,
-        "jacobi_residual": {
-            "linf": report.residual.linf,
-            "l2": report.residual.l2,
-            "h": report.residual.grid_h,
-        },
-        "potential_identity_linf": potential_identity_linf(field),
-        "gauss_dual_route_linf": gauss_dual_route_linf(field),
+        "jacobi_residual": {"linf": residual.linf, "l2": residual.l2, "h": residual.grid_h},
+        "potential_identity_linf": d.potential_identity(),
+        "gauss_dual_route_linf": d.gauss_dual_route(),
     }

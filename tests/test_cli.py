@@ -137,14 +137,23 @@ def test_holonomy_unavailable_exits_one(capsys):
 
 
 def test_determinism_identical_argv(tmp_path):
-    args = ["field", "--c0", "1", "--c", "-1", "--d", "-1",
-            "--domain", "0", "1", "0", "1", "--nx", "21", "--ny", "21"]
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    a = out1.read_text().replace(str(out1), "OUT")
-    b = out2.read_text().replace(str(out2), "OUT")
-    assert a == b
+    sphere = ["--c0", "1", "--c", "0", "--d", "-0.25", "--trivial-f",
+              "--domain", "0", "3", "0", "2", "--seed", "0", "1.48"]
+    cases = [
+        ("field.json", ["field", "--c0", "1", "--c", "-1", "--d", "-1",
+                        "--domain", "0", "1", "0", "1", "--nx", "21", "--ny", "21"]),
+        ("scan.csv", ["scan", "--c0", "-1", "--rect", "-2", "2", "-2", "2",
+                      "--nx", "20", "--ny", "20"]),
+        ("mesh.obj", ["mesh", *sphere, "--nx", "21", "--ny", "21"]),
+        ("holonomy.json", ["holonomy", *sphere, "--nx", "31", "--ny", "21", "--period", "1.0"]),
+    ]
+    for name, args in cases:
+        out1, out2 = tmp_path / f"a-{name}", tmp_path / f"b-{name}"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        a = out1.read_text().replace(str(out1), "OUT")
+        b = out2.read_text().replace(str(out2), "OUT")
+        assert a == b, args[0]
 
 
 def test_json_floats_lossless(tmp_path, capsys):

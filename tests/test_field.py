@@ -284,3 +284,14 @@ def test_field_document_round_trip():
 def test_omega_field_arrays_immutable(sphere_field):
     with pytest.raises(ValueError):
         sphere_field.omega[0, 0] = 1.0
+
+
+def test_source_broadcast_after_grid_assembly():
+    # assembling fills the source's per-axis cache with 1-D arrays; a later
+    # broadcast evaluation over the same abscissae must still give a grid
+    fsol, gsol = profiles(1, -1, -1)
+    grid = GridSpec(0, 1, 0, 1, 6, 6)
+    field = assemble_omega(fsol, gsol, grid)
+    data = field.source.eval_bc(grid.xs[None, :], grid.ys[:, None])
+    assert data.sinh.shape == (6, 6)
+    assert np.array_equal(data.sinh, field.sinh_omega)

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from foliata.errors import ChartOverflow, NotFlat, PeriodUnavailable, SingularCrossing
 from foliata.field import GridSpec, assemble_omega, assemble_omega_degenerate
+from foliata import immersion
 from foliata.immersion import (
     ChartSpace,
     build_mesh,
@@ -341,3 +343,36 @@ def test_gamma_axis_rotation_speed():
 def test_frame_compat_small(sphere_pair):
     _, frame = sphere_pair
     assert frame.compat_linf <= 1e-6
+
+
+class CountingSource:
+    """Delegates to a field source and counts its eval_bc calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def eval_bc(self, x, y):
+        self.calls += 1
+        return self.inner.eval_bc(x, y)
+
+
+def test_frame_march_evaluates_source_twice_per_step(monkeypatch):
+    field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 21, 15))
+    source = CountingSource(field.source)
+    steps, marches = [], []
+    march = immersion._march
+
+    def counted(src, space, direction, lanes, t_nodes, *rest):
+        marches.append(direction)
+        steps.append(len(t_nodes) - 1)
+        return march(src, space, direction, lanes, t_nodes, *rest)
+
+    monkeypatch.setattr(immersion, "_march", counted)
+    integrate_frame(replace(field, source=source), SPHERE)
+    # seed column, rows, and both legs of the path-compatibility check
+    assert marches == ["y", "x", "x", "y"]
+    assert sum(steps) == 2 * (21 - 1) + 2 * (15 - 1)
+    assert source.calls == 2 * sum(steps) + len(marches)

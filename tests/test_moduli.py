@@ -194,20 +194,6 @@ def test_moduli_scan_flat_curvature_off_diagonal_cells():
     assert grid[0][0] is RegionLabel.CLASSICAL_RIEMANN_R3  # center (-0.75, -0.75)
 
 
-def test_worker_count_env(monkeypatch):
-    from foliata.moduli import worker_count
-
-    monkeypatch.setenv("FOLIATA_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("FOLIATA_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.delenv("FOLIATA_THREADS")
-    assert worker_count() >= 1
-    monkeypatch.setenv("FOLIATA_THREADS", "2")
-    grid = moduli_scan(-1, (-1, 1, -1, 1), 3, 3)
-    assert grid == moduli_scan(-1, (-1, 1, -1, 1), 3, 3)
-
-
 def test_scan_csv_format():
     text = scan_csv(1, (-1, 0, -1, 0), 2, 2)
     lines = text.splitlines()

@@ -155,3 +155,17 @@ def test_shiffman_document_keys(bump_solved):
         "max_u", "jacobi_residual", "potential_identity_linf", "gauss_dual_route_linf"
     }
     assert set(doc["jacobi_residual"]) == {"linf", "l2", "h"}
+
+
+def test_shiffman_document_takes_one_gradient_pass(monkeypatch):
+    field = reconstructed(1, -1, -1, 21)
+    calls = []
+    gradient = np.gradient
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", counted)
+    shiffman_document(field)
+    assert calls == [(21, 21)]
