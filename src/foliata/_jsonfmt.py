@@ -18,7 +18,7 @@ def format_float(value: float) -> str:
     if math.isnan(v) or math.isinf(v):
         return "null"
     if v == int(v) and abs(v) < 1e16:
-        return f"{int(v)}.0"
+        return format(v, ".1f")  # keeps the sign of -0.0
     return format(v, ".17g")
 
 

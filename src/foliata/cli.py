@@ -21,10 +21,11 @@ from .field import (
     OVERFLOW_GUARD,
     GridSpec,
     OmegaField,
-    assemble_omega,
+    ReconstructedSource,
     assemble_omega_degenerate,
     field_document,
     field_from_document,
+    field_from_source,
     sinh_gordon_residual,
 )
 from .immersion import (
@@ -47,6 +48,7 @@ from .moduli import (
     scan_csv,
 )
 from .profile import (
+    ProfileFunction,
     degenerate_constants,
     integrate_profile,
     profile_period,
@@ -86,15 +88,13 @@ def _build_field(args) -> OmegaField:
         alpha, beta = degenerate_constants(point)
         return assemble_omega_degenerate(alpha, beta, grid, guard=guard)
     dp = derive_params(point, args.a)
-    fsol = integrate_profile(
-        dp, "F", (args.domain[0], args.domain[1]), args.profile_step,
-        trivial=getattr(args, "trivial_f", False),
+    source = ReconstructedSource(
+        ProfileFunction(dp, "F", trivial=getattr(args, "trivial_f", False)),
+        ProfileFunction(dp, "G", trivial=getattr(args, "trivial_g", False)),
+        eps_den=eps_den,
+        guard=guard,
     )
-    gsol = integrate_profile(
-        dp, "G", (args.domain[2], args.domain[3]), args.profile_step,
-        trivial=getattr(args, "trivial_g", False),
-    )
-    return assemble_omega(fsol, gsol, grid, eps_den=eps_den, guard=guard)
+    return field_from_source(source, grid)
 
 
 def _frame_for(args, field):
@@ -155,9 +155,26 @@ def _cmd_field(args) -> int:
     return 0
 
 
+def _read_field(path: str) -> tuple[dict, OmegaField]:
+    """The document and field of a field file; unreadable input is a domain error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FoliataError(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FoliataError(f"{path} is not JSON: {exc}") from exc
+    try:
+        return doc, field_from_document(doc)
+    except KeyError as exc:
+        raise FoliataError(f"{path} is not a field file: no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FoliataError(f"{path} is not a field file: {exc}") from exc
+
+
 def _cmd_verify(args) -> int:
-    doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    field = field_from_document(doc)
+    doc, field = _read_field(args.input)
     if args.shiffman:
         out = shiffman_document(field, margin=args.margin)
     elif args.immersion:
@@ -170,7 +187,6 @@ def _cmd_verify(args) -> int:
             domain=tuple(doc["domain"]),
             nx=field.nx,
             ny=field.ny,
-            profile_step=src_cfg.get("profile-step", PROFILE_STEP_DEFAULT),
             degenerate=src_cfg.get("degenerate", False),
             trivial_f=src_cfg.get("trivial-f", False),
             trivial_g=src_cfg.get("trivial-g", False),
@@ -264,7 +280,6 @@ def _add_grid_args(sp):
     )
     sp.add_argument("--nx", type=int, required=True)
     sp.add_argument("--ny", type=int, required=True)
-    sp.add_argument("--profile-step", type=float, default=PROFILE_STEP_DEFAULT)
     sp.add_argument("--trivial-f", action="store_true", help="select the f = 0 branch")
     sp.add_argument("--trivial-g", action="store_true", help="select the g = 0 branch")
     sp.add_argument("--degenerate", action="store_true",
@@ -343,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(sp)
     _add_seed_args(sp)
     sp.add_argument("--period", type=float, default=None,
-                    help="override the quadrature period")
+                    help="override the closed-form period")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_holonomy)
 

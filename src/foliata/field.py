@@ -115,9 +115,9 @@ class FieldData:
 class ReconstructedSource:
     """Closed-form field data from the two profile functions.
 
-    Profile values at arbitrary abscissae come from re-running the profile
-    march (never from interpolating a sampled grid), so the only error in the
-    data is the profile integrator's.  The gradient uses omega_x = -f cosh,
+    Profile values at arbitrary abscissae come from the profiles' closed
+    form (never from interpolating a sampled grid), so the data at a point
+    depends on that point alone.  The gradient uses omega_x = -f cosh,
     omega_y = -g cosh.
     """
 
@@ -125,51 +125,24 @@ class ReconstructedSource:
 
     def __init__(
         self,
-        c0: float,
-        dp: DerivedParams,
         ffn: ProfileFunction,
         gfn: ProfileFunction,
         eps_den: float = EPS_DEN,
         guard: float = OVERFLOW_GUARD,
     ):
-        self.c0 = float(c0)
-        self.dp = dp
+        if ffn.kind != "F" or gfn.kind != "G":
+            raise GridMismatch("need one F profile and one G profile")
+        if ffn.dp != gfn.dp:
+            raise GridMismatch("profiles built from different derived parameters")
+        self.dp = ffn.dp
+        self.c0 = (self.dp.cbar + self.dp.dbar) / 2.0
         self.ffn = ffn
         self.gfn = gfn
         self.eps_den = eps_den
         self.guard = guard
         # both profiles constant zero at c0 = 0: the quotients are 0/0 at
         # every point but the constants branch gives omega = 0 exactly
-        self.flat_trivial = c0 == 0 and ffn.trivial and gfn.trivial
-        self._point: dict[tuple[str, float], tuple[float, float]] = {}
-        self._batch: dict[tuple[str, tuple, bytes], tuple[np.ndarray, np.ndarray]] = {}
-
-    def prime_x(self, xs: np.ndarray) -> None:
-        f, fx = self.ffn.eval_many(xs)
-        self._point.update(zip((("x", float(v)) for v in xs), zip(f, fx)))
-
-    def prime_y(self, ys: np.ndarray) -> None:
-        g, gy = self.gfn.eval_many(ys)
-        self._point.update(zip((("y", float(v)) for v in ys), zip(g, gy)))
-
-    def _axis_profiles(self, vals: np.ndarray, axis: str):
-        """Cache-backed profile values along one axis, in the shape of ``vals``."""
-        key = (axis, vals.shape, vals.tobytes())
-        hit = self._batch.get(key)
-        if hit is not None:
-            return hit
-        fn = self.ffn if axis == "x" else self.gfn
-        misses = sorted({float(v) for v in vals.ravel() if (axis, float(v)) not in self._point})
-        if misses:
-            w, dw = fn.eval_many(np.array(misses))
-            self._point.update(zip(((axis, m) for m in misses), zip(w, dw)))
-        pairs = [self._point[(axis, float(v))] for v in vals.ravel()]
-        w = np.array([p[0] for p in pairs]).reshape(vals.shape)
-        dw = np.array([p[1] for p in pairs]).reshape(vals.shape)
-        if len(self._batch) > 64:
-            self._batch.clear()
-        self._batch[key] = (w, dw)
-        return w, dw
+        self.flat_trivial = self.c0 == 0 and ffn.trivial and gfn.trivial
 
     def _combine(self, f, fx, g, gy) -> FieldData:
         if self.flat_trivial:
@@ -194,22 +167,12 @@ class ReconstructedSource:
 
     def eval_bc(self, x, y) -> FieldData:
         """Field data with numpy broadcasting of the two coordinates."""
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        f, fx = self._axis_profiles(np.atleast_1d(xa), "x")
-        g, gy = self._axis_profiles(np.atleast_1d(ya), "y")
-        if xa.ndim == 0:
-            f, fx = f[0], fx[0]
-        if ya.ndim == 0:
-            g, gy = g[0], gy[0]
-        return self._combine(f, fx, g, gy)
+        return self._combine(*self.ffn.eval_many(x), *self.gfn.eval_many(y))
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
-        f, fx = self._axis_profiles(np.asarray(xs, dtype=float), "x")
-        g, gy = self._axis_profiles(np.asarray(ys, dtype=float), "y")
-        return self._combine(
-            f[None, :], fx[None, :], g[:, None], gy[:, None]
-        )
+        f, fx = self.ffn.eval_many(xs)
+        g, gy = self.gfn.eval_many(ys)
+        return self._combine(f[None, :], fx[None, :], g[:, None], gy[:, None])
 
 
 class DegenerateSource:
@@ -283,7 +246,8 @@ class OmegaField:
         return self.grid.domain
 
 
-def _field_from_source(source, grid: GridSpec) -> OmegaField:
+def field_from_source(source, grid: GridSpec) -> OmegaField:
+    """The field of a closed-form source sampled on a grid."""
     data = source.eval_grid(grid.xs, grid.ys)
     mask = ~data.ok
     if mask.all():
@@ -297,21 +261,6 @@ def _field_from_source(source, grid: GridSpec) -> OmegaField:
         provenance=source.provenance,
         source=source,
     )
-
-
-def source_from_profiles(
-    fsol: ProfileSolution,
-    gsol: ProfileSolution,
-    eps_den: float = EPS_DEN,
-    guard: float = OVERFLOW_GUARD,
-) -> ReconstructedSource:
-    if fsol.kind != "F" or gsol.kind != "G":
-        raise GridMismatch("need one F profile and one G profile")
-    if fsol.params != gsol.params:
-        raise GridMismatch("profiles built from different derived parameters")
-    dp = fsol.params
-    c0 = (dp.cbar + dp.dbar) / 2.0
-    return ReconstructedSource(c0, dp, fsol.fn, gsol.fn, eps_den=eps_den, guard=guard)
 
 
 def assemble_omega(
@@ -334,7 +283,7 @@ def assemble_omega(
         and grid.y1 <= gsol.grid[-1] + 1e-12
     ):
         raise GridMismatch("grid extends beyond the sampled profile ranges")
-    return _field_from_source(source_from_profiles(fsol, gsol, eps_den, guard), grid)
+    return field_from_source(ReconstructedSource(fsol.fn, gsol.fn, eps_den, guard), grid)
 
 
 def assemble_omega_degenerate(
@@ -344,7 +293,7 @@ def assemble_omega_degenerate(
 
     Nodes outside the principal strip |alpha x + beta y| < pi/2 are singular.
     """
-    return _field_from_source(DegenerateSource(alpha, beta, guard=guard), grid)
+    return field_from_source(DegenerateSource(alpha, beta, guard=guard), grid)
 
 
 def singular_set(
@@ -364,8 +313,7 @@ def singular_set(
     """
     if fsol.params != dp or gsol.params != dp:
         raise GridMismatch("profiles built from different derived parameters")
-    source = source_from_profiles(fsol, gsol)
-    return ~source.eval_grid(grid.xs, grid.ys).ok
+    return ~ReconstructedSource(fsol.fn, gsol.fn).eval_grid(grid.xs, grid.ys).ok
 
 
 def _interior_laplacian(w: np.ndarray, hx: float, hy: float) -> np.ndarray:

@@ -224,13 +224,6 @@ def _march(
     return psi, u1, u2, alive
 
 
-def _prime_source(source, xs: np.ndarray, ys: np.ndarray) -> None:
-    if hasattr(source, "prime_x"):
-        source.prime_x(xs)
-    if hasattr(source, "prime_y"):
-        source.prime_y(ys)
-
-
 def _require_source(field: OmegaField):
     if field.source is None:
         raise InvalidParams(
@@ -281,9 +274,10 @@ def integrate_frame(
     """Integrate (psi, u) over the grid from a seed node.
 
     The path runs along the seed column first, then along every row, with
-    fourth-order steps on the half-step lattice of the grid.  The transposed
-    path (seed row, then columns) is integrated on a coarse subsample only,
-    and the largest state discrepancy is reported as ``compat_linf``.
+    one fourth-order step per grid cell (middle stages at the cell
+    midpoints).  The transposed path (seed row, then columns) is integrated
+    on a coarse subsample only, and the largest state discrepancy is
+    reported as ``compat_linf``.
     Rows are truncated (NaN) where they hit the singular set or the chart
     boundary; a singular seed raises SingularCrossing.
     """
@@ -301,10 +295,6 @@ def integrate_frame(
         raise SingularCrossing(f"seed node ({xs[i0]}, {ys[j0]}) is on the singular set")
     if not bool(np.asarray(space.in_domain(u0[0], u0[1]))):
         raise ChartOverflow(f"seed chart point {u0} outside the chart")
-
-    x_half = grid.x0 + 0.5 * grid.hx * np.arange(2 * grid.nx - 1)
-    y_half = grid.y0 + 0.5 * grid.hy * np.arange(2 * grid.ny - 1)
-    _prime_source(source, x_half, y_half)
 
     one = np.ones(1)
     cpsi, cu1, cu2, calive = _march(
@@ -526,8 +516,8 @@ def write_obj(mesh: SurfaceMesh) -> str:
         a = "0" if not np.isfinite(c[0]) else repr(float(c[0]))
         b = "0" if not np.isfinite(c[1]) else repr(float(c[1]))
         lines.append(f"vt {a} {b}")
-    for quad in mesh.faces:
-        lines.append("f " + " ".join(f"{int(v) + 1}/{int(v) + 1}" for v in quad))
+    for face in mesh.faces:
+        lines.append("f " + " ".join(f"{int(v) + 1}/{int(v) + 1}" for v in face))
     for poly in mesh.foliation:
         lines.append("l " + " ".join(str(int(v) + 1) for v in poly))
     return "\n".join(lines) + "\n"
@@ -743,17 +733,6 @@ def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyRep
         raise PeriodUnavailable("no valid base nodes with x + period in range")
     base_idx = candidates[:: max(1, len(candidates) // 8)]
     targets = [float(xs[i] + period) for i in base_idx]
-
-    # prime the exact node and midpoint abscissae the row marches will visit
-    if hasattr(source, "prime_x"):
-        stages: list[float] = []
-        for t in targets:
-            lo = float(xs[i0])
-            n = max(1, math.ceil(abs(t - lo) / grid.hx))
-            nodes = np.linspace(lo, t, n + 1)
-            stages.extend(map(float, nodes))
-            stages.extend(map(float, nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])))
-        source.prime_x(np.array(sorted(set(stages))))
 
     pairs = [
         ((frame.u[j0, i, 0], frame.u[j0, i, 1], frame.psi[j0, i]), (u1_t, u2_t, psi_t))

@@ -4,13 +4,15 @@ Both profiles solve the same pendulum-with-quartic-potential equation
 
     w'' = -(2 w^3 + k w),        w'^2 + w^4 + k w^2 + m0 = 0,
 
-with (k, m0) = (cbar, c) for f and (dbar, d) for g.  The second-order form is
-integrated with a classical fixed-step fourth-order scheme; the first
-integral is never used for stepping (its square root is branch-ambiguous at
-turning points) and instead serves as the conservation oracle.  w^2 ranges
-over [max(0, r-), r+] where r-+ are the roots of R(s) = s^2 + k s + m0, and
-the exact period is an elliptic integral evaluated after a sin-substitution
-that absorbs the inverse-square-root endpoint singularities.
+with (k, m0) = (cbar, c) for f and (dbar, d) for g.  w^2 ranges over
+[max(0, r-), r+] where r-+ are the roots of R(s) = s^2 + k s + m0, and the
+solutions are Jacobi elliptic functions (DLMF 22): profiles and their
+periods are evaluated in closed form through the arithmetic-geometric mean
+of DLMF 22.20(ii).  A classical fixed-step fourth-order integration of the
+second-order form samples the profile on a uniform grid and is the
+independent oracle for the closed form; the first integral is never used
+for stepping (its square root is branch-ambiguous at turning points) and
+instead serves as the conservation oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DriftExceeded,
@@ -31,8 +32,34 @@ from .errors import (
 from .moduli import DerivedParams, ModuliPoint, derive_params
 
 DRIFT_TOL_DEFAULT = 1e-9
-#: Upper bound on the step used when marching to off-grid abscissae.
-EVAL_MAX_STEP = 1e-3
+
+
+def _agm(m: float, m1: float) -> tuple[list[float], list[float]]:
+    """AGM ladder a_n, c_n from (1, sqrt(m1)) for parameter m = 1 - m1.
+
+    Iterates until c_n is below one ulp of a_n; a relative stop any tighter
+    can stall at one ulp and never end.  The quarter period is pi / (2 a_N).
+    """
+    a, b, c = [1.0], math.sqrt(m1), [math.sqrt(m)]
+    while c[-1] > 2.0 ** -52 * a[-1]:
+        a_n = a[-1]
+        a.append(0.5 * (a_n + b))
+        c.append(0.5 * (a_n - b))
+        b = math.sqrt(a_n * b)
+    return a, c
+
+
+def _sn_cn_dn(u, m: float, m1: float, ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobi sn, cn, dn(u | m) by the descending AGM recurrence of DLMF 22.20(ii).
+
+    dn comes from sqrt(m1 + m cn^2), which never cancels.
+    """
+    a, c = ladder
+    phi = 2.0 ** (len(a) - 1) * a[-1] * u
+    for a_n, c_n in zip(a[:0:-1], c[:0:-1]):
+        phi = 0.5 * (phi + np.arcsin(c_n * np.sin(phi) / a_n))
+    cn = np.cos(phi)
+    return np.sin(phi), cn, np.sqrt(m1 + m * cn * cn)
 
 
 def _kind_params(dp: DerivedParams, kind: str) -> tuple[float, float, float, float]:
@@ -59,14 +86,40 @@ def admissible_interval(dp: DerivedParams, kind: str) -> tuple[float, float]:
     return max(0.0, lo), hi
 
 
+def _jacobi_form(dp: DerivedParams, kind: str) -> tuple[bool, float, float, float, float]:
+    """(sign-changing, sqrt(r+), rate, m, 1 - m) of the Jacobi form of the profile.
+
+    The root of smaller magnitude comes from Vieta, const / (the other root):
+    the textbook formula for it cancels near the homoclinic edge m -> 1.
+    """
+    coef, const, _, _ = _kind_params(dp, kind)
+    big = -0.5 * (coef + math.copysign(math.sqrt(dp.delta), coef))
+    lo, hi = sorted((big, const / big))
+    if lo <= 0:
+        lam2 = hi - lo
+        return True, math.sqrt(hi), math.sqrt(lam2), hi / lam2, -lo / lam2
+    return False, math.sqrt(hi), math.sqrt(hi), (hi - lo) / hi, lo / hi
+
+
 class ProfileFunction:
-    """Evaluator for one profile, backed by fixed-step marching from x = 0.
+    """Closed-form evaluator for one profile.
 
     Canonical initial data: w(0) = 0, w'(0) = sqrt(-m0) when the admissible
     interval starts at 0 (sign-changing branch), else w(0) = sqrt(m),
     w'(0) = 0 (oscillation between positive roots).  A ``phase`` shifts the
     solution, and ``trivial`` selects the constant zero branch that exists
-    when m0 = 0.
+    when m0 = 0.  With roots r- <= r+ the solutions are
+
+        w = (w'(0) / lam) sd(lam x | m),   lam^2 = r+ - r-,  m = r+ / lam^2
+        w = w(0) / dn(sqrt(r+) x | m),     m = 1 - r- / r+
+
+    on the two branches.  They are evaluated as sqrt(r+) cn(lam x - K | m)
+    and sqrt(r+) dn(sqrt(r+) x - K | m), the same functions shifted by the
+    quarter period K: near m -> 1 the unshifted quotients divide by dn ~
+    sqrt(1 - m) and lose that factor in accuracy.  Every abscissa is
+    evaluated independently of the others.  ``_march`` is the fixed-step
+    RK4 integration of the same initial-value problem, kept for sampled
+    grids and as an oracle.
     """
 
     def __init__(
@@ -75,29 +128,30 @@ class ProfileFunction:
         kind: str,
         trivial: bool = False,
         phase: float = 0.0,
-        max_step: float = EVAL_MAX_STEP,
     ):
         self.dp = dp
         self.kind = kind.upper()
         self.coef, self.const, _, _ = _kind_params(dp, self.kind)
         self.trivial = trivial
         self.phase = float(phase)
-        self.max_step = float(max_step)
+        self.w0 = self.dw0 = 0.0
         if trivial:
             if abs(self.const) > 1e-12:
                 raise InvalidParams(
                     f"constant zero branch needs vanishing constant, got {self.const}"
                 )
-            self.w0 = 0.0
-            self.dw0 = 0.0
             return
         m, _ = admissible_interval(dp, self.kind)
         if m == 0.0 and self.const <= 0:
-            self.w0 = 0.0
             self.dw0 = math.sqrt(-self.const)
         else:
             self.w0 = math.sqrt(m)
-            self.dw0 = 0.0
+        if self.w0 != 0.0 or self.dw0 != 0.0:
+            self._crossing, self._amp, self._rate, self._m, self._m1 = _jacobi_form(
+                dp, self.kind
+            )
+            self._ladder = _agm(self._m, self._m1)
+            self._quarter = math.pi / (2.0 * self._ladder[0][-1])
 
     def _accel(self, w: float) -> float:
         return -(2.0 * w * w * w + self.coef * w)
@@ -113,8 +167,9 @@ class ProfileFunction:
             h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
         )
 
-    def _march(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and derivatives at sorted shifted abscissae (ascending |.|).
+    def _march(self, targets: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+        """RK4 values and derivatives at shifted abscissae, marched from 0
+        outward in steps no longer than ``step``.
 
         State increments accumulate with compensated summation so the
         rounding floor stays well below the fourth-order truncation error
@@ -130,7 +185,7 @@ class ProfileFunction:
             for idx in sel[order]:
                 gap = abs(targets[idx] - pos)
                 if gap > 0:
-                    n = max(1, math.ceil(gap / self.max_step))
+                    n = max(1, math.ceil(gap / step))
                     h = sign * gap / n
                     for _ in range(n):
                         inc_w, inc_dw = self._step(w, dw, h)
@@ -147,12 +202,16 @@ class ProfileFunction:
                 dw_out[idx] = dw
         return w_out, dw_out
 
-    def eval_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Profile value and derivative at arbitrary abscissae."""
+    def eval_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Profile value and derivative at arbitrary abscissae (any shape)."""
         xs = np.asarray(xs, dtype=float)
-        if self.trivial:
+        if self.w0 == 0.0 and self.dw0 == 0.0:
             return np.zeros_like(xs), np.zeros_like(xs)
-        return self._march(xs.ravel() - self.phase)
+        u = self._rate * (xs - self.phase) - self._quarter
+        sn, cn, dn = _sn_cn_dn(u, self._m, self._m1, self._ladder)
+        if self._crossing:
+            return self._amp * cn, -self._amp * self._rate * sn * dn
+        return self._amp * dn, -self._amp * self._rate * self._m * sn * cn
 
     def first_integral(self, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
         w = np.asarray(w)
@@ -198,11 +257,14 @@ def integrate_profile(
     x0, x1 = x_range
     if not (step > 0 and x1 > x0):
         raise InvalidParams(f"need step > 0 and x1 > x0, got {step}, {x_range}")
-    fn = ProfileFunction(dp, kind, trivial=trivial, phase=phase, max_step=step)
+    fn = ProfileFunction(dp, kind, trivial=trivial, phase=phase)
     # round the count up so the samples always cover [x0, x1]
     n = max(2, math.ceil((x1 - x0) / step - 1e-9)) + 1
     grid = x0 + step * np.arange(n)
-    values, derivs = fn.eval_many(grid)
+    if trivial:
+        values, derivs = np.zeros(n), np.zeros(n)
+    else:
+        values, derivs = fn._march(grid - fn.phase, step)
     drift = float(np.max(np.abs(fn.first_integral(values, derivs))))
     if drift > 100.0 * drift_tol:
         raise DriftExceeded(
@@ -225,41 +287,21 @@ def integrate_profile(
 
 
 def profile_period(dp: DerivedParams, kind: str) -> float:
-    """Exact period of the oscillating profile by quadrature.
-
-    With roots m <= M of the quadratic in w^2, the period is
-
-        4 * int_0^{pi/2} dt / sqrt(M sin^2 t - m)          (m <= 0, w crosses 0)
-        2 * int_0^{pi/2} dt / sqrt(m + (M - m) sin^2 t)    (m > 0, w one-signed)
-
-    both smooth integrands after substituting w = sqrt(M) sin t, respectively
-    w^2 = m + (M - m) sin^2 t into dw / sqrt(-R(w^2)).
+    """Exact period of the oscillating profile: 4K / lam on the sign-changing
+    branch (w = sd), 2K / sqrt(r+) on the one-signed one (w = 1/dn), with the
+    complete elliptic integral K = pi / (2 AGM(1, sqrt(1 - m))).
     """
     admissible_interval(dp, kind)
-    _, const, rlo, rhi = _kind_params(dp, kind)
+    _, _, rlo, rhi = _kind_params(dp, kind)
     if dp.delta == 0 or rhi == rlo:
         raise NonOscillatory("double root: profile is constant")
     if rhi <= 0:
         raise NonOscillatory("degenerate admissible interval")
-    if rlo <= 0:
-        if const == 0:
-            raise NonOscillatory("homoclinic branch has infinite period")
-        val, _ = quad(
-            lambda t: 1.0 / math.sqrt(rhi * math.sin(t) ** 2 - rlo),
-            0.0,
-            math.pi / 2.0,
-            epsabs=1e-13,
-            epsrel=1e-13,
-        )
-        return 4.0 * val
-    val, _ = quad(
-        lambda t: 1.0 / math.sqrt(rlo + (rhi - rlo) * math.sin(t) ** 2),
-        0.0,
-        math.pi / 2.0,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    return 2.0 * val
+    crossing, _, rate, m, m1 = _jacobi_form(dp, kind)
+    if crossing and m1 == 0:
+        raise NonOscillatory("homoclinic branch has infinite period")
+    a, _ = _agm(m, m1)
+    return (2.0 if crossing else 1.0) * math.pi / (a[-1] * rate)
 
 
 def _hermite_root(x0, h, w0, dw0, w1, dw1) -> float:
@@ -302,7 +344,7 @@ def period_from_ode(
     m, bigm = admissible_interval(dp, kind)
     if dp.delta == 0 or bigm == m:
         raise NonOscillatory("constant profile has no period")
-    fn = ProfileFunction(dp, kind, max_step=step)
+    fn = ProfileFunction(dp, kind)
     if fn.trivial or (fn.w0 == 0.0 and fn.dw0 == 0.0):
         raise NonOscillatory("profile sits at an equilibrium")
     use_deriv = m > 0.0

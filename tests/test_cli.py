@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from foliata._jsonfmt import dumps
 from foliata.cli import main
 
 
@@ -160,3 +162,41 @@ def test_json_floats_lossless(tmp_path, capsys):
     main(["classify", "--c0", "-1", "--c", "-1", "--d", "1"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["derived"]["xplus"] == (-1 + 5**0.5) / 2
+
+
+@pytest.mark.parametrize(
+    "content,expect",
+    [(None, "cannot read"), ("{not json", "not JSON"), ('{"c0": 1.0}', "no key 'domain'"),
+     ("[1, 2]", "not a field file")],
+)
+def test_verify_unreadable_input_exits_one(tmp_path, capsys, content, expect):
+    path = tmp_path / "field.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["verify", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expect in err and err.count("\n") == 1
+
+
+def test_field_rejects_profile_step(capsys):
+    argv = ["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+            "--nx", "5", "--ny", "5", "--profile-step", "1e-3"]
+    assert main(argv) == 2
+
+
+def test_verify_immersion_accepts_profile_step_config(tmp_path, capsys):
+    # field files written before the profiles had a closed form carry it
+    path = tmp_path / "field.json"
+    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+                 "--nx", "21", "--ny", "21", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["config"]["profile-step"] = 0.001
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path), "--immersion"]) == 0
+    assert json.loads(capsys.readouterr().out)["compat_linf"] < 1e-6
+
+
+def test_json_float_sign_and_value_round_trip():
+    for v in (-0.0, 5e-324, -1e-300, 0.1):
+        back = json.loads(dumps(v))
+        assert back == v and math.copysign(1.0, back) == math.copysign(1.0, v)

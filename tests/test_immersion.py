@@ -214,7 +214,15 @@ def test_region_one_mesh_clips_at_disk_boundary():
     mesh = build_mesh(frame, field, DISK)
     assert 0.3 < mesh.valid.mean() < 1.0  # clipped, not empty
     pts = mesh.ambient_vertices[mesh.valid]
-    assert np.abs(-pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2 + 1.0).max() <= 1e-10
+    # X0 reaches ~557 at the chart edge, so the hyperboloid constraint is
+    # checked against the rounding floor of each vertex, eps * |X|^2
+    def on_hyperboloid(x):
+        sq = x[:, :3] ** 2
+        return bool(np.all(np.abs(-sq[:, 0] + sq[:, 1] + sq[:, 2] + 1.0)
+                           <= 8.0 * np.finfo(float).eps * sq.sum(axis=1)))
+
+    assert on_hyperboloid(pts)
+    assert not on_hyperboloid(pts * np.array([1.0 + 1e-12, 1.0, 1.0, 1.0]))
     r = np.hypot(*mesh.chart_vertices[mesh.valid][:, :2].T)
     assert r.max() < 1.0
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from foliata.errors import (
     DriftExceeded,
@@ -12,6 +13,8 @@ from foliata.errors import (
 )
 from foliata.moduli import ModuliPoint, derive_params
 from foliata.profile import (
+    ProfileFunction,
+    _agm,
     admissible_interval,
     degenerate_constants,
     integrate_profile,
@@ -167,3 +170,53 @@ def test_solution_grid_covers_requested_range():
     sol = integrate_profile(dp(1, -1, 0), "F", (0.5, 1.2341), 1e-3)
     assert sol.grid[0] == 0.5
     assert sol.grid[-1] >= 1.2341 - 1e-12
+
+
+@pytest.mark.parametrize("point,kind", [((-1, -1, 1), "F"), ((-1, -1, 1), "G")])
+def test_eval_many_is_pointwise(point, kind):
+    # the value at one abscissa does not depend on what else is in the call
+    fn = ProfileFunction(dp(*point), kind)
+    xs = np.linspace(-7.3, 5.4321, 2001)
+    w, dw = fn.eval_many(xs)
+    for i in (0, 1000, 2000):
+        one_w, one_dw = fn.eval_many(xs[i:i + 1])
+        assert (one_w[0], one_dw[0]) == (w[i], dw[i])
+        assert fn.eval_many(xs[i]) == (w[i], dw[i])
+
+
+@pytest.mark.parametrize("c", [-1e-6, -1e-8, -1e-10, -1e-12])
+def test_closed_form_near_homoclinic_edge(c):
+    # c0 = -1, d = 0: the modulus of f is 1 - O(|c|)
+    d = dp(-1, c, 0)
+    fn = ProfileFunction(d, "F")
+    t = profile_period(d, "F")
+    xs = np.linspace(-20, 20, 4001)
+    w, dw = fn.eval_many(xs)
+    assert np.abs(fn.first_integral(w, dw)).max() <= 1e-13
+    assert np.abs(fn.eval_many(xs + t)[0] - w).max() <= 1e-10
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(
+    c0=st.sampled_from([-1.0, 0.0, 1.0]),
+    c=st.floats(-2, 2),
+    d=st.floats(-2, 2),
+    a=st.floats(-1, 1),
+    kind=st.sampled_from(["F", "G"]),
+)
+def test_closed_form_matches_rk4(c0, c, d, a, kind):
+    point = ModuliPoint(c0, c, c if c0 == 0 else d)
+    try:
+        sol = integrate_profile(derive_params(point, a), kind, (-5, 5), 1e-3)
+    except NoRealSolution:
+        assume(False)
+    w, dw = sol.fn.eval_many(sol.grid)
+    assert np.abs(w - sol.values).max() <= 1e-9
+    assert np.abs(dw - sol.derivs).max() <= 1e-9
+
+
+def test_agm_terminates_across_moduli():
+    for m1 in np.logspace(-300, 0, 301):
+        a, c = _agm(1.0 - m1, m1)
+        assert len(a) < 20 and c[-1] <= 2.0 ** -52 * a[-1]
+        assert math.isfinite(math.pi / (2.0 * a[-1]))
