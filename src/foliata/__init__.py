@@ -70,7 +70,6 @@ from .profile import (
     profile_period,
 )
 from .shiffman import (
-    JacobiReport,
     gauss_curvature,
     jacobi_potential,
     jacobi_residual,

@@ -78,21 +78,19 @@ def _config(args: argparse.Namespace) -> dict:
 def _build_field(args) -> OmegaField:
     point = ModuliPoint(args.c0, args.c, args.d)
     point.validate()
-    use_degenerate = getattr(args, "degenerate", False)
+    use_degenerate = args.degenerate
     if not use_degenerate and args.c0 == -1:
         use_degenerate = derive_params(point).delta == 0
     grid = GridSpec(*args.domain, nx=args.nx, ny=args.ny)
-    eps_den = getattr(args, "eps_den", EPS_DEN)
-    guard = getattr(args, "overflow_guard", OVERFLOW_GUARD)
     if use_degenerate:
         alpha, beta = degenerate_constants(point)
-        return assemble_omega_degenerate(alpha, beta, grid, guard=guard)
+        return assemble_omega_degenerate(alpha, beta, grid, guard=args.overflow_guard)
     dp = derive_params(point, args.a)
     source = ReconstructedSource(
-        ProfileFunction(dp, "F", trivial=getattr(args, "trivial_f", False)),
-        ProfileFunction(dp, "G", trivial=getattr(args, "trivial_g", False)),
-        eps_den=eps_den,
-        guard=guard,
+        ProfileFunction(dp, "F", trivial=args.trivial_f),
+        ProfileFunction(dp, "G", trivial=args.trivial_g),
+        eps_den=args.eps_den,
+        guard=args.overflow_guard,
     )
     return field_from_source(source, grid)
 
@@ -190,6 +188,8 @@ def _cmd_verify(args) -> int:
             degenerate=src_cfg.get("degenerate", False),
             trivial_f=src_cfg.get("trivial-f", False),
             trivial_g=src_cfg.get("trivial-g", False),
+            eps_den=src_cfg.get("eps-den", EPS_DEN),
+            overflow_guard=src_cfg.get("overflow-guard", OVERFLOW_GUARD),
         )
         if rebuild.c is None:
             raise FoliataError(

@@ -412,6 +412,7 @@ def solve_sinh_gordon(
         )
         return (lap + c0 * np.sinh(arr[1:-1, 1:-1]) * np.cosh(arr[1:-1, 1:-1])).ravel()
 
+    lam = float("nan")  # step factor of the last iteration, reported on failure
     for _ in range(max_iter):
         fv = residual(w)
         jac = lap_op + sp.diags(c0 * np.cosh(2.0 * w[1:-1, 1:-1]).ravel())
@@ -434,7 +435,10 @@ def solve_sinh_gordon(
                 mask=np.zeros((ny, nx), dtype=bool),
                 provenance="Relaxation",
             )
-    raise NonConverged(f"no convergence within {max_iter} Newton iterations")
+    raise NonConverged(
+        f"no convergence within {max_iter} Newton iterations "
+        f"(last residual norm {np.linalg.norm(residual(w)):.6e}, last step factor {lam})"
+    )
 
 
 def level_curvatures(field: OmegaField) -> tuple[np.ndarray, np.ndarray]:

@@ -269,15 +269,15 @@ def integrate_frame(
     field: OmegaField,
     space: ChartSpace,
     seed: tuple[float, float, float, tuple[float, float]] | None = None,
-    compat_samples: int = 6,
 ) -> FrameField:
     """Integrate (psi, u) over the grid from a seed node.
 
     The path runs along the seed column first, then along every row, with
     one fourth-order step per grid cell (middle stages at the cell
-    midpoints).  The transposed path (seed row, then columns) is integrated
-    on a coarse subsample only, and the largest state discrepancy is
-    reported as ``compat_linf``.
+    midpoints).  The transposed path continues the seed row of that result
+    up every column, so the frame takes three marches in all; the largest
+    state discrepancy between the two paths over the full grid is reported
+    as ``compat_linf``.
     Rows are truncated (NaN) where they hit the singular set or the chart
     boundary; a singular seed raises SingularCrossing.
     """
@@ -308,49 +308,33 @@ def integrate_frame(
     # row-major orientation: _march returned (nx, ny); transpose to (ny, nx)
     psi, u1, u2, alive = psi.T, u1.T, u2.T, alive.T
 
-    compat = _path_compat(
-        source, space, grid, i0, j0, psi0, u0, psi, u1, u2, alive, compat_samples
-    )
-    frame = FrameField(
+    return FrameField(
         psi=psi,
         u=np.stack([u1, u2], axis=-1),
         valid=alive,
         seed=(i0, j0, float(psi0), (float(u0[0]), float(u0[1]))),
-        compat_linf=compat,
+        compat_linf=_path_compat(source, space, grid, j0, psi, u1, u2, alive),
         grid=grid,
         space=space,
     )
-    return frame
 
 
-def _path_compat(
-    source, space, grid, i0, j0, psi0, u0, psi, u1, u2, alive, samples
-):
-    """Largest (psi, u) gap between column-first and row-first integration."""
-    xs, ys = grid.xs, grid.ys
-    one = np.ones(1)
-    rpsi, ru1, ru2, ralive = _march(
-        source, space, "x", np.array([ys[j0]]), xs, i0,
-        psi0 * one, u0[0] * one, u0[1] * one, np.array([True]),
-    )
-    pick = np.unique(np.linspace(0, grid.nx - 1, samples).astype(int))
-    cols = pick[ralive[pick, 0]]
-    if cols.size == 0:
+def _path_compat(source, space, grid, j0, psi, u1, u2, alive):
+    """Largest (psi, u) gap between column-first and row-first integration.
+
+    The row-first path shares the seed row with the column-first one, so it
+    is one march up all columns from that row of the frame.
+    """
+    if not alive[j0].any():
         return float("nan")
     tpsi, tu1, tu2, talive = _march(
-        source, space, "y", xs[cols], ys, j0,
-        rpsi[cols, 0], ru1[cols, 0], ru2[cols, 0], ralive[cols, 0],
+        source, space, "y", grid.xs, grid.ys, j0,
+        psi[j0], u1[j0], u2[j0], alive[j0],
     )
-    rows = np.unique(np.linspace(0, grid.ny - 1, samples).astype(int))
-    worst = 0.0
-    for kc, i in enumerate(cols):
-        for j in rows:
-            if not (talive[j, kc] and alive[j, i]):
-                continue
-            dpsi = (tpsi[j, kc] - psi[j, i] + math.pi) % (2.0 * math.pi) - math.pi
-            du = math.hypot(tu1[j, kc] - u1[j, i], tu2[j, kc] - u2[j, i])
-            worst = max(worst, abs(dpsi), du)
-    return worst
+    both = talive & alive
+    dpsi = (tpsi[both] - psi[both] + math.pi) % (2.0 * math.pi) - math.pi
+    du = np.hypot(tu1[both] - u1[both], tu2[both] - u2[both])
+    return float(max(np.abs(dpsi).max(initial=0.0), du.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +695,12 @@ def _model_isometry(space, base, image) -> np.ndarray | tuple[np.ndarray, np.nda
 def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyReport:
     """Chart isometry relating the frame to its translate by one x-period.
 
-    Samples the seed row at several base points, marches the frame to each
-    x + period, builds the model-space isometry from the first frame pair
-    and reports the worst alignment gap over the rest.  ``closed`` flags an
-    identity holonomy to 1e-6.
+    Samples the seed row at several base points and continues the frame to
+    each x + period: the frame's own state at the last grid node before the
+    target, advanced by one RK4 step over the remainder.  Builds the
+    model-space isometry from the first frame pair and reports the worst
+    alignment gap over the rest.  ``closed`` flags an identity holonomy to
+    1e-6.
     """
     space = frame.space
     if period is None or not math.isfinite(period) or period <= 0:
@@ -724,7 +710,7 @@ def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyRep
         raise PeriodUnavailable("domain spans less than one period in x")
     source = _require_source(field)
     xs = grid.xs
-    i0, j0, _, _ = frame.seed
+    _, j0, _, _ = frame.seed
     candidates = [
         i for i in range(grid.nx)
         if xs[i] + period <= grid.x1 + 1e-12 and frame.valid[j0, i]
@@ -737,7 +723,7 @@ def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyRep
     pairs = [
         ((frame.u[j0, i, 0], frame.u[j0, i, 1], frame.psi[j0, i]), (u1_t, u2_t, psi_t))
         for i, (psi_t, u1_t, u2_t, ok) in zip(
-            base_idx, _row_states_at(source, space, grid, j0, i0, frame, targets)
+            base_idx, _row_states_at(source, frame, targets)
         )
         if ok
     ]
@@ -789,25 +775,26 @@ def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyRep
     )
 
 
-def _row_states_at(source, space, grid, j0, i0, frame, targets):
+def _row_states_at(source, frame, targets):
     """Frame states (psi, u1, u2, alive) along the seed row at each target
     abscissa, in target order.
 
-    Marches from the seed with substeps no larger than the grid step,
-    splitting each leg at panel midpoints for the RK4 stages.
+    Each state is the frame's at the last grid node k between the seed and
+    the target, advanced by one RK4 step over t - x_k.
     """
-    ys = grid.ys
+    grid = frame.grid
+    xs = grid.xs
+    i0, j0, _, _ = frame.seed
     out = []
     for t in targets:
-        lo = float(grid.xs[i0])
-        n = max(1, math.ceil(abs(t - lo) / grid.hx))
-        nodes = np.linspace(lo, t, n + 1)
-        psi = np.array([frame.psi[j0, i0]])
-        u1 = np.array([frame.u[j0, i0, 0]])
-        u2 = np.array([frame.u[j0, i0, 1]])
-        alive = np.array([frame.valid[j0, i0]])
+        if t >= xs[i0]:
+            k = int(np.searchsorted(xs, t, side="right")) - 1
+        else:
+            k = int(np.searchsorted(xs, t, side="left"))
         p, a, b, al = _march(
-            source, space, "x", np.array([ys[j0]]), nodes, 0, psi, u1, u2, alive
+            source, frame.space, "x", grid.ys[j0:j0 + 1], np.array([xs[k], t]), 0,
+            frame.psi[j0, k:k + 1], frame.u[j0, k:k + 1, 0], frame.u[j0, k:k + 1, 1],
+            frame.valid[j0, k:k + 1],
         )
         out.append((p[-1, 0], a[-1, 0], b[-1, 0], bool(al[-1, 0])))
     return out

@@ -105,10 +105,11 @@ class ProfileFunction:
     """Closed-form evaluator for one profile.
 
     Canonical initial data: w(0) = 0, w'(0) = sqrt(-m0) when the admissible
-    interval starts at 0 (sign-changing branch), else w(0) = sqrt(m),
-    w'(0) = 0 (oscillation between positive roots).  A ``phase`` shifts the
-    solution, and ``trivial`` selects the constant zero branch that exists
-    when m0 = 0.  With roots r- <= r+ the solutions are
+    interval starts at 0 (sign-changing branch), else w(0) = sqrt(r-) =
+    sqrt(m0 / r+), w'(0) = 0 (oscillation between positive roots; Vieta
+    gives r- without the cancellation of the textbook formula).  A
+    ``phase`` shifts the solution, and ``trivial`` selects the constant zero
+    branch that exists when m0 = 0.  With roots r- <= r+ the solutions are
 
         w = (w'(0) / lam) sd(lam x | m),   lam^2 = r+ - r-,  m = r+ / lam^2
         w = w(0) / dn(sqrt(r+) x | m),     m = 1 - r- / r+
@@ -141,17 +142,18 @@ class ProfileFunction:
                     f"constant zero branch needs vanishing constant, got {self.const}"
                 )
             return
-        m, _ = admissible_interval(dp, self.kind)
-        if m == 0.0 and self.const <= 0:
+        admissible_interval(dp, self.kind)
+        if self.const == 0.0:
+            return  # a root at 0: the profile rests at the equilibrium w = 0
+        self._crossing, self._amp, self._rate, self._m, self._m1 = _jacobi_form(
+            dp, self.kind
+        )
+        if self._crossing:
             self.dw0 = math.sqrt(-self.const)
         else:
-            self.w0 = math.sqrt(m)
-        if self.w0 != 0.0 or self.dw0 != 0.0:
-            self._crossing, self._amp, self._rate, self._m, self._m1 = _jacobi_form(
-                dp, self.kind
-            )
-            self._ladder = _agm(self._m, self._m1)
-            self._quarter = math.pi / (2.0 * self._ladder[0][-1])
+            self.w0 = math.sqrt(self.const) / self._amp
+        self._ladder = _agm(self._m, self._m1)
+        self._quarter = math.pi / (2.0 * self._ladder[0][-1])
 
     def _accel(self, w: float) -> float:
         return -(2.0 * w * w * w + self.coef * w)

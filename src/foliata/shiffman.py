@@ -12,8 +12,6 @@ grid, with centered second-order stencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import TooFewNodes
@@ -26,16 +24,6 @@ from .field import (
     level_curvatures,
     stats_from,
 )
-
-
-@dataclass(frozen=True)
-class JacobiReport:
-    """Shiffman field, Jacobi residual and curvature grids of one field."""
-
-    u: np.ndarray
-    residual: ResidualStats
-    potential: np.ndarray
-    gauss: np.ndarray
 
 
 def _masked_omega(field: OmegaField) -> np.ndarray:
@@ -149,12 +137,6 @@ def gauss_curvature_log_route(field: OmegaField) -> np.ndarray:
 
 def gauss_dual_route_linf(field: OmegaField) -> float:
     return _Derivatives(field).gauss_dual_route()
-
-
-def shiffman_report(field: OmegaField, margin: float = 0.0) -> JacobiReport:
-    d = _Derivatives(field, 5)
-    u = d.shiffman()
-    return JacobiReport(u, d.jacobi_residual(u, margin), d.potential(), d.gauss())
 
 
 def shiffman_document(field: OmegaField, margin: float = 0.0) -> dict:

@@ -200,3 +200,25 @@ def test_json_float_sign_and_value_round_trip():
     for v in (-0.0, 5e-324, -1e-300, 0.1):
         back = json.loads(dumps(v))
         assert back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
+
+
+def test_verify_immersion_uses_the_file_guards(tmp_path, capsys):
+    # 411 of the 441 nodes are singular under guard 0.5; the rebuilt field
+    # must mask them too, and a file without the keys keeps the defaults
+    grid = ["--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+            "--nx", "21", "--ny", "21"]
+    results = {}
+    for tag, extra in (("default", []), ("guarded", ["--overflow-guard", "0.5"])):
+        path = tmp_path / f"{tag}.json"
+        assert main(["field", *grid, *extra, "--out", str(path)]) == 0
+        assert main(["verify", "--input", str(path), "--immersion"]) == 0
+        results[tag] = json.loads(capsys.readouterr().out)
+    doc = json.loads((tmp_path / "default.json").read_text())
+    del doc["config"]["eps-den"], doc["config"]["overflow-guard"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(bare), "--immersion"]) == 0
+    results["bare"] = json.loads(capsys.readouterr().out)
+    for key in ("compat_linf", "isometry_linf", "harmonic_linf"):
+        assert results["guarded"][key] != results["default"][key]
+        assert results["bare"][key] == results["default"][key]

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from foliata.errors import AllSingular, GridMismatch, InvalidParams, TooFewNodes
+from foliata.errors import AllSingular, GridMismatch, InvalidParams, NonConverged, TooFewNodes
 from foliata.field import (
     GridSpec,
     OmegaField,
@@ -226,6 +227,20 @@ def test_newton_bump_boundary_converges():
     boundary[-1, :] += 0.1 * grid.xs * (1 - grid.xs)
     solved = solve_sinh_gordon(-1.0, grid, boundary)
     assert sinh_gordon_residual(solved).linf < 1e-10
+
+
+def test_newton_non_convergence_reports_residual_and_step():
+    fsol, gsol = profiles(-1, -0.25, -0.25)
+    grid = GridSpec(0, 1, 0, 1, 51, 51)
+    boundary = assemble_omega(fsol, gsol, grid).omega.copy()
+    boundary[-1, :] += 0.1 * grid.xs * (1 - grid.xs)
+    with pytest.raises(NonConverged) as info:
+        solve_sinh_gordon(-1.0, grid, boundary, max_iter=1)
+    found = re.search(r"last residual norm (\S+), last step factor (\S+)\)", str(info.value))
+    assert found is not None
+    norm, lam = float(found.group(1)), float(found.group(2))
+    assert math.isfinite(norm) and norm > 0
+    assert 0 < lam <= 1
 
 
 def test_newton_accepts_callable_boundary():

@@ -380,7 +380,58 @@ def test_frame_march_evaluates_source_twice_per_step(monkeypatch):
 
     monkeypatch.setattr(immersion, "_march", counted)
     integrate_frame(replace(field, source=source), SPHERE)
-    # seed column, rows, and both legs of the path-compatibility check
-    assert marches == ["y", "x", "x", "y"]
-    assert sum(steps) == 2 * (21 - 1) + 2 * (15 - 1)
+    # seed column, rows, and the columns of the path-compatibility check,
+    # which start from the frame's seed row
+    assert marches == ["y", "x", "y"]
+    assert sum(steps) == 2 * (15 - 1) + (21 - 1)
     assert source.calls == 2 * sum(steps) + len(marches)
+
+
+@pytest.fixture(scope="module")
+def holonomy_marches():
+    """Every _march call made by one holonomy run, with its nodes and result."""
+    grid = GridSpec(0, 1, 0, 1, 61, 21)
+    field = reconstructed(1, -1, -1, grid)
+    frame = integrate_frame(field, SPHERE)
+    calls = []
+    march = immersion._march
+
+    def recorded(src, space, direction, lanes, t_nodes, *rest):
+        out = march(src, space, direction, lanes, t_nodes, *rest)
+        calls.append((direction, np.array(t_nodes), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(immersion, "_march", recorded)
+        holonomy(frame, field, 0.37)
+    return field, frame, calls
+
+
+def test_holonomy_takes_one_step_per_target(holonomy_marches):
+    # the frame already holds the seed row; only the remainder past the last
+    # grid node before each target is marched
+    _, frame, calls = holonomy_marches
+    xs, (_, j0, _, _) = frame.grid.xs, frame.seed
+    bases = [i for i in range(xs.size) if xs[i] + 0.37 <= 1.0 + 1e-12 and frame.valid[j0, i]]
+    targets = [xs[i] + 0.37 for i in bases[:: max(1, len(bases) // 8)]]
+    assert [direction for direction, _, _ in calls] == ["x"] * len(targets)
+    assert [t_nodes.size - 1 for _, t_nodes, _ in calls] == [1] * len(targets)
+    assert [t_nodes[-1] for _, t_nodes, _ in calls] == targets
+
+
+def test_holonomy_target_states_match_direct_march(holonomy_marches):
+    field, frame, calls = holonomy_marches
+    grid = frame.grid
+    i0, j0, _, _ = frame.seed
+    one = np.ones(1)
+    for _, t_nodes, (psi, u1, u2, alive) in calls:
+        t = t_nodes[-1]
+        n = math.ceil(abs(t - grid.xs[i0]) / (grid.hx / 4))
+        ref = immersion._march(
+            field.source, SPHERE, "x", grid.ys[j0:j0 + 1], np.linspace(grid.xs[i0], t, n + 1), 0,
+            frame.psi[j0, i0] * one, frame.u[j0, i0, 0] * one, frame.u[j0, i0, 1] * one,
+            np.array([True]),
+        )
+        assert alive[-1, 0] and ref[3][-1, 0]
+        for got, want in zip((psi, u1, u2), ref[:3]):
+            assert abs(got[-1, 0] - want[-1, 0]) <= 1e-8

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from foliata.errors import (
     DriftExceeded,
@@ -204,6 +204,8 @@ def test_closed_form_near_homoclinic_edge(c):
     a=st.floats(-1, 1),
     kind=st.sampled_from(["F", "G"]),
 )
+# one-signed branch with const = 3.5e-17 << k^2: the textbook lower root cancels
+@example(c0=-1.0, c=0.5329590514392071, d=1.8682733345358873e-25, a=0.0, kind="G")
 def test_closed_form_matches_rk4(c0, c, d, a, kind):
     point = ModuliPoint(c0, c, c if c0 == 0 else d)
     try:
