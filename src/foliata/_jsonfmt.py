@@ -13,11 +13,15 @@ import math
 import numpy as np
 
 
+#: item types a list is formatted from without recursing into ``_write``
+_FLAT_TYPES = {float, bool, type(None)}
+
+
 def format_float(value: float) -> str:
     v = float(value)
-    if math.isnan(v) or math.isinf(v):
+    if not math.isfinite(v):
         return "null"
-    if v == int(v) and abs(v) < 1e16:
+    if v.is_integer() and abs(v) < 1e16:
         return format(v, ".1f")  # keeps the sign of -0.0
     return format(v, ".17g")
 
@@ -59,8 +63,15 @@ def _write(obj, indent, level):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_write(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+        if set(map(type, obj)) <= _FLAT_TYPES:
+            items = [
+                format_float(v) if v.__class__ is float
+                else "null" if v is None else "true" if v else "false"
+                for v in obj
+            ]
+        else:
+            items = [_write(v, indent, level + 1) for v in obj]
+        return "[\n" + pad_in + (",\n" + pad_in).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -127,8 +127,8 @@ def _cmd_profile(args) -> int:
         trivial=trivial, phase=args.phase, drift_tol=args.drift_tol,
     )
     rows = ["x,f,f_x"] + [
-        f"{float(x)!r},{float(v)!r},{float(dv)!r}"
-        for x, v, dv in zip(sol.grid, sol.values, sol.derivs)
+        f"{x!r},{v!r},{dv!r}"
+        for x, v, dv in zip(sol.grid.tolist(), sol.values.tolist(), sol.derivs.tolist())
     ]
     _emit("\n".join(rows) + "\n", args.out)
     sidecar = {

@@ -486,25 +486,31 @@ def write_obj(mesh: SurfaceMesh) -> str:
     """OBJ text: ``v`` = ambient coordinates (4 values when the model lift
     has three components plus height), ``vt`` = chart coordinates, faces as
     quads and foliation rows as ``l`` polylines."""
-    lines = ["# foliata surface mesh"]
-    for key in sorted(mesh.metadata):
-        lines.append(f"# {key} = {mesh.metadata[key]}")
-    ny, nx, _ = mesh.chart_vertices.shape
-    amb = mesh.ambient_vertices.reshape(ny * nx, -1)
-    cha = mesh.chart_vertices.reshape(ny * nx, -1)
-    for k in range(ny * nx):
-        coords = " ".join("0" if not np.isfinite(v) else repr(float(v)) for v in amb[k])
-        lines.append(f"v {coords}")
-    for k in range(ny * nx):
-        c = cha[k]
-        a = "0" if not np.isfinite(c[0]) else repr(float(c[0]))
-        b = "0" if not np.isfinite(c[1]) else repr(float(c[1]))
-        lines.append(f"vt {a} {b}")
-    for face in mesh.faces:
-        lines.append("f " + " ".join(f"{int(v) + 1}/{int(v) + 1}" for v in face))
-    for poly in mesh.foliation:
-        lines.append("l " + " ".join(str(int(v) + 1) for v in poly))
-    return "\n".join(lines) + "\n"
+    # the text is built one grid row at a time, each row joined into one
+    # string: neither a Python copy of a whole array nor one object per line
+    # is held at once.  Non-finite coordinates are written as 0.
+    isfinite = math.isfinite
+    parts = ["# foliata surface mesh"]
+    parts += [f"# {key} = {mesh.metadata[key]}" for key in sorted(mesh.metadata)]
+    for row in mesh.ambient_vertices:
+        parts.append("\n".join([
+            "v " + " ".join([repr(v) if isfinite(v) else "0" for v in vertex])
+            for vertex in row.tolist()
+        ]))
+    for row in mesh.chart_vertices:
+        parts.append("\n".join([
+            f"vt {repr(a) if isfinite(a) else '0'} {repr(b) if isfinite(b) else '0'}"
+            for a, b in row[:, :2].tolist()
+        ]))
+    faces, nx = mesh.faces, mesh.chart_vertices.shape[1]
+    for k in range(0, len(faces), nx):
+        parts.append("\n".join([
+            "f " + " ".join([f"{v}/{v}" for v in face])
+            for face in (faces[k:k + nx] + 1).tolist()
+        ]))
+    parts += ["l " + " ".join([str(v + 1) for v in poly]) for poly in mesh.foliation]
+    parts.append("")  # the closing newline, without copying the joined text
+    return "\n".join(parts)
 
 
 def mesh_row_curvature(frame: FrameField, space: ChartSpace, row: int) -> np.ndarray:

@@ -266,12 +266,11 @@ def scan_csv(c0, rect, nx, ny) -> str:
     grid = moduli_scan(c0, rect, nx, ny)
     wc = (cmax - cmin) / nx
     wd = (dmax - dmin) / ny
+    cs = [repr(cmin + (i + 0.5) * wc) for i in range(nx)]
     lines = ["c,d,label"]
     for j, row in enumerate(grid):
-        d = dmin + (j + 0.5) * wd
-        for i, label in enumerate(row):
-            c = cmin + (i + 0.5) * wc
-            lines.append(f"{c!r},{d!r},{label.value}")
+        d = repr(dmin + (j + 0.5) * wd)
+        lines += [f"{c},{d},{label.value}" for c, label in zip(cs, row)]
     return "\n".join(lines) + "\n"
 
 

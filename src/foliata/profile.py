@@ -101,6 +101,23 @@ def _jacobi_form(dp: DerivedParams, kind: str) -> tuple[bool, float, float, floa
     return False, math.sqrt(hi), math.sqrt(hi), (hi - lo) / hi, lo / hi
 
 
+def _rk4_increment(w: float, dw: float, h: float, coef: float) -> tuple[float, float]:
+    """Classical RK4 increment of the state (w, w') of w'' = -(2 w^3 + coef w)."""
+    hh = 0.5 * h
+    k1v = -(2.0 * w * w * w + coef * w)
+    k2w = dw + hh * k1v
+    v = w + hh * dw
+    k2v = -(2.0 * v * v * v + coef * v)
+    k3w = dw + hh * k2v
+    v = w + hh * k2w
+    k3v = -(2.0 * v * v * v + coef * v)
+    k4w = dw + h * k3v
+    v = w + h * k3w
+    k4v = -(2.0 * v * v * v + coef * v)
+    h6 = h / 6.0
+    return h6 * (dw + 2.0 * k2w + 2.0 * k3w + k4w), h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+
+
 class ProfileFunction:
     """Closed-form evaluator for one profile.
 
@@ -155,20 +172,6 @@ class ProfileFunction:
         self._ladder = _agm(self._m, self._m1)
         self._quarter = math.pi / (2.0 * self._ladder[0][-1])
 
-    def _accel(self, w: float) -> float:
-        return -(2.0 * w * w * w + self.coef * w)
-
-    def _step(self, w: float, dw: float, h: float) -> tuple[float, float]:
-        # classical RK4 increment of the state (w, w')
-        k1w, k1v = dw, self._accel(w)
-        k2w, k2v = dw + 0.5 * h * k1v, self._accel(w + 0.5 * h * k1w)
-        k3w, k3v = dw + 0.5 * h * k2v, self._accel(w + 0.5 * h * k2w)
-        k4w, k4v = dw + h * k3v, self._accel(w + h * k3w)
-        return (
-            h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w),
-            h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-        )
-
     def _march(self, targets: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
         """RK4 values and derivatives at shifted abscissae, marched from 0
         outward in steps no longer than ``step``.
@@ -179,18 +182,20 @@ class ProfileFunction:
         """
         w_out = np.empty(targets.size)
         dw_out = np.empty(targets.size)
+        coef = self.coef
         for sign in (1.0, -1.0):
             sel = np.nonzero(targets >= 0 if sign > 0 else targets < 0)[0]
-            order = np.argsort(sign * targets[sel])
+            order = sel[np.argsort(sign * targets[sel])]
+            ws, dws = [], []
             pos, w, dw = 0.0, self.w0, self.dw0
             cw = cdw = 0.0
-            for idx in sel[order]:
-                gap = abs(targets[idx] - pos)
+            for target in targets[order].tolist():
+                gap = abs(target - pos)
                 if gap > 0:
                     n = max(1, math.ceil(gap / step))
                     h = sign * gap / n
                     for _ in range(n):
-                        inc_w, inc_dw = self._step(w, dw, h)
+                        inc_w, inc_dw = _rk4_increment(w, dw, h, coef)
                         y = inc_w - cw
                         t = w + y
                         cw = (t - w) - y
@@ -199,9 +204,11 @@ class ProfileFunction:
                         t = dw + y
                         cdw = (t - dw) - y
                         dw = t
-                    pos = targets[idx]
-                w_out[idx] = w
-                dw_out[idx] = dw
+                    pos = target
+                ws.append(w)
+                dws.append(dw)
+            w_out[order] = ws
+            dw_out[order] = dws
         return w_out, dw_out
 
     def eval_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -354,12 +361,14 @@ def period_from_ode(
     w, dw = fn.w0, fn.dw0
     x = 0.0
     while x < x_max and len(crossings) < n_periods + 1:
-        inc_w, inc_dw = fn._step(w, dw, step)
+        inc_w, inc_dw = _rk4_increment(w, dw, step, fn.coef)
         w1, dw1 = w + inc_w, dw + inc_dw
         if use_deriv:
             # minima of w: upward crossings of w'
             if dw < 0.0 <= dw1:
-                a0, a1 = fn._accel(w), fn._accel(w1)
+                # w'' = -(2 w^3 + k w) is the slope of w' at both ends
+                a0 = -(2.0 * w * w * w + fn.coef * w)
+                a1 = -(2.0 * w1 * w1 * w1 + fn.coef * w1)
                 crossings.append(_hermite_root(x, step, dw, a0, dw1, a1))
         else:
             if w < 0.0 <= w1:

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from foliata._jsonfmt import dumps
+from foliata._jsonfmt import dumps, format_float
 from foliata.cli import main
 
 
@@ -200,6 +201,35 @@ def test_json_float_sign_and_value_round_trip():
     for v in (-0.0, 5e-324, -1e-300, 0.1):
         back = json.loads(dumps(v))
         assert back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
+
+
+FLAT_ITEMS = [0.0, -0.0, -3.0, 1.0, 1e16, 0.1, 5e-324, -1e-300, math.nan, math.inf, -math.inf,
+              True, False, None]
+
+
+def _per_element(items):
+    literal = {True: "true", False: "false", None: "null"}
+    return [format_float(v) if type(v) is float else literal[v] for v in items]
+
+
+def test_dumps_flat_list_formats_each_element():
+    assert dumps(FLAT_ITEMS) == "[\n  " + ",\n  ".join(_per_element(FLAT_ITEMS)) + "\n]\n"
+    assert dumps(tuple(FLAT_ITEMS)) == dumps(FLAT_ITEMS)
+
+
+NESTED_TEXT = "[\n    1.0,\n    null\n  ]"
+
+
+@pytest.mark.parametrize("extra,text", [
+    ([np.float64(0.1)], ["0.10000000000000001"]),
+    ([7], ["7"]),
+    ([[1.0, None]], [NESTED_TEXT]),
+    ([np.float64(0.1), 7, [1.0, None]], ["0.10000000000000001", "7", NESTED_TEXT]),
+], ids=["numpy", "int", "nested", "all"])
+def test_dumps_mixed_list_keeps_the_general_path(extra, text):
+    # numpy scalars, ints and nested lists are each written by their own rule
+    expect = "[\n  " + ",\n  ".join(_per_element(FLAT_ITEMS) + text) + "\n]\n"
+    assert dumps([*FLAT_ITEMS, *extra]) == expect
 
 
 def test_verify_immersion_uses_the_file_guards(tmp_path, capsys):

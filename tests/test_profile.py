@@ -172,6 +172,18 @@ def test_solution_grid_covers_requested_range():
     assert sol.grid[-1] >= 1.2341 - 1e-12
 
 
+def test_march_writes_each_target_back_to_its_index():
+    fn = ProfileFunction(dp(1, -1, 0), "F")
+    targets = np.array([0.7, -0.3, 0.0, 2.5, -0.3, 0.7, -1.9, 1.2, 0.0, -0.05, 3.25])
+    w, dw = fn._march(targets, 1e-2)
+    order = np.argsort(targets, kind="stable")
+    w_sorted, dw_sorted = fn._march(targets[order], 1e-2)
+    assert w[order].tobytes() == w_sorted.tobytes()
+    assert dw[order].tobytes() == dw_sorted.tobytes()
+    assert w[2] == w[8] == 0.0 and dw[2] == dw[8] == 1.0
+    assert w[1] == w[4] and w[0] == w[5]
+
+
 @pytest.mark.parametrize("point,kind", [((-1, -1, 1), "F"), ((-1, -1, 1), "G")])
 def test_eval_many_is_pointwise(point, kind):
     # the value at one abscissa does not depend on what else is in the call
