@@ -13,10 +13,6 @@ import math
 import numpy as np
 
 
-#: item types a list is formatted from without recursing into ``_write``
-_FLAT_TYPES = {float, bool, type(None)}
-
-
 def format_float(value: float) -> str:
     v = float(value)
     if not math.isfinite(v):
@@ -46,8 +42,6 @@ def dumps(obj, indent: int = 2) -> str:
 
 
 def _write(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -58,19 +52,18 @@ def _write(obj, indent, level):
         return format_float(obj)
     if isinstance(obj, str):
         return '"' + _escape(obj) + '"'
+    pad = " " * (indent * level)
+    pad_in = " " * (indent * (level + 1))
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) <= _FLAT_TYPES:
-            items = [
-                format_float(v) if v.__class__ is float
-                else "null" if v is None else "true" if v else "false"
-                for v in obj
-            ]
-        else:
-            items = [_write(v, indent, level + 1) for v in obj]
+        # plain floats, the bulk of every field document, skip the type chain
+        items = [
+            format_float(v) if v.__class__ is float else _write(v, indent, level + 1)
+            for v in obj
+        ]
         return "[\n" + pad_in + (",\n" + pad_in).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:

@@ -101,8 +101,13 @@ def _jacobi_form(dp: DerivedParams, kind: str) -> tuple[bool, float, float, floa
     return False, math.sqrt(hi), math.sqrt(hi), (hi - lo) / hi, lo / hi
 
 
+def _accel(w: float, coef: float) -> float:
+    return -(2.0 * w * w * w + coef * w)
+
+
 def _rk4_increment(w: float, dw: float, h: float, coef: float) -> tuple[float, float]:
-    """Classical RK4 increment of the state (w, w') of w'' = -(2 w^3 + coef w)."""
+    """Classical RK4 increment of the state (w, w') of w'' = -(2 w^3 + coef w),
+    with ``_accel`` written out inline: this runs once per oracle step."""
     hh = 0.5 * h
     k1v = -(2.0 * w * w * w + coef * w)
     k2w = dw + hh * k1v
@@ -366,9 +371,7 @@ def period_from_ode(
         if use_deriv:
             # minima of w: upward crossings of w'
             if dw < 0.0 <= dw1:
-                # w'' = -(2 w^3 + k w) is the slope of w' at both ends
-                a0 = -(2.0 * w * w * w + fn.coef * w)
-                a1 = -(2.0 * w1 * w1 * w1 + fn.coef * w1)
+                a0, a1 = _accel(w, fn.coef), _accel(w1, fn.coef)
                 crossings.append(_hermite_root(x, step, dw, a0, dw1, a1))
         else:
             if w < 0.0 <= w1:
