@@ -10,6 +10,11 @@ share one discriminant  delta = (c0 + a)^2 - 4c = (c0 - a)^2 - 4d.  Profiles
 exist iff delta >= 0 and the larger roots X+, Y+ are nonnegative; for c0 > 0
 this reduces to c <= 0 and d <= 0.  The root sums obey X- + Y+ = X+ + Y- =
 -c0, which for the hyperbolic plane is the classical "sum to one" identity.
+
+The algebra and the label rules are written once, over numpy arrays of (c, d)
+at one c0: ``classify`` is their 0-d case and ``moduli_scan`` runs them over
+the grid of cell centers.  Scan cells that carry no surface (c != d at c0 = 0,
+a failed discriminant check, a non-finite c0) are labelled OutsideModuli.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .errors import InvalidParams
 
@@ -87,6 +94,34 @@ class DerivedParams:
         return asdict(self)
 
 
+def _derive(c0: float, c, d, a: float | None = None):
+    """derive_params over numpy arrays of (c, d) at one c0, NaN roots where delta < 0.
+
+    Also returns the mirror form dbar^2 - 4d of delta and the mask of the
+    points where both forms are finite and agree to DISCRIMINANT_RTOL.
+    """
+    if c0 == 0 and a is not None and not math.isfinite(a):
+        raise InvalidParams(f"separation constant must be finite, got {a}")
+    with np.errstate(all="ignore"):
+        a = (c - d) / c0 if c0 != 0 else (0.0 if a is None else float(a))
+        cbar = c0 + a
+        dbar = c0 - a
+        delta = cbar * cbar - 4.0 * c
+        mirror = dbar * dbar - 4.0 * d
+        scale = np.maximum(1.0, np.maximum(abs(delta), abs(mirror)))  # NaN if either is
+        ok = np.isfinite(scale) & (abs(delta - mirror) <= DISCRIMINANT_RTOL * scale)
+        sq = np.sqrt(np.where(delta >= 0, delta, np.nan))
+        roots = (-cbar - sq) / 2.0, (-cbar + sq) / 2.0, (-dbar - sq) / 2.0, (-dbar + sq) / 2.0
+    return DerivedParams(a, cbar, dbar, delta, *roots), mirror, ok
+
+
+def _point_params(dp: DerivedParams, mirror, ok) -> DerivedParams:
+    # the 0-d case as Python floats, None for the roots that do not exist
+    if not ok:
+        raise InvalidParams(f"discriminants disagree or overflow: {dp.delta} vs {mirror}")
+    return DerivedParams(*(None if math.isnan(v) else float(v) for v in vars(dp).values()))
+
+
 def derive_params(p: ModuliPoint, a: float | None = None) -> DerivedParams:
     """Compute a, cbar = c0+a, dbar = c0-a, the shared discriminant and roots.
 
@@ -94,28 +129,7 @@ def derive_params(p: ModuliPoint, a: float | None = None) -> DerivedParams:
     ``a`` is ignored; for c0 = 0 it is a free third parameter defaulting to 0.
     """
     p.validate()
-    if p.c0 != 0:
-        a_val = (p.c - p.d) / p.c0
-    else:
-        a_val = 0.0 if a is None else float(a)
-        if not math.isfinite(a_val):
-            raise InvalidParams(f"separation constant must be finite, got {a_val}")
-    cbar = p.c0 + a_val
-    dbar = p.c0 - a_val
-    delta = cbar * cbar - 4.0 * p.c
-    delta_mirror = dbar * dbar - 4.0 * p.d
-    scale = max(1.0, abs(delta), abs(delta_mirror))
-    if abs(delta - delta_mirror) > DISCRIMINANT_RTOL * scale:
-        raise InvalidParams(
-            f"discriminants disagree: {delta} vs {delta_mirror}"
-        )
-    if delta >= 0:
-        sq = math.sqrt(delta)
-        xminus, xplus = (-cbar - sq) / 2.0, (-cbar + sq) / 2.0
-        yminus, yplus = (-dbar - sq) / 2.0, (-dbar + sq) / 2.0
-    else:
-        xminus = xplus = yminus = yplus = None
-    return DerivedParams(a_val, cbar, dbar, delta, xminus, xplus, yminus, yplus)
+    return _point_params(*_derive(p.c0, np.float64(p.c), np.float64(p.d), a))
 
 
 class RegionLabel(str, enum.Enum):
@@ -152,13 +166,60 @@ class RegionReport:
     derived: DerivedParams
 
 
-def _reduce_to_unit_curvature(p: ModuliPoint) -> ModuliPoint:
-    # Dilatation (x, y) -> (x, y)/s sends (c0, c, d) to (sign, c/s^4, d/s^4).
-    sign, scale = normalize_curvature(p.c0)
-    if scale == 1.0:
-        return ModuliPoint(float(sign), p.c, p.d) if p.c0 != sign else p
-    s4 = scale ** 4
-    return ModuliPoint(float(sign), p.c / s4, p.d / s4)
+def _classify(c0: float, c, d, a: float | None = None):
+    """Derived arrays, membership inequalities and labels over (c, d) at one c0.
+
+    Returns the _derive triple, the inequalities as (name, lhs, satisfied) and
+    the RegionLabel object array.  Each label comes from the first rule that
+    holds: points with no surface first, then the boundary loci, then the
+    open regions they bound.
+    """
+    sign, scale = normalize_curvature(c0)
+    if c0 != sign:  # the dilatation (x, y) -> (x, y)/s gives (sign, c/s^4, d/s^4)
+        c0, s4 = float(sign), scale ** 4
+        with np.errstate(all="ignore"):
+            c, d = c / s4, d / s4
+    dp, mirror, ok = _derive(c0, c, d, a)
+    L = RegionLabel
+    if c0 > 0:
+        member = [("c <= 0", c, c <= 0), ("d <= 0", d, d <= 0)]
+    else:  # the roots are NaN where delta < 0, which fails their inequalities
+        member = [(f"{name} >= 0", v, v >= 0)
+                  for name, v in (("delta", dp.delta), ("x_plus", dp.xplus), ("y_plus", dp.yplus))]
+    inside = np.logical_and.reduce([ok] + [sat for _, _, sat in member])
+    rules = [(~inside, L.OUTSIDE_MODULI)]
+    if c0 > 0:
+        rules += [
+            ((c == 0) & (d == 0), L.FLAT_VERTICAL_ANNULUS),
+            (c == 0, L.ONDULOID_ROTATIONAL),
+            (d == 0, L.HELICOID_S2),
+            (True, L.RIEMANN_TYPE_S2),
+        ]
+    elif c0 == 0:
+        rules += [
+            (c != d, L.OUTSIDE_MODULI),  # flat space has surfaces on the diagonal only
+            (c == 0, L.VERTICAL_GEODESIC_PLANE),
+            (c < 0, L.CLASSICAL_RIEMANN_R3),
+            (True, L.OUTSIDE_MODULI),
+        ]
+    else:
+        rules += [
+            (dp.delta == 0, L.GAMMA_HELICOIDAL_TYPE),
+            ((c == 0) & (d == 0), L.VERTICAL_GEODESIC_PLANE),
+            ((d == 0) & (c > 0), L.HORIZONTAL_GEODESIC_FOLIATION),
+            (d == 0, L.OBLIQUE_PLANE),
+            ((c == 0) & (d > 1), L.CATENOID_ROTATIONAL),
+            ((c == 0) & (d > 0), L.CATENOID_EQUIDISTANT),
+            (c == 0, L.GRAPH_EQUIDISTANT),
+            ((c < 0) & (d > 0), L.ANNULUS_FAMILY),
+            ((c > 0) & (d < 0), L.ONDULATED_HELICOID),
+            ((c > 0) & (d > 0), L.BLOWED_HELICOID),
+            (True, L.RIEMANN_FAMILY_H2),
+        ]
+    conditions, labels = zip(*rules)
+    # select positions, not labels: np.select would turn the labels into str
+    labels = np.array(labels, dtype=object)[np.select(conditions, range(len(rules)))]
+    return dp, mirror, ok, member, labels
 
 
 def classify(p: ModuliPoint, a: float | None = None) -> RegionReport:
@@ -170,75 +231,21 @@ def classify(p: ModuliPoint, a: float | None = None) -> RegionReport:
     labels and count as inside the moduli.
     """
     p.validate()
-    q = _reduce_to_unit_curvature(p)
-    dp = derive_params(q, a)
-    cert: list[tuple[str, float, bool]] = []
-
-    if q.c0 > 0:
-        cert.append(("c <= 0", q.c, q.c <= 0))
-        cert.append(("d <= 0", q.d, q.d <= 0))
-        if not all(ok for _, _, ok in cert):
-            return RegionReport(RegionLabel.OUTSIDE_MODULI, tuple(cert), dp)
-        if q.c == 0 and q.d == 0:
-            label = RegionLabel.FLAT_VERTICAL_ANNULUS
-        elif q.c == 0:
-            label = RegionLabel.ONDULOID_ROTATIONAL
-        elif q.d == 0:
-            label = RegionLabel.HELICOID_S2
-        else:
-            label = RegionLabel.RIEMANN_TYPE_S2
-        return RegionReport(label, tuple(cert), dp)
-
-    cert.append(("delta >= 0", dp.delta, dp.delta >= 0))
-    if dp.delta >= 0:
-        cert.append(("x_plus >= 0", dp.xplus, dp.xplus >= 0))
-        cert.append(("y_plus >= 0", dp.yplus, dp.yplus >= 0))
-    if not all(ok for _, _, ok in cert):
-        return RegionReport(RegionLabel.OUTSIDE_MODULI, tuple(cert), dp)
-
-    if q.c0 == 0:
-        label = (
-            RegionLabel.VERTICAL_GEODESIC_PLANE
-            if q.c == 0
-            else RegionLabel.CLASSICAL_RIEMANN_R3
-            if q.c < 0
-            else RegionLabel.OUTSIDE_MODULI
-        )
-        return RegionReport(label, tuple(cert), dp)
-
-    # hyperbolic ambient: one-parameter boundary families first
-    if dp.delta == 0:
-        label = RegionLabel.GAMMA_HELICOIDAL_TYPE
-    elif q.c == 0 and q.d == 0:
-        label = RegionLabel.VERTICAL_GEODESIC_PLANE
-    elif q.d == 0:
-        label = (
-            RegionLabel.HORIZONTAL_GEODESIC_FOLIATION if q.c > 0 else RegionLabel.OBLIQUE_PLANE
-        )
-    elif q.c == 0:
-        if q.d > 1:
-            label = RegionLabel.CATENOID_ROTATIONAL
-        elif q.d > 0:
-            label = RegionLabel.CATENOID_EQUIDISTANT
-        else:
-            label = RegionLabel.GRAPH_EQUIDISTANT
-    elif q.c < 0 and q.d > 0:
-        label = RegionLabel.ANNULUS_FAMILY
-    elif q.c > 0 and q.d < 0:
-        label = RegionLabel.ONDULATED_HELICOID
-    elif q.c > 0 and q.d > 0:
-        label = RegionLabel.BLOWED_HELICOID
-    else:
-        label = RegionLabel.RIEMANN_FAMILY_H2
-    return RegionReport(label, tuple(cert), dp)
+    *derived, member, label = _classify(p.c0, np.float64(p.c), np.float64(p.d), a)
+    dp = _point_params(*derived)
+    # inequalities on roots that do not exist (delta < 0) are left out
+    cert = tuple((name, float(v), bool(sat)) for name, v, sat in member if not math.isnan(v))
+    return RegionReport(label, cert, dp)
 
 
-def _cell_label(c0: float, c: float, d: float) -> RegionLabel:
-    try:
-        return classify(ModuliPoint(c0, c, d)).label
-    except InvalidParams:
-        # scan cells off the c = d diagonal at c0 = 0 carry no surface
-        return RegionLabel.OUTSIDE_MODULI
+def _cell_centers(rect, nx: int, ny: int) -> tuple[list[float], list[float]]:
+    cmin, cmax, dmin, dmax = rect
+    if nx < 2 or ny < 2:
+        raise InvalidParams(f"scan needs nx, ny >= 2, got {nx}, {ny}")
+    if not (cmin < cmax and dmin < dmax):
+        raise InvalidParams(f"degenerate scan rectangle {rect}")
+    wc, wd = (cmax - cmin) / nx, (dmax - dmin) / ny
+    return [cmin + (i + 0.5) * wc for i in range(nx)], [dmin + (j + 0.5) * wd for j in range(ny)]
 
 
 def moduli_scan(
@@ -248,28 +255,19 @@ def moduli_scan(
     ny: int,
 ) -> list[list[RegionLabel]]:
     """Label the nx-by-ny cell centers of a (c, d) rectangle, row-major in d."""
-    cmin, cmax, dmin, dmax = rect
-    if nx < 2 or ny < 2:
-        raise InvalidParams(f"scan needs nx, ny >= 2, got {nx}, {ny}")
-    if not (cmin < cmax and dmin < dmax):
-        raise InvalidParams(f"degenerate scan rectangle {rect}")
-    wc = (cmax - cmin) / nx
-    wd = (dmax - dmin) / ny
-    centers_c = [cmin + (i + 0.5) * wc for i in range(nx)]
-    centers_d = [dmin + (j + 0.5) * wd for j in range(ny)]
-    return [[_cell_label(c0, c, d) for c in centers_c] for d in centers_d]
+    centers_c, centers_d = _cell_centers(rect, nx, ny)
+    if not math.isfinite(c0):
+        return [[RegionLabel.OUTSIDE_MODULI] * nx for _ in range(ny)]
+    return _classify(c0, *np.meshgrid(centers_c, centers_d))[-1].tolist()
 
 
 def scan_csv(c0, rect, nx, ny) -> str:
     """moduli_scan as CSV text: header c,d,label, one row per cell."""
-    cmin, cmax, dmin, dmax = rect
     grid = moduli_scan(c0, rect, nx, ny)
-    wc = (cmax - cmin) / nx
-    wd = (dmax - dmin) / ny
-    cs = [repr(cmin + (i + 0.5) * wc) for i in range(nx)]
+    centers_c, centers_d = _cell_centers(rect, nx, ny)
+    cs = list(map(repr, centers_c))
     lines = ["c,d,label"]
-    for j, row in enumerate(grid):
-        d = repr(dmin + (j + 0.5) * wd)
+    for d, row in zip(map(repr, centers_d), grid):
         lines += [f"{c},{d},{label.value}" for c, label in zip(cs, row)]
     return "\n".join(lines) + "\n"
 

@@ -36,6 +36,7 @@ def _finite_max(values: np.ndarray) -> float:
 
 
 def _gauss_log_route(grid, cosh: np.ndarray) -> np.ndarray:
+    """Independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2."""
     lap = _interior_laplacian(2.0 * np.log(cosh), grid.hx, grid.hy)
     return -lap / (2.0 * cosh ** 2)
 
@@ -128,11 +129,6 @@ def potential_identity_linf(field: OmegaField) -> float:
 def gauss_curvature(field: OmegaField) -> np.ndarray:
     """K = c0 tanh^2(omega) - |grad omega|^2 / cosh^4(omega)."""
     return _Derivatives(field).gauss()
-
-
-def gauss_curvature_log_route(field: OmegaField) -> np.ndarray:
-    """Independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2."""
-    return _gauss_log_route(field.grid, np.cosh(_masked_omega(field)))
 
 
 def gauss_dual_route_linf(field: OmegaField) -> float:

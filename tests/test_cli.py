@@ -42,6 +42,15 @@ def test_domain_error_exits_one(capsys):
     assert "c = d" in err
 
 
+def test_classify_overflowing_discriminant_exits_one(capsys):
+    # a = -2e300 overflows (c0 + a)^2, so there is no finite delta to certify
+    code = main(["classify", "--c0", "-1", "--c", "1e300", "--d=-1e300"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_scan_csv(tmp_path):
     out = tmp_path / "scan.csv"
     code = main(["scan", "--c0", "-1", "--rect", "-2", "2", "-2", "2",

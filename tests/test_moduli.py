@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from foliata.errors import InvalidParams
 from foliata.moduli import (
@@ -118,19 +119,24 @@ def test_classify_reduces_general_curvature_by_dilatation():
     assert scaled.label is base.label
     assert scaled.derived == base.derived
     assert classify(ModuliPoint(9, -81 * 0.5, 0)).label is RegionLabel.HELICOID_S2
+    # one ulp above 1, sqrt(c0) rounds to 1.0; the reduced curvature is still 1
+    near = classify(ModuliPoint(1.0000000000000002, -0.3, -0.7))
+    assert near.derived == classify(ModuliPoint(1.0, -0.3, -0.7)).derived
 
 
 def test_root_sum_identities_bulk():
+    # X- + Y+ = X+ + Y- = -c0, the "sum to one" identity at c0 = -1
     rng = np.random.default_rng(7)
-    count = 0
-    while count < 2000:
-        c, d = rng.uniform(-2, 2, size=2)
-        dp = derive_params(ModuliPoint(-1, c, d))
-        if dp.delta < 0:
-            continue
-        count += 1
-        assert abs(dp.xminus + dp.yplus - 1.0) <= 8 * EPS
-        assert abs(dp.xplus + dp.yminus - 1.0) <= 8 * EPS
+    for c0 in (-1.0, 1.0):
+        count = 0
+        while count < 2000:
+            c, d = rng.uniform(-2, 2, size=2)
+            dp = derive_params(ModuliPoint(c0, c, d))
+            if dp.delta < 0:
+                continue
+            count += 1
+            assert abs(dp.xminus + dp.yplus + c0) <= 8 * EPS
+            assert abs(dp.xplus + dp.yminus + c0) <= 8 * EPS
 
 
 def test_shared_discriminant_bulk():
@@ -192,6 +198,109 @@ def test_moduli_scan_flat_curvature_off_diagonal_cells():
     grid = moduli_scan(0, (-1, 1, -1, 1), 4, 4)
     assert grid[0][3] is RegionLabel.OUTSIDE_MODULI
     assert grid[0][0] is RegionLabel.CLASSICAL_RIEMANN_R3  # center (-0.75, -0.75)
+    # c and d a hair apart: the two discriminant forms agree, yet no surface
+    near = moduli_scan(0, (-1.5, -0.5, -1.5 + 2**-40, -0.5 + 2**-40), 2, 2)
+    assert near[0][0] is RegionLabel.OUTSIDE_MODULI
+
+
+def _scan_label(c0, c, d):
+    try:
+        return classify(ModuliPoint(c0, c, d)).label
+    except InvalidParams:
+        return RegionLabel.OUTSIDE_MODULI
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    c0=st.sampled_from([-4.0, -1.0, 0.0, 1.0, 9.0]),
+    k=st.integers(1, 4),
+    on_curve=st.booleans(),
+    q=st.integers(-6, 6),
+    nx=st.integers(2, 7),
+    ny=st.integers(2, 7),
+    i0=st.integers(0, 6),
+    j0=st.integers(0, 6),
+)
+@example(c0=0.0, k=2, on_curve=False, q=0, nx=5, ny=5, i0=2, j0=2)  # c = d and c != d
+@example(c0=-1.0, k=2, on_curve=True, q=-2, nx=3, ny=3, i0=1, j0=1)  # s = -1/2
+def test_moduli_scan_matches_classify_on_boundary_loci(c0, k, on_curve, q, nx, ny, i0, j0):
+    # Centers (p + i) h with a dyadic h are exact.  They hit the axes c = 0 and
+    # d = 0 or, with h = 2^-2k, the point (s^2, (1 + s)^2) of the delta = 0
+    # curve at s = q 2^-k.  The rect is scaled by c0^2 so that the dilatation
+    # to unit curvature lands on the same exact values.
+    i0, j0 = min(i0, nx - 1), min(j0, ny - 1)
+    if on_curve:
+        h = 2.0 ** (-2 * k)
+        pc, pd = q * q - i0, (2**k + q) ** 2 - j0
+    else:
+        h = 2.0 ** -k
+        pc, pd = -i0, -j0
+    scale = c0 * c0 if c0 else 1.0
+    rect = (scale * (pc - 0.5) * h, scale * (pc - 0.5 + nx) * h,
+            scale * (pd - 0.5) * h, scale * (pd - 0.5 + ny) * h)
+    grid = moduli_scan(c0, rect, nx, ny)
+    cs = [scale * (pc + i) * h for i in range(nx)]
+    ds = [scale * (pd + j) * h for j in range(ny)]
+    lines = scan_csv(c0, rect, nx, ny).splitlines()[1:]
+    assert lines[j0 * nx + i0].split(",")[:2] == [repr(cs[i0]), repr(ds[j0])]
+    for j, d in enumerate(ds):
+        for i, c in enumerate(cs):
+            assert grid[j][i] is _scan_label(c0, c, d), (c, d)
+    if on_curve and c0 in (-4.0, -1.0):
+        assert derive_params(ModuliPoint(c0, cs[i0], ds[j0])).delta == 0.0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    c0=st.sampled_from([-4.0, -1.0, 1.0]),
+    c=st.floats(-4, 4).filter(lambda v: v == 0 or abs(v) >= 1e-290),
+    d=st.floats(-4, 4).filter(lambda v: v == 0 or abs(v) >= 1e-290),
+    k=st.integers(-3, 3),
+)
+@example(c0=-1.0, c=0.25, d=2.25, k=-2)  # on delta = 0
+@example(c0=-1.0, c=0.0, d=0.5, k=3)
+def test_classify_dilatation_invariance(c0, c, d, k):
+    # (c0, c, d) -> (c0 s^2, c s^4, d s^4) is exact for s = 2^k
+    s2 = 4.0**k
+    try:
+        base = classify(ModuliPoint(c0, c, d))
+    except InvalidParams:
+        with pytest.raises(InvalidParams):
+            classify(ModuliPoint(c0 * s2, c * s2 * s2, d * s2 * s2))
+        return
+    scaled = classify(ModuliPoint(c0 * s2, c * s2 * s2, d * s2 * s2))
+    assert scaled.label is base.label
+    assert scaled.derived == base.derived
+
+
+def test_overflowing_discriminant_is_invalid():
+    # |a| >~ 1.3e154 overflows (c0 + a)^2: no label, no derived data
+    for point in [(-1, 1e300, -1e300), (1, -1e200, -1e-10), (-4, 0.0, 1e300)]:
+        with pytest.raises(InvalidParams):
+            derive_params(ModuliPoint(*point))
+        with pytest.raises(InvalidParams):
+            classify(ModuliPoint(*point))
+    with pytest.raises(InvalidParams):
+        derive_params(ModuliPoint(0, 1.0, 1.0), a=1e300)
+
+
+def test_moduli_scan_masks_overflowing_discriminant():
+    # centers -2e300, 0, 2e300: off the diagonal a = d - c overflows delta
+    centers = [-2e300, 0.0, 2e300]
+    grid = moduli_scan(-1, (-3e300, 3e300, -3e300, 3e300), 3, 3)
+    assert grid[0][2] is RegionLabel.OUTSIDE_MODULI
+    assert grid[0][0] is RegionLabel.RIEMANN_FAMILY_H2  # a = 0: delta = 1 + 8e300
+    for j, d in enumerate(centers):
+        for i, c in enumerate(centers):
+            assert grid[j][i] is _scan_label(-1, c, d), (c, d)
+    with pytest.raises(InvalidParams):
+        classify(ModuliPoint(-1, 2e300, -2e300))
+
+
+def test_moduli_scan_non_finite_curvature_has_no_surface():
+    for c0 in (math.nan, math.inf):
+        grid = moduli_scan(c0, (-1, 1, -1, 1), 3, 2)
+        assert grid == [[RegionLabel.OUTSIDE_MODULI] * 3] * 2
 
 
 def test_scan_csv_format():
