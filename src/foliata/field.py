@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     AllSingular,
@@ -39,6 +37,11 @@ from .profile import ProfileFunction, ProfileSolution
 EPS_DEN = 1e-9
 #: |sinh omega| beyond this marks the node singular (pre-arcsinh overflow).
 OVERFLOW_GUARD = 1e8
+#: Relative residual at which the inner conjugate-gradient solve of a Newton
+#: step stops.
+CG_RTOL = 1e-12
+#: Conjugate-gradient iterations allowed per Newton step.
+CG_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,10 @@ def solve_sinh_gordon(
     edge, or a full (ny, nx) array whose boundary ring supplies the data.
     Newton steps are halved until the residual norm decreases (factor at
     least 2^-10); convergence is declared when the applied update has
-    max-norm below ``tol``.
+    max-norm below ``tol``.  Each Newton system is solved matrix-free by
+    conjugate gradients, preconditioned by the exact inverse of the
+    Dirichlet Laplacian in its sine basis; an inner solve that fails raises
+    ``NonConverged`` as well.
     """
     nx, ny = grid.nx, grid.ny
     if nx < 5 or ny < 5:
@@ -399,33 +405,40 @@ def solve_sinh_gordon(
         w[1:-1, 1:-1] = np.asarray(initial, dtype=float)[1:-1, 1:-1]
 
     hx, hy = grid.hx, grid.hy
-    mi, ni = ny - 2, nx - 2
     ax, ay = 1.0 / (hx * hx), 1.0 / (hy * hy)
-    dxx = sp.diags([ax * np.ones(ni - 1), -2.0 * ax * np.ones(ni), ax * np.ones(ni - 1)], [-1, 0, 1])
-    dyy = sp.diags([ay * np.ones(mi - 1), -2.0 * ay * np.ones(mi), ay * np.ones(mi - 1)], [-1, 0, 1])
-    lap_op = (sp.kron(sp.identity(mi), dxx) + sp.kron(dyy, sp.identity(ni))).tocsr()
+    inv_lap = _dirichlet_inverse(ny - 2, nx - 2, hx, hy)
+    padded = np.zeros((ny, nx))
 
-    def residual(arr: np.ndarray) -> np.ndarray:
-        lap = (
+    def lap(arr: np.ndarray) -> np.ndarray:
+        return (
             (arr[1:-1, 2:] - 2.0 * arr[1:-1, 1:-1] + arr[1:-1, :-2]) * ax
             + (arr[2:, 1:-1] - 2.0 * arr[1:-1, 1:-1] + arr[:-2, 1:-1]) * ay
         )
-        return (lap + c0 * np.sinh(arr[1:-1, 1:-1]) * np.cosh(arr[1:-1, 1:-1])).ravel()
+
+    def residual(arr: np.ndarray) -> np.ndarray:
+        return lap(arr) + c0 * np.sinh(arr[1:-1, 1:-1]) * np.cosh(arr[1:-1, 1:-1])
+
+    def neg_jacobian(p: np.ndarray) -> np.ndarray:
+        padded[1:-1, 1:-1] = p
+        return -lap(padded) - diag * p
 
     lam = float("nan")  # step factor of the last iteration, reported on failure
     for _ in range(max_iter):
         fv = residual(w)
-        jac = lap_op + sp.diags(c0 * np.cosh(2.0 * w[1:-1, 1:-1]).ravel())
-        delta = spla.spsolve(jac.tocsc(), -fv)
+        diag = c0 * np.cosh(2.0 * w[1:-1, 1:-1])
+        # symmetric scaling of the Laplacian inverse: exact where the
+        # Laplacian dominates, Jacobi-like where -diag outweighs the stencil
+        scale = 1.0 / np.sqrt(1.0 + np.maximum(-diag, 0.0) / (2.0 * ax + 2.0 * ay))
+        delta = _pcg(neg_jacobian, fv, lambda r: scale * inv_lap(scale * r))
         norm0 = np.linalg.norm(fv)
         lam = 1.0
         while lam > 2.0 ** -10:
             trial = w.copy()
-            trial[1:-1, 1:-1] += lam * delta.reshape(mi, ni)
+            trial[1:-1, 1:-1] += lam * delta
             if np.linalg.norm(residual(trial)) < norm0:
                 break
             lam *= 0.5
-        w[1:-1, 1:-1] += lam * delta.reshape(mi, ni)
+        w[1:-1, 1:-1] += lam * delta
         if lam * np.max(np.abs(delta)) < tol:
             return OmegaField(
                 grid=grid,
@@ -438,6 +451,62 @@ def solve_sinh_gordon(
     raise NonConverged(
         f"no convergence within {max_iter} Newton iterations "
         f"(last residual norm {np.linalg.norm(residual(w)):.6e}, last step factor {lam})"
+    )
+
+
+def _dirichlet_inverse(m: int, n: int, hx: float, hy: float):
+    """Inverse of the negated five-point Dirichlet Laplacian on m x n interior nodes.
+
+    Applied in the sine basis S[j, k] = sin(pi j k / (n + 1)), which
+    diagonalises the second difference on each axis with eigenvalues
+    4/h^2 sin^2(pi k / (2 (n + 1))); S @ S = (n + 1)/2 I.
+    """
+
+    def basis(size: int, h: float):
+        k = np.arange(1, size + 1)
+        # j k mod 2 (size + 1) keeps the argument below 2 pi, where sin is accurate
+        sines = np.sin(np.pi * (np.outer(k, k) % (2 * (size + 1))) / (size + 1))
+        return sines, 4.0 / (h * h) * np.sin(np.pi * k / (2 * (size + 1))) ** 2
+
+    sy, ey = basis(m, hy)
+    sx, ex = basis(n, hx)
+    weight = 4.0 / ((m + 1) * (n + 1)) / (ey[:, None] + ex[None, :])
+    return lambda r: sy @ ((sy @ r @ sx) * weight) @ sx
+
+
+def _pcg(apply_a, b: np.ndarray, apply_m) -> np.ndarray:
+    """Preconditioned conjugate gradients for a x = b, started from zero.
+
+    Stops when the recurrence residual falls to ``CG_RTOL`` times |b|;
+    raises ``NonConverged`` after ``CG_MAX_ITER`` iterations or on a
+    breakdown (zero or non-finite curvature p.Ap), never returning NaN.
+    """
+    x = np.zeros_like(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return x
+    r = b.copy()
+    p = z = apply_m(r)
+    rz = np.vdot(r, z)
+    rnorm = bnorm
+    for _ in range(CG_MAX_ITER):
+        q = apply_a(p)
+        pq = np.vdot(p, q)
+        if not (np.isfinite(pq) and pq != 0.0):
+            break
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        rnorm = np.linalg.norm(r)
+        if rnorm <= CG_RTOL * bnorm:
+            return x
+        z = apply_m(r)
+        rz_next = np.vdot(r, z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise NonConverged(
+        f"Newton step not solved: relative residual {rnorm / bnorm:.3e} "
+        f"after conjugate gradients (at most {CG_MAX_ITER} iterations)"
     )
 
 

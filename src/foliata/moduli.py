@@ -8,7 +8,8 @@ constant is a = (c - d)/c0 for c0 != 0, and the quadratics
 
 share one discriminant  delta = (c0 + a)^2 - 4c = (c0 - a)^2 - 4d.  Profiles
 exist iff delta >= 0 and the larger roots X+, Y+ are nonnegative; for c0 > 0
-this reduces to c <= 0 and d <= 0.  The root sums obey X- + Y+ = X+ + Y- =
+this reduces to c <= 0 and d <= 0, and flat space (c0 = 0, c = d) also needs
+c <= 0.  The root sums obey X- + Y+ = X+ + Y- =
 -c0, which for the hyperbolic plane is the classical "sum to one" identity.
 
 The algebra and the label rules are written once, over numpy arrays of (c, d)
@@ -186,6 +187,8 @@ def _classify(c0: float, c, d, a: float | None = None):
     else:  # the roots are NaN where delta < 0, which fails their inequalities
         member = [(f"{name} >= 0", v, v >= 0)
                   for name, v in (("delta", dp.delta), ("x_plus", dp.xplus), ("y_plus", dp.yplus))]
+        if c0 == 0:  # flat space carries no surface at c > 0
+            member.append(("c <= 0", c, c <= 0))
     inside = np.logical_and.reduce([ok] + [sat for _, _, sat in member])
     rules = [(~inside, L.OUTSIDE_MODULI)]
     if c0 > 0:
@@ -199,8 +202,7 @@ def _classify(c0: float, c, d, a: float | None = None):
         rules += [
             (c != d, L.OUTSIDE_MODULI),  # flat space has surfaces on the diagonal only
             (c == 0, L.VERTICAL_GEODESIC_PLANE),
-            (c < 0, L.CLASSICAL_RIEMANN_R3),
-            (True, L.OUTSIDE_MODULI),
+            (True, L.CLASSICAL_RIEMANN_R3),
         ]
     else:
         rules += [

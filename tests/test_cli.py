@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import foliata
 from foliata._jsonfmt import dumps, format_float
 from foliata.cli import main
 
@@ -210,6 +217,37 @@ def test_json_float_sign_and_value_round_trip():
     for v in (-0.0, 5e-324, -1e-300, 0.1):
         back = json.loads(dumps(v))
         assert back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(1.7e308)
+@example(-1.7e308)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_json_float_round_trip_is_bitwise(v):
+    # bare, inside a list and as a dict value: each path formats floats itself
+    parsed = json.loads(dumps([v, {"v": v}, v]))
+    if not math.isfinite(v):
+        assert parsed == [None, {"v": None}, None]
+        return
+    for back in (parsed[0], parsed[1]["v"], parsed[2], json.loads(dumps(v))):
+        assert struct.pack("<d", float(back)) == struct.pack("<d", v)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(foliata.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, foliata.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 FLAT_ITEMS = [0.0, -0.0, -3.0, 1.0, 1e16, 0.1, 5e-324, -1e-300, math.nan, math.inf, -math.inf,

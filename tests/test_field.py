@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from foliata import field as field_module
 from foliata.errors import AllSingular, GridMismatch, InvalidParams, NonConverged, TooFewNodes
 from foliata.field import (
     GridSpec,
@@ -241,6 +242,63 @@ def test_newton_non_convergence_reports_residual_and_step():
     norm, lam = float(found.group(1)), float(found.group(2))
     assert math.isfinite(norm) and norm > 0
     assert 0 < lam <= 1
+
+
+def test_newton_steep_initial_guess_converges():
+    # cosh(2 omega) reaches 7e8 on this field: the diagonal outweighs the
+    # Laplacian by far near the corners
+    fsol, gsol = profiles(-1, -1, 1, xr=(-1, 1), yr=(-1, 1))
+    grid = GridSpec(-1, 1, -1, 1, 101, 101)
+    recon = assemble_omega(fsol, gsol, grid)
+    assert np.cosh(2.0 * recon.omega).max() > 1e8
+    solved = solve_sinh_gordon(-1.0, grid, recon.omega, initial=recon.omega)
+    assert sinh_gordon_residual(solved).linf <= 1e-10
+
+
+def test_newton_indefinite_jacobian_converges():
+    # on [0, 6]^2 the lowest Dirichlet eigenvalue 2 (pi/6)^2 < 1 = c0 cosh(2 omega)
+    # near omega = 0, so the Jacobian has eigenvalues of both signs
+    grid = GridSpec(0, 6, 0, 6, 81, 81)
+    solved = solve_sinh_gordon(1.0, grid, lambda x, y: 0.05 * math.sin(x) * math.cos(y))
+    assert sinh_gordon_residual(solved).linf <= 1e-12
+
+
+def test_newton_step_matches_dense_solve_on_non_square_grid():
+    grid = GridSpec(0, 1, 0, 2, 23, 17)
+    xs, ys = grid.xs, grid.ys
+    boundary = 0.5 * np.sin(2.0 * xs[None, :]) * np.cos(ys[:, None]) + 0.3 * ys[:, None]
+    initial = 0.8 * np.outer(ys, xs)
+    w0 = boundary.copy()
+    w0[1:-1, 1:-1] = initial[1:-1, 1:-1]
+    c0 = -1.0
+    # dense Jacobian of the five-point residual at w0, interior nodes row-major
+    m, n = grid.ny - 2, grid.nx - 2
+    ax, ay = grid.hx ** -2, grid.hy ** -2
+    second = lambda k, a: a * (np.eye(k, k=1) + np.eye(k, k=-1) - 2.0 * np.eye(k))
+    inner = w0[1:-1, 1:-1]
+    jac = (np.kron(np.eye(m), second(n, ax)) + np.kron(second(m, ay), np.eye(n))
+           + np.diag(c0 * np.cosh(2.0 * inner).ravel()))
+    lap = ((w0[1:-1, 2:] - 2.0 * inner + w0[1:-1, :-2]) * ax
+           + (w0[2:, 1:-1] - 2.0 * inner + w0[:-2, 1:-1]) * ay)
+    expect = np.linalg.solve(jac, -(lap + c0 * np.sinh(inner) * np.cosh(inner)).ravel())
+    # an infinite tolerance stops after the first, undamped, Newton step
+    step = solve_sinh_gordon(c0, grid, boundary, initial=initial, tol=math.inf).omega - w0
+    assert np.linalg.norm(step[1:-1, 1:-1].ravel() - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert not step[[0, -1], :].any() and not step[:, [0, -1]].any()
+
+
+def test_newton_inner_solve_failure_raises(monkeypatch):
+    grid = GridSpec(0, 1, 0, 1, 17, 17)
+    boundary = np.fromfunction(lambda j, i: 0.1 * i * j, (17, 17))
+    monkeypatch.setattr(field_module, "CG_MAX_ITER", 1)
+    with pytest.raises(NonConverged, match="conjugate gradients"):
+        solve_sinh_gordon(-1.0, grid, boundary)
+    # a non-finite initial guess ends in the same typed error, never a NaN step
+    monkeypatch.undo()
+    initial = np.zeros((17, 17))
+    initial[8, 8] = np.nan
+    with pytest.raises(NonConverged, match="conjugate gradients"):
+        solve_sinh_gordon(-1.0, grid, boundary, initial=initial)
 
 
 def test_newton_accepts_callable_boundary():

@@ -112,6 +112,18 @@ def test_classify_certificate_records_failing_inequality():
     assert name == "delta >= 0" and value == pytest.approx(-3.75) and not ok
 
 
+@pytest.mark.parametrize(
+    "c, a", [(1e-10, 1e10), (0.25, -1.0), (-0.25, 3.0), (0.0, 2.0), (1.0, 0.0)]
+)
+def test_flat_certificate_fails_exactly_when_outside(c, a):
+    # at c = 1e-10, a = 1e10 the roots pass (x_plus rounds to 0.0); c > 0 alone
+    # puts the point outside, so the certificate must carry c <= 0
+    report = classify(ModuliPoint(0, c, c), a=a)
+    inside = all(ok for _, _, ok in report.certificate)
+    assert inside == (report.label is not RegionLabel.OUTSIDE_MODULI)
+    assert ("c <= 0", c, c <= 0) in report.certificate
+
+
 def test_classify_reduces_general_curvature_by_dilatation():
     # (c0, c, d) -> (sign, c/s^4, d/s^4) preserves the label
     base = classify(ModuliPoint(-1, -1, 1))
