@@ -29,7 +29,6 @@ from .field import (
     assemble_omega,
     assemble_omega_degenerate,
     level_curvatures,
-    singular_set,
     sinh_gordon_residual,
     solve_sinh_gordon,
 )
@@ -39,7 +38,6 @@ from .immersion import (
     HolonomyReport,
     SurfaceMesh,
     build_mesh,
-    chart_factor,
     chart_for_curvature,
     default_seed,
     flat_route_gap,

@@ -95,12 +95,16 @@ def _build_field(args) -> OmegaField:
     return field_from_source(source, grid)
 
 
+def _seed(args):
+    """The frame seed of --seed/--psi0, or None for the field's default seed."""
+    if args.seed is None:
+        return None
+    return (args.seed[0], args.seed[1], args.psi0, (0.0, 0.0))
+
+
 def _frame_for(args, field):
     space = chart_for_curvature(field.c0)
-    seed = None
-    if args.seed is not None:
-        seed = (args.seed[0], args.seed[1], args.psi0, (0.0, 0.0))
-    return space, integrate_frame(field, space, seed=seed)
+    return space, integrate_frame(field, space, seed=_seed(args))
 
 
 def _cmd_classify(args) -> int:
@@ -207,7 +211,7 @@ def _cmd_verify(args) -> int:
                 period = profile_period(
                     derive_params(ModuliPoint(live.c0, rebuild.c, rebuild.d), rebuild.a), "F"
                 )
-            hol = holonomy(frame, live, period).document()
+            hol = holonomy(live, period, seed=_seed(args)).document()
         except FoliataError:
             hol = None
         out = {
@@ -247,7 +251,6 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_holonomy(args) -> int:
     field = _build_field(args)
-    space, frame = _frame_for(args, field)
     period = args.period
     if period is None:
         point = ModuliPoint(args.c0, args.c, args.d)
@@ -255,7 +258,7 @@ def _cmd_holonomy(args) -> int:
             period = profile_period(derive_params(point, args.a), "F")
         except FoliataError as exc:
             raise PeriodUnavailable(str(exc)) from exc
-    report = holonomy(frame, field, period)
+    report = holonomy(field, period, seed=_seed(args))
     doc = report.document()
     doc["config"] = _config(args)
     _emit(dumps(doc), args.out)

@@ -30,7 +30,6 @@ from .errors import (
     NonConverged,
     TooFewNodes,
 )
-from .moduli import DerivedParams
 from .profile import ProfileFunction, ProfileSolution
 
 #: Denominator threshold below which a reconstruction formula is unusable.
@@ -299,26 +298,6 @@ def assemble_omega_degenerate(
     return field_from_source(DegenerateSource(alpha, beta, guard=guard), grid)
 
 
-def singular_set(
-    dp: DerivedParams,
-    fsol: ProfileSolution,
-    gsol: ProfileSolution,
-    grid: GridSpec,
-) -> np.ndarray:
-    """Boolean mask of the singular set D on the grid.
-
-    The analytic case conditions are, with both profiles nontrivial,
-    {f^2 + g^2 + c0 = 0 and f' + g' != 0}; with f = 0, {g^2 + c0 = 0}; with
-    g = 0, {f^2 + c0 = 0}.  On a grid all three reduce to the dual-quotient
-    test used in assembly (both denominators below eps, or a value beyond
-    the overflow guard), so the mask agrees with assemble_omega's by
-    construction.
-    """
-    if fsol.params != dp or gsol.params != dp:
-        raise GridMismatch("profiles built from different derived parameters")
-    return ~ReconstructedSource(fsol.fn, gsol.fn).eval_grid(grid.xs, grid.ys).ok
-
-
 def _interior_laplacian(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
     lap = np.full_like(w, np.nan)
     lap[1:-1, 1:-1] = (
@@ -435,7 +414,10 @@ def solve_sinh_gordon(
         while lam > 2.0 ** -10:
             trial = w.copy()
             trial[1:-1, 1:-1] += lam * delta
-            if np.linalg.norm(residual(trial)) < norm0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                # an overflowing trial has a non-finite norm and is halved
+                trial_norm = np.linalg.norm(residual(trial))
+            if trial_norm < norm0:
                 break
             lam *= 0.5
         w[1:-1, 1:-1] += lam * delta

@@ -19,7 +19,7 @@ form (profile functions re-evaluated), never from grid interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .field import (
     GridSpec,
     OmegaField,
     ResidualStats,
+    _interior_laplacian,
     stats_from,
 )
 
@@ -119,15 +120,6 @@ def chart_for_curvature(c0: float) -> ChartSpace:
     return ChartSpace("euclidean_plane")
 
 
-def chart_factor(space: ChartSpace, u: tuple[float, float]):
-    """Conformal factor and gradient of its logarithm at one chart point."""
-    u1, u2 = float(u[0]), float(u[1])
-    if space.kind == "poincare_disk" and math.hypot(u1, u2) >= DISK_EDGE:
-        raise ChartOverflow(f"point {u} outside the disk chart")
-    rho, l1, l2 = space.factor_many(u1, u2)
-    return float(rho), (float(l1), float(l2))
-
-
 # ---------------------------------------------------------------------------
 # frame integration
 # ---------------------------------------------------------------------------
@@ -142,7 +134,6 @@ class FrameField:
     seed: tuple[int, int, float, tuple[float, float]]
     compat_linf: float
     grid: GridSpec
-    space: ChartSpace = dc_field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for arr in (self.psi, self.u, self.valid):
@@ -230,10 +221,7 @@ def _require_source(field: OmegaField):
             "frame integration needs a field with closed-form data "
             "(reconstructed or constant-profile provenance)"
         )
-    source = field.source
-    if not hasattr(source, "eval_bc"):
-        raise InvalidParams("field source lacks broadcast evaluation")
-    return source
+    return field.source
 
 
 def default_seed(field: OmegaField) -> tuple[float, float]:
@@ -265,6 +253,32 @@ def default_seed(field: OmegaField) -> tuple[float, float]:
     return float(xs[i]), float(ys[j])
 
 
+def _resolve_seed(
+    field: OmegaField,
+    space: ChartSpace,
+    seed: tuple[float, float, float, tuple[float, float]] | None,
+) -> tuple[int, int, float, tuple[float, float]]:
+    """Grid node (i0, j0) nearest the seed point, frame angle and chart point.
+
+    No seed means :func:`default_seed` with angle 0 at the chart origin.  A
+    singular seed node raises SingularCrossing and a chart point outside the
+    chart ChartOverflow.
+    """
+    xs, ys = field.grid.xs, field.grid.ys
+    if seed is None:
+        sx, sy = default_seed(field)
+        psi0, u0 = 0.0, (0.0, 0.0)
+    else:
+        sx, sy, psi0, u0 = seed
+    i0 = int(np.argmin(np.abs(xs - sx)))
+    j0 = int(np.argmin(np.abs(ys - sy)))
+    if field.mask[j0, i0]:
+        raise SingularCrossing(f"seed node ({xs[i0]}, {ys[j0]}) is on the singular set")
+    if not bool(np.asarray(space.in_domain(u0[0], u0[1]))):
+        raise ChartOverflow(f"seed chart point {u0} outside the chart")
+    return i0, j0, float(psi0), (float(u0[0]), float(u0[1]))
+
+
 def integrate_frame(
     field: OmegaField,
     space: ChartSpace,
@@ -284,17 +298,7 @@ def integrate_frame(
     source = _require_source(field)
     grid = field.grid
     xs, ys = grid.xs, grid.ys
-    if seed is None:
-        sx, sy = default_seed(field)
-        psi0, u0 = 0.0, (0.0, 0.0)
-    else:
-        sx, sy, psi0, u0 = seed
-    i0 = int(np.argmin(np.abs(xs - sx)))
-    j0 = int(np.argmin(np.abs(ys - sy)))
-    if field.mask[j0, i0]:
-        raise SingularCrossing(f"seed node ({xs[i0]}, {ys[j0]}) is on the singular set")
-    if not bool(np.asarray(space.in_domain(u0[0], u0[1]))):
-        raise ChartOverflow(f"seed chart point {u0} outside the chart")
+    i0, j0, psi0, u0 = _resolve_seed(field, space, seed)
 
     one = np.ones(1)
     cpsi, cu1, cu2, calive = _march(
@@ -312,10 +316,9 @@ def integrate_frame(
         psi=psi,
         u=np.stack([u1, u2], axis=-1),
         valid=alive,
-        seed=(i0, j0, float(psi0), (float(u0[0]), float(u0[1]))),
+        seed=(i0, j0, psi0, u0),
         compat_linf=_path_compat(source, space, grid, j0, psi, u1, u2, alive),
         grid=grid,
-        space=space,
     )
 
 
@@ -392,11 +395,7 @@ def harmonic_residual(frame: FrameField, space: ChartSpace) -> ResidualStats:
     hx, hy = frame.grid.hx, frame.grid.hy
     u = np.where(frame.valid[..., None], frame.u, np.nan)
     f = u[..., 0] + 1j * u[..., 1]
-    lap = np.full_like(f, np.nan)
-    lap[1:-1, 1:-1] = (
-        (f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]) / (hx * hx)
-        + (f[2:, 1:-1] - 2.0 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / (hy * hy)
-    )
+    lap = _interior_laplacian(f, hx, hy)
     fy, fx = np.gradient(f, hy, hx, edge_order=2)
     fz = 0.5 * (fx - 1j * fy)
     fzb = 0.5 * (fx + 1j * fy)
@@ -667,12 +666,14 @@ class HolonomyReport:
 
 
 def _frame_matrix(space: ChartSpace, u1: float, u2: float, psi: float) -> np.ndarray:
+    """Columns (T, N, p): the unit frame at angle psi and its chart point, in
+    the ambient model; the plane uses homogeneous coordinates (u1, u2, 1)."""
     rho, _, _ = space.factor_many(u1, u2)
     sq = math.sqrt(float(rho))
     e1 = np.array([math.cos(psi) / sq, math.sin(psi) / sq])
     e2 = np.array([-math.sin(psi) / sq, math.cos(psi) / sq])
     if space.kind == "euclidean_plane":
-        return np.column_stack([e1, e2])
+        return np.array([[e1[0], e2[0], u1], [e1[1], e2[1], u2], [0.0, 0.0, 1.0]])
     d1, d2 = space.lift_jacobian(u1, u2)
     col1 = d1 * e1[0] + d2 * e1[1]
     col2 = d1 * e2[0] + d2 * e2[1]
@@ -680,95 +681,102 @@ def _frame_matrix(space: ChartSpace, u1: float, u2: float, psi: float) -> np.nda
     return np.column_stack([col1, col2, p])
 
 
-def _model_isometry(space, base, image) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Isometry sending the frame at ``base`` = (u1, u2, psi) to ``image``."""
-    if space.kind == "euclidean_plane":
-        theta = image[2] - base[2]
-        rot = np.array(
-            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        )
-        shift = np.array(image[:2]) - rot @ np.array(base[:2])
-        return rot, shift
-    m0 = _frame_matrix(space, *base)
-    m1 = _frame_matrix(space, *image)
-    if space.kind == "stereographic":
-        return m1 @ m0.T
-    eta = np.diag([-1.0, 1.0, 1.0])
-    m0_inv = np.diag([1.0, 1.0, -1.0]) @ m0.T @ eta
-    return m1 @ m0_inv
+def _leaf_motion(k: float, c0: float, s: np.ndarray) -> np.ndarray:
+    """exp(s A), stacked over the arclengths s, for a leaf of geodesic curvature k.
 
-
-def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyReport:
-    """Chart isometry relating the frame to its translate by one x-period.
-
-    Samples the seed row at several base points and continues the frame to
-    each x + period: the frame's own state at the last grid node before the
-    target, advanced by one RK4 step over the remainder.  Builds the
-    model-space isometry from the first frame pair and reports the worst
-    alignment gap over the rest.  ``closed`` flags an identity holonomy to
-    1e-6.
+    The frame (T, N, p) of a unit-speed curve in the model of curvature c0
+    moves by (T, N, p)' = (T, N, p) A.  Since A^3 = -kappa^2 A with
+    kappa^2 = k^2 + c0, exp(s A) = I + f1 A + f2 A^2 with f1, f2 the
+    circle, horocycle or hypercycle functions below.
     """
-    space = frame.space
+    a = np.array([[0.0, -k, 1.0], [k, 0.0, 0.0], [-c0, 0.0, 0.0]])
+    kappa2 = k * k + c0
+    kappa = math.sqrt(abs(kappa2))
+    if kappa2 > 0:
+        f1, f2 = np.sin(kappa * s) / kappa, 2.0 * (np.sin(0.5 * kappa * s) / kappa) ** 2
+    elif kappa2 < 0:
+        f1, f2 = np.sinh(kappa * s) / kappa, 2.0 * (np.sinh(0.5 * kappa * s) / kappa) ** 2
+    else:
+        f1, f2 = s, 0.5 * s * s
+    return np.eye(3) + f1[:, None, None] * a + f2[:, None, None] * (a @ a)
+
+
+#: Three-point Gauss-Legendre rule on [-1, 1].
+GAUSS_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
+
+
+def holonomy(
+    field: OmegaField,
+    period: float,
+    seed: tuple[float, float, float, tuple[float, float]] | None = None,
+) -> HolonomyReport:
+    """Ambient isometry relating the seed row to its translate by one x-period.
+
+    The seed row is a leaf of constant geodesic curvature k = -omega_y /
+    cosh(omega) traced at speed cosh(omega), so the frame at arclength s
+    from the seed is M E(s): M the seed frame, E the closed-form leaf
+    motion.  Arclengths come from Gauss-Legendre quadrature on the grid
+    cells of the row.  Base nodes x are sampled among those whose segment
+    from the seed through x + period has no singular grid or quadrature
+    node.  The isometry is M E(S) M^-1, with S the arclength over the first
+    base's period, and the residual is the worst gap between its image of
+    a base point and that point's translate.  ``closed`` flags an identity
+    holonomy to 1e-6.  ``seed`` is resolved as in :func:`integrate_frame`.
+    """
     if period is None or not math.isfinite(period) or period <= 0:
         raise PeriodUnavailable(f"no usable period (got {period})")
-    grid = frame.grid
+    grid = field.grid
     if grid.x1 - grid.x0 < period - 1e-12:
         raise PeriodUnavailable("domain spans less than one period in x")
     source = _require_source(field)
-    xs = grid.xs
-    _, j0, _, _ = frame.seed
-    candidates = [
-        i for i in range(grid.nx)
-        if xs[i] + period <= grid.x1 + 1e-12 and frame.valid[j0, i]
-    ]
-    if not candidates:
-        raise PeriodUnavailable("no valid base nodes with x + period in range")
-    base_idx = candidates[:: max(1, len(candidates) // 8)]
-    targets = [float(xs[i] + period) for i in base_idx]
+    space = chart_for_curvature(field.c0)
+    i0, j0, psi0, u0 = _resolve_seed(field, space, seed)
+    xs, y0 = grid.xs, grid.ys[j0]
+    at_seed = source.eval_bc(xs[i0], y0)
+    k = float(-at_seed.wy / at_seed.cosh)
 
-    pairs = [
-        ((frame.u[j0, i, 0], frame.u[j0, i, 1], frame.psi[j0, i]), (u1_t, u2_t, psi_t))
-        for i, (psi_t, u1_t, u2_t, ok) in zip(
-            base_idx, _row_states_at(source, frame, targets)
-        )
-        if ok
-    ]
-    if not pairs:
-        raise PeriodUnavailable("frame could not be continued across the period")
+    bases = np.flatnonzero(xs + period <= grid.x1 + 1e-12)
+    targets = xs[bases] + period
+    ends = np.searchsorted(xs, targets, side="right") - 1
+    # quadrature on every grid cell of the row, then on each [x_end, target]
+    lo = np.concatenate([xs[:-1], xs[ends]])
+    half = 0.5 * (np.concatenate([xs[1:], targets]) - lo)
+    data = source.eval_bc((lo + half)[:, None] + half[:, None] * GAUSS_NODES, y0)
+    bad = ~data.ok.all(axis=1)
+    length = np.where(bad, 0.0, half * (data.cosh @ GAUSS_WEIGHTS))
+    cells = grid.nx - 1
+    arc = np.concatenate([[0.0], np.cumsum(length[:cells])])
+    bad_cells = bad[:cells] | field.mask[j0, :-1] | field.mask[j0, 1:]
+    nbad = np.concatenate([[0], np.cumsum(bad_cells)])
+    clean = (nbad[np.maximum(ends, i0)] == nbad[np.minimum(bases, i0)]) & ~bad[cells:]
+    picked = np.flatnonzero(clean)
+    if picked.size == 0:
+        raise PeriodUnavailable("no non-singular base nodes with x + period in range")
+    picked = picked[:: max(1, picked.size // 8)]
+    sigma = arc[bases[picked]] - arc[i0]
+    span = arc[ends[picked]] - arc[bases[picked]] + length[cells + picked]
 
-    iso = _model_isometry(space, pairs[0][0], pairs[0][1])
-    worst = 0.0
-    for base, image in pairs:
-        if space.kind == "euclidean_plane":
-            rot, shift = iso
-            pred = rot @ np.array(base[:2]) + shift
-            worst = max(worst, float(np.linalg.norm(pred - np.array(image[:2]))))
-        else:
-            pred = iso @ space.lift(np.array(base[0]), np.array(base[1]))
-            got = space.lift(np.array(image[0]), np.array(image[1]))
-            worst = max(worst, float(np.linalg.norm(pred - got)))
+    m = _frame_matrix(space, u0[0], u0[1], psi0)
+    iso = m @ _leaf_motion(k, space.c0, span[:1])[0] @ np.linalg.inv(m)
+    base_pts = _leaf_motion(k, space.c0, sigma)[:, :, 2] @ m.T
+    image_pts = _leaf_motion(k, space.c0, sigma + span)[:, :, 2] @ m.T
+    worst = float(np.max(np.linalg.norm(base_pts @ iso.T - image_pts, axis=1)))
 
     if space.kind == "euclidean_plane":
-        rot, shift = iso
-        theta = math.atan2(rot[1, 0], rot[0, 0])
+        theta = math.atan2(iso[1, 0], iso[0, 0])
+        shift = float(np.linalg.norm(iso[:2, 2]))
         if abs(theta) < 1e-9:
-            kind, value = "translation", float(np.linalg.norm(shift))
+            kind, value = "translation", shift
         else:
             kind, value = "rotation", theta
-        ident = max(abs(theta), float(np.linalg.norm(shift)))
-    elif space.kind == "stereographic":
-        tr = float(np.trace(iso))
-        kind = "rotation"
-        value = math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
-        ident = float(np.linalg.norm(iso - np.eye(3)))
+        ident = max(abs(theta), shift)
     else:
         tr = float(np.trace(iso))
-        if tr < 3.0:
-            kind = "rotation"
-            value = math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
+        if space.kind == "stereographic" or tr < 3.0:
+            kind, value = "rotation", math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
         else:
-            kind = "translation"
-            value = math.acosh(max(1.0, (tr - 1.0) / 2.0))
+            kind, value = "translation", math.acosh(max(1.0, (tr - 1.0) / 2.0))
         ident = float(np.linalg.norm(iso - np.eye(3)))
     closed = bool(ident < 1e-6 and worst < 1e-6)
     if closed:
@@ -779,28 +787,3 @@ def holonomy(frame: FrameField, field: OmegaField, period: float) -> HolonomyRep
         residual=worst,
         closed=closed,
     )
-
-
-def _row_states_at(source, frame, targets):
-    """Frame states (psi, u1, u2, alive) along the seed row at each target
-    abscissa, in target order.
-
-    Each state is the frame's at the last grid node k between the seed and
-    the target, advanced by one RK4 step over t - x_k.
-    """
-    grid = frame.grid
-    xs = grid.xs
-    i0, j0, _, _ = frame.seed
-    out = []
-    for t in targets:
-        if t >= xs[i0]:
-            k = int(np.searchsorted(xs, t, side="right")) - 1
-        else:
-            k = int(np.searchsorted(xs, t, side="left"))
-        p, a, b, al = _march(
-            source, frame.space, "x", grid.ys[j0:j0 + 1], np.array([xs[k], t]), 0,
-            frame.psi[j0, k:k + 1], frame.u[j0, k:k + 1, 0], frame.u[j0, k:k + 1, 1],
-            frame.valid[j0, k:k + 1],
-        )
-        out.append((p[-1, 0], a[-1, 0], b[-1, 0], bool(al[-1, 0])))
-    return out

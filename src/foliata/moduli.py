@@ -177,9 +177,10 @@ def _classify(c0: float, c, d, a: float | None = None):
     """
     sign, scale = normalize_curvature(c0)
     if c0 != sign:  # the dilatation (x, y) -> (x, y)/s gives (sign, c/s^4, d/s^4)
-        c0, s4 = float(sign), scale ** 4
+        # s^4 underflows to 0 below |c0| ~ 1.5e-154, s^2 only at the last subnormal
+        c0, s2 = float(sign), scale * scale
         with np.errstate(all="ignore"):
-            c, d = c / s4, d / s4
+            c, d = c / s2 / s2, d / s2 / s2
     dp, mirror, ok = _derive(c0, c, d, a)
     L = RegionLabel
     if c0 > 0:

@@ -241,10 +241,12 @@ def test_json_float_round_trip_is_bitwise(v):
 
 
 def test_import_loads_no_scipy():
+    # neither scipy nor numpy.polynomial (a Gauss-Legendre import would load it)
+    # may add to the start-up time of every command
     src = str(Path(foliata.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = ("import sys, foliata.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = ("import sys, foliata.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -3,14 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foliata.errors import ChartOverflow, NotFlat, PeriodUnavailable, SingularCrossing
-from foliata.field import GridSpec, assemble_omega, assemble_omega_degenerate
+from foliata.field import (
+    GridSpec,
+    ReconstructedSource,
+    assemble_omega,
+    assemble_omega_degenerate,
+    field_from_source,
+)
 from foliata import immersion
 from foliata.immersion import (
     ChartSpace,
     build_mesh,
-    chart_factor,
     chart_for_curvature,
     flat_route_gap,
     harmonic_residual,
@@ -23,7 +29,7 @@ from foliata.immersion import (
     write_obj,
 )
 from foliata.moduli import ModuliPoint, derive_params
-from foliata.profile import integrate_profile, profile_period
+from foliata.profile import ProfileFunction, integrate_profile, profile_period
 
 DISK = ChartSpace("poincare_disk")
 PLANE = ChartSpace("euclidean_plane")
@@ -58,18 +64,17 @@ def test_chart_for_curvature():
 
 
 def test_chart_factor_values():
-    rho, grad = chart_factor(DISK, (0.0, 0.0))
-    assert rho == 4.0 and grad == (0.0, 0.0)
-    rho, grad = chart_factor(PLANE, (0.3, -0.7))
-    assert rho == 1.0 and grad == (0.0, 0.0)
-    rho, grad = chart_factor(SPHERE, (1.0, 0.0))
+    assert DISK.factor_many(0.0, 0.0) == (4.0, 0.0, 0.0)
+    assert PLANE.factor_many(0.3, -0.7) == (1.0, 0.0, 0.0)
+    rho, l1, l2 = SPHERE.factor_many(1.0, 0.0)
     assert rho == 1.0
-    assert grad[0] == pytest.approx(-2.0) and grad[1] == 0.0
+    assert l1 == pytest.approx(-2.0) and l2 == 0.0
 
 
 def test_chart_factor_disk_overflow():
+    field = assemble_omega_degenerate(0.0, 1.0, GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11))
     with pytest.raises(ChartOverflow):
-        chart_factor(DISK, (1.0, 0.0))
+        integrate_frame(field, DISK, seed=(0.0, 0.0, 0.0, (1.0, 0.0)))
 
 
 @pytest.mark.parametrize(
@@ -150,7 +155,7 @@ def test_harmonic_residual_negative_control(sphere_pair):
     noisy = frame.u + 1e-3 * rng.standard_normal(frame.u.shape)
     broken = type(frame)(
         psi=frame.psi.copy(), u=noisy, valid=frame.valid.copy(), seed=frame.seed,
-        compat_linf=frame.compat_linf, grid=frame.grid, space=frame.space,
+        compat_linf=frame.compat_linf, grid=frame.grid,
     )
     assert harmonic_residual(broken, SPHERE).linf > 1.0
 
@@ -278,8 +283,8 @@ def test_weierstrass_rejects_curved(sphere_pair):
 
 def test_holonomy_for_flat_plane_is_pure_translation(flat_trivial_frame):
     # x-advance slides the plane along itself: no rotation part, zero residual
-    field, frame = flat_trivial_frame
-    report = holonomy(frame, field, 0.5)
+    field, _ = flat_trivial_frame
+    report = holonomy(field, 0.5, seed=(0.0, 0.0, 0.0, (0.0, 0.0)))
     assert report.kind == "translation"
     assert report.angle_or_length == pytest.approx(0.5, abs=1e-12)
     assert report.residual <= 1e-12
@@ -290,9 +295,10 @@ def test_holonomy_rotation_for_onduloid():
     t_g = profile_period(dp, "G")
     grid = GridSpec(0, 3, 0, 2, 151, 101)
     field = reconstructed(1, 0, -0.25, grid, trivial_f=True)
-    frame = integrate_frame(field, SPHERE, seed=(0.0, t_g / 4, 0.0, (0.0, 0.0)))
-    rep1 = holonomy(frame, field, 1.0)
-    rep2 = holonomy(frame, field, 2.0)
+    seed = (0.0, t_g / 4, 0.0, (0.0, 0.0))
+    frame = integrate_frame(field, SPHERE, seed=seed)
+    rep1 = holonomy(field, 1.0, seed=seed)
+    rep2 = holonomy(field, 2.0, seed=seed)
     assert rep1.kind == "rotation" and not rep1.closed
     assert rep1.residual <= 1e-6
     assert rep2.angle_or_length == pytest.approx(2 * rep1.angle_or_length, rel=1e-6)
@@ -320,18 +326,74 @@ def test_holonomy_closes_region_one_annulus():
     y0, y1 = band.min() + 0.05, band.max() - 0.05
     grid = GridSpec(0, t_f + 1.5, y0, y1, 161, 81)
     field = reconstructed(-1, -1, 1, grid)
-    frame = integrate_frame(field, DISK)
-    report = holonomy(frame, field, t_f)
+    report = holonomy(field, t_f)
     assert report.closed and report.kind == "identity"
     assert report.residual <= 1e-6
 
 
+@pytest.mark.parametrize("c0, c, d, domain, nx, ny, period, seed", [
+    (1, -1, -1, (0, 1, 0, 1), 61, 21, 0.37, None),
+    (-1, -1, 1, (0, 6, 0.98, 1.99), 241, 121, 1.3, None),
+    # off the chart origin the hyperboloid residual also sees the turning sense
+    (-1, -1, 1, (0, 6, 0.98, 1.99), 241, 121, 1.3, (2.0, 1.5, 0.4, (0.3, -0.2))),
+])
+def test_holonomy_matches_rk4_frame_oracle(c0, c, d, domain, nx, ny, period, seed):
+    # the reference marches the frame along the seed row at a quarter of the
+    # grid step, through every base and target, and lifts each state to its
+    # model frame
+    dp = derive_params(ModuliPoint(c0, c, d))
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    field = field_from_source(source, GridSpec(*domain, nx, ny))
+    report = holonomy(field, period, seed=seed)
+    space, grid = chart_for_curvature(c0), field.grid
+    i0, j0, psi0, u0 = immersion._resolve_seed(field, space, seed)
+    assert not field.mask[j0].any()
+    bases = [x for x in grid.xs if x + period <= grid.x1 + 1e-12]
+    bases = np.array(bases[:: max(1, len(bases) // 8)])
+    nodes = np.union1d(np.linspace(grid.x0, grid.x1, 4 * nx - 3), [*bases, *(bases + period)])
+    psi, u1, u2, alive = immersion._march(
+        source, space, "x", grid.ys[j0:j0 + 1], nodes, int(np.searchsorted(nodes, grid.xs[i0])),
+        np.array([psi0]), np.array([u0[0]]), np.array([u0[1]]), np.array([True]),
+    )
+    assert alive.all()
+
+    def frame_at(x):
+        k = int(np.searchsorted(nodes, x))
+        return immersion._frame_matrix(space, u1[k, 0], u2[k, 0], psi[k, 0])
+
+    pairs = [(frame_at(x), frame_at(x + period)) for x in bases]
+    iso = pairs[0][1] @ np.linalg.inv(pairs[0][0])
+    residual = max(np.linalg.norm(iso @ m[:, 2] - image[:, 2]) for m, image in pairs)
+    assert report.kind == "rotation"
+    assert report.angle_or_length == pytest.approx(math.acos((np.trace(iso) - 1) / 2), abs=1e-8)
+    assert report.residual == pytest.approx(residual, abs=1e-8)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from([-1.0, 1.0]), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
+def test_holonomy_over_natural_period_is_identity(c0, c_size, d_size):
+    # AnnulusFamily (c0 = -1, c < 0 < d) and RiemannTypeS2 (c0 = 1, c, d < 0):
+    # on a row with g^2 + c0 > 0 the leaf is a circle closing after one F-period
+    c, d = -c_size, (d_size if c0 < 0 else -d_size)
+    dp = derive_params(ModuliPoint(c0, c, d))
+    t_f, t_g = profile_period(dp, "F"), profile_period(dp, "G")
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    ys = np.linspace(0.0, t_g, 65)
+    y0 = float(ys[np.argmax(source.gfn.eval_many(ys)[0] ** 2)])
+    assert source.gfn.eval_many(y0)[0] ** 2 + c0 > 0
+    field = field_from_source(source, GridSpec(0.0, 1.25 * t_f, y0 - 0.01, y0 + 0.01, 81, 3))
+    assert not field.mask[1].any()
+    report = holonomy(field, t_f, seed=(0.0, y0, 0.0, (0.0, 0.0)))
+    assert report.kind == "identity" and report.closed
+    assert report.residual <= 1e-9
+
+
 def test_holonomy_requires_period(flat_trivial_frame):
-    field, frame = flat_trivial_frame
+    field, _ = flat_trivial_frame
     with pytest.raises(PeriodUnavailable):
-        holonomy(frame, field, None)
+        holonomy(field, None)
     with pytest.raises(PeriodUnavailable):
-        holonomy(frame, field, 5.0)  # domain shorter than the period
+        holonomy(field, 5.0)  # domain shorter than the period
 
 
 def test_gamma_axis_rotation_speed():
@@ -385,53 +447,3 @@ def test_frame_march_evaluates_source_twice_per_step(monkeypatch):
     assert marches == ["y", "x", "y"]
     assert sum(steps) == 2 * (15 - 1) + (21 - 1)
     assert source.calls == 2 * sum(steps) + len(marches)
-
-
-@pytest.fixture(scope="module")
-def holonomy_marches():
-    """Every _march call made by one holonomy run, with its nodes and result."""
-    grid = GridSpec(0, 1, 0, 1, 61, 21)
-    field = reconstructed(1, -1, -1, grid)
-    frame = integrate_frame(field, SPHERE)
-    calls = []
-    march = immersion._march
-
-    def recorded(src, space, direction, lanes, t_nodes, *rest):
-        out = march(src, space, direction, lanes, t_nodes, *rest)
-        calls.append((direction, np.array(t_nodes), out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(immersion, "_march", recorded)
-        holonomy(frame, field, 0.37)
-    return field, frame, calls
-
-
-def test_holonomy_takes_one_step_per_target(holonomy_marches):
-    # the frame already holds the seed row; only the remainder past the last
-    # grid node before each target is marched
-    _, frame, calls = holonomy_marches
-    xs, (_, j0, _, _) = frame.grid.xs, frame.seed
-    bases = [i for i in range(xs.size) if xs[i] + 0.37 <= 1.0 + 1e-12 and frame.valid[j0, i]]
-    targets = [xs[i] + 0.37 for i in bases[:: max(1, len(bases) // 8)]]
-    assert [direction for direction, _, _ in calls] == ["x"] * len(targets)
-    assert [t_nodes.size - 1 for _, t_nodes, _ in calls] == [1] * len(targets)
-    assert [t_nodes[-1] for _, t_nodes, _ in calls] == targets
-
-
-def test_holonomy_target_states_match_direct_march(holonomy_marches):
-    field, frame, calls = holonomy_marches
-    grid = frame.grid
-    i0, j0, _, _ = frame.seed
-    one = np.ones(1)
-    for _, t_nodes, (psi, u1, u2, alive) in calls:
-        t = t_nodes[-1]
-        n = math.ceil(abs(t - grid.xs[i0]) / (grid.hx / 4))
-        ref = immersion._march(
-            field.source, SPHERE, "x", grid.ys[j0:j0 + 1], np.linspace(grid.xs[i0], t, n + 1), 0,
-            frame.psi[j0, i0] * one, frame.u[j0, i0, 0] * one, frame.u[j0, i0, 1] * one,
-            np.array([True]),
-        )
-        assert alive[-1, 0] and ref[3][-1, 0]
-        for got, want in zip((psi, u1, u2), ref[:3]):
-            assert abs(got[-1, 0] - want[-1, 0]) <= 1e-8

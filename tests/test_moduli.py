@@ -136,6 +136,16 @@ def test_classify_reduces_general_curvature_by_dilatation():
     assert near.derived == classify(ModuliPoint(1.0, -0.3, -0.7)).derived
 
 
+@pytest.mark.parametrize("c0, c, d, label", [
+    (1e-200, 0.0, 0.0, RegionLabel.FLAT_VERTICAL_ANNULUS),
+    (-1e-200, 0.0, 0.0, RegionLabel.VERTICAL_GEODESIC_PLANE),
+    (1e-200, -1e-300, -1e-300, RegionLabel.RIEMANN_TYPE_S2),
+])
+def test_dilatation_of_tiny_curvature_does_not_underflow(c0, c, d, label):
+    # s^4 = c0^2 underflows to 0 here; the reduced point is (sign, c/c0^2, d/c0^2)
+    assert classify(ModuliPoint(c0, c, d)).label is label
+
+
 def test_root_sum_identities_bulk():
     # X- + Y+ = X+ + Y- = -c0, the "sum to one" identity at c0 = -1
     rng = np.random.default_rng(7)
