@@ -177,7 +177,7 @@ def _classify(c0: float, c, d, a: float | None = None):
     """
     sign, scale = normalize_curvature(c0)
     if c0 != sign:  # the dilatation (x, y) -> (x, y)/s gives (sign, c/s^4, d/s^4)
-        # s^4 underflows to 0 below |c0| ~ 1.5e-154, s^2 only at the last subnormal
+        # s^4 = c0^2 underflows to 0 below |c0| ~ 1.5e-154; s^2 ~ |c0| never does
         c0, s2 = float(sign), scale * scale
         with np.errstate(all="ignore"):
             c, d = c / s2 / s2, d / s2 / s2
