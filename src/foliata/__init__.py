@@ -47,6 +47,7 @@ from .immersion import (
     integrate_frame,
     isometry_check,
     mesh_row_curvature,
+    rk4_row_gap,
     weierstrass_flat,
     write_obj,
 )

@@ -36,6 +36,7 @@ from .immersion import (
     hopf_deviation,
     integrate_frame,
     isometry_check,
+    rk4_row_gap,
     weierstrass_flat,
     write_obj,
 )
@@ -215,7 +216,7 @@ def _cmd_verify(args) -> int:
         except FoliataError:
             hol = None
         out = {
-            "compat_linf": frame.compat_linf,
+            "compat_linf": rk4_row_gap(frame, live, space),
             "isometry_linf": iso.linf,
             "hopf_real_err": hre,
             "hopf_imag_err": him,

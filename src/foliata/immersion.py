@@ -12,8 +12,14 @@ chart point u satisfy the coupled first-order system
     u_x   = cosh(omega)/sqrt(rho) (cos psi, sin psi)
     u_y   = sinh(omega)/sqrt(rho) (-sin psi, cos psi)
 
-with L = grad log rho.  Off-grid omega data comes from the field's closed
-form (profile functions re-evaluated), never from grid interpolation.
+with L = grad log rho.  Only the seed column is marched (RK4).  Along a row,
+omega_y = -k cosh(omega) with k constant, so every row is a leaf of constant
+geodesic curvature k traced at speed cosh(omega): a circle, horocycle or
+hypercycle of the ambient model, placed in closed form from the column's
+state at its Gauss-Legendre arclength.  The same leaf motion gives the
+holonomy of a horizontal period; an RK4 row march stays as the oracle.
+Off-grid omega data comes from the field's closed form (profile functions
+re-evaluated), never from grid interpolation.
 """
 
 from __future__ import annotations
@@ -97,19 +103,35 @@ class ChartSpace:
         return np.stack([u1, u2], axis=-1)
 
     def lift_jacobian(self, u1, u2):
-        """Columns (d lift/du1, d lift/du2) at one chart point."""
+        """Columns (d lift/du1, d lift/du2) of the curved models, stacked
+        along the last axis over the shape of the chart points."""
+        u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
         r2 = u1 * u1 + u2 * u2
         if self.kind == "poincare_disk":
             q = 1.0 - r2
-            d1 = np.array([4.0 * u1, 2.0 * q + 4.0 * u1 * u1, 4.0 * u1 * u2]) / (q * q)
-            d2 = np.array([4.0 * u2, 4.0 * u1 * u2, 2.0 * q + 4.0 * u2 * u2]) / (q * q)
+            qq = (q * q)[..., None]
+            d1 = np.stack([4.0 * u1, 2.0 * q + 4.0 * u1 * u1, 4.0 * u1 * u2], axis=-1) / qq
+            d2 = np.stack([4.0 * u2, 4.0 * u1 * u2, 2.0 * q + 4.0 * u2 * u2], axis=-1) / qq
             return d1, d2
-        if self.kind == "stereographic":
-            s = 1.0 + r2
-            d1 = np.array([2.0 * s - 4.0 * u1 * u1, -4.0 * u1 * u2, -4.0 * u1]) / (s * s)
-            d2 = np.array([-4.0 * u1 * u2, 2.0 * s - 4.0 * u2 * u2, -4.0 * u2]) / (s * s)
-            return d1, d2
-        return np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        s = 1.0 + r2
+        ss = (s * s)[..., None]
+        d1 = np.stack([2.0 * s - 4.0 * u1 * u1, -4.0 * u1 * u2, -4.0 * u1], axis=-1) / ss
+        d2 = np.stack([-4.0 * u1 * u2, 2.0 * s - 4.0 * u2 * u2, -4.0 * u2], axis=-1) / ss
+        return d1, d2
+
+    def chart_state(self, p, t):
+        """Chart point (u1, u2) of the model point ``p`` and the chart angle
+        of the tangent ``t`` there: the inverse of the lift and its
+        pushforward, over the leading axes (the plane in homogeneous
+        coordinates (u1, u2, 1))."""
+        if self.kind == "euclidean_plane":
+            return p[..., 0], p[..., 1], np.arctan2(t[..., 1], t[..., 0])
+        # projection from (-1, 0, 0) on the hyperboloid, from the south pole
+        # (0, 0, -1) on the sphere: u = (p_a, p_b) / (1 + p_w)
+        w, a, b = (0, 1, 2) if self.kind == "poincare_disk" else (2, 0, 1)
+        scale = 1.0 / (1.0 + p[..., w])
+        u1, u2 = p[..., a] * scale, p[..., b] * scale
+        return u1, u2, np.arctan2(t[..., b] - u2 * t[..., w], t[..., a] - u1 * t[..., w])
 
 
 def chart_for_curvature(c0: float) -> ChartSpace:
@@ -121,18 +143,99 @@ def chart_for_curvature(c0: float) -> ChartSpace:
 
 
 # ---------------------------------------------------------------------------
+# leaves: the horizontal curves of constant geodesic curvature
+# ---------------------------------------------------------------------------
+
+#: Three-point Gauss-Legendre rule on [-1, 1].
+GAUSS_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
+
+#: A leaf with |k^2 + c0| at most this is a horocycle (a line in the plane):
+#: the rounding level of the O(1) curvatures the fields produce.
+HOROCYCLE_TOL = 1e-12
+
+
+def _leaf_curvatures(source, x, ys):
+    """Geodesic curvature k = -omega_y / cosh(omega) of the leaves through (x, ys)."""
+    data = source.eval_bc(x, ys)
+    return -data.wy / data.cosh
+
+
+def _row_lengths(source, lo, hi, ys):
+    """Arclengths, the integral of cosh(omega) dx over [lo, hi], on each row ys.
+
+    Three-point Gauss-Legendre quadrature per interval.  Returns (length,
+    bad) shaped (len(ys), len(lo)); an interval with a singular quadrature
+    node is bad and has length 0.
+    """
+    half = 0.5 * (hi - lo)
+    nodes = ((lo + half)[:, None] + half[:, None] * GAUSS_NODES).ravel()
+    data = source.eval_bc(nodes[None, :], np.asarray(ys, dtype=float)[:, None])
+    shape = (len(ys), len(lo), 3)
+    bad = ~data.ok.reshape(shape).all(axis=2)
+    return np.where(bad, 0.0, half * (data.cosh.reshape(shape) @ GAUSS_WEIGHTS)), bad
+
+
+def _frame_matrix(space: ChartSpace, u1, u2, psi) -> np.ndarray:
+    """Columns (T, N, p): the unit frame at angle psi and its chart point, in
+    the ambient model, stacked over the shape of the arguments; the plane
+    uses homogeneous coordinates (u1, u2, 1)."""
+    u1, u2, psi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (u1, u2, psi)))
+    rho, _, _ = space.factor_many(u1, u2)
+    sq = np.sqrt(rho)
+    c, s = np.cos(psi) / sq, np.sin(psi) / sq
+    if space.kind == "euclidean_plane":
+        zero = np.zeros_like(c)
+        cols = [(c, s, zero), (-s, c, zero), (u1, u2, zero + 1.0)]
+        return np.stack([np.stack(col, axis=-1) for col in cols], axis=-1)
+    d1, d2 = space.lift_jacobian(u1, u2)
+    c, s = c[..., None], s[..., None]
+    return np.stack([d1 * c + d2 * s, d2 * c - d1 * s, space.lift(u1, u2)], axis=-1)
+
+
+def _leaf_functions(kappa2: np.ndarray, s: np.ndarray):
+    """(f1, f2) with exp(s A) = I + f1 A + f2 A^2, for rows of arclengths s.
+
+    ``kappa2`` = k^2 + c0 holds one value per row of ``s``: circle
+    functions where it is positive, hypercycle functions where negative,
+    horocycle polynomials within HOROCYCLE_TOL of 0 (half-angle forms).
+    Rows with a non-finite ``kappa2`` are NaN.
+    """
+    f1, f2 = np.full_like(s, np.nan), np.full_like(s, np.nan)
+    kappa = np.sqrt(np.abs(kappa2))[:, None]
+    for rows, fn in ((kappa2 > HOROCYCLE_TOL, np.sin), (kappa2 < -HOROCYCLE_TOL, np.sinh)):
+        kap, arc = kappa[rows], s[rows]
+        f1[rows] = fn(kap * arc) / kap
+        f2[rows] = 2.0 * (fn(0.5 * kap * arc) / kap) ** 2
+    flat = np.abs(kappa2) <= HOROCYCLE_TOL
+    f1[flat], f2[flat] = s[flat], 0.5 * s[flat] * s[flat]
+    return f1, f2
+
+
+def _leaf_motion(k: float, c0: float, s: np.ndarray) -> np.ndarray:
+    """exp(s A), stacked over the arclengths s, for a leaf of geodesic curvature k.
+
+    The frame (T, N, p) of a unit-speed curve in the model of curvature c0
+    moves by (T, N, p)' = (T, N, p) A.  Since A^3 = -kappa^2 A with
+    kappa^2 = k^2 + c0, exp(s A) = I + f1 A + f2 A^2 (:func:`_leaf_functions`).
+    """
+    a = np.array([[0.0, -k, 1.0], [k, 0.0, 0.0], [-c0, 0.0, 0.0]])
+    f1, f2 = _leaf_functions(np.array([k * k + c0]), np.asarray(s)[None, :])
+    return np.eye(3) + f1[0, :, None, None] * a + f2[0, :, None, None] * (a @ a)
+
+
+# ---------------------------------------------------------------------------
 # frame integration
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FrameField:
-    """Frame angle and chart point on the grid, plus path diagnostics."""
+    """Frame angle and chart point on the grid, with their validity mask."""
 
     psi: np.ndarray
     u: np.ndarray
     valid: np.ndarray
     seed: tuple[int, int, float, tuple[float, float]]
-    compat_linf: float
     grid: GridSpec
 
     def __post_init__(self):
@@ -279,6 +382,10 @@ def _resolve_seed(
     return i0, j0, float(psi0), (float(u0[0]), float(u0[1]))
 
 
+#: Rows placed at once: bounds the quadrature and leaf-motion temporaries.
+ROW_BLOCK = 16
+
+
 def integrate_frame(
     field: OmegaField,
     space: ChartSpace,
@@ -286,14 +393,18 @@ def integrate_frame(
 ) -> FrameField:
     """Integrate (psi, u) over the grid from a seed node.
 
-    The path runs along the seed column first, then along every row, with
-    one fourth-order step per grid cell (middle stages at the cell
-    midpoints).  The transposed path continues the seed row of that result
-    up every column, so the frame takes three marches in all; the largest
-    state discrepancy between the two paths over the full grid is reported
-    as ``compat_linf``.
-    Rows are truncated (NaN) where they hit the singular set or the chart
-    boundary; a singular seed raises SingularCrossing.
+    The seed column is marched with one fourth-order step per grid cell
+    (middle stages at the cell midpoints).  Every row is then placed in
+    closed form from the column's state: row y is a leaf of geodesic
+    curvature k = -omega_y / cosh(omega) traced at speed cosh(omega), so
+    its frame at arclength s from the column is M E(s), with M the
+    column's frame and E the leaf motion.  Arclengths come from
+    Gauss-Legendre quadrature on the row's grid cells; psi is unwrapped
+    along the row from the column's value.  Rows stop (NaN) from the
+    column outward at the first cell with a singular grid or quadrature
+    node, and at chart exit or non-finite state; a singular seed raises
+    SingularCrossing.  :func:`rk4_row_gap` checks the rows against an RK4
+    row march.
     """
     source = _require_source(field)
     grid = field.grid
@@ -305,39 +416,69 @@ def integrate_frame(
         source, space, "y", np.array([xs[i0]]), ys, j0,
         psi0 * one, u0[0] * one, u0[1] * one, np.array([True]),
     )
-    psi, u1, u2, alive = _march(
-        source, space, "x", ys, xs, i0,
-        cpsi[:, 0], cu1[:, 0], cu2[:, 0], calive[:, 0],
-    )
-    # row-major orientation: _march returned (nx, ny); transpose to (ny, nx)
-    psi, u1, u2, alive = psi.T, u1.T, u2.T, alive.T
-
-    return FrameField(
-        psi=psi,
-        u=np.stack([u1, u2], axis=-1),
-        valid=alive,
-        seed=(i0, j0, psi0, u0),
-        compat_linf=_path_compat(source, space, grid, j0, psi, u1, u2, alive),
-        grid=grid,
-    )
+    k = _leaf_curvatures(source, xs[i0], ys)
+    psi = np.empty((grid.ny, grid.nx))
+    u = np.empty((grid.ny, grid.nx, 2))
+    valid = np.empty((grid.ny, grid.nx), dtype=bool)
+    for start in range(0, grid.ny, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        psi[rows], u[rows, :, 0], u[rows, :, 1], valid[rows] = _place_rows(
+            source, space, field.mask[rows], xs, ys[rows], i0,
+            cpsi[rows, 0], cu1[rows, 0], cu2[rows, 0], calive[rows, 0], k[rows],
+        )
+    return FrameField(psi=psi, u=u, valid=valid, seed=(i0, j0, psi0, u0), grid=grid)
 
 
-def _path_compat(source, space, grid, j0, psi, u1, u2, alive):
-    """Largest (psi, u) gap between column-first and row-first integration.
+def _place_rows(source, space, mask, xs, ys, i0, psi_c, u1_c, u2_c, alive_c, k):
+    """Closed-form (psi, u1, u2, valid) on the rows ys from their states at xs[i0]."""
+    lengths, bad = _row_lengths(source, xs[:-1], xs[1:], ys)
+    arc = np.zeros((len(ys), len(xs)))
+    np.cumsum(lengths, axis=1, out=arc[:, 1:])
+    kappa2 = k * k + space.c0
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        f1, f2 = _leaf_functions(kappa2, arc - arc[:, i0:i0 + 1])
+        # point M E(s) e3 = M (f1, k f2, 1 - c0 f2), tangent M E(s) e1
+        m = _frame_matrix(space, u1_c, u2_c, psi_c)[:, None]
+        t_col, n_col, p_col = m[..., 0], m[..., 1], m[..., 2]
+        f1, f2 = f1[..., None], f2[..., None]
+        kc = k[:, None, None]
+        point = f1 * t_col + kc * f2 * n_col + (1.0 - space.c0 * f2) * p_col
+        tangent = (1.0 - kappa2[:, None, None] * f2) * t_col + kc * f1 * n_col - space.c0 * f1 * p_col
+        u1, u2, psi = space.chart_state(point, tangent)
+        # the column keeps its marched state; psi is unwrapped outward from it
+        u1[:, i0], u2[:, i0], psi[:, i0] = u1_c, u2_c, psi_c
+        turns = np.rint(np.diff(psi, axis=1) / (2.0 * math.pi))
+        turns = np.concatenate([np.zeros((len(ys), 1)), np.cumsum(np.nan_to_num(turns), axis=1)], axis=1)
+        psi -= 2.0 * math.pi * (turns - turns[:, i0:i0 + 1])
+        ok = np.isfinite(psi) & np.isfinite(u1) & np.isfinite(u2)
+        ok &= np.asarray(space.in_domain(u1, u2)) & alive_c[:, None]
+    # each node also needs the cell between it and the column to be clean
+    clean = ~(bad | mask[:, :-1] | mask[:, 1:])
+    ok[:, i0 + 1:] &= clean[:, i0:]
+    ok[:, :i0] &= clean[:, :i0]
+    valid = np.empty_like(ok)
+    valid[:, i0:] = np.logical_and.accumulate(ok[:, i0:], axis=1)
+    valid[:, i0::-1] = np.logical_and.accumulate(ok[:, i0::-1], axis=1)
+    return np.where(valid, psi, np.nan), np.where(valid, u1, np.nan), np.where(valid, u2, np.nan), valid
 
-    The row-first path shares the seed row with the column-first one, so it
-    is one march up all columns from that row of the frame.
+
+def rk4_row_gap(frame: FrameField, field: OmegaField, space: ChartSpace) -> float:
+    """Largest (psi, u) gap between the frame's closed-form rows and RK4.
+
+    The oracle marches every row from the frame's seed column, one
+    fourth-order step per grid cell, and is compared on the nodes where
+    both are valid.
     """
-    if not alive[j0].any():
-        return float("nan")
-    tpsi, tu1, tu2, talive = _march(
-        source, space, "y", grid.xs, grid.ys, j0,
-        psi[j0], u1[j0], u2[j0], alive[j0],
+    i0 = frame.seed[0]
+    grid = frame.grid
+    psi, u1, u2, alive = _march(
+        _require_source(field), space, "x", grid.ys, grid.xs, i0,
+        frame.psi[:, i0], frame.u[:, i0, 0], frame.u[:, i0, 1], frame.valid[:, i0],
     )
-    both = talive & alive
-    dpsi = (tpsi[both] - psi[both] + math.pi) % (2.0 * math.pi) - math.pi
-    du = np.hypot(tu1[both] - u1[both], tu2[both] - u2[both])
-    return float(max(np.abs(dpsi).max(initial=0.0), du.max(initial=0.0)))
+    both = alive.T & frame.valid
+    dpsi = np.abs(psi.T[both] - frame.psi[both])
+    du = np.hypot(u1.T[both] - frame.u[..., 0][both], u2.T[both] - frame.u[..., 1][both])
+    return float(max(dpsi.max(initial=0.0), du.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +580,16 @@ def _mesh_topology(valid: np.ndarray):
     faces = np.stack(
         [idx[jj, ii], idx[jj, ii + 1], idx[jj + 1, ii + 1], idx[jj + 1, ii]], axis=-1
     )
-    foliation = []
-    for j in range(ny):
-        run: list[int] = []
-        for i in range(nx):
-            if valid[j, i]:
-                run.append(int(idx[j, i]))
-            elif len(run) > 1:
-                foliation.append(tuple(run))
-                run = []
-            else:
-                run = []
-        if len(run) > 1:
-            foliation.append(tuple(run))
-    return faces, tuple(foliation)
+    # runs of valid nodes per row, from the rises and falls of the padded mask
+    edges = np.diff(np.pad(valid, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    stops = np.nonzero(edges == -1)[1]
+    foliation = tuple(
+        tuple(range(j * nx + a, j * nx + b))
+        for j, a, b in zip(rows.tolist(), starts.tolist(), stops.tolist())
+        if b - a > 1
+    )
+    return faces, foliation
 
 
 def build_mesh(
@@ -584,7 +721,8 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
     def panel(a, da, b, db, dz):
         return 0.5 * dz * (a + b) + dz * dz / 12.0 * (da - db)
 
-    # seed column, then rows: identical path tree to the frame integration
+    # seed column, then rows out from it: the tree of the frame, whose rows
+    # are placed from its marched seed column
     for j in range(j0 + 1, grid.ny):
         x_vec[j, i0] = x_vec[j - 1, i0] + np.real(
             panel(phi[j - 1, i0], dphi[j - 1, i0], phi[j, i0], dphi[j, i0], 1j * grid.hy)
@@ -665,47 +803,6 @@ class HolonomyReport:
         }
 
 
-def _frame_matrix(space: ChartSpace, u1: float, u2: float, psi: float) -> np.ndarray:
-    """Columns (T, N, p): the unit frame at angle psi and its chart point, in
-    the ambient model; the plane uses homogeneous coordinates (u1, u2, 1)."""
-    rho, _, _ = space.factor_many(u1, u2)
-    sq = math.sqrt(float(rho))
-    e1 = np.array([math.cos(psi) / sq, math.sin(psi) / sq])
-    e2 = np.array([-math.sin(psi) / sq, math.cos(psi) / sq])
-    if space.kind == "euclidean_plane":
-        return np.array([[e1[0], e2[0], u1], [e1[1], e2[1], u2], [0.0, 0.0, 1.0]])
-    d1, d2 = space.lift_jacobian(u1, u2)
-    col1 = d1 * e1[0] + d2 * e1[1]
-    col2 = d1 * e2[0] + d2 * e2[1]
-    p = space.lift(np.array(u1), np.array(u2))
-    return np.column_stack([col1, col2, p])
-
-
-def _leaf_motion(k: float, c0: float, s: np.ndarray) -> np.ndarray:
-    """exp(s A), stacked over the arclengths s, for a leaf of geodesic curvature k.
-
-    The frame (T, N, p) of a unit-speed curve in the model of curvature c0
-    moves by (T, N, p)' = (T, N, p) A.  Since A^3 = -kappa^2 A with
-    kappa^2 = k^2 + c0, exp(s A) = I + f1 A + f2 A^2 with f1, f2 the
-    circle, horocycle or hypercycle functions below.
-    """
-    a = np.array([[0.0, -k, 1.0], [k, 0.0, 0.0], [-c0, 0.0, 0.0]])
-    kappa2 = k * k + c0
-    kappa = math.sqrt(abs(kappa2))
-    if kappa2 > 0:
-        f1, f2 = np.sin(kappa * s) / kappa, 2.0 * (np.sin(0.5 * kappa * s) / kappa) ** 2
-    elif kappa2 < 0:
-        f1, f2 = np.sinh(kappa * s) / kappa, 2.0 * (np.sinh(0.5 * kappa * s) / kappa) ** 2
-    else:
-        f1, f2 = s, 0.5 * s * s
-    return np.eye(3) + f1[:, None, None] * a + f2[:, None, None] * (a @ a)
-
-
-#: Three-point Gauss-Legendre rule on [-1, 1].
-GAUSS_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
-GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
-
-
 def holonomy(
     field: OmegaField,
     period: float,
@@ -721,7 +818,10 @@ def holonomy(
     from the seed through x + period has no singular grid or quadrature
     node.  The isometry is M E(S) M^-1, with S the arclength over the first
     base's period, and the residual is the worst gap between its image of
-    a base point and that point's translate.  ``closed`` flags an identity
+    a base point and that point's translate.  On the curved models the kind
+    follows the leaf: a rotation (angle) for a circle, k^2 + c0 > 0; a
+    translation (length) for a hypercycle; ``parabolic`` (the horocyclic
+    arclength S) within HOROCYCLE_TOL of 0.  ``closed`` flags an identity
     holonomy to 1e-6.  ``seed`` is resolved as in :func:`integrate_frame`.
     """
     if period is None or not math.isfinite(period) or period <= 0:
@@ -733,18 +833,16 @@ def holonomy(
     space = chart_for_curvature(field.c0)
     i0, j0, psi0, u0 = _resolve_seed(field, space, seed)
     xs, y0 = grid.xs, grid.ys[j0]
-    at_seed = source.eval_bc(xs[i0], y0)
-    k = float(-at_seed.wy / at_seed.cosh)
+    k = float(_leaf_curvatures(source, xs[i0], y0))
 
     bases = np.flatnonzero(xs + period <= grid.x1 + 1e-12)
     targets = xs[bases] + period
     ends = np.searchsorted(xs, targets, side="right") - 1
     # quadrature on every grid cell of the row, then on each [x_end, target]
-    lo = np.concatenate([xs[:-1], xs[ends]])
-    half = 0.5 * (np.concatenate([xs[1:], targets]) - lo)
-    data = source.eval_bc((lo + half)[:, None] + half[:, None] * GAUSS_NODES, y0)
-    bad = ~data.ok.all(axis=1)
-    length = np.where(bad, 0.0, half * (data.cosh @ GAUSS_WEIGHTS))
+    length, bad = _row_lengths(
+        source, np.concatenate([xs[:-1], xs[ends]]), np.concatenate([xs[1:], targets]), [y0]
+    )
+    length, bad = length[0], bad[0]
     cells = grid.nx - 1
     arc = np.concatenate([[0.0], np.cumsum(length[:cells])])
     bad_cells = bad[:cells] | field.mask[j0, :-1] | field.mask[j0, 1:]
@@ -772,11 +870,15 @@ def holonomy(
             kind, value = "rotation", theta
         ident = max(abs(theta), shift)
     else:
+        # the leaf's kind fixes the isometry's: circle, horocycle, hypercycle
+        kappa2 = k * k + space.c0
         tr = float(np.trace(iso))
-        if space.kind == "stereographic" or tr < 3.0:
+        if kappa2 > HOROCYCLE_TOL:
             kind, value = "rotation", math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
-        else:
+        elif kappa2 < -HOROCYCLE_TOL:
             kind, value = "translation", math.acosh(max(1.0, (tr - 1.0) / 2.0))
+        else:
+            kind, value = "parabolic", float(span[0])
         ident = float(np.linalg.norm(iso - np.eye(3)))
     closed = bool(ident < 1e-6 and worst < 1e-6)
     if closed:

@@ -27,6 +27,7 @@ from foliata.immersion import (
     integrate_frame,
     isometry_check,
     mesh_row_curvature,
+    rk4_row_gap,
 )
 from foliata.moduli import ModuliPoint, RegionLabel, classify, derive_params
 from foliata.profile import integrate_profile, period_from_ode, profile_period
@@ -172,7 +173,7 @@ def test_criterion_7_immersion_fidelity():
         hre.append(re_err)
         him.append(im_err)
         harm.append(harmonic_residual(frame, SPHERE).linf)
-        compat.append(frame.compat_linf)
+        compat.append(rk4_row_gap(frame, field, SPHERE))
     assert iso[1] <= 1e-4 and hre[1] <= 1e-4 and him[1] <= 1e-4
     assert iso[0] / iso[1] >= 2.0 ** 1.5
     assert hre[0] / hre[1] >= 2.0 ** 1.5

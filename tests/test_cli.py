@@ -147,6 +147,20 @@ def test_holonomy_subcommand(tmp_path, capsys):
     assert not doc["closed"]
 
 
+def test_holonomy_horocycle_is_parabolic(capsys):
+    # (-1, 0, 1) is the constant-profile point alpha = 0, beta = 1: every leaf
+    # is a horocycle (k^2 + c0 = 0)
+    code = main(["holonomy", "--c0=-1", "--c", "0", "--d", "1",
+                 "--domain", "-0.5", "0.5", "-0.5", "0.5", "--nx", "41", "--ny", "41",
+                 "--period", "0.3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["type"] == "parabolic" and not doc["closed"]
+    # the seed row is y = 0, where cosh(omega) = sec(0) = 1: S is the period
+    assert doc["angle_or_length"] == pytest.approx(0.3, abs=1e-12)
+    assert doc["residual"] <= 1e-12
+
+
 def test_holonomy_unavailable_exits_one(capsys):
     # the constant-profile point has no oscillation period
     code = main(["holonomy", "--c0", "-1", "--c", "0.25", "--d", "0.25",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foliata.cli import main
 from foliata.errors import ChartOverflow, NotFlat, PeriodUnavailable, SingularCrossing
 from foliata.field import (
     GridSpec,
@@ -25,6 +26,7 @@ from foliata.immersion import (
     integrate_frame,
     isometry_check,
     mesh_row_curvature,
+    rk4_row_gap,
     weierstrass_flat,
     write_obj,
 )
@@ -113,7 +115,7 @@ def test_flat_trivial_frame_is_a_plane(flat_trivial_frame):
     assert np.nanmax(np.abs(frame.psi)) == 0.0
     assert np.nanmax(np.abs(frame.u[..., 0] - grid.xs[None, :])) == 0.0
     assert np.nanmax(np.abs(frame.u[..., 1])) == 0.0
-    assert frame.compat_linf == 0.0
+    assert rk4_row_gap(frame, field, PLANE) == 0.0
     assert isometry_check(frame, field, PLANE).linf <= 1e-14
     re_err, im_err = hopf_deviation(frame, PLANE)
     assert re_err <= 1e-14 and im_err <= 1e-14
@@ -155,7 +157,7 @@ def test_harmonic_residual_negative_control(sphere_pair):
     noisy = frame.u + 1e-3 * rng.standard_normal(frame.u.shape)
     broken = type(frame)(
         psi=frame.psi.copy(), u=noisy, valid=frame.valid.copy(), seed=frame.seed,
-        compat_linf=frame.compat_linf, grid=frame.grid,
+        grid=frame.grid,
     )
     assert harmonic_residual(broken, SPHERE).linf > 1.0
 
@@ -411,8 +413,8 @@ def test_gamma_axis_rotation_speed():
 
 
 def test_frame_compat_small(sphere_pair):
-    _, frame = sphere_pair
-    assert frame.compat_linf <= 1e-6
+    field, frame = sphere_pair
+    assert rk4_row_gap(frame, field, SPHERE) <= 1e-6
 
 
 class CountingSource:
@@ -429,21 +431,90 @@ class CountingSource:
         return self.inner.eval_bc(x, y)
 
 
-def test_frame_march_evaluates_source_twice_per_step(monkeypatch):
-    field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 21, 15))
-    source = CountingSource(field.source)
-    steps, marches = [], []
+def test_frame_marches_only_the_seed_column(monkeypatch, tmp_path):
+    marches = []
     march = immersion._march
 
     def counted(src, space, direction, lanes, t_nodes, *rest):
-        marches.append(direction)
-        steps.append(len(t_nodes) - 1)
+        marches.append((direction, len(lanes), len(t_nodes) - 1))
         return march(src, space, direction, lanes, t_nodes, *rest)
 
     monkeypatch.setattr(immersion, "_march", counted)
+    field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 21, 15))
+    source = CountingSource(field.source)
     integrate_frame(replace(field, source=source), SPHERE)
-    # seed column, rows, and the columns of the path-compatibility check,
-    # which start from the frame's seed row
-    assert marches == ["y", "x", "y"]
-    assert sum(steps) == 2 * (15 - 1) + (21 - 1)
-    assert source.calls == 2 * sum(steps) + len(marches)
+    assert marches == [("y", 1, 14)]
+    # the column: 2 evaluations per RK4 step plus its start node; the rows:
+    # one curvature evaluation and one quadrature evaluation per row block
+    assert source.calls == 2 * 14 + 1 + 1 + 1
+
+    grid = ["--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+            "--nx", "21", "--ny", "15"]
+    marches.clear()
+    assert main(["mesh", *grid, "--out", str(tmp_path / "m.obj")]) == 0
+    assert marches == [("y", 1, 14)]
+    # only the RK4 row oracle of verify --immersion marches along x
+    assert main(["field", *grid, "--out", str(tmp_path / "f.json")]) == 0
+    marches.clear()
+    assert main(["verify", "--input", str(tmp_path / "f.json"), "--immersion",
+                 "--out", str(tmp_path / "v.json")]) == 0
+    assert marches == [("y", 1, 14), ("x", 15, 20)]
+
+
+def _regular_field(c0, c_size, d_size, a):
+    """Field of a drawn point on a 33x33 box around its smallest |omega|."""
+    c, d = -c_size, (d_size if c0 < 0 else -d_size if c0 > 0 else -c_size)
+    dp = derive_params(ModuliPoint(c0, c, d), a if c0 == 0 else None)
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    probe = GridSpec(-2, 2, -2, 2, 41, 41)
+    data = source.eval_grid(probe.xs, probe.ys)
+    j, i = np.unravel_index(np.argmin(np.where(data.ok, np.abs(data.omega), np.inf)), data.ok.shape)
+    x0, y0 = float(probe.xs[i]), float(probe.ys[j])
+    return field_from_source(source, GridSpec(x0 - 0.25, x0 + 0.25, y0 - 0.25, y0 + 0.25, 33, 33))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
+       st.floats(-1.0, 1.0))
+def test_closed_form_rows_match_rk4_rows(c0, c_size, d_size, a):
+    field = _regular_field(c0, c_size, d_size, a)
+    assert not field.mask.any()
+    space = chart_for_curvature(c0)
+    frame = integrate_frame(field, space)
+    assert frame.valid.all()
+    assert rk4_row_gap(frame, field, space) <= 1e-6
+    if c0 == 0:
+        # a leaf of the plane is a circle or line: its angle turns at the rate k
+        i0 = frame.seed[0]
+        xs, ys = field.grid.xs, field.grid.ys
+        lengths, _ = immersion._row_lengths(field.source, xs[:-1], xs[1:], ys)
+        arc = np.concatenate([np.zeros((len(ys), 1)), np.cumsum(lengths, axis=1)], axis=1)
+        k = immersion._leaf_curvatures(field.source, xs[i0], ys)
+        turned = frame.psi[:, i0:i0 + 1] + k[:, None] * (arc - arc[:, i0:i0 + 1])
+        assert np.abs(frame.psi - turned).max() <= 1e-13
+
+
+def _reference_runs(valid):
+    runs = []
+    for j, row in enumerate(valid):
+        run = []
+        for i, ok in enumerate(row):
+            if ok:
+                run.append(j * valid.shape[1] + i)
+                continue
+            if len(run) > 1:
+                runs.append(tuple(run))
+            run = []
+        if len(run) > 1:
+            runs.append(tuple(run))
+    return tuple(runs)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 0.6, 0.9, 1.0])
+def test_foliation_runs_match_reference_loop(density):
+    rng = np.random.default_rng(11)
+    for shape in [(1, 1), (1, 6), (7, 1), (2, 2), (9, 13), (30, 41)]:
+        valid = rng.random(shape) < density
+        _, foliation = immersion._mesh_topology(valid)
+        assert foliation == _reference_runs(valid)
+        assert all(type(v) is int for run in foliation for v in run)
