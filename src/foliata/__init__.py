@@ -67,6 +67,7 @@ from .profile import (
     degenerate_constants,
     integrate_profile,
     profile_period,
+    sample_profile,
 )
 from .shiffman import (
     gauss_curvature,

@@ -51,8 +51,8 @@ from .moduli import (
 from .profile import (
     ProfileFunction,
     degenerate_constants,
-    integrate_profile,
     profile_period,
+    sample_profile,
 )
 from .shiffman import shiffman_document
 
@@ -127,7 +127,7 @@ def _cmd_profile(args) -> int:
     point.validate()
     dp = derive_params(point, args.a)
     trivial = args.trivial_f if args.kind == "F" else args.trivial_g
-    sol = integrate_profile(
+    sol = sample_profile(
         dp, args.kind, tuple(args.range), args.step,
         trivial=trivial, phase=args.phase, drift_tol=args.drift_tol,
     )
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_scan)
 
-    sp = sub.add_parser("profile", help="integrate one profile ODE to CSV")
+    sp = sub.add_parser("profile", help="sample one profile to CSV")
     _add_point_args(sp)
     sp.add_argument("--kind", choices=["F", "G"], required=True)
     sp.add_argument("--range", type=float, nargs=2, required=True, metavar=("X0", "X1"))

@@ -8,11 +8,11 @@ with (k, m0) = (cbar, c) for f and (dbar, d) for g.  w^2 ranges over
 [max(0, r-), r+] where r-+ are the roots of R(s) = s^2 + k s + m0, and the
 solutions are Jacobi elliptic functions (DLMF 22): profiles and their
 periods are evaluated in closed form through the arithmetic-geometric mean
-of DLMF 22.20(ii).  A classical fixed-step fourth-order integration of the
-second-order form samples the profile on a uniform grid and is the
-independent oracle for the closed form; the first integral is never used
-for stepping (its square root is branch-ambiguous at turning points) and
-instead serves as the conservation oracle.
+of DLMF 22.20(ii), also on the uniform grids of ``foliata profile``.  A
+classical fixed-step fourth-order integration of the second-order form is
+the independent oracle for the closed form; the first integral is never
+used for stepping (its square root is branch-ambiguous at turning points)
+and instead serves as the conservation oracle.
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ class ProfileFunction:
     quarter period K: near m -> 1 the unshifted quotients divide by dn ~
     sqrt(1 - m) and lose that factor in accuracy.  Every abscissa is
     evaluated independently of the others.  ``_march`` is the fixed-step
-    RK4 integration of the same initial-value problem, kept for sampled
-    grids and as an oracle.
+    RK4 integration of the same initial-value problem, kept as the oracle.
     """
 
     def __init__(
@@ -197,7 +196,7 @@ class ProfileFunction:
             for target in targets[order].tolist():
                 gap = abs(target - pos)
                 if gap > 0:
-                    n = max(1, math.ceil(gap / step))
+                    n = max(1, math.ceil(gap / step - 1e-9))
                     h = sign * gap / n
                     for _ in range(n):
                         inc_w, inc_dw = _rk4_increment(w, dw, h, coef)
@@ -254,20 +253,10 @@ class ProfileSolution:
         return self.fn.trivial
 
 
-def integrate_profile(
-    dp: DerivedParams,
-    kind: str,
-    x_range: tuple[float, float],
-    step: float,
-    trivial: bool = False,
-    phase: float = 0.0,
-    drift_tol: float = DRIFT_TOL_DEFAULT,
-) -> ProfileSolution:
-    """Integrate the second-order profile equation over a uniform grid.
-
-    Raises DriftExceeded when the first-integral drift passes 100x the
-    tolerance, which signals a step too large for the requested range.
-    """
+def _sampled_profile(sample, dp, kind, x_range, step, trivial, phase, drift_tol):
+    """Profile valued by ``sample(fn, grid)`` on the uniform grid of step
+    ``step`` covering ``x_range``.  Raises DriftExceeded when the
+    first-integral drift passes 100x the tolerance (a step too large)."""
     x0, x1 = x_range
     if not (step > 0 and x1 > x0):
         raise InvalidParams(f"need step > 0 and x1 > x0, got {step}, {x_range}")
@@ -275,10 +264,10 @@ def integrate_profile(
     # round the count up so the samples always cover [x0, x1]
     n = max(2, math.ceil((x1 - x0) / step - 1e-9)) + 1
     grid = x0 + step * np.arange(n)
-    if trivial:
-        values, derivs = np.zeros(n), np.zeros(n)
-    else:
-        values, derivs = fn._march(grid - fn.phase, step)
+    values, derivs = (np.zeros(n), np.zeros(n)) if trivial else sample(fn, grid)
+    # the exact initial data, which the closed form rounds (cn(-K) ~ 6e-17)
+    start = grid == fn.phase
+    values[start], derivs[start] = fn.w0, fn.dw0
     drift = float(np.max(np.abs(fn.first_integral(values, derivs))))
     if drift > 100.0 * drift_tol:
         raise DriftExceeded(
@@ -288,15 +277,40 @@ def integrate_profile(
         period = profile_period(dp, kind) if not trivial else None
     except (NonOscillatory, NoRealSolution):
         period = None
-    return ProfileSolution(
-        kind=kind.upper(),
-        grid=grid,
-        values=values,
-        derivs=derivs,
-        params=dp,
-        first_integral_drift=drift,
-        period=period,
-        fn=fn,
+    return ProfileSolution(kind.upper(), grid, values, derivs, dp, drift, period, fn)
+
+
+def sample_profile(
+    dp: DerivedParams,
+    kind: str,
+    x_range: tuple[float, float],
+    step: float,
+    trivial: bool = False,
+    phase: float = 0.0,
+    drift_tol: float = DRIFT_TOL_DEFAULT,
+) -> ProfileSolution:
+    """Closed-form profile on a uniform grid: the samples of ``foliata profile``."""
+    return _sampled_profile(
+        ProfileFunction.eval_many, dp, kind, x_range, step, trivial, phase, drift_tol
+    )
+
+
+def integrate_profile(
+    dp: DerivedParams,
+    kind: str,
+    x_range: tuple[float, float],
+    step: float,
+    trivial: bool = False,
+    phase: float = 0.0,
+    drift_tol: float = DRIFT_TOL_DEFAULT,
+) -> ProfileSolution:
+    """RK4 integration of the profile equation over the grid of
+    :func:`sample_profile`: the oracle for the closed form, whose drift and
+    step-halving ratio acceptance criterion 2 measures.
+    """
+    return _sampled_profile(
+        lambda fn, grid: fn._march(grid - fn.phase, step),
+        dp, kind, x_range, step, trivial, phase, drift_tol,
     )
 
 

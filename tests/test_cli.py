@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import foliata
 from foliata._jsonfmt import dumps, format_float
 from foliata.cli import main
+from foliata.errors import NoRealSolution
+from foliata.moduli import ModuliPoint, derive_params
+from foliata.profile import ProfileFunction, integrate_profile
 
 
 def run(tmp_path, *argv):
@@ -82,6 +85,83 @@ def test_profile_csv_and_sidecar(tmp_path):
     assert side["period"] == pytest.approx(5.24412, abs=1e-5)
     assert side["first_integral_drift"] <= 1e-9
     assert side["config"]["step"] == 0.001
+
+
+def _profile_table(path):
+    header, *rows = path.read_text().splitlines()
+    assert header == "x,f,f_x"
+    return np.array([[float(t) for t in row.split(",")] for row in rows])
+
+
+def _num(v):
+    # positional digits: argparse takes a negative value in exponent form for an option
+    return np.format_float_positional(v, trim="0")
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(
+    c0=st.sampled_from([-1.0, 0.0, 1.0]),
+    c=st.floats(-2, 2),
+    d=st.floats(-2, 2),
+    a=st.floats(-1, 1),
+    kind=st.sampled_from(["F", "G"]),
+    phase=st.floats(-3, 3),
+    x0=st.floats(-3, 3),
+    length=st.floats(0.5, 4),
+)
+@example(c0=1.0, c=-1.0, d=0.0, a=0.0, kind="F", phase=0.5, x0=-1.25, length=3.0)
+@example(c0=-1.0, c=-1.0, d=1.0, a=0.0, kind="G", phase=-2.0, x0=1.0, length=2.0)
+@example(c0=0.0, c=-1.0, d=-1.0, a=0.5, kind="G", phase=1.0, x0=-2.0, length=3.0)
+def test_profile_csv_matches_rk4_oracle(tmp_path_factory, c0, c, d, a, kind, phase, x0,
+                                        length):
+    point = (c0, c, c if c0 == 0 else d)
+    x_range = (x0, x0 + length)
+    try:
+        sol = integrate_profile(derive_params(ModuliPoint(*point), a), kind, x_range, 1e-3,
+                                phase=phase)
+    except NoRealSolution:
+        assume(False)
+    out = tmp_path_factory.mktemp("profile") / "p.csv"
+    argv = ["profile", "--c0", _num(point[0]), "--c", _num(point[1]), "--d", _num(point[2]),
+            "--a", _num(a), "--kind", kind, "--range", _num(x_range[0]), _num(x_range[1]),
+            "--phase", _num(phase), "--out", str(out)]
+    assert main(argv) == 0
+    table = _profile_table(out)
+    assert table[:, 0].tobytes() == sol.grid.tobytes()
+    assert np.abs(table[:, 1] - sol.values).max() <= 1e-9
+    assert np.abs(table[:, 2] - sol.derivs).max() <= 1e-9
+    side = json.loads(Path(str(out) + ".json").read_text())
+    assert abs(side["first_integral_drift"] - sol.first_integral_drift) <= 1e-9
+    assert side["period"] == sol.period
+
+
+def test_profile_never_marches(monkeypatch, tmp_path):
+    targets = []
+    march = ProfileFunction._march
+
+    def counted(self, xs, step):
+        targets.append(xs.size)
+        return march(self, xs, step)
+
+    monkeypatch.setattr(ProfileFunction, "_march", counted)
+    out = tmp_path / "p.csv"
+    for args, zero in [
+        (["--c0", "1", "--c", "-1", "--d", "0", "--kind", "F"], False),
+        (["--c0", "-1", "--c", "-1", "--d", "1", "--kind", "G", "--phase", "0.3"], False),
+        # the zero branches: --trivial-f, and const = 0 without a flag
+        (["--c0", "-1", "--c", "0", "--d", "0", "--kind", "F", "--trivial-f"], True),
+        (["--c0", "-1", "--c", "0", "--d", "-0.5", "--kind", "F"], True),
+        (["--c0", "-1", "--c", "0.5", "--d", "0", "--kind", "G"], True),
+    ]:
+        assert main(["profile", *args, "--range", "-1", "2", "--out", str(out)]) == 0
+        table = _profile_table(out)
+        assert len(table) == 3001
+        if zero:
+            assert out.read_text().count(",0.0,0.0\n") == 3001
+    assert targets == []
+    # the counter does see the oracle
+    integrate_profile(derive_params(ModuliPoint(1, -1, 0)), "F", (-1, 2), 1e-3)
+    assert targets == [3001]
 
 
 def test_field_verify_round_trip(tmp_path, capsys):

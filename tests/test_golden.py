@@ -5,11 +5,12 @@ directory and replaces that directory with a fixed token (the "config"
 block echoes output and input paths).
 
 Outputs whose numbers come from IEEE arithmetic and ``sqrt`` alone (the
-scan, the RK4 ``profile`` CSV and ``classify``) are the same on every host,
-so their sha256 is pinned.  The other outputs go through numpy's vectorized
-transcendental functions, whose last ulp can differ between CPUs and numpy
-builds; for those the writer is pinned instead: the text must equal a
-per-element reference rendering of the values it holds.
+scan and ``classify``) are the same on every host, so their sha256 is
+pinned.  The other outputs, the closed-form ``profile`` CSV among them, go
+through numpy's vectorized transcendental functions, whose last ulp can
+differ between CPUs and numpy builds; for those the writer is pinned
+instead: the text must equal a per-element reference rendering of the
+values it holds.
 """
 
 import hashlib
@@ -22,6 +23,8 @@ import pytest
 from foliata._jsonfmt import dumps
 from foliata.cli import main
 from foliata.immersion import SurfaceMesh, _mesh_topology, write_obj
+from foliata.moduli import ModuliPoint, derive_params
+from foliata.profile import integrate_profile
 
 SPHERE = ["--c0", "1", "--c", "0", "--d", "-0.25", "--trivial-f",
           "--domain", "0", "3", "0", "2", "--seed", "0", "1.48"]
@@ -33,8 +36,6 @@ PROFILE = ["profile", "--c0", "1", "--c", "-1", "--d", "0", "--kind", "F", "--ra
 DIGESTS = [
     ("scan", ["scan", "--c0", "-1", "--rect", "-2", "2", "-1", "2", "--nx", "16", "--ny", "16"],
      "a1eb1158ede8cb4738777682b7e8590441bcfb2c4aa275ee1baebe6df459da65"),
-    ("profile", PROFILE,
-     "38af18063a6f91ddfe057bf1def6713f73949e4f22d18328f59a39332afa7589"),
     ("classify", ["classify", "--c0", "-1", "--c", "0", "--d", "0"],
      "65acb3247507a36caa60232937fe31f50bc959ebbf1194f42b81d43210ffdf9d"),
 ]
@@ -54,6 +55,24 @@ def _run(tmp_path, argv, name):
 def test_cli_output_bytes(tmp_path, name, argv, expect):
     text = _read(_run(tmp_path, argv, name), tmp_path)
     assert hashlib.sha256(text.encode()).hexdigest() == expect
+
+
+def test_cli_profile_csv_rendering(tmp_path):
+    text = _read(_run(tmp_path, PROFILE, "profile"), tmp_path)
+    header, *rows = text.splitlines()
+    assert header == "x,f,f_x"
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    # shortest repr round-trips every double, so re-rendering the parsed
+    # values must give the same text line for line
+    table = [[float(t) for t in row.split(",")] for row in rows]
+    assert rows == [",".join(repr(v) for v in row) for row in table]
+    # the exact initial data, not the closed form's cn(-K) ~ 6e-17
+    assert rows[0] == "0.0,0.0,1.0"
+    sol = integrate_profile(derive_params(ModuliPoint(1, -1, 0)), "F", (0, 6), 1e-3)
+    table = np.array(table)
+    assert table[:, 0].tobytes() == sol.grid.tobytes()
+    assert np.abs(table[:, 1] - sol.values).max() <= 1e-9
+    assert np.abs(table[:, 2] - sol.derivs).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
