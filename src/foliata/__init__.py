@@ -47,6 +47,7 @@ from .immersion import (
     integrate_frame,
     isometry_check,
     mesh_row_curvature,
+    obj_chunks,
     rk4_row_gap,
     weierstrass_flat,
     write_obj,

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
@@ -36,9 +38,9 @@ from .immersion import (
     hopf_deviation,
     integrate_frame,
     isometry_check,
+    obj_chunks,
     rk4_row_gap,
     weierstrass_flat,
-    write_obj,
 )
 from .moduli import (
     ModuliPoint,
@@ -59,11 +61,14 @@ from .shiffman import shiffman_document
 PROFILE_STEP_DEFAULT = 1e-3
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write a text, or the pieces of one in turn, to --out or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -246,7 +251,7 @@ def _cmd_mesh(args) -> int:
             frame, field, space,
             metadata={"c": args.c, "d": args.d, "psi0": args.psi0},
         )
-    _emit(write_obj(mesh), args.out)
+    _emit(obj_chunks(mesh), args.out)
     return 0
 
 
@@ -299,8 +304,16 @@ def _add_seed_args(sp):
     sp.add_argument("--psi0", type=float, default=0.0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative float token, such as the repr ``-1e-05``, as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf)$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="foliata",
         description="Minimal surfaces foliated by constant-curvature horizontal curves",
     )

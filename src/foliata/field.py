@@ -508,56 +508,6 @@ def level_curvatures(field: OmegaField) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# identity diagnostics for reconstructed fields
-# ---------------------------------------------------------------------------
-
-def reconstruction_agreement(source: ReconstructedSource, grid: GridSpec) -> float:
-    """Max relative gap between the two quotients where both are defined."""
-    f, fx = source.ffn.eval_many(grid.xs)
-    g, gy = source.gfn.eval_many(grid.ys)
-    den = source.c0 + f[None, :] ** 2 + g[:, None] ** 2
-    den_fb = fx[None, :] - gy[:, None]
-    both = (np.abs(den) > source.eps_den) & (np.abs(den_fb) > source.eps_den)
-    prim = (fx[None, :] + gy[:, None]) / np.where(both, den, 1.0)
-    fall = (g[:, None] ** 2 - f[None, :] ** 2 - source.dp.a) / np.where(both, den_fb, 1.0)
-    rel = np.abs(prim - fall) / np.maximum(1.0, np.abs(prim))
-    return float(np.max(np.where(both, rel, 0.0)))
-
-
-def quartic_identity_residual(source: ReconstructedSource, grid: GridSpec) -> float:
-    """Max relative residual of f'^2 - g'^2 = (c0+f^2+g^2)(g^2-f^2-a)."""
-    f, fx = source.ffn.eval_many(grid.xs)
-    g, gy = source.gfn.eval_many(grid.ys)
-    lhs = fx[None, :] ** 2 - gy[:, None] ** 2
-    rhs = (source.c0 + f[None, :] ** 2 + g[:, None] ** 2) * (
-        g[:, None] ** 2 - f[None, :] ** 2 - source.dp.a
-    )
-    return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
-
-
-def compatibility_residual(source: ReconstructedSource, grid: GridSpec) -> float:
-    """Max absolute value of the two separation-compatibility expressions.
-
-    Both must vanish identically once cbar = c0 + a and dbar = c0 - a:
-    f (c0^2 - cbar c0 + c - d) + f g^2 (2 c0 - cbar - dbar) and its mirror.
-    """
-    dp = source.dp
-    c0 = source.c0
-    c, d = dp.c_const, dp.d_const
-    f, _ = source.ffn.eval_many(grid.xs)
-    g, _ = source.gfn.eval_many(grid.ys)
-    f2 = f[None, :] ** 2
-    g2 = g[:, None] ** 2
-    expr_f = f[None, :] * (c0 * c0 - dp.cbar * c0 + c - d) + f[None, :] * g2 * (
-        2.0 * c0 - dp.cbar - dp.dbar
-    )
-    expr_g = g[:, None] * (c0 * c0 - dp.dbar * c0 + d - c) + f2 * g[:, None] * (
-        2.0 * c0 - dp.dbar - dp.cbar
-    )
-    return float(max(np.max(np.abs(expr_f)), np.max(np.abs(expr_g))))
-
-
-# ---------------------------------------------------------------------------
 # wire format
 # ---------------------------------------------------------------------------
 

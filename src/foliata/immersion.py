@@ -12,7 +12,8 @@ chart point u satisfy the coupled first-order system
     u_x   = cosh(omega)/sqrt(rho) (cos psi, sin psi)
     u_y   = sinh(omega)/sqrt(rho) (-sin psi, cos psi)
 
-with L = grad log rho.  Only the seed column is marched (RK4).  Along a row,
+with L = grad log rho.  The seed column takes Magnus steps in the isometry
+group of the model (no frame is marched).  Along a row,
 omega_y = -k cosh(omega) with k constant, so every row is a leaf of constant
 geodesic curvature k traced at speed cosh(omega): a circle, horocycle or
 hypercycle of the ambient model, placed in closed form from the column's
@@ -212,16 +213,21 @@ def _leaf_functions(kappa2: np.ndarray, s: np.ndarray):
     return f1, f2
 
 
-def _leaf_motion(k: float, c0: float, s: np.ndarray) -> np.ndarray:
-    """exp(s A), stacked over the arclengths s, for a leaf of geodesic curvature k.
+def _expm3(omega: np.ndarray) -> np.ndarray:
+    """exp(Omega) = I + f1 Omega + f2 Omega^2 over a stack of the frame's
+    isometry-algebra elements, for which Omega^3 = -kappa^2 Omega with
+    kappa^2 = -tr(Omega^2) / 2 (:func:`_leaf_functions` at unit arclength)."""
+    sq = omega @ omega
+    kappa2 = -0.5 * np.trace(sq, axis1=1, axis2=2)
+    f1, f2 = _leaf_functions(kappa2, np.ones((len(kappa2), 1)))
+    return np.eye(3) + f1[:, :, None] * omega + f2[:, :, None] * sq
 
-    The frame (T, N, p) of a unit-speed curve in the model of curvature c0
-    moves by (T, N, p)' = (T, N, p) A.  Since A^3 = -kappa^2 A with
-    kappa^2 = k^2 + c0, exp(s A) = I + f1 A + f2 A^2 (:func:`_leaf_functions`).
-    """
+
+def _leaf_motion(k: float, c0: float, s: np.ndarray) -> np.ndarray:
+    """exp(s A) over the arclengths s: the frame (T, N, p) of a unit-speed
+    leaf of geodesic curvature k moves by (T, N, p)' = (T, N, p) A."""
     a = np.array([[0.0, -k, 1.0], [k, 0.0, 0.0], [-c0, 0.0, 0.0]])
-    f1, f2 = _leaf_functions(np.array([k * k + c0]), np.asarray(s)[None, :])
-    return np.eye(3) + f1[0, :, None, None] * a + f2[0, :, None, None] * (a @ a)
+    return _expm3(np.asarray(s, dtype=float)[:, None, None] * a)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +388,57 @@ def _resolve_seed(
     return i0, j0, float(psi0), (float(u0[0]), float(u0[1]))
 
 
+def _seed_column(source, space: ChartSpace, x: float, ys: np.ndarray, j0: int, m0: np.ndarray):
+    """(M, alive, k): model frames on the column x from m0 at ys[j0], the
+    lane mask and the leaf curvatures.  M' = M B with B[1, 0] = -B[0, 1] =
+    omega_x, B[1, 2] = sinh(omega), B[2, 1] = -c0 sinh(omega); each cell
+    takes the fourth-order Magnus step Omega = h/2 (B1 + B2) + sqrt(3)/12
+    h^2 [B1, B2] from its two Gauss nodes (exp(-Omega) below the seed).
+    """
+    n = len(ys) - 1
+    h = np.diff(ys)
+    mid = ys[:-1] + 0.5 * h
+    data = source.eval_bc(x, np.concatenate([ys, mid - h * math.sqrt(3) / 6, mid + h * math.sqrt(3) / 6]))
+    ok = np.broadcast_to(data.ok, (3 * n + 1,))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        k = -data.wy[: n + 1] / data.cosh[: n + 1]
+        wx, sh, b = data.wx[n + 1:], data.sinh[n + 1:], np.zeros((2 * n, 3, 3))
+        b[:, 1, 0], b[:, 0, 1], b[:, 1, 2], b[:, 2, 1] = wx, -wx, sh, -space.c0 * sh
+        b1, b2 = b[:n], b[n:]
+        omega = 0.5 * h[:, None, None] * (b1 + b2)
+        omega += math.sqrt(3) / 12 * (h * h)[:, None, None] * (b1 @ b2 - b2 @ b1)
+        omega[:j0] *= -1.0
+        step = _expm3(omega)
+        m = np.empty((n + 1, 3, 3))
+        m[j0] = m0
+        for j in range(j0, n):
+            m[j + 1] = m[j] @ step[j]
+        for j in range(j0 - 1, -1, -1):
+            m[j] = m[j + 1] @ step[j]
+        u1, u2, _ = space.chart_state(m[:, :, 2], m[:, :, 0])
+        node_ok = ok[: n + 1] & np.isfinite(m).all(axis=(1, 2)) & np.asarray(space.in_domain(u1, u2))
+    cell_ok = ok[:n] & ok[1: n + 1] & ok[n + 1: 2 * n + 1] & ok[2 * n + 1:]
+    return m, _outward(node_ok[None], cell_ok[None], j0)[0], k
+
+
+def _outward(ok: np.ndarray, clean: np.ndarray, i0: int) -> np.ndarray:
+    """Valid nodes of rows that stop outward from column i0 at the first
+    node not ok or cell not clean (the cell between a node and the column)."""
+    ok[:, i0 + 1:] &= clean[:, i0:]
+    ok[:, :i0] &= clean[:, :i0]
+    valid = np.empty_like(ok)
+    valid[:, i0:] = np.logical_and.accumulate(ok[:, i0:], axis=1)
+    valid[:, i0::-1] = np.logical_and.accumulate(ok[:, i0::-1], axis=1)
+    return valid
+
+
+def _unwrap_from(psi: np.ndarray, i0: int) -> None:
+    """Remove the 2 pi jumps of each row of psi outward from column i0, in place."""
+    turns = np.rint(np.diff(psi, axis=1) / (2.0 * math.pi))
+    turns = np.concatenate([np.zeros((len(psi), 1)), np.cumsum(np.nan_to_num(turns), axis=1)], axis=1)
+    psi -= 2.0 * math.pi * (turns - turns[:, i0:i0 + 1])
+
+
 #: Rows placed at once: bounds the quadrature and leaf-motion temporaries.
 ROW_BLOCK = 16
 
@@ -393,30 +450,27 @@ def integrate_frame(
 ) -> FrameField:
     """Integrate (psi, u) over the grid from a seed node.
 
-    The seed column is marched with one fourth-order step per grid cell
-    (middle stages at the cell midpoints).  Every row is then placed in
-    closed form from the column's state: row y is a leaf of geodesic
-    curvature k = -omega_y / cosh(omega) traced at speed cosh(omega), so
-    its frame at arclength s from the column is M E(s), with M the
-    column's frame and E the leaf motion.  Arclengths come from
+    The seed column takes one fourth-order Magnus step per grid cell in the
+    isometry group of the model (:func:`_seed_column`).  Every row is then
+    placed in closed form from the column's state: row y is a leaf of
+    geodesic curvature k = -omega_y / cosh(omega) traced at speed
+    cosh(omega), so its frame at arclength s from the column is M E(s), with
+    M the column's frame and E the leaf motion.  Arclengths come from
     Gauss-Legendre quadrature on the row's grid cells; psi is unwrapped
-    along the row from the column's value.  Rows stop (NaN) from the
-    column outward at the first cell with a singular grid or quadrature
-    node, and at chart exit or non-finite state; a singular seed raises
-    SingularCrossing.  :func:`rk4_row_gap` checks the rows against an RK4
-    row march.
+    outward from the seed.  The column and the rows stop (NaN) outward at
+    the first cell with a singular grid or quadrature node, and at chart
+    exit or non-finite state; a singular seed raises SingularCrossing.
+    RK4 is only the oracle of :func:`rk4_row_gap`.
     """
     source = _require_source(field)
     grid = field.grid
     xs, ys = grid.xs, grid.ys
     i0, j0, psi0, u0 = _resolve_seed(field, space, seed)
 
-    one = np.ones(1)
-    cpsi, cu1, cu2, calive = _march(
-        source, space, "y", np.array([xs[i0]]), ys, j0,
-        psi0 * one, u0[0] * one, u0[1] * one, np.array([True]),
-    )
-    k = _leaf_curvatures(source, xs[i0], ys)
+    m, calive, k = _seed_column(source, space, xs[i0], ys, j0, _frame_matrix(space, u0[0], u0[1], psi0))
+    cu1, cu2, cpsi = space.chart_state(m[:, :, 2], m[:, :, 0])
+    cu1[j0], cu2[j0], cpsi[j0] = u0[0], u0[1], psi0
+    _unwrap_from(cpsi[None, :], j0)
     psi = np.empty((grid.ny, grid.nx))
     u = np.empty((grid.ny, grid.nx, 2))
     valid = np.empty((grid.ny, grid.nx), dtype=bool)
@@ -424,7 +478,7 @@ def integrate_frame(
         rows = slice(start, start + ROW_BLOCK)
         psi[rows], u[rows, :, 0], u[rows, :, 1], valid[rows] = _place_rows(
             source, space, field.mask[rows], xs, ys[rows], i0,
-            cpsi[rows, 0], cu1[rows, 0], cu2[rows, 0], calive[rows, 0], k[rows],
+            cpsi[rows], cu1[rows], cu2[rows], calive[rows], k[rows],
         )
     return FrameField(psi=psi, u=u, valid=valid, seed=(i0, j0, psi0, u0), grid=grid)
 
@@ -445,20 +499,12 @@ def _place_rows(source, space, mask, xs, ys, i0, psi_c, u1_c, u2_c, alive_c, k):
         point = f1 * t_col + kc * f2 * n_col + (1.0 - space.c0 * f2) * p_col
         tangent = (1.0 - kappa2[:, None, None] * f2) * t_col + kc * f1 * n_col - space.c0 * f1 * p_col
         u1, u2, psi = space.chart_state(point, tangent)
-        # the column keeps its marched state; psi is unwrapped outward from it
+        # the column keeps its own state; psi is unwrapped outward from it
         u1[:, i0], u2[:, i0], psi[:, i0] = u1_c, u2_c, psi_c
-        turns = np.rint(np.diff(psi, axis=1) / (2.0 * math.pi))
-        turns = np.concatenate([np.zeros((len(ys), 1)), np.cumsum(np.nan_to_num(turns), axis=1)], axis=1)
-        psi -= 2.0 * math.pi * (turns - turns[:, i0:i0 + 1])
+        _unwrap_from(psi, i0)
         ok = np.isfinite(psi) & np.isfinite(u1) & np.isfinite(u2)
         ok &= np.asarray(space.in_domain(u1, u2)) & alive_c[:, None]
-    # each node also needs the cell between it and the column to be clean
-    clean = ~(bad | mask[:, :-1] | mask[:, 1:])
-    ok[:, i0 + 1:] &= clean[:, i0:]
-    ok[:, :i0] &= clean[:, :i0]
-    valid = np.empty_like(ok)
-    valid[:, i0:] = np.logical_and.accumulate(ok[:, i0:], axis=1)
-    valid[:, i0::-1] = np.logical_and.accumulate(ok[:, i0::-1], axis=1)
+    valid = _outward(ok, ~(bad | mask[:, :-1] | mask[:, 1:]), i0)
     return np.where(valid, psi, np.nan), np.where(valid, u1, np.nan), np.where(valid, u2, np.nan), valid
 
 
@@ -618,35 +664,51 @@ def build_mesh(
     )
 
 
+def _column_tokens(col: np.ndarray) -> list[str]:
+    """Shortest repr of each value of a column, "0" where it is not finite;
+    a bitwise constant column is formatted once."""
+    if col.tobytes() == col[:1].tobytes() * len(col):
+        return [repr(float(col[0])) if math.isfinite(col[0]) else "0"] * len(col)
+    if np.isfinite(col).all():
+        return list(map(repr, col.tolist()))
+    return [repr(v) if math.isfinite(v) else "0" for v in col.tolist()]
+
+
+def obj_chunks(mesh: SurfaceMesh):
+    """:func:`write_obj`'s text in pieces: the header, one per grid row of
+    ``v`` and of ``vt`` records and per block of faces, the ``l`` lines."""
+    amb, chart = mesh.ambient_vertices, mesh.chart_vertices
+    ny, nx, dim = amb.shape
+    yield "# foliata surface mesh\n" + "".join(
+        f"# {key} = {mesh.metadata[key]}\n" for key in sorted(mesh.metadata)
+    )
+    v_line, vt_line = "v" + " %s" * dim + "\n", "vt %s %s\n"
+    # a chart column bitwise equal to an ambient one (the plane, where
+    # vt = (X1, X2)) reuses its text, kept until the vt records
+    vt_rows = []
+    for j in range(ny):
+        cols = [_column_tokens(amb[j, :, c]) for c in range(dim)]
+        yield "".join(map(v_line.__mod__, zip(*cols)))
+        shared = {amb[j, :, c].tobytes(): col for c, col in enumerate(cols)}
+        pair = [shared.get(chart[j, :, c].tobytes()) for c in (0, 1)]
+        vt_rows.append(None if None in pair else "".join(map(vt_line.__mod__, zip(*pair))))
+    for j, text in enumerate(vt_rows):
+        if text is None:
+            text = "".join(map(vt_line.__mod__, zip(*(_column_tokens(chart[j, :, c]) for c in (0, 1)))))
+        yield text
+    f_line = "f %d/%d %d/%d %d/%d %d/%d\n"
+    for k in range(0, len(mesh.faces), nx):
+        block = mesh.faces[k:k + nx] + 1
+        yield (f_line * len(block)) % tuple(np.repeat(block, 2, axis=1).ravel().tolist())
+    for poly in mesh.foliation:
+        yield "l " + " ".join([str(v + 1) for v in poly]) + "\n"
+
+
 def write_obj(mesh: SurfaceMesh) -> str:
     """OBJ text: ``v`` = ambient coordinates (4 values when the model lift
     has three components plus height), ``vt`` = chart coordinates, faces as
-    quads and foliation rows as ``l`` polylines."""
-    # the text is built one grid row at a time, each row joined into one
-    # string: neither a Python copy of a whole array nor one object per line
-    # is held at once.  Non-finite coordinates are written as 0.
-    isfinite = math.isfinite
-    parts = ["# foliata surface mesh"]
-    parts += [f"# {key} = {mesh.metadata[key]}" for key in sorted(mesh.metadata)]
-    for row in mesh.ambient_vertices:
-        parts.append("\n".join([
-            "v " + " ".join([repr(v) if isfinite(v) else "0" for v in vertex])
-            for vertex in row.tolist()
-        ]))
-    for row in mesh.chart_vertices:
-        parts.append("\n".join([
-            f"vt {repr(a) if isfinite(a) else '0'} {repr(b) if isfinite(b) else '0'}"
-            for a, b in row[:, :2].tolist()
-        ]))
-    faces, nx = mesh.faces, mesh.chart_vertices.shape[1]
-    for k in range(0, len(faces), nx):
-        parts.append("\n".join([
-            "f " + " ".join([f"{v}/{v}" for v in face])
-            for face in (faces[k:k + nx] + 1).tolist()
-        ]))
-    parts += ["l " + " ".join([str(v + 1) for v in poly]) for poly in mesh.foliation]
-    parts.append("")  # the closing newline, without copying the joined text
-    return "\n".join(parts)
+    quads and foliation rows as ``l`` polylines; a non-finite coordinate is 0."""
+    return "".join(obj_chunks(mesh))
 
 
 def mesh_row_curvature(frame: FrameField, space: ChartSpace, row: int) -> np.ndarray:

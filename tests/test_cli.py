@@ -45,6 +45,31 @@ def test_usage_error_exits_two(capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("value", [-1e-05, -2.5e-07, -0.001, -3.0])
+def test_negative_reprs_are_values(tmp_path, value):
+    # a negative float's repr, exponent form included, is read back as a
+    # value of every numeric option, never as an unknown option
+    tok = repr(value)
+    out = tmp_path / "out.json"
+    cases = [
+        (["classify", "--c0", "1", "--c", tok, "--d", "-1"], "c", value),
+        (["profile", "--c0", "1", "--c", "-1", "--d", "0", "--kind", "F",
+          "--range", tok, "1", "--step", "0.01"], "range", [value, 1.0]),
+        (["field", "--c0", "1", "--c", "-1", "--d", "-1",
+          "--domain", tok, "1", tok, "1", "--nx", "5", "--ny", "5"], "domain",
+         [value, 1.0, value, 1.0]),
+        (["holonomy", "--c0", "1", "--c", "0", "--d", "-0.25", "--trivial-f",
+          "--domain", "0", "3", "0", "2", "--nx", "31", "--ny", "21",
+          "--seed", tok, "1.48", "--period", "1.0"], "seed", [value, 1.48]),
+    ]
+    for argv, key, echoed in cases:
+        code = main([*argv, "--out", str(out)])
+        assert code != 2, argv
+        if code == 0:
+            side = Path(str(out) + ".json") if argv[0] == "profile" else out
+            assert json.loads(side.read_text())["config"][key] == echoed
+
+
 def test_domain_error_exits_one(capsys):
     code = main(["classify", "--c0", "0", "--c", "1", "--d", "2"])
     err = capsys.readouterr().err
@@ -93,11 +118,6 @@ def _profile_table(path):
     return np.array([[float(t) for t in row.split(",")] for row in rows])
 
 
-def _num(v):
-    # positional digits: argparse takes a negative value in exponent form for an option
-    return np.format_float_positional(v, trim="0")
-
-
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(
     c0=st.sampled_from([-1.0, 0.0, 1.0]),
@@ -122,9 +142,9 @@ def test_profile_csv_matches_rk4_oracle(tmp_path_factory, c0, c, d, a, kind, pha
     except NoRealSolution:
         assume(False)
     out = tmp_path_factory.mktemp("profile") / "p.csv"
-    argv = ["profile", "--c0", _num(point[0]), "--c", _num(point[1]), "--d", _num(point[2]),
-            "--a", _num(a), "--kind", kind, "--range", _num(x_range[0]), _num(x_range[1]),
-            "--phase", _num(phase), "--out", str(out)]
+    argv = ["profile", "--c0", repr(point[0]), "--c", repr(point[1]), "--d", repr(point[2]),
+            "--a", repr(a), "--kind", kind, "--range", repr(x_range[0]), repr(x_range[1]),
+            "--phase", repr(phase), "--out", str(out)]
     assert main(argv) == 0
     table = _profile_table(out)
     assert table[:, 0].tobytes() == sol.grid.tobytes()

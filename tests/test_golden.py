@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from foliata._jsonfmt import dumps
+from foliata import cli
 from foliata.cli import main
 from foliata.immersion import SurfaceMesh, _mesh_topology, write_obj
 from foliata.moduli import ModuliPoint, derive_params
@@ -190,6 +191,35 @@ def test_write_obj_matches_reference():
     assert write_obj(mesh) == _ref_obj(mesh)
 
 
+def test_write_obj_keeps_each_value_text():
+    # the writer formats a bitwise-constant column once and lets a chart
+    # column reuse a bitwise-equal ambient column: 0.0 and -0.0 compare
+    # equal but must keep their own text, and non-finite values read 0
+    ny, nx = 4, 6
+    rng = np.random.default_rng(5)
+    ambient = rng.normal(size=(ny, nx, 3))
+    ambient[0, :, 2] = 0.0
+    ambient[1, :, 2] = [0.0, -0.0, 0.0, 0.0, -0.0, 0.0]
+    ambient[2, :, 2] = -0.0
+    ambient[3, :, 2] = [math.nan, math.inf, -math.inf, math.nan, 1.0, 1.0]
+    ambient[0, :, 0] = math.inf
+    ambient[0, 2, 1] = math.nan
+    ambient[2, 3, 0] = -math.inf
+    ambient[:, 0, 1] = 0.0
+    chart = ambient.copy()
+    chart[1, 0, 1] = -0.0  # equal to the ambient column but for one -0.0
+    chart[3, :, 0] = rng.normal(size=nx)
+    valid = np.isfinite(ambient).all(axis=-1)
+    faces, foliation = _mesh_topology(valid)
+    mesh = SurfaceMesh(chart, ambient, valid, faces, foliation, {"nx": nx})
+    text = write_obj(mesh)
+    assert text == _ref_obj(mesh)
+    v = [line.split() for line in text.splitlines() if line.startswith("v ")]
+    vt = [line.split() for line in text.splitlines() if line.startswith("vt ")]
+    assert [row[3] for row in v[nx:2 * nx]] == ["0.0", "-0.0", "0.0", "0.0", "-0.0", "0.0"]
+    assert (v[nx][2], vt[nx][2]) == ("0.0", "-0.0")
+
+
 MESH_CASES = [
     ("mesh_onduloid", ["mesh", *SPHERE, "--nx", "31", "--ny", "21"]),
     # non-finite coordinates near the disk-chart edge are written as 0
@@ -218,3 +248,17 @@ def test_cli_obj_rendering(tmp_path, name, argv):
     assert text.endswith("\n") and not text.endswith("\n\n")
     if name == "mesh_disk_edge":
         assert " 0 " in text or " 0\n" in text
+
+
+@pytest.mark.parametrize("name,argv", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+def test_cli_mesh_file_is_write_obj(tmp_path, monkeypatch, name, argv):
+    meshes, chunks = [], cli.obj_chunks
+
+    def recorded(mesh):
+        meshes.append(mesh)
+        return chunks(mesh)
+
+    monkeypatch.setattr(cli, "obj_chunks", recorded)
+    out = _run(tmp_path, argv, name)
+    assert len(meshes) == 1
+    assert out.read_text(encoding="utf-8") == write_obj(meshes[0])

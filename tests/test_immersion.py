@@ -431,7 +431,7 @@ class CountingSource:
         return self.inner.eval_bc(x, y)
 
 
-def test_frame_marches_only_the_seed_column(monkeypatch, tmp_path):
+def test_only_the_row_oracle_marches(monkeypatch, tmp_path):
     marches = []
     march = immersion._march
 
@@ -443,26 +443,24 @@ def test_frame_marches_only_the_seed_column(monkeypatch, tmp_path):
     field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 21, 15))
     source = CountingSource(field.source)
     integrate_frame(replace(field, source=source), SPHERE)
-    assert marches == [("y", 1, 14)]
-    # the column: 2 evaluations per RK4 step plus its start node; the rows:
-    # one curvature evaluation and one quadrature evaluation per row block
-    assert source.calls == 2 * 14 + 1 + 1 + 1
+    assert marches == []
+    # the column: one evaluation at its grid and Gauss nodes; the rows: one
+    # quadrature evaluation per row block
+    assert source.calls == 1 + 1
 
     grid = ["--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
             "--nx", "21", "--ny", "15"]
-    marches.clear()
     assert main(["mesh", *grid, "--out", str(tmp_path / "m.obj")]) == 0
-    assert marches == [("y", 1, 14)]
-    # only the RK4 row oracle of verify --immersion marches along x
+    assert marches == []
+    # only the RK4 row oracle of verify --immersion marches, along x
     assert main(["field", *grid, "--out", str(tmp_path / "f.json")]) == 0
-    marches.clear()
     assert main(["verify", "--input", str(tmp_path / "f.json"), "--immersion",
                  "--out", str(tmp_path / "v.json")]) == 0
-    assert marches == [("y", 1, 14), ("x", 15, 20)]
+    assert marches == [("x", 15, 20)]
 
 
-def _regular_field(c0, c_size, d_size, a):
-    """Field of a drawn point on a 33x33 box around its smallest |omega|."""
+def _regular_field(c0, c_size, d_size, a, nx=33, ny=33):
+    """Field of a drawn point on a box of side 0.5 around its smallest |omega|."""
     c, d = -c_size, (d_size if c0 < 0 else -d_size if c0 > 0 else -c_size)
     dp = derive_params(ModuliPoint(c0, c, d), a if c0 == 0 else None)
     source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
@@ -470,7 +468,54 @@ def _regular_field(c0, c_size, d_size, a):
     data = source.eval_grid(probe.xs, probe.ys)
     j, i = np.unravel_index(np.argmin(np.where(data.ok, np.abs(data.omega), np.inf)), data.ok.shape)
     x0, y0 = float(probe.xs[i]), float(probe.ys[j])
-    return field_from_source(source, GridSpec(x0 - 0.25, x0 + 0.25, y0 - 0.25, y0 + 0.25, 33, 33))
+    return field_from_source(source, GridSpec(x0 - 0.25, x0 + 0.25, y0 - 0.25, y0 + 0.25, nx, ny))
+
+
+#: The quadratic form each model's frame (T, N, p) preserves; the plane's
+#: frame keeps the Gram block of (T, N) and its homogeneous row (0, 0, 1).
+MODEL_FORMS = {-1.0: np.diag([-1.0, 1.0, 1.0]), 0.0: np.diag([1.0, 1.0, 0.0]), 1.0: np.eye(3)}
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
+       st.floats(-1.0, 1.0), st.floats(0.5, 3.0), st.floats(0.1, 0.5), st.floats(-0.5, -0.1))
+def test_magnus_column_matches_rk4_column(c0, c_size, d_size, a, psi0, u1, u2):
+    space = chart_for_curvature(c0)
+
+    def column_gap(ny):
+        field = _regular_field(c0, c_size, d_size, a, nx=5, ny=ny)
+        assert not field.mask.any()
+        grid = field.grid
+        seed = (grid.xs[2], grid.ys[(ny - 1) // 5], psi0, (u1, u2))  # the same y at both steps
+        frame = integrate_frame(field, space, seed=seed)
+        i0, j0 = frame.seed[:2]
+        psi, v1, v2, alive = immersion._march(
+            field.source, space, "y", grid.xs[i0:i0 + 1], grid.ys, j0,
+            np.array([psi0]), np.array([u1]), np.array([u2]), np.array([True]),
+        )
+        assert alive.all() and frame.valid[:, i0].all()
+        col = frame.psi[:, i0], frame.u[:, i0, 0], frame.u[:, i0, 1]
+        return field, j0, max(np.abs(r[:, 0] - m).max() for r, m in zip((psi, v1, v2), col))
+
+    field, j0, fine = column_gap(101)
+    _, _, coarse = column_gap(51)
+    assert fine <= 1e-8
+    # both routes are fourth order: their gap falls by about 16 per halving
+    assert coarse >= 8.0 * fine
+
+    # the Magnus frames stay in the isometry group of the model
+    m0 = immersion._frame_matrix(space, u1, u2, psi0)
+    m, alive, _ = immersion._seed_column(
+        field.source, space, field.grid.xs[2], field.grid.ys, j0, m0
+    )
+    assert alive.all()
+    form = MODEL_FORMS[c0]
+    gram = np.transpose(m, (0, 2, 1)) @ form @ m
+    seed_gram = m0.T @ form @ m0
+    if c0 == 0:
+        gram, seed_gram = gram[:, :2, :2], seed_gram[:2, :2]
+        assert np.abs(m[:, 2] - [0.0, 0.0, 1.0]).max() <= 1e-12
+    assert np.abs(gram - seed_gram).max() <= 1e-12
 
 
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
