@@ -70,12 +70,7 @@ from .profile import (
     profile_period,
     sample_profile,
 )
-from .shiffman import (
-    gauss_curvature,
-    jacobi_potential,
-    jacobi_residual,
-    shiffman_field,
-)
+from .shiffman import jacobi_residual, shiffman_field
 
 __version__ = "0.1.0"
 

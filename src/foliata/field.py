@@ -41,6 +41,9 @@ OVERFLOW_GUARD = 1e8
 CG_RTOL = 1e-12
 #: Conjugate-gradient iterations allowed per Newton step.
 CG_MAX_ITER = 1000
+#: Nodes per row block of the grid diagnostics and of field assembly: 256 KB
+#: per float64 array, so a block's temporaries stay in a core's L2 cache.
+BLOCK_NODES = 32768
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,13 @@ class ResidualStats:
 
 
 def stats_from(residual: np.ndarray, grid_h: float) -> ResidualStats:
-    vals = residual[np.isfinite(residual)]
+    vals = residual[np.isfinite(residual)]  # a copy, reused in place below
     if vals.size == 0:
         raise TooFewNodes("no nodes with a full non-singular stencil")
+    linf = float(np.max(np.abs(vals, out=vals)))
     return ResidualStats(
-        linf=float(np.max(np.abs(vals))),
-        l2=float(np.sqrt(np.mean(vals * vals))),
+        linf=linf,
+        l2=float(np.sqrt(np.mean(np.multiply(vals, vals, out=vals)))),
         grid_h=grid_h,
         count=int(vals.size),
     )
@@ -171,10 +175,14 @@ class ReconstructedSource:
         """Field data with numpy broadcasting of the two coordinates."""
         return self._combine(*self.ffn.eval_many(x), *self.gfn.eval_many(y))
 
-    def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
+    def eval_rows(self, xs: np.ndarray, ys: np.ndarray):
+        """(lo, hi) -> field data on rows [lo, hi) of the grid xs x ys."""
         f, fx = self.ffn.eval_many(xs)
         g, gy = self.gfn.eval_many(ys)
-        return self._combine(f[None, :], fx[None, :], g[:, None], gy[:, None])
+        return lambda lo, hi: self._combine(f, fx, g[lo:hi, None], gy[lo:hi, None])
+
+    def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
+        return self.eval_rows(xs, ys)(0, len(ys))
 
 
 class DegenerateSource:
@@ -208,10 +216,14 @@ class DegenerateSource:
             self.alpha * np.asarray(x, dtype=float) + self.beta * np.asarray(y, dtype=float)
         )
 
+    def eval_rows(self, xs: np.ndarray, ys: np.ndarray):
+        """(lo, hi) -> field data on rows [lo, hi) of the grid xs x ys."""
+        ax = self.alpha * np.asarray(xs, dtype=float)
+        by = self.beta * np.asarray(ys, dtype=float)
+        return lambda lo, hi: self._from_phase(ax + by[lo:hi, None])
+
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        return self._from_phase(self.alpha * xs[None, :] + self.beta * ys[:, None])
+        return self.eval_rows(xs, ys)(0, len(ys))
 
 
 @dataclass(frozen=True)
@@ -248,17 +260,36 @@ class OmegaField:
         return self.grid.domain
 
 
+def row_blocks(grid: GridSpec, reach: int):
+    """(rows, slab, out) per block of about ``BLOCK_NODES`` nodes: its rows,
+    those a stencil of ``reach`` rows reads around them, and where the rows
+    sit in that slab.  Blocks have at least the 3 rows np.gradient needs."""
+    ny = grid.ny
+    size = max(BLOCK_NODES // grid.nx, 3)
+    lo = 0
+    while lo < ny:
+        hi = lo + size if ny - lo - size >= 3 else ny
+        a = max(lo - reach, 0)
+        yield slice(lo, hi), slice(a, min(hi + reach, ny)), slice(lo - a, hi - a)
+        lo = hi
+
+
 def field_from_source(source, grid: GridSpec) -> OmegaField:
-    """The field of a closed-form source sampled on a grid."""
-    data = source.eval_grid(grid.xs, grid.ys)
-    mask = ~data.ok
+    """The field of a closed-form source sampled on a grid, in row blocks."""
+    block = source.eval_rows(grid.xs, grid.ys)
+    sinh = np.empty((grid.ny, grid.nx))
+    omega = np.empty_like(sinh)
+    mask = np.empty(sinh.shape, dtype=bool)
+    for rows, _, _ in row_blocks(grid, 0):
+        data = block(rows.start, rows.stop)
+        sinh[rows], omega[rows], mask[rows] = data.sinh, data.omega, ~data.ok
     if mask.all():
         raise AllSingular("every grid node lies on the singular set")
     return OmegaField(
         grid=grid,
         c0=source.c0,
-        omega=data.omega,
-        sinh_omega=np.asarray(data.sinh, dtype=float),
+        omega=omega,
+        sinh_omega=sinh,
         mask=mask,
         provenance=source.provenance,
         source=source,
@@ -336,12 +367,15 @@ def sinh_gordon_residual(field: OmegaField, margin: float = 0.0) -> ResidualStat
     """
     if field.nx < 5 or field.ny < 5:
         raise TooFewNodes(f"need at least 5x5 nodes, got {field.nx}x{field.ny}")
-    w = field.omega
-    res = _interior_laplacian(w, field.grid.hx, field.grid.hy)
-    res += np.where(field.mask, np.nan, field.c0 * field.sinh_omega * np.cosh(w))
-    res[dilate_mask(field.mask)] = np.nan
-    res = _margin_blank(res, field.grid, margin)
-    return stats_from(res, max(field.grid.hx, field.grid.hy))
+    grid = field.grid
+    res = np.empty(field.omega.shape)
+    for rows, slab, out in row_blocks(grid, 1):
+        w, mask = field.omega[slab], field.mask[slab]
+        block = _interior_laplacian(w, grid.hx, grid.hy)
+        block += np.where(mask, np.nan, field.c0 * field.sinh_omega[slab] * np.cosh(w))
+        block[dilate_mask(mask)] = np.nan
+        res[rows] = block[out]
+    return stats_from(_margin_blank(res, grid, margin), max(grid.hx, grid.hy))
 
 
 def solve_sinh_gordon(
@@ -498,12 +532,16 @@ def level_curvatures(field: OmegaField) -> tuple[np.ndarray, np.ndarray]:
     k_h = -omega_y / cosh(omega) is defined at every non-singular node;
     k_v = omega_x / sinh(omega) only where omega != 0 (NaN elsewhere).
     """
-    w = np.where(field.mask, np.nan, field.omega)
-    wy, wx = np.gradient(w, field.grid.ys, field.grid.xs, edge_order=2)
-    cosh = np.cosh(w)
-    k_h = -wy / cosh
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_v = np.where(np.abs(w) >= EPS_DEN, wx / np.sinh(w), np.nan)
+    grid = field.grid
+    k_h = np.empty(field.omega.shape)
+    k_v = np.empty_like(k_h)
+    for rows, slab, out in row_blocks(grid, 1):
+        w = np.where(field.mask[slab], np.nan, field.omega[slab])
+        wy, wx = np.gradient(w, grid.hy, grid.hx, edge_order=2)
+        w, wx, wy = w[out], wx[out], wy[out]
+        k_h[rows] = -wy / np.cosh(w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_v[rows] = np.where(np.abs(w) >= EPS_DEN, wx / np.sinh(w), np.nan)
     return k_h, k_v
 
 
@@ -531,9 +569,10 @@ def field_document(field: OmegaField) -> dict:
 def field_from_document(doc: dict) -> OmegaField:
     grid = GridSpec(*doc["domain"], nx=int(doc["nx"]), ny=int(doc["ny"]))
     mask = np.array(doc["mask"], dtype=bool).reshape(grid.ny, grid.nx)
-    omega = np.array(
-        [np.nan if v is None else float(v) for v in doc["omega"]]
-    ).reshape(grid.ny, grid.nx)
+    omega = np.array(doc["omega"], dtype=float)  # JSON null reads as NaN
+    if omega.shape != (grid.ny * grid.nx,):
+        raise ValueError(f"'omega' must be a flat list of {grid.ny * grid.nx} numbers")
+    omega = omega.reshape(grid.ny, grid.nx)
     return OmegaField(
         grid=grid,
         c0=float(doc["c0"]),

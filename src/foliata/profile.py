@@ -32,6 +32,8 @@ from .errors import (
 from .moduli import DerivedParams, ModuliPoint, derive_params
 
 DRIFT_TOL_DEFAULT = 1e-9
+#: Most samples one profile grid holds: 80 MB for each float64 column.
+MAX_SAMPLES = 10**7
 
 
 def _agm(m: float, m1: float) -> tuple[list[float], list[float]]:
@@ -260,9 +262,12 @@ def _sampled_profile(sample, dp, kind, x_range, step, trivial, phase, drift_tol)
     x0, x1 = x_range
     if not (step > 0 and x1 > x0):
         raise InvalidParams(f"need step > 0 and x1 > x0, got {step}, {x_range}")
+    gaps = (x1 - x0) / step
+    if not gaps < MAX_SAMPLES:  # an infinite width as well
+        raise InvalidParams(f"{gaps:.3g} samples at step {step}, more than {MAX_SAMPLES}")
     fn = ProfileFunction(dp, kind, trivial=trivial, phase=phase)
     # round the count up so the samples always cover [x0, x1]
-    n = max(2, math.ceil((x1 - x0) / step - 1e-9)) + 1
+    n = max(2, math.ceil(gaps - 1e-9)) + 1
     grid = x0 + step * np.arange(n)
     values, derivs = (np.zeros(n), np.zeros(n)) if trivial else sample(fn, grid)
     # the exact initial data, which the closed form rounds (cn(-K) ~ 6e-17)

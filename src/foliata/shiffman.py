@@ -7,7 +7,8 @@ For any solution omega of the structure equation, the field
 is a Jacobi field:  lap(u) + (c0 + 2 |grad omega|^2 / cosh^2 omega) u = 0.
 Its vanishing characterizes the fields whose horizontal level curves have
 constant curvature.  Everything here is computed from omega alone on the
-grid, with centered second-order stencils.
+grid, with centered second-order stencils, in row blocks from one
+derivative pass per block.
 """
 
 from __future__ import annotations
@@ -21,13 +22,9 @@ from .field import (
     _interior_laplacian,
     _margin_blank,
     dilate_mask,
-    level_curvatures,
+    row_blocks,
     stats_from,
 )
-
-
-def _masked_omega(field: OmegaField) -> np.ndarray:
-    return np.where(field.mask, np.nan, field.omega)
 
 
 def _finite_max(values: np.ndarray) -> float:
@@ -35,55 +32,60 @@ def _finite_max(values: np.ndarray) -> float:
     return float(np.max(vals)) if vals.size else float("nan")
 
 
-def _gauss_log_route(grid, cosh: np.ndarray) -> np.ndarray:
-    """Independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2."""
-    lap = _interior_laplacian(2.0 * np.log(cosh), grid.hx, grid.hy)
-    return -lap / (2.0 * cosh ** 2)
-
-
 class _Derivatives:
-    """Masked omega of one field, its gradient from one np.gradient pass and
-    cosh(omega), shared by the diagnostics below; ``nodes`` is the grid size
-    the caller's stencils need, 3 (cross) or 5 (Jacobi)."""
+    """Masked omega on one row slab of a field, its gradient from one
+    np.gradient pass and cosh(omega): the kernel of one row block.  A slab
+    edge inside the grid gets one-sided differences, so callers keep only
+    the rows their stencil reaches from inside the slab."""
 
-    def __init__(self, field: OmegaField, nodes: int = 0):
-        for need, stencil in ((3, "cross"), (5, "Jacobi")):
-            if need <= nodes and (field.nx < need or field.ny < need):
-                raise TooFewNodes(f"need at least {need}x{need} nodes for the {stencil} stencil")
-        self.field = field
-        self.w = _masked_omega(field)
-        self.wy, self.wx = np.gradient(self.w, field.grid.ys, field.grid.xs, edge_order=2)
+    def __init__(self, field: OmegaField, slab: slice):
+        grid = field.grid
+        self.c0, self.hx, self.hy = field.c0, grid.hx, grid.hy
+        self.mask = field.mask[slab]
+        self.w = np.where(self.mask, np.nan, field.omega[slab])
+        self.wy, self.wx = np.gradient(self.w, grid.hy, grid.hx, edge_order=2)
         self.cosh = np.cosh(self.w)
         self.grad2 = self.wx * self.wx + self.wy * self.wy
 
     def shiffman(self) -> np.ndarray:
-        w, grid = self.w, self.field.grid
+        w = self.w
         wxy = np.full_like(w, np.nan)  # NaN on the boundary ring, and so is u
         wxy[1:-1, 1:-1] = w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]
-        u = wxy / (4.0 * grid.hx * grid.hy) - np.tanh(w) * self.wx * self.wy
-        u[dilate_mask(self.field.mask)] = np.nan
+        u = wxy / (4.0 * self.hx * self.hy) - np.tanh(w) * self.wx * self.wy
+        u[dilate_mask(self.mask)] = np.nan
         return u
 
-    def jacobi_residual(self, u: np.ndarray, margin: float) -> ResidualStats:
-        grid = self.field.grid
-        res = _interior_laplacian(np.asarray(u, dtype=float), grid.hx, grid.hy)
-        res += (self.field.c0 + 2.0 * self.grad2 / (self.cosh * self.cosh)) * u
-        return stats_from(_margin_blank(res, grid, margin), max(grid.hx, grid.hy))
+    def jacobi(self, u: np.ndarray) -> np.ndarray:
+        res = _interior_laplacian(u, self.hx, self.hy)
+        res += (self.c0 + 2.0 * self.grad2 / (self.cosh * self.cosh)) * u
+        return res
 
-    def potential(self) -> np.ndarray:
-        cosh2 = self.cosh ** 2
-        return self.field.c0 / cosh2 + 2.0 * self.grad2 / (cosh2 * cosh2)
+    def potential_identity(self, out: slice) -> float:
+        cosh2 = self.cosh[out] ** 2
+        grad2 = self.grad2[out]
+        potential = self.c0 / cosh2 + 2.0 * grad2 / (cosh2 * cosh2)
+        rhs = self.c0 + 2.0 * grad2 / cosh2
+        return _finite_max(np.abs(cosh2 * potential - rhs))
 
-    def potential_identity(self) -> float:
-        cosh2 = self.cosh ** 2
-        rhs = self.field.c0 + 2.0 * self.grad2 / cosh2
-        return _finite_max(np.abs(cosh2 * self.potential() - rhs))
+    def gauss_dual_route(self, out: slice) -> float:
+        gauss = self.c0 * np.tanh(self.w[out]) ** 2 - self.grad2[out] / self.cosh[out] ** 4
+        # independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2
+        lap = _interior_laplacian(2.0 * np.log(self.cosh), self.hx, self.hy)[out]
+        route = -lap / (2.0 * self.cosh[out] ** 2)
+        return _finite_max(np.abs(gauss - route))
 
-    def gauss(self) -> np.ndarray:
-        return self.field.c0 * np.tanh(self.w) ** 2 - self.grad2 / self.cosh ** 4
 
-    def gauss_dual_route(self) -> float:
-        return _finite_max(np.abs(self.gauss() - _gauss_log_route(self.field.grid, self.cosh)))
+def _check_nodes(field: OmegaField, nodes: int) -> None:
+    """``nodes`` is the grid size the caller's stencils need, 3 (cross) or 5 (Jacobi)."""
+    for need, stencil in ((3, "cross"), (5, "Jacobi")):
+        if need <= nodes and (field.nx < need or field.ny < need):
+            raise TooFewNodes(f"need at least {need}x{need} nodes for the {stencil} stencil")
+
+
+def _block_max(field: OmegaField, kernel) -> float:
+    """Finite max of ``kernel(block, out)`` over the row blocks of a field."""
+    blocks = row_blocks(field.grid, 1)
+    return _finite_max(np.array([kernel(_Derivatives(field, s), out) for _, s, out in blocks]))
 
 
 def shiffman_field(field: OmegaField) -> np.ndarray:
@@ -92,14 +94,11 @@ def shiffman_field(field: OmegaField) -> np.ndarray:
     Defined on interior nodes clear of the dilated singular mask; NaN on the
     boundary ring and near the singular set.
     """
-    return _Derivatives(field, 3).shiffman()
-
-
-def shiffman_from_curvature(field: OmegaField) -> np.ndarray:
-    """Cross-check route: -cosh(omega) d/dx of the horizontal curvature."""
-    k_h, _ = level_curvatures(field)
-    _, dk = np.gradient(k_h, field.grid.ys, field.grid.xs, edge_order=2)
-    return -np.cosh(_masked_omega(field)) * dk
+    _check_nodes(field, 3)
+    u = np.empty(field.omega.shape)
+    for rows, slab, out in row_blocks(field.grid, 1):
+        u[rows] = _Derivatives(field, slab).shiffman()[out]
+    return u
 
 
 def jacobi_residual(field: OmegaField, u: np.ndarray, margin: float = 0.0) -> ResidualStats:
@@ -109,41 +108,43 @@ def jacobi_residual(field: OmegaField, u: np.ndarray, margin: float = 0.0) -> Re
     structure-equation solution; for an arbitrary u it has no reason to be
     small (that non-example is part of the test suite).
     """
-    return _Derivatives(field, 5).jacobi_residual(u, margin)
-
-
-def jacobi_potential(field: OmegaField) -> np.ndarray:
-    """Second-variation potential Ric(N) + |dN|^2 on the grid.
-
-    Equals c0 / cosh^2(omega) + 2 |grad omega|^2 / cosh^4(omega), with the
-    gradient by finite differences.
-    """
-    return _Derivatives(field).potential()
+    _check_nodes(field, 5)
+    u = np.asarray(u, dtype=float)
+    res = np.empty(field.omega.shape)
+    for rows, slab, out in row_blocks(field.grid, 1):
+        res[rows] = _Derivatives(field, slab).jacobi(u[slab])[out]
+    return stats_from(_margin_blank(res, field.grid, margin), max(field.grid.hx, field.grid.hy))
 
 
 def potential_identity_linf(field: OmegaField) -> float:
-    """Max of |cosh^2 * potential - c0 - 2 |grad omega|^2 / cosh^2|."""
-    return _Derivatives(field).potential_identity()
-
-
-def gauss_curvature(field: OmegaField) -> np.ndarray:
-    """K = c0 tanh^2(omega) - |grad omega|^2 / cosh^4(omega)."""
-    return _Derivatives(field).gauss()
+    """Max of |cosh^2 * potential - c0 - 2 |grad omega|^2 / cosh^2|, with the
+    second-variation potential c0 / cosh^2 + 2 |grad omega|^2 / cosh^4."""
+    return _block_max(field, _Derivatives.potential_identity)
 
 
 def gauss_dual_route_linf(field: OmegaField) -> float:
-    return _Derivatives(field).gauss_dual_route()
+    """Max gap between K = c0 tanh^2(omega) - |grad omega|^2 / cosh^4(omega)
+    and the intrinsic route -(1 / 2 cosh^2) lap(log cosh^2)."""
+    return _block_max(field, _Derivatives.gauss_dual_route)
 
 
 def shiffman_document(field: OmegaField, margin: float = 0.0) -> dict:
-    """JSON-ready summary used by the verification CLI, from one gradient pass."""
-    d = _Derivatives(field, 5)
-    u = d.shiffman()
-    residual = d.jacobi_residual(u, margin)
-    finite_u = u[np.isfinite(u)]
+    """JSON-ready summary used by the verification CLI, in row blocks that
+    reach two rows out (lap u needs u one row out, u needs omega one more)."""
+    _check_nodes(field, 5)
+    res = np.empty(field.omega.shape)
+    maxima = []
+    for rows, slab, out in row_blocks(field.grid, 2):
+        d = _Derivatives(field, slab)
+        u = d.shiffman()
+        res[rows] = d.jacobi(u)[out]
+        top_u = _finite_max(np.abs(u[out]))
+        maxima.append([top_u, d.potential_identity(out), d.gauss_dual_route(out)])
+    max_u, potential, gauss = (_finite_max(column) for column in np.array(maxima).T)
+    residual = stats_from(_margin_blank(res, field.grid, margin), max(field.grid.hx, field.grid.hy))
     return {
-        "max_u": float(np.max(np.abs(finite_u))) if finite_u.size else None,
+        "max_u": max_u if np.isfinite(max_u) else None,
         "jacobi_residual": {"linf": residual.linf, "l2": residual.l2, "h": residual.grid_h},
-        "potential_identity_linf": d.potential_identity(),
-        "gauss_dual_route_linf": d.gauss_dual_route(),
+        "potential_identity_linf": potential,
+        "gauss_dual_route_linf": gauss,
     }

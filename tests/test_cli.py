@@ -309,6 +309,38 @@ def test_verify_unreadable_input_exits_one(tmp_path, capsys, content, expect):
     assert err.startswith("error: ") and expect in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "entry,expect",
+    [("x", "could not convert"), ([0.5], "sequence"), ({"v": 0.5}, "float()"),
+     ("all nested", "flat list of 25 numbers")],
+)
+def test_verify_malformed_omega_exits_one(tmp_path, capsys, entry, expect):
+    path = tmp_path / "field.json"
+    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+                 "--nx", "5", "--ny", "5", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    if entry == "all nested":
+        # numpy reads a list of one-element lists as a column, not a flat list
+        doc["omega"] = [[v] for v in doc["omega"]]
+    else:
+        doc["omega"][7] = entry
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"]):
+        assert main(["verify", "--input", str(path), *mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expect in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [["--range", "0", "1e300"],
+                                   ["--range", "0", "1e12", "--step", "1e-3"]])
+def test_profile_range_too_long_exits_one(capsys, extra):
+    # the sample count is checked before any grid is allocated
+    assert main(["profile", "--c0", "1", "--c", "-1", "--d", "0", "--kind", "F", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "samples at step" in err and err.count("\n") == 1
+
+
 def test_field_rejects_profile_step(capsys):
     argv = ["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
             "--nx", "5", "--ny", "5", "--profile-step", "1e-3"]

@@ -424,3 +424,19 @@ def test_source_broadcast_after_grid_assembly():
     data = field.source.eval_bc(grid.xs[None, :], grid.ys[:, None])
     assert data.sinh.shape == (6, 6)
     assert np.array_equal(data.sinh, field.sinh_omega)
+
+
+def test_row_block_assembly_evaluates_each_axis_once(monkeypatch):
+    # the blocks share one evaluation of each profile on its whole axis
+    monkeypatch.setattr(field_module, "BLOCK_NODES", 3 * 7)
+    fsol, gsol = profiles(1, -1, -1)
+    calls = []
+    eval_many = field_module.ProfileFunction.eval_many
+
+    def counted(fn, x):
+        calls.append((fn.kind, np.shape(x)))
+        return eval_many(fn, x)
+
+    monkeypatch.setattr(field_module.ProfileFunction, "eval_many", counted)
+    assemble_omega(fsol, gsol, GridSpec(0, 1, 0, 1, 7, 20))
+    assert sorted(calls) == [("F", (7,)), ("G", (20,))]

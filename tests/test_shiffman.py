@@ -1,25 +1,128 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from foliata import field as field_module, shiffman as shiffman_module
+from foliata.errors import TooFewNodes
 from foliata.field import (
+    DegenerateSource,
     GridSpec,
     OmegaField,
+    ReconstructedSource,
+    _interior_laplacian,
+    _margin_blank,
     assemble_omega,
     assemble_omega_degenerate,
+    dilate_mask,
+    field_from_source,
+    level_curvatures,
+    row_blocks,
+    sinh_gordon_residual,
     solve_sinh_gordon,
+    stats_from,
 )
 from foliata.moduli import ModuliPoint, derive_params
-from foliata.profile import integrate_profile
+from foliata.profile import ProfileFunction, integrate_profile
 from foliata.shiffman import (
-    gauss_curvature,
     gauss_dual_route_linf,
-    jacobi_potential,
     jacobi_residual,
     potential_identity_linf,
     shiffman_document,
     shiffman_field,
-    shiffman_from_curvature,
 )
+
+
+class FullGrid:
+    """The grid diagnostics on the whole grid at once: the oracle of the
+    row-block kernels, with the same scalar spacing and float operations."""
+
+    def __init__(self, field):
+        grid = field.grid
+        self.field = field
+        self.w = np.where(field.mask, np.nan, field.omega)
+        self.wy, self.wx = np.gradient(self.w, grid.hy, grid.hx, edge_order=2)
+        self.cosh = np.cosh(self.w)
+        self.grad2 = self.wx * self.wx + self.wy * self.wy
+
+    def shiffman(self):
+        w, grid = self.w, self.field.grid
+        wxy = np.full_like(w, np.nan)
+        wxy[1:-1, 1:-1] = w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]
+        u = wxy / (4.0 * grid.hx * grid.hy) - np.tanh(w) * self.wx * self.wy
+        u[dilate_mask(self.field.mask)] = np.nan
+        return u
+
+    def jacobi_residual(self, u, margin):
+        grid = self.field.grid
+        res = _interior_laplacian(np.asarray(u, dtype=float), grid.hx, grid.hy)
+        res += (self.field.c0 + 2.0 * self.grad2 / (self.cosh * self.cosh)) * u
+        return _margin_blank(res, grid, margin)
+
+    def potential(self):
+        cosh2 = self.cosh ** 2
+        return self.field.c0 / cosh2 + 2.0 * self.grad2 / (cosh2 * cosh2)
+
+    def potential_identity(self):
+        cosh2 = self.cosh ** 2
+        rhs = self.field.c0 + 2.0 * self.grad2 / cosh2
+        return finite_max(np.abs(cosh2 * self.potential() - rhs))
+
+    def gauss(self):
+        return self.field.c0 * np.tanh(self.w) ** 2 - self.grad2 / self.cosh ** 4
+
+    def gauss_dual_route(self):
+        grid = self.field.grid
+        lap = _interior_laplacian(2.0 * np.log(self.cosh), grid.hx, grid.hy)
+        return finite_max(np.abs(self.gauss() - -lap / (2.0 * self.cosh ** 2)))
+
+    def sinh_gordon_residual(self, margin):
+        field, grid = self.field, self.field.grid
+        res = _interior_laplacian(field.omega, grid.hx, grid.hy)
+        res += np.where(field.mask, np.nan, field.c0 * field.sinh_omega * np.cosh(field.omega))
+        res[dilate_mask(field.mask)] = np.nan
+        return _margin_blank(res, grid, margin)
+
+    def level_curvatures(self):
+        k_h = -self.wy / self.cosh
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_v = np.where(np.abs(self.w) >= field_module.EPS_DEN, self.wx / np.sinh(self.w), np.nan)
+        return k_h, k_v
+
+
+def finite_max(values):
+    vals = values[np.isfinite(values)]
+    return float(np.max(vals)) if vals.size else float("nan")
+
+
+def full_grid_source_field(source, grid):
+    """Oracle of the row-block assembly: the source combined on the whole grid."""
+    xs, ys = grid.xs, grid.ys
+    if isinstance(source, DegenerateSource):
+        data = source._from_phase(source.alpha * xs[None, :] + source.beta * ys[:, None])
+    else:
+        f, fx = source.ffn.eval_many(xs)
+        g, gy = source.gfn.eval_many(ys)
+        data = source._combine(f[None, :], fx[None, :], g[:, None], gy[:, None])
+    return data.omega, np.asarray(data.sinh, dtype=float), ~data.ok
+
+
+def jacobi_potential(field):
+    """Second-variation potential Ric(N) + |dN|^2 on the grid."""
+    return FullGrid(field).potential()
+
+
+def gauss_curvature(field):
+    """K = c0 tanh^2(omega) - |grad omega|^2 / cosh^4(omega)."""
+    return FullGrid(field).gauss()
+
+
+def shiffman_from_curvature(field):
+    """Cross-check route: -cosh(omega) d/dx of the horizontal curvature."""
+    k_h, _ = level_curvatures(field)
+    _, dk = np.gradient(k_h, field.grid.hy, field.grid.hx, edge_order=2)
+    return -np.cosh(np.where(field.mask, np.nan, field.omega)) * dk
 
 
 def reconstructed(c0, c, d, n, span=(0, 1)):
@@ -169,3 +272,114 @@ def test_shiffman_document_takes_one_gradient_pass(monkeypatch):
     monkeypatch.setattr(np, "gradient", counted)
     shiffman_document(field)
     assert calls == [(21, 21)]
+
+
+def assert_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def full_grid_stats(residual):
+    """Oracle of stats_from: (linf, l2, count) over the finite nodes."""
+    vals = residual[np.isfinite(residual)]
+    return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals * vals))), vals.size
+
+
+def assert_same_max(actual, expected):
+    assert actual == expected or (math.isnan(actual) and math.isnan(expected))
+
+
+def drawn_field(kind, nx, ny, c0, rng, edge_rows):
+    if kind == "degenerate":
+        # |y| > pi/2 masks whole rows; the corners leave the strip as well
+        theta = rng.uniform(0.0, 0.3)
+        grid = GridSpec(-1.0, 1.0, -2.0, 2.0, nx, ny)
+        return DegenerateSource(math.sin(theta), math.cos(theta)), grid
+    if kind == "reconstructed":
+        # the small guard masks the nodes where |sinh omega| > 1.5, whole
+        # rows of them at c0 = -1
+        dp = derive_params(ModuliPoint(*((-1.0, -1.0, 1.0) if c0 < 0 else (1.0, -1.0, -1.0))))
+        source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"), guard=1.5)
+        return source, GridSpec(0.0, 1.5, 0.0, 1.5, nx, ny)
+    grid = GridSpec(0.0, 1.0, 0.0, 2.0, nx, ny)
+    omega = rng.uniform(-1.5, 1.5, (ny, nx))
+    mask = rng.random((ny, nx)) < rng.choice([0.0, 0.03, 0.15])
+    mask[edge_rows] = True
+    return OmegaField(grid=grid, c0=c0, omega=omega, sinh_omega=np.sinh(omega),
+                      mask=mask, provenance="Synthetic"), grid
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    st.sampled_from(["synthetic", "degenerate", "reconstructed"]),
+    st.integers(3, 6),  # rows per block
+    st.integers(2, 4),  # blocks
+    st.sampled_from([0, 1, 2]),  # tail rows the last block absorbs
+    st.integers(5, 12),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.sampled_from([0.0, 0.1, 0.3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_blocks_match_the_full_grid(kind, size, blocks, tail, nx, c0, margin, seed):
+    rng = np.random.default_rng(seed)
+    ny = blocks * size + tail
+    # rows on either side of each block edge, some masked whole
+    edges = [r for k in range(1, blocks) for r in (k * size - 1, k * size)]
+    edge_rows = [r for r in edges if rng.random() < 0.3]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field_module, "BLOCK_NODES", size * nx)
+        built, grid = drawn_field(kind, nx, ny, c0, rng, edge_rows)
+        assert len(list(row_blocks(grid, 2))) == blocks
+        if kind == "synthetic":
+            field = built
+        else:
+            omega, sinh, mask = full_grid_source_field(built, grid)
+            if mask.all():
+                return
+            field = field_from_source(built, grid)
+            assert_bits(field.omega, omega)
+            assert_bits(field.sinh_omega, sinh)
+            assert_bits(field.mask, mask)
+
+        oracle = FullGrid(field)
+        u = oracle.shiffman()
+        assert_bits(shiffman_field(field), u)
+        k_h, k_v = level_curvatures(field)
+        want_h, want_v = oracle.level_curvatures()
+        assert_bits(k_h, want_h)
+        assert_bits(k_v, want_v)
+        assert_same_max(potential_identity_linf(field), oracle.potential_identity())
+        assert_same_max(gauss_dual_route_linf(field), oracle.gauss_dual_route())
+
+        # the residual arrays as they reach the statistics
+        seen = []
+
+        def recorded(residual, grid_h):
+            seen.append(residual.copy())
+            return stats_from(residual, grid_h)
+
+        mp.setattr(field_module, "stats_from", recorded)
+        mp.setattr(shiffman_module, "stats_from", recorded)
+        checks = [
+            (lambda: sinh_gordon_residual(field, margin), oracle.sinh_gordon_residual(margin)),
+            (lambda: jacobi_residual(field, u, margin), oracle.jacobi_residual(u, margin)),
+            (lambda: shiffman_document(field, margin), oracle.jacobi_residual(u, margin)),
+        ]
+        for run, expected in checks:
+            if not np.isfinite(expected).any():
+                with pytest.raises(TooFewNodes):
+                    run()
+                continue
+            seen.clear()
+            result = run()
+            assert len(seen) == 1
+            assert_bits(seen[0], expected)
+            if isinstance(result, dict):
+                max_u = math.nan if result["max_u"] is None else result["max_u"]
+                assert_same_max(max_u, finite_max(np.abs(u)))
+                assert_same_max(result["potential_identity_linf"], oracle.potential_identity())
+                assert_same_max(result["gauss_dual_route_linf"], oracle.gauss_dual_route())
+                result = result["jacobi_residual"]
+                assert (result["linf"], result["l2"]) == full_grid_stats(expected)[:2]
+            else:
+                assert (result.linf, result.l2, result.count) == full_grid_stats(expected)
