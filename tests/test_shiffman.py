@@ -75,7 +75,8 @@ class FullGrid:
     def gauss_dual_route(self):
         grid = self.field.grid
         lap = _interior_laplacian(2.0 * np.log(self.cosh), grid.hx, grid.hy)
-        return finite_max(np.abs(self.gauss() - -lap / (2.0 * self.cosh ** 2)))
+        route = -lap / (2.0 * self.cosh ** 2)
+        return finite_max(np.abs(self.gauss() - route))
 
     def sinh_gordon_residual(self, margin):
         field, grid = self.field, self.field.grid
