@@ -181,31 +181,39 @@ def _read_field(path: str) -> tuple[dict, OmegaField]:
         raise FoliataError(f"{path} is not a field file: {exc}") from exc
 
 
+#: The config fields a field is rebuilt from, with their defaults (None for
+#: a required number); a bool default marks a flag.
+_REBUILD_FIELDS = {
+    "c": None, "d": None, "a": 0.0, "eps-den": EPS_DEN, "overflow-guard": OVERFLOW_GUARD,
+    "degenerate": False, "trivial-f": False, "trivial-g": False,
+}
+
+
+def _rebuild_args(doc: dict, field: OmegaField) -> argparse.Namespace:
+    """:func:`_build_field` arguments from the generating parameters that a
+    field file's config echoes, each a number or, for a flag, a boolean."""
+    cfg = doc.get("config", {})
+    if not isinstance(cfg, dict):
+        raise FoliataError(f"field file config must be an object, got {cfg!r}")
+    if cfg.get("c") is None:
+        raise FoliataError("field file lacks the generating parameters needed for "
+                           "frame integration (no config.c/config.d)")
+    args = argparse.Namespace(c0=field.c0, domain=field.domain, nx=field.nx, ny=field.ny)
+    for key, default in _REBUILD_FIELDS.items():
+        value, flag = cfg.get(key, default), isinstance(default, bool)
+        if isinstance(value, bool) != flag or not isinstance(value, (int, float)):
+            kind = "true or false" if flag else "a number"
+            raise FoliataError(f"field file config.{key} must be {kind}, got {value!r}")
+        setattr(args, key.replace("-", "_"), value)
+    return args
+
+
 def _cmd_verify(args) -> int:
     doc, field = _read_field(args.input)
     if args.shiffman:
         out = shiffman_document(field, margin=args.margin)
     elif args.immersion:
-        src_cfg = doc.get("config", {})
-        rebuild = argparse.Namespace(
-            c0=field.c0,
-            c=src_cfg.get("c"),
-            d=src_cfg.get("d"),
-            a=src_cfg.get("a", 0.0),
-            domain=tuple(doc["domain"]),
-            nx=field.nx,
-            ny=field.ny,
-            degenerate=src_cfg.get("degenerate", False),
-            trivial_f=src_cfg.get("trivial-f", False),
-            trivial_g=src_cfg.get("trivial-g", False),
-            eps_den=src_cfg.get("eps-den", EPS_DEN),
-            overflow_guard=src_cfg.get("overflow-guard", OVERFLOW_GUARD),
-        )
-        if rebuild.c is None:
-            raise FoliataError(
-                "field file lacks the generating parameters needed for "
-                "frame integration (no config.c/config.d)"
-            )
+        rebuild = _rebuild_args(doc, field)
         live = _build_field(rebuild)
         space, frame = _frame_for(args, live)
         iso = isometry_check(frame, live, space)

@@ -106,12 +106,16 @@ def stats_from(residual: np.ndarray, grid_h: float) -> ResidualStats:
 
 
 class FieldData:
-    """Pointwise field data: sinh/cosh of omega, its gradient, validity."""
+    """Pointwise field data: sinh/cosh of omega, its gradient, validity; from
+    sinh(omega), ok and the gradient's factors omega_x = -f cosh(omega),
+    omega_y = -g cosh(omega)."""
 
     __slots__ = ("sinh", "cosh", "wx", "wy", "ok")
 
-    def __init__(self, sinh, cosh, wx, wy, ok):
-        self.sinh, self.cosh, self.wx, self.wy, self.ok = sinh, cosh, wx, wy, ok
+    def __init__(self, sinh, ok, f, g):
+        self.sinh, self.ok = sinh, ok
+        self.cosh = np.sqrt(1.0 + sinh * sinh)
+        self.wx, self.wy = -f * self.cosh, -g * self.cosh
 
     @property
     def omega(self):
@@ -150,10 +154,11 @@ class ReconstructedSource:
         # every point but the constants branch gives omega = 0 exactly
         self.flat_trivial = self.c0 == 0 and ffn.trivial and gfn.trivial
 
-    def _combine(self, f, fx, g, gy) -> FieldData:
+    def _sinh(self, f, fx, g, gy):
+        """(sinh(omega), ok) from the profile values and derivatives."""
         if self.flat_trivial:
             z = np.zeros(np.broadcast(np.asarray(f), np.asarray(g)).shape)
-            return FieldData(z, z + 1.0, z, z.copy(), np.ones(z.shape, dtype=bool))
+            return z, np.ones(z.shape, dtype=bool)
         a = self.dp.a
         den = self.c0 + f * f + g * g
         num = fx + gy
@@ -167,22 +172,22 @@ class ReconstructedSource:
             np.where(use_f, num_fb / np.where(use_f, den_fb, 1.0), np.nan),
         )
         ok = (use_p | use_f) & (np.abs(sinh) <= self.guard)
-        sinh = np.where(ok, sinh, np.nan)
-        cosh = np.sqrt(1.0 + sinh * sinh)
-        return FieldData(sinh, cosh, -f * cosh, -g * cosh, ok)
+        return np.where(ok, sinh, np.nan), ok
 
     def eval_bc(self, x, y) -> FieldData:
         """Field data with numpy broadcasting of the two coordinates."""
-        return self._combine(*self.ffn.eval_many(x), *self.gfn.eval_many(y))
+        f, fx = self.ffn.eval_many(x)
+        g, gy = self.gfn.eval_many(y)
+        return FieldData(*self._sinh(f, fx, g, gy), f, g)
 
     def eval_rows(self, xs: np.ndarray, ys: np.ndarray):
-        """(lo, hi) -> field data on rows [lo, hi) of the grid xs x ys."""
+        """(lo, hi) -> (sinh(omega), ok) on rows [lo, hi) of the grid xs x ys."""
         f, fx = self.ffn.eval_many(xs)
         g, gy = self.gfn.eval_many(ys)
-        return lambda lo, hi: self._combine(f, fx, g[lo:hi, None], gy[lo:hi, None])
+        return lambda lo, hi: self._sinh(f, fx, g[lo:hi, None], gy[lo:hi, None])
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
-        return self.eval_rows(xs, ys)(0, len(ys))
+        return self.eval_bc(xs, np.asarray(ys)[:, None])
 
 
 class DegenerateSource:
@@ -200,30 +205,27 @@ class DegenerateSource:
         self.guard = guard
         self.c0 = -1.0
 
-    def _from_phase(self, s) -> FieldData:
+    def _sinh(self, s):
+        """(sinh(omega), ok) from the phase s = alpha x + beta y."""
         s = np.asarray(s, dtype=float)
         inside = np.abs(s) < math.pi / 2.0
-        t = np.where(inside, np.tan(np.where(inside, s, 0.0)), np.nan)
+        t = np.tan(np.where(inside, s, 0.0))
         ok = inside & (np.abs(t) <= self.guard)
-        sinh = np.where(ok, -t, np.nan)
-        sec = np.sqrt(1.0 + t * t)
-        cosh = np.where(ok, sec, np.nan)
-        return FieldData(sinh, cosh, -self.alpha * sec, -self.beta * sec, ok)
+        return np.where(ok, -t, np.nan), ok
 
     def eval_bc(self, x, y) -> FieldData:
         """Field data with numpy broadcasting of the two coordinates."""
-        return self._from_phase(
-            self.alpha * np.asarray(x, dtype=float) + self.beta * np.asarray(y, dtype=float)
-        )
+        phase = self.alpha * np.asarray(x, dtype=float) + self.beta * np.asarray(y, dtype=float)
+        return FieldData(*self._sinh(phase), self.alpha, self.beta)
 
     def eval_rows(self, xs: np.ndarray, ys: np.ndarray):
-        """(lo, hi) -> field data on rows [lo, hi) of the grid xs x ys."""
+        """(lo, hi) -> (sinh(omega), ok) on rows [lo, hi) of the grid xs x ys."""
         ax = self.alpha * np.asarray(xs, dtype=float)
         by = self.beta * np.asarray(ys, dtype=float)
-        return lambda lo, hi: self._from_phase(ax + by[lo:hi, None])
+        return lambda lo, hi: self._sinh(ax + by[lo:hi, None])
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
-        return self.eval_rows(xs, ys)(0, len(ys))
+        return self.eval_bc(xs, np.asarray(ys)[:, None])
 
 
 @dataclass(frozen=True)
@@ -281,8 +283,9 @@ def field_from_source(source, grid: GridSpec) -> OmegaField:
     omega = np.empty_like(sinh)
     mask = np.empty(sinh.shape, dtype=bool)
     for rows, _, _ in row_blocks(grid, 0):
-        data = block(rows.start, rows.stop)
-        sinh[rows], omega[rows], mask[rows] = data.sinh, data.omega, ~data.ok
+        sinh[rows], ok = block(rows.start, rows.stop)
+        np.arcsinh(sinh[rows], out=omega[rows])
+        mask[rows] = ~ok
     if mask.all():
         raise AllSingular("every grid node lies on the singular set")
     return OmegaField(
@@ -568,11 +571,17 @@ def field_document(field: OmegaField) -> dict:
 
 def field_from_document(doc: dict) -> OmegaField:
     grid = GridSpec(*doc["domain"], nx=int(doc["nx"]), ny=int(doc["ny"]))
-    mask = np.array(doc["mask"], dtype=bool).reshape(grid.ny, grid.nx)
+    size = grid.ny * grid.nx
+    try:
+        mask = np.array(doc["mask"])
+    except ValueError:  # a ragged nesting
+        mask = None
+    if mask is None or mask.dtype != bool or mask.shape != (size,):
+        raise ValueError(f"'mask' must be a flat list of {size} booleans")
     omega = np.array(doc["omega"], dtype=float)  # JSON null reads as NaN
-    if omega.shape != (grid.ny * grid.nx,):
-        raise ValueError(f"'omega' must be a flat list of {grid.ny * grid.nx} numbers")
-    omega = omega.reshape(grid.ny, grid.nx)
+    if omega.shape != (size,):
+        raise ValueError(f"'omega' must be a flat list of {size} numbers")
+    mask, omega = mask.reshape(grid.ny, grid.nx), omega.reshape(grid.ny, grid.nx)
     return OmegaField(
         grid=grid,
         c0=float(doc["c0"]),

@@ -3,8 +3,9 @@
 The horizontal factor F of the immersion is a harmonic map into the ambient
 surface, represented in a fixed global conformal chart (U, rho(u) |du|^2):
 the Poincare disk for curvature -1, the Euclidean plane for 0, and the
-stereographic plane for +1.  Writing F_x = cosh(omega) e^{i psi} / sqrt(rho)
-and F_y = i sinh(omega) e^{i psi} / sqrt(rho), the frame angle psi and the
+stereographic plane for +1, all one closed form in c0 (:class:`ChartSpace`).
+Writing F_x = cosh(omega) e^{i psi} / sqrt(rho) and
+F_y = i sinh(omega) e^{i psi} / sqrt(rho), the frame angle psi and the
 chart point u satisfy the coupled first-order system
 
     psi_x = -omega_y + cosh(omega)/(2 sqrt(rho)) (cos psi L2 - sin psi L1)
@@ -17,10 +18,10 @@ group of the model (no frame is marched).  Along a row,
 omega_y = -k cosh(omega) with k constant, so every row is a leaf of constant
 geodesic curvature k traced at speed cosh(omega): a circle, horocycle or
 hypercycle of the ambient model, placed in closed form from the column's
-state at its Gauss-Legendre arclength.  The same leaf motion gives the
-holonomy of a horizontal period; an RK4 row march stays as the oracle.
-Off-grid omega data comes from the field's closed form (profile functions
-re-evaluated), never from grid interpolation.
+model frame at its Gauss-Legendre arclength; the chart only writes psi and
+u.  The same leaf motion gives the holonomy of a horizontal period; an RK4
+row march stays as the oracle.  Off-grid omega data comes from the field's
+closed form (profile functions re-evaluated), never from grid interpolation.
 """
 
 from __future__ import annotations
@@ -49,90 +50,85 @@ from .field import (
 DISK_EDGE = 1.0 - 1e-12
 STEREO_GUARD = 1e8
 
+#: Per chart kind: (c0, axis of the lift, sigma, bound on |u|^2).
+CHART_KINDS = {
+    "poincare_disk": (-1.0, 0, 1.0, DISK_EDGE * DISK_EDGE),
+    "euclidean_plane": (0.0, 2, 2.0, math.inf),
+    "stereographic": (1.0, 2, 1.0, STEREO_GUARD * STEREO_GUARD),
+}
+
 
 # ---------------------------------------------------------------------------
 # conformal charts and ambient models
 # ---------------------------------------------------------------------------
 
 class ChartSpace:
-    """A global conformal chart of the ambient surface of curvature c0."""
+    """A global conformal chart of the ambient surface of curvature c0.
+
+    One closed form in c0 covers the three kinds.  With s = 1 + c0 |u|^2,
+    rho = 4 / (sigma s)^2 and the lift to the model has the axis
+    coordinate (1 - c0 |u|^2) / s and the other two 2 u / (sigma s): the
+    hyperboloid (axis 0), the sphere (axis 2) and, with sigma = 2, the
+    plane in homogeneous coordinates (u1, u2, 1).
+    """
 
     def __init__(self, kind: str):
-        if kind not in ("poincare_disk", "euclidean_plane", "stereographic"):
+        if kind not in CHART_KINDS:
             raise InvalidParams(f"unknown chart kind {kind!r}")
         self.kind = kind
-        self.c0 = {"poincare_disk": -1.0, "euclidean_plane": 0.0, "stereographic": 1.0}[kind]
+        self.c0, self.axis, self.sigma, self.bound = CHART_KINDS[kind]
 
     def __repr__(self):
         return f"ChartSpace({self.kind!r})"
 
+    def _place(self, axis_value, a, b):
+        """Model coordinates from the axis one and the other two, in order."""
+        cols = [a, b]
+        cols.insert(self.axis, axis_value)
+        return np.stack(cols, axis=-1)
+
     def factor_many(self, u1, u2):
         """(rho, L1, L2) with L = grad log rho, vectorized, unguarded."""
-        r2 = u1 * u1 + u2 * u2
-        if self.kind == "poincare_disk":
-            q = 1.0 - r2
-            rho = 4.0 / (q * q)
-            return rho, 4.0 * u1 / q, 4.0 * u2 / q
-        if self.kind == "stereographic":
-            s = 1.0 + r2
-            rho = 4.0 / (s * s)
-            return rho, -4.0 * u1 / s, -4.0 * u2 / s
-        one = np.ones_like(np.asarray(u1, dtype=float))
-        return one, 0.0 * one, 0.0 * one
+        s = 1.0 + self.c0 * (u1 * u1 + u2 * u2)
+        ss = self.sigma * s
+        k = -4.0 * self.c0
+        return 4.0 / (ss * ss), k * u1 / s, k * u2 / s
 
     def in_domain(self, u1, u2):
-        r2 = u1 * u1 + u2 * u2
-        if self.kind == "poincare_disk":
-            return r2 < DISK_EDGE * DISK_EDGE
-        if self.kind == "stereographic":
-            return r2 < STEREO_GUARD * STEREO_GUARD
-        return np.isfinite(r2)
+        return u1 * u1 + u2 * u2 < self.bound
 
     def lift(self, u1, u2):
-        """Ambient-model coordinates of chart points.
-
-        Poincare disk -> hyperboloid (X0, X1, X2) with -X0^2+X1^2+X2^2 = -1;
-        stereographic -> unit sphere; plane -> the points themselves.
-        """
+        """Ambient-model coordinates of chart points: the hyperboloid
+        -X0^2 + X1^2 + X2^2 = -1, the plane (u1, u2, 1), the unit sphere."""
         r2 = u1 * u1 + u2 * u2
-        if self.kind == "poincare_disk":
-            q = 1.0 - r2
-            return np.stack([(1.0 + r2) / q, 2.0 * u1 / q, 2.0 * u2 / q], axis=-1)
-        if self.kind == "stereographic":
-            s = 1.0 + r2
-            return np.stack([2.0 * u1 / s, 2.0 * u2 / s, (1.0 - r2) / s], axis=-1)
-        return np.stack([u1, u2], axis=-1)
+        s = 1.0 + self.c0 * r2
+        ss = self.sigma * s
+        return self._place((1.0 - self.c0 * r2) / s, 2.0 * u1 / ss, 2.0 * u2 / ss)
 
     def lift_jacobian(self, u1, u2):
-        """Columns (d lift/du1, d lift/du2) of the curved models, stacked
-        along the last axis over the shape of the chart points."""
+        """Columns (d lift/du1, d lift/du2), stacked along the last axis over
+        the shape of the chart points."""
         u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
-        r2 = u1 * u1 + u2 * u2
-        if self.kind == "poincare_disk":
-            q = 1.0 - r2
-            qq = (q * q)[..., None]
-            d1 = np.stack([4.0 * u1, 2.0 * q + 4.0 * u1 * u1, 4.0 * u1 * u2], axis=-1) / qq
-            d2 = np.stack([4.0 * u2, 4.0 * u1 * u2, 2.0 * q + 4.0 * u2 * u2], axis=-1) / qq
-            return d1, d2
-        s = 1.0 + r2
+        s = 1.0 + self.c0 * (u1 * u1 + u2 * u2)
         ss = (s * s)[..., None]
-        d1 = np.stack([2.0 * s - 4.0 * u1 * u1, -4.0 * u1 * u2, -4.0 * u1], axis=-1) / ss
-        d2 = np.stack([-4.0 * u1 * u2, 2.0 * s - 4.0 * u2 * u2, -4.0 * u2], axis=-1) / ss
+        k = -4.0 * self.c0
+        cross = k * u1 * u2
+        scale = self._place(1.0, 1.0 / self.sigma, 1.0 / self.sigma)
+        d1 = self._place(k * u1, 2.0 * s + k * u1 * u1, cross) / ss * scale
+        d2 = self._place(k * u2, cross, 2.0 * s + k * u2 * u2) / ss * scale
         return d1, d2
 
     def chart_state(self, p, t):
         """Chart point (u1, u2) of the model point ``p`` and the chart angle
-        of the tangent ``t`` there: the inverse of the lift and its
-        pushforward, over the leading axes (the plane in homogeneous
-        coordinates (u1, u2, 1))."""
-        if self.kind == "euclidean_plane":
-            return p[..., 0], p[..., 1], np.arctan2(t[..., 1], t[..., 0])
-        # projection from (-1, 0, 0) on the hyperboloid, from the south pole
-        # (0, 0, -1) on the sphere: u = (p_a, p_b) / (1 + p_w)
-        w, a, b = (0, 1, 2) if self.kind == "poincare_disk" else (2, 0, 1)
-        scale = 1.0 / (1.0 + p[..., w])
+        of the tangent ``t`` there, over the leading axes: the inverse of the
+        lift, u = sigma (p_a, p_b) / (1 + p_w) with w the axis, and its
+        pushforward."""
+        w = self.axis
+        a, b = (i for i in range(3) if i != w)
+        scale = self.sigma / (1.0 + p[..., w])
         u1, u2 = p[..., a] * scale, p[..., b] * scale
-        return u1, u2, np.arctan2(t[..., b] - u2 * t[..., w], t[..., a] - u1 * t[..., w])
+        tw = t[..., w] / self.sigma
+        return u1, u2, np.arctan2(t[..., b] - u2 * tw, t[..., a] - u1 * tw)
 
 
 def chart_for_curvature(c0: float) -> ChartSpace:
@@ -179,18 +175,12 @@ def _row_lengths(source, lo, hi, ys):
 
 def _frame_matrix(space: ChartSpace, u1, u2, psi) -> np.ndarray:
     """Columns (T, N, p): the unit frame at angle psi and its chart point, in
-    the ambient model, stacked over the shape of the arguments; the plane
-    uses homogeneous coordinates (u1, u2, 1)."""
+    the ambient model, stacked over the shape of the arguments."""
     u1, u2, psi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (u1, u2, psi)))
     rho, _, _ = space.factor_many(u1, u2)
     sq = np.sqrt(rho)
-    c, s = np.cos(psi) / sq, np.sin(psi) / sq
-    if space.kind == "euclidean_plane":
-        zero = np.zeros_like(c)
-        cols = [(c, s, zero), (-s, c, zero), (u1, u2, zero + 1.0)]
-        return np.stack([np.stack(col, axis=-1) for col in cols], axis=-1)
+    c, s = (np.cos(psi) / sq)[..., None], (np.sin(psi) / sq)[..., None]
     d1, d2 = space.lift_jacobian(u1, u2)
-    c, s = c[..., None], s[..., None]
     return np.stack([d1 * c + d2 * s, d2 * c - d1 * s, space.lift(u1, u2)], axis=-1)
 
 
@@ -312,7 +302,7 @@ def _march(
                 an = a + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
                 bn = b + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
                 ok = ok & np.isfinite(pn) & np.isfinite(an) & np.isfinite(bn)
-                ok = ok & np.asarray(space.in_domain(an, bn))
+                ok = ok & space.in_domain(an, bn)
             psi[nxt] = np.where(ok, pn, np.nan)
             u1[nxt] = np.where(ok, an, np.nan)
             u2[nxt] = np.where(ok, bn, np.nan)
@@ -383,17 +373,18 @@ def _resolve_seed(
     j0 = int(np.argmin(np.abs(ys - sy)))
     if field.mask[j0, i0]:
         raise SingularCrossing(f"seed node ({xs[i0]}, {ys[j0]}) is on the singular set")
-    if not bool(np.asarray(space.in_domain(u0[0], u0[1]))):
+    if not space.in_domain(u0[0], u0[1]):
         raise ChartOverflow(f"seed chart point {u0} outside the chart")
     return i0, j0, float(psi0), (float(u0[0]), float(u0[1]))
 
 
 def _seed_column(source, space: ChartSpace, x: float, ys: np.ndarray, j0: int, m0: np.ndarray):
-    """(M, alive, k): model frames on the column x from m0 at ys[j0], the
-    lane mask and the leaf curvatures.  M' = M B with B[1, 0] = -B[0, 1] =
-    omega_x, B[1, 2] = sinh(omega), B[2, 1] = -c0 sinh(omega); each cell
-    takes the fourth-order Magnus step Omega = h/2 (B1 + B2) + sqrt(3)/12
-    h^2 [B1, B2] from its two Gauss nodes (exp(-Omega) below the seed).
+    """(M, (u1, u2, psi), alive, k): model frames on the column x from m0 at
+    ys[j0], their chart state, the lane mask and the leaf curvatures.
+    M' = M B with B[1, 0] = -B[0, 1] = omega_x, B[1, 2] = sinh(omega),
+    B[2, 1] = -c0 sinh(omega); each cell takes the fourth-order Magnus step
+    Omega = h/2 (B1 + B2) + sqrt(3)/12 h^2 [B1, B2] from its two Gauss nodes
+    (exp(-Omega) below the seed).
     """
     n = len(ys) - 1
     h = np.diff(ys)
@@ -415,10 +406,10 @@ def _seed_column(source, space: ChartSpace, x: float, ys: np.ndarray, j0: int, m
             m[j + 1] = m[j] @ step[j]
         for j in range(j0 - 1, -1, -1):
             m[j] = m[j + 1] @ step[j]
-        u1, u2, _ = space.chart_state(m[:, :, 2], m[:, :, 0])
-        node_ok = ok[: n + 1] & np.isfinite(m).all(axis=(1, 2)) & np.asarray(space.in_domain(u1, u2))
+        u1, u2, psi = space.chart_state(m[:, :, 2], m[:, :, 0])
+        node_ok = ok[: n + 1] & np.isfinite(m).all(axis=(1, 2)) & space.in_domain(u1, u2)
     cell_ok = ok[:n] & ok[1: n + 1] & ok[n + 1: 2 * n + 1] & ok[2 * n + 1:]
-    return m, _outward(node_ok[None], cell_ok[None], j0)[0], k
+    return m, (u1, u2, psi), _outward(node_ok[None], cell_ok[None], j0)[0], k
 
 
 def _outward(ok: np.ndarray, clean: np.ndarray, i0: int) -> np.ndarray:
@@ -467,8 +458,9 @@ def integrate_frame(
     xs, ys = grid.xs, grid.ys
     i0, j0, psi0, u0 = _resolve_seed(field, space, seed)
 
-    m, calive, k = _seed_column(source, space, xs[i0], ys, j0, _frame_matrix(space, u0[0], u0[1], psi0))
-    cu1, cu2, cpsi = space.chart_state(m[:, :, 2], m[:, :, 0])
+    m, (cu1, cu2, cpsi), calive, k = _seed_column(
+        source, space, xs[i0], ys, j0, _frame_matrix(space, u0[0], u0[1], psi0)
+    )
     cu1[j0], cu2[j0], cpsi[j0] = u0[0], u0[1], psi0
     _unwrap_from(cpsi[None, :], j0)
     psi = np.empty((grid.ny, grid.nx))
@@ -477,14 +469,15 @@ def integrate_frame(
     for start in range(0, grid.ny, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         psi[rows], u[rows, :, 0], u[rows, :, 1], valid[rows] = _place_rows(
-            source, space, field.mask[rows], xs, ys[rows], i0,
+            source, space, field.mask[rows], xs, ys[rows], i0, m[rows],
             cpsi[rows], cu1[rows], cu2[rows], calive[rows], k[rows],
         )
     return FrameField(psi=psi, u=u, valid=valid, seed=(i0, j0, psi0, u0), grid=grid)
 
 
-def _place_rows(source, space, mask, xs, ys, i0, psi_c, u1_c, u2_c, alive_c, k):
-    """Closed-form (psi, u1, u2, valid) on the rows ys from their states at xs[i0]."""
+def _place_rows(source, space, mask, xs, ys, i0, m, psi_c, u1_c, u2_c, alive_c, k):
+    """Closed-form (psi, u1, u2, valid) on the rows ys from their model
+    frames m and chart states at xs[i0]."""
     lengths, bad = _row_lengths(source, xs[:-1], xs[1:], ys)
     arc = np.zeros((len(ys), len(xs)))
     np.cumsum(lengths, axis=1, out=arc[:, 1:])
@@ -492,8 +485,7 @@ def _place_rows(source, space, mask, xs, ys, i0, psi_c, u1_c, u2_c, alive_c, k):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         f1, f2 = _leaf_functions(kappa2, arc - arc[:, i0:i0 + 1])
         # point M E(s) e3 = M (f1, k f2, 1 - c0 f2), tangent M E(s) e1
-        m = _frame_matrix(space, u1_c, u2_c, psi_c)[:, None]
-        t_col, n_col, p_col = m[..., 0], m[..., 1], m[..., 2]
+        t_col, n_col, p_col = m[:, None, :, 0], m[:, None, :, 1], m[:, None, :, 2]
         f1, f2 = f1[..., None], f2[..., None]
         kc = k[:, None, None]
         point = f1 * t_col + kc * f2 * n_col + (1.0 - space.c0 * f2) * p_col
@@ -503,7 +495,7 @@ def _place_rows(source, space, mask, xs, ys, i0, psi_c, u1_c, u2_c, alive_c, k):
         u1[:, i0], u2[:, i0], psi[:, i0] = u1_c, u2_c, psi_c
         _unwrap_from(psi, i0)
         ok = np.isfinite(psi) & np.isfinite(u1) & np.isfinite(u2)
-        ok &= np.asarray(space.in_domain(u1, u2)) & alive_c[:, None]
+        ok &= space.in_domain(u1, u2) & alive_c[:, None]
     valid = _outward(ok, ~(bad | mask[:, :-1] | mask[:, 1:]), i0)
     return np.where(valid, psi, np.nan), np.where(valid, u1, np.nan), np.where(valid, u2, np.nan), valid
 
@@ -650,6 +642,8 @@ def build_mesh(
     t = np.broadcast_to(ys[:, None], u1.shape)
     chart = np.stack([u1, u2, t], axis=-1)
     lift = space.lift(u1, u2)
+    if space.c0 == 0:
+        lift = lift[..., :2]  # the plane's homogeneous coordinate
     ambient = np.concatenate([lift, t[..., None]], axis=-1)
     faces, foliation = _mesh_topology(valid)
     meta = {"c0": field.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny}

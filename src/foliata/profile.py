@@ -250,10 +250,6 @@ class ProfileSolution:
         for arr in (self.grid, self.values, self.derivs):
             arr.setflags(write=False)
 
-    @property
-    def trivial(self) -> bool:
-        return self.fn.trivial
-
 
 def _sampled_profile(sample, dp, kind, x_range, step, trivial, phase, drift_tol):
     """Profile valued by ``sample(fn, grid)`` on the uniform grid of step
@@ -378,7 +374,7 @@ def period_from_ode(
     if dp.delta == 0 or bigm == m:
         raise NonOscillatory("constant profile has no period")
     fn = ProfileFunction(dp, kind)
-    if fn.trivial or (fn.w0 == 0.0 and fn.dw0 == 0.0):
+    if fn.w0 == 0.0 and fn.dw0 == 0.0:
         raise NonOscillatory("profile sits at an equilibrium")
     use_deriv = m > 0.0
     crossings: list[float] = []

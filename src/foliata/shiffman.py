@@ -61,6 +61,9 @@ class _Derivatives:
         return res
 
     def potential_identity(self, out: slice) -> float:
+        """Max of |cosh^2 potential - c0 - 2 |grad omega|^2 / cosh^2| on the
+        rows ``out``, with the second-variation potential
+        c0 / cosh^2 + 2 |grad omega|^2 / cosh^4."""
         cosh2 = self.cosh[out] ** 2
         grad2 = self.grad2[out]
         potential = self.c0 / cosh2 + 2.0 * grad2 / (cosh2 * cosh2)
@@ -68,6 +71,8 @@ class _Derivatives:
         return _finite_max(np.abs(cosh2 * potential - rhs))
 
     def gauss_dual_route(self, out: slice) -> float:
+        """Max gap on the rows ``out`` between K = c0 tanh^2(omega) -
+        |grad omega|^2 / cosh^4(omega) and -(1 / 2 cosh^2) lap(log cosh^2)."""
         gauss = self.c0 * np.tanh(self.w[out]) ** 2 - self.grad2[out] / self.cosh[out] ** 4
         # independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2
         lap = _interior_laplacian(2.0 * np.log(self.cosh), self.hx, self.hy)[out]
@@ -80,12 +85,6 @@ def _check_nodes(field: OmegaField, nodes: int) -> None:
     for need, stencil in ((3, "cross"), (5, "Jacobi")):
         if need <= nodes and (field.nx < need or field.ny < need):
             raise TooFewNodes(f"need at least {need}x{need} nodes for the {stencil} stencil")
-
-
-def _block_max(field: OmegaField, kernel) -> float:
-    """Finite max of ``kernel(block, out)`` over the row blocks of a field."""
-    blocks = row_blocks(field.grid, 1)
-    return _finite_max(np.array([kernel(_Derivatives(field, s), out) for _, s, out in blocks]))
 
 
 def shiffman_field(field: OmegaField) -> np.ndarray:
@@ -114,18 +113,6 @@ def jacobi_residual(field: OmegaField, u: np.ndarray, margin: float = 0.0) -> Re
     for rows, slab, out in row_blocks(field.grid, 1):
         res[rows] = _Derivatives(field, slab).jacobi(u[slab])[out]
     return stats_from(_margin_blank(res, field.grid, margin), max(field.grid.hx, field.grid.hy))
-
-
-def potential_identity_linf(field: OmegaField) -> float:
-    """Max of |cosh^2 * potential - c0 - 2 |grad omega|^2 / cosh^2|, with the
-    second-variation potential c0 / cosh^2 + 2 |grad omega|^2 / cosh^4."""
-    return _block_max(field, _Derivatives.potential_identity)
-
-
-def gauss_dual_route_linf(field: OmegaField) -> float:
-    """Max gap between K = c0 tanh^2(omega) - |grad omega|^2 / cosh^4(omega)
-    and the intrinsic route -(1 / 2 cosh^2) lap(log cosh^2)."""
-    return _block_max(field, _Derivatives.gauss_dual_route)
 
 
 def shiffman_document(field: OmegaField, margin: float = 0.0) -> dict:

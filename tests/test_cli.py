@@ -309,27 +309,72 @@ def test_verify_unreadable_input_exits_one(tmp_path, capsys, content, expect):
     assert err.startswith("error: ") and expect in err and err.count("\n") == 1
 
 
+def _field_file(tmp_path, edit):
+    """A 5x5 field file on (1, -1, -1) with its document changed by ``edit``."""
+    path = tmp_path / "field.json"
+    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+                 "--nx", "5", "--ny", "5", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize(
     "entry,expect",
     [("x", "could not convert"), ([0.5], "sequence"), ({"v": 0.5}, "float()"),
      ("all nested", "flat list of 25 numbers")],
 )
 def test_verify_malformed_omega_exits_one(tmp_path, capsys, entry, expect):
-    path = tmp_path / "field.json"
-    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
-                 "--nx", "5", "--ny", "5", "--out", str(path)]) == 0
-    doc = json.loads(path.read_text())
-    if entry == "all nested":
-        # numpy reads a list of one-element lists as a column, not a flat list
-        doc["omega"] = [[v] for v in doc["omega"]]
-    else:
-        doc["omega"][7] = entry
-    path.write_text(json.dumps(doc))
+    def edit(doc):
+        if entry == "all nested":
+            # numpy reads a list of one-element lists as a column, not a flat list
+            doc["omega"] = [[v] for v in doc["omega"]]
+        else:
+            doc["omega"][7] = entry
+
+    path = _field_file(tmp_path, edit)
     capsys.readouterr()
     for mode in ([], ["--shiffman"]):
         assert main(["verify", "--input", str(path), *mode]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expect in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [["false"] * 25, [False] * 7 + [0.5] + [False] * 17, [[False]] * 25,
+     [[False] * 5] * 5, [False] * 24 + [[False]]],
+    ids=["strings", "number", "nested", "rows", "ragged"],
+)
+def test_verify_malformed_mask_exits_one(tmp_path, capsys, mask):
+    path = _field_file(tmp_path, lambda doc: doc.update(mask=mask))
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"], ["--immersion"]):
+        assert main(["verify", "--input", str(path), *mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'mask' must be a flat list of 25 booleans" in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key,value,expect",
+    [(None, "x", "config must be an object"), ("c", "x", "config.c must be a number"),
+     ("d", None, "config.d must be a number"), ("eps-den", "x", "config.eps-den must be a number"),
+     ("a", True, "config.a must be a number"), ("trivial-f", 1, "config.trivial-f must be true or false")],
+)
+def test_verify_immersion_malformed_config_exits_one(tmp_path, capsys, key, value, expect):
+    def edit(doc):
+        if key is None:
+            doc["config"] = value
+        else:
+            doc["config"][key] = value
+
+    path = _field_file(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--immersion"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expect in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("extra", [["--range", "0", "1e300"],

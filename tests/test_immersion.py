@@ -109,6 +109,25 @@ def test_lift_quadrics():
     assert np.abs((sphere**2).sum(axis=1) - 1).max() <= 1e-12
 
 
+@pytest.mark.parametrize("space", [DISK, PLANE, SPHERE], ids=lambda space: space.kind)
+def test_chart_is_one_closed_form(space):
+    # lift_jacobian is the derivative of the lift and chart_state inverts the
+    # frame's lift and pushforward, on the plane's lift (u1, u2, 1) as well
+    rng = np.random.default_rng(5)
+    u1, u2 = rng.uniform(-0.5, 0.5, (2, 40))
+    psi = rng.uniform(-3.0, 3.0, 40)
+    h = 1e-6
+    d1, d2 = space.lift_jacobian(u1, u2)
+    assert np.abs(d1 - (space.lift(u1 + h, u2) - space.lift(u1 - h, u2)) / (2 * h)).max() <= 1e-8
+    assert np.abs(d2 - (space.lift(u1, u2 + h) - space.lift(u1, u2 - h)) / (2 * h)).max() <= 1e-8
+    m = immersion._frame_matrix(space, u1, u2, psi)
+    v1, v2, angle = space.chart_state(m[..., 2], m[..., 0])
+    assert max(np.abs(v1 - u1).max(), np.abs(v2 - u2).max()) <= 1e-15
+    assert np.abs(np.angle(np.exp(1j * (angle - psi)))).max() <= 1e-14
+    if space is PLANE:
+        assert (m[..., 2, 2] == 1.0).all() and (m[..., 2, :2] == 0.0).all()
+
+
 def test_flat_trivial_frame_is_a_plane(flat_trivial_frame):
     field, frame = flat_trivial_frame
     grid = field.grid
@@ -505,7 +524,7 @@ def test_magnus_column_matches_rk4_column(c0, c_size, d_size, a, psi0, u1, u2):
 
     # the Magnus frames stay in the isometry group of the model
     m0 = immersion._frame_matrix(space, u1, u2, psi0)
-    m, alive, _ = immersion._seed_column(
+    m, _, alive, _ = immersion._seed_column(
         field.source, space, field.grid.xs[2], field.grid.ys, j0, m0
     )
     assert alive.all()
