@@ -15,9 +15,11 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from ._jsonfmt import dumps
-from .errors import FoliataError, PeriodUnavailable
+from .errors import FoliataError, InvalidParams, PeriodUnavailable
 from .field import (
     EPS_DEN,
     OVERFLOW_GUARD,
@@ -170,15 +172,20 @@ def _read_field(path: str) -> tuple[dict, OmegaField]:
     except (OSError, UnicodeDecodeError) as exc:
         raise FoliataError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_no_constant)
+    except ValueError as exc:
         raise FoliataError(f"{path} is not JSON: {exc}") from exc
     try:
         return doc, field_from_document(doc)
     except KeyError as exc:
         raise FoliataError(f"{path} is not a field file: no key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidParams) as exc:
         raise FoliataError(f"{path} is not a field file: {exc}") from exc
+
+
+def _no_constant(name: str):
+    """json.loads hook for NaN and Infinity, which JSON lacks and dumps never writes."""
+    raise ValueError(f"{name} is not a JSON number")
 
 
 #: The config fields a field is rebuilt from, with their defaults (None for
@@ -208,13 +215,33 @@ def _rebuild_args(doc: dict, field: OmegaField) -> argparse.Namespace:
     return args
 
 
+#: Relative gap, to max(1, |omega|), allowed between a field file's omega
+#: and the omega its config rebuilds.
+REBUILD_RTOL = 1e-9
+
+
+def _rebuilt_field(doc: dict, field: OmegaField) -> tuple[argparse.Namespace, OmegaField]:
+    """The arguments and the field that a field file's config rebuilds,
+    which must hold the file's mask and omega."""
+    rebuild = _rebuild_args(doc, field)
+    live = _build_field(rebuild)
+    gap = np.abs(live.omega - field.omega) > REBUILD_RTOL * np.maximum(1.0, np.abs(field.omega))
+    differ = np.flatnonzero(gap | (live.mask != field.mask))
+    if differ.size:
+        j, i = divmod(int(differ[0]), field.nx)
+        raise FoliataError(
+            f"field file omega differs from the field its config rebuilds, first at node "
+            f"(i={i}, j={j}): {field.omega[j, i]} in the file, {live.omega[j, i]} rebuilt"
+        )
+    return rebuild, live
+
+
 def _cmd_verify(args) -> int:
     doc, field = _read_field(args.input)
     if args.shiffman:
         out = shiffman_document(field, margin=args.margin)
     elif args.immersion:
-        rebuild = _rebuild_args(doc, field)
-        live = _build_field(rebuild)
+        rebuild, live = _rebuilt_field(doc, field)
         space, frame = _frame_for(args, live)
         iso = isometry_check(frame, live, space)
         hre, him = hopf_deviation(frame, space)
@@ -267,6 +294,9 @@ def _cmd_holonomy(args) -> int:
     field = _build_field(args)
     period = args.period
     if period is None:
+        if args.trivial_f or args.c == 0:
+            raise PeriodUnavailable("f is constant (c = 0 or --trivial-f), so it has no "
+                                    "period: give the x-period with --period")
         point = ModuliPoint(args.c0, args.c, args.d)
         try:
             period = profile_period(derive_params(point, args.a), "F")

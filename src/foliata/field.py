@@ -232,8 +232,10 @@ class DegenerateSource:
 class OmegaField:
     """The conformal exponent sampled on a grid.
 
-    ``omega`` and ``sinh_omega`` carry NaN at singular nodes; ``mask`` is
-    True exactly there.  ``source`` (when present) evaluates the same field
+    ``omega`` and ``sinh_omega`` carry NaN at singular nodes and are finite
+    elsewhere; ``mask`` is True exactly there.  The record owns its singular
+    set: construction checks that invariant, so every consumer reads the
+    arrays as they are.  ``source`` (when present) evaluates the same field
     at off-grid points and is what frame integration consumes.
     """
 
@@ -248,6 +250,15 @@ class OmegaField:
     def __post_init__(self):
         for arr in (self.omega, self.sinh_omega, self.mask):
             arr.setflags(write=False)
+        finite = np.isfinite(self.omega) & np.isfinite(self.sinh_omega)
+        wrong = np.flatnonzero(finite == self.mask)
+        if wrong.size:
+            j, i = divmod(int(wrong[0]), self.grid.nx)
+            raise InvalidParams(
+                f"omega at node (i={i}, j={j}) is {self.omega[j, i]} with sinh "
+                f"{self.sinh_omega[j, i]} where the mask is {bool(self.mask[j, i])}; "
+                "both must be NaN exactly where the mask is true and finite elsewhere"
+            )
 
     @property
     def nx(self) -> int:
@@ -375,7 +386,7 @@ def sinh_gordon_residual(field: OmegaField, margin: float = 0.0) -> ResidualStat
     for rows, slab, out in row_blocks(grid, 1):
         w, mask = field.omega[slab], field.mask[slab]
         block = _interior_laplacian(w, grid.hx, grid.hy)
-        block += np.where(mask, np.nan, field.c0 * field.sinh_omega[slab] * np.cosh(w))
+        block += field.c0 * field.sinh_omega[slab] * np.cosh(w)
         block[dilate_mask(mask)] = np.nan
         res[rows] = block[out]
     return stats_from(_margin_blank(res, grid, margin), max(grid.hx, grid.hy))
@@ -529,20 +540,72 @@ def _pcg(apply_a, b: np.ndarray, apply_m) -> np.ndarray:
     )
 
 
+def _finite_max(values: np.ndarray) -> float:
+    vals = values[np.isfinite(values)]
+    return float(np.max(vals)) if vals.size else float("nan")
+
+
+class _Derivatives:
+    """omega on one row slab of a field, its gradient from one np.gradient
+    pass and cosh(omega): the derivative kernel of one row block, for the
+    level curvatures and the Shiffman diagnostics.  A slab edge inside the
+    grid gets one-sided differences, so callers keep only the rows their
+    stencil reaches from inside the slab."""
+
+    def __init__(self, field: OmegaField, slab: slice):
+        grid = field.grid
+        self.c0, self.hx, self.hy = field.c0, grid.hx, grid.hy
+        self.mask = field.mask[slab]
+        self.w = field.omega[slab]
+        self.wy, self.wx = np.gradient(self.w, grid.hy, grid.hx, edge_order=2)
+        self.cosh = np.cosh(self.w)
+        self.grad2 = self.wx * self.wx + self.wy * self.wy
+
+    def shiffman(self) -> np.ndarray:
+        w = self.w
+        wxy = np.full_like(w, np.nan)  # NaN on the boundary ring, and so is u
+        wxy[1:-1, 1:-1] = w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]
+        u = wxy / (4.0 * self.hx * self.hy) - np.tanh(w) * self.wx * self.wy
+        u[dilate_mask(self.mask)] = np.nan
+        return u
+
+    def jacobi(self, u: np.ndarray) -> np.ndarray:
+        res = _interior_laplacian(u, self.hx, self.hy)
+        res += (self.c0 + 2.0 * self.grad2 / (self.cosh * self.cosh)) * u
+        return res
+
+    def potential_identity(self, out: slice) -> float:
+        """Max of |cosh^2 potential - c0 - 2 |grad omega|^2 / cosh^2| on the
+        rows ``out``, with the second-variation potential
+        c0 / cosh^2 + 2 |grad omega|^2 / cosh^4."""
+        cosh2 = self.cosh[out] ** 2
+        grad2 = self.grad2[out]
+        potential = self.c0 / cosh2 + 2.0 * grad2 / (cosh2 * cosh2)
+        rhs = self.c0 + 2.0 * grad2 / cosh2
+        return _finite_max(np.abs(cosh2 * potential - rhs))
+
+    def gauss_dual_route(self, out: slice) -> float:
+        """Max gap on the rows ``out`` between K = c0 tanh^2(omega) -
+        |grad omega|^2 / cosh^4(omega) and -(1 / 2 cosh^2) lap(log cosh^2)."""
+        gauss = self.c0 * np.tanh(self.w[out]) ** 2 - self.grad2[out] / self.cosh[out] ** 4
+        # independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2
+        lap = _interior_laplacian(2.0 * np.log(self.cosh), self.hx, self.hy)[out]
+        route = -lap / (2.0 * self.cosh[out] ** 2)
+        return _finite_max(np.abs(gauss - route))
+
+
 def level_curvatures(field: OmegaField) -> tuple[np.ndarray, np.ndarray]:
     """Geodesic curvature grids of the horizontal and vertical level curves.
 
     k_h = -omega_y / cosh(omega) is defined at every non-singular node;
     k_v = omega_x / sinh(omega) only where omega != 0 (NaN elsewhere).
     """
-    grid = field.grid
     k_h = np.empty(field.omega.shape)
     k_v = np.empty_like(k_h)
-    for rows, slab, out in row_blocks(grid, 1):
-        w = np.where(field.mask[slab], np.nan, field.omega[slab])
-        wy, wx = np.gradient(w, grid.hy, grid.hx, edge_order=2)
-        w, wx, wy = w[out], wx[out], wy[out]
-        k_h[rows] = -wy / np.cosh(w)
+    for rows, slab, out in row_blocks(field.grid, 1):
+        d = _Derivatives(field, slab)
+        w, wx = d.w[out], d.wx[out]
+        k_h[rows] = -d.wy[out] / d.cosh[out]
         with np.errstate(divide="ignore", invalid="ignore"):
             k_v[rows] = np.where(np.abs(w) >= EPS_DEN, wx / np.sinh(w), np.nan)
     return k_h, k_v
@@ -569,8 +632,28 @@ def field_document(field: OmegaField) -> dict:
     }
 
 
+#: JSON numbers as json.loads reads them: true and false read as bools,
+#: which Python counts as ints but this set does not hold.
+_NUMBER = {int, float}
+
+
+def _typed(doc: dict, key: str, types: set, kind: str):
+    """``doc[key]``, which must have one of the ``types``."""
+    value = doc[key]
+    if type(value) not in types:
+        raise ValueError(f"'{key}' must be {kind}, got {value!r}")
+    return value
+
+
 def field_from_document(doc: dict) -> OmegaField:
-    grid = GridSpec(*doc["domain"], nx=int(doc["nx"]), ny=int(doc["ny"]))
+    """The field of a :func:`field_document` document.  A key of the wrong
+    type or length raises ValueError naming it, and an omega whose nulls
+    disagree with the mask InvalidParams naming the first such node."""
+    domain = doc["domain"]
+    if type(domain) is not list or len(domain) != 4 or not set(map(type, domain)) <= _NUMBER:
+        raise ValueError(f"'domain' must be a list of 4 numbers, got {domain!r}")
+    nx, ny = (_typed(doc, key, {int}, "an integer") for key in ("nx", "ny"))
+    grid = GridSpec(*domain, nx=nx, ny=ny)
     size = grid.ny * grid.nx
     try:
         mask = np.array(doc["mask"])
@@ -578,15 +661,18 @@ def field_from_document(doc: dict) -> OmegaField:
         mask = None
     if mask is None or mask.dtype != bool or mask.shape != (size,):
         raise ValueError(f"'mask' must be a flat list of {size} booleans")
-    omega = np.array(doc["omega"], dtype=float)  # JSON null reads as NaN
-    if omega.shape != (size,):
-        raise ValueError(f"'omega' must be a flat list of {size} numbers")
-    mask, omega = mask.reshape(grid.ny, grid.nx), omega.reshape(grid.ny, grid.nx)
+    omega = doc["omega"]
+    if not (type(omega) is list and len(omega) == size
+            and set(map(type, omega)) <= _NUMBER | {type(None)}):
+        raise ValueError(f"'omega' must be a flat list of {size} numbers or nulls")
+    omega = np.array(omega, dtype=float).reshape(grid.ny, grid.nx)  # null reads as NaN
+    with np.errstate(over="ignore"):  # an infinite sinh fails the record's check
+        sinh = np.sinh(omega)
     return OmegaField(
         grid=grid,
-        c0=float(doc["c0"]),
+        c0=float(_typed(doc, "c0", _NUMBER, "a number")),
         omega=omega,
-        sinh_omega=np.sinh(omega),
-        mask=mask,
+        sinh_omega=sinh,
+        mask=mask.reshape(grid.ny, grid.nx),
         provenance=str(doc["provenance"]),
     )

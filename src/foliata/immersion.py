@@ -226,7 +226,12 @@ def _leaf_motion(k: float, c0: float, s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameField:
-    """Frame angle and chart point on the grid, with their validity mask."""
+    """Frame angle and chart point on the grid, with their validity mask.
+
+    ``psi`` and ``u`` are NaN exactly where ``valid`` is False and finite
+    elsewhere: :func:`integrate_frame`, the only builder, places them so,
+    and the diagnostics read them as they are.
+    """
 
     psi: np.ndarray
     u: np.ndarray
@@ -525,9 +530,8 @@ def rk4_row_gap(frame: FrameField, field: OmegaField, space: ChartSpace) -> floa
 
 def _frame_derivatives(frame: FrameField):
     hx, hy = frame.grid.hx, frame.grid.hy
-    u = np.where(frame.valid[..., None], frame.u, np.nan)
-    fy1, fx1 = np.gradient(u[..., 0], hy, hx, edge_order=2)
-    fy2, fx2 = np.gradient(u[..., 1], hy, hx, edge_order=2)
+    fy1, fx1 = np.gradient(frame.u[..., 0], hy, hx, edge_order=2)
+    fy2, fx2 = np.gradient(frame.u[..., 1], hy, hx, edge_order=2)
     return (fx1, fx2), (fy1, fy2)
 
 
@@ -543,9 +547,8 @@ def isometry_check(
         raise TooFewNodes("isometry check needs at least 5x5 nodes")
     (fx1, fx2), (fy1, fy2) = _frame_derivatives(frame)
     rho, _, _ = space.factor_many(frame.u[..., 0], frame.u[..., 1])
-    w = np.where(field.mask, np.nan, field.omega)
-    r1 = rho * (fx1 * fx1 + fx2 * fx2) - np.cosh(w) ** 2
-    r2 = rho * (fy1 * fy1 + fy2 * fy2) - np.sinh(w) ** 2
+    r1 = rho * (fx1 * fx1 + fx2 * fx2) - np.cosh(field.omega) ** 2
+    r2 = rho * (fy1 * fy1 + fy2 * fy2) - np.sinh(field.omega) ** 2
     r3 = rho * (fx1 * fy1 + fx2 * fy2)
     res = np.stack([r1, r2, r3])
     res[:, [0, -1], :] = np.nan
@@ -572,8 +575,7 @@ def harmonic_residual(frame: FrameField, space: ChartSpace) -> ResidualStats:
     if frame.grid.nx < 5 or frame.grid.ny < 5:
         raise TooFewNodes("harmonic residual needs at least 5x5 nodes")
     hx, hy = frame.grid.hx, frame.grid.hy
-    u = np.where(frame.valid[..., None], frame.u, np.nan)
-    f = u[..., 0] + 1j * u[..., 1]
+    f = frame.u[..., 0] + 1j * frame.u[..., 1]
     lap = _interior_laplacian(f, hx, hy)
     fy, fx = np.gradient(f, hy, hx, edge_order=2)
     fz = 0.5 * (fx - 1j * fy)
@@ -733,22 +735,11 @@ def mesh_row_curvature(frame: FrameField, space: ChartSpace, row: int) -> np.nda
 # flat-space Weierstrass route
 # ---------------------------------------------------------------------------
 
-def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
-    """Flat-case immersion by path integration of the Weierstrass data.
-
-    With G = exp(omega + i psi) holomorphic and the one-form chosen so the
-    third coordinate is the conformal coordinate y, the immersion is
-
-        2 X = Re Int( (G^-1 - G) eta, i (G^-1 + G) eta, 2 eta ),  eta = -i dz.
-
-    Panels use the derivative-corrected trapezoid rule (the integrand's
-    z-derivative is closed form), giving fourth-order path accuracy.
-    """
-    if field.c0 != 0:
-        raise NotFlat(f"Weierstrass route needs c0 = 0, got {field.c0}")
-    grid = frame.grid
-    w = np.where(field.mask, np.nan, field.omega)
-    psi = frame.psi
+def _weierstrass_forms(field: OmegaField, psi: np.ndarray, wx: np.ndarray, wy: np.ndarray):
+    """(phi, dphi): the three components of the Weierstrass one-form on the
+    grid, along the last axis, and their z-derivatives, from the closed form
+    of omega's gradient when the field has one."""
+    w, grid = field.omega, field.grid
     g = np.exp(w + 1j * psi)
     ginv = np.exp(-(w + 1j * psi))
     eta = -1j
@@ -756,7 +747,6 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
         [0.5 * (ginv - g) * eta, 0.5j * (ginv + g) * eta, np.full_like(g, eta)],
         axis=-1,
     )
-    wy, wx = np.gradient(w, grid.ys, grid.xs, edge_order=2)
     if field.source is not None:
         data = field.source.eval_grid(grid.xs, grid.ys)
         zeta_z = data.wx - 1j * data.wy
@@ -770,31 +760,50 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
         ],
         axis=-1,
     )
+    return phi, dphi
 
-    i0, j0, _, _ = frame.seed
-    x_vec = np.zeros((grid.ny, grid.nx, 3))
 
-    def panel(a, da, b, db, dz):
-        return 0.5 * dz * (a + b) + dz * dz / 12.0 * (da - db)
+def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
+    """Flat-case immersion by path integration of the Weierstrass data.
+
+    With G = exp(omega + i psi) holomorphic and the one-form chosen so the
+    third coordinate is the conformal coordinate y, the immersion is
+
+        2 X = Re Int( (G^-1 - G) eta, i (G^-1 + G) eta, 2 eta ),  eta = -i dz.
+
+    Panels use the derivative-corrected trapezoid rule (the integrand's
+    z-derivative is closed form), giving fourth-order path accuracy.
+    """
+    if field.c0 != 0:
+        raise NotFlat(f"Weierstrass route needs c0 = 0, got {field.c0}")
+    grid, psi = frame.grid, frame.psi
+    wy, wx = np.gradient(field.omega, grid.ys, grid.xs, edge_order=2)
+    phi, dphi = _weierstrass_forms(field, psi, wx, wy)
+
+    def steps(p, dp, dz):
+        """Real parts of the panels from each node to the next along axis 0,
+        in two temporaries."""
+        s, d = p[:-1] + p[1:], dp[:-1] - dp[1:]
+        np.multiply(0.5 * dz, s, out=s)
+        s += np.multiply(dz * dz / 12.0, d, out=d)
+        return s.real
+
+    def outward(start, incs, k0):
+        """Running sums along axis 0 from ``start`` at index k0: the
+        increments added forward and subtracted backward (a reversed panel
+        is the exact negation of the forward one)."""
+        out = np.empty((len(incs) + 1, *start.shape))
+        out[k0], out[k0 + 1:], out[:k0] = start, incs[k0:], -incs[:k0]
+        np.cumsum(out[k0:], axis=0, out=out[k0:])
+        np.cumsum(out[k0::-1], axis=0, out=out[k0::-1])
+        return out
 
     # seed column, then rows out from it: the tree of the frame, whose rows
     # are placed from its marched seed column
-    for j in range(j0 + 1, grid.ny):
-        x_vec[j, i0] = x_vec[j - 1, i0] + np.real(
-            panel(phi[j - 1, i0], dphi[j - 1, i0], phi[j, i0], dphi[j, i0], 1j * grid.hy)
-        )
-    for j in range(j0 - 1, -1, -1):
-        x_vec[j, i0] = x_vec[j + 1, i0] + np.real(
-            panel(phi[j + 1, i0], dphi[j + 1, i0], phi[j, i0], dphi[j, i0], -1j * grid.hy)
-        )
-    for i in range(i0 + 1, grid.nx):
-        x_vec[:, i] = x_vec[:, i - 1] + np.real(
-            panel(phi[:, i - 1], dphi[:, i - 1], phi[:, i], dphi[:, i], grid.hx)
-        )
-    for i in range(i0 - 1, -1, -1):
-        x_vec[:, i] = x_vec[:, i + 1] + np.real(
-            panel(phi[:, i + 1], dphi[:, i + 1], phi[:, i], dphi[:, i], -grid.hx)
-        )
+    i0, j0, _, _ = frame.seed
+    column = outward(np.zeros(3), steps(phi[:, i0], dphi[:, i0], 1j * grid.hy), j0)
+    rows = steps(phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2), grid.hx)
+    x_vec = outward(column, rows, i0).transpose(1, 0, 2)
 
     valid = frame.valid & ~field.mask & np.isfinite(x_vec).all(axis=-1)
     x_vec = np.where(valid[..., None], x_vec, np.nan)
@@ -828,7 +837,7 @@ def flat_route_gap(field: OmegaField, frame: FrameField) -> float:
     mesh = weierstrass_flat(field, frame)
     i0, j0, _, _ = frame.seed
     w = mesh.chart_vertices[..., 0] + 1j * mesh.chart_vertices[..., 1]
-    u = np.where(frame.valid, frame.u[..., 0] + 1j * frame.u[..., 1], np.nan)
+    u = frame.u[..., 0] + 1j * frame.u[..., 1]
     hx = frame.grid.hx
     w_dir = (w[j0, i0 + 1] - w[j0, i0 - 1]) / (2.0 * hx)
     u_dir = (u[j0, i0 + 1] - u[j0, i0 - 1]) / (2.0 * hx)

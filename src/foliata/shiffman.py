@@ -7,8 +7,9 @@ For any solution omega of the structure equation, the field
 is a Jacobi field:  lap(u) + (c0 + 2 |grad omega|^2 / cosh^2 omega) u = 0.
 Its vanishing characterizes the fields whose horizontal level curves have
 constant curvature.  Everything here is computed from omega alone on the
-grid, with centered second-order stencils, in row blocks from one
-derivative pass per block.
+grid, with centered second-order stencils, in row blocks from one pass
+per block of the derivative kernel that the level curvatures share
+(``field._Derivatives``).
 """
 
 from __future__ import annotations
@@ -19,65 +20,12 @@ from .errors import TooFewNodes
 from .field import (
     OmegaField,
     ResidualStats,
-    _interior_laplacian,
+    _Derivatives,
+    _finite_max,
     _margin_blank,
-    dilate_mask,
     row_blocks,
     stats_from,
 )
-
-
-def _finite_max(values: np.ndarray) -> float:
-    vals = values[np.isfinite(values)]
-    return float(np.max(vals)) if vals.size else float("nan")
-
-
-class _Derivatives:
-    """Masked omega on one row slab of a field, its gradient from one
-    np.gradient pass and cosh(omega): the kernel of one row block.  A slab
-    edge inside the grid gets one-sided differences, so callers keep only
-    the rows their stencil reaches from inside the slab."""
-
-    def __init__(self, field: OmegaField, slab: slice):
-        grid = field.grid
-        self.c0, self.hx, self.hy = field.c0, grid.hx, grid.hy
-        self.mask = field.mask[slab]
-        self.w = np.where(self.mask, np.nan, field.omega[slab])
-        self.wy, self.wx = np.gradient(self.w, grid.hy, grid.hx, edge_order=2)
-        self.cosh = np.cosh(self.w)
-        self.grad2 = self.wx * self.wx + self.wy * self.wy
-
-    def shiffman(self) -> np.ndarray:
-        w = self.w
-        wxy = np.full_like(w, np.nan)  # NaN on the boundary ring, and so is u
-        wxy[1:-1, 1:-1] = w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]
-        u = wxy / (4.0 * self.hx * self.hy) - np.tanh(w) * self.wx * self.wy
-        u[dilate_mask(self.mask)] = np.nan
-        return u
-
-    def jacobi(self, u: np.ndarray) -> np.ndarray:
-        res = _interior_laplacian(u, self.hx, self.hy)
-        res += (self.c0 + 2.0 * self.grad2 / (self.cosh * self.cosh)) * u
-        return res
-
-    def potential_identity(self, out: slice) -> float:
-        """Max of |cosh^2 potential - c0 - 2 |grad omega|^2 / cosh^2| on the
-        rows ``out``, with the second-variation potential
-        c0 / cosh^2 + 2 |grad omega|^2 / cosh^4."""
-        cosh2 = self.cosh[out] ** 2
-        grad2 = self.grad2[out]
-        potential = self.c0 / cosh2 + 2.0 * grad2 / (cosh2 * cosh2)
-        rhs = self.c0 + 2.0 * grad2 / cosh2
-        return _finite_max(np.abs(cosh2 * potential - rhs))
-
-    def gauss_dual_route(self, out: slice) -> float:
-        """Max gap on the rows ``out`` between K = c0 tanh^2(omega) -
-        |grad omega|^2 / cosh^4(omega) and -(1 / 2 cosh^2) lap(log cosh^2)."""
-        gauss = self.c0 * np.tanh(self.w[out]) ** 2 - self.grad2[out] / self.cosh[out] ** 4
-        # independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2
-        lap = _interior_laplacian(2.0 * np.log(self.cosh), self.hx, self.hy)[out]
-        route = -lap / (2.0 * self.cosh[out] ** 2)
-        return _finite_max(np.abs(gauss - route))
 
 
 def _check_nodes(field: OmegaField, nodes: int) -> None:

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,17 @@ def test_holonomy_unavailable_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--trivial-f"]], ids=["c0", "trivial-f"])
+def test_holonomy_constant_f_asks_for_period(capsys, extra):
+    # c = 0 makes f constant: it has no period to default to
+    code = main(["holonomy", "--c0", "-1", "--c", "0", "--d", "2", *extra,
+                 "--domain", "0", "2", "0.1", "2.5", "--nx", "41", "--ny", "41"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "f is constant" in err and "--period" in err
+
+
 def test_determinism_identical_argv(tmp_path):
     sphere = ["--c0", "1", "--c", "0", "--d", "-0.25", "--trivial-f",
               "--domain", "0", "3", "0", "2", "--seed", "0", "1.48"]
@@ -322,7 +334,8 @@ def _field_file(tmp_path, edit):
 
 @pytest.mark.parametrize(
     "entry,expect",
-    [("x", "could not convert"), ([0.5], "sequence"), ({"v": 0.5}, "float()"),
+    [("x", "25 numbers or nulls"), ([0.5], "25 numbers or nulls"),
+     ({"v": 0.5}, "25 numbers or nulls"), (True, "25 numbers or nulls"),
      ("all nested", "flat list of 25 numbers")],
 )
 def test_verify_malformed_omega_exits_one(tmp_path, capsys, entry, expect):
@@ -335,7 +348,7 @@ def test_verify_malformed_omega_exits_one(tmp_path, capsys, entry, expect):
 
     path = _field_file(tmp_path, edit)
     capsys.readouterr()
-    for mode in ([], ["--shiffman"]):
+    for mode in ([], ["--shiffman"], ["--immersion"]):
         assert main(["verify", "--input", str(path), *mode]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expect in err and err.count("\n") == 1
@@ -355,6 +368,76 @@ def test_verify_malformed_mask_exits_one(tmp_path, capsys, mask):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'mask' must be a flat list of 25 booleans" in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: doc["omega"].__setitem__(7, None), lambda doc: doc["mask"].__setitem__(7, True),
+     lambda doc: doc["omega"].__setitem__(7, 1e308), lambda doc: doc["omega"].__setitem__(7, -1e308)],
+    ids=["null-off-mask", "number-under-mask", "huge", "huge-negative"],
+)
+def test_verify_omega_disagreeing_with_mask_exits_one(tmp_path, capsys, edit):
+    # node 7 of the 5x5 grid is (i=2, j=1); sinh(1e308) overflows to inf
+    path = _field_file(tmp_path, edit)
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"], ["--immersion"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--input", str(path), *mode]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "omega at node (i=2, j=1)" in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key,value,expect",
+    [("c0", "1", "'c0' must be a number"), ("c0", True, "'c0' must be a number"),
+     ("domain", [False, 1, 0, 1], "'domain' must be a list of 4 numbers"),
+     ("domain", [0, 1, 0], "'domain' must be a list of 4 numbers"),
+     ("nx", 5.0, "'nx' must be an integer"), ("ny", True, "'ny' must be an integer")],
+)
+def test_verify_mistyped_field_key_exits_one(tmp_path, capsys, key, value, expect):
+    path = _field_file(tmp_path, lambda doc: doc.update({key: value}))
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"], ["--immersion"]):
+        assert main(["verify", "--input", str(path), *mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expect in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_json_constants(tmp_path, capsys, value):
+    # json.dumps writes NaN and Infinity, which JSON lacks: refused even at a
+    # masked node, where omega is not finite either
+    def edit(doc):
+        doc["mask"][7], doc["omega"][7] = True, value
+
+    path = _field_file(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    token = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(value)]
+    assert err.startswith("error: ") and f"{token} is not a JSON number" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit,node",
+    [(lambda doc: doc["config"].update(c=-0.5), "(i=0, j=0)"),
+     (lambda doc: doc["omega"].__setitem__(7, doc["omega"][7] + 1e-6), "(i=2, j=1)"),
+     (lambda doc: doc["omega"].__setitem__(7, doc["omega"][7] * (1.0 + 1e-12)), None)],
+    ids=["config-c", "omega-edit", "omega-rounding"],
+)
+def test_verify_immersion_checks_the_rebuilt_field(tmp_path, capsys, edit, node):
+    # the file's omega must be the field its config rebuilds, to 1e-9
+    path = _field_file(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--immersion"]) == (0 if node is None else 1)
+    err = capsys.readouterr().err
+    if node is not None:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"differs from the field its config rebuilds, first at node {node}" in err
 
 
 @pytest.mark.parametrize(

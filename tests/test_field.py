@@ -410,6 +410,27 @@ def test_field_document_round_trip():
     assert np.allclose(back.omega[keep], field.omega[keep])
 
 
+def test_omega_field_owns_its_singular_set():
+    grid = GridSpec(0, 1, 0, 1, 5, 5)
+    mask = np.zeros((5, 5), bool)
+    mask[2, 3] = True
+
+    def record(omega, mask=mask):
+        with np.errstate(over="ignore"):
+            sinh = np.sinh(omega)
+        return OmegaField(grid=grid, c0=1.0, omega=omega, sinh_omega=sinh, mask=mask.copy(),
+                          provenance="Synthetic")
+
+    good = np.where(mask, np.nan, 0.25)
+    assert record(good.copy()).mask[2, 3]
+    # finite omega under the mask, NaN or an overflowing sinh off it
+    for node, value in (((2, 3), 0.25), ((4, 1), np.nan), ((0, 0), 1e308), ((1, 0), -1e308)):
+        omega = good.copy()
+        omega[node] = value
+        with pytest.raises(InvalidParams, match=rf"node \(i={node[1]}, j={node[0]}\)"):
+            record(omega)
+
+
 def test_omega_field_arrays_immutable(sphere_field):
     with pytest.raises(ValueError):
         sphere_field.omega[0, 0] = 1.0

@@ -45,6 +45,12 @@ def reconstructed(c0, c, d, grid, a=None, trivial_f=False, trivial_g=False, step
     return assemble_omega(fsol, gsol, grid)
 
 
+def assert_frame_record(frame):
+    """psi and u are finite exactly where the frame is valid."""
+    finite = np.isfinite(frame.psi) & np.isfinite(frame.u).all(-1)
+    assert (finite == frame.valid).all()
+
+
 @pytest.fixture(scope="module")
 def flat_trivial_frame():
     grid = GridSpec(0, 1, 0, 1, 21, 21)
@@ -237,6 +243,7 @@ def test_region_one_mesh_clips_at_disk_boundary():
     gsol = integrate_profile(dp, "G", (-2, 2), 1e-3)
     field = assemble_omega(fsol, gsol, grid)
     frame = integrate_frame(field, DISK)
+    assert_frame_record(frame)
     mesh = build_mesh(frame, field, DISK)
     assert 0.3 < mesh.valid.mean() < 1.0  # clipped, not empty
     pts = mesh.ambient_vertices[mesh.valid]
@@ -285,6 +292,48 @@ def test_weierstrass_flat_matches_frame_route():
     assert np.nanmax(t) - np.nanmin(t) <= 1e-12
     assert mesh.metadata["cauchy_riemann_linf"] <= 1e-2
     assert flat_route_gap(field, frame) <= 1e-6
+
+
+def weierstrass_loop_reference(field, frame):
+    """Weierstrass vertices summed by one Python loop per direction out from
+    the seed: the reference of weierstrass_flat's running sums."""
+    grid = frame.grid
+    wy, wx = np.gradient(field.omega, grid.ys, grid.xs, edge_order=2)
+    phi, dphi = immersion._weierstrass_forms(field, frame.psi, wx, wy)
+
+    def panel(a, da, b, db, dz):
+        return np.real(0.5 * dz * (a + b) + dz * dz / 12.0 * (da - db))
+
+    i0, j0 = frame.seed[:2]
+    x = np.zeros((grid.ny, grid.nx, 3))
+    for j in range(j0 + 1, grid.ny):
+        x[j, i0] = x[j - 1, i0] + panel(phi[j - 1, i0], dphi[j - 1, i0], phi[j, i0], dphi[j, i0],
+                                        1j * grid.hy)
+    for j in range(j0 - 1, -1, -1):
+        x[j, i0] = x[j + 1, i0] + panel(phi[j + 1, i0], dphi[j + 1, i0], phi[j, i0], dphi[j, i0],
+                                        -1j * grid.hy)
+    for i in range(i0 + 1, grid.nx):
+        x[:, i] = x[:, i - 1] + panel(phi[:, i - 1], dphi[:, i - 1], phi[:, i], dphi[:, i], grid.hx)
+    for i in range(i0 - 1, -1, -1):
+        x[:, i] = x[:, i + 1] + panel(phi[:, i + 1], dphi[:, i + 1], phi[:, i], dphi[:, i], -grid.hx)
+    return x
+
+
+@pytest.mark.parametrize("domain, seed", [
+    ((0.5, 2.5, 0.5, 2.5), None),
+    ((0.5, 2.5, 0.5, 2.5), (0.5, 0.5, 0.0, (0.0, 0.0))),
+    ((0.5, 2.5, 0.5, 2.5), (2.5, 2.5, 0.3, (0.1, 0.0))),
+    ((0.5, 2.5, 0.5, 2.5), (0.5, 2.5, 0.0, (0.0, 0.0))),
+    ((-3.0, 3.0, -3.0, 3.0), None),  # singular nodes: the sums carry NaN
+])
+def test_weierstrass_sums_match_the_loop_reference(domain, seed):
+    dp = derive_params(ModuliPoint(0, -0.25, -0.25), a=0.0)
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    field = field_from_source(source, GridSpec(*domain, 31, 31))
+    frame = integrate_frame(field, PLANE, seed=seed)
+    mesh = weierstrass_flat(field, frame)
+    want = np.where(mesh.valid[..., None], weierstrass_loop_reference(field, frame), np.nan)
+    assert mesh.chart_vertices.tobytes() == want.tobytes()
 
 
 def test_weierstrass_trivial_plane_first_component_vanishes(flat_trivial_frame):
@@ -546,6 +595,7 @@ def test_closed_form_rows_match_rk4_rows(c0, c_size, d_size, a):
     space = chart_for_curvature(c0)
     frame = integrate_frame(field, space)
     assert frame.valid.all()
+    assert_frame_record(frame)
     assert rk4_row_gap(frame, field, space) <= 1e-6
     if c0 == 0:
         # a leaf of the plane is a circle or line: its angle turns at the rate k

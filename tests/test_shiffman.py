@@ -294,6 +294,7 @@ def drawn_field(kind, nx, ny, c0, rng, edge_rows):
     omega = rng.uniform(-1.5, 1.5, (ny, nx))
     mask = rng.random((ny, nx)) < rng.choice([0.0, 0.03, 0.15])
     mask[edge_rows] = True
+    omega[mask] = np.nan  # a field holds NaN exactly on its mask
     return OmegaField(grid=grid, c0=c0, omega=omega, sinh_omega=np.sinh(omega),
                       mask=mask, provenance="Synthetic"), grid
 
