@@ -39,7 +39,6 @@ from .immersion import (
     SurfaceMesh,
     build_mesh,
     chart_for_curvature,
-    default_seed,
     flat_route_gap,
     harmonic_residual,
     holonomy,
@@ -64,7 +63,6 @@ from .moduli import (
 )
 from .profile import (
     ProfileSolution,
-    admissible_interval,
     degenerate_constants,
     integrate_profile,
     profile_period,

@@ -21,8 +21,6 @@ from . import __version__
 from ._jsonfmt import dumps
 from .errors import FoliataError, InvalidParams, PeriodUnavailable
 from .field import (
-    EPS_DEN,
-    OVERFLOW_GUARD,
     GridSpec,
     OmegaField,
     ReconstructedSource,
@@ -53,6 +51,7 @@ from .moduli import (
     scan_csv,
 )
 from .profile import (
+    DEGENERATE_DELTA,
     ProfileFunction,
     degenerate_constants,
     profile_period,
@@ -84,21 +83,18 @@ def _config(args: argparse.Namespace) -> dict:
 
 
 def _build_field(args) -> OmegaField:
+    """The field of a moduli point: the constant-profile closed form for
+    c0 = -1 and |delta| <= DEGENERATE_DELTA, the profile reconstruction
+    elsewhere."""
     point = ModuliPoint(args.c0, args.c, args.d)
     point.validate()
-    use_degenerate = args.degenerate
-    if not use_degenerate and args.c0 == -1:
-        use_degenerate = derive_params(point).delta == 0
-    grid = GridSpec(*args.domain, nx=args.nx, ny=args.ny)
-    if use_degenerate:
-        alpha, beta = degenerate_constants(point)
-        return assemble_omega_degenerate(alpha, beta, grid, guard=args.overflow_guard)
     dp = derive_params(point, args.a)
+    grid = GridSpec(*args.domain, nx=args.nx, ny=args.ny)
+    if args.c0 == -1 and abs(dp.delta) <= DEGENERATE_DELTA:
+        return assemble_omega_degenerate(*degenerate_constants(point), grid)
     source = ReconstructedSource(
         ProfileFunction(dp, "F", trivial=args.trivial_f),
         ProfileFunction(dp, "G", trivial=args.trivial_g),
-        eps_den=args.eps_den,
-        guard=args.overflow_guard,
     )
     return field_from_source(source, grid)
 
@@ -136,7 +132,7 @@ def _cmd_profile(args) -> int:
     trivial = args.trivial_f if args.kind == "F" else args.trivial_g
     sol = sample_profile(
         dp, args.kind, tuple(args.range), args.step,
-        trivial=trivial, phase=args.phase, drift_tol=args.drift_tol,
+        trivial=trivial, phase=args.phase,
     )
     rows = ["x,f,f_x"] + [
         f"{x!r},{v!r},{dv!r}"
@@ -190,10 +186,7 @@ def _no_constant(name: str):
 
 #: The config fields a field is rebuilt from, with their defaults (None for
 #: a required number); a bool default marks a flag.
-_REBUILD_FIELDS = {
-    "c": None, "d": None, "a": 0.0, "eps-den": EPS_DEN, "overflow-guard": OVERFLOW_GUARD,
-    "degenerate": False, "trivial-f": False, "trivial-g": False,
-}
+_REBUILD_FIELDS = {"c": None, "d": None, "a": 0.0, "trivial-f": False, "trivial-g": False}
 
 
 def _rebuild_args(doc: dict, field: OmegaField) -> argparse.Namespace:
@@ -239,7 +232,7 @@ def _rebuilt_field(doc: dict, field: OmegaField) -> tuple[argparse.Namespace, Om
 def _cmd_verify(args) -> int:
     doc, field = _read_field(args.input)
     if args.shiffman:
-        out = shiffman_document(field, margin=args.margin)
+        out = shiffman_document(field)
     elif args.immersion:
         rebuild, live = _rebuilt_field(doc, field)
         space, frame = _frame_for(args, live)
@@ -264,7 +257,7 @@ def _cmd_verify(args) -> int:
             "holonomy": hol,
         }
     else:
-        stats = sinh_gordon_residual(field, margin=args.margin)
+        stats = sinh_gordon_residual(field)
         out = {
             "linf": stats.linf,
             "l2": stats.l2,
@@ -329,12 +322,6 @@ def _add_grid_args(sp):
     sp.add_argument("--ny", type=int, required=True)
     sp.add_argument("--trivial-f", action="store_true", help="select the f = 0 branch")
     sp.add_argument("--trivial-g", action="store_true", help="select the g = 0 branch")
-    sp.add_argument("--degenerate", action="store_true",
-                    help="force the constant-profile closed form")
-    sp.add_argument("--eps-den", type=float, default=EPS_DEN,
-                    help="denominator threshold for the reconstruction quotients")
-    sp.add_argument("--overflow-guard", type=float, default=OVERFLOW_GUARD,
-                    help="|sinh omega| beyond this marks the node singular")
 
 
 def _add_seed_args(sp):
@@ -377,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--range", type=float, nargs=2, required=True, metavar=("X0", "X1"))
     sp.add_argument("--step", type=float, default=PROFILE_STEP_DEFAULT)
     sp.add_argument("--phase", type=float, default=0.0)
-    sp.add_argument("--drift-tol", type=float, default=1e-9)
     sp.add_argument("--trivial-f", action="store_true")
     sp.add_argument("--trivial-g", action="store_true")
     sp.add_argument("--out", default=None)
@@ -393,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True, help="field JSON produced by 'field'")
     sp.add_argument("--shiffman", action="store_true")
     sp.add_argument("--immersion", action="store_true")
-    sp.add_argument("--margin", type=float, default=0.0)
     sp.add_argument("--period", type=float, default=None)
     _add_seed_args(sp)
     sp.add_argument("--out", default=None)

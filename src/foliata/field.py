@@ -11,7 +11,7 @@ one-variable profiles by
 
 where the second form extends the first by continuity when its denominator
 vanishes but f' - g' does not.  Nodes where both denominators vanish, or
-where |sinh(omega)| exceeds the overflow guard, belong to the singular set D
+where |sinh(omega)| exceeds OVERFLOW_GUARD, belong to the singular set D
 (omega = infinity there).  The constant-profile family has the closed form
 sinh(omega) = -tan(alpha x + beta y) on the principal strip.
 """
@@ -60,6 +60,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2 or not (self.x1 > self.x0 and self.y1 > self.y0):
             raise InvalidParams(f"degenerate grid {self}")
+        if not all(map(math.isfinite, (*self.domain, self.hx, self.hy))):
+            raise InvalidParams(f"grid span is not finite: {self}")
 
     @property
     def xs(self) -> np.ndarray:
@@ -133,13 +135,7 @@ class ReconstructedSource:
 
     provenance = "Reconstructed"
 
-    def __init__(
-        self,
-        ffn: ProfileFunction,
-        gfn: ProfileFunction,
-        eps_den: float = EPS_DEN,
-        guard: float = OVERFLOW_GUARD,
-    ):
+    def __init__(self, ffn: ProfileFunction, gfn: ProfileFunction):
         if ffn.kind != "F" or gfn.kind != "G":
             raise GridMismatch("need one F profile and one G profile")
         if ffn.dp != gfn.dp:
@@ -148,8 +144,6 @@ class ReconstructedSource:
         self.c0 = (self.dp.cbar + self.dp.dbar) / 2.0
         self.ffn = ffn
         self.gfn = gfn
-        self.eps_den = eps_den
-        self.guard = guard
         # both profiles constant zero at c0 = 0: the quotients are 0/0 at
         # every point but the constants branch gives omega = 0 exactly
         self.flat_trivial = self.c0 == 0 and ffn.trivial and gfn.trivial
@@ -164,14 +158,14 @@ class ReconstructedSource:
         num = fx + gy
         den_fb = fx - gy
         num_fb = g * g - f * f - a
-        use_p = np.abs(den) > self.eps_den
-        use_f = ~use_p & (np.abs(den_fb) > self.eps_den)
+        use_p = np.abs(den) > EPS_DEN
+        use_f = ~use_p & (np.abs(den_fb) > EPS_DEN)
         sinh = np.where(
             use_p,
             num / np.where(use_p, den, 1.0),
             np.where(use_f, num_fb / np.where(use_f, den_fb, 1.0), np.nan),
         )
-        ok = (use_p | use_f) & (np.abs(sinh) <= self.guard)
+        ok = (use_p | use_f) & (np.abs(sinh) <= OVERFLOW_GUARD)
         return np.where(ok, sinh, np.nan), ok
 
     def eval_bc(self, x, y) -> FieldData:
@@ -195,14 +189,13 @@ class DegenerateSource:
 
     provenance = "Degenerate"
 
-    def __init__(self, alpha: float, beta: float, guard: float = OVERFLOW_GUARD):
+    def __init__(self, alpha: float, beta: float):
         if abs(alpha * alpha + beta * beta - 1.0) > 1e-9:
             raise InvalidParams(
                 f"constants must satisfy alpha^2 + beta^2 = 1, got {alpha}, {beta}"
             )
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.guard = guard
         self.c0 = -1.0
 
     def _sinh(self, s):
@@ -210,7 +203,7 @@ class DegenerateSource:
         s = np.asarray(s, dtype=float)
         inside = np.abs(s) < math.pi / 2.0
         t = np.tan(np.where(inside, s, 0.0))
-        ok = inside & (np.abs(t) <= self.guard)
+        ok = inside & (np.abs(t) <= OVERFLOW_GUARD)
         return np.where(ok, -t, np.nan), ok
 
     def eval_bc(self, x, y) -> FieldData:
@@ -310,18 +303,12 @@ def field_from_source(source, grid: GridSpec) -> OmegaField:
     )
 
 
-def assemble_omega(
-    fsol: ProfileSolution,
-    gsol: ProfileSolution,
-    grid: GridSpec,
-    eps_den: float = EPS_DEN,
-    guard: float = OVERFLOW_GUARD,
-) -> OmegaField:
+def assemble_omega(fsol: ProfileSolution, gsol: ProfileSolution, grid: GridSpec) -> OmegaField:
     """Reconstruct omega on a grid from two profile solutions.
 
-    Each node uses the primary quotient when |c0 + f^2 + g^2| > eps, the
-    continuity extension when only |f' - g'| > eps, and is marked singular
-    when both fail or the value overflows the guard.
+    Each node uses the primary quotient when |c0 + f^2 + g^2| > EPS_DEN,
+    the continuity extension when only |f' - g'| > EPS_DEN, and is marked
+    singular when both fail or |sinh omega| exceeds OVERFLOW_GUARD.
     """
     if not (
         fsol.grid[0] - 1e-12 <= grid.x0
@@ -330,17 +317,15 @@ def assemble_omega(
         and grid.y1 <= gsol.grid[-1] + 1e-12
     ):
         raise GridMismatch("grid extends beyond the sampled profile ranges")
-    return field_from_source(ReconstructedSource(fsol.fn, gsol.fn, eps_den, guard), grid)
+    return field_from_source(ReconstructedSource(fsol.fn, gsol.fn), grid)
 
 
-def assemble_omega_degenerate(
-    alpha: float, beta: float, grid: GridSpec, guard: float = OVERFLOW_GUARD
-) -> OmegaField:
+def assemble_omega_degenerate(alpha: float, beta: float, grid: GridSpec) -> OmegaField:
     """Closed-form field omega = arcsinh(-tan(alpha x + beta y)) on a grid.
 
     Nodes outside the principal strip |alpha x + beta y| < pi/2 are singular.
     """
-    return field_from_source(DegenerateSource(alpha, beta, guard=guard), grid)
+    return field_from_source(DegenerateSource(alpha, beta), grid)
 
 
 def _interior_laplacian(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
@@ -372,12 +357,11 @@ def _margin_blank(res: np.ndarray, grid: GridSpec, margin: float) -> np.ndarray:
     return out
 
 
-def sinh_gordon_residual(field: OmegaField, margin: float = 0.0) -> ResidualStats:
+def sinh_gordon_residual(field: OmegaField) -> ResidualStats:
     """Centered second-order residual of lap(omega) + c0 sinh(omega) cosh(omega).
 
     Evaluated at interior nodes whose full five-point stencil avoids the
-    (dilated) singular mask; ``margin`` additionally excludes a border strip,
-    in coordinate units, from the statistics.
+    (dilated) singular mask.
     """
     if field.nx < 5 or field.ny < 5:
         raise TooFewNodes(f"need at least 5x5 nodes, got {field.nx}x{field.ny}")
@@ -389,7 +373,7 @@ def sinh_gordon_residual(field: OmegaField, margin: float = 0.0) -> ResidualStat
         block += field.c0 * field.sinh_omega[slab] * np.cosh(w)
         block[dilate_mask(mask)] = np.nan
         res[rows] = block[out]
-    return stats_from(_margin_blank(res, grid, margin), max(grid.hx, grid.hy))
+    return stats_from(res, max(grid.hx, grid.hy))
 
 
 def solve_sinh_gordon(
@@ -647,8 +631,10 @@ def _typed(doc: dict, key: str, types: set, kind: str):
 
 def field_from_document(doc: dict) -> OmegaField:
     """The field of a :func:`field_document` document.  A key of the wrong
-    type or length raises ValueError naming it, and an omega whose nulls
-    disagree with the mask InvalidParams naming the first such node."""
+    type or length, or an |omega| beyond arcsinh(OVERFLOW_GUARD) (the bound
+    of every assembled field), raises ValueError naming it, and an omega
+    whose nulls disagree with the mask InvalidParams naming the first such
+    node."""
     domain = doc["domain"]
     if type(domain) is not list or len(domain) != 4 or not set(map(type, domain)) <= _NUMBER:
         raise ValueError(f"'domain' must be a list of 4 numbers, got {domain!r}")
@@ -666,13 +652,17 @@ def field_from_document(doc: dict) -> OmegaField:
             and set(map(type, omega)) <= _NUMBER | {type(None)}):
         raise ValueError(f"'omega' must be a flat list of {size} numbers or nulls")
     omega = np.array(omega, dtype=float).reshape(grid.ny, grid.nx)  # null reads as NaN
-    with np.errstate(over="ignore"):  # an infinite sinh fails the record's check
-        sinh = np.sinh(omega)
+    bound = float(np.arcsinh(OVERFLOW_GUARD))
+    beyond = np.flatnonzero(np.abs(omega) > bound)
+    if beyond.size:
+        j, i = divmod(int(beyond[0]), grid.nx)
+        raise ValueError(f"omega at node (i={i}, j={j}) is {omega[j, i]}, beyond "
+                         f"arcsinh(OVERFLOW_GUARD) = {bound}")
     return OmegaField(
         grid=grid,
         c0=float(_typed(doc, "c0", _NUMBER, "a number")),
         omega=omega,
-        sinh_omega=sinh,
+        sinh_omega=np.sinh(omega),
         mask=mask.reshape(grid.ny, grid.nx),
         provenance=str(doc["provenance"]),
     )

@@ -229,8 +229,9 @@ class FrameField:
     """Frame angle and chart point on the grid, with their validity mask.
 
     ``psi`` and ``u`` are NaN exactly where ``valid`` is False and finite
-    elsewhere: :func:`integrate_frame`, the only builder, places them so,
-    and the diagnostics read them as they are.
+    elsewhere, and ``valid`` is False on the field's singular set:
+    :func:`integrate_frame`, the only builder, places them so, and the
+    diagnostics and meshes read them as they are.
     """
 
     psi: np.ndarray
@@ -334,20 +335,18 @@ def default_seed(field: OmegaField) -> tuple[float, float]:
     Columns are scored by min(|f|, |f'|) and rows by min(|g|, |g'|) for
     reconstructed fields (the profile zeros and turning points are where the
     surface meets its symmetry axes); the constant-profile family uses the
-    line alpha x + beta y = 0.  Falls back to the grid center.
+    line alpha x + beta y = 0.
     """
     xs, ys = field.grid.xs, field.grid.ys
     src = field.source
-    if src is not None and hasattr(src, "ffn"):
+    if hasattr(src, "ffn"):
         f, fx = src.ffn.eval_many(xs)
         g, gy = src.gfn.eval_many(ys)
         i = int(np.argmin(np.minimum(np.abs(f), np.abs(fx))))
         j = int(np.argmin(np.minimum(np.abs(g), np.abs(gy))))
-    elif src is not None and hasattr(src, "alpha"):
+    else:
         phase = np.abs(src.alpha * xs[None, :] + src.beta * ys[:, None])
         j, i = np.unravel_index(int(np.argmin(phase)), phase.shape)
-    else:
-        i, j = field.nx // 2, field.ny // 2
     if field.mask[j, i]:
         free = np.argwhere(~field.mask)
         if free.size == 0:
@@ -468,6 +467,9 @@ def integrate_frame(
     )
     cu1[j0], cu2[j0], cpsi[j0] = u0[0], u0[1], psi0
     _unwrap_from(cpsi[None, :], j0)
+    # the rows stop at masked cells; this keeps the column's own nodes off
+    # the mask too, so the frame is valid only off the singular set
+    calive &= ~field.mask[:, i0]
     psi = np.empty((grid.ny, grid.nx))
     u = np.empty((grid.ny, grid.nx, 2))
     valid = np.empty((grid.ny, grid.nx), dtype=bool)
@@ -638,9 +640,8 @@ def build_mesh(
     """Mesh the immersion: chart vertices (u1, u2, y) and model lifts."""
     grid = frame.grid
     ys = grid.ys
-    valid = frame.valid & ~field.mask
-    u1 = np.where(valid, frame.u[..., 0], np.nan)
-    u2 = np.where(valid, frame.u[..., 1], np.nan)
+    valid = frame.valid
+    u1, u2 = frame.u[..., 0], frame.u[..., 1]
     t = np.broadcast_to(ys[:, None], u1.shape)
     chart = np.stack([u1, u2, t], axis=-1)
     lift = space.lift(u1, u2)
@@ -735,10 +736,10 @@ def mesh_row_curvature(frame: FrameField, space: ChartSpace, row: int) -> np.nda
 # flat-space Weierstrass route
 # ---------------------------------------------------------------------------
 
-def _weierstrass_forms(field: OmegaField, psi: np.ndarray, wx: np.ndarray, wy: np.ndarray):
+def _weierstrass_forms(field: OmegaField, psi: np.ndarray):
     """(phi, dphi): the three components of the Weierstrass one-form on the
     grid, along the last axis, and their z-derivatives, from the closed form
-    of omega's gradient when the field has one."""
+    of omega's gradient."""
     w, grid = field.omega, field.grid
     g = np.exp(w + 1j * psi)
     ginv = np.exp(-(w + 1j * psi))
@@ -747,11 +748,8 @@ def _weierstrass_forms(field: OmegaField, psi: np.ndarray, wx: np.ndarray, wy: n
         [0.5 * (ginv - g) * eta, 0.5j * (ginv + g) * eta, np.full_like(g, eta)],
         axis=-1,
     )
-    if field.source is not None:
-        data = field.source.eval_grid(grid.xs, grid.ys)
-        zeta_z = data.wx - 1j * data.wy
-    else:
-        zeta_z = wx - 1j * wy
+    data = _require_source(field).eval_grid(grid.xs, grid.ys)
+    zeta_z = data.wx - 1j * data.wy
     dphi = np.stack(
         [
             0.5 * (-ginv - g) * eta * zeta_z,
@@ -777,8 +775,7 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
     if field.c0 != 0:
         raise NotFlat(f"Weierstrass route needs c0 = 0, got {field.c0}")
     grid, psi = frame.grid, frame.psi
-    wy, wx = np.gradient(field.omega, grid.ys, grid.xs, edge_order=2)
-    phi, dphi = _weierstrass_forms(field, psi, wx, wy)
+    phi, dphi = _weierstrass_forms(field, psi)
 
     def steps(p, dp, dz):
         """Real parts of the panels from each node to the next along axis 0,
@@ -805,9 +802,10 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
     rows = steps(phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2), grid.hx)
     x_vec = outward(column, rows, i0).transpose(1, 0, 2)
 
-    valid = frame.valid & ~field.mask & np.isfinite(x_vec).all(axis=-1)
-    x_vec = np.where(valid[..., None], x_vec, np.nan)
+    valid = frame.valid & np.isfinite(x_vec).all(axis=-1)
+    x_vec[~valid] = np.nan  # the height, summed from constant panels, is finite everywhere
     faces, foliation = _mesh_topology(valid)
+    wy, wx = np.gradient(field.omega, grid.ys, grid.xs, edge_order=2)
     py, px = np.gradient(psi, grid.ys, grid.xs, edge_order=2)
     cr = np.nanmax(np.abs(np.stack([wx - py, wy + px]))[:, 1:-1, 1:-1])
     meta = {

@@ -32,6 +32,9 @@ from .errors import (
 from .moduli import DerivedParams, ModuliPoint, derive_params
 
 DRIFT_TOL_DEFAULT = 1e-9
+#: |delta| at or below which a c0 = -1 point lies on the constant-profile
+#: curve delta = 0.
+DEGENERATE_DELTA = 1e-12
 #: Most samples one profile grid holds: 80 MB for each float64 column.
 MAX_SAMPLES = 10**7
 
@@ -288,11 +291,10 @@ def sample_profile(
     step: float,
     trivial: bool = False,
     phase: float = 0.0,
-    drift_tol: float = DRIFT_TOL_DEFAULT,
 ) -> ProfileSolution:
     """Closed-form profile on a uniform grid: the samples of ``foliata profile``."""
     return _sampled_profile(
-        ProfileFunction.eval_many, dp, kind, x_range, step, trivial, phase, drift_tol
+        ProfileFunction.eval_many, dp, kind, x_range, step, trivial, phase, DRIFT_TOL_DEFAULT
     )
 
 
@@ -408,7 +410,7 @@ def degenerate_constants(p: ModuliPoint) -> tuple[float, float]:
     if p.c0 != -1:
         raise InvalidParams("constant-profile family is specific to c0 = -1")
     dp = derive_params(p)
-    if abs(dp.delta) > 1e-12:
+    if abs(dp.delta) > DEGENERATE_DELTA:
         raise NotDegenerate(f"delta = {dp.delta} != 0")
     asq = (1.0 + p.c - p.d) / 2.0
     bsq = (1.0 + p.d - p.c) / 2.0

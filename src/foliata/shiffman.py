@@ -63,7 +63,7 @@ def jacobi_residual(field: OmegaField, u: np.ndarray, margin: float = 0.0) -> Re
     return stats_from(_margin_blank(res, field.grid, margin), max(field.grid.hx, field.grid.hy))
 
 
-def shiffman_document(field: OmegaField, margin: float = 0.0) -> dict:
+def shiffman_document(field: OmegaField) -> dict:
     """JSON-ready summary used by the verification CLI, in row blocks that
     reach two rows out (lap u needs u one row out, u needs omega one more)."""
     _check_nodes(field, 5)
@@ -76,7 +76,7 @@ def shiffman_document(field: OmegaField, margin: float = 0.0) -> dict:
         top_u = _finite_max(np.abs(u[out]))
         maxima.append([top_u, d.potential_identity(out), d.gauss_dual_route(out)])
     max_u, potential, gauss = (_finite_max(column) for column in np.array(maxima).T)
-    residual = stats_from(_margin_blank(res, field.grid, margin), max(field.grid.hx, field.grid.hy))
+    residual = stats_from(res, max(field.grid.hx, field.grid.hy))
     return {
         "max_u": max_u if np.isfinite(max_u) else None,
         "jacobi_residual": {"linf": residual.linf, "l2": residual.l2, "h": residual.grid_h},

@@ -15,8 +15,9 @@ import foliata
 from foliata._jsonfmt import dumps, format_float
 from foliata.cli import main
 from foliata.errors import NoRealSolution
+from foliata.field import GridSpec, assemble_omega_degenerate
 from foliata.moduli import ModuliPoint, derive_params
-from foliata.profile import ProfileFunction, integrate_profile
+from foliata.profile import DEGENERATE_DELTA, ProfileFunction, degenerate_constants, integrate_profile
 
 
 def run(tmp_path, *argv):
@@ -225,6 +226,43 @@ def test_field_auto_degenerate(tmp_path):
     assert json.loads(out.read_text())["provenance"] == "Degenerate"
 
 
+@pytest.mark.parametrize("c,d", [(0.010000000000000002, 0.81), (0.09, 0.48999999999999994)])
+def test_field_takes_the_closed_form_within_the_delta_band(tmp_path, c, d):
+    # delta is -2.8e-17 and 1.1e-16 here: rounding off the curve delta = 0,
+    # which the constant-profile closed form covers up to |delta| = 1e-12
+    point = ModuliPoint(-1.0, c, d)
+    assert 0 < abs(derive_params(point).delta) <= DEGENERATE_DELTA
+    out = tmp_path / "gamma.json"
+    assert main(["field", "--c0", "-1", "--c", repr(c), "--d", repr(d),
+                 "--domain", "-0.5", "0.5", "-0.5", "0.5",
+                 "--nx", "11", "--ny", "11", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    want = assemble_omega_degenerate(*degenerate_constants(point),
+                                     GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11))
+    assert doc["provenance"] == "Degenerate"
+    assert doc["omega"] == want.omega.ravel().tolist()
+
+
+REMOVED_OPTIONS = [
+    (command, option)
+    for command in ("field", "mesh", "holonomy")
+    for option in (["--degenerate"], ["--eps-den", "1e-9"], ["--overflow-guard", "1e8"])
+] + [("verify", ["--margin", "0.1"]), ("profile", ["--drift-tol", "1e-9"])]
+
+
+@pytest.mark.parametrize("command,option", REMOVED_OPTIONS,
+                         ids=[f"{c}{o[0]}" for c, o in REMOVED_OPTIONS])
+def test_removed_options_are_usage_errors(tmp_path, capsys, command, option):
+    # the singular-set thresholds are constants and delta picks the closed form
+    base = {
+        "profile": ["--c0", "1", "--c", "-1", "--d", "0", "--kind", "F", "--range", "0", "1"],
+        "verify": ["--input", str(tmp_path / "field.json")],
+    }.get(command, ["--c0", "-1", "--c", "0", "--d", "1", "--domain", "-0.5", "0.5", "-0.5",
+                    "0.5", "--nx", "5", "--ny", "5"])
+    assert main([command, *base, *option, "--out", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
+
+
 def test_mesh_obj(tmp_path):
     out = tmp_path / "m.obj"
     code = main(["mesh", "--c0", "1", "--c", "0", "--d", "-0.25", "--trivial-f",
@@ -390,6 +428,45 @@ def test_verify_omega_disagreeing_with_mask_exits_one(tmp_path, capsys, edit):
         assert err.count("\n") == 1
 
 
+def test_verify_omega_beyond_the_guard_exits_one(tmp_path, capsys):
+    # |omega| <= arcsinh(1e8) ~ 19.1 in every assembled field; 200 would
+    # overflow cosh^4 and the squared residual
+    path = tmp_path / "field.json"
+    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+                 "--nx", "7", "--ny", "7", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["omega"][8] = 200.0
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--input", str(path), *mode]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "omega at node (i=1, j=1) is 200.0, beyond arcsinh(OVERFLOW_GUARD)" in err
+
+
+def test_verify_non_finite_grid_span_exits_one(tmp_path, capsys):
+    # each bound is a float, but the span x1 - x0 overflows
+    path = tmp_path / "field.json"
+    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+                 "--nx", "7", "--ny", "7", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["domain"] = [-1e308, 1e308, 0.0, 1.0]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"], ["--immersion"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--input", str(path), *mode]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "grid span is not finite" in err
+
+
 @pytest.mark.parametrize(
     "key,value,expect",
     [("c0", "1", "'c0' must be a number"), ("c0", True, "'c0' must be a number"),
@@ -443,7 +520,7 @@ def test_verify_immersion_checks_the_rebuilt_field(tmp_path, capsys, edit, node)
 @pytest.mark.parametrize(
     "key,value,expect",
     [(None, "x", "config must be an object"), ("c", "x", "config.c must be a number"),
-     ("d", None, "config.d must be a number"), ("eps-den", "x", "config.eps-den must be a number"),
+     ("d", None, "config.d must be a number"),
      ("a", True, "config.a must be a number"), ("trivial-f", 1, "config.trivial-f must be true or false")],
 )
 def test_verify_immersion_malformed_config_exits_one(tmp_path, capsys, key, value, expect):
@@ -553,25 +630,3 @@ def test_dumps_mixed_list_keeps_the_general_path(extra, text):
     # numpy scalars, ints and nested lists are each written by their own rule
     expect = "[\n  " + ",\n  ".join(_per_element(FLAT_ITEMS) + text) + "\n]\n"
     assert dumps([*FLAT_ITEMS, *extra]) == expect
-
-
-def test_verify_immersion_uses_the_file_guards(tmp_path, capsys):
-    # 411 of the 441 nodes are singular under guard 0.5; the rebuilt field
-    # must mask them too, and a file without the keys keeps the defaults
-    grid = ["--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
-            "--nx", "21", "--ny", "21"]
-    results = {}
-    for tag, extra in (("default", []), ("guarded", ["--overflow-guard", "0.5"])):
-        path = tmp_path / f"{tag}.json"
-        assert main(["field", *grid, *extra, "--out", str(path)]) == 0
-        assert main(["verify", "--input", str(path), "--immersion"]) == 0
-        results[tag] = json.loads(capsys.readouterr().out)
-    doc = json.loads((tmp_path / "default.json").read_text())
-    del doc["config"]["eps-den"], doc["config"]["overflow-guard"]
-    bare = tmp_path / "bare.json"
-    bare.write_text(json.dumps(doc))
-    assert main(["verify", "--input", str(bare), "--immersion"]) == 0
-    results["bare"] = json.loads(capsys.readouterr().out)
-    for key in ("compat_linf", "isometry_linf", "harmonic_linf"):
-        assert results["guarded"][key] != results["default"][key]
-        assert results["bare"][key] == results["default"][key]

@@ -38,7 +38,8 @@ def reconstruction_agreement(source, grid):
     g, gy = source.gfn.eval_many(grid.ys)
     den = source.c0 + f[None, :] ** 2 + g[:, None] ** 2
     den_fb = fx[None, :] - gy[:, None]
-    both = (np.abs(den) > source.eps_den) & (np.abs(den_fb) > source.eps_den)
+    eps = field_module.EPS_DEN
+    both = (np.abs(den) > eps) & (np.abs(den_fb) > eps)
     prim = (fx[None, :] + gy[:, None]) / np.where(both, den, 1.0)
     fall = (g[:, None] ** 2 - f[None, :] ** 2 - source.dp.a) / np.where(both, den_fb, 1.0)
     rel = np.abs(prim - fall) / np.maximum(1.0, np.abs(prim))

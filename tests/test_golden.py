@@ -126,8 +126,10 @@ def _assert_json_rendering(text):
 #: (case, argv without --out, a token the output must contain)
 JSON_CASES = [
     ("profile_sidecar", PROFILE, '"period": '),
-    # 411 of the 441 nodes are singular: null omega entries
-    ("field_guarded", [*FIELD, "--overflow-guard", "0.5"], "null"),
+    # 410 of the 1681 nodes of the constant-profile field lie outside its
+    # strip |y| < pi/2: null omega entries
+    ("field_guarded", ["field", "--c0", "-1", "--c", "0", "--d", "1",
+                       "--domain", "-2", "2", "-2", "2", "--nx", "41", "--ny", "41"], "null"),
     # the constant-profile field has omega = -0.0 nodes
     ("field_degenerate", ["field", "--c0", "-1", "--c", "0", "--d", "1",
                           "--domain", "-0.5", "0.5", "-0.5", "0.5", "--nx", "21", "--ny", "21"],

@@ -45,10 +45,12 @@ def reconstructed(c0, c, d, grid, a=None, trivial_f=False, trivial_g=False, step
     return assemble_omega(fsol, gsol, grid)
 
 
-def assert_frame_record(frame):
-    """psi and u are finite exactly where the frame is valid."""
+def assert_frame_record(frame, field):
+    """psi and u are finite exactly where the frame is valid, which is off
+    the field's singular set."""
     finite = np.isfinite(frame.psi) & np.isfinite(frame.u).all(-1)
     assert (finite == frame.valid).all()
+    assert not (frame.valid & field.mask).any()
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +245,7 @@ def test_region_one_mesh_clips_at_disk_boundary():
     gsol = integrate_profile(dp, "G", (-2, 2), 1e-3)
     field = assemble_omega(fsol, gsol, grid)
     frame = integrate_frame(field, DISK)
-    assert_frame_record(frame)
+    assert_frame_record(frame, field)
     mesh = build_mesh(frame, field, DISK)
     assert 0.3 < mesh.valid.mean() < 1.0  # clipped, not empty
     pts = mesh.ambient_vertices[mesh.valid]
@@ -298,8 +300,7 @@ def weierstrass_loop_reference(field, frame):
     """Weierstrass vertices summed by one Python loop per direction out from
     the seed: the reference of weierstrass_flat's running sums."""
     grid = frame.grid
-    wy, wx = np.gradient(field.omega, grid.ys, grid.xs, edge_order=2)
-    phi, dphi = immersion._weierstrass_forms(field, frame.psi, wx, wy)
+    phi, dphi = immersion._weierstrass_forms(field, frame.psi)
 
     def panel(a, da, b, db, dz):
         return np.real(0.5 * dz * (a + b) + dz * dz / 12.0 * (da - db))
@@ -595,7 +596,7 @@ def test_closed_form_rows_match_rk4_rows(c0, c_size, d_size, a):
     space = chart_for_curvature(c0)
     frame = integrate_frame(field, space)
     assert frame.valid.all()
-    assert_frame_record(frame)
+    assert_frame_record(frame, field)
     assert rk4_row_gap(frame, field, space) <= 1e-6
     if c0 == 0:
         # a leaf of the plane is a circle or line: its angle turns at the rate k

@@ -72,12 +72,12 @@ class FullGrid:
         route = -lap / (2.0 * self.cosh ** 2)
         return finite_max(np.abs(self.gauss() - route))
 
-    def sinh_gordon_residual(self, margin):
+    def sinh_gordon_residual(self):
         field, grid = self.field, self.field.grid
         res = _interior_laplacian(field.omega, grid.hx, grid.hy)
         res += np.where(field.mask, np.nan, field.c0 * field.sinh_omega * np.cosh(field.omega))
         res[dilate_mask(field.mask)] = np.nan
-        return _margin_blank(res, grid, margin)
+        return res
 
     def level_curvatures(self):
         k_h = -self.wy / self.cosh
@@ -242,7 +242,7 @@ def test_gauss_dual_route_second_order():
 
 
 def test_shiffman_document_keys(bump_solved):
-    doc = shiffman_document(bump_solved[0], margin=0.1)
+    doc = shiffman_document(bump_solved[0])
     assert set(doc) == {
         "max_u", "jacobi_residual", "potential_identity_linf", "gauss_dual_route_linf"
     }
@@ -285,10 +285,10 @@ def drawn_field(kind, nx, ny, c0, rng, edge_rows):
         grid = GridSpec(-1.0, 1.0, -2.0, 2.0, nx, ny)
         return DegenerateSource(math.sin(theta), math.cos(theta)), grid
     if kind == "reconstructed":
-        # the small guard masks the nodes where |sinh omega| > 1.5, whole
-        # rows of them at c0 = -1
+        # the test's OVERFLOW_GUARD of 1.5 masks the nodes where
+        # |sinh omega| > 1.5, whole rows of them at c0 = -1
         dp = derive_params(ModuliPoint(*((-1.0, -1.0, 1.0) if c0 < 0 else (1.0, -1.0, -1.0))))
-        source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"), guard=1.5)
+        source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
         return source, GridSpec(0.0, 1.5, 0.0, 1.5, nx, ny)
     grid = GridSpec(0.0, 1.0, 0.0, 2.0, nx, ny)
     omega = rng.uniform(-1.5, 1.5, (ny, nx))
@@ -318,6 +318,8 @@ def test_row_blocks_match_the_full_grid(kind, size, blocks, tail, nx, c0, margin
     edge_rows = [r for r in edges if rng.random() < 0.3]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field_module, "BLOCK_NODES", size * nx)
+        if kind == "reconstructed":
+            mp.setattr(field_module, "OVERFLOW_GUARD", 1.5)
         built, grid = drawn_field(kind, nx, ny, c0, rng, edge_rows)
         assert len(list(row_blocks(grid, 2))) == blocks
         if kind == "synthetic":
@@ -349,9 +351,9 @@ def test_row_blocks_match_the_full_grid(kind, size, blocks, tail, nx, c0, margin
         mp.setattr(field_module, "stats_from", recorded)
         mp.setattr(shiffman_module, "stats_from", recorded)
         checks = [
-            (lambda: sinh_gordon_residual(field, margin), oracle.sinh_gordon_residual(margin)),
+            (lambda: sinh_gordon_residual(field), oracle.sinh_gordon_residual()),
             (lambda: jacobi_residual(field, u, margin), oracle.jacobi_residual(u, margin)),
-            (lambda: shiffman_document(field, margin), oracle.jacobi_residual(u, margin)),
+            (lambda: shiffman_document(field), oracle.jacobi_residual(u, 0.0)),
         ]
         for run, expected in checks:
             if not np.isfinite(expected).any():
