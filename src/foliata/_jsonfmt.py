@@ -3,14 +3,13 @@
 The stdlib ``json`` module offers no hook for float formatting, and lossless
 round-trip of IEEE doubles is a hard output requirement, so this is a tiny
 hand-rolled emitter for the value types we actually produce (dict, list,
-tuple, str, bool, None, int, float and numpy scalars).
+tuple, str, bool, None, int and float, which includes numpy.float64),
+indented by 2.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def format_float(value: float) -> str:
@@ -36,32 +35,30 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Serialize ``obj`` to a JSON string with stable float formatting."""
-    return _write(obj, indent, 0) + "\n"
+    return _write(obj, 0) + "\n"
 
 
-def _write(obj, indent, level):
+def _write(obj, level):
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
         return '"' + _escape(obj) + '"'
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         # plain floats, the bulk of every field document, skip the type chain
         items = [
-            format_float(v) if v.__class__ is float else _write(v, indent, level + 1)
+            format_float(v) if v.__class__ is float else _write(v, level + 1)
             for v in obj
         ]
         return "[\n" + pad_in + (",\n" + pad_in).join(items) + "\n" + pad + "]"
@@ -69,7 +66,7 @@ def _write(obj, indent, level):
         if not obj:
             return "{}"
         items = [
-            f'"{_escape(str(k))}": ' + _write(v, indent, level + 1)
+            f'"{_escape(str(k))}": ' + _write(v, level + 1)
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"

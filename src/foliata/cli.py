@@ -302,15 +302,14 @@ def _cmd_holonomy(args) -> int:
     return 0
 
 
-def _add_point_args(sp, with_a=True):
+def _add_point_args(sp):
     sp.add_argument("--c0", type=float, required=True, help="ambient curvature")
     sp.add_argument("--c", type=float, required=True, help="first-integral constant of f")
     sp.add_argument("--d", type=float, required=True, help="first-integral constant of g")
-    if with_a:
-        sp.add_argument(
-            "--a", type=float, default=0.0,
-            help="separation constant, used only when c0 = 0 (default 0)",
-        )
+    sp.add_argument(
+        "--a", type=float, default=0.0,
+        help="separation constant, used only when c0 = 0 (default 0)",
+    )
 
 
 def _add_grid_args(sp):
@@ -377,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="residual diagnostics of a field file")
     sp.add_argument("--input", required=True, help="field JSON produced by 'field'")
-    sp.add_argument("--shiffman", action="store_true")
-    sp.add_argument("--immersion", action="store_true")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--shiffman", action="store_true")
+    mode.add_argument("--immersion", action="store_true")
     sp.add_argument("--period", type=float, default=None)
     _add_seed_args(sp)
     sp.add_argument("--out", default=None)
@@ -409,6 +409,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify" and not args.immersion and (
+            (args.period, args.seed, args.psi0) != (None, None, 0.0)
+        ):
+            parser.error("verify: --period, --seed and --psi0 apply only with --immersion")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

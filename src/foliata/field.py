@@ -36,6 +36,10 @@ from .profile import ProfileFunction, ProfileSolution
 EPS_DEN = 1e-9
 #: |sinh omega| beyond this marks the node singular (pre-arcsinh overflow).
 OVERFLOW_GUARD = 1e8
+#: Max-norm of the applied Newton update at which the solve has converged.
+NEWTON_TOL = 1e-12
+#: Newton iterations allowed before the solve raises ``NonConverged``.
+NEWTON_MAX_ITER = 100
 #: Relative residual at which the inner conjugate-gradient solve of a Newton
 #: step stops.
 CG_RTOL = 1e-12
@@ -376,44 +380,25 @@ def sinh_gordon_residual(field: OmegaField) -> ResidualStats:
     return stats_from(res, max(grid.hx, grid.hy))
 
 
-def solve_sinh_gordon(
-    c0: float,
-    grid: GridSpec,
-    boundary,
-    initial: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> OmegaField:
+def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaField:
     """Damped Newton solve of the Dirichlet problem for the structure equation.
 
-    ``boundary`` is either a callable (x, y) -> omega evaluated on the grid
-    edge, or a full (ny, nx) array whose boundary ring supplies the data.
-    Newton steps are halved until the residual norm decreases (factor at
-    least 2^-10); convergence is declared when the applied update has
-    max-norm below ``tol``.  Each Newton system is solved matrix-free by
-    conjugate gradients, preconditioned by the exact inverse of the
-    Dirichlet Laplacian in its sine basis; an inner solve that fails raises
-    ``NonConverged`` as well.
+    ``start`` is one (ny, nx) array: its boundary ring is the Dirichlet data
+    and its interior the first iterate.  Newton steps are halved until the
+    residual norm decreases (factor at least 2^-10); convergence is declared
+    when the applied update has max-norm below ``NEWTON_TOL``.  Each Newton
+    system is solved matrix-free by conjugate gradients, preconditioned by
+    the exact inverse of the Dirichlet Laplacian in its sine basis; an inner
+    solve that fails raises ``NonConverged`` as well.
     """
     nx, ny = grid.nx, grid.ny
     if nx < 5 or ny < 5:
         raise TooFewNodes(f"need at least a 5x5 grid, got {nx}x{ny}")
-    xs, ys = grid.xs, grid.ys
-    w = np.zeros((ny, nx))
-    if callable(boundary):
-        w[0, :] = [boundary(x, ys[0]) for x in xs]
-        w[-1, :] = [boundary(x, ys[-1]) for x in xs]
-        w[:, 0] = [boundary(xs[0], y) for y in ys]
-        w[:, -1] = [boundary(xs[-1], y) for y in ys]
-    else:
-        b = np.asarray(boundary, dtype=float)
-        if b.shape != (ny, nx):
-            raise GridMismatch(f"boundary array must be shaped {(ny, nx)}")
-        w[0, :], w[-1, :], w[:, 0], w[:, -1] = b[0, :], b[-1, :], b[:, 0], b[:, -1]
+    w = np.array(start, dtype=float)
+    if w.shape != (ny, nx):
+        raise GridMismatch(f"start array must be shaped {(ny, nx)}")
     if not np.all(np.isfinite(w[[0, -1], :])) or not np.all(np.isfinite(w[:, [0, -1]])):
         raise InvalidParams("boundary values must be finite")
-    if initial is not None:
-        w[1:-1, 1:-1] = np.asarray(initial, dtype=float)[1:-1, 1:-1]
 
     hx, hy = grid.hx, grid.hy
     ax, ay = 1.0 / (hx * hx), 1.0 / (hy * hy)
@@ -434,7 +419,7 @@ def solve_sinh_gordon(
         return -lap(padded) - diag * p
 
     lam = float("nan")  # step factor of the last iteration, reported on failure
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         fv = residual(w)
         diag = c0 * np.cosh(2.0 * w[1:-1, 1:-1])
         # symmetric scaling of the Laplacian inverse: exact where the
@@ -453,7 +438,7 @@ def solve_sinh_gordon(
                 break
             lam *= 0.5
         w[1:-1, 1:-1] += lam * delta
-        if lam * np.max(np.abs(delta)) < tol:
+        if lam * np.max(np.abs(delta)) < NEWTON_TOL:
             return OmegaField(
                 grid=grid,
                 c0=float(c0),
@@ -463,7 +448,7 @@ def solve_sinh_gordon(
                 provenance="Relaxation",
             )
     raise NonConverged(
-        f"no convergence within {max_iter} Newton iterations "
+        f"no convergence within {NEWTON_MAX_ITER} Newton iterations "
         f"(last residual norm {np.linalg.norm(residual(w)):.6e}, last step factor {lam})"
     )
 

@@ -600,6 +600,7 @@ class SurfaceMesh:
     the model lift plus the height (3 components for the flat case, 4 for
     the hyperboloid x R and sphere x R models).  Faces are quads over grid
     cells whose four corners are valid; foliation polylines follow the rows.
+    The coordinates of a node that is not ``valid`` carry no meaning.
     """
 
     chart_vertices: np.ndarray
@@ -662,20 +663,20 @@ def build_mesh(
 
 
 def _column_tokens(col: np.ndarray) -> list[str]:
-    """Shortest repr of each value of a column, "0" where it is not finite;
-    a bitwise constant column is formatted once."""
-    if col.tobytes() == col[:1].tobytes() * len(col):
-        return [repr(float(col[0])) if math.isfinite(col[0]) else "0"] * len(col)
-    if np.isfinite(col).all():
-        return list(map(repr, col.tolist()))
-    return [repr(v) if math.isfinite(v) else "0" for v in col.tolist()]
+    """Shortest repr of each value of a column; a bitwise constant column is
+    formatted once."""
+    if len(col) and col.tobytes() == col[:1].tobytes() * len(col):
+        return [repr(float(col[0]))] * len(col)
+    return list(map(repr, col.tolist()))
 
 
 def obj_chunks(mesh: SurfaceMesh):
     """:func:`write_obj`'s text in pieces: the header, one per grid row of
     ``v`` and of ``vt`` records and per block of faces, the ``l`` lines."""
-    amb, chart = mesh.ambient_vertices, mesh.chart_vertices
-    ny, nx, dim = amb.shape
+    ny, nx, dim = mesh.ambient_vertices.shape
+    valid = mesh.valid
+    # the 1-based OBJ index of each valid node
+    number = np.cumsum(valid.ravel())
     yield "# foliata surface mesh\n" + "".join(
         f"# {key} = {mesh.metadata[key]}\n" for key in sorted(mesh.metadata)
     )
@@ -684,27 +685,31 @@ def obj_chunks(mesh: SurfaceMesh):
     # vt = (X1, X2)) reuses its text, kept until the vt records
     vt_rows = []
     for j in range(ny):
-        cols = [_column_tokens(amb[j, :, c]) for c in range(dim)]
+        amb, chart = mesh.ambient_vertices[j][valid[j]], mesh.chart_vertices[j][valid[j]]
+        cols = [_column_tokens(amb[:, c]) for c in range(dim)]
         yield "".join(map(v_line.__mod__, zip(*cols)))
-        shared = {amb[j, :, c].tobytes(): col for c, col in enumerate(cols)}
-        pair = [shared.get(chart[j, :, c].tobytes()) for c in (0, 1)]
+        shared = {amb[:, c].tobytes(): col for c, col in enumerate(cols)}
+        pair = [shared.get(chart[:, c].tobytes()) for c in (0, 1)]
         vt_rows.append(None if None in pair else "".join(map(vt_line.__mod__, zip(*pair))))
     for j, text in enumerate(vt_rows):
         if text is None:
-            text = "".join(map(vt_line.__mod__, zip(*(_column_tokens(chart[j, :, c]) for c in (0, 1)))))
+            chart = mesh.chart_vertices[j][valid[j]]
+            text = "".join(map(vt_line.__mod__, zip(*(_column_tokens(chart[:, c]) for c in (0, 1)))))
         yield text
     f_line = "f %d/%d %d/%d %d/%d %d/%d\n"
     for k in range(0, len(mesh.faces), nx):
-        block = mesh.faces[k:k + nx] + 1
+        block = number[mesh.faces[k:k + nx]]
         yield (f_line * len(block)) % tuple(np.repeat(block, 2, axis=1).ravel().tolist())
     for poly in mesh.foliation:
-        yield "l " + " ".join([str(v + 1) for v in poly]) + "\n"
+        yield "l " + " ".join(map(str, number[list(poly)].tolist())) + "\n"
 
 
 def write_obj(mesh: SurfaceMesh) -> str:
     """OBJ text: ``v`` = ambient coordinates (4 values when the model lift
     has three components plus height), ``vt`` = chart coordinates, faces as
-    quads and foliation rows as ``l`` polylines; a non-finite coordinate is 0."""
+    quads and foliation rows as ``l`` polylines.  Only valid nodes are
+    written, in row order, so the faces and polylines number the valid
+    nodes from 1."""
     return "".join(obj_chunks(mesh))
 
 
@@ -803,7 +808,6 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
     x_vec = outward(column, rows, i0).transpose(1, 0, 2)
 
     valid = frame.valid & np.isfinite(x_vec).all(axis=-1)
-    x_vec[~valid] = np.nan  # the height, summed from constant panels, is finite everywhere
     faces, foliation = _mesh_topology(valid)
     wy, wx = np.gradient(field.omega, grid.ys, grid.xs, edge_order=2)
     py, px = np.gradient(psi, grid.ys, grid.xs, edge_order=2)
@@ -816,7 +820,7 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
         "cauchy_riemann_linf": float(cr),
     }
     return SurfaceMesh(
-        chart_vertices=x_vec.copy(),
+        chart_vertices=x_vec,
         ambient_vertices=x_vec,
         valid=valid,
         faces=faces,

@@ -31,7 +31,9 @@ from .errors import (
 )
 from .moduli import DerivedParams, ModuliPoint, derive_params
 
-DRIFT_TOL_DEFAULT = 1e-9
+#: A sampled profile whose first-integral drift exceeds 100 x DRIFT_TOL
+#: raises DriftExceeded.
+DRIFT_TOL = 1e-9
 #: |delta| at or below which a c0 = -1 point lies on the constant-profile
 #: curve delta = 0.
 DEGENERATE_DELTA = 1e-12
@@ -254,10 +256,10 @@ class ProfileSolution:
             arr.setflags(write=False)
 
 
-def _sampled_profile(sample, dp, kind, x_range, step, trivial, phase, drift_tol):
+def _sampled_profile(sample, dp, kind, x_range, step, trivial, phase):
     """Profile valued by ``sample(fn, grid)`` on the uniform grid of step
     ``step`` covering ``x_range``.  Raises DriftExceeded when the
-    first-integral drift passes 100x the tolerance (a step too large)."""
+    first-integral drift passes 100 x DRIFT_TOL (a step too large)."""
     x0, x1 = x_range
     if not (step > 0 and x1 > x0):
         raise InvalidParams(f"need step > 0 and x1 > x0, got {step}, {x_range}")
@@ -273,10 +275,8 @@ def _sampled_profile(sample, dp, kind, x_range, step, trivial, phase, drift_tol)
     start = grid == fn.phase
     values[start], derivs[start] = fn.w0, fn.dw0
     drift = float(np.max(np.abs(fn.first_integral(values, derivs))))
-    if drift > 100.0 * drift_tol:
-        raise DriftExceeded(
-            f"first-integral drift {drift:.3e} exceeds 100 x {drift_tol:.1e}"
-        )
+    if drift > 100.0 * DRIFT_TOL:
+        raise DriftExceeded(f"first-integral drift {drift:.3e} exceeds 100 x {DRIFT_TOL:.1e}")
     try:
         period = profile_period(dp, kind) if not trivial else None
     except (NonOscillatory, NoRealSolution):
@@ -293,9 +293,7 @@ def sample_profile(
     phase: float = 0.0,
 ) -> ProfileSolution:
     """Closed-form profile on a uniform grid: the samples of ``foliata profile``."""
-    return _sampled_profile(
-        ProfileFunction.eval_many, dp, kind, x_range, step, trivial, phase, DRIFT_TOL_DEFAULT
-    )
+    return _sampled_profile(ProfileFunction.eval_many, dp, kind, x_range, step, trivial, phase)
 
 
 def integrate_profile(
@@ -305,7 +303,6 @@ def integrate_profile(
     step: float,
     trivial: bool = False,
     phase: float = 0.0,
-    drift_tol: float = DRIFT_TOL_DEFAULT,
 ) -> ProfileSolution:
     """RK4 integration of the profile equation over the grid of
     :func:`sample_profile`: the oracle for the closed form, whose drift and
@@ -313,7 +310,7 @@ def integrate_profile(
     """
     return _sampled_profile(
         lambda fn, grid: fn._march(grid - fn.phase, step),
-        dp, kind, x_range, step, trivial, phase, drift_tol,
+        dp, kind, x_range, step, trivial, phase,
     )
 
 
@@ -359,19 +356,15 @@ def _hermite_root(x0, h, w0, dw0, w1, dw1) -> float:
     return x0 + t * h
 
 
-def period_from_ode(
-    dp: DerivedParams,
-    kind: str,
-    n_periods: int = 6,
-    step: float = 1e-3,
-    x_max: float = 1000.0,
-) -> float:
+def period_from_ode(dp: DerivedParams, kind: str) -> float:
     """Period measured from upward zero crossings of the integrated profile.
 
-    Independent of :func:`profile_period`: crossings of w (sign-changing
-    branch) or of w' (one-signed branch) are refined with cubic Hermite
-    interpolation and the mean crossing gap over ``n_periods`` is returned.
+    Independent of :func:`profile_period`: RK4 at step 1e-3 over x <= 1000;
+    crossings of w (sign-changing branch) or of w' (one-signed branch) are
+    refined with cubic Hermite interpolation and the mean crossing gap over
+    6 periods is returned.
     """
+    n_periods, step, x_max = 6, 1e-3, 1000.0
     m, bigm = admissible_interval(dp, kind)
     if dp.delta == 0 or bigm == m:
         raise NonOscillatory("constant profile has no period")

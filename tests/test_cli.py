@@ -263,6 +263,18 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, command, option):
     assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--shiffman", "--immersion"], "not allowed with argument --shiffman"),
+    (["--period", "0.5"], "only with --immersion"),
+    (["--shiffman", "--seed", "0.5", "0.5"], "only with --immersion"),
+    (["--psi0", "0.3"], "only with --immersion"),
+], ids=["two-modes", "period", "shiffman-seed", "psi0"])
+def test_verify_takes_one_mode(tmp_path, capsys, extra, message):
+    # a usage error comes before the input is read, so the file need not exist
+    assert main(["verify", "--input", str(tmp_path / "field.json"), *extra]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_mesh_obj(tmp_path):
     out = tmp_path / "m.obj"
     code = main(["mesh", "--c0", "1", "--c", "0", "--d", "-0.25", "--trivial-f",

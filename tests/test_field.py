@@ -276,13 +276,14 @@ def test_newton_bump_boundary_converges():
     assert sinh_gordon_residual(solved).linf < 1e-10
 
 
-def test_newton_non_convergence_reports_residual_and_step():
+def test_newton_non_convergence_reports_residual_and_step(monkeypatch):
     fsol, gsol = profiles(-1, -0.25, -0.25)
     grid = GridSpec(0, 1, 0, 1, 51, 51)
     boundary = assemble_omega(fsol, gsol, grid).omega.copy()
     boundary[-1, :] += 0.1 * grid.xs * (1 - grid.xs)
+    monkeypatch.setattr(field_module, "NEWTON_MAX_ITER", 1)
     with pytest.raises(NonConverged) as info:
-        solve_sinh_gordon(-1.0, grid, boundary, max_iter=1)
+        solve_sinh_gordon(-1.0, grid, boundary)
     found = re.search(r"last residual norm (\S+), last step factor (\S+)\)", str(info.value))
     assert found is not None
     norm, lam = float(found.group(1)), float(found.group(2))
@@ -297,19 +298,37 @@ def test_newton_steep_initial_guess_converges():
     grid = GridSpec(-1, 1, -1, 1, 101, 101)
     recon = assemble_omega(fsol, gsol, grid)
     assert np.cosh(2.0 * recon.omega).max() > 1e8
-    solved = solve_sinh_gordon(-1.0, grid, recon.omega, initial=recon.omega)
+    solved = solve_sinh_gordon(-1.0, grid, recon.omega)
     assert sinh_gordon_residual(solved).linf <= 1e-10
+
+
+def test_newton_start_interior_changes_the_solve_only_at_rounding_level():
+    # criterion 6's input: the first iterate is the start array's interior
+    fsol, gsol = profiles(-1, -0.25, -0.25)
+    grid = GridSpec(0, 1, 0, 1, 51, 51)
+    recon = assemble_omega(fsol, gsol, grid).omega
+    start = recon.copy()
+    start[-1, :] += 0.1 * np.sin(np.pi * grid.xs) ** 3
+    zero = start.copy()
+    zero[1:-1, 1:-1] = 0.0
+    from_recon = solve_sinh_gordon(-1.0, grid, start)
+    from_zero = solve_sinh_gordon(-1.0, grid, zero)
+    for solved in (from_recon, from_zero):
+        assert sinh_gordon_residual(solved).linf < 1e-10
+    assert np.abs(from_recon.omega - from_zero.omega).max() <= 1e-12
 
 
 def test_newton_indefinite_jacobian_converges():
     # on [0, 6]^2 the lowest Dirichlet eigenvalue 2 (pi/6)^2 < 1 = c0 cosh(2 omega)
     # near omega = 0, so the Jacobian has eigenvalues of both signs
     grid = GridSpec(0, 6, 0, 6, 81, 81)
-    solved = solve_sinh_gordon(1.0, grid, lambda x, y: 0.05 * math.sin(x) * math.cos(y))
+    start = np.array([[0.05 * math.sin(x) * math.cos(y) for x in grid.xs] for y in grid.ys])
+    start[1:-1, 1:-1] = 0.0
+    solved = solve_sinh_gordon(1.0, grid, start)
     assert sinh_gordon_residual(solved).linf <= 1e-12
 
 
-def test_newton_step_matches_dense_solve_on_non_square_grid():
+def test_newton_step_matches_dense_solve_on_non_square_grid(monkeypatch):
     grid = GridSpec(0, 1, 0, 2, 23, 17)
     xs, ys = grid.xs, grid.ys
     boundary = 0.5 * np.sin(2.0 * xs[None, :]) * np.cos(ys[:, None]) + 0.3 * ys[:, None]
@@ -328,7 +347,8 @@ def test_newton_step_matches_dense_solve_on_non_square_grid():
            + (w0[2:, 1:-1] - 2.0 * inner + w0[:-2, 1:-1]) * ay)
     expect = np.linalg.solve(jac, -(lap + c0 * np.sinh(inner) * np.cosh(inner)).ravel())
     # an infinite tolerance stops after the first, undamped, Newton step
-    step = solve_sinh_gordon(c0, grid, boundary, initial=initial, tol=math.inf).omega - w0
+    monkeypatch.setattr(field_module, "NEWTON_TOL", math.inf)
+    step = solve_sinh_gordon(c0, grid, w0).omega - w0
     assert np.linalg.norm(step[1:-1, 1:-1].ravel() - expect) <= 1e-12 * np.linalg.norm(expect)
     assert not step[[0, -1], :].any() and not step[:, [0, -1]].any()
 
@@ -339,12 +359,11 @@ def test_newton_inner_solve_failure_raises(monkeypatch):
     monkeypatch.setattr(field_module, "CG_MAX_ITER", 1)
     with pytest.raises(NonConverged, match="conjugate gradients"):
         solve_sinh_gordon(-1.0, grid, boundary)
-    # a non-finite initial guess ends in the same typed error, never a NaN step
+    # a non-finite first iterate ends in the same typed error, never a NaN step
     monkeypatch.undo()
-    initial = np.zeros((17, 17))
-    initial[8, 8] = np.nan
+    boundary[8, 8] = np.nan
     with pytest.raises(NonConverged, match="conjugate gradients"):
-        solve_sinh_gordon(-1.0, grid, boundary, initial=initial)
+        solve_sinh_gordon(-1.0, grid, boundary)
 
 
 def test_newton_overflowing_trial_steps_are_halved_quietly():
@@ -356,13 +375,6 @@ def test_newton_overflowing_trial_steps_are_halved_quietly():
     field = solve_sinh_gordon(-1.0, grid, boundary)
     assert np.isfinite(field.omega).all()
     assert (field.omega[-1] == 400.0).all() and (field.omega[0] == 0.0).all()
-
-
-def test_newton_accepts_callable_boundary():
-    grid = GridSpec(0, 1, 0, 1, 9, 9)
-    field = solve_sinh_gordon(-1.0, grid, lambda x, y: 0.1 * x * y)
-    assert field.omega[0, 0] == 0.0
-    assert field.omega[-1, -1] == pytest.approx(0.1)
 
 
 def test_level_curvature_matches_g_profile():

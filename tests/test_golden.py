@@ -157,23 +157,25 @@ def test_verify_json_rendering(tmp_path, mode):
 
 
 # ---------------------------------------------------------------------------
-# OBJ: shortest repr, non-finite coordinates as 0, 1-based v/vt faces
+# OBJ: shortest repr, valid nodes only, numbered from 1 in row order
 # ---------------------------------------------------------------------------
-
-def _ref_coord(v: float) -> str:
-    return repr(v) if math.isfinite(v) else "0"
-
 
 def _ref_obj(mesh: SurfaceMesh) -> str:
     lines = ["# foliata surface mesh"]
     lines += [f"# {key} = {mesh.metadata[key]}" for key in sorted(mesh.metadata)]
-    for vertex in mesh.ambient_vertices.reshape(-1, mesh.ambient_vertices.shape[-1]):
-        lines.append("v " + " ".join(_ref_coord(float(v)) for v in vertex))
-    for vertex in mesh.chart_vertices.reshape(-1, mesh.chart_vertices.shape[-1]):
-        lines.append(f"vt {_ref_coord(float(vertex[0]))} {_ref_coord(float(vertex[1]))}")
+    ambient = mesh.ambient_vertices.reshape(-1, mesh.ambient_vertices.shape[-1])
+    chart = mesh.chart_vertices.reshape(-1, mesh.chart_vertices.shape[-1])
+    number = {}  # grid node -> 1-based OBJ index
+    for node, ok in enumerate(mesh.valid.ravel().tolist()):
+        if ok:
+            number[node] = len(number) + 1
+    for node in number:
+        lines.append("v " + " ".join(repr(float(v)) for v in ambient[node]))
+    for node in number:
+        lines.append(f"vt {float(chart[node, 0])!r} {float(chart[node, 1])!r}")
     for face in mesh.faces:
-        lines.append("f " + " ".join(f"{int(v) + 1}/{int(v) + 1}" for v in face))
-    lines += ["l " + " ".join(str(v + 1) for v in poly) for poly in mesh.foliation]
+        lines.append("f " + " ".join(f"{number[int(v)]}/{number[int(v)]}" for v in face))
+    lines += ["l " + " ".join(str(number[v]) for v in poly) for poly in mesh.foliation]
     return "\n".join(lines) + "\n"
 
 
@@ -185,7 +187,7 @@ def test_write_obj_matches_reference():
     ambient = rng.normal(size=(ny, nx, 4)) * 10.0 ** rng.integers(-20, 20, size=(ny, nx, 4))
     chart.reshape(-1)[: len(special)] = special
     ambient.reshape(-1)[-len(special):] = special
-    valid = np.isfinite(chart).all(axis=-1)
+    valid = np.isfinite(chart).all(axis=-1) & np.isfinite(ambient).all(axis=-1)
     valid[2, 1] = False
     faces, foliation = _mesh_topology(valid)
     mesh = SurfaceMesh(chart, ambient, valid, faces, foliation, {"nx": nx, "c0": -1.0})
@@ -196,7 +198,8 @@ def test_write_obj_matches_reference():
 def test_write_obj_keeps_each_value_text():
     # the writer formats a bitwise-constant column once and lets a chart
     # column reuse a bitwise-equal ambient column: 0.0 and -0.0 compare
-    # equal but must keep their own text, and non-finite values read 0
+    # equal but must keep their own text; row 0, with no valid node, writes
+    # nothing
     ny, nx = 4, 6
     rng = np.random.default_rng(5)
     ambient = rng.normal(size=(ny, nx, 3))
@@ -218,29 +221,32 @@ def test_write_obj_keeps_each_value_text():
     assert text == _ref_obj(mesh)
     v = [line.split() for line in text.splitlines() if line.startswith("v ")]
     vt = [line.split() for line in text.splitlines() if line.startswith("vt ")]
-    assert [row[3] for row in v[nx:2 * nx]] == ["0.0", "-0.0", "0.0", "0.0", "-0.0", "0.0"]
-    assert (v[nx][2], vt[nx][2]) == ("0.0", "-0.0")
+    assert len(v) == len(vt) == int(valid.sum()) == 3 * nx - 5
+    assert [row[3] for row in v[:nx]] == ["0.0", "-0.0", "0.0", "0.0", "-0.0", "0.0"]
+    assert (v[0][2], vt[0][2]) == ("0.0", "-0.0")
 
 
+#: (case, argv without --out, number of valid nodes, each written once)
 MESH_CASES = [
-    ("mesh_onduloid", ["mesh", *SPHERE, "--nx", "31", "--ny", "21"]),
-    # non-finite coordinates near the disk-chart edge are written as 0
+    ("mesh_onduloid", ["mesh", *SPHERE, "--nx", "31", "--ny", "21"], 21 * 31),
+    # 20 nodes near the disk-chart edge are invalid and not written
     ("mesh_disk_edge", ["mesh", "--c0", "-1", "--c", "-1", "--d", "1",
-                        "--domain", "-2", "2", "-2", "2", "--nx", "21", "--ny", "21"]),
+                        "--domain", "-2", "2", "-2", "2", "--nx", "21", "--ny", "21"],
+     21 * 21 - 20),
 ]
 
 
-@pytest.mark.parametrize("name,argv", MESH_CASES, ids=[c[0] for c in MESH_CASES])
-def test_cli_obj_rendering(tmp_path, name, argv):
+@pytest.mark.parametrize("name,argv,n_valid", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+def test_cli_obj_rendering(tmp_path, name, argv, n_valid):
     text = _read(_run(tmp_path, argv, name), tmp_path)
     lines = text.splitlines()
     n_vertices = sum(line.startswith("v ") for line in lines)
-    assert n_vertices == 21 * (31 if name == "mesh_onduloid" else 21)
+    assert n_vertices == sum(line.startswith("vt ") for line in lines) == n_valid
     for line in lines:
         tag, *tokens = line.split(" ")
         if tag in ("v", "vt"):
-            # a coordinate is its own shortest repr, or 0 where it is not finite
-            assert tokens == [t if t == "0" else repr(float(t)) for t in tokens], line
+            # a coordinate is its own shortest repr, which is never a bare 0
+            assert tokens == [repr(float(t)) for t in tokens], line
             assert len(tokens) == (4 if tag == "v" else 2)
         elif tag == "f":
             ends = [t.split("/") for t in tokens]
@@ -248,11 +254,10 @@ def test_cli_obj_rendering(tmp_path, name, argv):
         else:
             assert tag in ("#", "l"), line
     assert text.endswith("\n") and not text.endswith("\n\n")
-    if name == "mesh_disk_edge":
-        assert " 0 " in text or " 0\n" in text
 
 
-@pytest.mark.parametrize("name,argv", MESH_CASES, ids=[c[0] for c in MESH_CASES])
+@pytest.mark.parametrize("name,argv", [c[:2] for c in MESH_CASES],
+                         ids=[c[0] for c in MESH_CASES])
 def test_cli_mesh_file_is_write_obj(tmp_path, monkeypatch, name, argv):
     meshes, chunks = [], cli.obj_chunks
 

@@ -333,8 +333,10 @@ def test_weierstrass_sums_match_the_loop_reference(domain, seed):
     field = field_from_source(source, GridSpec(*domain, 31, 31))
     frame = integrate_frame(field, PLANE, seed=seed)
     mesh = weierstrass_flat(field, frame)
-    want = np.where(mesh.valid[..., None], weierstrass_loop_reference(field, frame), np.nan)
-    assert mesh.chart_vertices.tobytes() == want.tobytes()
+    want = weierstrass_loop_reference(field, frame)
+    assert mesh.chart_vertices[mesh.valid].tobytes() == want[mesh.valid].tobytes()
+    # flat_route_gap reads x1 and x2, which are not finite at invalid nodes
+    assert (~np.isfinite(mesh.chart_vertices[~mesh.valid][:, :2])).any(axis=-1).all()
 
 
 def test_weierstrass_trivial_plane_first_component_vanishes(flat_trivial_frame):

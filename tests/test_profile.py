@@ -76,7 +76,7 @@ def test_first_integral_drift_and_halving():
 
 def test_drift_exceeded_for_absurd_step():
     with pytest.raises(DriftExceeded):
-        integrate_profile(dp(1, -1, 0), "F", (0, 50), 0.5, drift_tol=1e-14)
+        integrate_profile(dp(1, -1, 0), "F", (0, 50), 0.5)
 
 
 def test_range_confinement():
