@@ -106,6 +106,17 @@ def _seed(args):
     return (args.seed[0], args.seed[1], args.psi0, (0.0, 0.0))
 
 
+def _default_period(args) -> float:
+    """The period of f at the point of ``args``, which a constant f lacks."""
+    if args.trivial_f or args.c == 0:
+        raise PeriodUnavailable("f is constant (c = 0 or --trivial-f), so it has no "
+                                "period: give the x-period with --period")
+    try:
+        return profile_period(derive_params(ModuliPoint(args.c0, args.c, args.d), args.a), "F")
+    except FoliataError as exc:
+        raise PeriodUnavailable(str(exc)) from exc
+
+
 def _frame_for(args, field):
     space = chart_for_curvature(field.c0)
     return space, integrate_frame(field, space, seed=_seed(args))
@@ -240,12 +251,8 @@ def _cmd_verify(args) -> int:
         hre, him = hopf_deviation(frame, space)
         harm = harmonic_residual(frame, space)
         try:
-            period = args.period
-            if period is None:
-                period = profile_period(
-                    derive_params(ModuliPoint(live.c0, rebuild.c, rebuild.d), rebuild.a), "F"
-                )
-            hol = holonomy(live, period, seed=_seed(args)).document()
+            period = _default_period(rebuild) if args.period is None else args.period
+            hol = holonomy(live, period, seed=args.seed).document()
         except FoliataError:
             hol = None
         out = {
@@ -285,17 +292,8 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_holonomy(args) -> int:
     field = _build_field(args)
-    period = args.period
-    if period is None:
-        if args.trivial_f or args.c == 0:
-            raise PeriodUnavailable("f is constant (c = 0 or --trivial-f), so it has no "
-                                    "period: give the x-period with --period")
-        point = ModuliPoint(args.c0, args.c, args.d)
-        try:
-            period = profile_period(derive_params(point, args.a), "F")
-        except FoliataError as exc:
-            raise PeriodUnavailable(str(exc)) from exc
-    report = holonomy(field, period, seed=_seed(args))
+    period = _default_period(args) if args.period is None else args.period
+    report = holonomy(field, period, seed=args.seed)
     doc = report.document()
     doc["config"] = _config(args)
     _emit(dumps(doc), args.out)
@@ -323,8 +321,12 @@ def _add_grid_args(sp):
     sp.add_argument("--trivial-g", action="store_true", help="select the g = 0 branch")
 
 
-def _add_seed_args(sp):
+def _add_seed_point(sp):
     sp.add_argument("--seed", type=float, nargs=2, default=None, metavar=("X", "Y"))
+
+
+def _add_seed_args(sp):
+    _add_seed_point(sp)
     sp.add_argument("--psi0", type=float, default=0.0)
 
 
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("holonomy", help="chart isometry after one x-period")
     _add_point_args(sp)
     _add_grid_args(sp)
-    _add_seed_args(sp)
+    _add_seed_point(sp)
     sp.add_argument("--period", type=float, default=None,
                     help="override the closed-form period")
     sp.add_argument("--out", default=None)

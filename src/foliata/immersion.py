@@ -19,9 +19,10 @@ omega_y = -k cosh(omega) with k constant, so every row is a leaf of constant
 geodesic curvature k traced at speed cosh(omega): a circle, horocycle or
 hypercycle of the ambient model, placed in closed form from the column's
 model frame at its Gauss-Legendre arclength; the chart only writes psi and
-u.  The same leaf motion gives the holonomy of a horizontal period; an RK4
-row march stays as the oracle.  Off-grid omega data comes from the field's
-closed form (profile functions re-evaluated), never from grid interpolation.
+u.  The leaf's curvature and arclength alone give the holonomy of a
+horizontal period; an RK4 row march stays as the oracle.  Off-grid omega
+data comes from the field's closed form (profile functions re-evaluated),
+never from grid interpolation.
 """
 
 from __future__ import annotations
@@ -213,13 +214,6 @@ def _expm3(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) + f1[:, :, None] * omega + f2[:, :, None] * sq
 
 
-def _leaf_motion(k: float, c0: float, s: np.ndarray) -> np.ndarray:
-    """exp(s A) over the arclengths s: the frame (T, N, p) of a unit-speed
-    leaf of geodesic curvature k moves by (T, N, p)' = (T, N, p) A."""
-    a = np.array([[0.0, -k, 1.0], [k, 0.0, 0.0], [-c0, 0.0, 0.0]])
-    return _expm3(np.asarray(s, dtype=float)[:, None, None] * a)
-
-
 # ---------------------------------------------------------------------------
 # frame integration
 # ---------------------------------------------------------------------------
@@ -356,27 +350,30 @@ def default_seed(field: OmegaField) -> tuple[float, float]:
     return float(xs[i]), float(ys[j])
 
 
+def _seed_node(field: OmegaField, point: tuple[float, float] | None) -> tuple[int, int]:
+    """Grid node (i0, j0) nearest the seed point, :func:`default_seed` for
+    None; a singular seed node raises SingularCrossing."""
+    xs, ys = field.grid.xs, field.grid.ys
+    sx, sy = default_seed(field) if point is None else point
+    i0 = int(np.argmin(np.abs(xs - sx)))
+    j0 = int(np.argmin(np.abs(ys - sy)))
+    if field.mask[j0, i0]:
+        raise SingularCrossing(f"seed node ({xs[i0]}, {ys[j0]}) is on the singular set")
+    return i0, j0
+
+
 def _resolve_seed(
     field: OmegaField,
     space: ChartSpace,
     seed: tuple[float, float, float, tuple[float, float]] | None,
 ) -> tuple[int, int, float, tuple[float, float]]:
-    """Grid node (i0, j0) nearest the seed point, frame angle and chart point.
+    """Seed node (:func:`_seed_node`), frame angle and chart point.
 
-    No seed means :func:`default_seed` with angle 0 at the chart origin.  A
-    singular seed node raises SingularCrossing and a chart point outside the
-    chart ChartOverflow.
+    No seed means the default seed node with angle 0 at the chart origin.  A
+    chart point outside the chart raises ChartOverflow.
     """
-    xs, ys = field.grid.xs, field.grid.ys
-    if seed is None:
-        sx, sy = default_seed(field)
-        psi0, u0 = 0.0, (0.0, 0.0)
-    else:
-        sx, sy, psi0, u0 = seed
-    i0 = int(np.argmin(np.abs(xs - sx)))
-    j0 = int(np.argmin(np.abs(ys - sy)))
-    if field.mask[j0, i0]:
-        raise SingularCrossing(f"seed node ({xs[i0]}, {ys[j0]}) is on the singular set")
+    point, psi0, u0 = (None, 0.0, (0.0, 0.0)) if seed is None else (seed[:2], *seed[2:])
+    i0, j0 = _seed_node(field, point)
     if not space.in_domain(u0[0], u0[1]):
         raise ChartOverflow(f"seed chart point {u0} outside the chart")
     return i0, j0, float(psi0), (float(u0[0]), float(u0[1]))
@@ -873,23 +870,26 @@ class HolonomyReport:
 def holonomy(
     field: OmegaField,
     period: float,
-    seed: tuple[float, float, float, tuple[float, float]] | None = None,
+    seed: tuple[float, float] | None = None,
 ) -> HolonomyReport:
     """Ambient isometry relating the seed row to its translate by one x-period.
 
     The seed row is a leaf of constant geodesic curvature k = -omega_y /
-    cosh(omega) traced at speed cosh(omega), so the frame at arclength s
-    from the seed is M E(s): M the seed frame, E the closed-form leaf
-    motion.  Arclengths come from Gauss-Legendre quadrature on the grid
-    cells of the row.  Base nodes x are sampled among those whose segment
-    from the seed through x + period has no singular grid or quadrature
-    node.  The isometry is M E(S) M^-1, with S the arclength over the first
-    base's period, and the residual is the worst gap between its image of
-    a base point and that point's translate.  On the curved models the kind
-    follows the leaf: a rotation (angle) for a circle, k^2 + c0 > 0; a
-    translation (length) for a hypercycle; ``parabolic`` (the horocyclic
-    arclength S) within HOROCYCLE_TOL of 0.  ``closed`` flags an identity
-    holonomy to 1e-6.  ``seed`` is resolved as in :func:`integrate_frame`.
+    cosh(omega) traced at speed cosh(omega), so the isometry is conjugate to
+    the leaf motion over the period's arclength S and depends only on
+    kappa^2 = k^2 + c0 and S: a rotation by |kappa S| mod 2 pi, in [0, pi],
+    for a circle (kappa^2 > HOROCYCLE_TOL); a translation by
+    sqrt(-kappa^2) S for a hypercycle (kappa^2 < -HOROCYCLE_TOL); in between
+    ``parabolic`` with the horocyclic arclength S, or on the plane, where the
+    leaf is a line, a translation by S.  Arclengths come from Gauss-Legendre
+    quadrature on the row's grid cells.  Base nodes x are sampled among
+    those where x and x + period are reachable from the seed through no
+    singular grid or quadrature node; S is the first base's arclength and k
+    is read there, so every seed on a row with no singular cell gives the
+    same report.  The residual is the largest gap between a base's arclength
+    and S, a length along the leaf.  ``closed`` flags an identity holonomy:
+    value and residual below 1e-6.  ``seed`` is a point (x, y) whose nearest
+    grid node picks the row (:func:`_seed_node`).
     """
     if period is None or not math.isfinite(period) or period <= 0:
         raise PeriodUnavailable(f"no usable period (got {period})")
@@ -897,11 +897,8 @@ def holonomy(
     if grid.x1 - grid.x0 < period - 1e-12:
         raise PeriodUnavailable("domain spans less than one period in x")
     source = _require_source(field)
-    space = chart_for_curvature(field.c0)
-    i0, j0, psi0, u0 = _resolve_seed(field, space, seed)
+    i0, j0 = _seed_node(field, seed)
     xs, y0 = grid.xs, grid.ys[j0]
-    k = float(_leaf_curvatures(source, xs[i0], y0))
-
     bases = np.flatnonzero(xs + period <= grid.x1 + 1e-12)
     targets = xs[bases] + period
     ends = np.searchsorted(xs, targets, side="right") - 1
@@ -911,48 +908,27 @@ def holonomy(
     )
     length, bad = length[0], bad[0]
     cells = grid.nx - 1
-    arc = np.concatenate([[0.0], np.cumsum(length[:cells])])
-    bad_cells = bad[:cells] | field.mask[j0, :-1] | field.mask[j0, 1:]
-    nbad = np.concatenate([[0], np.cumsum(bad_cells)])
-    clean = (nbad[np.maximum(ends, i0)] == nbad[np.minimum(bases, i0)]) & ~bad[cells:]
-    picked = np.flatnonzero(clean)
+    reach = _outward(~field.mask[j0][None], ~bad[None, :cells], i0)[0]
+    picked = np.flatnonzero(reach[bases] & reach[ends] & ~bad[cells:])
     if picked.size == 0:
         raise PeriodUnavailable("no non-singular base nodes with x + period in range")
     picked = picked[:: max(1, picked.size // 8)]
-    sigma = arc[bases[picked]] - arc[i0]
+    arc = np.concatenate([[0.0], np.cumsum(length[:cells])])
     span = arc[ends[picked]] - arc[bases[picked]] + length[cells + picked]
+    s = float(span[0])
+    residual = float(np.max(np.abs(span - s)))
+    kappa2 = float(_leaf_curvatures(source, xs[bases[picked[0]]], y0)) ** 2 + field.c0
 
-    m = _frame_matrix(space, u0[0], u0[1], psi0)
-    iso = m @ _leaf_motion(k, space.c0, span[:1])[0] @ np.linalg.inv(m)
-    base_pts = _leaf_motion(k, space.c0, sigma)[:, :, 2] @ m.T
-    image_pts = _leaf_motion(k, space.c0, sigma + span)[:, :, 2] @ m.T
-    worst = float(np.max(np.linalg.norm(base_pts @ iso.T - image_pts, axis=1)))
-
-    if space.kind == "euclidean_plane":
-        theta = math.atan2(iso[1, 0], iso[0, 0])
-        shift = float(np.linalg.norm(iso[:2, 2]))
-        if abs(theta) < 1e-9:
-            kind, value = "translation", shift
-        else:
-            kind, value = "rotation", theta
-        ident = max(abs(theta), shift)
+    if kappa2 > HOROCYCLE_TOL:
+        kind, value = "rotation", abs(math.remainder(math.sqrt(kappa2) * s, 2.0 * math.pi))
+    elif kappa2 < -HOROCYCLE_TOL:
+        kind, value = "translation", math.sqrt(-kappa2) * s
     else:
-        # the leaf's kind fixes the isometry's: circle, horocycle, hypercycle
-        kappa2 = k * k + space.c0
-        tr = float(np.trace(iso))
-        if kappa2 > HOROCYCLE_TOL:
-            kind, value = "rotation", math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
-        elif kappa2 < -HOROCYCLE_TOL:
-            kind, value = "translation", math.acosh(max(1.0, (tr - 1.0) / 2.0))
-        else:
-            kind, value = "parabolic", float(span[0])
-        ident = float(np.linalg.norm(iso - np.eye(3)))
-    closed = bool(ident < 1e-6 and worst < 1e-6)
-    if closed:
-        kind = "identity"
+        kind, value = ("translation" if field.c0 == 0 else "parabolic"), s
+    closed = bool(value < 1e-6 and residual < 1e-6)
     return HolonomyReport(
-        kind=kind,
-        angle_or_length=float(value),
-        residual=worst,
+        kind="identity" if closed else kind,
+        angle_or_length=value,
+        residual=residual,
         closed=closed,
     )

@@ -247,13 +247,15 @@ REMOVED_OPTIONS = [
     (command, option)
     for command in ("field", "mesh", "holonomy")
     for option in (["--degenerate"], ["--eps-den", "1e-9"], ["--overflow-guard", "1e8"])
-] + [("verify", ["--margin", "0.1"]), ("profile", ["--drift-tol", "1e-9"])]
+] + [("verify", ["--margin", "0.1"]), ("profile", ["--drift-tol", "1e-9"]),
+      ("holonomy", ["--psi0", "0.3"])]
 
 
 @pytest.mark.parametrize("command,option", REMOVED_OPTIONS,
                          ids=[f"{c}{o[0]}" for c, o in REMOVED_OPTIONS])
 def test_removed_options_are_usage_errors(tmp_path, capsys, command, option):
-    # the singular-set thresholds are constants and delta picks the closed form
+    # the singular-set thresholds are constants and delta picks the closed form;
+    # the holonomy depends on the seed point alone, so it takes no frame angle
     base = {
         "profile": ["--c0", "1", "--c", "-1", "--d", "0", "--kind", "F", "--range", "0", "1"],
         "verify": ["--input", str(tmp_path / "field.json")],

@@ -328,6 +328,16 @@ def test_newton_indefinite_jacobian_converges():
     assert sinh_gordon_residual(solved).linf <= 1e-12
 
 
+def test_newton_strongly_indefinite_problem_fails_fast():
+    # on [0, 20]^2 some 26 Dirichlet eigenvalues lie below c0 cosh(2 omega):
+    # when no step factor down to 2^-10 lowers the residual the solve stops
+    grid = GridSpec(0, 20, 0, 20, 81, 81)
+    start = 0.05 * np.sin(grid.xs)[None, :] * np.cos(grid.ys)[:, None]
+    start[1:-1, 1:-1] = 0.0
+    with pytest.raises(NonConverged, match="decreases"):
+        solve_sinh_gordon(1.0, grid, start)
+
+
 def test_newton_step_matches_dense_solve_on_non_square_grid(monkeypatch):
     grid = GridSpec(0, 1, 0, 2, 23, 17)
     xs, ys = grid.xs, grid.ys
