@@ -8,7 +8,6 @@ verify the structure equation (field), check the Jacobi diagnostics
 
 from .errors import (
     AllSingular,
-    ChartOverflow,
     DriftExceeded,
     FoliataError,
     GridMismatch,

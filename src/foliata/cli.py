@@ -99,13 +99,6 @@ def _build_field(args) -> OmegaField:
     return field_from_source(source, grid)
 
 
-def _seed(args):
-    """The frame seed of --seed/--psi0, or None for the field's default seed."""
-    if args.seed is None:
-        return None
-    return (args.seed[0], args.seed[1], args.psi0, (0.0, 0.0))
-
-
 def _default_period(args) -> float:
     """The period of f at the point of ``args``, which a constant f lacks."""
     if args.trivial_f or args.c == 0:
@@ -119,7 +112,7 @@ def _default_period(args) -> float:
 
 def _frame_for(args, field):
     space = chart_for_curvature(field.c0)
-    return space, integrate_frame(field, space, seed=_seed(args))
+    return space, integrate_frame(field, space, seed=args.seed)
 
 
 def _cmd_classify(args) -> int:
@@ -284,7 +277,7 @@ def _cmd_mesh(args) -> int:
     else:
         mesh = build_mesh(
             frame, field, space,
-            metadata={"c": args.c, "d": args.d, "psi0": args.psi0},
+            metadata={"c": args.c, "d": args.d},
         )
     _emit(obj_chunks(mesh), args.out)
     return 0
@@ -323,11 +316,6 @@ def _add_grid_args(sp):
 
 def _add_seed_point(sp):
     sp.add_argument("--seed", type=float, nargs=2, default=None, metavar=("X", "Y"))
-
-
-def _add_seed_args(sp):
-    _add_seed_point(sp)
-    sp.add_argument("--psi0", type=float, default=0.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -382,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--shiffman", action="store_true")
     mode.add_argument("--immersion", action="store_true")
     sp.add_argument("--period", type=float, default=None)
-    _add_seed_args(sp)
+    _add_seed_point(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("mesh", help="integrate the immersion and write an OBJ mesh")
     _add_point_args(sp)
     _add_grid_args(sp)
-    _add_seed_args(sp)
+    _add_seed_point(sp)
     sp.add_argument("--weierstrass", action="store_true",
                     help="flat-space Weierstrass route instead of frame integration")
     sp.add_argument("--out", required=True)
@@ -412,9 +400,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify" and not args.immersion and (
-            (args.period, args.seed, args.psi0) != (None, None, 0.0)
+            (args.period, args.seed) != (None, None)
         ):
-            parser.error("verify: --period, --seed and --psi0 apply only with --immersion")
+            parser.error("verify: --period and --seed apply only with --immersion")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

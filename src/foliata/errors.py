@@ -46,10 +46,6 @@ class NonConverged(FoliataError):
     """Newton iteration failed to converge within the iteration budget."""
 
 
-class ChartOverflow(FoliataError):
-    """A chart point left the domain of the conformal chart."""
-
-
 class SingularCrossing(FoliataError):
     """Frame integration was asked to start on (or cross) the singular set."""
 

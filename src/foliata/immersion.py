@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ChartOverflow,
     InvalidParams,
     NotFlat,
     PeriodUnavailable,
@@ -225,13 +224,14 @@ class FrameField:
     ``psi`` and ``u`` are NaN exactly where ``valid`` is False and finite
     elsewhere, and ``valid`` is False on the field's singular set:
     :func:`integrate_frame`, the only builder, places them so, and the
-    diagnostics and meshes read them as they are.
+    diagnostics and meshes read them as they are.  ``seed`` is the grid
+    node (i0, j0) where the frame starts at the chart origin at angle 0.
     """
 
     psi: np.ndarray
     u: np.ndarray
     valid: np.ndarray
-    seed: tuple[int, int, float, tuple[float, float]]
+    seed: tuple[int, int]
     grid: GridSpec
 
     def __post_init__(self):
@@ -263,10 +263,10 @@ def _march(
     lane_coords: np.ndarray,
     t_nodes: np.ndarray,
     i_start: int,
-    psi0: np.ndarray,
-    u10: np.ndarray,
-    u20: np.ndarray,
-    alive0: np.ndarray,
+    psi_start: np.ndarray,
+    u1_start: np.ndarray,
+    u2_start: np.ndarray,
+    alive_start: np.ndarray,
 ):
     """RK4 march of (psi, u) along one direction, vectorized over lanes.
 
@@ -280,9 +280,9 @@ def _march(
     u1 = np.full((n, lanes), np.nan)
     u2 = np.full((n, lanes), np.nan)
     alive = np.zeros((n, lanes), dtype=bool)
-    psi[i_start], u1[i_start], u2[i_start] = psi0, u10, u20
+    psi[i_start], u1[i_start], u2[i_start] = psi_start, u1_start, u2_start
     fd_start = _eval_data(source, direction, t_nodes[i_start], lane_coords)
-    alive[i_start] = alive0 & np.asarray(fd_start.ok)
+    alive[i_start] = alive_start & np.asarray(fd_start.ok)
 
     def sweep(indices):
         fd0 = fd_start
@@ -352,31 +352,17 @@ def default_seed(field: OmegaField) -> tuple[float, float]:
 
 def _seed_node(field: OmegaField, point: tuple[float, float] | None) -> tuple[int, int]:
     """Grid node (i0, j0) nearest the seed point, :func:`default_seed` for
-    None; a singular seed node raises SingularCrossing."""
+    None; a non-finite seed raises InvalidParams and a singular seed node
+    SingularCrossing."""
     xs, ys = field.grid.xs, field.grid.ys
     sx, sy = default_seed(field) if point is None else point
+    if not (math.isfinite(sx) and math.isfinite(sy)):
+        raise InvalidParams(f"seed ({sx}, {sy}) is not finite")
     i0 = int(np.argmin(np.abs(xs - sx)))
     j0 = int(np.argmin(np.abs(ys - sy)))
     if field.mask[j0, i0]:
         raise SingularCrossing(f"seed node ({xs[i0]}, {ys[j0]}) is on the singular set")
     return i0, j0
-
-
-def _resolve_seed(
-    field: OmegaField,
-    space: ChartSpace,
-    seed: tuple[float, float, float, tuple[float, float]] | None,
-) -> tuple[int, int, float, tuple[float, float]]:
-    """Seed node (:func:`_seed_node`), frame angle and chart point.
-
-    No seed means the default seed node with angle 0 at the chart origin.  A
-    chart point outside the chart raises ChartOverflow.
-    """
-    point, psi0, u0 = (None, 0.0, (0.0, 0.0)) if seed is None else (seed[:2], *seed[2:])
-    i0, j0 = _seed_node(field, point)
-    if not space.in_domain(u0[0], u0[1]):
-        raise ChartOverflow(f"seed chart point {u0} outside the chart")
-    return i0, j0, float(psi0), (float(u0[0]), float(u0[1]))
 
 
 def _seed_column(source, space: ChartSpace, x: float, ys: np.ndarray, j0: int, m0: np.ndarray):
@@ -438,16 +424,19 @@ ROW_BLOCK = 16
 def integrate_frame(
     field: OmegaField,
     space: ChartSpace,
-    seed: tuple[float, float, float, tuple[float, float]] | None = None,
+    seed: tuple[float, float] | None = None,
 ) -> FrameField:
     """Integrate (psi, u) over the grid from a seed node.
 
-    The seed column takes one fourth-order Magnus step per grid cell in the
-    isometry group of the model (:func:`_seed_column`).  Every row is then
-    placed in closed form from the column's state: row y is a leaf of
-    geodesic curvature k = -omega_y / cosh(omega) traced at speed
-    cosh(omega), so its frame at arclength s from the column is M E(s), with
-    M the column's frame and E the leaf motion.  Arclengths come from
+    The frame starts at the chart origin at angle 0 on the grid node nearest
+    the seed point (:func:`_seed_node`); any other start would only move the
+    surface by an isometry of the model.  The seed column takes one
+    fourth-order Magnus step per grid cell in the isometry group of the
+    model (:func:`_seed_column`).  Every row is then placed in closed form
+    from the column's state: row y is a leaf of geodesic curvature
+    k = -omega_y / cosh(omega) traced at speed cosh(omega), so its frame at
+    arclength s from the column is M E(s), with M the column's frame and E
+    the leaf motion.  Arclengths come from
     Gauss-Legendre quadrature on the row's grid cells; psi is unwrapped
     outward from the seed.  The column and the rows stop (NaN) outward at
     the first cell with a singular grid or quadrature node, and at chart
@@ -457,12 +446,12 @@ def integrate_frame(
     source = _require_source(field)
     grid = field.grid
     xs, ys = grid.xs, grid.ys
-    i0, j0, psi0, u0 = _resolve_seed(field, space, seed)
+    i0, j0 = _seed_node(field, seed)
 
     m, (cu1, cu2, cpsi), calive, k = _seed_column(
-        source, space, xs[i0], ys, j0, _frame_matrix(space, u0[0], u0[1], psi0)
+        source, space, xs[i0], ys, j0, _frame_matrix(space, 0.0, 0.0, 0.0)
     )
-    cu1[j0], cu2[j0], cpsi[j0] = u0[0], u0[1], psi0
+    cu1[j0], cu2[j0], cpsi[j0] = 0.0, 0.0, 0.0
     _unwrap_from(cpsi[None, :], j0)
     # the rows stop at masked cells; this keeps the column's own nodes off
     # the mask too, so the frame is valid only off the singular set
@@ -476,7 +465,7 @@ def integrate_frame(
             source, space, field.mask[rows], xs, ys[rows], i0, m[rows],
             cpsi[rows], cu1[rows], cu2[rows], calive[rows], k[rows],
         )
-    return FrameField(psi=psi, u=u, valid=valid, seed=(i0, j0, psi0, u0), grid=grid)
+    return FrameField(psi=psi, u=u, valid=valid, seed=(i0, j0), grid=grid)
 
 
 def _place_rows(source, space, mask, xs, ys, i0, m, psi_c, u1_c, u2_c, alive_c, k):
@@ -557,6 +546,8 @@ def isometry_check(
 
 def hopf_deviation(frame: FrameField, space: ChartSpace) -> tuple[float, float]:
     """(max |Re Q - 1/4|, max |Im Q|) of the Hopf quantity of the frame."""
+    if frame.grid.nx < 5 or frame.grid.ny < 5:
+        raise TooFewNodes("Hopf deviation needs at least 5x5 nodes")
     (fx1, fx2), (fy1, fy2) = _frame_derivatives(frame)
     rho, _, _ = space.factor_many(frame.u[..., 0], frame.u[..., 1])
     re = 0.25 * rho * (fx1 * fx1 + fx2 * fx2 - fy1 * fy1 - fy2 * fy2)
@@ -799,7 +790,7 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
 
     # seed column, then rows out from it: the tree of the frame, whose rows
     # are placed from its marched seed column
-    i0, j0, _, _ = frame.seed
+    i0, j0 = frame.seed
     column = outward(np.zeros(3), steps(phi[:, i0], dphi[:, i0], 1j * grid.hy), j0)
     rows = steps(phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2), grid.hx)
     x_vec = outward(column, rows, i0).transpose(1, 0, 2)
@@ -830,16 +821,17 @@ def flat_route_gap(field: OmegaField, frame: FrameField) -> float:
     """Largest vertex gap between the Weierstrass and frame routes (c0 = 0).
 
     The Weierstrass immersion equals the frame's chart map up to a rigid
-    motion of the plane; this aligns position and first-derivative direction
-    at the seed node and reports the worst remaining distance.
+    motion of the plane; this aligns position at the seed node and direction
+    along the seed row's chord between the seed's neighbours in the grid (the
+    seed itself on the first or last column), and reports the worst
+    remaining distance.
     """
     mesh = weierstrass_flat(field, frame)
-    i0, j0, _, _ = frame.seed
+    i0, j0 = frame.seed
     w = mesh.chart_vertices[..., 0] + 1j * mesh.chart_vertices[..., 1]
     u = frame.u[..., 0] + 1j * frame.u[..., 1]
-    hx = frame.grid.hx
-    w_dir = (w[j0, i0 + 1] - w[j0, i0 - 1]) / (2.0 * hx)
-    u_dir = (u[j0, i0 + 1] - u[j0, i0 - 1]) / (2.0 * hx)
+    lo, hi = max(i0 - 1, 0), min(i0 + 1, frame.grid.nx - 1)
+    w_dir, u_dir = w[j0, hi] - w[j0, lo], u[j0, hi] - u[j0, lo]
     rot = (u_dir / abs(u_dir)) / (w_dir / abs(w_dir))
     aligned = rot * (w - w[j0, i0]) + u[j0, i0]
     gap = np.abs(aligned - u)

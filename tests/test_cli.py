@@ -248,14 +248,16 @@ REMOVED_OPTIONS = [
     for command in ("field", "mesh", "holonomy")
     for option in (["--degenerate"], ["--eps-den", "1e-9"], ["--overflow-guard", "1e8"])
 ] + [("verify", ["--margin", "0.1"]), ("profile", ["--drift-tol", "1e-9"]),
-      ("holonomy", ["--psi0", "0.3"])]
+      ("holonomy", ["--psi0", "0.3"]), ("mesh", ["--psi0", "0.3"]),
+      ("verify", ["--psi0", "0.3"])]
 
 
 @pytest.mark.parametrize("command,option", REMOVED_OPTIONS,
                          ids=[f"{c}{o[0]}" for c, o in REMOVED_OPTIONS])
 def test_removed_options_are_usage_errors(tmp_path, capsys, command, option):
     # the singular-set thresholds are constants and delta picks the closed form;
-    # the holonomy depends on the seed point alone, so it takes no frame angle
+    # the frame starts at angle 0 at the chart origin, so no subcommand takes
+    # a frame angle
     base = {
         "profile": ["--c0", "1", "--c", "-1", "--d", "0", "--kind", "F", "--range", "0", "1"],
         "verify": ["--input", str(tmp_path / "field.json")],
@@ -269,8 +271,7 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, command, option):
     (["--shiffman", "--immersion"], "not allowed with argument --shiffman"),
     (["--period", "0.5"], "only with --immersion"),
     (["--shiffman", "--seed", "0.5", "0.5"], "only with --immersion"),
-    (["--psi0", "0.3"], "only with --immersion"),
-], ids=["two-modes", "period", "shiffman-seed", "psi0"])
+], ids=["two-modes", "period", "shiffman-seed"])
 def test_verify_takes_one_mode(tmp_path, capsys, extra, message):
     # a usage error comes before the input is read, so the file need not exist
     assert main(["verify", "--input", str(tmp_path / "field.json"), *extra]) == 2
@@ -331,6 +332,30 @@ def test_holonomy_constant_f_asks_for_period(capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "f is constant" in err and "--period" in err
+
+
+FAR_ROW = ["--c0=-1", "--c=-0.5", "--d", "0.5", "--domain", "0", "4", "-0.4", "0.4",
+           "--nx", "81", "--ny", "41"]
+
+
+@pytest.mark.parametrize("seed", [["nan", "0.1"], ["inf", "0.1"], ["-inf", "0.1"],
+                                  ["0.5", "nan"], ["nan", "nan"]])
+@pytest.mark.parametrize("command", ["mesh", "holonomy", "verify"])
+def test_non_finite_seed_exits_one(tmp_path, capsys, command, seed):
+    # the nearest node of a NaN or infinite seed would silently be column 0
+    argv = {
+        "mesh": ["mesh", *FAR_ROW],
+        "holonomy": ["holonomy", *FAR_ROW, "--period", "0.7"],
+        "verify": ["verify", "--input", str(tmp_path / "f.json"), "--immersion"],
+    }[command]
+    if command == "verify":
+        assert main(["field", *FAR_ROW, "--out", str(tmp_path / "f.json")]) == 0
+        capsys.readouterr()
+    assert main([*argv, "--seed", *seed, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed (") and err.count("\n") == 1
+    assert "is not finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_determinism_identical_argv(tmp_path):

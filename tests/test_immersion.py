@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foliata.cli import main
-from foliata.errors import ChartOverflow, NotFlat, PeriodUnavailable, SingularCrossing
+from foliata.errors import NotFlat, PeriodUnavailable, SingularCrossing, TooFewNodes
 from foliata.field import (
     GridSpec,
     ReconstructedSource,
@@ -57,7 +57,7 @@ def assert_frame_record(frame, field):
 def flat_trivial_frame():
     grid = GridSpec(0, 1, 0, 1, 21, 21)
     field = reconstructed(0, 0, 0, grid, a=0.0, trivial_f=True, trivial_g=True)
-    return field, integrate_frame(field, PLANE, seed=(0.0, 0.0, 0.0, (0.0, 0.0)))
+    return field, integrate_frame(field, PLANE, seed=(0.0, 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +79,6 @@ def test_chart_factor_values():
     rho, l1, l2 = SPHERE.factor_many(1.0, 0.0)
     assert rho == 1.0
     assert l1 == pytest.approx(-2.0) and l2 == 0.0
-
-
-def test_chart_factor_disk_overflow():
-    field = assemble_omega_degenerate(0.0, 1.0, GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11))
-    with pytest.raises(ChartOverflow):
-        integrate_frame(field, DISK, seed=(0.0, 0.0, 0.0, (1.0, 0.0)))
 
 
 @pytest.mark.parametrize(
@@ -151,9 +145,51 @@ def test_flat_trivial_frame_is_a_plane(flat_trivial_frame):
 
 def test_frame_seed_state_is_exact(sphere_pair):
     _, frame = sphere_pair
-    i0, j0, psi0, u0 = frame.seed
-    assert frame.psi[j0, i0] == psi0
-    assert tuple(frame.u[j0, i0]) == u0
+    # the frame starts at the chart origin at angle 0, exactly
+    i0, j0 = frame.seed
+    assert frame.psi[j0, i0] == 0.0
+    assert tuple(frame.u[j0, i0]) == (0.0, 0.0)
+
+
+#: The quadratic form each model's frame (T, N, p) preserves; the plane's
+#: frame keeps the Gram block of (T, N) and its homogeneous row (0, 0, 1).
+MODEL_FORMS = {-1.0: np.diag([-1.0, 1.0, 1.0]), 0.0: np.diag([1.0, 1.0, 0.0]), 1.0: np.eye(3)}
+
+
+@pytest.mark.parametrize("c0, c, d, domain", [
+    (1, -1, -1, (0, 1, 0, 1)),
+    (-1, -1, 1, (0, 1, 1, 1.9)),
+    (0, -0.25, -0.25, (0.5, 2.5, 0.5, 2.5)),
+], ids=["sphere", "hyperboloid", "plane"])
+def test_seed_node_moves_the_surface_by_an_isometry(c0, c, d, domain):
+    # the frames from two seed nodes differ by an isometry of the model: the
+    # Gram matrix of the lifted vertices in the model's form (pairwise
+    # distances on the plane) agrees, to the fourth order of the Magnus column
+    dp = derive_params(ModuliPoint(c0, c, d), 0.0 if c0 == 0 else None)
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    space = chart_for_curvature(c0)
+
+    def gap(n):
+        field = field_from_source(source, GridSpec(*domain, n, n))
+        xs, ys = field.grid.xs, field.grid.ys
+        frames = [integrate_frame(field, space, seed=(xs[k], ys[k])) for k in (n // 4, 3 * n // 4)]
+        assert frames[0].seed != frames[1].seed
+        assert frames[0].valid.all() and frames[1].valid.all()
+        nodes = np.linspace(0, n * n - 1, 200).astype(int)
+        grams = []
+        for frame in frames:
+            u = frame.u.reshape(-1, 2)[nodes]
+            if c0 == 0:
+                w = u[:, 0] + 1j * u[:, 1]
+                grams.append(np.abs(w[:, None] - w[None, :]))
+            else:
+                p = space.lift(u[:, 0], u[:, 1])
+                grams.append(p @ MODEL_FORMS[c0] @ p.T)
+        return np.abs(grams[0] - grams[1]).max()
+
+    coarse, fine = gap(41), gap(81)
+    assert fine <= 1e-8
+    assert coarse >= 8.0 * fine
 
 
 def test_frame_rejects_singular_seed():
@@ -162,7 +198,7 @@ def test_frame_rejects_singular_seed():
     gsol = integrate_profile(dp, "G", (-0.5, 0.5), 1e-3)
     field = assemble_omega(fsol, gsol, GridSpec(0, 1, -0.5, 0.5, 11, 11))
     with pytest.raises(SingularCrossing):
-        integrate_frame(field, DISK, seed=(0.0, 0.0, 0.0, (0.0, 0.0)))
+        integrate_frame(field, DISK, seed=(0.0, 0.0))
 
 
 def test_isometry_and_harmonic_residuals_refine(sphere_pair):
@@ -176,6 +212,18 @@ def test_isometry_and_harmonic_residuals_refine(sphere_pair):
             harmonic_residual(frame_f, SPHERE).linf]
     assert iso[0] / iso[1] >= 2.8  # order >= 1.5
     assert harm[0] / harm[1] == pytest.approx(4.0, abs=0.6)
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 21), (21, 4), (2, 2)])
+def test_frame_diagnostics_need_five_by_five_nodes(nx, ny):
+    field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, nx, ny))
+    frame = integrate_frame(field, SPHERE)
+    with pytest.raises(TooFewNodes):
+        isometry_check(frame, field, SPHERE)
+    with pytest.raises(TooFewNodes):
+        hopf_deviation(frame, SPHERE)
+    with pytest.raises(TooFewNodes):
+        harmonic_residual(frame, SPHERE)
 
 
 def test_harmonic_residual_negative_control(sphere_pair):
@@ -193,7 +241,7 @@ def test_rotational_columns_project_to_geodesics():
     grid = GridSpec(0, 2, 0, 2, 81, 81)
     field = reconstructed(1, 0, -0.25, grid, trivial_f=True)
     frame = integrate_frame(field, SPHERE)
-    i0, j0, _, _ = frame.seed
+    i0, j0 = frame.seed
     col = frame.u[frame.valid[:, i0], i0, :]
     far = col[np.argmax(np.hypot(col[:, 0], col[:, 1]))]
     direction = far / np.hypot(*far)
@@ -206,7 +254,7 @@ def test_degenerate_frame_and_meshed_horocycle_curvature():
     for n in (61, 121):
         grid = GridSpec(-0.6, 0.6, -0.6, 0.6, n, n)
         field = assemble_omega_degenerate(0.0, 1.0, grid)
-        frame = integrate_frame(field, DISK, seed=(0.0, 0.0, 0.0, (0.0, 0.0)))
+        frame = integrate_frame(field, DISK, seed=(0.0, 0.0))
         k = mesh_row_curvature(frame, DISK, n // 2)
         gaps.append(np.nanmax(np.abs(k - 1.0)))
     assert gaps[0] <= 2e-4
@@ -296,6 +344,18 @@ def test_weierstrass_flat_matches_frame_route():
     assert flat_route_gap(field, frame) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [(0.5, 1.5), (2.5, 1.5)], ids=["first-column", "last-column"])
+def test_flat_route_gap_on_an_edge_seed_column(seed):
+    # the alignment direction comes from neighbours inside the grid, so a
+    # seed on the first or last column aligns as well as an inner one (4.7e-6)
+    dp = derive_params(ModuliPoint(0, -0.25, -0.25), a=0.0)
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    field = field_from_source(source, GridSpec(0.5, 2.5, 0.5, 2.5, 41, 41))
+    frame = integrate_frame(field, PLANE, seed=seed)
+    assert field.grid.xs[frame.seed[0]] == seed[0]
+    assert flat_route_gap(field, frame) <= 1e-5
+
+
 def weierstrass_loop_reference(field, frame):
     """Weierstrass vertices summed by one Python loop per direction out from
     the seed: the reference of weierstrass_flat's running sums."""
@@ -305,7 +365,7 @@ def weierstrass_loop_reference(field, frame):
     def panel(a, da, b, db, dz):
         return np.real(0.5 * dz * (a + b) + dz * dz / 12.0 * (da - db))
 
-    i0, j0 = frame.seed[:2]
+    i0, j0 = frame.seed
     x = np.zeros((grid.ny, grid.nx, 3))
     for j in range(j0 + 1, grid.ny):
         x[j, i0] = x[j - 1, i0] + panel(phi[j - 1, i0], dphi[j - 1, i0], phi[j, i0], dphi[j, i0],
@@ -322,9 +382,9 @@ def weierstrass_loop_reference(field, frame):
 
 @pytest.mark.parametrize("domain, seed", [
     ((0.5, 2.5, 0.5, 2.5), None),
-    ((0.5, 2.5, 0.5, 2.5), (0.5, 0.5, 0.0, (0.0, 0.0))),
-    ((0.5, 2.5, 0.5, 2.5), (2.5, 2.5, 0.3, (0.1, 0.0))),
-    ((0.5, 2.5, 0.5, 2.5), (0.5, 2.5, 0.0, (0.0, 0.0))),
+    ((0.5, 2.5, 0.5, 2.5), (0.5, 0.5)),
+    ((0.5, 2.5, 0.5, 2.5), (2.5, 2.5)),
+    ((0.5, 2.5, 0.5, 2.5), (0.5, 2.5)),
     ((-3.0, 3.0, -3.0, 3.0), None),  # singular nodes: the sums carry NaN
 ])
 def test_weierstrass_sums_match_the_loop_reference(domain, seed):
@@ -368,16 +428,16 @@ def test_holonomy_rotation_for_onduloid():
     t_g = profile_period(dp, "G")
     grid = GridSpec(0, 3, 0, 2, 151, 101)
     field = reconstructed(1, 0, -0.25, grid, trivial_f=True)
-    seed = (0.0, t_g / 4, 0.0, (0.0, 0.0))
+    seed = (0.0, t_g / 4)
     frame = integrate_frame(field, SPHERE, seed=seed)
-    rep1 = holonomy(field, 1.0, seed=seed[:2])
-    rep2 = holonomy(field, 2.0, seed=seed[:2])
+    rep1 = holonomy(field, 1.0, seed=seed)
+    rep2 = holonomy(field, 2.0, seed=seed)
     assert rep1.kind == "rotation" and not rep1.closed
     assert rep1.residual <= 1e-6
     assert rep2.angle_or_length == pytest.approx(2 * rep1.angle_or_length, rel=1e-6)
     # independent oracle: meridian columns project onto great circles whose
     # planes meet at the rotation angle per unit conformal time
-    i0, j0, _, _ = frame.seed
+    i0, j0 = frame.seed
     normals = []
     for i in (i0, i0 + 25):
         pts = frame.u[frame.valid[:, i], i, :]
@@ -407,7 +467,8 @@ def test_holonomy_closes_region_one_annulus():
 @pytest.mark.parametrize("c0, c, d, domain, nx, ny, period, seed", [
     (1, -1, -1, (0, 1, 0, 1), 61, 21, 0.37, None),
     (-1, -1, 1, (0, 6, 0.98, 1.99), 241, 121, 1.3, None),
-    # the oracle's frame starts off the chart origin: the holonomy takes no frame
+    # the oracle's frame starts off the chart origin, at the (x, y, psi, u) of
+    # the case: the holonomy takes no frame
     (-1, -1, 1, (0, 6, 0.98, 1.99), 241, 121, 1.3, (2.0, 1.5, 0.4, (0.3, -0.2))),
 ])
 def test_holonomy_matches_rk4_frame_oracle(c0, c, d, domain, nx, ny, period, seed):
@@ -418,9 +479,10 @@ def test_holonomy_matches_rk4_frame_oracle(c0, c, d, domain, nx, ny, period, see
     dp = derive_params(ModuliPoint(c0, c, d))
     source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
     field = field_from_source(source, GridSpec(*domain, nx, ny))
-    report = holonomy(field, period, seed=None if seed is None else seed[:2])
+    point, psi0, u0 = (None, 0.0, (0.0, 0.0)) if seed is None else (seed[:2], *seed[2:])
+    report = holonomy(field, period, seed=point)
     space, grid = chart_for_curvature(c0), field.grid
-    i0, j0, psi0, u0 = immersion._resolve_seed(field, space, seed)
+    i0, j0 = immersion._seed_node(field, point)
     assert not field.mask[j0].any()
     bases = [x for x in grid.xs if x + period <= grid.x1 + 1e-12]
     bases = np.array(bases[:: max(1, len(bases) // 8)])
@@ -527,7 +589,7 @@ def test_gamma_axis_rotation_speed():
     n = 161
     grid = GridSpec(-0.4, 0.4, -0.4, 0.4, n, n)
     field = assemble_omega_degenerate(alpha, beta, grid)
-    frame = integrate_frame(field, DISK, seed=(0.0, 0.0, 0.0, (0.0, 0.0)))
+    frame = integrate_frame(field, DISK, seed=(0.0, 0.0))
     diag_psi = np.array([frame.psi[j, n - 1 - j] for j in range(n)])
     mid = n // 2
     dpsi_dy = (diag_psi[mid + 1] - diag_psi[mid - 1]) / (grid.ys[mid + 1] - grid.ys[mid - 1])
@@ -593,44 +655,38 @@ def _regular_field(c0, c_size, d_size, a, nx=33, ny=33):
     return field_from_source(source, GridSpec(x0 - 0.25, x0 + 0.25, y0 - 0.25, y0 + 0.25, nx, ny))
 
 
-#: The quadratic form each model's frame (T, N, p) preserves; the plane's
-#: frame keeps the Gram block of (T, N) and its homogeneous row (0, 0, 1).
-MODEL_FORMS = {-1.0: np.diag([-1.0, 1.0, 1.0]), 0.0: np.diag([1.0, 1.0, 0.0]), 1.0: np.eye(3)}
-
-
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
 @given(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
        st.floats(-1.0, 1.0), st.floats(0.5, 3.0), st.floats(0.1, 0.5), st.floats(-0.5, -0.1))
 def test_magnus_column_matches_rk4_column(c0, c_size, d_size, a, psi0, u1, u2):
     space = chart_for_curvature(c0)
 
+    # the column starts off the chart origin, at (u1, u2) and angle psi0
+    m0 = immersion._frame_matrix(space, u1, u2, psi0)
+
     def column_gap(ny):
         field = _regular_field(c0, c_size, d_size, a, nx=5, ny=ny)
         assert not field.mask.any()
         grid = field.grid
-        seed = (grid.xs[2], grid.ys[(ny - 1) // 5], psi0, (u1, u2))  # the same y at both steps
-        frame = integrate_frame(field, space, seed=seed)
-        i0, j0 = frame.seed[:2]
+        j0 = (ny - 1) // 5  # the same y at both steps
+        m, (c1, c2, cpsi), calive, _ = immersion._seed_column(
+            field.source, space, grid.xs[2], grid.ys, j0, m0
+        )
         psi, v1, v2, alive = immersion._march(
-            field.source, space, "y", grid.xs[i0:i0 + 1], grid.ys, j0,
+            field.source, space, "y", grid.xs[2:3], grid.ys, j0,
             np.array([psi0]), np.array([u1]), np.array([u2]), np.array([True]),
         )
-        assert alive.all() and frame.valid[:, i0].all()
-        col = frame.psi[:, i0], frame.u[:, i0, 0], frame.u[:, i0, 1]
-        return field, j0, max(np.abs(r[:, 0] - m).max() for r, m in zip((psi, v1, v2), col))
+        assert alive.all() and calive.all()
+        turn = np.abs(np.angle(np.exp(1j * (psi[:, 0] - cpsi)))).max()
+        return m, max(turn, np.abs(v1[:, 0] - c1).max(), np.abs(v2[:, 0] - c2).max())
 
-    field, j0, fine = column_gap(101)
-    _, _, coarse = column_gap(51)
+    m, fine = column_gap(101)
+    _, coarse = column_gap(51)
     assert fine <= 1e-8
     # both routes are fourth order: their gap falls by about 16 per halving
     assert coarse >= 8.0 * fine
 
     # the Magnus frames stay in the isometry group of the model
-    m0 = immersion._frame_matrix(space, u1, u2, psi0)
-    m, _, alive, _ = immersion._seed_column(
-        field.source, space, field.grid.xs[2], field.grid.ys, j0, m0
-    )
-    assert alive.all()
     form = MODEL_FORMS[c0]
     gram = np.transpose(m, (0, 2, 1)) @ form @ m
     seed_gram = m0.T @ form @ m0
