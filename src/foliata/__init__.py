@@ -48,7 +48,6 @@ from .immersion import (
     obj_chunks,
     rk4_row_gap,
     weierstrass_flat,
-    write_obj,
 )
 from .moduli import (
     DerivedParams,

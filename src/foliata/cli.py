@@ -134,10 +134,7 @@ def _cmd_profile(args) -> int:
     point.validate()
     dp = derive_params(point, args.a)
     trivial = args.trivial_f if args.kind == "F" else args.trivial_g
-    sol = sample_profile(
-        dp, args.kind, tuple(args.range), args.step,
-        trivial=trivial, phase=args.phase,
-    )
+    sol = sample_profile(dp, args.kind, tuple(args.range), args.step, trivial=trivial)
     rows = ["x,f,f_x"] + [
         f"{x!r},{v!r},{dv!r}"
         for x, v, dv in zip(sol.grid.tolist(), sol.values.tolist(), sol.derivs.tolist())
@@ -217,11 +214,10 @@ def _rebuild_args(doc: dict, field: OmegaField) -> argparse.Namespace:
 REBUILD_RTOL = 1e-9
 
 
-def _rebuilt_field(doc: dict, field: OmegaField) -> tuple[argparse.Namespace, OmegaField]:
-    """The arguments and the field that a field file's config rebuilds,
-    which must hold the file's mask and omega."""
-    rebuild = _rebuild_args(doc, field)
-    live = _build_field(rebuild)
+def _rebuilt_field(doc: dict, field: OmegaField) -> OmegaField:
+    """The field that a field file's config rebuilds, which must hold the
+    file's mask and omega."""
+    live = _build_field(_rebuild_args(doc, field))
     gap = np.abs(live.omega - field.omega) > REBUILD_RTOL * np.maximum(1.0, np.abs(field.omega))
     differ = np.flatnonzero(gap | (live.mask != field.mask))
     if differ.size:
@@ -230,7 +226,7 @@ def _rebuilt_field(doc: dict, field: OmegaField) -> tuple[argparse.Namespace, Om
             f"field file omega differs from the field its config rebuilds, first at node "
             f"(i={i}, j={j}): {field.omega[j, i]} in the file, {live.omega[j, i]} rebuilt"
         )
-    return rebuild, live
+    return live
 
 
 def _cmd_verify(args) -> int:
@@ -238,23 +234,17 @@ def _cmd_verify(args) -> int:
     if args.shiffman:
         out = shiffman_document(field)
     elif args.immersion:
-        rebuild, live = _rebuilt_field(doc, field)
+        live = _rebuilt_field(doc, field)
         space, frame = _frame_for(args, live)
         iso = isometry_check(frame, live, space)
         hre, him = hopf_deviation(frame, space)
         harm = harmonic_residual(frame, space)
-        try:
-            period = _default_period(rebuild) if args.period is None else args.period
-            hol = holonomy(live, period, seed=args.seed).document()
-        except FoliataError:
-            hol = None
         out = {
             "compat_linf": rk4_row_gap(frame, live, space),
             "isometry_linf": iso.linf,
             "hopf_real_err": hre,
             "hopf_imag_err": him,
             "harmonic_linf": harm.linf,
-            "holonomy": hol,
         }
     else:
         stats = sinh_gordon_residual(field)
@@ -352,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=["F", "G"], required=True)
     sp.add_argument("--range", type=float, nargs=2, required=True, metavar=("X0", "X1"))
     sp.add_argument("--step", type=float, default=PROFILE_STEP_DEFAULT)
-    sp.add_argument("--phase", type=float, default=0.0)
     sp.add_argument("--trivial-f", action="store_true")
     sp.add_argument("--trivial-g", action="store_true")
     sp.add_argument("--out", default=None)
@@ -369,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--shiffman", action="store_true")
     mode.add_argument("--immersion", action="store_true")
-    sp.add_argument("--period", type=float, default=None)
     _add_seed_point(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_verify)
@@ -399,10 +387,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and not args.immersion and (
-            (args.period, args.seed) != (None, None)
-        ):
-            parser.error("verify: --period and --seed apply only with --immersion")
+        if args.command == "verify" and not args.immersion and args.seed is not None:
+            parser.error("verify: --seed applies only with --immersion")
+        if args.command == "profile" and (args.trivial_g if args.kind == "F" else args.trivial_f):
+            parser.error(f"profile --kind {args.kind} takes only --trivial-{args.kind.lower()}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

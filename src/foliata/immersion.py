@@ -323,8 +323,8 @@ def _require_source(field: OmegaField):
     return field.source
 
 
-def default_seed(field: OmegaField) -> tuple[float, float]:
-    """Grid node nearest an axis feature of the field.
+def default_seed(field: OmegaField) -> tuple[int, int]:
+    """Grid node (i, j) nearest an axis feature of the field.
 
     Columns are scored by min(|f|, |f'|) and rows by min(|g|, |g'|) for
     reconstructed fields (the profile zeros and turning points are where the
@@ -347,15 +347,17 @@ def default_seed(field: OmegaField) -> tuple[float, float]:
             raise SingularCrossing("no non-singular node available for the seed")
         dist = (free[:, 0] - j) ** 2 + (free[:, 1] - i) ** 2
         j, i = map(int, free[int(np.argmin(dist))])
-    return float(xs[i]), float(ys[j])
+    return int(i), int(j)
 
 
 def _seed_node(field: OmegaField, point: tuple[float, float] | None) -> tuple[int, int]:
     """Grid node (i0, j0) nearest the seed point, :func:`default_seed` for
     None; a non-finite seed raises InvalidParams and a singular seed node
     SingularCrossing."""
+    if point is None:
+        return default_seed(field)
     xs, ys = field.grid.xs, field.grid.ys
-    sx, sy = default_seed(field) if point is None else point
+    sx, sy = point
     if not (math.isfinite(sx) and math.isfinite(sy)):
         raise InvalidParams(f"seed ({sx}, {sy}) is not finite")
     i0 = int(np.argmin(np.abs(xs - sx)))
@@ -659,8 +661,12 @@ def _column_tokens(col: np.ndarray) -> list[str]:
 
 
 def obj_chunks(mesh: SurfaceMesh):
-    """:func:`write_obj`'s text in pieces: the header, one per grid row of
-    ``v`` and of ``vt`` records and per block of faces, the ``l`` lines."""
+    """OBJ text in pieces: the header, one per grid row of ``v`` and of
+    ``vt`` records and per block of faces, the ``l`` lines.  ``v`` =
+    ambient coordinates (4 values when the model lift has three components
+    plus height), ``vt`` = chart coordinates, faces as quads and foliation
+    rows as ``l`` polylines.  Only valid nodes are written, in row order, so
+    the faces and polylines number the valid nodes from 1."""
     ny, nx, dim = mesh.ambient_vertices.shape
     valid = mesh.valid
     # the 1-based OBJ index of each valid node
@@ -690,15 +696,6 @@ def obj_chunks(mesh: SurfaceMesh):
         yield (f_line * len(block)) % tuple(np.repeat(block, 2, axis=1).ravel().tolist())
     for poly in mesh.foliation:
         yield "l " + " ".join(map(str, number[list(poly)].tolist())) + "\n"
-
-
-def write_obj(mesh: SurfaceMesh) -> str:
-    """OBJ text: ``v`` = ambient coordinates (4 values when the model lift
-    has three components plus height), ``vt`` = chart coordinates, faces as
-    quads and foliation rows as ``l`` polylines.  Only valid nodes are
-    written, in row order, so the faces and polylines number the valid
-    nodes from 1."""
-    return "".join(obj_chunks(mesh))
 
 
 def mesh_row_curvature(frame: FrameField, space: ChartSpace, row: int) -> np.ndarray:

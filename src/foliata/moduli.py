@@ -248,6 +248,8 @@ def _cell_centers(rect, nx: int, ny: int) -> tuple[list[float], list[float]]:
     if not (cmin < cmax and dmin < dmax):
         raise InvalidParams(f"degenerate scan rectangle {rect}")
     wc, wd = (cmax - cmin) / nx, (dmax - dmin) / ny
+    if not (math.isfinite(wc) and math.isfinite(wd)):  # an infinite bound as well
+        raise InvalidParams(f"scan rectangle {rect} has a bound or cell width that is not finite")
     return [cmin + (i + 0.5) * wc for i in range(nx)], [dmin + (j + 0.5) * wd for j in range(ny)]
 
 

@@ -98,10 +98,14 @@ def _jacobi_form(dp: DerivedParams, kind: str) -> tuple[bool, float, float, floa
 
     The root of smaller magnitude comes from Vieta, const / (the other root):
     the textbook formula for it cancels near the homoclinic edge m -> 1.
+    Two negative roots leave w'^2 = -R(w^2) negative everywhere: no real
+    profile, even where the rounded upper root of ``dp`` reads 0.
     """
     coef, const, _, _ = _kind_params(dp, kind)
     big = -0.5 * (coef + math.copysign(math.sqrt(dp.delta), coef))
     lo, hi = sorted((big, const / big))
+    if hi < 0:
+        raise NoRealSolution(f"both roots {lo}, {hi} of the {kind} quadratic are negative")
     if lo <= 0:
         lam2 = hi - lo
         return True, math.sqrt(hi), math.sqrt(lam2), hi / lam2, -lo / lam2
@@ -136,9 +140,9 @@ class ProfileFunction:
     Canonical initial data: w(0) = 0, w'(0) = sqrt(-m0) when the admissible
     interval starts at 0 (sign-changing branch), else w(0) = sqrt(r-) =
     sqrt(m0 / r+), w'(0) = 0 (oscillation between positive roots; Vieta
-    gives r- without the cancellation of the textbook formula).  A
-    ``phase`` shifts the solution, and ``trivial`` selects the constant zero
-    branch that exists when m0 = 0.  With roots r- <= r+ the solutions are
+    gives r- without the cancellation of the textbook formula).  ``trivial``
+    selects the constant zero branch that exists when m0 = 0.  With roots
+    r- <= r+ the solutions are
 
         w = (w'(0) / lam) sd(lam x | m),   lam^2 = r+ - r-,  m = r+ / lam^2
         w = w(0) / dn(sqrt(r+) x | m),     m = 1 - r- / r+
@@ -151,18 +155,11 @@ class ProfileFunction:
     RK4 integration of the same initial-value problem, kept as the oracle.
     """
 
-    def __init__(
-        self,
-        dp: DerivedParams,
-        kind: str,
-        trivial: bool = False,
-        phase: float = 0.0,
-    ):
+    def __init__(self, dp: DerivedParams, kind: str, trivial: bool = False):
         self.dp = dp
         self.kind = kind.upper()
         self.coef, self.const, _, _ = _kind_params(dp, self.kind)
         self.trivial = trivial
-        self.phase = float(phase)
         self.w0 = self.dw0 = 0.0
         if trivial:
             if abs(self.const) > 1e-12:
@@ -184,8 +181,8 @@ class ProfileFunction:
         self._quarter = math.pi / (2.0 * self._ladder[0][-1])
 
     def _march(self, targets: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-        """RK4 values and derivatives at shifted abscissae, marched from 0
-        outward in steps no longer than ``step``.
+        """RK4 values and derivatives at ``targets``, marched from 0 outward
+        in steps no longer than ``step``.
 
         State increments accumulate with compensated summation so the
         rounding floor stays well below the fourth-order truncation error
@@ -227,7 +224,7 @@ class ProfileFunction:
         xs = np.asarray(xs, dtype=float)
         if self.w0 == 0.0 and self.dw0 == 0.0:
             return np.zeros_like(xs), np.zeros_like(xs)
-        u = self._rate * (xs - self.phase) - self._quarter
+        u = self._rate * xs - self._quarter
         sn, cn, dn = _sn_cn_dn(u, self._m, self._m1, self._ladder)
         if self._crossing:
             return self._amp * cn, -self._amp * self._rate * sn * dn
@@ -256,7 +253,7 @@ class ProfileSolution:
             arr.setflags(write=False)
 
 
-def _sampled_profile(sample, dp, kind, x_range, step, trivial, phase):
+def _sampled_profile(sample, dp, kind, x_range, step, trivial):
     """Profile valued by ``sample(fn, grid)`` on the uniform grid of step
     ``step`` covering ``x_range``.  Raises DriftExceeded when the
     first-integral drift passes 100 x DRIFT_TOL (a step too large)."""
@@ -266,13 +263,13 @@ def _sampled_profile(sample, dp, kind, x_range, step, trivial, phase):
     gaps = (x1 - x0) / step
     if not gaps < MAX_SAMPLES:  # an infinite width as well
         raise InvalidParams(f"{gaps:.3g} samples at step {step}, more than {MAX_SAMPLES}")
-    fn = ProfileFunction(dp, kind, trivial=trivial, phase=phase)
+    fn = ProfileFunction(dp, kind, trivial=trivial)
     # round the count up so the samples always cover [x0, x1]
     n = max(2, math.ceil(gaps - 1e-9)) + 1
     grid = x0 + step * np.arange(n)
     values, derivs = (np.zeros(n), np.zeros(n)) if trivial else sample(fn, grid)
     # the exact initial data, which the closed form rounds (cn(-K) ~ 6e-17)
-    start = grid == fn.phase
+    start = grid == 0.0
     values[start], derivs[start] = fn.w0, fn.dw0
     drift = float(np.max(np.abs(fn.first_integral(values, derivs))))
     if drift > 100.0 * DRIFT_TOL:
@@ -290,10 +287,9 @@ def sample_profile(
     x_range: tuple[float, float],
     step: float,
     trivial: bool = False,
-    phase: float = 0.0,
 ) -> ProfileSolution:
     """Closed-form profile on a uniform grid: the samples of ``foliata profile``."""
-    return _sampled_profile(ProfileFunction.eval_many, dp, kind, x_range, step, trivial, phase)
+    return _sampled_profile(ProfileFunction.eval_many, dp, kind, x_range, step, trivial)
 
 
 def integrate_profile(
@@ -302,15 +298,13 @@ def integrate_profile(
     x_range: tuple[float, float],
     step: float,
     trivial: bool = False,
-    phase: float = 0.0,
 ) -> ProfileSolution:
     """RK4 integration of the profile equation over the grid of
     :func:`sample_profile`: the oracle for the closed form, whose drift and
     step-halving ratio acceptance criterion 2 measures.
     """
     return _sampled_profile(
-        lambda fn, grid: fn._march(grid - fn.phase, step),
-        dp, kind, x_range, step, trivial, phase,
+        lambda fn, grid: fn._march(grid, step), dp, kind, x_range, step, trivial
     )
 
 

@@ -99,6 +99,18 @@ def test_scan_csv(tmp_path):
     assert lines[1].startswith("-1.5,-1.5,")
 
 
+@pytest.mark.parametrize("rect", [["-inf", "0", "0", "1"], ["-1e308", "1e308", "0", "1"]],
+                         ids=["infinite-bound", "overflowing-width"])
+def test_scan_non_finite_rectangle_exits_one(tmp_path, capsys, rect):
+    # an infinite bound, or a width past the largest double, has no finite cell centre
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--c0", "-1", "--rect", *rect, "--nx", "2", "--ny", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan rectangle") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_profile_csv_and_sidecar(tmp_path):
     out = tmp_path / "prof.csv"
     code = main(["profile", "--c0", "1", "--c", "-1", "--d", "0", "--kind", "F",
@@ -127,26 +139,20 @@ def _profile_table(path):
     d=st.floats(-2, 2),
     a=st.floats(-1, 1),
     kind=st.sampled_from(["F", "G"]),
-    phase=st.floats(-3, 3),
     x0=st.floats(-3, 3),
     length=st.floats(0.5, 4),
 )
-@example(c0=1.0, c=-1.0, d=0.0, a=0.0, kind="F", phase=0.5, x0=-1.25, length=3.0)
-@example(c0=-1.0, c=-1.0, d=1.0, a=0.0, kind="G", phase=-2.0, x0=1.0, length=2.0)
-@example(c0=0.0, c=-1.0, d=-1.0, a=0.5, kind="G", phase=1.0, x0=-2.0, length=3.0)
-def test_profile_csv_matches_rk4_oracle(tmp_path_factory, c0, c, d, a, kind, phase, x0,
-                                        length):
+def test_profile_csv_matches_rk4_oracle(tmp_path_factory, c0, c, d, a, kind, x0, length):
     point = (c0, c, c if c0 == 0 else d)
     x_range = (x0, x0 + length)
     try:
-        sol = integrate_profile(derive_params(ModuliPoint(*point), a), kind, x_range, 1e-3,
-                                phase=phase)
+        sol = integrate_profile(derive_params(ModuliPoint(*point), a), kind, x_range, 1e-3)
     except NoRealSolution:
         assume(False)
     out = tmp_path_factory.mktemp("profile") / "p.csv"
     argv = ["profile", "--c0", repr(point[0]), "--c", repr(point[1]), "--d", repr(point[2]),
             "--a", repr(a), "--kind", kind, "--range", repr(x_range[0]), repr(x_range[1]),
-            "--phase", repr(phase), "--out", str(out)]
+            "--out", str(out)]
     assert main(argv) == 0
     table = _profile_table(out)
     assert table[:, 0].tobytes() == sol.grid.tobytes()
@@ -155,6 +161,30 @@ def test_profile_csv_matches_rk4_oracle(tmp_path_factory, c0, c, d, a, kind, pha
     side = json.loads(Path(str(out) + ".json").read_text())
     assert abs(side["first_integral_drift"] - sol.first_integral_drift) <= 1e-9
     assert side["period"] == sol.period
+
+
+@pytest.mark.parametrize("kind,flag", [("F", "--trivial-g"), ("G", "--trivial-f")])
+def test_profile_rejects_the_other_kinds_branch(tmp_path, capsys, kind, flag):
+    # the flag of the profile not sampled would be ignored, yet echoed in the sidecar
+    out = tmp_path / "p.csv"
+    assert main(["profile", "--c0", "-1", "--c", "0", "--d", "0", "--kind", kind, flag,
+                 "--range", "0", "1", "--out", str(out)]) == 2
+    assert f"profile --kind {kind} takes only --trivial-{kind.lower()}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "field"])
+def test_rounded_zero_root_exits_one(tmp_path, capsys, command):
+    # d = 0, but the constant of g recovered from delta is 2.2e-16 > 0 with
+    # both roots of its quadratic negative, while the rounded upper root is 0
+    point = ["--c0", "1", "--c", "-1.0862297129252647", "--d", "0"]
+    extra = {"profile": ["--kind", "G", "--range", "0", "1"],
+             "field": ["--domain", "0", "1", "0", "1", "--nx", "5", "--ny", "5"]}[command]
+    out = tmp_path / "out"
+    assert main([command, *point, *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: both roots") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_profile_never_marches(monkeypatch, tmp_path):
@@ -169,7 +199,7 @@ def test_profile_never_marches(monkeypatch, tmp_path):
     out = tmp_path / "p.csv"
     for args, zero in [
         (["--c0", "1", "--c", "-1", "--d", "0", "--kind", "F"], False),
-        (["--c0", "-1", "--c", "-1", "--d", "1", "--kind", "G", "--phase", "0.3"], False),
+        (["--c0", "-1", "--c", "-1", "--d", "1", "--kind", "G"], False),
         # the zero branches: --trivial-f, and const = 0 without a flag
         (["--c0", "-1", "--c", "0", "--d", "0", "--kind", "F", "--trivial-f"], True),
         (["--c0", "-1", "--c", "0", "--d", "-0.5", "--kind", "F"], True),
@@ -213,7 +243,7 @@ def test_field_verify_round_trip(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert {"compat_linf", "isometry_linf", "hopf_real_err", "hopf_imag_err",
-            "harmonic_linf", "holonomy", "config"} == set(doc)
+            "harmonic_linf", "config"} == set(doc)
     assert doc["compat_linf"] < 1e-6
 
 
@@ -249,7 +279,8 @@ REMOVED_OPTIONS = [
     for option in (["--degenerate"], ["--eps-den", "1e-9"], ["--overflow-guard", "1e8"])
 ] + [("verify", ["--margin", "0.1"]), ("profile", ["--drift-tol", "1e-9"]),
       ("holonomy", ["--psi0", "0.3"]), ("mesh", ["--psi0", "0.3"]),
-      ("verify", ["--psi0", "0.3"])]
+      ("verify", ["--psi0", "0.3"]), ("profile", ["--phase", "0.3"]),
+      ("verify", ["--period", "1.0", "--immersion"])]
 
 
 @pytest.mark.parametrize("command,option", REMOVED_OPTIONS,
@@ -257,7 +288,7 @@ REMOVED_OPTIONS = [
 def test_removed_options_are_usage_errors(tmp_path, capsys, command, option):
     # the singular-set thresholds are constants and delta picks the closed form;
     # the frame starts at angle 0 at the chart origin, so no subcommand takes
-    # a frame angle
+    # a frame angle; the profile has no phase, and only holonomy takes a period
     base = {
         "profile": ["--c0", "1", "--c", "-1", "--d", "0", "--kind", "F", "--range", "0", "1"],
         "verify": ["--input", str(tmp_path / "field.json")],
@@ -269,7 +300,7 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, command, option):
 
 @pytest.mark.parametrize("extra,message", [
     (["--shiffman", "--immersion"], "not allowed with argument --shiffman"),
-    (["--period", "0.5"], "only with --immersion"),
+    (["--period", "0.5"], "unrecognized arguments: --period"),
     (["--shiffman", "--seed", "0.5", "0.5"], "only with --immersion"),
 ], ids=["two-modes", "period", "shiffman-seed"])
 def test_verify_takes_one_mode(tmp_path, capsys, extra, message):

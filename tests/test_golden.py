@@ -23,7 +23,7 @@ import pytest
 from foliata._jsonfmt import dumps
 from foliata import cli
 from foliata.cli import main
-from foliata.immersion import SurfaceMesh, _mesh_topology, write_obj
+from foliata.immersion import SurfaceMesh, _mesh_topology, obj_chunks
 from foliata.moduli import ModuliPoint, derive_params
 from foliata.profile import integrate_profile
 
@@ -191,8 +191,9 @@ def test_write_obj_matches_reference():
     valid[2, 1] = False
     faces, foliation = _mesh_topology(valid)
     mesh = SurfaceMesh(chart, ambient, valid, faces, foliation, {"nx": nx, "c0": -1.0})
-    assert write_obj(mesh).splitlines() == _ref_obj(mesh).splitlines()
-    assert write_obj(mesh) == _ref_obj(mesh)
+    text = "".join(obj_chunks(mesh))
+    assert text.splitlines() == _ref_obj(mesh).splitlines()
+    assert text == _ref_obj(mesh)
 
 
 def test_write_obj_keeps_each_value_text():
@@ -217,7 +218,7 @@ def test_write_obj_keeps_each_value_text():
     valid = np.isfinite(ambient).all(axis=-1)
     faces, foliation = _mesh_topology(valid)
     mesh = SurfaceMesh(chart, ambient, valid, faces, foliation, {"nx": nx})
-    text = write_obj(mesh)
+    text = "".join(obj_chunks(mesh))
     assert text == _ref_obj(mesh)
     v = [line.split() for line in text.splitlines() if line.startswith("v ")]
     vt = [line.split() for line in text.splitlines() if line.startswith("vt ")]
@@ -268,4 +269,4 @@ def test_cli_mesh_file_is_write_obj(tmp_path, monkeypatch, name, argv):
     monkeypatch.setattr(cli, "obj_chunks", recorded)
     out = _run(tmp_path, argv, name)
     assert len(meshes) == 1
-    assert out.read_text(encoding="utf-8") == write_obj(meshes[0])
+    assert out.read_text(encoding="utf-8") == "".join(obj_chunks(meshes[0]))

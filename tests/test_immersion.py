@@ -26,9 +26,9 @@ from foliata.immersion import (
     integrate_frame,
     isometry_check,
     mesh_row_curvature,
+    obj_chunks,
     rk4_row_gap,
     weierstrass_flat,
-    write_obj,
 )
 from foliata.moduli import ModuliPoint, derive_params
 from foliata.profile import ProfileFunction, integrate_profile, profile_period
@@ -313,8 +313,7 @@ def test_region_one_mesh_clips_at_disk_boundary():
 def test_write_obj_structure(flat_trivial_frame):
     field, frame = flat_trivial_frame
     mesh = build_mesh(frame, field, PLANE, metadata={"c": 0.0, "d": 0.0})
-    text = write_obj(mesh)
-    lines = text.splitlines()
+    lines = "".join(obj_chunks(mesh)).splitlines()
     assert lines[0].startswith("#")
     n_v = sum(1 for ln in lines if ln.startswith("v "))
     n_vt = sum(1 for ln in lines if ln.startswith("vt "))

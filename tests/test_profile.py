@@ -110,15 +110,6 @@ def test_trivial_branch():
         integrate_profile(dp(1, -1, 0), "F", (0, 2), 1e-3, trivial=True)
 
 
-def test_phase_shift():
-    d = dp(1, -1, 0)
-    base = integrate_profile(d, "F", (0, 3), 1e-3)
-    shifted = integrate_profile(d, "F", (0, 3), 1e-3, phase=0.5)
-    f_ref, _ = base.fn.eval_many(np.array([1.0 - 0.5]))
-    f_shift, _ = shifted.fn.eval_many(np.array([1.0]))
-    assert f_shift[0] == pytest.approx(f_ref[0], abs=1e-12)
-
-
 def test_lemniscatic_period():
     t = profile_period(dp(1, -1, 0), "F")
     assert t == pytest.approx(LEMNISCATE_PERIOD, abs=1e-10)
