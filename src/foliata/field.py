@@ -19,6 +19,7 @@ sinh(omega) = -tan(alpha x + beta y) on the principal strip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -45,6 +46,10 @@ NEWTON_MAX_ITER = 100
 CG_RTOL = 1e-12
 #: Conjugate-gradient iterations allowed per Newton step.
 CG_MAX_ITER = 1000
+#: Largest |c0| whose square is finite.  Past it the discriminants of
+#: ``derive_params`` overflow, so no field is assembled, and a field file
+#: holding such a c0 is refused.
+C0_BOUND = math.sqrt(sys.float_info.max)
 #: Nodes per row block of the grid diagnostics and of field assembly: 256 KB
 #: per float64 array, so a block's temporaries stay in a core's L2 cache.
 BLOCK_NODES = 32768
@@ -103,9 +108,13 @@ def stats_from(residual: np.ndarray, grid_h: float) -> ResidualStats:
     if vals.size == 0:
         raise TooFewNodes("no nodes with a full non-singular stencil")
     linf = float(np.max(np.abs(vals, out=vals)))
+    # squared after an exact power-of-two scaling to below 2, so the squares
+    # cannot overflow and the l2 of a residual below 2 keeps every bit
+    scale = math.ldexp(1.0, max(math.frexp(linf)[1] - 1, 0))
+    np.divide(vals, scale, out=vals)
     return ResidualStats(
         linf=linf,
-        l2=float(np.sqrt(np.mean(np.multiply(vals, vals, out=vals)))),
+        l2=scale * float(np.sqrt(np.mean(np.multiply(vals, vals, out=vals)))),
         grid_h=grid_h,
         count=int(vals.size),
     )
@@ -593,19 +602,17 @@ def level_curvatures(field: OmegaField) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def field_document(field: OmegaField) -> dict:
-    """JSON-ready document for a field (omega row-major, null at singular)."""
-    flat_omega = [
-        None if m else v
-        for v, m in zip(field.omega.ravel().tolist(), field.mask.ravel().tolist())
-    ]
+    """JSON-ready document for a field: omega and mask row-major, as the 1-d
+    arrays that :func:`dumps` writes in one fill.  The record keeps omega NaN
+    exactly where the mask is true, so the singular nodes write as null."""
     return {
         "c0": field.c0,
         "domain": list(field.domain),
         "nx": field.nx,
         "ny": field.ny,
         "provenance": field.provenance,
-        "omega": flat_omega,
-        "mask": field.mask.ravel().tolist(),
+        "omega": field.omega.ravel(),
+        "mask": field.mask.ravel(),
     }
 
 
@@ -624,10 +631,10 @@ def _typed(doc: dict, key: str, types: set, kind: str):
 
 def field_from_document(doc: dict) -> OmegaField:
     """The field of a :func:`field_document` document.  A key of the wrong
-    type or length, or an |omega| beyond arcsinh(OVERFLOW_GUARD) (the bound
-    of every assembled field), raises ValueError naming it, and an omega
-    whose nulls disagree with the mask InvalidParams naming the first such
-    node."""
+    type or length, a |c0| beyond C0_BOUND or an |omega| beyond
+    arcsinh(OVERFLOW_GUARD) (the bounds of every assembled field) raises
+    ValueError naming it, and an omega whose nulls disagree with the mask
+    InvalidParams naming the first such node."""
     domain = doc["domain"]
     if type(domain) is not list or len(domain) != 4 or not set(map(type, domain)) <= _NUMBER:
         raise ValueError(f"'domain' must be a list of 4 numbers, got {domain!r}")
@@ -651,11 +658,15 @@ def field_from_document(doc: dict) -> OmegaField:
         j, i = divmod(int(beyond[0]), grid.nx)
         raise ValueError(f"omega at node (i={i}, j={j}) is {omega[j, i]}, beyond "
                          f"arcsinh(OVERFLOW_GUARD) = {bound}")
+    c0 = float(_typed(doc, "c0", _NUMBER, "a number"))
+    if not abs(c0) <= C0_BOUND:
+        raise ValueError(f"'c0' is {c0!r}, beyond C0_BOUND = {C0_BOUND!r}, the largest "
+                         "|c0| whose square is finite")
     return OmegaField(
         grid=grid,
-        c0=float(_typed(doc, "c0", _NUMBER, "a number")),
+        c0=c0,
         omega=omega,
         sinh_omega=np.sinh(omega),
         mask=mask.reshape(grid.ny, grid.nx),
-        provenance=str(doc["provenance"]),
+        provenance=_typed(doc, "provenance", {str}, "a string"),
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -271,10 +272,13 @@ def scan_csv(c0, rect, nx, ny) -> str:
     grid = moduli_scan(c0, rect, nx, ny)
     centers_c, centers_d = _cell_centers(rect, nx, ny)
     cs = list(map(repr, centers_c))
-    lines = ["c,d,label"]
+    text = {label: label.value for label in RegionLabel}
+    pieces = ["c,d,label\n"]
     for d, row in zip(map(repr, centers_d), grid):
-        lines += [f"{c},{d},{label.value}" for c, label in zip(cs, row)]
-    return "\n".join(lines) + "\n"
+        # the c column interleaved with the row's line ends ",d,label\n"
+        tails = {label: f",{d},{value}\n" for label, value in text.items()}
+        pieces += chain.from_iterable(zip(cs, map(tails.__getitem__, row)))
+    return "".join(pieces)
 
 
 def classification_document(p: ModuliPoint, report: RegionReport) -> dict:

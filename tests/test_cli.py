@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -15,7 +17,13 @@ import foliata
 from foliata._jsonfmt import dumps, format_float
 from foliata.cli import main
 from foliata.errors import NoRealSolution
-from foliata.field import GridSpec, assemble_omega_degenerate
+from foliata.field import (
+    C0_BOUND,
+    GridSpec,
+    assemble_omega_degenerate,
+    field_document,
+    field_from_document,
+)
 from foliata.moduli import ModuliPoint, derive_params
 from foliata.profile import DEGENERATE_DELTA, ProfileFunction, degenerate_constants, integrate_profile
 
@@ -542,7 +550,12 @@ def test_verify_non_finite_grid_span_exits_one(tmp_path, capsys):
     [("c0", "1", "'c0' must be a number"), ("c0", True, "'c0' must be a number"),
      ("domain", [False, 1, 0, 1], "'domain' must be a list of 4 numbers"),
      ("domain", [0, 1, 0], "'domain' must be a list of 4 numbers"),
-     ("nx", 5.0, "'nx' must be an integer"), ("ny", True, "'ny' must be an integer")],
+     ("nx", 5.0, "'nx' must be an integer"), ("ny", True, "'ny' must be an integer"),
+     # a c0 whose square overflows once gave warnings and "l2": null with exit 0
+     ("c0", 1e155, "'c0' is 1e+155, beyond C0_BOUND"),
+     ("c0", 1e308, "'c0' is 1e+308, beyond C0_BOUND"),
+     ("provenance", 5, "'provenance' must be a string, got 5"),
+     ("provenance", [1, 2], "'provenance' must be a string, got [1, 2]")],
 )
 def test_verify_mistyped_field_key_exits_one(tmp_path, capsys, key, value, expect):
     path = _field_file(tmp_path, lambda doc: doc.update({key: value}))
@@ -551,6 +564,21 @@ def test_verify_mistyped_field_key_exits_one(tmp_path, capsys, key, value, expec
         assert main(["verify", "--input", str(path), *mode]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expect in err and err.count("\n") == 1
+
+
+def test_verify_c0_at_the_bound_gives_finite_numbers(tmp_path, capsys):
+    # C0_BOUND squares finitely, but the residual squared would not: l2
+    # comes from a rescaled residual
+    path = _field_file(tmp_path, lambda doc: doc.update(c0=C0_BOUND))
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"]):
+        assert main(["verify", "--input", str(path), *mode]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        del doc["config"]
+        for value in doc.values():
+            assert all(math.isfinite(v) for v in (value.values() if isinstance(value, dict) else [value]))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -567,6 +595,75 @@ def test_verify_rejects_non_finite_json_constants(tmp_path, capsys, value):
     token = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(value)]
     assert err.startswith("error: ") and f"{token} is not a JSON number" in err
     assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def small_field(tmp_path_factory):
+    """A 7x7 field file's document, and a directory for its mutations."""
+    work = tmp_path_factory.mktemp("mutations")
+    path = work / "field.json"
+    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+                 "--nx", "7", "--ny", "7", "--out", str(path)]) == 0
+    return json.loads(path.read_text()), work
+
+
+FIELD_KEYS = ["c0", "domain", "nx", "ny", "provenance", "omega", "mask"]
+#: A key, or a key and the index of one entry of its list.
+MUTATION_SLOTS = [*FIELD_KEYS, ("domain", 0), ("domain", 3), ("omega", 0), ("omega", 24),
+                  ("omega", 48), ("mask", 24)]
+MUTATION_VALUES = st.one_of(
+    # type swaps, ragged nesting and wrong-typed provenances
+    st.sampled_from([True, False, None, "1", "x", [], {}, [1.0], [[1.0]], {"v": 1.0}, 5, [1, 2]]),
+    # huge and non-finite values; json.dumps writes NaN and Infinity
+    st.sampled_from([1e154, 1e155, 1e308, -1e308, 10**400, 10**9, -7, math.nan, math.inf]),
+    st.floats(),
+    st.integers(-10, 10),
+)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("delete"), st.sampled_from(FIELD_KEYS)),
+    st.tuples(st.just("set"), st.sampled_from(MUTATION_SLOTS), MUTATION_VALUES),
+)
+
+
+def _mutate(doc: dict, mutations) -> dict:
+    doc = json.loads(json.dumps(doc))
+    for op, slot, *value in mutations:
+        key, index = slot if isinstance(slot, tuple) else (slot, None)
+        if op == "delete":
+            doc.pop(key, None)
+        elif index is None:
+            doc[key] = value[0]
+        elif isinstance(doc.get(key), list) and index < len(doc[key]):
+            doc[key][index] = value[0]
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3),
+       mode=st.sampled_from([[], ["--shiffman"]]))
+@example(mutations=[("set", "c0", 1e155)], mode=[])
+@example(mutations=[("set", "c0", 1e308)], mode=["--shiffman"])
+@example(mutations=[("set", "c0", 1e154)], mode=["--shiffman"])
+@example(mutations=[("set", "provenance", [1, 2])], mode=[])
+@example(mutations=[("set", ("mask", 24), True), ("set", ("omega", 24), None)], mode=[])
+def test_verify_mutated_field_file_errors_or_reads_back(small_field, mutations, mode):
+    # every mutation ends in one "error:" line and exit 1, or the file holds
+    # a field that writes back as the same document; a RuntimeWarning fails
+    # the test (pyproject turns it into an error)
+    base, work = small_field
+    doc = _mutate(base, mutations)
+    path = work / "mutant.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["verify", "--input", str(path), *mode, "--out", str(work / "out.json")])
+    err = err.getvalue()
+    if status == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert status == 0 and err == ""
+    back = json.loads(dumps(field_document(field_from_document(json.loads(path.read_text())))))
+    assert back == {key: doc[key] for key in back}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from foliata import field as field_module
+from foliata._jsonfmt import dumps
 from foliata.errors import AllSingular, GridMismatch, InvalidParams, NonConverged, TooFewNodes
 from foliata.field import (
     GridSpec,
@@ -425,12 +427,23 @@ def test_field_document_round_trip():
     field = assemble_omega(fsol, gsol, grid)
     doc = field_document(field)
     assert set(doc) == {"c0", "domain", "nx", "ny", "provenance", "omega", "mask"}
-    assert doc["omega"][5 * 11] is None  # singular row serializes as null
-    back = field_from_document(doc)
+    parsed = json.loads(dumps(doc))
+    assert parsed["omega"][5 * 11] is None  # singular row serializes as null
+    back = field_from_document(parsed)
     assert back.c0 == field.c0
     assert (back.mask == field.mask).all()
-    keep = ~field.mask
-    assert np.allclose(back.omega[keep], field.omega[keep])
+    # 17 significant digits round-trip every double
+    assert np.array_equal(back.omega, field.omega, equal_nan=True)
+
+
+def test_residual_l2_never_overflows():
+    # squares past the largest double once gave l2 = inf, written as null
+    stats = field_module.stats_from(np.array([1e200, -1e200, np.nan, 3e307]), 1.0)
+    assert stats.linf == 3e307 and stats.count == 3
+    assert stats.l2 == pytest.approx(3e307 / math.sqrt(3), rel=1e-15)
+    # a residual below 2 keeps the plain sqrt(mean(r^2)) to the last bit
+    small = np.random.default_rng(3).uniform(-1.9, 1.9, 1000)
+    assert field_module.stats_from(small, 1.0).l2 == np.sqrt(np.mean(small * small))
 
 
 def test_omega_field_owns_its_singular_set():

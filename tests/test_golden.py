@@ -116,6 +116,23 @@ def test_dumps_matches_reference():
     assert dumps(doc) == _ref_json(doc) + "\n"
 
 
+@pytest.mark.parametrize("array", [
+    np.array([0.0, -0.0, -3.0, 1e16, 9999999999999998.0, -1e16, 0.1, 5e-324, -1e-300,
+              math.nan, math.inf, -math.inf]),
+    np.array([True, False, False, True]),
+    np.array([]),
+    np.array([], dtype=bool),
+], ids=["float", "bool", "empty-float", "empty-bool"])
+def test_dumps_writes_an_array_like_its_list(array):
+    # a 1-d array is written by one template, byte for byte like the list
+    # of its values, bare and nested inside a dict
+    values = array.tolist()
+    assert dumps(array) == _ref_json(values) + "\n"
+    doc = {"array": array, "nested": {"k": array, "list": [array, 1.0]}}
+    ref = {"array": values, "nested": {"k": values, "list": [values, 1.0]}}
+    assert dumps(doc) == _ref_json(ref) + "\n"
+
+
 def _assert_json_rendering(text):
     # 17 digits round-trip every double, so re-rendering the parsed values
     # must give the same text line for line
