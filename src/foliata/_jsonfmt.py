@@ -7,14 +7,26 @@ tuple, str, bool, None, int, float, which includes numpy.float64, and 1-d
 numpy float and bool arrays), indented by 2.
 
 Every float, alone or in an array, is written by one rule
-(:func:`_float_text`): one ``%`` template of per-value specs, filled once,
-so a 1-d float array costs one C-level fill and no Python call per element.
-A 1-d bool array maps through the literal table that scalars use.
+(:func:`_float_text`): one ``%`` template of per-value specs, filled once
+per block, so a 1-d float array costs one C-level fill per ``BLOCK_VALUES``
+values and no Python call per element.  A 1-d bool array maps through the
+literal table that scalars use.
+
+:func:`chunks` is the one writer: it yields the text in pieces, an array's
+a block at a time, so a document streamed to a file is never held whole;
+:func:`dumps` joins the pieces.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 import numpy as np
+
+#: Values per block of the text writers: a 1-d array's JSON, the profile
+#: CSV's rows and the moduli scan's cells go out this many at a time, so
+#: their temporaries stay bounded whatever the size of the output.
+BLOCK_VALUES = 32768
 
 #: The JSON text of None and the booleans, alone or in a bool array.
 _LITERAL = {None: "null", True: "true", False: "false"}
@@ -53,40 +65,54 @@ def _escape(s: str) -> str:
 
 def dumps(obj) -> str:
     """Serialize ``obj`` to a JSON string with stable float formatting."""
-    return _write(obj, 0) + "\n"
+    return "".join(chunks(obj))
 
 
-def _write(obj, level):
+def chunks(obj) -> Iterator[str]:
+    """The text of :func:`dumps` in pieces, a 1-d array's in blocks of
+    ``BLOCK_VALUES`` values."""
+    yield from _write(obj, 0)
+    yield "\n"
+
+
+def _write(obj, level) -> Iterator[str]:
     if obj is None or isinstance(obj, bool):
-        return _LITERAL[obj]
-    if isinstance(obj, int):
-        return str(int(obj))
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return '"' + _escape(obj) + '"'
-    pad = "  " * level
-    pad_in = "  " * (level + 1)
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "bf":
-        if not obj.size:
-            return "[]"
-        sep = ",\n" + pad_in
+        yield _LITERAL[obj]
+    elif isinstance(obj, int):
+        yield str(int(obj))
+    elif isinstance(obj, float):
+        yield format_float(obj)
+    elif isinstance(obj, str):
+        yield '"' + _escape(obj) + '"'
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "bf":
+        sep = ",\n" + "  " * (level + 1)
+        blocks = (obj[lo:lo + BLOCK_VALUES] for lo in range(0, obj.size, BLOCK_VALUES))
         if obj.dtype == bool:
-            body = sep.join(map(_LITERAL.__getitem__, obj.tolist()))
+            items = ([sep.join(map(_LITERAL.__getitem__, b.tolist()))] for b in blocks)
         else:
-            body = _float_text(obj, sep)
-        return "[\n" + pad_in + body + "\n" + pad + "]"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_write(v, level + 1) for v in obj]
-        return "[\n" + pad_in + (",\n" + pad_in).join(items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'"{_escape(str(k))}": ' + _write(v, level + 1)
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+            items = ([_float_text(b, sep)] for b in blocks)
+        yield from _bracketed("[", "]", items, level)
+    elif isinstance(obj, (list, tuple)):
+        yield from _bracketed("[", "]", (_write(v, level + 1) for v in obj), level)
+    elif isinstance(obj, dict):
+        items = (_keyed(k, v, level + 1) for k, v in obj.items())
+        yield from _bracketed("{", "}", items, level)
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _keyed(key, value, level) -> Iterator[str]:
+    yield f'"{_escape(str(key))}": '
+    yield from _write(value, level)
+
+
+def _bracketed(open_: str, close: str, items: Iterable[Iterable[str]], level) -> Iterator[str]:
+    """``items``, each a run of pieces, one to a line inside the brackets,
+    indented one level past ``level``; ``[]`` or ``{}`` when there are none."""
+    pad_in = "\n" + "  " * (level + 1)
+    empty = True
+    for item in items:
+        yield open_ + pad_in if empty else "," + pad_in
+        yield from item
+        empty = False
+    yield open_ + close if empty else "\n" + "  " * level + close

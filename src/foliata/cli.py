@@ -12,13 +12,13 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._jsonfmt import dumps
+from ._jsonfmt import BLOCK_VALUES, chunks, dumps
 from .errors import FoliataError, InvalidParams, PeriodUnavailable
 from .field import (
     GridSpec,
@@ -135,11 +135,6 @@ def _cmd_profile(args) -> int:
     dp = derive_params(point, args.a)
     trivial = args.trivial_f if args.kind == "F" else args.trivial_g
     sol = sample_profile(dp, args.kind, tuple(args.range), args.step, trivial=trivial)
-    rows = ["x,f,f_x"] + [
-        f"{x!r},{v!r},{dv!r}"
-        for x, v, dv in zip(sol.grid.tolist(), sol.values.tolist(), sol.derivs.tolist())
-    ]
-    _emit("\n".join(rows) + "\n", args.out)
     sidecar = {
         "kind": sol.kind,
         "params": dp.document(),
@@ -147,6 +142,7 @@ def _cmd_profile(args) -> int:
         "first_integral_drift": sol.first_integral_drift,
         "config": _config(args),
     }
+    _emit(_profile_csv(sol), args.out)
     if args.out:
         Path(args.out + ".json").write_text(dumps(sidecar), encoding="utf-8")
     else:
@@ -154,16 +150,27 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _profile_csv(sol) -> Iterator[str]:
+    """The profile CSV in pieces: the header, then one ``%r`` fill per block
+    of ``BLOCK_VALUES`` rows."""
+    yield "x,f,f_x\n"
+    for lo in range(0, sol.grid.size, BLOCK_VALUES):
+        rows = slice(lo, lo + BLOCK_VALUES)
+        block = np.column_stack([sol.grid[rows], sol.values[rows], sol.derivs[rows]])
+        yield ("%r,%r,%r\n" * len(block)) % tuple(block.ravel().tolist())
+
+
 def _cmd_field(args) -> int:
     field = _build_field(args)
     doc = field_document(field)
     doc["config"] = _config(args)
-    _emit(dumps(doc), args.out)
+    _emit(chunks(doc), args.out)
     return 0
 
 
-def _read_field(path: str) -> tuple[dict, OmegaField]:
-    """The document and field of a field file; unreadable input is a domain error."""
+def _read_field(path: str) -> tuple[object, OmegaField]:
+    """The config and field of a field file; unreadable input is a domain
+    error.  The file's text and parsed lists are dropped on return."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -172,12 +179,14 @@ def _read_field(path: str) -> tuple[dict, OmegaField]:
         doc = json.loads(text, parse_constant=_no_constant)
     except ValueError as exc:
         raise FoliataError(f"{path} is not JSON: {exc}") from exc
+    del text
     try:
-        return doc, field_from_document(doc)
+        field = field_from_document(doc)
     except KeyError as exc:
         raise FoliataError(f"{path} is not a field file: no key {exc}") from exc
     except (TypeError, ValueError, OverflowError, InvalidParams) as exc:
         raise FoliataError(f"{path} is not a field file: {exc}") from exc
+    return doc.get("config", {}), field
 
 
 def _no_constant(name: str):
@@ -190,10 +199,9 @@ def _no_constant(name: str):
 _REBUILD_FIELDS = {"c": None, "d": None, "a": 0.0, "trivial-f": False, "trivial-g": False}
 
 
-def _rebuild_args(doc: dict, field: OmegaField) -> argparse.Namespace:
+def _rebuild_args(cfg, field: OmegaField) -> argparse.Namespace:
     """:func:`_build_field` arguments from the generating parameters that a
     field file's config echoes, each a number or, for a flag, a boolean."""
-    cfg = doc.get("config", {})
     if not isinstance(cfg, dict):
         raise FoliataError(f"field file config must be an object, got {cfg!r}")
     if cfg.get("c") is None:
@@ -214,10 +222,10 @@ def _rebuild_args(doc: dict, field: OmegaField) -> argparse.Namespace:
 REBUILD_RTOL = 1e-9
 
 
-def _rebuilt_field(doc: dict, field: OmegaField) -> OmegaField:
+def _rebuilt_field(cfg, field: OmegaField) -> OmegaField:
     """The field that a field file's config rebuilds, which must hold the
     file's mask and omega."""
-    live = _build_field(_rebuild_args(doc, field))
+    live = _build_field(_rebuild_args(cfg, field))
     gap = np.abs(live.omega - field.omega) > REBUILD_RTOL * np.maximum(1.0, np.abs(field.omega))
     differ = np.flatnonzero(gap | (live.mask != field.mask))
     if differ.size:
@@ -230,11 +238,11 @@ def _rebuilt_field(doc: dict, field: OmegaField) -> OmegaField:
 
 
 def _cmd_verify(args) -> int:
-    doc, field = _read_field(args.input)
+    cfg, field = _read_field(args.input)
     if args.shiffman:
         out = shiffman_document(field)
     elif args.immersion:
-        live = _rebuilt_field(doc, field)
+        live = _rebuilt_field(cfg, field)
         space, frame = _frame_for(args, live)
         iso = isometry_check(frame, live, space)
         hre, him = hopf_deviation(frame, space)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._jsonfmt import BLOCK_VALUES
 from .errors import (
     AllSingular,
     GridMismatch,
@@ -50,9 +51,10 @@ CG_MAX_ITER = 1000
 #: ``derive_params`` overflow, so no field is assembled, and a field file
 #: holding such a c0 is refused.
 C0_BOUND = math.sqrt(sys.float_info.max)
-#: Nodes per row block of the grid diagnostics and of field assembly: 256 KB
-#: per float64 array, so a block's temporaries stay in a core's L2 cache.
-BLOCK_NODES = 32768
+#: Nodes per row block of the grid diagnostics and of field assembly: the
+#: text writers' block, 256 KB per float64 array, so a block's temporaries
+#: stay in a core's L2 cache.
+BLOCK_NODES = BLOCK_VALUES
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,9 @@ class GridSpec:
             raise InvalidParams(f"degenerate grid {self}")
         if not all(map(math.isfinite, (*self.domain, self.hx, self.hy))):
             raise InvalidParams(f"grid span is not finite: {self}")
+        # the stencils divide by h^2, which must neither underflow nor leave 1/h^2 infinite
+        if not all(h * h > 0 and math.isfinite(1.0 / (h * h)) for h in (self.hx, self.hy)):
+            raise InvalidParams(f"grid spacing is too fine for 1/h^2 to be finite: {self}")
 
     @property
     def xs(self) -> np.ndarray:

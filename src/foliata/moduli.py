@@ -27,6 +27,7 @@ from itertools import chain
 
 import numpy as np
 
+from ._jsonfmt import BLOCK_VALUES
 from .errors import InvalidParams
 
 #: Relative tolerance for the shared-discriminant cross-check.
@@ -260,11 +261,16 @@ def moduli_scan(
     nx: int,
     ny: int,
 ) -> list[list[RegionLabel]]:
-    """Label the nx-by-ny cell centers of a (c, d) rectangle, row-major in d."""
+    """Label the nx-by-ny cell centers of a (c, d) rectangle, row-major in d,
+    classified ``BLOCK_VALUES // nx`` rows at a time."""
     centers_c, centers_d = _cell_centers(rect, nx, ny)
     if not math.isfinite(c0):
         return [[RegionLabel.OUTSIDE_MODULI] * nx for _ in range(ny)]
-    return _classify(c0, *np.meshgrid(centers_c, centers_d))[-1].tolist()
+    size = max(BLOCK_VALUES // nx, 1)
+    labels = []
+    for lo in range(0, ny, size):
+        labels += _classify(c0, *np.meshgrid(centers_c, centers_d[lo:lo + size]))[-1].tolist()
+    return labels
 
 
 def scan_csv(c0, rect, nx, ny) -> str:

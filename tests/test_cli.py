@@ -545,6 +545,27 @@ def test_verify_non_finite_grid_span_exits_one(tmp_path, capsys):
         assert "grid span is not finite" in err
 
 
+@pytest.mark.parametrize("width", [1e-160, 1e-300])
+def test_verify_underflowing_grid_spacing_exits_one(tmp_path, capsys, width):
+    # h = width/20 squares to a subnormal or to 0, so the stencils' 1/h^2 is
+    # infinite; the grid is refused before any stencil runs
+    path = tmp_path / "field.json"
+    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+                 "--nx", "21", "--ny", "21", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["domain"] = [0.0, width, 0.0, width]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"], ["--immersion"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--input", str(path), *mode]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1/h^2" in err
+
+
 @pytest.mark.parametrize(
     "key,value,expect",
     [("c0", "1", "'c0' must be a number"), ("c0", True, "'c0' must be a number"),
