@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 on domain errors (a point outside the moduli, a
 non-oscillatory profile, ...), 2 on usage errors.  Data goes to --out or
 standard output; diagnostics go to standard error.  Every JSON document
 echoes the fully resolved configuration under the key "config".
+
+Only the moduli layer is imported here: each subcommand imports the other
+layers it runs, so ``classify`` and ``scan`` load no profile, field, Shiffman
+or immersion code.
 """
 
 from __future__ import annotations
@@ -14,34 +18,13 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from ._jsonfmt import BLOCK_VALUES, chunks, dumps
 from .errors import FoliataError, InvalidParams, PeriodUnavailable
-from .field import (
-    GridSpec,
-    OmegaField,
-    ReconstructedSource,
-    assemble_omega_degenerate,
-    field_document,
-    field_from_document,
-    field_from_source,
-    sinh_gordon_residual,
-)
-from .immersion import (
-    build_mesh,
-    chart_for_curvature,
-    harmonic_residual,
-    holonomy,
-    hopf_deviation,
-    integrate_frame,
-    isometry_check,
-    obj_chunks,
-    rk4_row_gap,
-    weierstrass_flat,
-)
 from .moduli import (
     ModuliPoint,
     RegionLabel,
@@ -50,14 +33,9 @@ from .moduli import (
     derive_params,
     scan_csv,
 )
-from .profile import (
-    DEGENERATE_DELTA,
-    ProfileFunction,
-    degenerate_constants,
-    profile_period,
-    sample_profile,
-)
-from .shiffman import shiffman_document
+
+if TYPE_CHECKING:
+    from .field import OmegaField
 
 PROFILE_STEP_DEFAULT = 1e-3
 
@@ -86,6 +64,14 @@ def _build_field(args) -> OmegaField:
     """The field of a moduli point: the constant-profile closed form for
     c0 = -1 and |delta| <= DEGENERATE_DELTA, the profile reconstruction
     elsewhere."""
+    from .field import (
+        GridSpec,
+        ReconstructedSource,
+        assemble_omega_degenerate,
+        field_from_source,
+    )
+    from .profile import DEGENERATE_DELTA, ProfileFunction, degenerate_constants
+
     point = ModuliPoint(args.c0, args.c, args.d)
     point.validate()
     dp = derive_params(point, args.a)
@@ -101,6 +87,8 @@ def _build_field(args) -> OmegaField:
 
 def _default_period(args) -> float:
     """The period of f at the point of ``args``, which a constant f lacks."""
+    from .profile import profile_period
+
     if args.trivial_f or args.c == 0:
         raise PeriodUnavailable("f is constant (c = 0 or --trivial-f), so it has no "
                                 "period: give the x-period with --period")
@@ -111,6 +99,8 @@ def _default_period(args) -> float:
 
 
 def _frame_for(args, field):
+    from .immersion import chart_for_curvature, integrate_frame
+
     space = chart_for_curvature(field.c0)
     return space, integrate_frame(field, space, seed=args.seed)
 
@@ -130,6 +120,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .profile import sample_profile
+
     point = ModuliPoint(args.c0, args.c, args.d)
     point.validate()
     dp = derive_params(point, args.a)
@@ -161,6 +153,8 @@ def _profile_csv(sol) -> Iterator[str]:
 
 
 def _cmd_field(args) -> int:
+    from .field import field_document
+
     field = _build_field(args)
     doc = field_document(field)
     doc["config"] = _config(args)
@@ -171,6 +165,8 @@ def _cmd_field(args) -> int:
 def _read_field(path: str) -> tuple[object, OmegaField]:
     """The config and field of a field file; unreadable input is a domain
     error.  The file's text and parsed lists are dropped on return."""
+    from .field import field_from_document
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -240,8 +236,12 @@ def _rebuilt_field(cfg, field: OmegaField) -> OmegaField:
 def _cmd_verify(args) -> int:
     cfg, field = _read_field(args.input)
     if args.shiffman:
+        from .shiffman import shiffman_document
+
         out = shiffman_document(field)
     elif args.immersion:
+        from .immersion import harmonic_residual, hopf_deviation, isometry_check, rk4_row_gap
+
         live = _rebuilt_field(cfg, field)
         space, frame = _frame_for(args, live)
         iso = isometry_check(frame, live, space)
@@ -255,6 +255,8 @@ def _cmd_verify(args) -> int:
             "harmonic_linf": harm.linf,
         }
     else:
+        from .field import sinh_gordon_residual
+
         stats = sinh_gordon_residual(field)
         out = {
             "linf": stats.linf,
@@ -268,6 +270,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    from .immersion import build_mesh, obj_chunks, weierstrass_flat
+
     field = _build_field(args)
     space, frame = _frame_for(args, field)
     if args.weierstrass:
@@ -282,6 +286,8 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_holonomy(args) -> int:
+    from .immersion import holonomy
+
     field = _build_field(args)
     period = _default_period(args) if args.period is None else args.period
     report = holonomy(field, period, seed=args.seed)

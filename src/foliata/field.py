@@ -51,6 +51,13 @@ CG_MAX_ITER = 1000
 #: ``derive_params`` overflow, so no field is assembled, and a field file
 #: holding such a c0 is refused.
 C0_BOUND = math.sqrt(sys.float_info.max)
+#: Smallest grid spacing h.  With |omega| <= W = arcsinh(OVERFLOW_GUARD), a
+#: one-sided gradient is at most 4 W / h and the Shiffman field u at most
+#: 17 W^2 / h^2, so the Jacobi residual's lap(u) plus its gradient term is at
+#: most 1224 W^4 / h^4 and its c0 u at most C0_BOUND 17 W^2 / h^2.  At
+#: h >= H_MIN these are at most 0.60 and 0.38 of the largest float, so no
+#: stencil overflows.
+H_MIN = (2.0**11 * math.asinh(OVERFLOW_GUARD) ** 4 / sys.float_info.max) ** 0.25
 #: Nodes per row block of the grid diagnostics and of field assembly: the
 #: text writers' block, 256 KB per float64 array, so a block's temporaries
 #: stay in a core's L2 cache.
@@ -73,9 +80,10 @@ class GridSpec:
             raise InvalidParams(f"degenerate grid {self}")
         if not all(map(math.isfinite, (*self.domain, self.hx, self.hy))):
             raise InvalidParams(f"grid span is not finite: {self}")
-        # the stencils divide by h^2, which must neither underflow nor leave 1/h^2 infinite
-        if not all(h * h > 0 and math.isfinite(1.0 / (h * h)) for h in (self.hx, self.hy)):
-            raise InvalidParams(f"grid spacing is too fine for 1/h^2 to be finite: {self}")
+        h = min(self.hx, self.hy)
+        if h < H_MIN:
+            raise InvalidParams(f"grid spacing {h!r} is below {H_MIN!r}, where the stencils' "
+                                f"1/h^2 and 1/h^4 terms can overflow: {self}")
 
     @property
     def xs(self) -> np.ndarray:

@@ -566,6 +566,30 @@ def test_verify_underflowing_grid_spacing_exits_one(tmp_path, capsys, width):
         assert "1/h^2" in err
 
 
+@pytest.mark.parametrize("omega_node", [None, 19.0])
+def test_verify_overflowing_stencil_spacing_exits_one(tmp_path, capsys, omega_node):
+    # h = 1e-154 leaves 1/h^2 finite, but the stencils overflow: plain verify
+    # once reported linf 1.1e306 (or warned and dropped nodes from count when
+    # one omega was 19.0) and --shiffman warned; the grid is refused instead
+    path = tmp_path / "field.json"
+    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1",
+                 "--nx", "21", "--ny", "21", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["domain"] = [0.0, 2e-153, 0.0, 2e-153]
+    if omega_node is not None:
+        doc["omega"][200] = omega_node
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"], ["--immersion"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--input", str(path), *mode]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "grid spacing 1e-154 is below" in err
+
+
 @pytest.mark.parametrize(
     "key,value,expect",
     [("c0", "1", "'c0' must be a number"), ("c0", True, "'c0' must be a number"),
@@ -781,10 +805,11 @@ def test_json_float_round_trip_is_bitwise(v):
 
 def test_import_loads_no_scipy():
     # neither scipy nor numpy.polynomial (a Gauss-Legendre import would load it)
-    # may add to the start-up time of every command
+    # may add to the start-up time of a command, whichever layers it loads
     src = str(Path(foliata.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = ("import sys, foliata.cli; print(sorted(m for m in sys.modules "
+    probe = ("import sys, foliata.cli, foliata.moduli, foliata.profile, foliata.field, "
+             "foliata.shiffman, foliata.immersion; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=60)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from foliata._jsonfmt import dumps
-from foliata import cli
+from foliata import immersion
 from foliata.cli import main
 from foliata.immersion import SurfaceMesh, _mesh_topology, obj_chunks
 from foliata.moduli import ModuliPoint, derive_params
@@ -277,13 +277,13 @@ def test_cli_obj_rendering(tmp_path, name, argv, n_valid):
 @pytest.mark.parametrize("name,argv", [c[:2] for c in MESH_CASES],
                          ids=[c[0] for c in MESH_CASES])
 def test_cli_mesh_file_is_write_obj(tmp_path, monkeypatch, name, argv):
-    meshes, chunks = [], cli.obj_chunks
+    meshes, chunks = [], immersion.obj_chunks
 
     def recorded(mesh):
         meshes.append(mesh)
         return chunks(mesh)
 
-    monkeypatch.setattr(cli, "obj_chunks", recorded)
+    monkeypatch.setattr(immersion, "obj_chunks", recorded)
     out = _run(tmp_path, argv, name)
     assert len(meshes) == 1
     assert out.read_text(encoding="utf-8") == "".join(obj_chunks(meshes[0]))

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foliata import field as field_module, shiffman as shiffman_module
-from foliata.errors import TooFewNodes
+from foliata.errors import InvalidParams, TooFewNodes
 from foliata.field import (
+    C0_BOUND,
+    H_MIN,
+    OVERFLOW_GUARD,
     DegenerateSource,
     GridSpec,
     OmegaField,
@@ -239,6 +242,26 @@ def test_gauss_dual_route_second_order():
     assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.6)
     field = reconstructed(1, -1, -1, 101)
     assert shiffman_document(field)["gauss_dual_route_linf"] <= 1e-3
+
+
+@pytest.mark.parametrize("c0", [1.0, C0_BOUND, -C0_BOUND])
+def test_stencils_stay_finite_at_the_smallest_spacing(c0):
+    # a checkerboard of +-arcsinh(OVERFLOW_GUARD) holds the largest jumps a
+    # field can, and its one-sided slab-edge gradients are the largest too
+    n = 21
+    w = np.where(np.indices((n, n)).sum(axis=0) % 2, 1.0, -1.0) * math.asinh(OVERFLOW_GUARD)
+    span = H_MIN * (1 + 1e-12) * (n - 1)
+    field = OmegaField(
+        grid=GridSpec(0.0, span, 0.0, span, n, n), c0=c0, omega=w, sinh_omega=np.sinh(w),
+        mask=np.zeros((n, n), bool), provenance="Synthetic",
+    )
+    with np.errstate(all="raise"):
+        assert math.isfinite(sinh_gordon_residual(field).linf)
+        doc = shiffman_document(field)
+        assert math.isfinite(doc["jacobi_residual"]["linf"])
+        assert math.isfinite(jacobi_residual(field, shiffman_field(field)).linf)
+    with pytest.raises(InvalidParams, match="grid spacing"):
+        GridSpec(0.0, 1.0, 0.0, H_MIN * (1 - 1e-12) * (n - 1), n, n)
 
 
 def test_shiffman_document_keys(bump_solved):
