@@ -6,11 +6,15 @@ hand-rolled emitter for the value types we actually produce (dict, list,
 tuple, str, bool, None, int, float, which includes numpy.float64, and 1-d
 numpy float and bool arrays), indented by 2.
 
-Every float, alone or in an array, is written by one rule
-(:func:`_float_text`): one ``%`` template of per-value specs, filled once
-per block, so a 1-d float array costs one C-level fill per ``BLOCK_VALUES``
-values and no Python call per element.  A 1-d bool array maps through the
-literal table that scalars use.
+Every float, alone or in an array, is written by one rule: ``null`` when it
+is not finite, ``%.1f`` when it is integral and below 1e16 in magnitude (so
+-0.0 keeps its sign), ``%.17g`` otherwise.  It has two forms.
+:func:`format_float` applies it to one Python float with no numpy, so a
+document of scalars (``classify``) is written without importing numpy.
+:func:`_float_text` applies it to a 1-d array: one ``%`` template of
+per-value specs, filled once per block, so an array costs one C-level fill
+per ``BLOCK_VALUES`` values and no Python call per element.  A 1-d bool
+array maps through the literal table that scalars use.
 
 :func:`chunks` is the one writer: it yields the text in pieces, an array's
 a block at a time, so a document streamed to a file is never held whole;
@@ -19,9 +23,9 @@ a block at a time, so a document streamed to a file is never held whole;
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Iterable, Iterator
-
-import numpy as np
 
 #: Values per block of the text writers: a 1-d array's JSON, the profile
 #: CSV's rows and the moduli scan's cells go out this many at a time, so
@@ -33,20 +37,25 @@ _LITERAL = {None: "null", True: "true", False: "false"}
 
 #: Template spec of a float by its kind: 0 non-finite (no JSON number), 1 any
 #: other, 2 integral below 1e16, written as x.0 with the sign of -0.0 kept.
-_SPECS = np.array([_LITERAL[None], "%.17g", "%.1f"], dtype=object)
+_SPECS = (_LITERAL[None], "%.17g", "%.1f")
 
 
-def _float_text(values: np.ndarray, sep: str) -> str:
+def _float_text(values, sep: str) -> str:
     """The JSON text of each float of a 1-d array, joined by ``sep``."""
+    import numpy as np
+
     finite = np.isfinite(values)
     kind = finite.astype(np.intp)
     kind += (values == np.trunc(values)) & (np.abs(values) < 1e16)
-    return sep.join(_SPECS[kind].tolist()) % tuple(values[finite].tolist())
+    specs = np.array(_SPECS, dtype=object)[kind]
+    return sep.join(specs.tolist()) % tuple(values[finite].tolist())
 
 
 def format_float(value: float) -> str:
-    """The JSON text of one float."""
-    return _float_text(np.array([value], dtype=float), "")
+    """The JSON text of one float, by the rule of :func:`_float_text`."""
+    if not math.isfinite(value):
+        return _SPECS[0]
+    return _SPECS[2 if value.is_integer() and abs(value) < 1e16 else 1] % value
 
 
 def _escape(s: str) -> str:
@@ -84,7 +93,7 @@ def _write(obj, level) -> Iterator[str]:
         yield format_float(obj)
     elif isinstance(obj, str):
         yield '"' + _escape(obj) + '"'
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "bf":
+    elif _is_vector(obj):
         sep = ",\n" + "  " * (level + 1)
         blocks = (obj[lo:lo + BLOCK_VALUES] for lo in range(0, obj.size, BLOCK_VALUES))
         if obj.dtype == bool:
@@ -99,6 +108,13 @@ def _write(obj, level) -> Iterator[str]:
         yield from _bracketed("{", "}", items, level)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _is_vector(obj) -> bool:
+    """Whether ``obj`` is a 1-d numpy float or bool array."""
+    np = sys.modules.get("numpy")  # no array exists before numpy is loaded
+    return (np is not None and isinstance(obj, np.ndarray) and obj.ndim == 1
+            and obj.dtype.kind in "bf")
 
 
 def _keyed(key, value, level) -> Iterator[str]:

@@ -7,7 +7,8 @@ echoes the fully resolved configuration under the key "config".
 
 Only the moduli layer is imported here: each subcommand imports the other
 layers it runs, so ``classify`` and ``scan`` load no profile, field, Shiffman
-or immersion code.
+or immersion code.  Nor is numpy: ``classify``, ``--help`` and a usage error
+run on the standard library and the moduli layer alone.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from ._jsonfmt import BLOCK_VALUES, chunks, dumps
@@ -145,6 +144,8 @@ def _cmd_profile(args) -> int:
 def _profile_csv(sol) -> Iterator[str]:
     """The profile CSV in pieces: the header, then one ``%r`` fill per block
     of ``BLOCK_VALUES`` rows."""
+    import numpy as np
+
     yield "x,f,f_x\n"
     for lo in range(0, sol.grid.size, BLOCK_VALUES):
         rows = slice(lo, lo + BLOCK_VALUES)
@@ -221,6 +222,8 @@ REBUILD_RTOL = 1e-9
 def _rebuilt_field(cfg, field: OmegaField) -> OmegaField:
     """The field that a field file's config rebuilds, which must hold the
     file's mask and omega."""
+    import numpy as np
+
     live = _build_field(_rebuild_args(cfg, field))
     gap = np.abs(live.omega - field.omega) > REBUILD_RTOL * np.maximum(1.0, np.abs(field.omega))
     differ = np.flatnonzero(gap | (live.mask != field.mask))

@@ -402,6 +402,16 @@ def sinh_gordon_residual(field: OmegaField) -> ResidualStats:
     return stats_from(res, max(grid.hx, grid.hy))
 
 
+def _refuse_beyond(omega: np.ndarray, bound: float, what: str, nodes=True) -> None:
+    """InvalidParams naming the first of the ``nodes`` of ``omega`` that is
+    not finite or exceeds ``bound`` in magnitude."""
+    beyond = np.flatnonzero(~(np.abs(omega) <= bound) & nodes)
+    if beyond.size:
+        j, i = divmod(int(beyond[0]), omega.shape[1])
+        raise InvalidParams(f"{what} has omega {omega[j, i]} at node (i={i}, j={j}), beyond "
+                            f"arcsinh(OVERFLOW_GUARD) = {bound}")
+
+
 def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaField:
     """Damped Newton solve of the Dirichlet problem for the structure equation.
 
@@ -413,6 +423,11 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
     system is solved matrix-free by conjugate gradients, preconditioned by
     the exact inverse of the Dirichlet Laplacian in its sine basis; an inner
     solve that fails raises ``NonConverged`` as well.
+
+    Every field keeps |omega| <= arcsinh(OVERFLOW_GUARD), where its stencils
+    cannot overflow: boundary data beyond it or not finite, or a converged
+    omega beyond it (possible for c0 > 0, which has no maximum principle),
+    raises ``InvalidParams``.
     """
     nx, ny = grid.nx, grid.ny
     if nx < 5 or ny < 5:
@@ -420,8 +435,10 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
     w = np.array(start, dtype=float)
     if w.shape != (ny, nx):
         raise GridMismatch(f"start array must be shaped {(ny, nx)}")
-    if not np.all(np.isfinite(w[[0, -1], :])) or not np.all(np.isfinite(w[:, [0, -1]])):
-        raise InvalidParams("boundary values must be finite")
+    bound = math.asinh(OVERFLOW_GUARD)
+    ring = np.ones((ny, nx), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    _refuse_beyond(w, bound, "the boundary", ring)
 
     hx, hy = grid.hx, grid.hy
     ax, ay = 1.0 / (hx * hx), 1.0 / (hy * hy)
@@ -452,6 +469,7 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
         step = np.max(np.abs(delta))
         if step < NEWTON_TOL:
             w[1:-1, 1:-1] += delta
+            _refuse_beyond(w, bound, "the converged solution")
             return OmegaField(
                 grid=grid,
                 c0=float(c0),

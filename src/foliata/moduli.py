@@ -12,20 +12,25 @@ this reduces to c <= 0 and d <= 0, and flat space (c0 = 0, c = d) also needs
 c <= 0.  The root sums obey X- + Y+ = X+ + Y- =
 -c0, which for the hyperbolic plane is the classical "sum to one" identity.
 
-The algebra and the label rules are written once, over numpy arrays of (c, d)
-at one c0: ``classify`` is their 0-d case and ``moduli_scan`` runs them over
-the grid of cell centers.  Scan cells that carry no surface (c != d at c0 = 0,
-a failed discriminant check, a non-finite c0) are labelled OutsideModuli.
+The algebra and the label rules are written once, in ``_derive`` and
+``_classify``, over primitives taken from a namespace passed in: ``_SCALAR``,
+built on ``math``, runs them on Python floats for ``classify`` and
+``derive_params``, and the numpy namespace of ``moduli_scan`` runs them over
+arrays of cell centers at one c0.  The two give bit-identical results, and a
+one-point lookup imports no numpy.  Scan cells that carry no surface (c != d
+at c0 = 0, a failed discriminant check, a non-finite c0) are labelled
+OutsideModuli.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import operator
 from dataclasses import asdict, dataclass
 from itertools import chain
-
-import numpy as np
+from types import SimpleNamespace
 
 from ._jsonfmt import BLOCK_VALUES
 from .errors import InvalidParams
@@ -70,7 +75,9 @@ class DerivedParams:
     """Separation constant, quadratic coefficients and roots at one point.
 
     Roots are None when delta < 0.  Root labels are ordered xminus <= xplus
-    and yminus <= yplus, with ties at delta = 0.
+    and yminus <= yplus, with ties at delta = 0.  ``c_const`` and ``d_const``
+    are the first-integral constants of the x- and y-profiles: the point's
+    own c and d, so a zero constant stays exactly zero.
     """
 
     a: float
@@ -81,45 +88,84 @@ class DerivedParams:
     xplus: float | None
     yminus: float | None
     yplus: float | None
-
-    @property
-    def c_const(self) -> float:
-        """First-integral constant of the x-profile, recovered from delta."""
-        return (self.cbar * self.cbar - self.delta) / 4.0
-
-    @property
-    def d_const(self) -> float:
-        """First-integral constant of the y-profile, recovered from delta."""
-        return (self.dbar * self.dbar - self.delta) / 4.0
+    c_const: float
+    d_const: float
 
     def document(self) -> dict:
-        """JSON-ready fields in declaration order, as every output writes them."""
-        return asdict(self)
+        """JSON-ready fields in declaration order, as every output writes
+        them, without the constants, which a document echoes as c and d."""
+        doc = asdict(self)
+        del doc["c_const"], doc["d_const"]
+        return doc
 
 
-def _derive(c0: float, c, d, a: float | None = None):
-    """derive_params over numpy arrays of (c, d) at one c0, NaN roots where delta < 0.
+def _nan_maximum(x: float, y: float) -> float:
+    """max(x, y), NaN if either is, as np.maximum."""
+    return x + y if math.isnan(x) or math.isnan(y) else max(x, y)
 
-    Also returns the mirror form dbar^2 - 4d of delta and the mask of the
-    points where both forms are finite and agree to DISCRIMINANT_RTOL.
+
+def _first(conditions, choices):
+    """The choice of the first true condition."""
+    return next(choice for cond, choice in zip(conditions, choices) if cond)
+
+
+#: The primitives of _derive and _classify over Python floats.
+_SCALAR = SimpleNamespace(
+    errstate=lambda **_: contextlib.nullcontext(),  # float arithmetic overflows to inf silently
+    maximum=_nan_maximum,
+    isfinite=math.isfinite,
+    sqrt=math.sqrt,
+    where=lambda cond, x, y: x if cond else y,
+    logical_not=operator.not_,  # ~ on a bool gives -1 or -2
+    all=all,
+    select=_first,
+)
+
+
+def _array_namespace() -> SimpleNamespace:
+    """The primitives of _derive and _classify over numpy arrays."""
+    import numpy as np
+
+    def select(conditions, choices):
+        # select positions, not choices: np.select would turn the labels into str
+        return np.array(choices, dtype=object)[np.select(conditions, range(len(choices)))]
+
+    return SimpleNamespace(
+        errstate=np.errstate,
+        maximum=np.maximum,
+        isfinite=np.isfinite,
+        sqrt=np.sqrt,
+        where=np.where,
+        logical_not=np.logical_not,
+        all=np.logical_and.reduce,
+        select=select,
+    )
+
+
+def _derive(c0: float, c, d, a: float | None, xp: SimpleNamespace):
+    """derive_params over (c, d) at one c0, NaN roots where delta < 0, in the
+    primitives of ``xp``: Python floats with _SCALAR, arrays with numpy's.
+
+    Also returns the mirror form dbar^2 - 4d of delta and where both forms
+    are finite and agree to DISCRIMINANT_RTOL.
     """
     if c0 == 0 and a is not None and not math.isfinite(a):
         raise InvalidParams(f"separation constant must be finite, got {a}")
-    with np.errstate(all="ignore"):
+    with xp.errstate(all="ignore"):
         a = (c - d) / c0 if c0 != 0 else (0.0 if a is None else float(a))
         cbar = c0 + a
         dbar = c0 - a
         delta = cbar * cbar - 4.0 * c
         mirror = dbar * dbar - 4.0 * d
-        scale = np.maximum(1.0, np.maximum(abs(delta), abs(mirror)))  # NaN if either is
-        ok = np.isfinite(scale) & (abs(delta - mirror) <= DISCRIMINANT_RTOL * scale)
-        sq = np.sqrt(np.where(delta >= 0, delta, np.nan))
+        scale = xp.maximum(1.0, xp.maximum(abs(delta), abs(mirror)))  # NaN if either is
+        ok = xp.isfinite(scale) & (abs(delta - mirror) <= DISCRIMINANT_RTOL * scale)
+        sq = xp.sqrt(xp.where(delta >= 0, delta, math.nan))
         roots = (-cbar - sq) / 2.0, (-cbar + sq) / 2.0, (-dbar - sq) / 2.0, (-dbar + sq) / 2.0
-    return DerivedParams(a, cbar, dbar, delta, *roots), mirror, ok
+    return DerivedParams(a, cbar, dbar, delta, *roots, c, d), mirror, ok
 
 
 def _point_params(dp: DerivedParams, mirror, ok) -> DerivedParams:
-    # the 0-d case as Python floats, None for the roots that do not exist
+    # the scalar case, None for the roots that do not exist
     if not ok:
         raise InvalidParams(f"discriminants disagree or overflow: {dp.delta} vs {mirror}")
     return DerivedParams(*(None if math.isnan(v) else float(v) for v in vars(dp).values()))
@@ -132,7 +178,7 @@ def derive_params(p: ModuliPoint, a: float | None = None) -> DerivedParams:
     ``a`` is ignored; for c0 = 0 it is a free third parameter defaulting to 0.
     """
     p.validate()
-    return _point_params(*_derive(p.c0, np.float64(p.c), np.float64(p.d), a))
+    return _point_params(*_derive(p.c0, float(p.c), float(p.d), a, _SCALAR))
 
 
 class RegionLabel(str, enum.Enum):
@@ -169,21 +215,22 @@ class RegionReport:
     derived: DerivedParams
 
 
-def _classify(c0: float, c, d, a: float | None = None):
-    """Derived arrays, membership inequalities and labels over (c, d) at one c0.
+def _classify(c0: float, c, d, a: float | None, xp: SimpleNamespace):
+    """Derived values, membership inequalities and labels over (c, d) at one
+    c0, in the primitives of ``xp`` as for _derive.
 
     Returns the _derive triple, the inequalities as (name, lhs, satisfied) and
-    the RegionLabel object array.  Each label comes from the first rule that
-    holds: points with no surface first, then the boundary loci, then the
-    open regions they bound.
+    the RegionLabel (an object array of them with numpy).  Each label comes
+    from the first rule that holds: points with no surface first, then the
+    boundary loci, then the open regions they bound.
     """
     sign, scale = normalize_curvature(c0)
     if c0 != sign:  # the dilatation (x, y) -> (x, y)/s gives (sign, c/s^4, d/s^4)
         # s^4 = c0^2 underflows to 0 below |c0| ~ 1.5e-154; s^2 ~ |c0| never does
         c0, s2 = float(sign), scale * scale
-        with np.errstate(all="ignore"):
+        with xp.errstate(all="ignore"):
             c, d = c / s2 / s2, d / s2 / s2
-    dp, mirror, ok = _derive(c0, c, d, a)
+    dp, mirror, ok = _derive(c0, c, d, a, xp)
     L = RegionLabel
     if c0 > 0:
         member = [("c <= 0", c, c <= 0), ("d <= 0", d, d <= 0)]
@@ -192,8 +239,8 @@ def _classify(c0: float, c, d, a: float | None = None):
                   for name, v in (("delta", dp.delta), ("x_plus", dp.xplus), ("y_plus", dp.yplus))]
         if c0 == 0:  # flat space carries no surface at c > 0
             member.append(("c <= 0", c, c <= 0))
-    inside = np.logical_and.reduce([ok] + [sat for _, _, sat in member])
-    rules = [(~inside, L.OUTSIDE_MODULI)]
+    inside = xp.all([ok] + [sat for _, _, sat in member])
+    rules = [(xp.logical_not(inside), L.OUTSIDE_MODULI)]
     if c0 > 0:
         rules += [
             ((c == 0) & (d == 0), L.FLAT_VERTICAL_ANNULUS),
@@ -221,10 +268,7 @@ def _classify(c0: float, c, d, a: float | None = None):
             ((c > 0) & (d > 0), L.BLOWED_HELICOID),
             (True, L.RIEMANN_FAMILY_H2),
         ]
-    conditions, labels = zip(*rules)
-    # select positions, not labels: np.select would turn the labels into str
-    labels = np.array(labels, dtype=object)[np.select(conditions, range(len(rules)))]
-    return dp, mirror, ok, member, labels
+    return dp, mirror, ok, member, xp.select(*zip(*rules))
 
 
 def classify(p: ModuliPoint, a: float | None = None) -> RegionReport:
@@ -236,7 +280,7 @@ def classify(p: ModuliPoint, a: float | None = None) -> RegionReport:
     labels and count as inside the moduli.
     """
     p.validate()
-    *derived, member, label = _classify(p.c0, np.float64(p.c), np.float64(p.d), a)
+    *derived, member, label = _classify(p.c0, float(p.c), float(p.d), a, _SCALAR)
     dp = _point_params(*derived)
     # inequalities on roots that do not exist (delta < 0) are left out
     cert = tuple((name, float(v), bool(sat)) for name, v, sat in member if not math.isnan(v))
@@ -263,13 +307,17 @@ def moduli_scan(
 ) -> list[list[RegionLabel]]:
     """Label the nx-by-ny cell centers of a (c, d) rectangle, row-major in d,
     classified ``BLOCK_VALUES // nx`` rows at a time."""
+    import numpy as np
+
     centers_c, centers_d = _cell_centers(rect, nx, ny)
     if not math.isfinite(c0):
         return [[RegionLabel.OUTSIDE_MODULI] * nx for _ in range(ny)]
+    xp = _array_namespace()
     size = max(BLOCK_VALUES // nx, 1)
     labels = []
     for lo in range(0, ny, size):
-        labels += _classify(c0, *np.meshgrid(centers_c, centers_d[lo:lo + size]))[-1].tolist()
+        cs, ds = np.meshgrid(centers_c, centers_d[lo:lo + size])
+        labels += _classify(c0, cs, ds, None, xp)[-1].tolist()
     return labels
 
 

@@ -69,43 +69,54 @@ def _sn_cn_dn(u, m: float, m1: float, ladder) -> tuple[np.ndarray, np.ndarray, n
     return np.sin(phi), cn, np.sqrt(m1 + m * cn * cn)
 
 
-def _kind_params(dp: DerivedParams, kind: str) -> tuple[float, float, float, float]:
-    """(coef, const, lower root, upper root) for the requested profile."""
+def _kind_params(dp: DerivedParams, kind: str) -> tuple[float, float]:
+    """(coef, const) of R(X) = X^2 + coef X + const for the requested profile."""
     kind = kind.upper()
     if kind == "F":
-        return dp.cbar, dp.c_const, dp.xminus, dp.xplus
+        return dp.cbar, dp.c_const
     if kind == "G":
-        return dp.dbar, dp.d_const, dp.yminus, dp.yplus
+        return dp.dbar, dp.d_const
     raise InvalidParams(f"kind must be 'F' or 'G', got {kind!r}")
+
+
+def _roots(dp: DerivedParams, kind: str) -> tuple[float, float]:
+    """The roots r- <= r+ of R for the requested profile.
+
+    The root of larger magnitude comes from the textbook formula and the
+    other from Vieta, const / (the first): the textbook formula for it
+    cancels near the homoclinic edge m -> 1, and a zero constant gives a
+    root at exactly 0, where the rounded roots of ``dp`` may read +-1 ulp.
+    """
+    coef, const = _kind_params(dp, kind)
+    big = -0.5 * (coef + math.copysign(math.sqrt(dp.delta), coef))
+    if big == 0:  # coef = delta = 0, so const = 0: a double root at 0
+        return 0.0, 0.0
+    lo, hi = sorted((big, const / big))
+    return lo, hi
 
 
 def admissible_interval(dp: DerivedParams, kind: str) -> tuple[float, float]:
     """Range [m, M] of attainable squared profile values.
 
-    Raises NoRealSolution when the discriminant is negative or the larger
-    root is, i.e. when no real profile exists.
+    Raises NoRealSolution when the discriminant is negative or when the
+    quadratic of either profile has two negative roots: w'^2 = -R(w^2) is
+    then negative everywhere, and a surface needs both of its profiles.
     """
     if dp.delta < 0 or dp.xplus is None:
         raise NoRealSolution(f"discriminant {dp.delta} < 0")
-    _, _, lo, hi = _kind_params(dp, kind)
-    if hi < 0:
-        raise NoRealSolution(f"upper root {hi} < 0 for kind {kind}")
+    lo, hi = _roots(dp, kind)
+    for other in "FG":
+        other_lo, other_hi = _roots(dp, other)
+        if other_hi < 0:
+            raise NoRealSolution(
+                f"both roots {other_lo}, {other_hi} of the {other} quadratic are negative")
     return max(0.0, lo), hi
 
 
 def _jacobi_form(dp: DerivedParams, kind: str) -> tuple[bool, float, float, float, float]:
-    """(sign-changing, sqrt(r+), rate, m, 1 - m) of the Jacobi form of the profile.
-
-    The root of smaller magnitude comes from Vieta, const / (the other root):
-    the textbook formula for it cancels near the homoclinic edge m -> 1.
-    Two negative roots leave w'^2 = -R(w^2) negative everywhere: no real
-    profile, even where the rounded upper root of ``dp`` reads 0.
-    """
-    coef, const, _, _ = _kind_params(dp, kind)
-    big = -0.5 * (coef + math.copysign(math.sqrt(dp.delta), coef))
-    lo, hi = sorted((big, const / big))
-    if hi < 0:
-        raise NoRealSolution(f"both roots {lo}, {hi} of the {kind} quadratic are negative")
+    """(sign-changing, sqrt(r+), rate, m, 1 - m) of the Jacobi form of a
+    profile that :func:`admissible_interval` admits."""
+    lo, hi = _roots(dp, kind)
     if lo <= 0:
         lam2 = hi - lo
         return True, math.sqrt(hi), math.sqrt(lam2), hi / lam2, -lo / lam2
@@ -158,7 +169,7 @@ class ProfileFunction:
     def __init__(self, dp: DerivedParams, kind: str, trivial: bool = False):
         self.dp = dp
         self.kind = kind.upper()
-        self.coef, self.const, _, _ = _kind_params(dp, self.kind)
+        self.coef, self.const = _kind_params(dp, self.kind)
         self.trivial = trivial
         self.w0 = self.dw0 = 0.0
         if trivial:
@@ -314,7 +325,7 @@ def profile_period(dp: DerivedParams, kind: str) -> float:
     complete elliptic integral K = pi / (2 AGM(1, sqrt(1 - m))).
     """
     admissible_interval(dp, kind)
-    _, _, rlo, rhi = _kind_params(dp, kind)
+    rlo, rhi = _roots(dp, kind)
     if dp.delta == 0 or rhi == rlo:
         raise NonOscillatory("double root: profile is constant")
     if rhi <= 0:

@@ -182,17 +182,21 @@ def test_profile_rejects_the_other_kinds_branch(tmp_path, capsys, kind, flag):
 
 
 @pytest.mark.parametrize("command", ["profile", "field"])
-def test_rounded_zero_root_exits_one(tmp_path, capsys, command):
-    # d = 0, but the constant of g recovered from delta is 2.2e-16 > 0 with
-    # both roots of its quadratic negative, while the rounded upper root is 0
+def test_zero_constant_rests_at_zero(tmp_path, command):
+    # d = 0 where delta = (c0 + a)^2 - 4c rounds: a constant recovered from
+    # delta read 2.2e-16 here, with both roots of g's quadratic negative
     point = ["--c0", "1", "--c", "-1.0862297129252647", "--d", "0"]
     extra = {"profile": ["--kind", "G", "--range", "0", "1"],
              "field": ["--domain", "0", "1", "0", "1", "--nx", "5", "--ny", "5"]}[command]
-    out = tmp_path / "out"
-    assert main([command, *point, *extra, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: both roots") and err.count("\n") == 1
-    assert not out.exists()
+    out, trivial = tmp_path / "out", tmp_path / "trivial"
+    assert main([command, *point, *extra, "--out", str(out)]) == 0
+    assert main([command, *point, *extra, "--trivial-g", "--out", str(trivial)]) == 0
+    if command == "profile":
+        rows = out.read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[1:] == ["0.0", "0.0"] for row in rows)
+        assert rows == trivial.read_text().splitlines()[1:]
+    else:
+        assert json.loads(out.read_text())["omega"] == json.loads(trivial.read_text())["omega"]
 
 
 def test_profile_never_marches(monkeypatch, tmp_path):
@@ -828,6 +832,17 @@ def _per_element(items):
 def test_dumps_flat_list_formats_each_element():
     assert dumps(FLAT_ITEMS) == "[\n  " + ",\n  ".join(_per_element(FLAT_ITEMS)) + "\n]\n"
     assert dumps(tuple(FLAT_ITEMS)) == dumps(FLAT_ITEMS)
+
+
+def test_scalar_and_array_floats_follow_one_rule():
+    # format_float writes a Python float with no numpy, the array writer a
+    # block at a time: both forms of the rule give the same text
+    values = [v for v in FLAT_ITEMS if type(v) is float]
+    values += [1e16 - 2, -1e16, 2.0**53, -2.5, 1e300, -1.7976931348623157e308, -5e-324]
+    expect = "[\n  " + ",\n  ".join(format_float(v) for v in values) + "\n]\n"
+    assert dumps(np.array(values)) == expect
+    assert [format_float(np.float64(v)) for v in values] == [format_float(v) for v in values]
+    assert format_float(-0.0) == "-0.0" and format_float(1e16) == "10000000000000000"
 
 
 NESTED_TEXT = "[\n    1.0,\n    null\n  ]"

@@ -320,6 +320,29 @@ def test_newton_start_interior_changes_the_solve_only_at_rounding_level():
     assert np.abs(from_recon.omega - from_zero.omega).max() <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_newton_refuses_data_beyond_the_overflow_guard():
+    # sinh(400) cosh(400) ~ 1e347: the residual of such a field overflows
+    start = np.zeros((9, 9))
+    start[[0, -1], :] = start[:, [0, -1]] = 400.0
+    with pytest.raises(InvalidParams, match=r"boundary has omega 400.0 at node \(i=0, j=0\)"):
+        solve_sinh_gordon(-1.0, GridSpec(0, 1, 0, 1, 9, 9), start)
+    start = np.zeros((9, 9))
+    start[4, -1] = np.nan
+    with pytest.raises(InvalidParams, match=r"boundary has omega nan at node \(i=8, j=4\)"):
+        solve_sinh_gordon(-1.0, GridSpec(0, 1, 0, 1, 9, 9), start)
+
+
+@pytest.mark.filterwarnings("error")
+def test_newton_refuses_a_solution_beyond_the_overflow_guard():
+    # c0 > 0 has no maximum principle: from data at 19.1, inside the guard,
+    # the solution on a small square bulges past arcsinh(1e8) = 19.1138
+    grid = GridSpec(0, 1e-8, 0, 1e-8, 9, 9)
+    with pytest.raises(InvalidParams, match="the converged solution has omega 19.11"):
+        solve_sinh_gordon(1.0, grid, np.full((9, 9), 19.1))
+    assert np.abs(solve_sinh_gordon(1.0, grid, np.full((9, 9), 19.0)).omega).max() < 19.1
+
+
 def test_newton_indefinite_jacobian_converges():
     # on [0, 6]^2 the lowest Dirichlet eigenvalue 2 (pi/6)^2 < 1 = c0 cosh(2 omega)
     # near omega = 0, so the Jacobian has eigenvalues of both signs
@@ -367,7 +390,8 @@ def test_newton_step_matches_dense_solve_on_non_square_grid(monkeypatch):
 
 def test_newton_inner_solve_failure_raises(monkeypatch):
     grid = GridSpec(0, 1, 0, 1, 17, 17)
-    boundary = np.fromfunction(lambda j, i: 0.1 * i * j, (17, 17))
+    # at most 17.92, inside arcsinh(OVERFLOW_GUARD)
+    boundary = np.fromfunction(lambda j, i: 0.07 * i * j, (17, 17))
     monkeypatch.setattr(field_module, "CG_MAX_ITER", 1)
     with pytest.raises(NonConverged, match="conjugate gradients"):
         solve_sinh_gordon(-1.0, grid, boundary)
@@ -378,15 +402,23 @@ def test_newton_inner_solve_failure_raises(monkeypatch):
         solve_sinh_gordon(-1.0, grid, boundary)
 
 
-def test_newton_overflowing_trial_steps_are_halved_quietly():
-    # omega = 400 on the edge y = 1: early trial steps overflow sinh(omega) in
-    # the residual, which must halve the step without a RuntimeWarning
-    grid = GridSpec(0, 1, 0, 1, 21, 21)
-    boundary = np.zeros((21, 21))
-    boundary[-1, :] = 400.0
-    field = solve_sinh_gordon(-1.0, grid, boundary)
-    assert np.isfinite(field.omega).all()
-    assert (field.omega[-1] == 400.0).all() and (field.omega[0] == 0.0).all()
+@pytest.mark.filterwarnings("error")
+def test_newton_overflowing_trial_steps_are_halved_quietly(monkeypatch):
+    # omega = 19 at c0 = 1, inside the overflow guard: full Newton steps
+    # overshoot until sinh(omega) overflows in the trial residual, which must
+    # halve the step without a RuntimeWarning and end in the typed error
+    overflowed = []
+    norm = np.linalg.norm
+
+    def counted(x):
+        value = norm(x)
+        overflowed.append(not np.isfinite(value))
+        return value
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    with pytest.raises(NonConverged, match="no Newton step factor"):
+        solve_sinh_gordon(1.0, GridSpec(0, 1, 0, 1, 9, 9), np.full((9, 9), 19.0))
+    assert any(overflowed)
 
 
 def test_level_curvature_matches_g_profile():

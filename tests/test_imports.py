@@ -2,7 +2,7 @@
 
 ``import foliata`` loads no module of the pipeline: each public name is
 imported from its module on first access, and each subcommand imports only
-the layers it runs.
+the layers it runs.  ``classify``, ``--help`` and usage errors load no numpy.
 """
 
 import json
@@ -89,6 +89,8 @@ SPHERE = ["--c0", "1", "--c", "0", "--d", "-0.25", "--trivial-f", "--domain", "0
 #: (case, argv, layers loaded beyond BASE); a field loads its profiles' layer.
 LAYERS = [
     ("classify", ["classify", *POINT, "--out", "out"], set()),
+    ("usage-missing", ["classify", "--c0", "1", "--c", "-1"], set()),
+    ("usage-verify", ["verify", "--input", "field.json", "--shiffman", "--immersion"], set()),
     ("scan", ["scan", "--c0", "-1", "--rect", "-2", "2", "-1", "2", "--nx", "4", "--ny", "4",
               "--out", "out"], set()),
     ("help", ["--help"], set()),
@@ -105,17 +107,22 @@ LAYERS = [
      {"profile", "field", "immersion"}),
 ]
 
+#: The cases that run on the standard library and BASE alone, with no numpy.
+NO_NUMPY = {"classify", "usage-missing", "usage-verify", "help"}
+
 PROBE = """
 import json, sys
 import foliata.cli
 rc = foliata.cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("foliata."))]))
+loaded = sorted(m for m in sys.modules if m.startswith("foliata."))
+print(json.dumps([rc, loaded, "numpy" in sys.modules]))
 """
 
 
 @pytest.mark.parametrize("name,argv,layers", LAYERS, ids=[case[0] for case in LAYERS])
 def test_each_subcommand_loads_only_its_layers(tmp_path, name, argv, layers):
     assert main(["field", *POINT, *GRID, "--out", str(tmp_path / "field.json")]) == 0
-    rc, loaded = json.loads(_python(PROBE, *argv, cwd=tmp_path).splitlines()[-1])
-    assert rc == 0
+    rc, loaded, numpy = json.loads(_python(PROBE, *argv, cwd=tmp_path).splitlines()[-1])
+    assert rc == (2 if name.startswith("usage") else 0)
     assert set(loaded) == BASE | {f"foliata.{layer}" for layer in layers}
+    assert numpy is (name not in NO_NUMPY)

@@ -6,9 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from foliata.errors import InvalidParams
 from foliata.moduli import (
+    _SCALAR,
     DISCRIMINANT_RTOL,
     ModuliPoint,
     RegionLabel,
+    _array_namespace,
+    _classify,
+    _derive,
     classification_document,
     classify,
     derive_params,
@@ -68,8 +72,10 @@ def test_derive_params_flat_needs_c_equals_d():
 
 def test_recovered_constants_round_trip():
     dp = derive_params(ModuliPoint(-1, -0.3, 0.7))
-    assert dp.c_const == pytest.approx(-0.3, abs=1e-14)
-    assert dp.d_const == pytest.approx(0.7, abs=1e-14)
+    assert (dp.c_const, dp.d_const) == (-0.3, 0.7)
+    # a zero constant stays zero where delta = (c0 + a)^2 - 4c rounds
+    dp = derive_params(ModuliPoint(1, -1.0862297129252647, 0))
+    assert dp.d_const == 0.0 and dp.dbar**2 != dp.delta
 
 
 CLASSIFY_CASES = [
@@ -343,3 +349,49 @@ def test_classification_document_shape():
         "a", "cbar", "dbar", "delta", "xminus", "xplus", "yminus", "yplus"
     }
     assert all(set(item) == {"name", "value", "ok"} for item in doc["certificate"])
+
+
+#: Finite floats at the edges of the format: signed zeros, subnormals, values
+#: whose squares overflow and curvatures whose dilatation scale underflows.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-200, -1e-200, 1e-154, 1.0, -1.0,
+         0.25, 2.25, 1e154, -1e154, 1e300, -1e300, 1.7976931348623157e308]
+FINITE = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(-4, 4))
+CURVATURE = st.one_of(st.sampled_from([-4.0, -1.0, 0.0, -0.0, 1.0, 9.0]), FINITE)
+
+
+def _same(x, y) -> bool:
+    """x and y are the same double, bit for bit, or both NaN."""
+    x, y = float(np.asarray(x).item()), float(np.asarray(y).item())
+    return (math.isnan(x) and math.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def _assert_same_derived(scalar, array):
+    """The _derive triples of one point, on floats and on 1-element arrays."""
+    (dp_s, mirror_s, ok_s), (dp_a, mirror_a, ok_a) = scalar, array
+    for field in vars(dp_s):
+        assert _same(getattr(dp_s, field), getattr(dp_a, field)), field
+    assert _same(mirror_s, mirror_a) and ok_s is bool(ok_a[0])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(c0=CURVATURE, c=FINITE, d=FINITE, a=st.one_of(st.none(), FINITE))
+@example(c0=-1.0, c=-0.0, d=0.0, a=None)
+@example(c0=1.0, c=5e-324, d=-5e-324, a=None)
+@example(c0=-1e-200, c=1e-300, d=-1e-300, a=None)  # scaled: c / s^4 overflows
+@example(c0=1e-200, c=-1e-300, d=0.0, a=None)
+@example(c0=-1.0, c=1e300, d=-1e300, a=None)  # (c0 + a)^2 overflows
+@example(c0=0.0, c=-1.0, d=-1.0, a=-0.0)
+@example(c0=0.0, c=1e-310, d=1e-310, a=1e300)
+def test_scalar_and_array_namespaces_agree_bit_for_bit(c0, c, d, a):
+    # classify runs _derive and _classify on Python floats, moduli_scan on
+    # arrays: the one rule table must give the same doubles and labels
+    arrays, cs, ds = _array_namespace(), np.array([c]), np.array([d])
+    _assert_same_derived(_derive(c0, c, d, a, _SCALAR), _derive(c0, cs, ds, a, arrays))
+    *derived_s, member_s, label_s = _classify(c0, c, d, a, _SCALAR)
+    *derived_a, member_a, label_a = _classify(c0, cs, ds, a, arrays)
+    _assert_same_derived(derived_s, derived_a)
+    assert [name for name, _, _ in member_s] == [name for name, _, _ in member_a]
+    for (_, lhs_s, sat_s), (_, lhs_a, sat_a) in zip(member_s, member_a):
+        assert _same(lhs_s, lhs_a) and sat_s is bool(np.asarray(sat_a).item())
+    assert isinstance(label_s, RegionLabel) and label_s is label_a.item()

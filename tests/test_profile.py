@@ -47,6 +47,21 @@ def test_admissible_interval_failures():
         admissible_interval(dp(1, 0.5, 0.1), "F")
 
 
+def test_zero_constant_profile_rests_or_fails_by_membership():
+    # at (1, c, 0) g's constant is d = 0 exactly: the zero profile wherever
+    # the point carries a surface (c <= 0), one typed error where f has none
+    rng = np.random.default_rng(45)
+    for c in rng.uniform(-2, 1, 4000):
+        d = dp(1, c, 0)
+        if c <= 0:
+            fn = ProfileFunction(d, "G")
+            assert fn.w0 == 0.0 and fn.dw0 == 0.0, c
+            assert admissible_interval(d, "G") == (0.0, 0.0), c
+        else:
+            with pytest.raises(NoRealSolution, match="of the F quadratic are negative"):
+                ProfileFunction(d, "G")
+
+
 def test_canonical_initial_conditions():
     sol = integrate_profile(dp(1, -1, 0), "F", (0, 12), 1e-3)
     assert sol.values[0] == 0.0
