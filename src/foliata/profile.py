@@ -89,8 +89,13 @@ def _roots(dp: DerivedParams, kind: str) -> tuple[float, float]:
     """
     coef, const = _kind_params(dp, kind)
     big = -0.5 * (coef + math.copysign(math.sqrt(dp.delta), coef))
-    if big == 0:  # coef = delta = 0, so const = 0: a double root at 0
-        return 0.0, 0.0
+    if big == 0:
+        # coef = delta = 0, so R = X^2 + const.  The constant of g is the
+        # point's own d, which the rounded delta does not pin to 0.
+        if const > 0:
+            raise NoRealSolution(f"X^2 + {const} of the {kind} quadratic has no real root")
+        root = math.sqrt(abs(const))
+        return -root, root
     lo, hi = sorted((big, const / big))
     return lo, hi
 
@@ -98,18 +103,15 @@ def _roots(dp: DerivedParams, kind: str) -> tuple[float, float]:
 def admissible_interval(dp: DerivedParams, kind: str) -> tuple[float, float]:
     """Range [m, M] of attainable squared profile values.
 
-    Raises NoRealSolution when the discriminant is negative or when the
-    quadratic of either profile has two negative roots: w'^2 = -R(w^2) is
-    then negative everywhere, and a surface needs both of its profiles.
+    Raises NoRealSolution when the discriminant is negative or when both
+    roots of the profile's quadratic are: w'^2 = -R(w^2) is then negative
+    everywhere, even where the rounded upper root of ``dp`` reads 0.
     """
     if dp.delta < 0 or dp.xplus is None:
         raise NoRealSolution(f"discriminant {dp.delta} < 0")
     lo, hi = _roots(dp, kind)
-    for other in "FG":
-        other_lo, other_hi = _roots(dp, other)
-        if other_hi < 0:
-            raise NoRealSolution(
-                f"both roots {other_lo}, {other_hi} of the {other} quadratic are negative")
+    if hi < 0:
+        raise NoRealSolution(f"both roots {lo}, {hi} of the {kind} quadratic are negative")
     return max(0.0, lo), hi
 
 

@@ -199,6 +199,28 @@ def test_zero_constant_rests_at_zero(tmp_path, command):
         assert json.loads(out.read_text())["omega"] == json.loads(trivial.read_text())["omega"]
 
 
+@pytest.mark.parametrize("point,g_code", [(("-4", "16", "1e-16"), 1), (("-1", "1", "-1e-17"), 0)])
+@pytest.mark.parametrize("command", ["profile-G", "profile-F", "field"])
+def test_rounded_double_root_at_zero(tmp_path, capsys, command, point, g_code):
+    # dbar and delta round to 0 while d does not: g's quadratic is X^2 + d,
+    # with no real root for d > 0 (exactly, delta < 0 there) and roots
+    # +-sqrt(-d) for d < 0.  The f profile does not depend on g's.
+    c0, c, d = point
+    extra = {"profile-G": ["--kind", "G", "--range", "0", "1"],
+             "profile-F": ["--kind", "F", "--range", "0", "1"],
+             "field": ["--domain", "0", "1", "0", "1", "--nx", "5", "--ny", "5"]}[command]
+    code = 0 if command == "profile-F" or (command == "field" and c0 == "-1") else g_code
+    out = tmp_path / "out"
+    argv = [command.split("-")[0], "--c0", c0, "--c", c, "--d", d, *extra, "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert out.exists()
+
+
 def test_profile_never_marches(monkeypatch, tmp_path):
     targets = []
     march = ProfileFunction._march

@@ -11,7 +11,7 @@ from foliata.errors import (
     NoRealSolution,
     NotDegenerate,
 )
-from foliata.moduli import ModuliPoint, derive_params
+from foliata.moduli import ModuliPoint, RegionLabel, classify, derive_params
 from foliata.profile import (
     ProfileFunction,
     _agm,
@@ -47,19 +47,21 @@ def test_admissible_interval_failures():
         admissible_interval(dp(1, 0.5, 0.1), "F")
 
 
-def test_zero_constant_profile_rests_or_fails_by_membership():
-    # at (1, c, 0) g's constant is d = 0 exactly: the zero profile wherever
-    # the point carries a surface (c <= 0), one typed error where f has none
+def test_zero_constant_profile_rests_at_zero():
+    # at (1, c, 0) g's constant is d = 0 exactly: the zero profile at every
+    # c; where the point carries no surface (c > 0) the f profile is the
+    # one with no real solution, one typed error
     rng = np.random.default_rng(45)
     for c in rng.uniform(-2, 1, 4000):
         d = dp(1, c, 0)
-        if c <= 0:
-            fn = ProfileFunction(d, "G")
-            assert fn.w0 == 0.0 and fn.dw0 == 0.0, c
-            assert admissible_interval(d, "G") == (0.0, 0.0), c
-        else:
+        fn = ProfileFunction(d, "G")
+        assert fn.w0 == 0.0 and fn.dw0 == 0.0, c
+        assert admissible_interval(d, "G") == (0.0, 0.0), c
+        inside = classify(ModuliPoint(1, c, 0)).label != RegionLabel.OUTSIDE_MODULI
+        assert inside == (c <= 0), c
+        if c > 0:
             with pytest.raises(NoRealSolution, match="of the F quadratic are negative"):
-                ProfileFunction(d, "G")
+                ProfileFunction(d, "F")
 
 
 def test_canonical_initial_conditions():
