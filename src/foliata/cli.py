@@ -61,7 +61,7 @@ def _config(args: argparse.Namespace) -> dict:
 
 def _build_field(args) -> OmegaField:
     """The field of a moduli point: the constant-profile closed form for
-    c0 = -1 and |delta| <= DEGENERATE_DELTA, the profile reconstruction
+    c0 < 0 and |delta| <= DEGENERATE_DELTA c0^2, the profile reconstruction
     elsewhere."""
     from .field import (
         GridSpec,
@@ -75,8 +75,8 @@ def _build_field(args) -> OmegaField:
     point.validate()
     dp = derive_params(point, args.a)
     grid = GridSpec(*args.domain, nx=args.nx, ny=args.ny)
-    if args.c0 == -1 and abs(dp.delta) <= DEGENERATE_DELTA:
-        return assemble_omega_degenerate(*degenerate_constants(point), grid)
+    if args.c0 < 0 and abs(dp.delta) <= DEGENERATE_DELTA * (args.c0 * args.c0):
+        return assemble_omega_degenerate(*degenerate_constants(point), grid, args.c0)
     source = ReconstructedSource(
         ProfileFunction(dp, "F", trivial=args.trivial_f),
         ProfileFunction(dp, "G", trivial=args.trivial_g),

@@ -211,18 +211,18 @@ class ReconstructedSource:
 
 
 class DegenerateSource:
-    """Closed-form field data for the constant-profile family (c0 = -1)."""
+    """Closed-form field data for the constant-profile family at c0 < 0,
+    whose constants satisfy alpha^2 + beta^2 = -c0."""
 
     provenance = "Degenerate"
 
-    def __init__(self, alpha: float, beta: float):
-        if abs(alpha * alpha + beta * beta - 1.0) > 1e-9:
-            raise InvalidParams(
-                f"constants must satisfy alpha^2 + beta^2 = 1, got {alpha}, {beta}"
-            )
+    def __init__(self, alpha: float, beta: float, c0: float = -1.0):
+        if not (c0 < 0 and abs(alpha * alpha + beta * beta + c0) <= -1e-9 * c0):
+            raise InvalidParams(f"constants must satisfy alpha^2 + beta^2 = -c0 > 0, "
+                                f"got {alpha}, {beta} at c0 = {c0}")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.c0 = -1.0
+        self.c0 = float(c0)
 
     def _sinh(self, s):
         """(sinh(omega), ok) from the phase s = alpha x + beta y."""
@@ -346,12 +346,13 @@ def assemble_omega(fsol: ProfileSolution, gsol: ProfileSolution, grid: GridSpec)
     return field_from_source(ReconstructedSource(fsol.fn, gsol.fn), grid)
 
 
-def assemble_omega_degenerate(alpha: float, beta: float, grid: GridSpec) -> OmegaField:
-    """Closed-form field omega = arcsinh(-tan(alpha x + beta y)) on a grid.
+def assemble_omega_degenerate(alpha: float, beta: float, grid: GridSpec, c0: float = -1.0) -> OmegaField:
+    """Closed-form field omega = arcsinh(-tan(alpha x + beta y)) on a grid,
+    with alpha^2 + beta^2 = -c0.
 
     Nodes outside the principal strip |alpha x + beta y| < pi/2 are singular.
     """
-    return field_from_source(DegenerateSource(alpha, beta), grid)
+    return field_from_source(DegenerateSource(alpha, beta, c0), grid)
 
 
 def _interior_laplacian(w: np.ndarray, hx: float, hy: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Frame integration of the harmonic map and the immersion X = (F, y).
 
 The horizontal factor F of the immersion is a harmonic map into the ambient
-surface, represented in a fixed global conformal chart (U, rho(u) |du|^2):
-the Poincare disk for curvature -1, the Euclidean plane for 0, and the
-stereographic plane for +1, all one closed form in c0 (:class:`ChartSpace`).
+surface, represented in a fixed global conformal chart (U, rho(u) |du|^2) of
+the field's own curvature c0: the Poincare disk of radius 1/sqrt(-c0), the
+Euclidean plane, or the stereographic plane, all one closed form in c0
+(:class:`ChartSpace`) and each the unit chart scaled by 1/sqrt|c0|.
 Writing F_x = cosh(omega) e^{i psi} / sqrt(rho) and
 F_y = i sinh(omega) e^{i psi} / sqrt(rho), the frame angle psi and the
 chart point u satisfy the coupled first-order system
@@ -50,12 +51,8 @@ from .field import (
 DISK_EDGE = 1.0 - 1e-12
 STEREO_GUARD = 1e8
 
-#: Per chart kind: (c0, axis of the lift, sigma, bound on |u|^2).
-CHART_KINDS = {
-    "poincare_disk": (-1.0, 0, 1.0, DISK_EDGE * DISK_EDGE),
-    "euclidean_plane": (0.0, 2, 2.0, math.inf),
-    "stereographic": (1.0, 2, 1.0, STEREO_GUARD * STEREO_GUARD),
-}
+#: The unit-curvature chart of each kind, by name.
+CHART_KINDS = {"poincare_disk": -1.0, "euclidean_plane": 0.0, "stereographic": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +62,28 @@ CHART_KINDS = {
 class ChartSpace:
     """A global conformal chart of the ambient surface of curvature c0.
 
-    One closed form in c0 covers the three kinds.  With s = 1 + c0 |u|^2,
-    rho = 4 / (sigma s)^2 and the lift to the model has the axis
-    coordinate (1 - c0 |u|^2) / s and the other two 2 u / (sigma s): the
-    hyperboloid (axis 0), the sphere (axis 2) and, with sigma = 2, the
-    plane in homogeneous coordinates (u1, u2, 1).
+    One closed form in c0 covers the three kinds.  With s = 1 + c0 |u|^2 and
+    q = sqrt|c0| (1 on the plane), rho = 4 / (sigma s)^2 and the lift to the
+    model has the axis coordinate (1 - c0 |u|^2) / (q s) and the other two
+    2 u / (sigma s): the hyperboloid <p, p> = 1/c0 (axis 0), the sphere of
+    radius 1/q (axis 2) and, with sigma = 2, the plane in homogeneous
+    coordinates (u1, u2, 1).  ``curvature`` is c0 or the name of a unit
+    chart in CHART_KINDS.
     """
 
-    def __init__(self, kind: str):
-        if kind not in CHART_KINDS:
-            raise InvalidParams(f"unknown chart kind {kind!r}")
-        self.kind = kind
-        self.c0, self.axis, self.sigma, self.bound = CHART_KINDS[kind]
+    def __init__(self, curvature: str | float):
+        c0 = float(CHART_KINDS.get(curvature, math.nan) if isinstance(curvature, str) else curvature)
+        if not math.isfinite(c0):
+            raise InvalidParams(f"no chart of curvature {curvature!r}")
+        self.c0 = c0
+        self.kind = "poincare_disk" if c0 < 0 else "stereographic" if c0 > 0 else "euclidean_plane"
+        self.q = math.sqrt(abs(c0)) or 1.0
+        self.axis, self.sigma = (2, 2.0) if c0 == 0 else (0 if c0 < 0 else 2, 1.0)
+        edge = (DISK_EDGE if c0 < 0 else STEREO_GUARD if c0 > 0 else math.inf) / self.q
+        self.bound = edge * edge
 
     def __repr__(self):
-        return f"ChartSpace({self.kind!r})"
+        return f"ChartSpace({self.c0!r})"
 
     def _place(self, axis_value, a, b):
         """Model coordinates from the axis one and the other two, in order."""
@@ -99,11 +103,12 @@ class ChartSpace:
 
     def lift(self, u1, u2):
         """Ambient-model coordinates of chart points: the hyperboloid
-        -X0^2 + X1^2 + X2^2 = -1, the plane (u1, u2, 1), the unit sphere."""
+        -X0^2 + X1^2 + X2^2 = 1/c0, the plane (u1, u2, 1), the sphere
+        |X|^2 = 1/c0."""
         r2 = u1 * u1 + u2 * u2
         s = 1.0 + self.c0 * r2
         ss = self.sigma * s
-        return self._place((1.0 - self.c0 * r2) / s, 2.0 * u1 / ss, 2.0 * u2 / ss)
+        return self._place((1.0 - self.c0 * r2) / (self.q * s), 2.0 * u1 / ss, 2.0 * u2 / ss)
 
     def lift_jacobian(self, u1, u2):
         """Columns (d lift/du1, d lift/du2), stacked along the last axis over
@@ -113,7 +118,7 @@ class ChartSpace:
         ss = (s * s)[..., None]
         k = -4.0 * self.c0
         cross = k * u1 * u2
-        scale = self._place(1.0, 1.0 / self.sigma, 1.0 / self.sigma)
+        scale = self._place(1.0 / self.q, 1.0 / self.sigma, 1.0 / self.sigma)
         d1 = self._place(k * u1, 2.0 * s + k * u1 * u1, cross) / ss * scale
         d2 = self._place(k * u2, cross, 2.0 * s + k * u2 * u2) / ss * scale
         return d1, d2
@@ -121,22 +126,18 @@ class ChartSpace:
     def chart_state(self, p, t):
         """Chart point (u1, u2) of the model point ``p`` and the chart angle
         of the tangent ``t`` there, over the leading axes: the inverse of the
-        lift, u = sigma (p_a, p_b) / (1 + p_w) with w the axis, and its
+        lift, u = sigma (p_a, p_b) / (1 + q p_w) with w the axis, and its
         pushforward."""
         w = self.axis
         a, b = (i for i in range(3) if i != w)
-        scale = self.sigma / (1.0 + p[..., w])
+        scale = self.sigma / (1.0 + self.q * p[..., w])
         u1, u2 = p[..., a] * scale, p[..., b] * scale
-        tw = t[..., w] / self.sigma
+        tw = self.q * t[..., w] / self.sigma
         return u1, u2, np.arctan2(t[..., b] - u2 * tw, t[..., a] - u1 * tw)
 
 
 def chart_for_curvature(c0: float) -> ChartSpace:
-    if c0 > 0:
-        return ChartSpace("stereographic")
-    if c0 < 0:
-        return ChartSpace("poincare_disk")
-    return ChartSpace("euclidean_plane")
+    return ChartSpace(c0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +444,10 @@ def integrate_frame(
     outward from the seed.  The column and the rows stop (NaN) outward at
     the first cell with a singular grid or quadrature node, and at chart
     exit or non-finite state; a singular seed raises SingularCrossing.
-    RK4 is only the oracle of :func:`rk4_row_gap`.
+    The chart must have the field's curvature.  RK4 is the oracle only.
     """
+    if space.c0 != field.c0:
+        raise InvalidParams(f"a chart of curvature {space.c0} for a field at c0 = {field.c0}")
     source = _require_source(field)
     grid = field.grid
     xs, ys = grid.xs, grid.ys
@@ -518,11 +521,16 @@ def rk4_row_gap(frame: FrameField, field: OmegaField, space: ChartSpace) -> floa
 # conformality, Hopf quantity, harmonicity
 # ---------------------------------------------------------------------------
 
-def _frame_derivatives(frame: FrameField):
+def _metric_terms(frame: FrameField, space: ChartSpace, what: str):
+    """(rho |F_x|^2, rho |F_y|^2, rho <F_x, F_y>) of the frame's chart map,
+    by centered differences; ``what`` names the check that needs them."""
+    if frame.grid.nx < 5 or frame.grid.ny < 5:
+        raise TooFewNodes(f"{what} needs at least 5x5 nodes")
     hx, hy = frame.grid.hx, frame.grid.hy
     fy1, fx1 = np.gradient(frame.u[..., 0], hy, hx, edge_order=2)
     fy2, fx2 = np.gradient(frame.u[..., 1], hy, hx, edge_order=2)
-    return (fx1, fx2), (fy1, fy2)
+    rho, _, _ = space.factor_many(frame.u[..., 0], frame.u[..., 1])
+    return rho * (fx1 * fx1 + fx2 * fx2), rho * (fy1 * fy1 + fy2 * fy2), rho * (fx1 * fy1 + fx2 * fy2)
 
 
 def isometry_check(
@@ -533,14 +541,8 @@ def isometry_check(
     Checks rho |F_x|^2 = cosh^2(omega), rho |F_y|^2 = sinh^2(omega) and
     rho <F_x, F_y> = 0 with centered differences on the chart-point grid.
     """
-    if frame.grid.nx < 5 or frame.grid.ny < 5:
-        raise TooFewNodes("isometry check needs at least 5x5 nodes")
-    (fx1, fx2), (fy1, fy2) = _frame_derivatives(frame)
-    rho, _, _ = space.factor_many(frame.u[..., 0], frame.u[..., 1])
-    r1 = rho * (fx1 * fx1 + fx2 * fx2) - np.cosh(field.omega) ** 2
-    r2 = rho * (fy1 * fy1 + fy2 * fy2) - np.sinh(field.omega) ** 2
-    r3 = rho * (fx1 * fy1 + fx2 * fy2)
-    res = np.stack([r1, r2, r3])
+    xx, yy, xy = _metric_terms(frame, space, "isometry check")
+    res = np.stack([xx - np.cosh(field.omega) ** 2, yy - np.sinh(field.omega) ** 2, xy])
     res[:, [0, -1], :] = np.nan
     res[:, :, [0, -1]] = np.nan
     return stats_from(res, max(frame.grid.hx, frame.grid.hy))
@@ -548,14 +550,9 @@ def isometry_check(
 
 def hopf_deviation(frame: FrameField, space: ChartSpace) -> tuple[float, float]:
     """(max |Re Q - 1/4|, max |Im Q|) of the Hopf quantity of the frame."""
-    if frame.grid.nx < 5 or frame.grid.ny < 5:
-        raise TooFewNodes("Hopf deviation needs at least 5x5 nodes")
-    (fx1, fx2), (fy1, fy2) = _frame_derivatives(frame)
-    rho, _, _ = space.factor_many(frame.u[..., 0], frame.u[..., 1])
-    re = 0.25 * rho * (fx1 * fx1 + fx2 * fx2 - fy1 * fy1 - fy2 * fy2)
-    im = 0.5 * rho * (fx1 * fy1 + fx2 * fy2)
-    re_err = np.abs(re - 0.25)[1:-1, 1:-1]
-    im_err = np.abs(im)[1:-1, 1:-1]
+    xx, yy, xy = _metric_terms(frame, space, "Hopf deviation")
+    re_err = np.abs(0.25 * (xx - yy) - 0.25)[1:-1, 1:-1]
+    im_err = np.abs(0.5 * xy)[1:-1, 1:-1]
     return (
         float(np.nanmax(re_err)) if np.isfinite(re_err).any() else float("nan"),
         float(np.nanmax(im_err)) if np.isfinite(im_err).any() else float("nan"),

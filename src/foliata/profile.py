@@ -34,8 +34,8 @@ from .moduli import DerivedParams, ModuliPoint, derive_params
 #: A sampled profile whose first-integral drift exceeds 100 x DRIFT_TOL
 #: raises DriftExceeded.
 DRIFT_TOL = 1e-9
-#: |delta| at or below which a c0 = -1 point lies on the constant-profile
-#: curve delta = 0.
+#: |delta| / c0^2 at or below which a c0 < 0 point lies on the
+#: constant-profile curve delta = 0.
 DEGENERATE_DELTA = 1e-12
 #: Most samples one profile grid holds: 80 MB for each float64 column.
 MAX_SAMPLES = 10**7
@@ -175,7 +175,7 @@ class ProfileFunction:
         self.trivial = trivial
         self.w0 = self.dw0 = 0.0
         if trivial:
-            if abs(self.const) > 1e-12:
+            if self.const != 0.0:
                 raise InvalidParams(
                     f"constant zero branch needs vanishing constant, got {self.const}"
                 )
@@ -403,17 +403,19 @@ def period_from_ode(dp: DerivedParams, kind: str) -> float:
 def degenerate_constants(p: ModuliPoint) -> tuple[float, float]:
     """Constant profile values (alpha, beta) on the discriminant-zero curve.
 
-    Defined for c0 = -1 with delta = 0:  alpha^2 = (1 + c - d)/2 and
-    beta^2 = (1 + d - c)/2, so alpha^2 + beta^2 = 1.
+    Defined for c0 < 0 with |delta| <= DEGENERATE_DELTA c0^2 (delta scales
+    by c0^2 under a dilatation):  alpha^2 = (c0^2 + c - d)/(-2 c0) and
+    beta^2 = (c0^2 + d - c)/(-2 c0), so alpha^2 + beta^2 = -c0.
     """
     p.validate()
-    if p.c0 != -1:
-        raise InvalidParams("constant-profile family is specific to c0 = -1")
+    if p.c0 >= 0:
+        raise InvalidParams(f"constant-profile family needs c0 < 0, got {p.c0}")
     dp = derive_params(p)
-    if abs(dp.delta) > DEGENERATE_DELTA:
+    csq = p.c0 * p.c0
+    if abs(dp.delta) > DEGENERATE_DELTA * csq:
         raise NotDegenerate(f"delta = {dp.delta} != 0")
-    asq = (1.0 + p.c - p.d) / 2.0
-    bsq = (1.0 + p.d - p.c) / 2.0
-    if asq < -1e-12 or bsq < -1e-12:
+    asq = (csq + p.c - p.d) / (-2.0 * p.c0)
+    bsq = (csq + p.d - p.c) / (-2.0 * p.c0)
+    if min(asq, bsq) < 1e-12 * p.c0:  # -1e-12 |c0|
         raise NotDegenerate(f"negative squared constants ({asq}, {bsq})")
     return math.sqrt(max(asq, 0.0)), math.sqrt(max(bsq, 0.0))

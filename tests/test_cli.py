@@ -199,17 +199,21 @@ def test_zero_constant_rests_at_zero(tmp_path, command):
         assert json.loads(out.read_text())["omega"] == json.loads(trivial.read_text())["omega"]
 
 
-@pytest.mark.parametrize("point,g_code", [(("-4", "16", "1e-16"), 1), (("-1", "1", "-1e-17"), 0)])
+@pytest.mark.parametrize("point,g_code", [(("-4", "16", "1e-16"), 1), (("-1", "1", "-1e-17"), 0),
+                                          (("-1", "1", "6.25e-18"), 1)])
 @pytest.mark.parametrize("command", ["profile-G", "profile-F", "field"])
 def test_rounded_double_root_at_zero(tmp_path, capsys, command, point, g_code):
     # dbar and delta round to 0 while d does not: g's quadratic is X^2 + d,
     # with no real root for d > 0 (exactly, delta < 0 there) and roots
-    # +-sqrt(-d) for d < 0.  The f profile does not depend on g's.
+    # +-sqrt(-d) for d < 0.  The f profile does not depend on g's.  The
+    # first and last points are dilates of each other, so each command exits
+    # alike at both; the field takes the constant-profile closed form at all
+    # three, since |delta| <= DEGENERATE_DELTA c0^2 there
     c0, c, d = point
     extra = {"profile-G": ["--kind", "G", "--range", "0", "1"],
              "profile-F": ["--kind", "F", "--range", "0", "1"],
              "field": ["--domain", "0", "1", "0", "1", "--nx", "5", "--ny", "5"]}[command]
-    code = 0 if command == "profile-F" or (command == "field" and c0 == "-1") else g_code
+    code = 0 if command in ("profile-F", "field") else g_code
     out = tmp_path / "out"
     argv = [command.split("-")[0], "--c0", c0, "--c", c, "--d", d, *extra, "--out", str(out)]
     assert main(argv) == code
@@ -288,6 +292,34 @@ def test_field_auto_degenerate(tmp_path):
                  "--nx", "21", "--ny", "21", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["provenance"] == "Degenerate"
+
+
+@pytest.mark.parametrize("c0,c,d", [(-4.0, 4.0, 4.0), (-4.0, 1.0, 9.0), (-0.25, 1 / 64, 1 / 64)])
+def test_field_closed_form_at_every_negative_curvature(tmp_path, c0, c, d):
+    # GammaHelicoidalType points off c0 = -1 take the constant-profile closed
+    # form too, whose sinh-Gordon residual falls at the second order
+    r = 0.5 / math.sqrt(-c0)
+    linf = []
+    for n in (41, 81):
+        field, report = tmp_path / f"gamma{n}.json", tmp_path / f"verify{n}.json"
+        assert main(["field", "--c0", repr(c0), "--c", repr(c), "--d", repr(d),
+                     "--domain", repr(-r), repr(r), repr(-r), repr(r),
+                     "--nx", str(n), "--ny", str(n), "--out", str(field)]) == 0
+        doc = json.loads(field.read_text())
+        assert (doc["provenance"], doc["c0"]) == ("Degenerate", c0)
+        assert main(["verify", "--input", str(field), "--out", str(report)]) == 0
+        linf.append(json.loads(report.read_text())["linf"])
+    assert 3.5 <= linf[0] / linf[1] <= 4.5
+
+
+def test_zero_branch_needs_an_exact_zero(tmp_path, capsys):
+    # c = 1e-13 is no zero constant: f = 0 does not solve f's equation there
+    out = tmp_path / "p.csv"
+    assert main(["profile", "--c0", "-1", "--c", "1e-13", "--d", "0.5", "--kind", "F",
+                 "--trivial-f", "--range", "0", "0.002", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("c,d", [(0.010000000000000002, 0.81), (0.09, 0.48999999999999994)])

@@ -202,6 +202,12 @@ def test_degenerate_overflow_guard_band():
 def test_degenerate_rejects_bad_constants():
     with pytest.raises(InvalidParams):
         assemble_omega_degenerate(0.5, 0.5, GridSpec(0, 1, 0, 1, 5, 5))
+    # alpha^2 + beta^2 = -c0 at any c0 < 0
+    grid = GridSpec(0, 0.5, 0, 0.5, 5, 5)
+    assert assemble_omega_degenerate(math.sqrt(2), math.sqrt(2), grid, -4.0).c0 == -4.0
+    for alpha, beta, c0 in ((0.0, 1.0, -4.0), (2.0, 0.0, 4.0), (0.0, 0.0, 0.0)):
+        with pytest.raises(InvalidParams):
+            assemble_omega_degenerate(alpha, beta, grid, c0)
 
 
 def test_degenerate_horizontal_curvature_is_one():

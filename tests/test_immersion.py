@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foliata.cli import main
-from foliata.errors import NotFlat, PeriodUnavailable, SingularCrossing, TooFewNodes
+from foliata.errors import InvalidParams, NotFlat, PeriodUnavailable, SingularCrossing, TooFewNodes
 from foliata.field import (
     GridSpec,
     ReconstructedSource,
@@ -36,6 +37,8 @@ from foliata.profile import ProfileFunction, integrate_profile, profile_period
 DISK = ChartSpace("poincare_disk")
 PLANE = ChartSpace("euclidean_plane")
 SPHERE = ChartSpace("stereographic")
+#: Charts off the unit curvatures: each is a unit chart scaled by 1/sqrt|c0|.
+SCALED = [chart_for_curvature(c0) for c0 in (-4.0, -0.25, 0.25, 4.0)]
 
 
 def reconstructed(c0, c, d, grid, a=None, trivial_f=False, trivial_g=False, step=1e-3):
@@ -71,6 +74,17 @@ def test_chart_for_curvature():
     assert chart_for_curvature(-1.0).kind == "poincare_disk"
     assert chart_for_curvature(0.0).kind == "euclidean_plane"
     assert chart_for_curvature(1.0).kind == "stereographic"
+    # the chart of c0 itself: the disk of radius 1/2 at c0 = -4
+    space = chart_for_curvature(-4.0)
+    assert (space.c0, space.kind, space.q) == (-4.0, "poincare_disk", 2.0)
+    assert space.bound == (immersion.DISK_EDGE / 2.0) ** 2
+    assert vars(ChartSpace(-1.0)) == vars(DISK) and vars(ChartSpace(1)) == vars(SPHERE)
+
+
+def test_frame_needs_the_chart_of_the_fields_curvature():
+    field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 11, 11))
+    with pytest.raises(InvalidParams, match="curvature 4.0 for a field at c0 = 1.0"):
+        integrate_frame(field, chart_for_curvature(4.0))
 
 
 def test_chart_factor_values():
@@ -82,49 +96,55 @@ def test_chart_factor_values():
 
 
 @pytest.mark.parametrize(
-    "space,expected", [(DISK, -1.0), (PLANE, 0.0), (SPHERE, 1.0)]
+    "space,expected",
+    [(DISK, -1.0), (PLANE, 0.0), (SPHERE, 1.0)] + [(space, space.c0) for space in SCALED],
 )
 def test_chart_curvature_by_finite_differences(space, expected):
     # K = -(1 / 2 rho) lap(log rho) must equal the ambient curvature
-    h = 1e-4
+    h = 1e-4 / space.q
 
     def logrho(u1, u2):
         rho, _, _ = space.factor_many(np.asarray(u1), np.asarray(u2))
         return math.log(float(rho))
 
-    for u in [(0.0, 0.0), (0.3, 0.2), (-0.4, 0.5)]:
+    for u in [(0.0, 0.0), (0.3 / space.q, 0.2 / space.q), (-0.4 / space.q, 0.5 / space.q)]:
         lap = (
             logrho(u[0] + h, u[1]) + logrho(u[0] - h, u[1])
             + logrho(u[0], u[1] + h) + logrho(u[0], u[1] - h)
             - 4 * logrho(*u)
         ) / h**2
         rho, _, _ = space.factor_many(np.asarray(u[0]), np.asarray(u[1]))
-        assert -lap / (2 * float(rho)) == pytest.approx(expected, abs=1e-6)
+        assert -lap / (2 * float(rho)) == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
 
 def test_lift_quadrics():
+    # c0 <p, p> = 1 in the model's form: the hyperboloid and the sphere of
+    # radius 1/sqrt|c0|, over the disk's radius and three times the sphere's
     u1 = np.linspace(-0.7, 0.7, 11)
     u2 = np.linspace(-0.6, 0.6, 11)
-    hyper = DISK.lift(u1, u2)
-    assert np.abs(-hyper[:, 0] ** 2 + hyper[:, 1] ** 2 + hyper[:, 2] ** 2 + 1).max() <= 1e-12
-    sphere = SPHERE.lift(3 * u1, 3 * u2)
-    assert np.abs((sphere**2).sum(axis=1) - 1).max() <= 1e-12
+    for space in (DISK, SPHERE, *SCALED):
+        reach = 1.0 if space.c0 < 0 else 3.0
+        p = space.lift(reach * u1 / space.q, reach * u2 / space.q)
+        quad = np.einsum("ni,ij,nj->n", p, MODEL_FORMS[math.copysign(1.0, space.c0)], p)
+        assert np.abs(space.c0 * quad - 1).max() <= 1e-12
 
 
-@pytest.mark.parametrize("space", [DISK, PLANE, SPHERE], ids=lambda space: space.kind)
+@pytest.mark.parametrize("space", [DISK, PLANE, SPHERE, *SCALED],
+                         ids=["poincare_disk", "euclidean_plane", "stereographic",
+                              "c0=-4", "c0=-0.25", "c0=0.25", "c0=4"])
 def test_chart_is_one_closed_form(space):
     # lift_jacobian is the derivative of the lift and chart_state inverts the
     # frame's lift and pushforward, on the plane's lift (u1, u2, 1) as well
     rng = np.random.default_rng(5)
-    u1, u2 = rng.uniform(-0.5, 0.5, (2, 40))
+    u1, u2 = rng.uniform(-0.5, 0.5, (2, 40)) / space.q
     psi = rng.uniform(-3.0, 3.0, 40)
-    h = 1e-6
+    h = 1e-6 / space.q
     d1, d2 = space.lift_jacobian(u1, u2)
     assert np.abs(d1 - (space.lift(u1 + h, u2) - space.lift(u1 - h, u2)) / (2 * h)).max() <= 1e-8
     assert np.abs(d2 - (space.lift(u1, u2 + h) - space.lift(u1, u2 - h)) / (2 * h)).max() <= 1e-8
     m = immersion._frame_matrix(space, u1, u2, psi)
     v1, v2, angle = space.chart_state(m[..., 2], m[..., 0])
-    assert max(np.abs(v1 - u1).max(), np.abs(v2 - u2).max()) <= 1e-15
+    assert max(np.abs(v1 - u1).max(), np.abs(v2 - u2).max()) <= 1e-15 / space.q
     assert np.abs(np.angle(np.exp(1j * (angle - psi)))).max() <= 1e-14
     if space is PLANE:
         assert (m[..., 2, 2] == 1.0).all() and (m[..., 2, :2] == 0.0).all()
@@ -701,7 +721,7 @@ def test_magnus_column_matches_rk4_column(c0, c_size, d_size, a, psi0, u1, u2):
 def test_closed_form_rows_match_rk4_rows(c0, c_size, d_size, a):
     field = _regular_field(c0, c_size, d_size, a)
     assert not field.mask.any()
-    space = chart_for_curvature(c0)
+    space = chart_for_curvature(field.c0)
     frame = integrate_frame(field, space)
     assert frame.valid.all()
     assert_frame_record(frame, field)
@@ -741,3 +761,52 @@ def test_foliation_runs_match_reference_loop(density):
         _, foliation = immersion._mesh_topology(valid)
         assert foliation == _reference_runs(valid)
         assert all(type(v) is int for run in foliation for v in run)
+
+
+def _cli_products(tmp_path, point, side, n=41):
+    """(field document, verify --immersion report, mesh v records, holonomy
+    report over half the side) of a point on [0, side]^2 at n^2 nodes."""
+    c0, c, d = point
+    argv = ["--c0", repr(c0), "--c", repr(c), "--d", repr(d), "--domain", "0", repr(side),
+            "0", repr(side), "--nx", str(n), "--ny", str(n)]
+    field, report, mesh, hol = (tmp_path / name for name in ("f.json", "v.json", "m.obj", "h.json"))
+    assert main(["field", *argv, "--out", str(field)]) == 0
+    assert main(["verify", "--input", str(field), "--immersion", "--out", str(report)]) == 0
+    assert main(["mesh", *argv, "--out", str(mesh)]) == 0
+    assert main(["holonomy", *argv, "--period", repr(side / 2), "--out", str(hol)]) == 0
+    v = [line.split()[1:4] for line in mesh.read_text().splitlines() if line.startswith("v ")]
+    return (json.loads(field.read_text()), json.loads(report.read_text()),
+            np.array(v, dtype=float), json.loads(hol.read_text()))
+
+
+@pytest.fixture(scope="module")
+def dilatation_bases(tmp_path_factory):
+    bases = {}
+    for point in ((1.0, -1.0, -1.0), (-1.0, -0.25, -0.25)):
+        bases[point] = _cli_products(tmp_path_factory.mktemp("base"), point, 1.0)
+    return bases
+
+
+@pytest.mark.parametrize("k", [-1, 1, 2])
+@pytest.mark.parametrize("base", [(1.0, -1.0, -1.0), (-1.0, -0.25, -0.25)], ids=["sphere", "hyperboloid"])
+def test_dilatation_moves_no_figure(tmp_path, dilatation_bases, base, k):
+    # (c0 s^2, c s^4, d s^4) on the domain divided by s is the same surface
+    # scaled by 1/s: omega is the same, the conformality and Hopf residuals
+    # and the holonomy's angle or rapidity are ratios of lengths, and the
+    # harmonic and holonomy residuals scale as 1/length and length
+    s = 2.0**k
+    c0, c, d = base
+    field, report, v, hol = _cli_products(tmp_path, (c0 * s * s, c * s**4, d * s**4), 1.0 / s)
+    want_field, want, _, want_hol = dilatation_bases[base]
+    assert field["omega"] == want_field["omega"] and field["mask"] == want_field["mask"]
+    for key in ("isometry_linf", "hopf_real_err", "hopf_imag_err"):
+        assert report[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
+    assert report["harmonic_linf"] == pytest.approx(s * want["harmonic_linf"], rel=1e-12, abs=0.0)
+    if c0 > 0:
+        assert report["isometry_linf"] < 1e-3
+    assert hol["type"] == want_hol["type"] == ("rotation" if c0 > 0 else "translation")
+    assert hol["angle_or_length"] == pytest.approx(want_hol["angle_or_length"], rel=1e-12, abs=0.0)
+    assert hol["residual"] == pytest.approx(want_hol["residual"] / s, rel=1e-12, abs=0.0)
+    # every vertex lies on the model quadric <p, p> = 1/c0
+    form = MODEL_FORMS[c0]
+    assert len(v) and np.abs(c0 * s * s * np.einsum("ni,ij,nj->n", v, form, v) - 1.0).max() <= 1e-12

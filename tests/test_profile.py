@@ -165,13 +165,19 @@ def test_degenerate_constants():
     assert a == pytest.approx(math.sqrt(0.5))
     assert b == pytest.approx(math.sqrt(0.5))
     assert a * a + b * b == pytest.approx(1.0, abs=1e-12)
+    # every c0 < 0, with alpha^2 + beta^2 = -c0
+    assert degenerate_constants(ModuliPoint(-4, 4, 4)) == (math.sqrt(2), math.sqrt(2))
+    assert degenerate_constants(ModuliPoint(-4, 1, 9)) == (1.0, math.sqrt(3))
 
 
 def test_degenerate_constants_rejects_off_curve():
     with pytest.raises(NotDegenerate):
         degenerate_constants(ModuliPoint(-1, -1, 1))
-    with pytest.raises(InvalidParams):
-        degenerate_constants(ModuliPoint(1, 0, 0))
+    with pytest.raises(NotDegenerate):
+        degenerate_constants(ModuliPoint(-4, -1, 1))
+    for point in (ModuliPoint(1, 0, 0), ModuliPoint(0, 0, 0), ModuliPoint(4, -4, -4)):
+        with pytest.raises(InvalidParams, match="needs c0 < 0"):
+            degenerate_constants(point)
 
 
 def test_solution_grid_covers_requested_range():
