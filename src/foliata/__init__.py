@@ -27,9 +27,9 @@ _EXPORTS = {
     ),
     "immersion": (
         "ChartSpace", "FrameField", "HolonomyReport", "SurfaceMesh", "build_mesh",
-        "chart_for_curvature", "flat_route_gap", "harmonic_residual", "holonomy",
-        "hopf_deviation", "integrate_frame", "isometry_check", "mesh_row_curvature",
-        "obj_chunks", "rk4_row_gap", "weierstrass_flat",
+        "flat_route_gap", "harmonic_residual", "holonomy", "hopf_deviation",
+        "integrate_frame", "isometry_check", "mesh_row_curvature", "obj_chunks",
+        "rk4_row_gap", "weierstrass_flat",
     ),
     "moduli": (
         "DerivedParams", "ModuliPoint", "RegionLabel", "RegionReport", "classify",

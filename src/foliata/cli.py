@@ -97,13 +97,6 @@ def _default_period(args) -> float:
         raise PeriodUnavailable(str(exc)) from exc
 
 
-def _frame_for(args, field):
-    from .immersion import chart_for_curvature, integrate_frame
-
-    space = chart_for_curvature(field.c0)
-    return space, integrate_frame(field, space, seed=args.seed)
-
-
 def _cmd_classify(args) -> int:
     point = ModuliPoint(args.c0, args.c, args.d)
     report = classify(point, args.a)
@@ -243,15 +236,14 @@ def _cmd_verify(args) -> int:
 
         out = shiffman_document(field)
     elif args.immersion:
-        from .immersion import harmonic_residual, hopf_deviation, isometry_check, rk4_row_gap
+        from .immersion import harmonic_residual, hopf_deviation, integrate_frame, isometry_check, rk4_row_gap
 
-        live = _rebuilt_field(cfg, field)
-        space, frame = _frame_for(args, live)
-        iso = isometry_check(frame, live, space)
-        hre, him = hopf_deviation(frame, space)
-        harm = harmonic_residual(frame, space)
+        frame = integrate_frame(_rebuilt_field(cfg, field), seed=args.seed)
+        iso = isometry_check(frame)
+        hre, him = hopf_deviation(frame)
+        harm = harmonic_residual(frame)
         out = {
-            "compat_linf": rk4_row_gap(frame, live, space),
+            "compat_linf": rk4_row_gap(frame),
             "isometry_linf": iso.linf,
             "hopf_real_err": hre,
             "hopf_imag_err": him,
@@ -273,17 +265,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    from .immersion import build_mesh, obj_chunks, weierstrass_flat
+    from .immersion import build_mesh, integrate_frame, obj_chunks, weierstrass_flat
 
-    field = _build_field(args)
-    space, frame = _frame_for(args, field)
+    frame = integrate_frame(_build_field(args), seed=args.seed)
     if args.weierstrass:
-        mesh = weierstrass_flat(field, frame)
+        mesh = weierstrass_flat(frame)
     else:
-        mesh = build_mesh(
-            frame, field, space,
-            metadata={"c": args.c, "d": args.d},
-        )
+        mesh = build_mesh(frame, metadata={"c": args.c, "d": args.d})
     _emit(obj_chunks(mesh), args.out)
     return 0
 

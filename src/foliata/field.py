@@ -167,7 +167,7 @@ class ReconstructedSource:
         if ffn.dp != gfn.dp:
             raise GridMismatch("profiles built from different derived parameters")
         self.dp = ffn.dp
-        self.c0 = (self.dp.cbar + self.dp.dbar) / 2.0
+        self.c0 = self.dp.c0
         self.ffn = ffn
         self.gfn = gfn
         # both profiles constant zero at c0 = 0: the quotients are 0/0 at

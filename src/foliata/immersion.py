@@ -5,6 +5,9 @@ surface, represented in a fixed global conformal chart (U, rho(u) |du|^2) of
 the field's own curvature c0: the Poincare disk of radius 1/sqrt(-c0), the
 Euclidean plane, or the stereographic plane, all one closed form in c0
 (:class:`ChartSpace`) and each the unit chart scaled by 1/sqrt|c0|.
+:func:`integrate_frame` takes the chart of the field's c0, and the frame it
+returns carries the field and the chart that the diagnostics and meshes
+read.
 Writing F_x = cosh(omega) e^{i psi} / sqrt(rho) and
 F_y = i sinh(omega) e^{i psi} / sqrt(rho), the frame angle psi and the
 chart point u satisfy the coupled first-order system
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +55,6 @@ from .field import (
 DISK_EDGE = 1.0 - 1e-12
 STEREO_GUARD = 1e8
 
-#: The unit-curvature chart of each kind, by name.
-CHART_KINDS = {"poincare_disk": -1.0, "euclidean_plane": 0.0, "stereographic": 1.0}
-
-
 # ---------------------------------------------------------------------------
 # conformal charts and ambient models
 # ---------------------------------------------------------------------------
@@ -67,16 +67,14 @@ class ChartSpace:
     model has the axis coordinate (1 - c0 |u|^2) / (q s) and the other two
     2 u / (sigma s): the hyperboloid <p, p> = 1/c0 (axis 0), the sphere of
     radius 1/q (axis 2) and, with sigma = 2, the plane in homogeneous
-    coordinates (u1, u2, 1).  ``curvature`` is c0 or the name of a unit
-    chart in CHART_KINDS.
+    coordinates (u1, u2, 1).
     """
 
-    def __init__(self, curvature: str | float):
-        c0 = float(CHART_KINDS.get(curvature, math.nan) if isinstance(curvature, str) else curvature)
+    def __init__(self, c0: float):
+        c0 = float(c0)
         if not math.isfinite(c0):
-            raise InvalidParams(f"no chart of curvature {curvature!r}")
+            raise InvalidParams(f"no chart of curvature {c0!r}")
         self.c0 = c0
-        self.kind = "poincare_disk" if c0 < 0 else "stereographic" if c0 > 0 else "euclidean_plane"
         self.q = math.sqrt(abs(c0)) or 1.0
         self.axis, self.sigma = (2, 2.0) if c0 == 0 else (0 if c0 < 0 else 2, 1.0)
         edge = (DISK_EDGE if c0 < 0 else STEREO_GUARD if c0 > 0 else math.inf) / self.q
@@ -136,10 +134,6 @@ class ChartSpace:
         return u1, u2, np.arctan2(t[..., b] - u2 * tw, t[..., a] - u1 * tw)
 
 
-def chart_for_curvature(c0: float) -> ChartSpace:
-    return ChartSpace(c0)
-
-
 # ---------------------------------------------------------------------------
 # leaves: the horizontal curves of constant geodesic curvature
 # ---------------------------------------------------------------------------
@@ -149,7 +143,8 @@ GAUSS_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 
 #: A leaf with |k^2 + c0| at most this is a horocycle (a line in the plane):
-#: the rounding level of the O(1) curvatures the fields produce.
+#: the rounding level of the O(1) curvatures the fields produce.  The
+#: holonomy scales it by |c0|, as a dilatation scales k^2 + c0.
 HOROCYCLE_TOL = 1e-12
 
 
@@ -220,24 +215,35 @@ def _expm3(omega: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameField:
-    """Frame angle and chart point on the grid, with their validity mask.
+    """Frame angle and chart point on the grid of a field, with their
+    validity mask, the field and the chart of its curvature.
 
     ``psi`` and ``u`` are NaN exactly where ``valid`` is False and finite
     elsewhere, and ``valid`` is False on the field's singular set:
     :func:`integrate_frame`, the only builder, places them so, and the
-    diagnostics and meshes read them as they are.  ``seed`` is the grid
-    node (i0, j0) where the frame starts at the chart origin at angle 0.
+    diagnostics and meshes read them, the field and the chart as they are.
+    ``seed`` is the grid node (i0, j0) where the frame starts at the chart
+    origin at angle 0.
     """
 
     psi: np.ndarray
     u: np.ndarray
     valid: np.ndarray
     seed: tuple[int, int]
-    grid: GridSpec
+    field: OmegaField
 
     def __post_init__(self):
         for arr in (self.psi, self.u, self.valid):
             arr.setflags(write=False)
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.field.grid
+
+    @cached_property
+    def space(self) -> ChartSpace:
+        """The chart of the field's curvature c0."""
+        return ChartSpace(self.field.c0)
 
 
 def _rhs(direction: str, fd, psi, u1, u2, space: ChartSpace):
@@ -424,12 +430,9 @@ def _unwrap_from(psi: np.ndarray, i0: int) -> None:
 ROW_BLOCK = 16
 
 
-def integrate_frame(
-    field: OmegaField,
-    space: ChartSpace,
-    seed: tuple[float, float] | None = None,
-) -> FrameField:
-    """Integrate (psi, u) over the grid from a seed node.
+def integrate_frame(field: OmegaField, seed: tuple[float, float] | None = None) -> FrameField:
+    """Integrate (psi, u) over the grid from a seed node, in the chart of the
+    field's curvature.
 
     The frame starts at the chart origin at angle 0 on the grid node nearest
     the seed point (:func:`_seed_node`); any other start would only move the
@@ -444,12 +447,10 @@ def integrate_frame(
     outward from the seed.  The column and the rows stop (NaN) outward at
     the first cell with a singular grid or quadrature node, and at chart
     exit or non-finite state; a singular seed raises SingularCrossing.
-    The chart must have the field's curvature.  RK4 is the oracle only.
+    RK4 is the oracle only.
     """
-    if space.c0 != field.c0:
-        raise InvalidParams(f"a chart of curvature {space.c0} for a field at c0 = {field.c0}")
     source = _require_source(field)
-    grid = field.grid
+    space, grid = ChartSpace(field.c0), field.grid
     xs, ys = grid.xs, grid.ys
     i0, j0 = _seed_node(field, seed)
 
@@ -470,7 +471,7 @@ def integrate_frame(
             source, space, field.mask[rows], xs, ys[rows], i0, m[rows],
             cpsi[rows], cu1[rows], cu2[rows], calive[rows], k[rows],
         )
-    return FrameField(psi=psi, u=u, valid=valid, seed=(i0, j0), grid=grid)
+    return FrameField(psi=psi, u=u, valid=valid, seed=(i0, j0), field=field)
 
 
 def _place_rows(source, space, mask, xs, ys, i0, m, psi_c, u1_c, u2_c, alive_c, k):
@@ -498,7 +499,7 @@ def _place_rows(source, space, mask, xs, ys, i0, m, psi_c, u1_c, u2_c, alive_c, 
     return np.where(valid, psi, np.nan), np.where(valid, u1, np.nan), np.where(valid, u2, np.nan), valid
 
 
-def rk4_row_gap(frame: FrameField, field: OmegaField, space: ChartSpace) -> float:
+def rk4_row_gap(frame: FrameField) -> float:
     """Largest (psi, u) gap between the frame's closed-form rows and RK4.
 
     The oracle marches every row from the frame's seed column, one
@@ -508,7 +509,7 @@ def rk4_row_gap(frame: FrameField, field: OmegaField, space: ChartSpace) -> floa
     i0 = frame.seed[0]
     grid = frame.grid
     psi, u1, u2, alive = _march(
-        _require_source(field), space, "x", grid.ys, grid.xs, i0,
+        frame.field.source, frame.space, "x", grid.ys, grid.xs, i0,
         frame.psi[:, i0], frame.u[:, i0, 0], frame.u[:, i0, 1], frame.valid[:, i0],
     )
     both = alive.T & frame.valid
@@ -521,7 +522,7 @@ def rk4_row_gap(frame: FrameField, field: OmegaField, space: ChartSpace) -> floa
 # conformality, Hopf quantity, harmonicity
 # ---------------------------------------------------------------------------
 
-def _metric_terms(frame: FrameField, space: ChartSpace, what: str):
+def _metric_terms(frame: FrameField, what: str):
     """(rho |F_x|^2, rho |F_y|^2, rho <F_x, F_y>) of the frame's chart map,
     by centered differences; ``what`` names the check that needs them."""
     if frame.grid.nx < 5 or frame.grid.ny < 5:
@@ -529,28 +530,27 @@ def _metric_terms(frame: FrameField, space: ChartSpace, what: str):
     hx, hy = frame.grid.hx, frame.grid.hy
     fy1, fx1 = np.gradient(frame.u[..., 0], hy, hx, edge_order=2)
     fy2, fx2 = np.gradient(frame.u[..., 1], hy, hx, edge_order=2)
-    rho, _, _ = space.factor_many(frame.u[..., 0], frame.u[..., 1])
+    rho, _, _ = frame.space.factor_many(frame.u[..., 0], frame.u[..., 1])
     return rho * (fx1 * fx1 + fx2 * fx2), rho * (fy1 * fy1 + fy2 * fy2), rho * (fx1 * fy1 + fx2 * fy2)
 
 
-def isometry_check(
-    frame: FrameField, field: OmegaField, space: ChartSpace
-) -> ResidualStats:
+def isometry_check(frame: FrameField) -> ResidualStats:
     """Conformality residuals of the integrated frame.
 
     Checks rho |F_x|^2 = cosh^2(omega), rho |F_y|^2 = sinh^2(omega) and
     rho <F_x, F_y> = 0 with centered differences on the chart-point grid.
     """
-    xx, yy, xy = _metric_terms(frame, space, "isometry check")
-    res = np.stack([xx - np.cosh(field.omega) ** 2, yy - np.sinh(field.omega) ** 2, xy])
+    xx, yy, xy = _metric_terms(frame, "isometry check")
+    omega = frame.field.omega
+    res = np.stack([xx - np.cosh(omega) ** 2, yy - np.sinh(omega) ** 2, xy])
     res[:, [0, -1], :] = np.nan
     res[:, :, [0, -1]] = np.nan
     return stats_from(res, max(frame.grid.hx, frame.grid.hy))
 
 
-def hopf_deviation(frame: FrameField, space: ChartSpace) -> tuple[float, float]:
+def hopf_deviation(frame: FrameField) -> tuple[float, float]:
     """(max |Re Q - 1/4|, max |Im Q|) of the Hopf quantity of the frame."""
-    xx, yy, xy = _metric_terms(frame, space, "Hopf deviation")
+    xx, yy, xy = _metric_terms(frame, "Hopf deviation")
     re_err = np.abs(0.25 * (xx - yy) - 0.25)[1:-1, 1:-1]
     im_err = np.abs(0.5 * xy)[1:-1, 1:-1]
     return (
@@ -559,7 +559,7 @@ def hopf_deviation(frame: FrameField, space: ChartSpace) -> tuple[float, float]:
     )
 
 
-def harmonic_residual(frame: FrameField, space: ChartSpace) -> ResidualStats:
+def harmonic_residual(frame: FrameField) -> ResidualStats:
     """Residual of F_zz~ + (log rho)_u F_z F_z~ = 0 on the chart-point grid."""
     if frame.grid.nx < 5 or frame.grid.ny < 5:
         raise TooFewNodes("harmonic residual needs at least 5x5 nodes")
@@ -569,7 +569,7 @@ def harmonic_residual(frame: FrameField, space: ChartSpace) -> ResidualStats:
     fy, fx = np.gradient(f, hy, hx, edge_order=2)
     fz = 0.5 * (fx - 1j * fy)
     fzb = 0.5 * (fx + 1j * fy)
-    rho, l1, l2 = space.factor_many(frame.u[..., 0], frame.u[..., 1])
+    rho, l1, l2 = frame.space.factor_many(frame.u[..., 0], frame.u[..., 1])
     logrho_u = 0.5 * (l1 - 1j * l2)
     res = np.abs(0.25 * lap + logrho_u * fz * fzb)
     return stats_from(res, max(hx, hy))
@@ -622,11 +622,9 @@ def _mesh_topology(valid: np.ndarray):
     return faces, foliation
 
 
-def build_mesh(
-    frame: FrameField, field: OmegaField, space: ChartSpace, metadata: dict | None = None
-) -> SurfaceMesh:
+def build_mesh(frame: FrameField, metadata: dict | None = None) -> SurfaceMesh:
     """Mesh the immersion: chart vertices (u1, u2, y) and model lifts."""
-    grid = frame.grid
+    grid, space = frame.grid, frame.space
     ys = grid.ys
     valid = frame.valid
     u1, u2 = frame.u[..., 0], frame.u[..., 1]
@@ -637,7 +635,7 @@ def build_mesh(
         lift = lift[..., :2]  # the plane's homogeneous coordinate
     ambient = np.concatenate([lift, t[..., None]], axis=-1)
     faces, foliation = _mesh_topology(valid)
-    meta = {"c0": field.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny}
+    meta = {"c0": space.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny}
     meta.update(metadata or {})
     return SurfaceMesh(
         chart_vertices=chart,
@@ -695,7 +693,7 @@ def obj_chunks(mesh: SurfaceMesh):
         yield "l " + " ".join(map(str, number[list(poly)].tolist())) + "\n"
 
 
-def mesh_row_curvature(frame: FrameField, space: ChartSpace, row: int) -> np.ndarray:
+def mesh_row_curvature(frame: FrameField, row: int) -> np.ndarray:
     """Geodesic curvature of a meshed horizontal curve, measured extrinsically.
 
     Uses the conformal-change rule k_g = k_e / sqrt(rho) - <grad sqrt(rho), n> / rho
@@ -715,7 +713,7 @@ def mesh_row_curvature(frame: FrameField, space: ChartSpace, row: int) -> np.nda
     k_e = (d1 * dd2 - d2 * dd1) / speed**3
     t1, t2 = d1 / speed, d2 / speed
     n1, n2 = -t2, t1
-    rho, l1, l2 = space.factor_many(u1, u2)
+    rho, l1, l2 = frame.space.factor_many(u1, u2)
     return (k_e - 0.5 * (l1 * n1 + l2 * n2)) / np.sqrt(rho)
 
 
@@ -723,19 +721,19 @@ def mesh_row_curvature(frame: FrameField, space: ChartSpace, row: int) -> np.nda
 # flat-space Weierstrass route
 # ---------------------------------------------------------------------------
 
-def _weierstrass_forms(field: OmegaField, psi: np.ndarray):
+def _weierstrass_forms(frame: FrameField):
     """(phi, dphi): the three components of the Weierstrass one-form on the
-    grid, along the last axis, and their z-derivatives, from the closed form
-    of omega's gradient."""
-    w, grid = field.omega, field.grid
-    g = np.exp(w + 1j * psi)
-    ginv = np.exp(-(w + 1j * psi))
+    frame's grid, along the last axis, and their z-derivatives, from the
+    closed form of omega's gradient."""
+    w, grid = frame.field.omega, frame.grid
+    g = np.exp(w + 1j * frame.psi)
+    ginv = np.exp(-(w + 1j * frame.psi))
     eta = -1j
     phi = np.stack(
         [0.5 * (ginv - g) * eta, 0.5j * (ginv + g) * eta, np.full_like(g, eta)],
         axis=-1,
     )
-    data = _require_source(field).eval_grid(grid.xs, grid.ys)
+    data = frame.field.source.eval_grid(grid.xs, grid.ys)
     zeta_z = data.wx - 1j * data.wy
     dphi = np.stack(
         [
@@ -748,7 +746,7 @@ def _weierstrass_forms(field: OmegaField, psi: np.ndarray):
     return phi, dphi
 
 
-def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
+def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
     """Flat-case immersion by path integration of the Weierstrass data.
 
     With G = exp(omega + i psi) holomorphic and the one-form chosen so the
@@ -759,10 +757,10 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
     Panels use the derivative-corrected trapezoid rule (the integrand's
     z-derivative is closed form), giving fourth-order path accuracy.
     """
+    field, grid, psi = frame.field, frame.grid, frame.psi
     if field.c0 != 0:
         raise NotFlat(f"Weierstrass route needs c0 = 0, got {field.c0}")
-    grid, psi = frame.grid, frame.psi
-    phi, dphi = _weierstrass_forms(field, psi)
+    phi, dphi = _weierstrass_forms(frame)
 
     def steps(p, dp, dz):
         """Real parts of the panels from each node to the next along axis 0,
@@ -811,7 +809,7 @@ def weierstrass_flat(field: OmegaField, frame: FrameField) -> SurfaceMesh:
     )
 
 
-def flat_route_gap(field: OmegaField, frame: FrameField) -> float:
+def flat_route_gap(frame: FrameField) -> float:
     """Largest vertex gap between the Weierstrass and frame routes (c0 = 0).
 
     The Weierstrass immersion equals the frame's chart map up to a rigid
@@ -820,7 +818,7 @@ def flat_route_gap(field: OmegaField, frame: FrameField) -> float:
     seed itself on the first or last column), and reports the worst
     remaining distance.
     """
-    mesh = weierstrass_flat(field, frame)
+    mesh = weierstrass_flat(frame)
     i0, j0 = frame.seed
     w = mesh.chart_vertices[..., 0] + 1j * mesh.chart_vertices[..., 1]
     u = frame.u[..., 0] + 1j * frame.u[..., 1]
@@ -864,18 +862,20 @@ def holonomy(
     cosh(omega) traced at speed cosh(omega), so the isometry is conjugate to
     the leaf motion over the period's arclength S and depends only on
     kappa^2 = k^2 + c0 and S: a rotation by |kappa S| mod 2 pi, in [0, pi],
-    for a circle (kappa^2 > HOROCYCLE_TOL); a translation by
-    sqrt(-kappa^2) S for a hypercycle (kappa^2 < -HOROCYCLE_TOL); in between
-    ``parabolic`` with the horocyclic arclength S, or on the plane, where the
-    leaf is a line, a translation by S.  Arclengths come from Gauss-Legendre
-    quadrature on the row's grid cells.  Base nodes x are sampled among
-    those where x and x + period are reachable from the seed through no
-    singular grid or quadrature node; S is the first base's arclength and k
-    is read there, so every seed on a row with no singular cell gives the
-    same report.  The residual is the largest gap between a base's arclength
-    and S, a length along the leaf.  ``closed`` flags an identity holonomy:
-    value and residual below 1e-6.  ``seed`` is a point (x, y) whose nearest
-    grid node picks the row (:func:`_seed_node`).
+    for a circle (kappa^2 > HOROCYCLE_TOL |c0|); a translation by
+    sqrt(-kappa^2) S for a hypercycle (kappa^2 < -HOROCYCLE_TOL |c0|); in
+    between ``parabolic`` with the horocyclic arclength S, or on the plane,
+    where the leaf is a line (|kappa^2| <= HOROCYCLE_TOL), a translation by
+    S.  Arclengths come from Gauss-Legendre quadrature on the row's grid
+    cells.  Base nodes x are sampled among those where x and x + period are
+    reachable from the seed through no singular grid or quadrature node; S
+    is the first base's arclength and k is read there, so every seed on a
+    row with no singular cell gives the same report.  The residual is the
+    largest gap between a base's arclength and S, a length along the leaf.
+    ``closed`` flags an identity holonomy: value and residual below 1e-6,
+    lengths in the unit 1/sqrt|c0| (1 on the plane), so that a dilate of the
+    surface keeps the type and the flag.  ``seed`` is a point (x, y) whose
+    nearest grid node picks the row (:func:`_seed_node`).
     """
     if period is None or not math.isfinite(period) or period <= 0:
         raise PeriodUnavailable(f"no usable period (got {period})")
@@ -905,13 +905,17 @@ def holonomy(
     residual = float(np.max(np.abs(span - s)))
     kappa2 = float(_leaf_curvatures(source, xs[bases[picked[0]]], y0)) ** 2 + field.c0
 
-    if kappa2 > HOROCYCLE_TOL:
-        kind, value = "rotation", abs(math.remainder(math.sqrt(kappa2) * s, 2.0 * math.pi))
-    elif kappa2 < -HOROCYCLE_TOL:
-        kind, value = "translation", math.sqrt(-kappa2) * s
+    # a dilatation by r scales kappa^2 and c0 by r^2 and lengths by 1/r, and
+    # keeps the angle and the rapidity sqrt(-kappa^2) S
+    scale = abs(field.c0) or 1.0
+    length_tol = 1e-6 / math.sqrt(scale)
+    if kappa2 > HOROCYCLE_TOL * scale:
+        kind, value, tol = "rotation", abs(math.remainder(math.sqrt(kappa2) * s, 2.0 * math.pi)), 1e-6
+    elif kappa2 < -HOROCYCLE_TOL * scale:
+        kind, value, tol = "translation", math.sqrt(-kappa2) * s, 1e-6
     else:
-        kind, value = ("translation" if field.c0 == 0 else "parabolic"), s
-    closed = bool(value < 1e-6 and residual < 1e-6)
+        kind, value, tol = ("translation" if field.c0 == 0 else "parabolic"), s, length_tol
+    closed = bool(value < tol and residual < length_tol)
     return HolonomyReport(
         kind="identity" if closed else kind,
         angle_or_length=value,

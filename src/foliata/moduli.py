@@ -76,8 +76,9 @@ class DerivedParams:
 
     Roots are None when delta < 0.  Root labels are ordered xminus <= xplus
     and yminus <= yplus, with ties at delta = 0.  ``c_const`` and ``d_const``
-    are the first-integral constants of the x- and y-profiles: the point's
-    own c and d, so a zero constant stays exactly zero.
+    are the first-integral constants of the x- and y-profiles and ``c0`` the
+    curvature: the point's own c, d and c0, so a zero constant stays exactly
+    zero and a field holds the c0 it was given.
     """
 
     a: float
@@ -90,12 +91,13 @@ class DerivedParams:
     yplus: float | None
     c_const: float
     d_const: float
+    c0: float
 
     def document(self) -> dict:
         """JSON-ready fields in declaration order, as every output writes
-        them, without the constants, which a document echoes as c and d."""
+        them, without the point's c, d and c0, which a document echoes."""
         doc = asdict(self)
-        del doc["c_const"], doc["d_const"]
+        del doc["c_const"], doc["d_const"], doc["c0"]
         return doc
 
 
@@ -161,7 +163,7 @@ def _derive(c0: float, c, d, a: float | None, xp: SimpleNamespace):
         ok = xp.isfinite(scale) & (abs(delta - mirror) <= DISCRIMINANT_RTOL * scale)
         sq = xp.sqrt(xp.where(delta >= 0, delta, math.nan))
         roots = (-cbar - sq) / 2.0, (-cbar + sq) / 2.0, (-dbar - sq) / 2.0, (-dbar + sq) / 2.0
-    return DerivedParams(a, cbar, dbar, delta, *roots, c, d), mirror, ok
+    return DerivedParams(a, cbar, dbar, delta, *roots, c, d, c0), mirror, ok
 
 
 def _point_params(dp: DerivedParams, mirror, ok) -> DerivedParams:

@@ -19,7 +19,6 @@ from foliata.field import (
     solve_sinh_gordon,
 )
 from foliata.immersion import (
-    ChartSpace,
     build_mesh,
     flat_route_gap,
     harmonic_residual,
@@ -34,9 +33,6 @@ from foliata.profile import integrate_profile, period_from_ode, profile_period
 from foliata.shiffman import jacobi_residual, shiffman_field
 
 EPS = np.finfo(float).eps
-DISK = ChartSpace("poincare_disk")
-PLANE = ChartSpace("euclidean_plane")
-SPHERE = ChartSpace("stereographic")
 
 # independent oracle for criterion 3, frozen: 4 * int_0^1 dt / sqrt(1 - t^4)
 LEMNISCATE_PERIOD = 5.2441151085842396
@@ -167,13 +163,13 @@ def test_criterion_7_immersion_fidelity():
     for n in (101, 201):
         grid = GridSpec(0, 1, 0, 1, n, n)
         field = reconstructed(1, -1, -1, grid)
-        frame = integrate_frame(field, SPHERE)
-        iso.append(isometry_check(frame, field, SPHERE).linf)
-        re_err, im_err = hopf_deviation(frame, SPHERE)
+        frame = integrate_frame(field)
+        iso.append(isometry_check(frame).linf)
+        re_err, im_err = hopf_deviation(frame)
         hre.append(re_err)
         him.append(im_err)
-        harm.append(harmonic_residual(frame, SPHERE).linf)
-        compat.append(rk4_row_gap(frame, field, SPHERE))
+        harm.append(harmonic_residual(frame).linf)
+        compat.append(rk4_row_gap(frame))
     assert iso[1] <= 1e-4 and hre[1] <= 1e-4 and him[1] <= 1e-4
     assert iso[0] / iso[1] >= 2.0 ** 1.5
     assert hre[0] / hre[1] >= 2.0 ** 1.5
@@ -190,8 +186,8 @@ def test_criterion_7_immersion_fidelity():
 def test_criterion_8_weierstrass_cross_method():
     grid = GridSpec(0.5, 2.5, 0.5, 2.5, 201, 201)
     field = reconstructed(0, -0.25, -0.25, grid, a=0.0)
-    frame = integrate_frame(field, PLANE)
-    gap = flat_route_gap(field, frame)
+    frame = integrate_frame(field)
+    gap = flat_route_gap(frame)
     assert gap <= 1e-6
     _ok(8, f"Weierstrass vs frame gap {gap:.2e}")
 
@@ -202,10 +198,10 @@ def test_criterion_9_geometry_closure():
     for n in (101, 201):
         grid = GridSpec(0, 2, 0, 2, n, n)
         field = reconstructed(1, 0, -0.25, grid, trivial_f=True)
-        frame = integrate_frame(field, SPHERE)
+        frame = integrate_frame(field)
         g_vals = field.source.gfn.eval_many(grid.ys)[0]
         errs = [
-            float(np.nanmax(np.abs(mesh_row_curvature(frame, SPHERE, j)[2:-2] - g_vals[j])))
+            float(np.nanmax(np.abs(mesh_row_curvature(frame, j)[2:-2] - g_vals[j])))
             for j in range(5, n - 5, max(1, n // 10))
         ]
         worst.append(max(errs))
@@ -226,8 +222,8 @@ def test_criterion_9_geometry_closure():
 def test_criterion_10_ambient_lifts():
     grid = GridSpec(0, 2, 0, 2, 101, 101)
     field = reconstructed(1, 0, -0.25, grid, trivial_f=True)
-    frame = integrate_frame(field, SPHERE)
-    mesh = build_mesh(frame, field, SPHERE)
+    frame = integrate_frame(field)
+    mesh = build_mesh(frame)
     pts = mesh.ambient_vertices[mesh.valid]
     sphere_err = float(np.abs((pts[:, :3] ** 2).sum(axis=1) - 1.0).max())
     assert sphere_err <= 1e-10
@@ -240,8 +236,8 @@ def test_criterion_10_ambient_lifts():
     band = ys[g**2 > 1.3]
     grid = GridSpec(0, t_f + 0.5, band.min() + 0.05, band.max() - 0.05, 121, 81)
     field = reconstructed(-1, -1, 1, grid)
-    frame = integrate_frame(field, DISK)
-    mesh = build_mesh(frame, field, DISK)
+    frame = integrate_frame(field)
+    mesh = build_mesh(frame)
     pts = mesh.ambient_vertices[mesh.valid]
     hyper_err = float(np.abs(-pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2 + 1.0).max())
     assert hyper_err <= 1e-10

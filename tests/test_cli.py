@@ -312,6 +312,16 @@ def test_field_closed_form_at_every_negative_curvature(tmp_path, c0, c, d):
     assert 3.5 <= linf[0] / linf[1] <= 4.5
 
 
+def test_field_writes_the_curvature_it_was_given(tmp_path):
+    # (cbar + dbar) / 2 is 0.9999999999999999 at this point: the field file
+    # holds c0 = 1 itself, and verify --immersion integrates its frame
+    field, report = tmp_path / "f.json", tmp_path / "v.json"
+    assert main(["field", "--c0", "1", "--c", "-1.383", "--d", "-0.2", "--domain", "0", "0.5",
+                 "0", "0.5", "--nx", "41", "--ny", "41", "--out", str(field)]) == 0
+    assert json.loads(field.read_text())["c0"] == 1.0
+    assert main(["verify", "--input", str(field), "--immersion", "--out", str(report)]) == 0
+
+
 def test_zero_branch_needs_an_exact_zero(tmp_path, capsys):
     # c = 1e-13 is no zero constant: f = 0 does not solve f's equation there
     out = tmp_path / "p.csv"

@@ -19,7 +19,6 @@ from foliata import immersion
 from foliata.immersion import (
     ChartSpace,
     build_mesh,
-    chart_for_curvature,
     flat_route_gap,
     harmonic_residual,
     holonomy,
@@ -34,11 +33,11 @@ from foliata.immersion import (
 from foliata.moduli import ModuliPoint, derive_params
 from foliata.profile import ProfileFunction, integrate_profile, profile_period
 
-DISK = ChartSpace("poincare_disk")
-PLANE = ChartSpace("euclidean_plane")
-SPHERE = ChartSpace("stereographic")
+DISK = ChartSpace(-1.0)
+PLANE = ChartSpace(0.0)
+SPHERE = ChartSpace(1.0)
 #: Charts off the unit curvatures: each is a unit chart scaled by 1/sqrt|c0|.
-SCALED = [chart_for_curvature(c0) for c0 in (-4.0, -0.25, 0.25, 4.0)]
+SCALED = [ChartSpace(c0) for c0 in (-4.0, -0.25, 0.25, 4.0)]
 
 
 def reconstructed(c0, c, d, grid, a=None, trivial_f=False, trivial_g=False, step=1e-3):
@@ -60,31 +59,45 @@ def assert_frame_record(frame, field):
 def flat_trivial_frame():
     grid = GridSpec(0, 1, 0, 1, 21, 21)
     field = reconstructed(0, 0, 0, grid, a=0.0, trivial_f=True, trivial_g=True)
-    return field, integrate_frame(field, PLANE, seed=(0.0, 0.0))
+    return field, integrate_frame(field, seed=(0.0, 0.0))
 
 
 @pytest.fixture(scope="module")
 def sphere_pair():
     grid = GridSpec(0, 1, 0, 1, 101, 101)
     field = reconstructed(1, -1, -1, grid)
-    return field, integrate_frame(field, SPHERE)
+    return field, integrate_frame(field)
 
 
-def test_chart_for_curvature():
-    assert chart_for_curvature(-1.0).kind == "poincare_disk"
-    assert chart_for_curvature(0.0).kind == "euclidean_plane"
-    assert chart_for_curvature(1.0).kind == "stereographic"
+def test_chart_of_curvature():
     # the chart of c0 itself: the disk of radius 1/2 at c0 = -4
-    space = chart_for_curvature(-4.0)
-    assert (space.c0, space.kind, space.q) == (-4.0, "poincare_disk", 2.0)
+    space = ChartSpace(-4.0)
+    assert (space.c0, space.q, space.axis, space.sigma) == (-4.0, 2.0, 0, 1.0)
     assert space.bound == (immersion.DISK_EDGE / 2.0) ** 2
-    assert vars(ChartSpace(-1.0)) == vars(DISK) and vars(ChartSpace(1)) == vars(SPHERE)
+    assert (PLANE.q, PLANE.axis, PLANE.sigma, PLANE.bound) == (1.0, 2, 2.0, math.inf)
+    assert (SPHERE.axis, SPHERE.bound) == (2, immersion.STEREO_GUARD**2)
+    assert vars(ChartSpace(-1)) == vars(DISK) and repr(SPHERE) == "ChartSpace(1.0)"
+    for bad in (math.nan, math.inf, "stereographic"):
+        with pytest.raises((InvalidParams, ValueError)):
+            ChartSpace(bad)
 
 
-def test_frame_needs_the_chart_of_the_fields_curvature():
-    field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 11, 11))
-    with pytest.raises(InvalidParams, match="curvature 4.0 for a field at c0 = 1.0"):
-        integrate_frame(field, chart_for_curvature(4.0))
+def test_frame_carries_its_field_and_chart():
+    # the frame of a field is in the chart of the c0 the field was given,
+    # 1 ulp off (cbar + dbar) / 2 at (1, -1.383, -0.2)
+    points = [((0.0, -0.25, -0.25), 1.0)] + [
+        ((sign * 4.0**k, -(16.0**k), (-1.0 if sign > 0 else -0.25) * 16.0**k), 2.0**-k)
+        for sign in (1.0, -1.0) for k in (-1, 0, 1)
+    ] + [((1.0, -1.383, -0.2), 0.5)]
+    for (c0, c, d), side in points:
+        dp = derive_params(ModuliPoint(c0, c, d), 0.0 if c0 == 0 else None)
+        source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+        lo, hi = 0.5 * side, 1.5 * side
+        field = field_from_source(source, GridSpec(lo, hi, lo, hi, 11, 11))
+        frame = integrate_frame(field)
+        assert frame.field is field and frame.grid is field.grid
+        assert frame.space.c0 == field.c0 == c0
+        assert frame.valid.any()
 
 
 def test_chart_factor_values():
@@ -156,11 +169,11 @@ def test_flat_trivial_frame_is_a_plane(flat_trivial_frame):
     assert np.nanmax(np.abs(frame.psi)) == 0.0
     assert np.nanmax(np.abs(frame.u[..., 0] - grid.xs[None, :])) == 0.0
     assert np.nanmax(np.abs(frame.u[..., 1])) == 0.0
-    assert rk4_row_gap(frame, field, PLANE) == 0.0
-    assert isometry_check(frame, field, PLANE).linf <= 1e-14
-    re_err, im_err = hopf_deviation(frame, PLANE)
+    assert rk4_row_gap(frame) == 0.0
+    assert isometry_check(frame).linf <= 1e-14
+    re_err, im_err = hopf_deviation(frame)
     assert re_err <= 1e-14 and im_err <= 1e-14
-    assert harmonic_residual(frame, PLANE).linf <= 1e-12
+    assert harmonic_residual(frame).linf <= 1e-12
 
 
 def test_frame_seed_state_is_exact(sphere_pair):
@@ -187,12 +200,12 @@ def test_seed_node_moves_the_surface_by_an_isometry(c0, c, d, domain):
     # distances on the plane) agrees, to the fourth order of the Magnus column
     dp = derive_params(ModuliPoint(c0, c, d), 0.0 if c0 == 0 else None)
     source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
-    space = chart_for_curvature(c0)
+    space = ChartSpace(c0)
 
     def gap(n):
         field = field_from_source(source, GridSpec(*domain, n, n))
         xs, ys = field.grid.xs, field.grid.ys
-        frames = [integrate_frame(field, space, seed=(xs[k], ys[k])) for k in (n // 4, 3 * n // 4)]
+        frames = [integrate_frame(field, seed=(xs[k], ys[k])) for k in (n // 4, 3 * n // 4)]
         assert frames[0].seed != frames[1].seed
         assert frames[0].valid.all() and frames[1].valid.all()
         nodes = np.linspace(0, n * n - 1, 200).astype(int)
@@ -218,18 +231,14 @@ def test_frame_rejects_singular_seed():
     gsol = integrate_profile(dp, "G", (-0.5, 0.5), 1e-3)
     field = assemble_omega(fsol, gsol, GridSpec(0, 1, -0.5, 0.5, 11, 11))
     with pytest.raises(SingularCrossing):
-        integrate_frame(field, DISK, seed=(0.0, 0.0))
+        integrate_frame(field, seed=(0.0, 0.0))
 
 
 def test_isometry_and_harmonic_residuals_refine(sphere_pair):
-    field_f, frame_f = sphere_pair
-    grid_c = GridSpec(0, 1, 0, 1, 51, 51)
-    field_c = reconstructed(1, -1, -1, grid_c)
-    frame_c = integrate_frame(field_c, SPHERE)
-    iso = [isometry_check(frame_c, field_c, SPHERE).linf,
-           isometry_check(frame_f, field_f, SPHERE).linf]
-    harm = [harmonic_residual(frame_c, SPHERE).linf,
-            harmonic_residual(frame_f, SPHERE).linf]
+    _, frame_f = sphere_pair
+    frame_c = integrate_frame(reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 51, 51)))
+    iso = [isometry_check(frame_c).linf, isometry_check(frame_f).linf]
+    harm = [harmonic_residual(frame_c).linf, harmonic_residual(frame_f).linf]
     assert iso[0] / iso[1] >= 2.8  # order >= 1.5
     assert harm[0] / harm[1] == pytest.approx(4.0, abs=0.6)
 
@@ -237,30 +246,26 @@ def test_isometry_and_harmonic_residuals_refine(sphere_pair):
 @pytest.mark.parametrize("nx, ny", [(4, 21), (21, 4), (2, 2)])
 def test_frame_diagnostics_need_five_by_five_nodes(nx, ny):
     field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, nx, ny))
-    frame = integrate_frame(field, SPHERE)
+    frame = integrate_frame(field)
     with pytest.raises(TooFewNodes):
-        isometry_check(frame, field, SPHERE)
+        isometry_check(frame)
     with pytest.raises(TooFewNodes):
-        hopf_deviation(frame, SPHERE)
+        hopf_deviation(frame)
     with pytest.raises(TooFewNodes):
-        harmonic_residual(frame, SPHERE)
+        harmonic_residual(frame)
 
 
 def test_harmonic_residual_negative_control(sphere_pair):
     field, frame = sphere_pair
     rng = np.random.default_rng(0)
     noisy = frame.u + 1e-3 * rng.standard_normal(frame.u.shape)
-    broken = type(frame)(
-        psi=frame.psi.copy(), u=noisy, valid=frame.valid.copy(), seed=frame.seed,
-        grid=frame.grid,
-    )
-    assert harmonic_residual(broken, SPHERE).linf > 1.0
+    assert harmonic_residual(replace(frame, u=noisy)).linf > 1.0
 
 
 def test_rotational_columns_project_to_geodesics():
     grid = GridSpec(0, 2, 0, 2, 81, 81)
     field = reconstructed(1, 0, -0.25, grid, trivial_f=True)
-    frame = integrate_frame(field, SPHERE)
+    frame = integrate_frame(field)
     i0, j0 = frame.seed
     col = frame.u[frame.valid[:, i0], i0, :]
     far = col[np.argmax(np.hypot(col[:, 0], col[:, 1]))]
@@ -274,8 +279,8 @@ def test_degenerate_frame_and_meshed_horocycle_curvature():
     for n in (61, 121):
         grid = GridSpec(-0.6, 0.6, -0.6, 0.6, n, n)
         field = assemble_omega_degenerate(0.0, 1.0, grid)
-        frame = integrate_frame(field, DISK, seed=(0.0, 0.0))
-        k = mesh_row_curvature(frame, DISK, n // 2)
+        frame = integrate_frame(field, seed=(0.0, 0.0))
+        k = mesh_row_curvature(frame, n // 2)
         gaps.append(np.nanmax(np.abs(k - 1.0)))
     assert gaps[0] <= 2e-4
     assert gaps[0] / gaps[1] >= 2.0  # at least first order in h
@@ -284,18 +289,18 @@ def test_degenerate_frame_and_meshed_horocycle_curvature():
 def test_meshed_row_curvature_matches_g():
     grid = GridSpec(0, 2, 0, 2, 101, 101)
     field = reconstructed(1, 0, -0.25, grid, trivial_f=True)
-    frame = integrate_frame(field, SPHERE)
+    frame = integrate_frame(field)
     g_vals = field.source.gfn.eval_many(grid.ys)[0]
     worst = 0.0
     for j in range(5, 96, 10):
-        k = mesh_row_curvature(frame, SPHERE, j)
+        k = mesh_row_curvature(frame, j)
         worst = max(worst, np.nanmax(np.abs(k[2:-2] - g_vals[j])))
     assert worst <= 2e-3
 
 
 def test_build_mesh_sphere_lift(sphere_pair):
     field, frame = sphere_pair
-    mesh = build_mesh(frame, field, SPHERE)
+    mesh = build_mesh(frame)
     pts = mesh.ambient_vertices[mesh.valid]
     assert pts.shape[1] == 4
     assert np.abs((pts[:, :3] ** 2).sum(axis=1) - 1.0).max() <= 1e-10
@@ -312,9 +317,9 @@ def test_region_one_mesh_clips_at_disk_boundary():
     fsol = integrate_profile(dp, "F", (-2, 2), 1e-3)
     gsol = integrate_profile(dp, "G", (-2, 2), 1e-3)
     field = assemble_omega(fsol, gsol, grid)
-    frame = integrate_frame(field, DISK)
+    frame = integrate_frame(field)
     assert_frame_record(frame, field)
-    mesh = build_mesh(frame, field, DISK)
+    mesh = build_mesh(frame)
     assert 0.3 < mesh.valid.mean() < 1.0  # clipped, not empty
     pts = mesh.ambient_vertices[mesh.valid]
     # X0 reaches ~557 at the chart edge, so the hyperboloid constraint is
@@ -332,7 +337,7 @@ def test_region_one_mesh_clips_at_disk_boundary():
 
 def test_write_obj_structure(flat_trivial_frame):
     field, frame = flat_trivial_frame
-    mesh = build_mesh(frame, field, PLANE, metadata={"c": 0.0, "d": 0.0})
+    mesh = build_mesh(frame, metadata={"c": 0.0, "d": 0.0})
     lines = "".join(obj_chunks(mesh)).splitlines()
     assert lines[0].startswith("#")
     n_v = sum(1 for ln in lines if ln.startswith("v "))
@@ -354,13 +359,13 @@ def test_weierstrass_flat_matches_frame_route():
     fsol = integrate_profile(dp, "F", (0.5, 2.5), 1e-3)
     gsol = integrate_profile(dp, "G", (0.5, 2.5), 1e-3)
     field = assemble_omega(fsol, gsol, grid)
-    frame = integrate_frame(field, PLANE)
-    mesh = weierstrass_flat(field, frame)
+    frame = integrate_frame(field)
+    mesh = weierstrass_flat(frame)
     # third coordinate equals y up to one additive constant
     t = mesh.chart_vertices[..., 2] - grid.ys[:, None]
     assert np.nanmax(t) - np.nanmin(t) <= 1e-12
     assert mesh.metadata["cauchy_riemann_linf"] <= 1e-2
-    assert flat_route_gap(field, frame) <= 1e-6
+    assert flat_route_gap(frame) <= 1e-6
 
 
 @pytest.mark.parametrize("seed", [(0.5, 1.5), (2.5, 1.5)], ids=["first-column", "last-column"])
@@ -370,16 +375,16 @@ def test_flat_route_gap_on_an_edge_seed_column(seed):
     dp = derive_params(ModuliPoint(0, -0.25, -0.25), a=0.0)
     source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
     field = field_from_source(source, GridSpec(0.5, 2.5, 0.5, 2.5, 41, 41))
-    frame = integrate_frame(field, PLANE, seed=seed)
+    frame = integrate_frame(field, seed=seed)
     assert field.grid.xs[frame.seed[0]] == seed[0]
-    assert flat_route_gap(field, frame) <= 1e-5
+    assert flat_route_gap(frame) <= 1e-5
 
 
 def weierstrass_loop_reference(field, frame):
     """Weierstrass vertices summed by one Python loop per direction out from
     the seed: the reference of weierstrass_flat's running sums."""
     grid = frame.grid
-    phi, dphi = immersion._weierstrass_forms(field, frame.psi)
+    phi, dphi = immersion._weierstrass_forms(frame)
 
     def panel(a, da, b, db, dz):
         return np.real(0.5 * dz * (a + b) + dz * dz / 12.0 * (da - db))
@@ -410,8 +415,8 @@ def test_weierstrass_sums_match_the_loop_reference(domain, seed):
     dp = derive_params(ModuliPoint(0, -0.25, -0.25), a=0.0)
     source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
     field = field_from_source(source, GridSpec(*domain, 31, 31))
-    frame = integrate_frame(field, PLANE, seed=seed)
-    mesh = weierstrass_flat(field, frame)
+    frame = integrate_frame(field, seed=seed)
+    mesh = weierstrass_flat(frame)
     want = weierstrass_loop_reference(field, frame)
     assert mesh.chart_vertices[mesh.valid].tobytes() == want[mesh.valid].tobytes()
     # flat_route_gap reads x1 and x2, which are not finite at invalid nodes
@@ -421,7 +426,7 @@ def test_weierstrass_sums_match_the_loop_reference(domain, seed):
 def test_weierstrass_trivial_plane_first_component_vanishes(flat_trivial_frame):
     # data G = 1 kills the first coordinate; the image is a vertical plane
     field, frame = flat_trivial_frame
-    mesh = weierstrass_flat(field, frame)
+    mesh = weierstrass_flat(frame)
     assert np.nanmax(np.abs(mesh.chart_vertices[..., 0])) <= 1e-14
     spans = mesh.chart_vertices[..., 1]
     assert np.nanmax(np.abs(spans - spans[:1, :])) <= 1e-14
@@ -430,7 +435,7 @@ def test_weierstrass_trivial_plane_first_component_vanishes(flat_trivial_frame):
 def test_weierstrass_rejects_curved(sphere_pair):
     field, frame = sphere_pair
     with pytest.raises(NotFlat):
-        weierstrass_flat(field, frame)
+        weierstrass_flat(frame)
 
 
 def test_holonomy_for_flat_plane_is_pure_translation(flat_trivial_frame):
@@ -448,7 +453,7 @@ def test_holonomy_rotation_for_onduloid():
     grid = GridSpec(0, 3, 0, 2, 151, 101)
     field = reconstructed(1, 0, -0.25, grid, trivial_f=True)
     seed = (0.0, t_g / 4)
-    frame = integrate_frame(field, SPHERE, seed=seed)
+    frame = integrate_frame(field, seed=seed)
     rep1 = holonomy(field, 1.0, seed=seed)
     rep2 = holonomy(field, 2.0, seed=seed)
     assert rep1.kind == "rotation" and not rep1.closed
@@ -500,7 +505,7 @@ def test_holonomy_matches_rk4_frame_oracle(c0, c, d, domain, nx, ny, period, see
     field = field_from_source(source, GridSpec(*domain, nx, ny))
     point, psi0, u0 = (None, 0.0, (0.0, 0.0)) if seed is None else (seed[:2], *seed[2:])
     report = holonomy(field, period, seed=point)
-    space, grid = chart_for_curvature(c0), field.grid
+    space, grid = ChartSpace(c0), field.grid
     i0, j0 = immersion._seed_node(field, point)
     assert not field.mask[j0].any()
     bases = [x for x in grid.xs if x + period <= grid.x1 + 1e-12]
@@ -593,6 +598,23 @@ def test_holonomy_over_natural_period_is_identity(c0, c_size, d_size):
     assert report.residual <= 1e-9
 
 
+@pytest.mark.parametrize("period, kind", [(0.3, "parabolic"), (4e-7, "identity")])
+def test_holonomy_near_a_horocycle_keeps_its_type_under_dilatation(period, kind):
+    # k^2 + c0 = -5e-13 at c0 = -1, within HOROCYCLE_TOL of a horocycle; the
+    # dilatation by s to c0 = -s^2 scales k^2 + c0 by s^2 and the period
+    # arclength by 1/s, and moves neither the type nor the closed flag
+    beta = math.sqrt(1.0 - 5e-13)
+    alpha = math.sqrt(1.0 - beta * beta)
+    for k in (-2, -1, 0, 1, 2):
+        s = 2.0**k
+        grid = GridSpec(-0.5 / s, 0.5 / s, -0.5 / s, 0.5 / s, 41, 41)
+        field = assemble_omega_degenerate(alpha * s, beta * s, grid, -s * s)
+        report = holonomy(field, period / s, seed=(0.0, 0.0))
+        assert (report.kind, report.closed) == (kind, kind == "identity"), s
+        assert report.angle_or_length * s == pytest.approx(period, rel=1e-9)
+        assert report.residual * s <= 1e-12
+
+
 def test_holonomy_requires_period(flat_trivial_frame):
     field, _ = flat_trivial_frame
     with pytest.raises(PeriodUnavailable):
@@ -608,7 +630,7 @@ def test_gamma_axis_rotation_speed():
     n = 161
     grid = GridSpec(-0.4, 0.4, -0.4, 0.4, n, n)
     field = assemble_omega_degenerate(alpha, beta, grid)
-    frame = integrate_frame(field, DISK, seed=(0.0, 0.0))
+    frame = integrate_frame(field, seed=(0.0, 0.0))
     diag_psi = np.array([frame.psi[j, n - 1 - j] for j in range(n)])
     mid = n // 2
     dpsi_dy = (diag_psi[mid + 1] - diag_psi[mid - 1]) / (grid.ys[mid + 1] - grid.ys[mid - 1])
@@ -617,7 +639,7 @@ def test_gamma_axis_rotation_speed():
 
 def test_frame_compat_small(sphere_pair):
     field, frame = sphere_pair
-    assert rk4_row_gap(frame, field, SPHERE) <= 1e-6
+    assert rk4_row_gap(frame) <= 1e-6
 
 
 class CountingSource:
@@ -645,7 +667,7 @@ def test_only_the_row_oracle_marches(monkeypatch, tmp_path):
     monkeypatch.setattr(immersion, "_march", counted)
     field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 21, 15))
     source = CountingSource(field.source)
-    integrate_frame(replace(field, source=source), SPHERE)
+    integrate_frame(replace(field, source=source))
     assert marches == []
     # the column: one evaluation at its grid and Gauss nodes; the rows: one
     # quadrature evaluation per row block
@@ -678,7 +700,7 @@ def _regular_field(c0, c_size, d_size, a, nx=33, ny=33):
 @given(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
        st.floats(-1.0, 1.0), st.floats(0.5, 3.0), st.floats(0.1, 0.5), st.floats(-0.5, -0.1))
 def test_magnus_column_matches_rk4_column(c0, c_size, d_size, a, psi0, u1, u2):
-    space = chart_for_curvature(c0)
+    space = ChartSpace(c0)
 
     # the column starts off the chart origin, at (u1, u2) and angle psi0
     m0 = immersion._frame_matrix(space, u1, u2, psi0)
@@ -721,11 +743,10 @@ def test_magnus_column_matches_rk4_column(c0, c_size, d_size, a, psi0, u1, u2):
 def test_closed_form_rows_match_rk4_rows(c0, c_size, d_size, a):
     field = _regular_field(c0, c_size, d_size, a)
     assert not field.mask.any()
-    space = chart_for_curvature(field.c0)
-    frame = integrate_frame(field, space)
+    frame = integrate_frame(field)
     assert frame.valid.all()
     assert_frame_record(frame, field)
-    assert rk4_row_gap(frame, field, space) <= 1e-6
+    assert rk4_row_gap(frame) <= 1e-6
     if c0 == 0:
         # a leaf of the plane is a circle or line: its angle turns at the rate k
         i0 = frame.seed[0]

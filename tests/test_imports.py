@@ -23,7 +23,7 @@ PUBLIC = [
     "NoRealSolution", "NonConverged", "NonOscillatory", "NotDegenerate", "NotFlat", "OmegaField",
     "PeriodUnavailable", "ProfileSolution", "RegionLabel", "RegionReport", "ResidualStats",
     "SingularCrossing", "SurfaceMesh", "TooFewNodes", "assemble_omega",
-    "assemble_omega_degenerate", "build_mesh", "chart_for_curvature", "classify",
+    "assemble_omega_degenerate", "build_mesh", "classify",
     "degenerate_constants", "derive_params", "errors", "field", "flat_route_gap",
     "harmonic_residual", "holonomy", "hopf_deviation", "immersion", "integrate_frame",
     "integrate_profile", "isometry_check", "jacobi_residual", "level_curvatures",

@@ -76,6 +76,9 @@ def test_recovered_constants_round_trip():
     # a zero constant stays zero where delta = (c0 + a)^2 - 4c rounds
     dp = derive_params(ModuliPoint(1, -1.0862297129252647, 0))
     assert dp.d_const == 0.0 and dp.dbar**2 != dp.delta
+    # and the curvature is the point's own, 1 ulp above (cbar + dbar) / 2 here
+    dp = derive_params(ModuliPoint(1, -1.383, -0.2))
+    assert dp.c0 == 1.0 and (dp.cbar + dp.dbar) / 2 != 1.0
 
 
 CLASSIFY_CASES = [
