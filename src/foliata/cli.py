@@ -8,18 +8,18 @@ echoes the fully resolved configuration under the key "config".
 Only the moduli layer is imported here: each subcommand imports the other
 layers it runs, so ``classify`` and ``scan`` load no profile, field, Shiffman
 or immersion code.  Nor is numpy: ``classify``, ``--help`` and a usage error
-run on the standard library and the moduli layer alone.
+run on the standard library and the moduli layer alone, and load neither
+``dataclasses``, ``json``, ``pathlib`` nor ``typing``: files are read and
+written with ``open``, and ``json`` is imported by the field-file reader,
+its one user.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from ._jsonfmt import BLOCK_VALUES, chunks, dumps
@@ -33,6 +33,7 @@ from .moduli import (
     scan_csv,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .field import OmegaField
 
@@ -128,7 +129,7 @@ def _cmd_profile(args) -> int:
     }
     _emit(_profile_csv(sol), args.out)
     if args.out:
-        Path(args.out + ".json").write_text(dumps(sidecar), encoding="utf-8")
+        _emit(dumps(sidecar), args.out + ".json")
     else:
         sys.stderr.write(dumps(sidecar))
     return 0
@@ -159,10 +160,13 @@ def _cmd_field(args) -> int:
 def _read_field(path: str) -> tuple[object, OmegaField]:
     """The config and field of a field file; unreadable input is a domain
     error.  The file's text and parsed lists are dropped on return."""
+    import json
+
     from .field import field_from_document
 
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FoliataError(f"cannot read {path}: {exc}") from exc
     try:

@@ -873,9 +873,10 @@ def holonomy(
     row with no singular cell gives the same report.  The residual is the
     largest gap between a base's arclength and S, a length along the leaf.
     ``closed`` flags an identity holonomy: value and residual below 1e-6,
-    lengths in the unit 1/sqrt|c0| (1 on the plane), so that a dilate of the
-    surface keeps the type and the flag.  ``seed`` is a point (x, y) whose
-    nearest grid node picks the row (:func:`_seed_node`).
+    and the displacement f1 of the seed point (:func:`_leaf_functions`) as
+    well, lengths in the unit 1/sqrt|c0| (1 on the plane), so that a dilate
+    of the surface keeps the type and the flag.  ``seed`` is a point (x, y)
+    whose nearest grid node picks the row (:func:`_seed_node`).
     """
     if period is None or not math.isfinite(period) or period <= 0:
         raise PeriodUnavailable(f"no usable period (got {period})")
@@ -915,7 +916,9 @@ def holonomy(
         kind, value, tol = "translation", math.sqrt(-kappa2) * s, 1e-6
     else:
         kind, value, tol = ("translation" if field.c0 == 0 else "parabolic"), s, length_tol
-    closed = bool(value < tol and residual < length_tol)
+    # near a horocycle a small angle or rapidity still moves the seed by ~S
+    f1 = float(_leaf_functions(np.array([kappa2]), np.array([[s]]))[0][0, 0])
+    closed = bool(value < tol and residual < length_tol and abs(f1) < length_tol)
     return HolonomyReport(
         kind="identity" if closed else kind,
         angle_or_length=value,

@@ -20,6 +20,11 @@ arrays of cell centers at one c0.  The two give bit-identical results, and a
 one-point lookup imports no numpy.  Scan cells that carry no surface (c != d
 at c0 = 0, a failed discriminant check, a non-finite c0) are labelled
 OutsideModuli.
+
+This is the layer that ``classify`` loads, so it must load light, like
+``_SCALAR``: its three records are named tuples, not dataclasses, whose
+import (with the ``inspect``, ``ast`` and ``tokenize`` it pulls in) would
+cost a fresh interpreter far more than the classification.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import contextlib
 import enum
 import math
 import operator
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from itertools import chain
 from types import SimpleNamespace
 
@@ -52,13 +57,10 @@ def normalize_curvature(c0: float) -> tuple[int, float]:
     return (1 if c0 > 0 else -1), math.sqrt(abs(c0))
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(namedtuple("ModuliPoint", "c0 c d")):
     """A point (c0, c, d) of the parameter space."""
 
-    c0: float
-    c: float
-    d: float
+    __slots__ = ()
 
     def validate(self) -> None:
         for name, v in (("c0", self.c0), ("c", self.c), ("d", self.d)):
@@ -70,33 +72,24 @@ class ModuliPoint:
             )
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(namedtuple("DerivedParams", "a cbar dbar delta xminus xplus yminus yplus "
+                                                "c_const d_const c0")):
     """Separation constant, quadratic coefficients and roots at one point.
 
-    Roots are None when delta < 0.  Root labels are ordered xminus <= xplus
-    and yminus <= yplus, with ties at delta = 0.  ``c_const`` and ``d_const``
-    are the first-integral constants of the x- and y-profiles and ``c0`` the
-    curvature: the point's own c, d and c0, so a zero constant stays exactly
-    zero and a field holds the c0 it was given.
+    Every field is a float, except that the roots are None when delta < 0.
+    Root labels are ordered xminus <= xplus and yminus <= yplus, with ties
+    at delta = 0.  ``c_const`` and ``d_const`` are the first-integral
+    constants of the x- and y-profiles and ``c0`` the curvature: the point's
+    own c, d and c0, so a zero constant stays exactly zero and a field holds
+    the c0 it was given.
     """
 
-    a: float
-    cbar: float
-    dbar: float
-    delta: float
-    xminus: float | None
-    xplus: float | None
-    yminus: float | None
-    yplus: float | None
-    c_const: float
-    d_const: float
-    c0: float
+    __slots__ = ()
 
     def document(self) -> dict:
         """JSON-ready fields in declaration order, as every output writes
         them, without the point's c, d and c0, which a document echoes."""
-        doc = asdict(self)
+        doc = self._asdict()
         del doc["c_const"], doc["d_const"], doc["c0"]
         return doc
 
@@ -170,7 +163,7 @@ def _point_params(dp: DerivedParams, mirror, ok) -> DerivedParams:
     # the scalar case, None for the roots that do not exist
     if not ok:
         raise InvalidParams(f"discriminants disagree or overflow: {dp.delta} vs {mirror}")
-    return DerivedParams(*(None if math.isnan(v) else float(v) for v in vars(dp).values()))
+    return DerivedParams(*(None if math.isnan(v) else float(v) for v in dp))
 
 
 def derive_params(p: ModuliPoint, a: float | None = None) -> DerivedParams:
@@ -203,18 +196,16 @@ class RegionLabel(str, enum.Enum):
     OUTSIDE_MODULI = "OutsideModuli"
 
 
-@dataclass(frozen=True)
-class RegionReport:
+class RegionReport(namedtuple("RegionReport", "label certificate derived")):
     """Classification outcome: label, inequality certificate, derived data.
 
+    ``label`` is a RegionLabel and ``derived`` the DerivedParams.
     ``certificate`` lists every membership inequality in evaluation order as
     (name, lhs value, satisfied); the label is OutsideModuli exactly when one
     of them fails.
     """
 
-    label: RegionLabel
-    certificate: tuple[tuple[str, float, bool], ...]
-    derived: DerivedParams
+    __slots__ = ()
 
 
 def _classify(c0: float, c, d, a: float | None, xp: SimpleNamespace):

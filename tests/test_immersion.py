@@ -615,6 +615,19 @@ def test_holonomy_near_a_horocycle_keeps_its_type_under_dilatation(period, kind)
         assert report.residual * s <= 1e-12
 
 
+@pytest.mark.parametrize("alpha2", [2e-12, 1e-11])
+def test_holonomy_near_a_horocycle_that_moves_the_seed_is_not_closed(alpha2):
+    # k^2 + c0 = -alpha^2 at c0 = -1, just beyond HOROCYCLE_TOL: the rapidity
+    # over the period is below 1e-6, yet the isometry moves the seed point by
+    # about the period arclength 0.3
+    beta = math.sqrt(1.0 - alpha2)
+    alpha = math.sqrt(1.0 - beta * beta)
+    field = assemble_omega_degenerate(alpha, beta, GridSpec(-0.5, 0.5, -0.5, 0.5, 41, 41), -1.0)
+    report = holonomy(field, 0.3, seed=(0.0, 0.0))
+    assert report.angle_or_length < 1e-6 and report.residual < 1e-6
+    assert report.kind == "translation" and not report.closed
+
+
 def test_holonomy_requires_period(flat_trivial_frame):
     field, _ = flat_trivial_frame
     with pytest.raises(PeriodUnavailable):

@@ -15,6 +15,7 @@ import pytest
 
 import foliata
 from foliata.cli import main
+from foliata.moduli import ModuliPoint, derive_params
 
 #: ``foliata.__all__``: the public names and the five layers and errors.
 PUBLIC = [
@@ -110,19 +111,39 @@ LAYERS = [
 #: The cases that run on the standard library and BASE alone, with no numpy.
 NO_NUMPY = {"classify", "usage-missing", "usage-verify", "help"}
 
+#: Standard-library modules that the NO_NUMPY cases do not load.
+UNUSED_STDLIB = ["dataclasses", "inspect", "json", "pathlib", "typing"]
+
+#: Prints the exit code, the package modules loaded, whether numpy is, and
+#: the UNUSED_STDLIB modules that importing the CLI and running it loaded.
 PROBE = """
-import json, sys
+import sys
+before = set(sys.modules)
 import foliata.cli
 rc = foliata.cli.main(sys.argv[1:])
+new = set(sys.modules) - before
+import json
 loaded = sorted(m for m in sys.modules if m.startswith("foliata."))
-print(json.dumps([rc, loaded, "numpy" in sys.modules]))
-"""
+stdlib = sorted(new & set(%r))
+print(json.dumps([rc, loaded, "numpy" in sys.modules, stdlib]))
+""" % (UNUSED_STDLIB,)
 
 
 @pytest.mark.parametrize("name,argv,layers", LAYERS, ids=[case[0] for case in LAYERS])
 def test_each_subcommand_loads_only_its_layers(tmp_path, name, argv, layers):
     assert main(["field", *POINT, *GRID, "--out", str(tmp_path / "field.json")]) == 0
-    rc, loaded, numpy = json.loads(_python(PROBE, *argv, cwd=tmp_path).splitlines()[-1])
+    rc, loaded, numpy, stdlib = json.loads(_python(PROBE, *argv, cwd=tmp_path).splitlines()[-1])
     assert rc == (2 if name.startswith("usage") else 0)
     assert set(loaded) == BASE | {f"foliata.{layer}" for layer in layers}
     assert numpy is (name not in NO_NUMPY)
+    if name in NO_NUMPY:
+        assert stdlib == []
+
+
+@pytest.mark.parametrize("record", [ModuliPoint(-1.0, -1.0, -1.0),
+                                    derive_params(ModuliPoint(-1.0, -1.0, -1.0))])
+def test_moduli_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        record.c0 = 2.0
+    with pytest.raises(AttributeError):
+        record.extra = 2.0

@@ -372,7 +372,7 @@ def _same(x, y) -> bool:
 def _assert_same_derived(scalar, array):
     """The _derive triples of one point, on floats and on 1-element arrays."""
     (dp_s, mirror_s, ok_s), (dp_a, mirror_a, ok_a) = scalar, array
-    for field in vars(dp_s):
+    for field in dp_s._fields:
         assert _same(getattr(dp_s, field), getattr(dp_a, field)), field
     assert _same(mirror_s, mirror_a) and ok_s is bool(ok_a[0])
 
