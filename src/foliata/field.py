@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,9 @@ H_MIN = (2.0**11 * math.asinh(OVERFLOW_GUARD) ** 4 / sys.float_info.max) ** 0.25
 #: text writers' block, 256 KB per float64 array, so a block's temporaries
 #: stay in a core's L2 cache.
 BLOCK_NODES = BLOCK_VALUES
+#: Most nodes of a grid: 80 MB per float64 array, and a field's diagnostics
+#: hold several.  A larger grid is refused before anything is allocated.
+MAX_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,8 @@ class GridSpec:
         if h < H_MIN:
             raise InvalidParams(f"grid spacing {h!r} is below {H_MIN!r}, where the stencils' "
                                 f"1/h^2 and 1/h^4 terms can overflow: {self}")
+        if self.nx * self.ny > MAX_NODES:
+            raise InvalidParams(f"{self.nx} x {self.ny} grid nodes, more than {MAX_NODES}")
 
     @property
     def xs(self) -> np.ndarray:
@@ -201,10 +207,10 @@ class ReconstructedSource:
         return FieldData(*self._sinh(f, fx, g, gy), f, g)
 
     def eval_rows(self, xs: np.ndarray, ys: np.ndarray):
-        """(lo, hi) -> (sinh(omega), ok) on rows [lo, hi) of the grid xs x ys."""
+        """(lo, hi) -> sinh(omega), NaN on D, on rows [lo, hi) of the grid xs x ys."""
         f, fx = self.ffn.eval_many(xs)
         g, gy = self.gfn.eval_many(ys)
-        return lambda lo, hi: self._sinh(f, fx, g[lo:hi, None], gy[lo:hi, None])
+        return lambda lo, hi: self._sinh(f, fx, g[lo:hi, None], gy[lo:hi, None])[0]
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
         return self.eval_bc(xs, np.asarray(ys)[:, None])
@@ -238,10 +244,10 @@ class DegenerateSource:
         return FieldData(*self._sinh(phase), self.alpha, self.beta)
 
     def eval_rows(self, xs: np.ndarray, ys: np.ndarray):
-        """(lo, hi) -> (sinh(omega), ok) on rows [lo, hi) of the grid xs x ys."""
+        """(lo, hi) -> sinh(omega), NaN on D, on rows [lo, hi) of the grid xs x ys."""
         ax = self.alpha * np.asarray(xs, dtype=float)
         by = self.beta * np.asarray(ys, dtype=float)
-        return lambda lo, hi: self._sinh(ax + by[lo:hi, None])
+        return lambda lo, hi: self._sinh(ax + by[lo:hi, None])[0]
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
         return self.eval_bc(xs, np.asarray(ys)[:, None])
@@ -249,35 +255,39 @@ class DegenerateSource:
 
 @dataclass(frozen=True)
 class OmegaField:
-    """The conformal exponent sampled on a grid.
+    """The conformal exponent sampled on a grid: one array, ``omega``.
 
-    ``omega`` and ``sinh_omega`` carry NaN at singular nodes and are finite
-    elsewhere; ``mask`` is True exactly there.  The record owns its singular
-    set: construction checks that invariant, so every consumer reads the
-    arrays as they are.  ``source`` (when present) evaluates the same field
-    at off-grid points and is what frame integration consumes.
+    omega is infinite on the singular set D, so the array holds NaN exactly
+    there; elsewhere |omega| <= arcsinh(OVERFLOW_GUARD), where no stencil
+    overflows.  Construction refuses any other value (an infinity too), so
+    every consumer reads omega as it is.  ``mask``, True on D, is derived
+    from the NaNs.  ``source`` (when present) evaluates the same field at
+    off-grid points and is what frame integration consumes.
     """
 
     grid: GridSpec
     c0: float
     omega: np.ndarray
-    sinh_omega: np.ndarray
-    mask: np.ndarray
     provenance: str
     source: object | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.omega, self.sinh_omega, self.mask):
-            arr.setflags(write=False)
-        finite = np.isfinite(self.omega) & np.isfinite(self.sinh_omega)
-        wrong = np.flatnonzero(finite == self.mask)
-        if wrong.size:
-            j, i = divmod(int(wrong[0]), self.grid.nx)
-            raise InvalidParams(
-                f"omega at node (i={i}, j={j}) is {self.omega[j, i]} with sinh "
-                f"{self.sinh_omega[j, i]} where the mask is {bool(self.mask[j, i])}; "
-                "both must be NaN exactly where the mask is true and finite elsewhere"
-            )
+        omega = self.omega
+        omega.setflags(write=False)
+        bound = math.asinh(OVERFLOW_GUARD)
+        # two comparisons, not np.abs: no full-size float temporary
+        beyond = np.flatnonzero((omega > bound) | (omega < -bound))
+        if beyond.size:
+            j, i = divmod(int(beyond[0]), self.grid.nx)
+            raise InvalidParams(f"omega at node (i={i}, j={j}) is {omega[j, i]}, beyond "
+                                f"arcsinh(OVERFLOW_GUARD) = {bound}")
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """True exactly on the singular set: the NaN nodes of omega."""
+        mask = np.isnan(self.omega)
+        mask.setflags(write=False)
+        return mask
 
     @property
     def nx(self) -> int:
@@ -307,26 +317,16 @@ def row_blocks(grid: GridSpec, reach: int):
 
 
 def field_from_source(source, grid: GridSpec) -> OmegaField:
-    """The field of a closed-form source sampled on a grid, in row blocks."""
+    """The field of a closed-form source sampled on a grid: each row
+    block's sinh(omega), NaN on D, goes through arcsinh straight into omega."""
     block = source.eval_rows(grid.xs, grid.ys)
-    sinh = np.empty((grid.ny, grid.nx))
-    omega = np.empty_like(sinh)
-    mask = np.empty(sinh.shape, dtype=bool)
+    omega = np.empty((grid.ny, grid.nx))
     for rows, _, _ in row_blocks(grid, 0):
-        sinh[rows], ok = block(rows.start, rows.stop)
-        np.arcsinh(sinh[rows], out=omega[rows])
-        mask[rows] = ~ok
-    if mask.all():
+        np.arcsinh(block(rows.start, rows.stop), out=omega[rows])
+    if np.isnan(omega).all():
         raise AllSingular("every grid node lies on the singular set")
-    return OmegaField(
-        grid=grid,
-        c0=source.c0,
-        omega=omega,
-        sinh_omega=sinh,
-        mask=mask,
-        provenance=source.provenance,
-        source=source,
-    )
+    return OmegaField(grid=grid, c0=source.c0, omega=omega,
+                      provenance=source.provenance, source=source)
 
 
 def assemble_omega(fsol: ProfileSolution, gsol: ProfileSolution, grid: GridSpec) -> OmegaField:
@@ -385,7 +385,8 @@ def _margin_blank(res: np.ndarray, grid: GridSpec, margin: float) -> np.ndarray:
 
 
 def sinh_gordon_residual(field: OmegaField) -> ResidualStats:
-    """Centered second-order residual of lap(omega) + c0 sinh(omega) cosh(omega).
+    """Centered second-order residual of lap(omega) + c0 sinh(omega) cosh(omega),
+    the source term taken as c0 sinh(2 omega) / 2.
 
     Evaluated at interior nodes whose full five-point stencil avoids the
     (dilated) singular mask.
@@ -397,20 +398,10 @@ def sinh_gordon_residual(field: OmegaField) -> ResidualStats:
     for rows, slab, out in row_blocks(grid, 1):
         w, mask = field.omega[slab], field.mask[slab]
         block = _interior_laplacian(w, grid.hx, grid.hy)
-        block += field.c0 * field.sinh_omega[slab] * np.cosh(w)
+        block += 0.5 * field.c0 * np.sinh(2.0 * w)
         block[dilate_mask(mask)] = np.nan
         res[rows] = block[out]
     return stats_from(res, max(grid.hx, grid.hy))
-
-
-def _refuse_beyond(omega: np.ndarray, bound: float, what: str, nodes=True) -> None:
-    """InvalidParams naming the first of the ``nodes`` of ``omega`` that is
-    not finite or exceeds ``bound`` in magnitude."""
-    beyond = np.flatnonzero(~(np.abs(omega) <= bound) & nodes)
-    if beyond.size:
-        j, i = divmod(int(beyond[0]), omega.shape[1])
-        raise InvalidParams(f"{what} has omega {omega[j, i]} at node (i={i}, j={j}), beyond "
-                            f"arcsinh(OVERFLOW_GUARD) = {bound}")
 
 
 def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaField:
@@ -426,9 +417,9 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
     solve that fails raises ``NonConverged`` as well.
 
     Every field keeps |omega| <= arcsinh(OVERFLOW_GUARD), where its stencils
-    cannot overflow: boundary data beyond it or not finite, or a converged
-    omega beyond it (possible for c0 > 0, which has no maximum principle),
-    raises ``InvalidParams``.
+    cannot overflow: boundary data beyond it or not finite raises
+    ``InvalidParams``, and so does the field record of a converged omega
+    beyond it (possible for c0 > 0, which has no maximum principle).
     """
     nx, ny = grid.nx, grid.ny
     if nx < 5 or ny < 5:
@@ -439,7 +430,11 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
     bound = math.asinh(OVERFLOW_GUARD)
     ring = np.ones((ny, nx), dtype=bool)
     ring[1:-1, 1:-1] = False
-    _refuse_beyond(w, bound, "the boundary", ring)
+    beyond = np.flatnonzero(~(np.abs(w) <= bound) & ring)
+    if beyond.size:
+        j, i = divmod(int(beyond[0]), nx)
+        raise InvalidParams(f"the boundary has omega {w[j, i]} at node (i={i}, j={j}), beyond "
+                            f"arcsinh(OVERFLOW_GUARD) = {bound}")
 
     hx, hy = grid.hx, grid.hy
     ax, ay = 1.0 / (hx * hx), 1.0 / (hy * hy)
@@ -470,15 +465,7 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
         step = np.max(np.abs(delta))
         if step < NEWTON_TOL:
             w[1:-1, 1:-1] += delta
-            _refuse_beyond(w, bound, "the converged solution")
-            return OmegaField(
-                grid=grid,
-                c0=float(c0),
-                omega=w,
-                sinh_omega=np.sinh(w),
-                mask=np.zeros((ny, nx), dtype=bool),
-                provenance="Relaxation",
-            )
+            return OmegaField(grid=grid, c0=float(c0), omega=w, provenance="Relaxation")
         norm0 = np.linalg.norm(fv)
         lam = 1.0
         while True:
@@ -663,10 +650,10 @@ def _typed(doc: dict, key: str, types: set, kind: str):
 
 def field_from_document(doc: dict) -> OmegaField:
     """The field of a :func:`field_document` document.  A key of the wrong
-    type or length, a |c0| beyond C0_BOUND or an |omega| beyond
-    arcsinh(OVERFLOW_GUARD) (the bounds of every assembled field) raises
-    ValueError naming it, and an omega whose nulls disagree with the mask
-    InvalidParams naming the first such node."""
+    type or length or a |c0| beyond C0_BOUND (the bound of every assembled
+    field) raises ValueError naming it; an omega whose nulls disagree with
+    the mask, or the record's refusal of an |omega| beyond
+    arcsinh(OVERFLOW_GUARD), raises InvalidParams naming the first such node."""
     domain = doc["domain"]
     if type(domain) is not list or len(domain) != 4 or not set(map(type, domain)) <= _NUMBER:
         raise ValueError(f"'domain' must be a list of 4 numbers, got {domain!r}")
@@ -684,21 +671,15 @@ def field_from_document(doc: dict) -> OmegaField:
             and set(map(type, omega)) <= _NUMBER | {type(None)}):
         raise ValueError(f"'omega' must be a flat list of {size} numbers or nulls")
     omega = np.array(omega, dtype=float).reshape(grid.ny, grid.nx)  # null reads as NaN
-    bound = float(np.arcsinh(OVERFLOW_GUARD))
-    beyond = np.flatnonzero(np.abs(omega) > bound)
-    if beyond.size:
-        j, i = divmod(int(beyond[0]), grid.nx)
-        raise ValueError(f"omega at node (i={i}, j={j}) is {omega[j, i]}, beyond "
-                         f"arcsinh(OVERFLOW_GUARD) = {bound}")
     c0 = float(_typed(doc, "c0", _NUMBER, "a number"))
     if not abs(c0) <= C0_BOUND:
         raise ValueError(f"'c0' is {c0!r}, beyond C0_BOUND = {C0_BOUND!r}, the largest "
                          "|c0| whose square is finite")
-    return OmegaField(
-        grid=grid,
-        c0=c0,
-        omega=omega,
-        sinh_omega=np.sinh(omega),
-        mask=mask.reshape(grid.ny, grid.nx),
-        provenance=_typed(doc, "provenance", {str}, "a string"),
-    )
+    wrong = np.flatnonzero(np.isnan(omega).ravel() != mask)
+    if wrong.size:
+        j, i = divmod(int(wrong[0]), grid.nx)
+        raise InvalidParams(f"omega at node (i={i}, j={j}) is {omega[j, i]} where the mask "
+                            f"is {bool(mask[wrong[0]])}; it must be null exactly where the mask "
+                            "is true")
+    return OmegaField(grid=grid, c0=c0, omega=omega,
+                      provenance=_typed(doc, "provenance", {str}, "a string"))

@@ -215,26 +215,33 @@ def _expm3(omega: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameField:
-    """Frame angle and chart point on the grid of a field, with their
-    validity mask, the field and the chart of its curvature.
+    """Frame angle and chart point on the grid of a field, with the field
+    and the chart of its curvature.
 
-    ``psi`` and ``u`` are NaN exactly where ``valid`` is False and finite
-    elsewhere, and ``valid`` is False on the field's singular set:
+    ``psi`` and ``u`` are NaN together where the frame was not placed, on
+    the field's singular set among others, and finite elsewhere:
     :func:`integrate_frame`, the only builder, places them so, and the
     diagnostics and meshes read them, the field and the chart as they are.
+    ``valid``, True where the frame was placed, is derived from psi.
     ``seed`` is the grid node (i0, j0) where the frame starts at the chart
     origin at angle 0.
     """
 
     psi: np.ndarray
     u: np.ndarray
-    valid: np.ndarray
     seed: tuple[int, int]
     field: OmegaField
 
     def __post_init__(self):
-        for arr in (self.psi, self.u, self.valid):
+        for arr in (self.psi, self.u):
             arr.setflags(write=False)
+
+    @cached_property
+    def valid(self) -> np.ndarray:
+        """True where the frame was placed: the finite nodes of psi."""
+        valid = np.isfinite(self.psi)
+        valid.setflags(write=False)
+        return valid
 
     @property
     def grid(self) -> GridSpec:
@@ -464,19 +471,19 @@ def integrate_frame(field: OmegaField, seed: tuple[float, float] | None = None) 
     calive &= ~field.mask[:, i0]
     psi = np.empty((grid.ny, grid.nx))
     u = np.empty((grid.ny, grid.nx, 2))
-    valid = np.empty((grid.ny, grid.nx), dtype=bool)
     for start in range(0, grid.ny, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        psi[rows], u[rows, :, 0], u[rows, :, 1], valid[rows] = _place_rows(
+        psi[rows], u[rows, :, 0], u[rows, :, 1] = _place_rows(
             source, space, field.mask[rows], xs, ys[rows], i0, m[rows],
             cpsi[rows], cu1[rows], cu2[rows], calive[rows], k[rows],
         )
-    return FrameField(psi=psi, u=u, valid=valid, seed=(i0, j0), field=field)
+    return FrameField(psi=psi, u=u, seed=(i0, j0), field=field)
 
 
 def _place_rows(source, space, mask, xs, ys, i0, m, psi_c, u1_c, u2_c, alive_c, k):
-    """Closed-form (psi, u1, u2, valid) on the rows ys from their model
-    frames m and chart states at xs[i0]."""
+    """Closed-form (psi, u1, u2) on the rows ys from their model frames m
+    and chart states at xs[i0], NaN outward of the first cell where the
+    row stops."""
     lengths, bad = _row_lengths(source, xs[:-1], xs[1:], ys)
     arc = np.zeros((len(ys), len(xs)))
     np.cumsum(lengths, axis=1, out=arc[:, 1:])
@@ -496,7 +503,7 @@ def _place_rows(source, space, mask, xs, ys, i0, m, psi_c, u1_c, u2_c, alive_c, 
         ok = np.isfinite(psi) & np.isfinite(u1) & np.isfinite(u2)
         ok &= space.in_domain(u1, u2) & alive_c[:, None]
     valid = _outward(ok, ~(bad | mask[:, :-1] | mask[:, 1:]), i0)
-    return np.where(valid, psi, np.nan), np.where(valid, u1, np.nan), np.where(valid, u2, np.nan), valid
+    return np.where(valid, psi, np.nan), np.where(valid, u1, np.nan), np.where(valid, u2, np.nan)
 
 
 def rk4_row_gap(frame: FrameField) -> float:

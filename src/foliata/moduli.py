@@ -42,6 +42,9 @@ from .errors import InvalidParams
 
 #: Relative tolerance for the shared-discriminant cross-check.
 DISCRIMINANT_RTOL = 1e-12
+#: Most cells of a scan.  A larger scan is refused before its cell centers
+#: are built.
+MAX_CELLS = 10**7
 
 
 def normalize_curvature(c0: float) -> tuple[int, float]:
@@ -284,6 +287,8 @@ def _cell_centers(rect, nx: int, ny: int) -> tuple[list[float], list[float]]:
     cmin, cmax, dmin, dmax = rect
     if nx < 2 or ny < 2:
         raise InvalidParams(f"scan needs nx, ny >= 2, got {nx}, {ny}")
+    if nx * ny > MAX_CELLS:
+        raise InvalidParams(f"{nx} x {ny} scan cells, more than {MAX_CELLS}")
     if not (cmin < cmax and dmin < dmax):
         raise InvalidParams(f"degenerate scan rectangle {rect}")
     wc, wd = (cmax - cmin) / nx, (dmax - dmin) / ny

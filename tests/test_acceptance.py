@@ -130,8 +130,7 @@ def test_criterion_5_shiffman_vanishing():
     grid = GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11)
     x, y = np.meshgrid(grid.xs, grid.ys)
     control = OmegaField(
-        grid=grid, c0=1.0, omega=x * y, sinh_omega=np.sinh(x * y),
-        mask=np.zeros((11, 11), dtype=bool), provenance="Synthetic",
+        grid=grid, c0=1.0, omega=x * y, provenance="Synthetic",
     )
     u0 = shiffman_field(control)[5, 5]
     assert u0 == pytest.approx(1.0, abs=1e-12)

@@ -119,6 +119,28 @@ def test_scan_non_finite_rectangle_exits_one(tmp_path, capsys, rect):
     assert not out.exists()
 
 
+GRID_ARGS = ["--c0", "1", "--c", "-1", "--d", "-1", "--domain", "0", "1", "0", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["field", *GRID_ARGS, "--nx", "1000000", "--ny", "1000000"],
+     ["mesh", *GRID_ARGS, "--nx", "1000000", "--ny", "1000000"],
+     ["holonomy", *GRID_ARGS, "--nx", "1000000", "--ny", "1000000"],
+     ["scan", "--c0", "-1", "--rect", "0", "1", "0", "1", "--nx", "100000000", "--ny", "2"]],
+    ids=["field", "mesh", "holonomy", "scan"],
+)
+def test_oversized_grid_or_scan_exits_one(tmp_path, capsys, argv):
+    # 10^12 grid nodes (7.28 TiB of omega) or 2 x 10^8 scan cells are refused
+    # before anything is allocated, never ending in a MemoryError
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "more than 10000000" in captured.err
+
+
 def test_profile_csv_and_sidecar(tmp_path):
     out = tmp_path / "prof.csv"
     code = main(["profile", "--c0", "1", "--c", "-1", "--d", "0", "--kind", "F",
@@ -592,6 +614,18 @@ def test_verify_omega_beyond_the_guard_exits_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "omega at node (i=1, j=1) is 200.0, beyond arcsinh(OVERFLOW_GUARD)" in err
+
+
+def test_verify_omega_1e400_exits_one(tmp_path, capsys):
+    # the JSON number 1e400 reads as inf, which the field record refuses
+    path = _field_file(tmp_path, lambda doc: doc["omega"].__setitem__(7, "1e400"))
+    path.write_text(path.read_text().replace('"1e400"', "1e400"))
+    capsys.readouterr()
+    for mode in ([], ["--shiffman"], ["--immersion"]):
+        assert main(["verify", "--input", str(path), *mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "omega at node (i=2, j=1) is inf, beyond arcsinh(OVERFLOW_GUARD)" in err
 
 
 def test_verify_non_finite_grid_span_exits_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +10,21 @@ from foliata import field as field_module
 from foliata._jsonfmt import dumps
 from foliata.errors import AllSingular, GridMismatch, InvalidParams, NonConverged, TooFewNodes
 from foliata.field import (
+    DegenerateSource,
     GridSpec,
     OmegaField,
+    ReconstructedSource,
     assemble_omega,
     assemble_omega_degenerate,
     field_document,
     field_from_document,
+    field_from_source,
     level_curvatures,
     sinh_gordon_residual,
     solve_sinh_gordon,
 )
 from foliata.moduli import ModuliPoint, derive_params
-from foliata.profile import integrate_profile
+from foliata.profile import ProfileFunction, integrate_profile
 
 
 def profiles(c0, c, d, xr=(0, 1), yr=(0, 1), a=None, trivial_f=False, trivial_g=False):
@@ -106,7 +110,6 @@ def test_trivial_profiles_give_zero_omega():
 def test_positive_curvature_is_never_singular(sphere_field):
     assert not sphere_field.mask.any()
     assert np.isfinite(sphere_field.omega).all()
-    assert np.allclose(sphere_field.sinh_omega, np.sinh(sphere_field.omega))
 
 
 def test_reconstruction_formulas_agree(sphere_field):
@@ -242,15 +245,13 @@ def test_sinh_gordon_residual_second_order(make):
 def test_sinh_gordon_residual_zero_field():
     z = np.zeros((9, 9))
     field = OmegaField(
-        grid=GridSpec(0, 1, 0, 1, 9, 9), c0=-1.0, omega=z, sinh_omega=z.copy(),
-        mask=np.zeros((9, 9), bool), provenance="Synthetic",
+        grid=GridSpec(0, 1, 0, 1, 9, 9), c0=-1.0, omega=z, provenance="Synthetic",
     )
     assert sinh_gordon_residual(field).linf == 0.0
     with pytest.raises(TooFewNodes):
         sinh_gordon_residual(
             OmegaField(
                 grid=GridSpec(0, 1, 0, 1, 4, 4), c0=-1.0, omega=np.zeros((4, 4)),
-                sinh_omega=np.zeros((4, 4)), mask=np.zeros((4, 4), bool),
                 provenance="Synthetic",
             )
         )
@@ -344,7 +345,7 @@ def test_newton_refuses_a_solution_beyond_the_overflow_guard():
     # c0 > 0 has no maximum principle: from data at 19.1, inside the guard,
     # the solution on a small square bulges past arcsinh(1e8) = 19.1138
     grid = GridSpec(0, 1e-8, 0, 1e-8, 9, 9)
-    with pytest.raises(InvalidParams, match="the converged solution has omega 19.11"):
+    with pytest.raises(InvalidParams, match=r"omega at node \(i=\d, j=\d\) is 19.11\d*, beyond"):
         solve_sinh_gordon(1.0, grid, np.full((9, 9), 19.1))
     assert np.abs(solve_sinh_gordon(1.0, grid, np.full((9, 9), 19.0)).omega).max() < 19.1
 
@@ -451,8 +452,7 @@ def test_vertical_curvature_projection():
 def test_level_curvature_zero_field():
     z = np.zeros((11, 11))
     field = OmegaField(
-        grid=GridSpec(0, 1, 0, 1, 11, 11), c0=1.0, omega=z, sinh_omega=z.copy(),
-        mask=np.zeros((11, 11), bool), provenance="Synthetic",
+        grid=GridSpec(0, 1, 0, 1, 11, 11), c0=1.0, omega=z, provenance="Synthetic",
     )
     k_h, k_v = level_curvatures(field)
     assert np.nanmax(np.abs(k_h)) == 0.0
@@ -486,28 +486,80 @@ def test_residual_l2_never_overflows():
 
 def test_omega_field_owns_its_singular_set():
     grid = GridSpec(0, 1, 0, 1, 5, 5)
-    mask = np.zeros((5, 5), bool)
-    mask[2, 3] = True
+    good = np.full((5, 5), 0.25)
+    good[2, 3] = np.nan
 
-    def record(omega, mask=mask):
-        with np.errstate(over="ignore"):
-            sinh = np.sinh(omega)
-        return OmegaField(grid=grid, c0=1.0, omega=omega, sinh_omega=sinh, mask=mask.copy(),
-                          provenance="Synthetic")
+    def record(omega):
+        return OmegaField(grid=grid, c0=1.0, omega=omega, provenance="Synthetic")
 
-    good = np.where(mask, np.nan, 0.25)
-    assert record(good.copy()).mask[2, 3]
-    # finite omega under the mask, NaN or an overflowing sinh off it
-    for node, value in (((2, 3), 0.25), ((4, 1), np.nan), ((0, 0), 1e308), ((1, 0), -1e308)):
+    field = record(good.copy())
+    assert np.array_equal(field.mask, np.isnan(good))
+    with pytest.raises(ValueError):
+        field.mask[0, 0] = True
+    # every omega is NaN or within arcsinh(OVERFLOW_GUARD) = 19.11
+    for node, value in (((0, 0), 1e308), ((1, 0), -1e308), ((4, 1), np.inf), ((3, 2), -np.inf),
+                        ((2, 4), 19.2)):
         omega = good.copy()
         omega[node] = value
-        with pytest.raises(InvalidParams, match=rf"node \(i={node[1]}, j={node[0]}\)"):
+        message = f"omega at node (i={node[1]}, j={node[0]}) is {value}, beyond arcsinh("
+        with pytest.raises(InvalidParams, match=re.escape(message)):
             record(omega)
 
 
 def test_omega_field_arrays_immutable(sphere_field):
     with pytest.raises(ValueError):
         sphere_field.omega[0, 0] = 1.0
+
+
+def test_every_builder_derives_the_mask_from_omega(tmp_path):
+    # both closed-form sources (each with a singular set), the solver, and a
+    # written field file read back: the mask is omega's NaNs, and both are
+    # read-only
+    fsol, gsol = profiles(-1, 0, 2, trivial_f=True, yr=(-0.5, 0.5))
+    reconstructed = assemble_omega(fsol, gsol, GridSpec(0, 1, -0.5, 0.5, 11, 11))
+    degenerate = assemble_omega_degenerate(0.6, 0.8, GridSpec(-2, 2, -2, 2, 21, 21))
+    start = np.zeros((9, 9))
+    start[0, :] = 0.5
+    solved = solve_sinh_gordon(-1.0, GridSpec(0, 1, 0, 1, 9, 9), start)
+    path = tmp_path / "field.json"
+    path.write_text(dumps(field_document(reconstructed)))
+    read = field_from_document(json.loads(path.read_text()))
+    assert reconstructed.mask.any() and degenerate.mask.any() and read.mask.any()
+    for field in (reconstructed, degenerate, solved, read):
+        assert np.array_equal(field.mask, np.isnan(field.omega))
+        assert not (field.omega.flags.writeable or field.mask.flags.writeable)
+        with pytest.raises(AttributeError):
+            field.mask = np.zeros_like(field.mask)
+    assert np.array_equal(read.omega, reconstructed.omega, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", ["reconstructed", "degenerate"])
+def test_field_from_source_holds_omega_alone(kind):
+    # each row block's sinh goes straight into omega through arcsinh: no
+    # full-grid sinh or mask is held on return, nor allocated on the way
+    if kind == "reconstructed":
+        dp = derive_params(ModuliPoint(1, -1, -1))
+        source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+        grid = GridSpec(0, 1, 0, 1, 801, 801)
+    else:
+        source = DegenerateSource(0.6, 0.8)
+        grid = GridSpec(-2, 2, -2, 2, 801, 801)
+    tracemalloc.start()
+    try:
+        field = field_from_source(source, grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kind == "reconstructed" or field.mask.any()
+    assert held <= 1.05 * field.omega.nbytes
+    assert peak <= 1.5 * field.omega.nbytes
+
+
+def test_grid_spec_refuses_more_than_max_nodes():
+    # refused at construction, before any array of the grid is allocated
+    assert GridSpec(0, 1, 0, 1, 10**4, 10**3).nx == 10**4
+    with pytest.raises(InvalidParams, match=r"10000 x 1001 grid nodes, more than 10000000"):
+        GridSpec(0, 1, 0, 1, 10**4, 10**3 + 1)
 
 
 def test_source_broadcast_after_grid_assembly():
@@ -518,7 +570,7 @@ def test_source_broadcast_after_grid_assembly():
     field = assemble_omega(fsol, gsol, grid)
     data = field.source.eval_bc(grid.xs[None, :], grid.ys[:, None])
     assert data.sinh.shape == (6, 6)
-    assert np.array_equal(data.sinh, field.sinh_omega)
+    assert np.array_equal(np.arcsinh(data.sinh), field.omega, equal_nan=True)
 
 
 def test_row_block_assembly_evaluates_each_axis_once(monkeypatch):

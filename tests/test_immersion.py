@@ -53,6 +53,7 @@ def assert_frame_record(frame, field):
     finite = np.isfinite(frame.psi) & np.isfinite(frame.u).all(-1)
     assert (finite == frame.valid).all()
     assert not (frame.valid & field.mask).any()
+    assert not frame.valid.flags.writeable
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,19 @@ def test_seed_node_moves_the_surface_by_an_isometry(c0, c, d, domain):
     coarse, fine = gap(41), gap(81)
     assert fine <= 1e-8
     assert coarse >= 8.0 * fine
+
+
+def test_frame_validity_is_derived_from_psi():
+    # the strip |y| < pi/2 of the constant-profile field: rows beyond it are
+    # singular, and the frame is placed on none of them
+    field = assemble_omega_degenerate(0.0, 1.0, GridSpec(-2, 2, -2, 2, 41, 41))
+    frame = integrate_frame(field)
+    assert field.mask.any() and frame.valid.any()
+    assert_frame_record(frame, field)
+    with pytest.raises(ValueError):
+        frame.valid[frame.seed[::-1]] = False
+    with pytest.raises(AttributeError):
+        frame.valid = np.ones_like(frame.valid)
 
 
 def test_frame_rejects_singular_seed():

@@ -78,7 +78,7 @@ class FullGrid:
     def sinh_gordon_residual(self):
         field, grid = self.field, self.field.grid
         res = _interior_laplacian(field.omega, grid.hx, grid.hy)
-        res += np.where(field.mask, np.nan, field.c0 * field.sinh_omega * np.cosh(field.omega))
+        res += 0.5 * field.c0 * np.sinh(2.0 * field.omega)
         res[dilate_mask(field.mask)] = np.nan
         return res
 
@@ -97,7 +97,7 @@ def finite_max(values):
 def full_grid_source_field(source, grid):
     """Oracle of the row-block assembly: the source combined on the whole grid."""
     data = source.eval_grid(grid.xs, grid.ys)
-    return data.omega, np.asarray(data.sinh, dtype=float), ~data.ok
+    return data.omega, ~data.ok
 
 
 def jacobi_potential(field):
@@ -126,8 +126,7 @@ def reconstructed(c0, c, d, n, span=(0, 1)):
 
 def synthetic(omega, grid, c0=1.0):
     return OmegaField(
-        grid=grid, c0=c0, omega=omega, sinh_omega=np.sinh(omega),
-        mask=np.zeros_like(omega, dtype=bool), provenance="Synthetic",
+        grid=grid, c0=c0, omega=omega, provenance="Synthetic",
     )
 
 
@@ -252,8 +251,7 @@ def test_stencils_stay_finite_at_the_smallest_spacing(c0):
     w = np.where(np.indices((n, n)).sum(axis=0) % 2, 1.0, -1.0) * math.asinh(OVERFLOW_GUARD)
     span = H_MIN * (1 + 1e-12) * (n - 1)
     field = OmegaField(
-        grid=GridSpec(0.0, span, 0.0, span, n, n), c0=c0, omega=w, sinh_omega=np.sinh(w),
-        mask=np.zeros((n, n), bool), provenance="Synthetic",
+        grid=GridSpec(0.0, span, 0.0, span, n, n), c0=c0, omega=w, provenance="Synthetic",
     )
     with np.errstate(all="raise"):
         assert math.isfinite(sinh_gordon_residual(field).linf)
@@ -318,8 +316,7 @@ def drawn_field(kind, nx, ny, c0, rng, edge_rows):
     mask = rng.random((ny, nx)) < rng.choice([0.0, 0.03, 0.15])
     mask[edge_rows] = True
     omega[mask] = np.nan  # a field holds NaN exactly on its mask
-    return OmegaField(grid=grid, c0=c0, omega=omega, sinh_omega=np.sinh(omega),
-                      mask=mask, provenance="Synthetic"), grid
+    return OmegaField(grid=grid, c0=c0, omega=omega, provenance="Synthetic"), grid
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -348,12 +345,11 @@ def test_row_blocks_match_the_full_grid(kind, size, blocks, tail, nx, c0, margin
         if kind == "synthetic":
             field = built
         else:
-            omega, sinh, mask = full_grid_source_field(built, grid)
+            omega, mask = full_grid_source_field(built, grid)
             if mask.all():
                 return
             field = field_from_source(built, grid)
             assert_bits(field.omega, omega)
-            assert_bits(field.sinh_omega, sinh)
             assert_bits(field.mask, mask)
 
         oracle = FullGrid(field)
