@@ -592,39 +592,66 @@ class SurfaceMesh:
 
     ``chart_vertices[j, i] = (u1, u2, t)`` and ``ambient_vertices[j, i]`` is
     the model lift plus the height (3 components for the flat case, 4 for
-    the hyperboloid x R and sphere x R models).  Faces are quads over grid
-    cells whose four corners are valid; foliation polylines follow the rows.
-    The coordinates of a node that is not ``valid`` carry no meaning.
+    the hyperboloid x R and sphere x R models).  The coordinates of a node
+    that is not ``valid`` carry no meaning.  A mesh holds these arrays, one
+    entry per node, and no topology: its quads, over the grid cells whose
+    four corners are valid, and its foliation polylines, the runs of at
+    least two valid nodes along a row, follow from ``valid`` by one rule per
+    grid row (:func:`_quad_columns`, :func:`_leaf_runs`), which
+    :func:`obj_chunks` applies as it writes.  ``faces`` and ``foliation``
+    are built by the same rule on first access.
     """
 
     chart_vertices: np.ndarray
     ambient_vertices: np.ndarray
     valid: np.ndarray
-    faces: np.ndarray
-    foliation: tuple[tuple[int, ...], ...]
     metadata: dict
 
     def __post_init__(self):
-        for arr in (self.chart_vertices, self.ambient_vertices, self.valid, self.faces):
+        for arr in (self.chart_vertices, self.ambient_vertices, self.valid):
             arr.setflags(write=False)
+
+    @cached_property
+    def faces(self) -> np.ndarray:
+        """The quads of :func:`_mesh_topology`, read-only."""
+        faces = _mesh_topology(self.valid)[0]
+        faces.setflags(write=False)
+        return faces
+
+    @cached_property
+    def foliation(self) -> tuple[tuple[int, ...], ...]:
+        """The leaf polylines of :func:`_mesh_topology`."""
+        return _mesh_topology(self.valid)[1]
+
+
+def _quad_columns(valid: np.ndarray, j: int) -> np.ndarray:
+    """Columns i of the cells between rows j and j + 1 whose four corners are valid."""
+    lo, hi = valid[j], valid[j + 1]
+    return np.flatnonzero(lo[:-1] & lo[1:] & hi[:-1] & hi[1:])
+
+
+def _leaf_runs(row: np.ndarray):
+    """(starts, stops) of the runs of at least two valid nodes in a grid row."""
+    edges = np.diff(np.concatenate([[False], row, [False]]).astype(np.int8))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    long = stops - starts > 1
+    return starts[long], stops[long]
 
 
 def _mesh_topology(valid: np.ndarray):
-    ny, nx = valid.shape
-    idx = np.arange(ny * nx).reshape(ny, nx)
-    corner = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
-    jj, ii = np.nonzero(corner)
-    faces = np.stack(
-        [idx[jj, ii], idx[jj, ii + 1], idx[jj + 1, ii + 1], idx[jj + 1, ii]], axis=-1
-    )
-    # runs of valid nodes per row, from the rises and falls of the padded mask
-    edges = np.diff(np.pad(valid, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    stops = np.nonzero(edges == -1)[1]
+    """(faces, foliation) of the valid nodes, as :class:`SurfaceMesh`
+    derives them: the quads as flat node indices (j, i), (j, i + 1),
+    (j + 1, i + 1), (j + 1, i) and the leaf polylines as tuples of flat node
+    indices, both in row order."""
+    nx = valid.shape[1]
+    # the flat index of each quad's first corner (j, i)
+    first = [j * nx + _quad_columns(valid, j) for j in range(len(valid) - 1)]
+    first = np.concatenate([np.empty(0, dtype=np.intp), *first])
+    faces = first[:, None] + np.array([0, 1, nx + 1, nx])
     foliation = tuple(
         tuple(range(j * nx + a, j * nx + b))
-        for j, a, b in zip(rows.tolist(), starts.tolist(), stops.tolist())
-        if b - a > 1
+        for j, row in enumerate(valid)
+        for a, b in zip(*(ends.tolist() for ends in _leaf_runs(row)))
     )
     return faces, foliation
 
@@ -641,15 +668,12 @@ def build_mesh(frame: FrameField, metadata: dict | None = None) -> SurfaceMesh:
     if space.c0 == 0:
         lift = lift[..., :2]  # the plane's homogeneous coordinate
     ambient = np.concatenate([lift, t[..., None]], axis=-1)
-    faces, foliation = _mesh_topology(valid)
     meta = {"c0": space.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny}
     meta.update(metadata or {})
     return SurfaceMesh(
         chart_vertices=chart,
         ambient_vertices=ambient,
         valid=valid,
-        faces=faces,
-        foliation=foliation,
         metadata=meta,
     )
 
@@ -662,42 +686,60 @@ def _column_tokens(col: np.ndarray) -> list[str]:
     return list(map(repr, col.tolist()))
 
 
+def _records(tag: str, cols) -> str:
+    """One OBJ line per node: the tag, then the node's token in each column."""
+    if not cols[0]:
+        return ""
+    return tag + " " + f"\n{tag} ".join(map(" ".join, zip(*cols))) + "\n"
+
+
 def obj_chunks(mesh: SurfaceMesh):
     """OBJ text in pieces: the header, one per grid row of ``v`` and of
-    ``vt`` records and per block of faces, the ``l`` lines.  ``v`` =
-    ambient coordinates (4 values when the model lift has three components
-    plus height), ``vt`` = chart coordinates, faces as quads and foliation
-    rows as ``l`` polylines.  Only valid nodes are written, in row order, so
-    the faces and polylines number the valid nodes from 1."""
+    ``vt`` records, one per pair of rows of faces and one per row of ``l``
+    lines.  ``v`` = ambient coordinates (4 values when the model lift has
+    three components plus height), ``vt`` = chart coordinates, faces as
+    quads and foliation rows as ``l`` polylines, both derived from
+    ``valid`` row by row (:func:`_quad_columns`, :func:`_leaf_runs`).  Only
+    valid nodes are written, in row order, so the faces and polylines
+    number the valid nodes from 1."""
     ny, nx, dim = mesh.ambient_vertices.shape
     valid = mesh.valid
-    # the 1-based OBJ index of each valid node
-    number = np.cumsum(valid.ravel())
+    before = [0, *np.cumsum(valid.sum(axis=1)).tolist()]
+
+    def numbers(j):
+        """The 1-based OBJ index of each node of row j, where it is valid."""
+        return before[j] + np.cumsum(valid[j])
+
     yield "# foliata surface mesh\n" + "".join(
         f"# {key} = {mesh.metadata[key]}\n" for key in sorted(mesh.metadata)
     )
-    v_line, vt_line = "v" + " %s" * dim + "\n", "vt %s %s\n"
     # a chart column bitwise equal to an ambient one (the plane, where
     # vt = (X1, X2)) reuses its text, kept until the vt records
     vt_rows = []
     for j in range(ny):
         amb, chart = mesh.ambient_vertices[j][valid[j]], mesh.chart_vertices[j][valid[j]]
         cols = [_column_tokens(amb[:, c]) for c in range(dim)]
-        yield "".join(map(v_line.__mod__, zip(*cols)))
+        yield _records("v", cols)
         shared = {amb[:, c].tobytes(): col for c, col in enumerate(cols)}
         pair = [shared.get(chart[:, c].tobytes()) for c in (0, 1)]
-        vt_rows.append(None if None in pair else "".join(map(vt_line.__mod__, zip(*pair))))
+        vt_rows.append(None if None in pair else _records("vt", pair))
     for j, text in enumerate(vt_rows):
         if text is None:
             chart = mesh.chart_vertices[j][valid[j]]
-            text = "".join(map(vt_line.__mod__, zip(*(_column_tokens(chart[:, c]) for c in (0, 1)))))
+            text = _records("vt", [_column_tokens(chart[:, c]) for c in (0, 1)])
         yield text
     f_line = "f %d/%d %d/%d %d/%d %d/%d\n"
-    for k in range(0, len(mesh.faces), nx):
-        block = number[mesh.faces[k:k + nx]]
-        yield (f_line * len(block)) % tuple(np.repeat(block, 2, axis=1).ravel().tolist())
-    for poly in mesh.foliation:
-        yield "l " + " ".join(map(str, number[list(poly)].tolist())) + "\n"
+    hi = numbers(0)
+    for j in range(ny - 1):
+        lo, hi, i = hi, numbers(j + 1), _quad_columns(valid, j)
+        quads = np.stack([lo[i], lo[i + 1], hi[i + 1], hi[i]], axis=-1)
+        yield (f_line * len(i)) % tuple(np.repeat(quads, 2, axis=1).ravel().tolist())
+    for j in range(ny):
+        starts, stops = _leaf_runs(valid[j])
+        yield "".join(
+            "l " + " ".join(map(str, range(a, a + n))) + "\n"
+            for a, n in zip(numbers(j)[starts].tolist(), (stops - starts).tolist())
+        )
 
 
 def mesh_row_curvature(frame: FrameField, row: int) -> np.ndarray:
@@ -728,19 +770,18 @@ def mesh_row_curvature(frame: FrameField, row: int) -> np.ndarray:
 # flat-space Weierstrass route
 # ---------------------------------------------------------------------------
 
-def _weierstrass_forms(frame: FrameField):
-    """(phi, dphi): the three components of the Weierstrass one-form on the
-    frame's grid, along the last axis, and their z-derivatives, from the
-    closed form of omega's gradient."""
-    w, grid = frame.field.omega, frame.grid
-    g = np.exp(w + 1j * frame.psi)
-    ginv = np.exp(-(w + 1j * frame.psi))
+def _weierstrass_forms(w, psi, data):
+    """(phi, dphi): the three components of the Weierstrass one-form at
+    nodes of omega ``w`` and frame angle ``psi``, along a new last axis, and
+    their z-derivatives, from the closed form of omega's gradient in the
+    source's ``data`` at the same nodes; arrays of any one shape."""
+    g = np.exp(w + 1j * psi)
+    ginv = np.exp(-(w + 1j * psi))
     eta = -1j
     phi = np.stack(
         [0.5 * (ginv - g) * eta, 0.5j * (ginv + g) * eta, np.full_like(g, eta)],
         axis=-1,
     )
-    data = frame.field.source.eval_grid(grid.xs, grid.ys)
     zeta_z = data.wx - 1j * data.wy
     dphi = np.stack(
         [
@@ -753,6 +794,18 @@ def _weierstrass_forms(frame: FrameField):
     return phi, dphi
 
 
+def _cauchy_riemann_linf(frame: FrameField) -> float:
+    """Largest |omega_x - psi_y| or |omega_y + psi_x| over the interior
+    nodes: the Cauchy-Riemann residual of log G = omega + i psi, by
+    second-order differences, the sums and magnitudes taken in place."""
+    grid = frame.grid
+    wy, wx = np.gradient(frame.field.omega, grid.ys, grid.xs, edge_order=2)
+    py, px = np.gradient(frame.psi, grid.ys, grid.xs, edge_order=2)
+    wx -= py
+    wy += px
+    return float(np.nanmax(np.fmax(np.abs(wx, out=wx), np.abs(wy, out=wy), out=wx)[1:-1, 1:-1]))
+
+
 def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
     """Flat-case immersion by path integration of the Weierstrass data.
 
@@ -762,12 +815,17 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
         2 X = Re Int( (G^-1 - G) eta, i (G^-1 + G) eta, 2 eta ),  eta = -i dz.
 
     Panels use the derivative-corrected trapezoid rule (the integrand's
-    z-derivative is closed form), giving fourth-order path accuracy.
+    z-derivative is closed form), giving fourth-order path accuracy.  The
+    paths are the frame's tree: the seed column, then every row out from
+    it, integrated ROW_BLOCK rows at a time into the vertex array, so the
+    one-form is never held on the whole grid.  The Cauchy-Riemann residual
+    of log G in the header needs at least 3x3 nodes.
     """
     field, grid, psi = frame.field, frame.grid, frame.psi
     if field.c0 != 0:
         raise NotFlat(f"Weierstrass route needs c0 = 0, got {field.c0}")
-    phi, dphi = _weierstrass_forms(frame)
+    if grid.nx < 3 or grid.ny < 3:
+        raise TooFewNodes(f"Weierstrass route needs at least 3x3 nodes, got {grid.nx}x{grid.ny}")
 
     def steps(p, dp, dz):
         """Real parts of the panels from each node to the next along axis 0,
@@ -777,41 +835,39 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
         s += np.multiply(dz * dz / 12.0, d, out=d)
         return s.real
 
-    def outward(start, incs, k0):
-        """Running sums along axis 0 from ``start`` at index k0: the
-        increments added forward and subtracted backward (a reversed panel
-        is the exact negation of the forward one)."""
-        out = np.empty((len(incs) + 1, *start.shape))
+    def outward(out, start, incs, k0):
+        """Running sums along axis 0 of ``out`` from ``start`` at index k0:
+        the increments added forward and subtracted backward (a reversed
+        panel is the exact negation of the forward one)."""
         out[k0], out[k0 + 1:], out[:k0] = start, incs[k0:], -incs[:k0]
         np.cumsum(out[k0:], axis=0, out=out[k0:])
         np.cumsum(out[k0::-1], axis=0, out=out[k0::-1])
-        return out
 
-    # seed column, then rows out from it: the tree of the frame, whose rows
-    # are placed from its marched seed column
+    xs, ys, omega, source = grid.xs, grid.ys, field.omega, field.source
+    cr = _cauchy_riemann_linf(frame)  # before the vertices, to bound the peak
     i0, j0 = frame.seed
-    column = outward(np.zeros(3), steps(phi[:, i0], dphi[:, i0], 1j * grid.hy), j0)
-    rows = steps(phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2), grid.hx)
-    x_vec = outward(column, rows, i0).transpose(1, 0, 2)
+    phi, dphi = _weierstrass_forms(omega[:, i0], psi[:, i0], source.eval_bc(xs[i0], ys))
+    column = np.empty((grid.ny, 3))
+    outward(column, np.zeros(3), steps(phi, dphi, 1j * grid.hy), j0)
+    x_vec = np.empty((grid.ny, grid.nx, 3))
+    for start in range(0, grid.ny, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        phi, dphi = _weierstrass_forms(omega[rows], psi[rows], source.eval_bc(xs, ys[rows, None]))
+        incs = steps(phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2), grid.hx)
+        outward(x_vec[rows].transpose(1, 0, 2), column[rows], incs, i0)
 
     valid = frame.valid & np.isfinite(x_vec).all(axis=-1)
-    faces, foliation = _mesh_topology(valid)
-    wy, wx = np.gradient(field.omega, grid.ys, grid.xs, edge_order=2)
-    py, px = np.gradient(psi, grid.ys, grid.xs, edge_order=2)
-    cr = np.nanmax(np.abs(np.stack([wx - py, wy + px]))[:, 1:-1, 1:-1])
     meta = {
         "c0": 0.0,
         "domain": list(grid.domain),
         "nx": grid.nx,
         "ny": grid.ny,
-        "cauchy_riemann_linf": float(cr),
+        "cauchy_riemann_linf": cr,
     }
     return SurfaceMesh(
         chart_vertices=x_vec,
         ambient_vertices=x_vec,
         valid=valid,
-        faces=faces,
-        foliation=foliation,
         metadata=meta,
     )
 

@@ -141,6 +141,22 @@ def test_oversized_grid_or_scan_exits_one(tmp_path, capsys, argv):
     assert "more than 10000000" in captured.err
 
 
+@pytest.mark.parametrize("nx,ny", [(2, 9), (9, 2), (2, 2)])
+def test_weierstrass_mesh_two_nodes_wide_exits_one(tmp_path, capsys, nx, ny):
+    # the Cauchy-Riemann residual in the header takes second-order
+    # differences along both axes: refused before the route runs, never
+    # numpy's gradient traceback
+    out = tmp_path / "t.obj"
+    argv = ["mesh", "--c0", "0", "--c", "-0.25", "--d", "-0.25",
+            "--domain", "0.5", "2.5", "0.5", "2.5", "--nx", str(nx), "--ny", str(ny),
+            "--weierstrass", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"needs at least 3x3 nodes, got {nx}x{ny}" in captured.err
+
+
 def test_profile_csv_and_sidecar(tmp_path):
     out = tmp_path / "prof.csv"
     code = main(["profile", "--c0", "1", "--c", "-1", "--d", "0", "--kind", "F",

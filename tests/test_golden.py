@@ -19,11 +19,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from foliata._jsonfmt import dumps
 from foliata import immersion
 from foliata.cli import main
-from foliata.immersion import SurfaceMesh, _mesh_topology, obj_chunks
+from foliata.immersion import SurfaceMesh, obj_chunks
 from foliata.moduli import ModuliPoint, derive_params
 from foliata.profile import integrate_profile
 
@@ -206,8 +207,7 @@ def test_write_obj_matches_reference():
     ambient.reshape(-1)[-len(special):] = special
     valid = np.isfinite(chart).all(axis=-1) & np.isfinite(ambient).all(axis=-1)
     valid[2, 1] = False
-    faces, foliation = _mesh_topology(valid)
-    mesh = SurfaceMesh(chart, ambient, valid, faces, foliation, {"nx": nx, "c0": -1.0})
+    mesh = SurfaceMesh(chart, ambient, valid, {"nx": nx, "c0": -1.0})
     text = "".join(obj_chunks(mesh))
     assert text.splitlines() == _ref_obj(mesh).splitlines()
     assert text == _ref_obj(mesh)
@@ -233,8 +233,7 @@ def test_write_obj_keeps_each_value_text():
     chart[1, 0, 1] = -0.0  # equal to the ambient column but for one -0.0
     chart[3, :, 0] = rng.normal(size=nx)
     valid = np.isfinite(ambient).all(axis=-1)
-    faces, foliation = _mesh_topology(valid)
-    mesh = SurfaceMesh(chart, ambient, valid, faces, foliation, {"nx": nx})
+    mesh = SurfaceMesh(chart, ambient, valid, {"nx": nx})
     text = "".join(obj_chunks(mesh))
     assert text == _ref_obj(mesh)
     v = [line.split() for line in text.splitlines() if line.startswith("v ")]
@@ -242,6 +241,39 @@ def test_write_obj_keeps_each_value_text():
     assert len(v) == len(vt) == int(valid.sum()) == 3 * nx - 5
     assert [row[3] for row in v[:nx]] == ["0.0", "-0.0", "0.0", "0.0", "-0.0", "0.0"]
     assert (v[0][2], vt[0][2]) == ("0.0", "-0.0")
+
+
+def _ref_quads(valid):
+    ny, nx = valid.shape
+    return [[j * nx + i, j * nx + i + 1, (j + 1) * nx + i + 1, (j + 1) * nx + i]
+            for j in range(ny - 1) for i in range(nx - 1)
+            if valid[j, i] and valid[j, i + 1] and valid[j + 1, i] and valid[j + 1, i + 1]]
+
+
+MASKS = st.integers(1, 7).flatmap(lambda nx: st.lists(
+    st.lists(st.booleans(), min_size=nx, max_size=nx), min_size=1, max_size=7))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(MASKS)
+@example([[True, True, False, True, True], [False, False, False, False, False],
+          [True, False, True, True, False], [True, True, True, False, True]])
+@example([[False, True, False], [True, True, False], [False, True, False]])
+@example([[True], [True]])
+@example([[False, False], [False, False]])
+def test_obj_chunks_match_reference_on_any_valid_mask(rows):
+    # quads and leaves are derived from valid row by row as they are
+    # written; holes, empty rows and columns, isolated nodes and one-node
+    # runs must give the reference text and faces (the runs are checked
+    # against a loop in test_immersion.py)
+    valid = np.array(rows, dtype=bool)
+    ny, nx = valid.shape
+    rng = np.random.default_rng(valid.size)
+    chart = rng.normal(size=(ny, nx, 3))
+    ambient = rng.normal(size=(ny, nx, 4))
+    mesh = SurfaceMesh(chart, ambient, valid, {"nx": nx, "ny": ny})
+    assert mesh.faces.tolist() == _ref_quads(valid)
+    assert "".join(obj_chunks(mesh)) == _ref_obj(mesh)
 
 
 #: (case, argv without --out, number of valid nodes, each written once)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -398,7 +399,8 @@ def weierstrass_loop_reference(field, frame):
     """Weierstrass vertices summed by one Python loop per direction out from
     the seed: the reference of weierstrass_flat's running sums."""
     grid = frame.grid
-    phi, dphi = immersion._weierstrass_forms(frame)
+    phi, dphi = immersion._weierstrass_forms(field.omega, frame.psi,
+                                             field.source.eval_grid(grid.xs, grid.ys))
 
     def panel(a, da, b, db, dz):
         return np.real(0.5 * dz * (a + b) + dz * dz / 12.0 * (da - db))
@@ -444,6 +446,66 @@ def test_weierstrass_trivial_plane_first_component_vanishes(flat_trivial_frame):
     assert np.nanmax(np.abs(mesh.chart_vertices[..., 0])) <= 1e-14
     spans = mesh.chart_vertices[..., 1]
     assert np.nanmax(np.abs(spans - spans[:1, :])) <= 1e-14
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 9), (9, 2)])
+def test_weierstrass_route_needs_three_nodes_per_axis(nx, ny):
+    # both the mesh and the route gap refuse before any work
+    dp = derive_params(ModuliPoint(0, -0.25, -0.25), a=0.0)
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    frame = integrate_frame(field_from_source(source, GridSpec(0.5, 2.5, 0.5, 2.5, nx, ny)))
+    for route in (weierstrass_flat, flat_route_gap):
+        with pytest.raises(TooFewNodes, match=f"at least 3x3 nodes, got {nx}x{ny}"):
+            route(frame)
+
+
+def test_weierstrass_mesh_holds_its_vertices_alone():
+    # the one-form is integrated a row block at a time into the vertex
+    # array, and the writer derives quads and leaves from valid as it goes:
+    # 2.24x the vertex bytes at the mesh's peak and 3.06x while writing,
+    # where the plane's vt text is kept until the vt records
+    dp = derive_params(ModuliPoint(0, -0.25, -0.25), a=0.0)
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    frame = integrate_frame(field_from_source(source, GridSpec(0.5, 2.5, 0.5, 2.5, 201, 201)))
+    assert frame.valid.all()
+    tracemalloc.start()
+    try:
+        mesh = weierstrass_flat(frame)
+        held = tracemalloc.get_traced_memory()[0]
+        for _ in obj_chunks(mesh):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.chart_vertices is mesh.ambient_vertices
+    x_bytes = mesh.chart_vertices.nbytes
+    assert held <= 1.1 * x_bytes
+    assert peak <= 3.5 * x_bytes
+
+
+def test_onduloid_mesh_and_writer_store_no_quads():
+    # build_mesh keeps the vertices and valid alone, and the writer's
+    # transient memory stays under a quarter of a (faces x 4) int64 array
+    # (0.15 of it): no such array is built
+    grid = GridSpec(0, 2, 0, 2, 201, 201)
+    frame = integrate_frame(reconstructed(1, 0, -0.25, grid, trivial_f=True), seed=(0, 1.48))
+    assert frame.valid.all()
+    tracemalloc.start()
+    try:
+        mesh = build_mesh(frame)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in obj_chunks(mesh):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ny, nx = mesh.valid.shape
+    quad_bytes = 4 * 8 * (ny - 1) * (nx - 1)
+    assert held <= 1.05 * (mesh.chart_vertices.nbytes + mesh.ambient_vertices.nbytes)
+    assert peak - held <= 0.25 * quad_bytes
+    # the derived topology is still there, read-only, on first access
+    assert mesh.faces.shape == ((ny - 1) * (nx - 1), 4) and not mesh.faces.flags.writeable
 
 
 def test_weierstrass_rejects_curved(sphere_pair):
