@@ -58,18 +58,9 @@ def format_float(value: float) -> str:
     return _SPECS[2 if value.is_integer() and abs(value) < 1e16 else 1] % value
 
 
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+#: str.translate table of the characters a JSON string must escape: the
+#: quote, the backslash and the control characters.
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
 
 
 def dumps(obj) -> str:
@@ -92,7 +83,7 @@ def _write(obj, level) -> Iterator[str]:
     elif isinstance(obj, float):
         yield format_float(obj)
     elif isinstance(obj, str):
-        yield '"' + _escape(obj) + '"'
+        yield '"' + obj.translate(_ESCAPES) + '"'
     elif _is_vector(obj):
         sep = ",\n" + "  " * (level + 1)
         blocks = (obj[lo:lo + BLOCK_VALUES] for lo in range(0, obj.size, BLOCK_VALUES))
@@ -118,7 +109,7 @@ def _is_vector(obj) -> bool:
 
 
 def _keyed(key, value, level) -> Iterator[str]:
-    yield f'"{_escape(str(key))}": '
+    yield f'"{str(key).translate(_ESCAPES)}": '
     yield from _write(value, level)
 
 

@@ -41,11 +41,15 @@ PROFILE_STEP_DEFAULT = 1e-3
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write a text, or the pieces of one in turn, to --out or stdout."""
+    """Write a text, or the pieces of one in turn, to --out or stdout; a
+    file that cannot be written is a domain error."""
     pieces = [text] if isinstance(text, str) else text
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise FoliataError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.writelines(pieces)
 

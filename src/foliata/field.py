@@ -140,14 +140,14 @@ def stats_from(residual: np.ndarray, grid_h: float) -> ResidualStats:
 
 
 class FieldData:
-    """Pointwise field data: sinh/cosh of omega, its gradient, validity; from
-    sinh(omega), ok and the gradient's factors omega_x = -f cosh(omega),
-    omega_y = -g cosh(omega)."""
+    """Pointwise field data: sinh/cosh of omega and its gradient, all NaN on
+    D; from sinh(omega), NaN on D, and the gradient's factors
+    omega_x = -f cosh(omega), omega_y = -g cosh(omega)."""
 
-    __slots__ = ("sinh", "cosh", "wx", "wy", "ok")
+    __slots__ = ("sinh", "cosh", "wx", "wy")
 
-    def __init__(self, sinh, ok, f, g):
-        self.sinh, self.ok = sinh, ok
+    def __init__(self, sinh, f, g):
+        self.sinh = sinh
         self.cosh = np.sqrt(1.0 + sinh * sinh)
         self.wx, self.wy = -f * self.cosh, -g * self.cosh
 
@@ -181,10 +181,9 @@ class ReconstructedSource:
         self.flat_trivial = self.c0 == 0 and ffn.trivial and gfn.trivial
 
     def _sinh(self, f, fx, g, gy):
-        """(sinh(omega), ok) from the profile values and derivatives."""
+        """sinh(omega), NaN on D, from the profile values and derivatives."""
         if self.flat_trivial:
-            z = np.zeros(np.broadcast(np.asarray(f), np.asarray(g)).shape)
-            return z, np.ones(z.shape, dtype=bool)
+            return np.zeros(np.broadcast(np.asarray(f), np.asarray(g)).shape)
         a = self.dp.a
         den = self.c0 + f * f + g * g
         num = fx + gy
@@ -197,20 +196,19 @@ class ReconstructedSource:
             num / np.where(use_p, den, 1.0),
             np.where(use_f, num_fb / np.where(use_f, den_fb, 1.0), np.nan),
         )
-        ok = (use_p | use_f) & (np.abs(sinh) <= OVERFLOW_GUARD)
-        return np.where(ok, sinh, np.nan), ok
+        return np.where(np.abs(sinh) <= OVERFLOW_GUARD, sinh, np.nan)
 
     def eval_bc(self, x, y) -> FieldData:
         """Field data with numpy broadcasting of the two coordinates."""
         f, fx = self.ffn.eval_many(x)
         g, gy = self.gfn.eval_many(y)
-        return FieldData(*self._sinh(f, fx, g, gy), f, g)
+        return FieldData(self._sinh(f, fx, g, gy), f, g)
 
     def eval_rows(self, xs: np.ndarray, ys: np.ndarray):
         """(lo, hi) -> sinh(omega), NaN on D, on rows [lo, hi) of the grid xs x ys."""
         f, fx = self.ffn.eval_many(xs)
         g, gy = self.gfn.eval_many(ys)
-        return lambda lo, hi: self._sinh(f, fx, g[lo:hi, None], gy[lo:hi, None])[0]
+        return lambda lo, hi: self._sinh(f, fx, g[lo:hi, None], gy[lo:hi, None])
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
         return self.eval_bc(xs, np.asarray(ys)[:, None])
@@ -231,23 +229,22 @@ class DegenerateSource:
         self.c0 = float(c0)
 
     def _sinh(self, s):
-        """(sinh(omega), ok) from the phase s = alpha x + beta y."""
+        """sinh(omega), NaN on D, from the phase s = alpha x + beta y."""
         s = np.asarray(s, dtype=float)
         inside = np.abs(s) < math.pi / 2.0
         t = np.tan(np.where(inside, s, 0.0))
-        ok = inside & (np.abs(t) <= OVERFLOW_GUARD)
-        return np.where(ok, -t, np.nan), ok
+        return np.where(inside & (np.abs(t) <= OVERFLOW_GUARD), -t, np.nan)
 
     def eval_bc(self, x, y) -> FieldData:
         """Field data with numpy broadcasting of the two coordinates."""
         phase = self.alpha * np.asarray(x, dtype=float) + self.beta * np.asarray(y, dtype=float)
-        return FieldData(*self._sinh(phase), self.alpha, self.beta)
+        return FieldData(self._sinh(phase), self.alpha, self.beta)
 
     def eval_rows(self, xs: np.ndarray, ys: np.ndarray):
         """(lo, hi) -> sinh(omega), NaN on D, on rows [lo, hi) of the grid xs x ys."""
         ax = self.alpha * np.asarray(xs, dtype=float)
         by = self.beta * np.asarray(ys, dtype=float)
-        return lambda lo, hi: self._sinh(ax + by[lo:hi, None])[0]
+        return lambda lo, hi: self._sinh(ax + by[lo:hi, None])
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> FieldData:
         return self.eval_bc(xs, np.asarray(ys)[:, None])

@@ -159,14 +159,14 @@ def _row_lengths(source, lo, hi, ys):
 
     Three-point Gauss-Legendre quadrature per interval.  Returns (length,
     bad) shaped (len(ys), len(lo)); an interval with a singular quadrature
-    node is bad and has length 0.
+    node, where cosh(omega) is NaN, is bad and has length 0.
     """
     half = 0.5 * (hi - lo)
     nodes = ((lo + half)[:, None] + half[:, None] * GAUSS_NODES).ravel()
     data = source.eval_bc(nodes[None, :], np.asarray(ys, dtype=float)[:, None])
-    shape = (len(ys), len(lo), 3)
-    bad = ~data.ok.reshape(shape).all(axis=2)
-    return np.where(bad, 0.0, half * (data.cosh.reshape(shape) @ GAUSS_WEIGHTS)), bad
+    length = half * (data.cosh.reshape(len(ys), len(lo), 3) @ GAUSS_WEIGHTS)
+    bad = np.isnan(length)
+    return np.where(bad, 0.0, length), bad
 
 
 def _frame_matrix(space: ChartSpace, u1, u2, psi) -> np.ndarray:
@@ -280,23 +280,22 @@ def _march(
     psi_start: np.ndarray,
     u1_start: np.ndarray,
     u2_start: np.ndarray,
-    alive_start: np.ndarray,
 ):
     """RK4 march of (psi, u) along one direction, vectorized over lanes.
 
-    Returns (psi, u1, u2, alive) arrays shaped (len(t_nodes), n_lanes).
-    Lanes stop (NaN onward) at singular field data or when the chart point
-    leaves the chart domain.  Each step evaluates the source at its midpoint
-    and end node only: its start node is the previous step's end node.
+    Returns (psi, u1, u2) arrays shaped (len(t_nodes), n_lanes).  A lane
+    stops (NaN onward) where a step is not finite, so after a NaN start or
+    singular field data (NaN, which makes the step NaN), or where the chart
+    point leaves the chart domain.  Each step evaluates the source at its
+    midpoint and end node only: its start node is the previous step's end
+    node.
     """
     n, lanes = t_nodes.size, lane_coords.size
     psi = np.full((n, lanes), np.nan)
     u1 = np.full((n, lanes), np.nan)
     u2 = np.full((n, lanes), np.nan)
-    alive = np.zeros((n, lanes), dtype=bool)
     psi[i_start], u1[i_start], u2[i_start] = psi_start, u1_start, u2_start
     fd_start = _eval_data(source, direction, t_nodes[i_start], lane_coords)
-    alive[i_start] = alive_start & np.asarray(fd_start.ok)
 
     def sweep(indices):
         fd0 = fd_start
@@ -305,7 +304,6 @@ def _march(
             tm = t_nodes[prev] + 0.5 * h
             fdm = _eval_data(source, direction, tm, lane_coords)
             fd1 = _eval_data(source, direction, t_nodes[nxt], lane_coords)
-            ok = alive[prev] & fd0.ok & fdm.ok & fd1.ok
             p, a, b = psi[prev], u1[prev], u2[prev]
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 k1 = _rhs(direction, fd0, p, a, b, space)
@@ -315,17 +313,15 @@ def _march(
                 pn = p + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
                 an = a + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
                 bn = b + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-                ok = ok & np.isfinite(pn) & np.isfinite(an) & np.isfinite(bn)
-                ok = ok & space.in_domain(an, bn)
+                ok = np.isfinite(pn) & np.isfinite(an) & np.isfinite(bn) & space.in_domain(an, bn)
             psi[nxt] = np.where(ok, pn, np.nan)
             u1[nxt] = np.where(ok, an, np.nan)
             u2[nxt] = np.where(ok, bn, np.nan)
-            alive[nxt] = ok
             fd0 = fd1
 
     sweep(list(range(i_start, n)))
     sweep(list(range(i_start, -1, -1)))
-    return psi, u1, u2, alive
+    return psi, u1, u2
 
 
 def _require_source(field: OmegaField):
@@ -382,18 +378,20 @@ def _seed_node(field: OmegaField, point: tuple[float, float] | None) -> tuple[in
 
 
 def _seed_column(source, space: ChartSpace, x: float, ys: np.ndarray, j0: int, m0: np.ndarray):
-    """(M, (u1, u2, psi), alive, k): model frames on the column x from m0 at
-    ys[j0], their chart state, the lane mask and the leaf curvatures.
+    """(M, (u1, u2, psi), k): model frames on the column x from m0 at
+    ys[j0], their chart state and the leaf curvatures.
     M' = M B with B[1, 0] = -B[0, 1] = omega_x, B[1, 2] = sinh(omega),
     B[2, 1] = -c0 sinh(omega); each cell takes the fourth-order Magnus step
     Omega = h/2 (B1 + B2) + sqrt(3)/12 h^2 [B1, B2] from its two Gauss nodes
-    (exp(-Omega) below the seed).
+    (exp(-Omega) below the seed).  A singular Gauss node makes its step, and
+    so every frame outward of it, NaN.  The chart state is NaN outward of
+    the first node with singular data (where k is NaN), a frame that is not
+    finite or a chart point off the chart.
     """
     n = len(ys) - 1
     h = np.diff(ys)
     mid = ys[:-1] + 0.5 * h
     data = source.eval_bc(x, np.concatenate([ys, mid - h * math.sqrt(3) / 6, mid + h * math.sqrt(3) / 6]))
-    ok = np.broadcast_to(data.ok, (3 * n + 1,))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         k = -data.wy[: n + 1] / data.cosh[: n + 1]
         wx, sh, b = data.wx[n + 1:], data.sinh[n + 1:], np.zeros((2 * n, 3, 3))
@@ -410,9 +408,9 @@ def _seed_column(source, space: ChartSpace, x: float, ys: np.ndarray, j0: int, m
         for j in range(j0 - 1, -1, -1):
             m[j] = m[j + 1] @ step[j]
         u1, u2, psi = space.chart_state(m[:, :, 2], m[:, :, 0])
-        node_ok = ok[: n + 1] & np.isfinite(m).all(axis=(1, 2)) & space.in_domain(u1, u2)
-    cell_ok = ok[:n] & ok[1: n + 1] & ok[n + 1: 2 * n + 1] & ok[2 * n + 1:]
-    return m, (u1, u2, psi), _outward(node_ok[None], cell_ok[None], j0)[0], k
+        ok = np.isfinite(k) & np.isfinite(m).all(axis=(1, 2)) & space.in_domain(u1, u2)
+    valid = _outward(ok[None], np.ones((1, n), dtype=bool), j0)[0]
+    return m, tuple(np.where(valid, v, np.nan) for v in (u1, u2, psi)), k
 
 
 def _outward(ok: np.ndarray, clean: np.ndarray, i0: int) -> np.ndarray:
@@ -461,29 +459,29 @@ def integrate_frame(field: OmegaField, seed: tuple[float, float] | None = None) 
     xs, ys = grid.xs, grid.ys
     i0, j0 = _seed_node(field, seed)
 
-    m, (cu1, cu2, cpsi), calive, k = _seed_column(
+    m, (cu1, cu2, cpsi), k = _seed_column(
         source, space, xs[i0], ys, j0, _frame_matrix(space, 0.0, 0.0, 0.0)
     )
     cu1[j0], cu2[j0], cpsi[j0] = 0.0, 0.0, 0.0
     _unwrap_from(cpsi[None, :], j0)
     # the rows stop at masked cells; this keeps the column's own nodes off
     # the mask too, so the frame is valid only off the singular set
-    calive &= ~field.mask[:, i0]
+    cpsi[field.mask[:, i0]] = np.nan
     psi = np.empty((grid.ny, grid.nx))
     u = np.empty((grid.ny, grid.nx, 2))
     for start in range(0, grid.ny, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         psi[rows], u[rows, :, 0], u[rows, :, 1] = _place_rows(
             source, space, field.mask[rows], xs, ys[rows], i0, m[rows],
-            cpsi[rows], cu1[rows], cu2[rows], calive[rows], k[rows],
+            cpsi[rows], cu1[rows], cu2[rows], k[rows],
         )
     return FrameField(psi=psi, u=u, seed=(i0, j0), field=field)
 
 
-def _place_rows(source, space, mask, xs, ys, i0, m, psi_c, u1_c, u2_c, alive_c, k):
+def _place_rows(source, space, mask, xs, ys, i0, m, psi_c, u1_c, u2_c, k):
     """Closed-form (psi, u1, u2) on the rows ys from their model frames m
     and chart states at xs[i0], NaN outward of the first cell where the
-    row stops."""
+    row stops; a row whose column state is NaN stops at the column."""
     lengths, bad = _row_lengths(source, xs[:-1], xs[1:], ys)
     arc = np.zeros((len(ys), len(xs)))
     np.cumsum(lengths, axis=1, out=arc[:, 1:])
@@ -501,7 +499,7 @@ def _place_rows(source, space, mask, xs, ys, i0, m, psi_c, u1_c, u2_c, alive_c, 
         u1[:, i0], u2[:, i0], psi[:, i0] = u1_c, u2_c, psi_c
         _unwrap_from(psi, i0)
         ok = np.isfinite(psi) & np.isfinite(u1) & np.isfinite(u2)
-        ok &= space.in_domain(u1, u2) & alive_c[:, None]
+        ok &= space.in_domain(u1, u2)
     valid = _outward(ok, ~(bad | mask[:, :-1] | mask[:, 1:]), i0)
     return np.where(valid, psi, np.nan), np.where(valid, u1, np.nan), np.where(valid, u2, np.nan)
 
@@ -511,15 +509,15 @@ def rk4_row_gap(frame: FrameField) -> float:
 
     The oracle marches every row from the frame's seed column, one
     fourth-order step per grid cell, and is compared on the nodes where
-    both are valid.
+    both psi values are finite.
     """
     i0 = frame.seed[0]
     grid = frame.grid
-    psi, u1, u2, alive = _march(
+    psi, u1, u2 = _march(
         frame.field.source, frame.space, "x", grid.ys, grid.xs, i0,
-        frame.psi[:, i0], frame.u[:, i0, 0], frame.u[:, i0, 1], frame.valid[:, i0],
+        frame.psi[:, i0], frame.u[:, i0, 0], frame.u[:, i0, 1],
     )
-    both = alive.T & frame.valid
+    both = np.isfinite(psi.T) & frame.valid
     dpsi = np.abs(psi.T[both] - frame.psi[both])
     du = np.hypot(u1.T[both] - frame.u[..., 0][both], u2.T[both] - frame.u[..., 1][both])
     return float(max(dpsi.max(initial=0.0), du.max(initial=0.0)))
@@ -588,18 +586,19 @@ def harmonic_residual(frame: FrameField) -> ResidualStats:
 
 @dataclass(frozen=True)
 class SurfaceMesh:
-    """Immersion samples in chart and ambient-model coordinates.
+    """Immersion samples in chart and ambient-model coordinates: what
+    :func:`obj_chunks` writes, and nothing more.
 
-    ``chart_vertices[j, i] = (u1, u2, t)`` and ``ambient_vertices[j, i]`` is
-    the model lift plus the height (3 components for the flat case, 4 for
-    the hyperboloid x R and sphere x R models).  The coordinates of a node
-    that is not ``valid`` carry no meaning.  A mesh holds these arrays, one
-    entry per node, and no topology: its quads, over the grid cells whose
-    four corners are valid, and its foliation polylines, the runs of at
-    least two valid nodes along a row, follow from ``valid`` by one rule per
-    grid row (:func:`_quad_columns`, :func:`_leaf_runs`), which
-    :func:`obj_chunks` applies as it writes.  ``faces`` and ``foliation``
-    are built by the same rule on first access.
+    ``chart_vertices[j, i] = (u1, u2)``, the ``vt`` record of a node, and
+    ``ambient_vertices[j, i]``, its ``v`` record, is the model lift plus the
+    height (3 components for the flat case, 4 for the hyperboloid x R and
+    sphere x R models).  The coordinates of a node that is not ``valid``
+    carry no meaning.  A mesh holds these arrays, one entry per node, and no
+    topology: its quads, over the grid cells whose four corners are valid,
+    and its foliation polylines, the runs of at least two valid nodes along
+    a row, follow from ``valid`` by one rule per grid row
+    (:func:`_quad_columns`, :func:`_leaf_runs`), which :func:`obj_chunks`
+    applies as it writes.
     """
 
     chart_vertices: np.ndarray
@@ -610,18 +609,6 @@ class SurfaceMesh:
     def __post_init__(self):
         for arr in (self.chart_vertices, self.ambient_vertices, self.valid):
             arr.setflags(write=False)
-
-    @cached_property
-    def faces(self) -> np.ndarray:
-        """The quads of :func:`_mesh_topology`, read-only."""
-        faces = _mesh_topology(self.valid)[0]
-        faces.setflags(write=False)
-        return faces
-
-    @cached_property
-    def foliation(self) -> tuple[tuple[int, ...], ...]:
-        """The leaf polylines of :func:`_mesh_topology`."""
-        return _mesh_topology(self.valid)[1]
 
 
 def _quad_columns(valid: np.ndarray, j: int) -> np.ndarray:
@@ -638,32 +625,12 @@ def _leaf_runs(row: np.ndarray):
     return starts[long], stops[long]
 
 
-def _mesh_topology(valid: np.ndarray):
-    """(faces, foliation) of the valid nodes, as :class:`SurfaceMesh`
-    derives them: the quads as flat node indices (j, i), (j, i + 1),
-    (j + 1, i + 1), (j + 1, i) and the leaf polylines as tuples of flat node
-    indices, both in row order."""
-    nx = valid.shape[1]
-    # the flat index of each quad's first corner (j, i)
-    first = [j * nx + _quad_columns(valid, j) for j in range(len(valid) - 1)]
-    first = np.concatenate([np.empty(0, dtype=np.intp), *first])
-    faces = first[:, None] + np.array([0, 1, nx + 1, nx])
-    foliation = tuple(
-        tuple(range(j * nx + a, j * nx + b))
-        for j, row in enumerate(valid)
-        for a, b in zip(*(ends.tolist() for ends in _leaf_runs(row)))
-    )
-    return faces, foliation
-
-
 def build_mesh(frame: FrameField, metadata: dict | None = None) -> SurfaceMesh:
-    """Mesh the immersion: chart vertices (u1, u2, y) and model lifts."""
+    """Mesh the immersion: the frame's chart points (u1, u2), not copied, and
+    their model lifts plus the height y."""
     grid, space = frame.grid, frame.space
-    ys = grid.ys
-    valid = frame.valid
     u1, u2 = frame.u[..., 0], frame.u[..., 1]
-    t = np.broadcast_to(ys[:, None], u1.shape)
-    chart = np.stack([u1, u2, t], axis=-1)
+    t = np.broadcast_to(grid.ys[:, None], u1.shape)
     lift = space.lift(u1, u2)
     if space.c0 == 0:
         lift = lift[..., :2]  # the plane's homogeneous coordinate
@@ -671,9 +638,9 @@ def build_mesh(frame: FrameField, metadata: dict | None = None) -> SurfaceMesh:
     meta = {"c0": space.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny}
     meta.update(metadata or {})
     return SurfaceMesh(
-        chart_vertices=chart,
+        chart_vertices=frame.u,
         ambient_vertices=ambient,
-        valid=valid,
+        valid=frame.valid,
         metadata=meta,
     )
 
@@ -702,8 +669,8 @@ def obj_chunks(mesh: SurfaceMesh):
     ``valid`` row by row (:func:`_quad_columns`, :func:`_leaf_runs`).  Only
     valid nodes are written, in row order, so the faces and polylines
     number the valid nodes from 1."""
-    ny, nx, dim = mesh.ambient_vertices.shape
     valid = mesh.valid
+    ny = len(valid)
     before = [0, *np.cumsum(valid.sum(axis=1)).tolist()]
 
     def numbers(j):
@@ -718,15 +685,15 @@ def obj_chunks(mesh: SurfaceMesh):
     vt_rows = []
     for j in range(ny):
         amb, chart = mesh.ambient_vertices[j][valid[j]], mesh.chart_vertices[j][valid[j]]
-        cols = [_column_tokens(amb[:, c]) for c in range(dim)]
+        cols = [_column_tokens(col) for col in amb.T]
         yield _records("v", cols)
-        shared = {amb[:, c].tobytes(): col for c, col in enumerate(cols)}
-        pair = [shared.get(chart[:, c].tobytes()) for c in (0, 1)]
+        shared = {col.tobytes(): tokens for col, tokens in zip(amb.T, cols)}
+        pair = [shared.get(col.tobytes()) for col in chart.T]
         vt_rows.append(None if None in pair else _records("vt", pair))
     for j, text in enumerate(vt_rows):
         if text is None:
             chart = mesh.chart_vertices[j][valid[j]]
-            text = _records("vt", [_column_tokens(chart[:, c]) for c in (0, 1)])
+            text = _records("vt", [_column_tokens(col) for col in chart.T])
         yield text
     f_line = "f %d/%d %d/%d %d/%d %d/%d\n"
     hi = numbers(0)
@@ -865,7 +832,7 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
         "cauchy_riemann_linf": cr,
     }
     return SurfaceMesh(
-        chart_vertices=x_vec,
+        chart_vertices=x_vec[..., :2],
         ambient_vertices=x_vec,
         valid=valid,
         metadata=meta,

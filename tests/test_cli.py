@@ -157,6 +157,55 @@ def test_weierstrass_mesh_two_nodes_wide_exits_one(tmp_path, capsys, nx, ny):
     assert f"needs at least 3x3 nodes, got {nx}x{ny}" in captured.err
 
 
+#: One small argv per subcommand, without --out; FIELD_FILE stands for a
+#: field file written first.
+FIELD_FILE = "FIELD_FILE"
+WRITERS = {
+    "classify": ["classify", "--c0", "-1", "--c", "-1", "--d", "-1"],
+    "scan": ["scan", "--c0", "-1", "--rect", "-2", "2", "-1", "2", "--nx", "4", "--ny", "4"],
+    "profile": ["profile", "--c0", "1", "--c", "-1", "--d", "0", "--kind", "F",
+                "--range", "0", "1"],
+    "field": ["field", *GRID_ARGS, "--nx", "5", "--ny", "5"],
+    "verify": ["verify", "--input", FIELD_FILE],
+    "mesh": ["mesh", *GRID_ARGS, "--nx", "5", "--ny", "5"],
+    "holonomy": ["holonomy", *GRID_ARGS, "--nx", "5", "--ny", "5", "--period", "0.5"],
+}
+
+
+def _writer_argv(tmp_path, command):
+    field = tmp_path / "field.json"
+    if command == "verify":
+        assert main([*WRITERS["field"], "--out", str(field)]) == 0
+    return [str(field) if arg == FIELD_FILE else arg for arg in WRITERS[command]]
+
+
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_unwritable_out_exits_one(tmp_path, capsys, command):
+    # an --out in a missing directory ends in one "error:" line and exit 1,
+    # never an OSError traceback; the same argv write a writable --out
+    argv = _writer_argv(tmp_path, command)
+    assert main([*argv, "--out", str(tmp_path / "written")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, target", [("scan", ""), ("profile", ".json")],
+                         ids=["scan-out", "profile-sidecar"])
+def test_directory_out_exits_one(tmp_path, capsys, command, target):
+    # --out, or the profile's sidecar --out.json, names a directory
+    out = tmp_path / "out"
+    Path(str(out) + target).mkdir()
+    assert main([*_writer_argv(tmp_path, command), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {out}{target}: ")
+
+
 def test_profile_csv_and_sidecar(tmp_path):
     out = tmp_path / "prof.csv"
     code = main(["profile", "--c0", "1", "--c", "-1", "--d", "0", "--kind", "F",

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_immersion import _reference_runs
+
 from foliata._jsonfmt import dumps
 from foliata import immersion
 from foliata.cli import main
@@ -117,6 +119,16 @@ def test_dumps_matches_reference():
     assert dumps(doc) == _ref_json(doc) + "\n"
 
 
+def test_dumps_escapes_every_string():
+    # config echoes user paths: each code point below 0x80 (the control
+    # characters, '"' and '\\' among them) and some beyond it read back as
+    # written, in a value and in a key
+    for s in [*map(chr, range(0x80)), "é", "☃", "😀",
+              "".join(map(chr, range(0x80))) + "é☃😀"]:
+        assert json.loads(dumps(s)) == s
+        assert json.loads(dumps({s: [s]})) == {s: [s]}
+
+
 @pytest.mark.parametrize("array", [
     np.array([0.0, -0.0, -3.0, 1e16, 9999999999999998.0, -1e16, 0.1, 5e-324, -1e-300,
               math.nan, math.inf, -math.inf]),
@@ -178,11 +190,18 @@ def test_verify_json_rendering(tmp_path, mode):
 # OBJ: shortest repr, valid nodes only, numbered from 1 in row order
 # ---------------------------------------------------------------------------
 
+def _ref_quads(valid):
+    ny, nx = valid.shape
+    return [[j * nx + i, j * nx + i + 1, (j + 1) * nx + i + 1, (j + 1) * nx + i]
+            for j in range(ny - 1) for i in range(nx - 1)
+            if valid[j, i] and valid[j, i + 1] and valid[j + 1, i] and valid[j + 1, i + 1]]
+
+
 def _ref_obj(mesh: SurfaceMesh) -> str:
     lines = ["# foliata surface mesh"]
     lines += [f"# {key} = {mesh.metadata[key]}" for key in sorted(mesh.metadata)]
     ambient = mesh.ambient_vertices.reshape(-1, mesh.ambient_vertices.shape[-1])
-    chart = mesh.chart_vertices.reshape(-1, mesh.chart_vertices.shape[-1])
+    chart = mesh.chart_vertices.reshape(-1, 2)
     number = {}  # grid node -> 1-based OBJ index
     for node, ok in enumerate(mesh.valid.ravel().tolist()):
         if ok:
@@ -191,9 +210,9 @@ def _ref_obj(mesh: SurfaceMesh) -> str:
         lines.append("v " + " ".join(repr(float(v)) for v in ambient[node]))
     for node in number:
         lines.append(f"vt {float(chart[node, 0])!r} {float(chart[node, 1])!r}")
-    for face in mesh.faces:
-        lines.append("f " + " ".join(f"{number[int(v)]}/{number[int(v)]}" for v in face))
-    lines += ["l " + " ".join(str(number[v]) for v in poly) for poly in mesh.foliation]
+    for face in _ref_quads(mesh.valid):
+        lines.append("f " + " ".join(f"{number[v]}/{number[v]}" for v in face))
+    lines += ["l " + " ".join(str(number[v]) for v in run) for run in _reference_runs(mesh.valid)]
     return "\n".join(lines) + "\n"
 
 
@@ -201,7 +220,7 @@ def test_write_obj_matches_reference():
     rng = np.random.default_rng(7)
     ny, nx = 4, 5
     special = [0.0, -0.0, 5e-324, -1e-300, 1e16, 0.1, math.nan, math.inf, -math.inf]
-    chart = rng.normal(size=(ny, nx, 3))
+    chart = rng.normal(size=(ny, nx, 2))
     ambient = rng.normal(size=(ny, nx, 4)) * 10.0 ** rng.integers(-20, 20, size=(ny, nx, 4))
     chart.reshape(-1)[: len(special)] = special
     ambient.reshape(-1)[-len(special):] = special
@@ -229,7 +248,7 @@ def test_write_obj_keeps_each_value_text():
     ambient[0, 2, 1] = math.nan
     ambient[2, 3, 0] = -math.inf
     ambient[:, 0, 1] = 0.0
-    chart = ambient.copy()
+    chart = ambient[..., :2].copy()
     chart[1, 0, 1] = -0.0  # equal to the ambient column but for one -0.0
     chart[3, :, 0] = rng.normal(size=nx)
     valid = np.isfinite(ambient).all(axis=-1)
@@ -241,13 +260,6 @@ def test_write_obj_keeps_each_value_text():
     assert len(v) == len(vt) == int(valid.sum()) == 3 * nx - 5
     assert [row[3] for row in v[:nx]] == ["0.0", "-0.0", "0.0", "0.0", "-0.0", "0.0"]
     assert (v[0][2], vt[0][2]) == ("0.0", "-0.0")
-
-
-def _ref_quads(valid):
-    ny, nx = valid.shape
-    return [[j * nx + i, j * nx + i + 1, (j + 1) * nx + i + 1, (j + 1) * nx + i]
-            for j in range(ny - 1) for i in range(nx - 1)
-            if valid[j, i] and valid[j, i + 1] and valid[j + 1, i] and valid[j + 1, i + 1]]
 
 
 MASKS = st.integers(1, 7).flatmap(lambda nx: st.lists(
@@ -264,15 +276,14 @@ MASKS = st.integers(1, 7).flatmap(lambda nx: st.lists(
 def test_obj_chunks_match_reference_on_any_valid_mask(rows):
     # quads and leaves are derived from valid row by row as they are
     # written; holes, empty rows and columns, isolated nodes and one-node
-    # runs must give the reference text and faces (the runs are checked
-    # against a loop in test_immersion.py)
+    # runs must give the reference text, whose faces and leaves come from
+    # loops over the grid
     valid = np.array(rows, dtype=bool)
     ny, nx = valid.shape
     rng = np.random.default_rng(valid.size)
-    chart = rng.normal(size=(ny, nx, 3))
+    chart = rng.normal(size=(ny, nx, 2))
     ambient = rng.normal(size=(ny, nx, 4))
     mesh = SurfaceMesh(chart, ambient, valid, {"nx": nx, "ny": ny})
-    assert mesh.faces.tolist() == _ref_quads(valid)
     assert "".join(obj_chunks(mesh)) == _ref_obj(mesh)
 
 

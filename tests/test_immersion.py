@@ -320,10 +320,11 @@ def test_build_mesh_sphere_lift(sphere_pair):
     assert pts.shape[1] == 4
     assert np.abs((pts[:, :3] ** 2).sum(axis=1) - 1.0).max() <= 1e-10
     # heights are the conformal y coordinate itself
-    t = mesh.chart_vertices[..., 2]
+    t = mesh.ambient_vertices[..., 3]
     assert np.allclose(t, field.grid.ys[:, None])
-    assert len(mesh.faces) == 100 * 100
-    assert len(mesh.foliation) == 101
+    lines = "".join(obj_chunks(mesh)).splitlines()
+    assert sum(line.startswith("f ") for line in lines) == 100 * 100
+    assert sum(line.startswith("l ") for line in lines) == 101
 
 
 def test_region_one_mesh_clips_at_disk_boundary():
@@ -377,7 +378,7 @@ def test_weierstrass_flat_matches_frame_route():
     frame = integrate_frame(field)
     mesh = weierstrass_flat(frame)
     # third coordinate equals y up to one additive constant
-    t = mesh.chart_vertices[..., 2] - grid.ys[:, None]
+    t = mesh.ambient_vertices[..., 2] - grid.ys[:, None]
     assert np.nanmax(t) - np.nanmin(t) <= 1e-12
     assert mesh.metadata["cauchy_riemann_linf"] <= 1e-2
     assert flat_route_gap(frame) <= 1e-6
@@ -434,17 +435,17 @@ def test_weierstrass_sums_match_the_loop_reference(domain, seed):
     frame = integrate_frame(field, seed=seed)
     mesh = weierstrass_flat(frame)
     want = weierstrass_loop_reference(field, frame)
-    assert mesh.chart_vertices[mesh.valid].tobytes() == want[mesh.valid].tobytes()
+    assert mesh.ambient_vertices[mesh.valid].tobytes() == want[mesh.valid].tobytes()
     # flat_route_gap reads x1 and x2, which are not finite at invalid nodes
-    assert (~np.isfinite(mesh.chart_vertices[~mesh.valid][:, :2])).any(axis=-1).all()
+    assert (~np.isfinite(mesh.ambient_vertices[~mesh.valid][:, :2])).any(axis=-1).all()
 
 
 def test_weierstrass_trivial_plane_first_component_vanishes(flat_trivial_frame):
     # data G = 1 kills the first coordinate; the image is a vertical plane
     field, frame = flat_trivial_frame
     mesh = weierstrass_flat(frame)
-    assert np.nanmax(np.abs(mesh.chart_vertices[..., 0])) <= 1e-14
-    spans = mesh.chart_vertices[..., 1]
+    assert np.nanmax(np.abs(mesh.ambient_vertices[..., 0])) <= 1e-14
+    spans = mesh.ambient_vertices[..., 1]
     assert np.nanmax(np.abs(spans - spans[:1, :])) <= 1e-14
 
 
@@ -477,16 +478,18 @@ def test_weierstrass_mesh_holds_its_vertices_alone():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mesh.chart_vertices is mesh.ambient_vertices
-    x_bytes = mesh.chart_vertices.nbytes
+    # the chart (x1, x2) is a view of the vertices
+    assert np.shares_memory(mesh.chart_vertices, mesh.ambient_vertices)
+    x_bytes = mesh.ambient_vertices.nbytes
     assert held <= 1.1 * x_bytes
     assert peak <= 3.5 * x_bytes
 
 
 def test_onduloid_mesh_and_writer_store_no_quads():
-    # build_mesh keeps the vertices and valid alone, and the writer's
-    # transient memory stays under a quarter of a (faces x 4) int64 array
-    # (0.15 of it): no such array is built
+    # build_mesh keeps its ambient vertices alone (the chart vertices are the
+    # frame's own u), and the writer's transient memory stays under a
+    # quarter of a (faces x 4) int64 array (0.15 of it): no such array is
+    # built
     grid = GridSpec(0, 2, 0, 2, 201, 201)
     frame = integrate_frame(reconstructed(1, 0, -0.25, grid, trivial_f=True), seed=(0, 1.48))
     assert frame.valid.all()
@@ -502,10 +505,38 @@ def test_onduloid_mesh_and_writer_store_no_quads():
         tracemalloc.stop()
     ny, nx = mesh.valid.shape
     quad_bytes = 4 * 8 * (ny - 1) * (nx - 1)
-    assert held <= 1.05 * (mesh.chart_vertices.nbytes + mesh.ambient_vertices.nbytes)
+    assert held <= 1.05 * mesh.ambient_vertices.nbytes
     assert peak - held <= 0.25 * quad_bytes
-    # the derived topology is still there, read-only, on first access
-    assert mesh.faces.shape == ((ny - 1) * (nx - 1), 4) and not mesh.faces.flags.writeable
+
+
+def test_mesh_chart_vertices_are_the_frame_chart_points(flat_trivial_frame):
+    # a mesh keeps what the OBJ writes: build_mesh shares the frame's u
+    # rather than copying it, and the vt records are u on the valid nodes;
+    # the disk frame has invalid nodes near the chart edge
+    disk = integrate_frame(reconstructed(-1, -1, 1, GridSpec(-2, 2, -2, 2, 21, 21)))
+    assert not disk.valid.all()
+    for frame in (flat_trivial_frame[1], disk):
+        mesh = build_mesh(frame)
+        assert np.shares_memory(mesh.chart_vertices, frame.u)
+        assert mesh.chart_vertices.shape == frame.u.shape
+        vt = [line.split()[1:] for line in "".join(obj_chunks(mesh)).splitlines()
+              if line.startswith("vt ")]
+        assert np.array(vt, dtype=float).tobytes() == frame.u[frame.valid].tobytes()
+
+
+def test_march_stops_a_nan_start_lane_alone():
+    # NaN is the one stop signal: a lane that starts at NaN stays NaN, and
+    # the finite lanes beside it march bit for bit as they do alone
+    field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 21, 15))
+    space, xs, lanes = SPHERE, field.grid.xs, field.grid.ys[:4]
+    psi0, u0 = np.array([0.1, np.nan, 0.2, 0.3]), np.array([0.0, np.nan, -0.1, 0.05])
+    state = np.stack(immersion._march(field.source, space, "x", lanes, xs, 3, psi0, u0, -u0))
+    assert np.isnan(state[:, :, 1]).all()
+    keep = [0, 2, 3]
+    alone = np.stack(immersion._march(field.source, space, "x", lanes[keep], xs, 3,
+                                      psi0[keep], u0[keep], -u0[keep]))
+    assert np.isfinite(alone).all()
+    assert state[:, :, keep].tobytes() == alone.tobytes()
 
 
 def test_weierstrass_rejects_curved(sphere_pair):
@@ -587,11 +618,11 @@ def test_holonomy_matches_rk4_frame_oracle(c0, c, d, domain, nx, ny, period, see
     bases = [x for x in grid.xs if x + period <= grid.x1 + 1e-12]
     bases = np.array(bases[:: max(1, len(bases) // 8)])
     nodes = np.union1d(np.linspace(grid.x0, grid.x1, 4 * nx - 3), [*bases, *(bases + period)])
-    psi, u1, u2, alive = immersion._march(
+    psi, u1, u2 = immersion._march(
         source, space, "x", grid.ys[j0:j0 + 1], nodes, int(np.searchsorted(nodes, grid.xs[i0])),
-        np.array([psi0]), np.array([u0[0]]), np.array([u0[1]]), np.array([True]),
+        np.array([psi0]), np.array([u0[0]]), np.array([u0[1]]),
     )
-    assert alive.all()
+    assert np.isfinite(psi).all()
 
     def frame_at(x):
         k = int(np.searchsorted(nodes, x))
@@ -779,8 +810,8 @@ def _regular_field(c0, c_size, d_size, a, nx=33, ny=33):
     dp = derive_params(ModuliPoint(c0, c, d), a if c0 == 0 else None)
     source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
     probe = GridSpec(-2, 2, -2, 2, 41, 41)
-    data = source.eval_grid(probe.xs, probe.ys)
-    j, i = np.unravel_index(np.argmin(np.where(data.ok, np.abs(data.omega), np.inf)), data.ok.shape)
+    omega = source.eval_grid(probe.xs, probe.ys).omega  # NaN on D
+    j, i = np.unravel_index(np.nanargmin(np.abs(omega)), omega.shape)
     x0, y0 = float(probe.xs[i]), float(probe.ys[j])
     return field_from_source(source, GridSpec(x0 - 0.25, x0 + 0.25, y0 - 0.25, y0 + 0.25, nx, ny))
 
@@ -799,14 +830,14 @@ def test_magnus_column_matches_rk4_column(c0, c_size, d_size, a, psi0, u1, u2):
         assert not field.mask.any()
         grid = field.grid
         j0 = (ny - 1) // 5  # the same y at both steps
-        m, (c1, c2, cpsi), calive, _ = immersion._seed_column(
+        m, (c1, c2, cpsi), _ = immersion._seed_column(
             field.source, space, grid.xs[2], grid.ys, j0, m0
         )
-        psi, v1, v2, alive = immersion._march(
+        psi, v1, v2 = immersion._march(
             field.source, space, "y", grid.xs[2:3], grid.ys, j0,
-            np.array([psi0]), np.array([u1]), np.array([u2]), np.array([True]),
+            np.array([psi0]), np.array([u1]), np.array([u2]),
         )
-        assert alive.all() and calive.all()
+        assert np.isfinite(psi).all() and np.isfinite(cpsi).all()
         turn = np.abs(np.angle(np.exp(1j * (psi[:, 0] - cpsi)))).max()
         return m, max(turn, np.abs(v1[:, 0] - c1).max(), np.abs(v2[:, 0] - c2).max())
 
@@ -868,9 +899,13 @@ def test_foliation_runs_match_reference_loop(density):
     rng = np.random.default_rng(11)
     for shape in [(1, 1), (1, 6), (7, 1), (2, 2), (9, 13), (30, 41)]:
         valid = rng.random(shape) < density
-        _, foliation = immersion._mesh_topology(valid)
-        assert foliation == _reference_runs(valid)
-        assert all(type(v) is int for run in foliation for v in run)
+        nx = shape[1]
+        runs = tuple(
+            tuple(range(j * nx + a, j * nx + b))
+            for j, row in enumerate(valid)
+            for a, b in zip(*(ends.tolist() for ends in immersion._leaf_runs(row)))
+        )
+        assert runs == _reference_runs(valid)
 
 
 def _cli_products(tmp_path, point, side, n=41):

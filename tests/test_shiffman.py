@@ -97,7 +97,7 @@ def finite_max(values):
 def full_grid_source_field(source, grid):
     """Oracle of the row-block assembly: the source combined on the whole grid."""
     data = source.eval_grid(grid.xs, grid.ys)
-    return data.omega, ~data.ok
+    return data.omega, np.isnan(data.sinh)
 
 
 def jacobi_potential(field):
