@@ -117,6 +117,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    import os
+
     from .profile import sample_profile
 
     point = ModuliPoint(args.c0, args.c, args.d)
@@ -132,10 +134,16 @@ def _cmd_profile(args) -> int:
         "config": _config(args),
     }
     _emit(_profile_csv(sol), args.out)
-    if args.out:
-        _emit(dumps(sidecar), args.out + ".json")
-    else:
+    if not args.out:
         sys.stderr.write(dumps(sidecar))
+        return 0
+    # the CSV is taken back if the sidecar cannot be written: exit 1 leaves
+    # neither file
+    try:
+        _emit(dumps(sidecar), args.out + ".json")
+    except FoliataError:
+        os.remove(args.out)
+        raise
     return 0
 
 

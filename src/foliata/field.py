@@ -181,22 +181,26 @@ class ReconstructedSource:
         self.flat_trivial = self.c0 == 0 and ffn.trivial and gfn.trivial
 
     def _sinh(self, f, fx, g, gy):
-        """sinh(omega), NaN on D, from the profile values and derivatives."""
+        """sinh(omega), NaN on D, from the profile values and derivatives,
+        in one output array: the primary quotient where |c0 + f^2 + g^2| >
+        EPS_DEN, the continuity extension at the nodes where it fails (most
+        often none), NaN where both fail or |sinh| exceeds OVERFLOW_GUARD."""
+        shape = np.broadcast(np.asarray(f), np.asarray(g)).shape
         if self.flat_trivial:
-            return np.zeros(np.broadcast(np.asarray(f), np.asarray(g)).shape)
-        a = self.dp.a
+            return np.zeros(shape)
         den = self.c0 + f * f + g * g
-        num = fx + gy
-        den_fb = fx - gy
-        num_fb = g * g - f * f - a
         use_p = np.abs(den) > EPS_DEN
-        use_f = ~use_p & (np.abs(den_fb) > EPS_DEN)
-        sinh = np.where(
-            use_p,
-            num / np.where(use_p, den, 1.0),
-            np.where(use_f, num_fb / np.where(use_f, den_fb, 1.0), np.nan),
-        )
-        return np.where(np.abs(sinh) <= OVERFLOW_GUARD, sinh, np.nan)
+        sinh = np.add(fx, gy, out=np.empty(shape))
+        np.divide(sinh, den, out=sinh, where=use_p)
+        rest = ~use_p
+        if rest.any():
+            f, fx, g, gy = (np.broadcast_to(v, shape)[rest] for v in (f, fx, g, gy))
+            den_fb = fx - gy
+            sinh[rest] = np.divide(g * g - f * f - self.dp.a, den_fb,
+                                   out=np.full(den_fb.shape, np.nan),
+                                   where=np.abs(den_fb) > EPS_DEN)
+        sinh[np.abs(sinh) > OVERFLOW_GUARD] = np.nan
+        return sinh
 
     def eval_bc(self, x, y) -> FieldData:
         """Field data with numpy broadcasting of the two coordinates."""

@@ -32,6 +32,7 @@ never from grid interpolation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,6 +50,7 @@ from .field import (
     OmegaField,
     ResidualStats,
     _interior_laplacian,
+    row_blocks,
     stats_from,
 )
 
@@ -589,26 +591,34 @@ class SurfaceMesh:
     """Immersion samples in chart and ambient-model coordinates: what
     :func:`obj_chunks` writes, and nothing more.
 
-    ``chart_vertices[j, i] = (u1, u2)``, the ``vt`` record of a node, and
-    ``ambient_vertices[j, i]``, its ``v`` record, is the model lift plus the
-    height (3 components for the flat case, 4 for the hyperboloid x R and
-    sphere x R models).  The coordinates of a node that is not ``valid``
-    carry no meaning.  A mesh holds these arrays, one entry per node, and no
-    topology: its quads, over the grid cells whose four corners are valid,
-    and its foliation polylines, the runs of at least two valid nodes along
-    a row, follow from ``valid`` by one rule per grid row
+    ``chart_vertices[j, i] = (u1, u2)`` is the ``vt`` record of a node.
+    ``ambient_rows(rows)``, for a row index or a slice of rows, gives those
+    rows' ``v`` records: the model lift plus the height (3 components for
+    the flat case, 4 for the hyperboloid x R and sphere x R models).  The
+    frame route lifts the rows' chart points when asked, so no ambient array
+    of the whole grid is held; :func:`obj_chunks` lifts each row as it
+    writes it, and ``ambient_vertices`` is the same function over all rows.
+    The coordinates of a node that is not ``valid`` carry no meaning.  A
+    mesh holds no topology: its quads, over the grid cells whose four
+    corners are valid, and its foliation polylines, the runs of at least two
+    valid nodes along a row, follow from ``valid`` by one rule per grid row
     (:func:`_quad_columns`, :func:`_leaf_runs`), which :func:`obj_chunks`
     applies as it writes.
     """
 
     chart_vertices: np.ndarray
-    ambient_vertices: np.ndarray
+    ambient_rows: Callable[[int | slice], np.ndarray]
     valid: np.ndarray
     metadata: dict
 
     def __post_init__(self):
-        for arr in (self.chart_vertices, self.ambient_vertices, self.valid):
+        for arr in (self.chart_vertices, self.valid):
             arr.setflags(write=False)
+
+    @property
+    def ambient_vertices(self) -> np.ndarray:
+        """The ``v`` records of every node: ``ambient_rows`` over all rows."""
+        return self.ambient_rows(slice(None))
 
 
 def _quad_columns(valid: np.ndarray, j: int) -> np.ndarray:
@@ -626,20 +636,21 @@ def _leaf_runs(row: np.ndarray):
 
 
 def build_mesh(frame: FrameField, metadata: dict | None = None) -> SurfaceMesh:
-    """Mesh the immersion: the frame's chart points (u1, u2), not copied, and
-    their model lifts plus the height y."""
-    grid, space = frame.grid, frame.space
-    u1, u2 = frame.u[..., 0], frame.u[..., 1]
-    t = np.broadcast_to(grid.ys[:, None], u1.shape)
-    lift = space.lift(u1, u2)
-    if space.c0 == 0:
-        lift = lift[..., :2]  # the plane's homogeneous coordinate
-    ambient = np.concatenate([lift, t[..., None]], axis=-1)
+    """Mesh the immersion: the frame's chart points (u1, u2), not copied,
+    and the rows' model lifts plus the height y, made when asked for."""
+    grid, space, u, ys = frame.grid, frame.space, frame.u, frame.grid.ys
+    width = 2 if space.c0 == 0 else 3  # the plane's homogeneous coordinate is not written
+
+    def ambient_rows(rows):
+        lift = space.lift(u[rows, :, 0], u[rows, :, 1])[..., :width]
+        t = np.broadcast_to(ys[rows, None], lift.shape[:-1])
+        return np.concatenate([lift, t[..., None]], axis=-1)
+
     meta = {"c0": space.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny}
     meta.update(metadata or {})
     return SurfaceMesh(
-        chart_vertices=frame.u,
-        ambient_vertices=ambient,
+        chart_vertices=u,
+        ambient_rows=ambient_rows,
         valid=frame.valid,
         metadata=meta,
     )
@@ -664,11 +675,12 @@ def obj_chunks(mesh: SurfaceMesh):
     """OBJ text in pieces: the header, one per grid row of ``v`` and of
     ``vt`` records, one per pair of rows of faces and one per row of ``l``
     lines.  ``v`` = ambient coordinates (4 values when the model lift has
-    three components plus height), ``vt`` = chart coordinates, faces as
-    quads and foliation rows as ``l`` polylines, both derived from
-    ``valid`` row by row (:func:`_quad_columns`, :func:`_leaf_runs`).  Only
-    valid nodes are written, in row order, so the faces and polylines
-    number the valid nodes from 1."""
+    three components plus height), asked of the mesh one row at a time,
+    ``vt`` = chart coordinates, faces as quads and foliation rows as ``l``
+    polylines, both derived from ``valid`` row by row
+    (:func:`_quad_columns`, :func:`_leaf_runs`).  Only valid nodes are
+    written, in row order, so the faces and polylines number the valid
+    nodes from 1."""
     valid = mesh.valid
     ny = len(valid)
     before = [0, *np.cumsum(valid.sum(axis=1)).tolist()]
@@ -684,7 +696,7 @@ def obj_chunks(mesh: SurfaceMesh):
     # vt = (X1, X2)) reuses its text, kept until the vt records
     vt_rows = []
     for j in range(ny):
-        amb, chart = mesh.ambient_vertices[j][valid[j]], mesh.chart_vertices[j][valid[j]]
+        amb, chart = mesh.ambient_rows(j)[valid[j]], mesh.chart_vertices[j][valid[j]]
         cols = [_column_tokens(col) for col in amb.T]
         yield _records("v", cols)
         shared = {col.tobytes(): tokens for col, tokens in zip(amb.T, cols)}
@@ -761,16 +773,46 @@ def _weierstrass_forms(w, psi, data):
     return phi, dphi
 
 
+def _centred_differences(t: np.ndarray):
+    """``diff(f, lo)``: np.gradient's second-order differences along axis 0
+    at the interior nodes of the lattice ``t``, for f on the run of nodes
+    from ``lo``, at all but the run's first and last node.  numpy uses
+    (f[k+1] - f[k-1]) / 2h when the coordinates it is given are evenly
+    spaced, and weighs the three nodes by their two spacings otherwise.
+    Deciding that once for the whole lattice gives a block of rows the bits
+    of the whole grid; the block's own coordinates can be evenly spaced
+    where the lattice's are not."""
+    d = np.diff(t)
+    if (d == d[0]).all():
+        two_h = 2.0 * d[0]
+        return lambda f, lo: (f[2:] - f[:-2]) / two_h
+    d1, d2 = d[:-1, None], d[1:, None]
+    a, b, c = -d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2))
+
+    def diff(f, lo):
+        k = slice(lo, lo + len(f) - 2)
+        return a[k] * f[:-2] + b[k] * f[1:-1] + c[k] * f[2:]
+
+    return diff
+
+
 def _cauchy_riemann_linf(frame: FrameField) -> float:
     """Largest |omega_x - psi_y| or |omega_y + psi_x| over the interior
     nodes: the Cauchy-Riemann residual of log G = omega + i psi, by
-    second-order differences, the sums and magnitudes taken in place."""
-    grid = frame.grid
-    wy, wx = np.gradient(frame.field.omega, grid.ys, grid.xs, edge_order=2)
-    py, px = np.gradient(frame.psi, grid.ys, grid.xs, edge_order=2)
-    wx -= py
-    wy += px
-    return float(np.nanmax(np.fmax(np.abs(wx, out=wx), np.abs(wy, out=wy), out=wx)[1:-1, 1:-1]))
+    np.gradient's second-order differences over the whole grid, taken one
+    row block at a time with the sums and magnitudes in place."""
+    grid, omega, psi = frame.grid, frame.field.omega, frame.psi
+    dy, dx = _centred_differences(grid.ys), _centred_differences(grid.xs)
+    worst = np.nan
+    for _, slab, _ in row_blocks(grid, 1):
+        w, p = omega[slab], psi[slab]
+        wx = dx(w[1:-1].T, 0).T
+        wx -= dy(p[:, 1:-1], slab.start)
+        wy = dy(w[:, 1:-1], slab.start)
+        wy += dx(p[1:-1].T, 0).T
+        both = np.fmax(np.abs(wx, out=wx), np.abs(wy, out=wy), out=wx)
+        worst = np.fmax(worst, np.fmax.reduce(both, axis=None))
+    return float(worst)
 
 
 def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
@@ -824,6 +866,7 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
         outward(x_vec[rows].transpose(1, 0, 2), column[rows], incs, i0)
 
     valid = frame.valid & np.isfinite(x_vec).all(axis=-1)
+    x_vec.setflags(write=False)
     meta = {
         "c0": 0.0,
         "domain": list(grid.domain),
@@ -833,7 +876,7 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
     }
     return SurfaceMesh(
         chart_vertices=x_vec[..., :2],
-        ambient_vertices=x_vec,
+        ambient_rows=x_vec.__getitem__,
         valid=valid,
         metadata=meta,
     )

@@ -194,16 +194,18 @@ def test_unwritable_out_exits_one(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command, target", [("scan", ""), ("profile", ".json")],
-                         ids=["scan-out", "profile-sidecar"])
+@pytest.mark.parametrize("command, target", [("scan", ""), ("profile", ".json"), ("profile", "")],
+                         ids=["scan-out", "profile-sidecar", "profile-out"])
 def test_directory_out_exits_one(tmp_path, capsys, command, target):
-    # --out, or the profile's sidecar --out.json, names a directory
+    # --out, or the profile's sidecar --out.json, names a directory; exit 1
+    # leaves neither --out nor the sidecar as a file
     out = tmp_path / "out"
     Path(str(out) + target).mkdir()
     assert main([*_writer_argv(tmp_path, command), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: cannot write {out}{target}: ")
+    assert not out.is_file() and not Path(str(out) + ".json").is_file()
 
 
 def test_profile_csv_and_sidecar(tmp_path):

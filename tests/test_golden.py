@@ -21,12 +21,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from test_immersion import _reference_runs
+from test_immersion import _reference_runs, reconstructed
 
 from foliata._jsonfmt import dumps
 from foliata import immersion
 from foliata.cli import main
-from foliata.immersion import SurfaceMesh, obj_chunks
+from foliata.field import GridSpec
+from foliata.immersion import SurfaceMesh, build_mesh, integrate_frame, obj_chunks
 from foliata.moduli import ModuliPoint, derive_params
 from foliata.profile import integrate_profile
 
@@ -226,7 +227,7 @@ def test_write_obj_matches_reference():
     ambient.reshape(-1)[-len(special):] = special
     valid = np.isfinite(chart).all(axis=-1) & np.isfinite(ambient).all(axis=-1)
     valid[2, 1] = False
-    mesh = SurfaceMesh(chart, ambient, valid, {"nx": nx, "c0": -1.0})
+    mesh = SurfaceMesh(chart, ambient.__getitem__, valid, {"nx": nx, "c0": -1.0})
     text = "".join(obj_chunks(mesh))
     assert text.splitlines() == _ref_obj(mesh).splitlines()
     assert text == _ref_obj(mesh)
@@ -252,7 +253,7 @@ def test_write_obj_keeps_each_value_text():
     chart[1, 0, 1] = -0.0  # equal to the ambient column but for one -0.0
     chart[3, :, 0] = rng.normal(size=nx)
     valid = np.isfinite(ambient).all(axis=-1)
-    mesh = SurfaceMesh(chart, ambient, valid, {"nx": nx})
+    mesh = SurfaceMesh(chart, ambient.__getitem__, valid, {"nx": nx})
     text = "".join(obj_chunks(mesh))
     assert text == _ref_obj(mesh)
     v = [line.split() for line in text.splitlines() if line.startswith("v ")]
@@ -260,6 +261,23 @@ def test_write_obj_keeps_each_value_text():
     assert len(v) == len(vt) == int(valid.sum()) == 3 * nx - 5
     assert [row[3] for row in v[:nx]] == ["0.0", "-0.0", "0.0", "0.0", "-0.0", "0.0"]
     assert (v[0][2], vt[0][2]) == ("0.0", "-0.0")
+
+
+@pytest.mark.parametrize("point, grid, trivial_f, seed, n_valid", [
+    # the disk edge: the nodes outside the chart are not written
+    ((-1, -1, 1), GridSpec(-2, 2, -2, 2, 81, 81), False, None, 6519),
+    ((1, 0, -0.25), GridSpec(0, 3, 0, 2, 31, 21), True, (0, 1.48), 31 * 21),
+], ids=["disk-edge", "sphere-onduloid"])
+def test_row_wise_lift_writes_the_full_lift(point, grid, trivial_f, seed, n_valid):
+    # the writer lifts one row at a time; the reference reads the lift of
+    # every row at once
+    frame = integrate_frame(reconstructed(*point, grid, trivial_f=trivial_f), seed=seed)
+    mesh = build_mesh(frame)
+    assert int(mesh.valid.sum()) == n_valid
+    text, want = "".join(obj_chunks(mesh)), _ref_obj(mesh)
+    # the numbers of the lines that differ, not a diff of two 1 MB texts
+    assert [k for k, (a, b) in enumerate(zip(text.split("\n"), want.split("\n"))) if a != b] == []
+    assert len(text) == len(want)
 
 
 MASKS = st.integers(1, 7).flatmap(lambda nx: st.lists(
@@ -283,7 +301,7 @@ def test_obj_chunks_match_reference_on_any_valid_mask(rows):
     rng = np.random.default_rng(valid.size)
     chart = rng.normal(size=(ny, nx, 2))
     ambient = rng.normal(size=(ny, nx, 4))
-    mesh = SurfaceMesh(chart, ambient, valid, {"nx": nx, "ny": ny})
+    mesh = SurfaceMesh(chart, ambient.__getitem__, valid, {"nx": nx, "ny": ny})
     assert "".join(obj_chunks(mesh)) == _ref_obj(mesh)
 
 

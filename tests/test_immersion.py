@@ -11,14 +11,17 @@ from foliata.cli import main
 from foliata.errors import InvalidParams, NotFlat, PeriodUnavailable, SingularCrossing, TooFewNodes
 from foliata.field import (
     GridSpec,
+    OmegaField,
     ReconstructedSource,
     assemble_omega,
     assemble_omega_degenerate,
     field_from_source,
+    row_blocks,
 )
 from foliata import immersion
 from foliata.immersion import (
     ChartSpace,
+    FrameField,
     build_mesh,
     flat_route_gap,
     harmonic_residual,
@@ -460,6 +463,29 @@ def test_weierstrass_route_needs_three_nodes_per_axis(nx, ny):
             route(frame)
 
 
+@pytest.mark.parametrize("grid", [
+    # the lattice of 261 rows over [-2, -0.79...] is unevenly spaced in its
+    # last bits, yet the coordinates of its last row block are evenly spaced
+    GridSpec(0.5, 2.5, -2.0, -0.7932398007551105, 1001, 261),
+    GridSpec(0.0, 1.0, 0.0, 1.0, 33, 33),  # evenly spaced, h = 1/32
+], ids=["uneven", "even"])
+def test_cauchy_riemann_residual_is_the_whole_grid_gradient(grid):
+    # the header's residual is taken one row block at a time, with the bits
+    # of np.gradient over the whole grid; the residual peaks in the last block
+    xs, ys = grid.xs, grid.ys
+    *_, (_, slab, _) = row_blocks(grid, 1)
+    bump = np.exp(-(((ys - ys[(slab.start + slab.stop) // 2]) / (3.0 * grid.hy)) ** 2))[:, None]
+    omega, psi = bump * np.sin(3.0 * ys)[:, None] + 0.0 * xs, bump * np.cos(xs)
+    field = OmegaField(grid=grid, c0=0.0, omega=omega, provenance="test")
+    frame = FrameField(psi=psi, u=np.zeros((grid.ny, grid.nx, 2)), seed=(0, 0), field=field)
+    wy, wx = np.gradient(omega, ys, xs, edge_order=2)
+    py, px = np.gradient(psi, ys, xs, edge_order=2)
+    want = np.nanmax(np.fmax(np.abs(wx - py), np.abs(wy + px))[1:-1, 1:-1])
+    assert immersion._cauchy_riemann_linf(frame) == want
+    even = [bool((np.diff(t) == np.diff(t)[0]).all()) for t in (ys, ys[slab])]
+    assert even == ([False, True] if grid.ny == 261 else [True, True])
+
+
 def test_weierstrass_mesh_holds_its_vertices_alone():
     # the one-form is integrated a row block at a time into the vertex
     # array, and the writer derives quads and leaves from valid as it goes:
@@ -486,10 +512,11 @@ def test_weierstrass_mesh_holds_its_vertices_alone():
 
 
 def test_onduloid_mesh_and_writer_store_no_quads():
-    # build_mesh keeps its ambient vertices alone (the chart vertices are the
-    # frame's own u), and the writer's transient memory stays under a
-    # quarter of a (faces x 4) int64 array (0.15 of it): no such array is
-    # built
+    # build_mesh holds no vertex array (the chart vertices are the frame's
+    # own u, and the writer lifts each row as it writes it): 0.05 of the
+    # frame's psi and u bytes after build_mesh and 0.25 while writing; the
+    # writer's transient memory stays under a quarter of a (faces x 4)
+    # int64 array: no such array is built
     grid = GridSpec(0, 2, 0, 2, 201, 201)
     frame = integrate_frame(reconstructed(1, 0, -0.25, grid, trivial_f=True), seed=(0, 1.48))
     assert frame.valid.all()
@@ -505,7 +532,9 @@ def test_onduloid_mesh_and_writer_store_no_quads():
         tracemalloc.stop()
     ny, nx = mesh.valid.shape
     quad_bytes = 4 * 8 * (ny - 1) * (nx - 1)
-    assert held <= 1.05 * mesh.ambient_vertices.nbytes
+    frame_bytes = frame.psi.nbytes + frame.u.nbytes
+    assert held <= 0.1 * frame_bytes
+    assert peak <= 0.5 * frame_bytes
     assert peak - held <= 0.25 * quad_bytes
 
 
