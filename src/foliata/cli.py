@@ -17,6 +17,7 @@ its one user.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -42,7 +43,8 @@ PROFILE_STEP_DEFAULT = 1e-3
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write a text, or the pieces of one in turn, to --out or stdout; a
-    file that cannot be written is a domain error."""
+    file that cannot be written, or a stdout whose reader has gone, is a
+    domain error."""
     pieces = [text] if isinstance(text, str) else text
     if out:
         try:
@@ -50,8 +52,14 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
                 fh.writelines(pieces)
         except OSError as exc:
             raise FoliataError(f"cannot write {out}: {exc}") from exc
-    else:
+        return
+    try:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # what stdout still holds goes to the null device, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise FoliataError(f"cannot write standard output: {exc}") from exc
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -93,13 +101,10 @@ def _default_period(args) -> float:
     """The period of f at the point of ``args``, which a constant f lacks."""
     from .profile import profile_period
 
-    if args.trivial_f or args.c == 0:
-        raise PeriodUnavailable("f is constant (c = 0 or --trivial-f), so it has no "
-                                "period: give the x-period with --period")
     try:
         return profile_period(derive_params(ModuliPoint(args.c0, args.c, args.d), args.a), "F")
     except FoliataError as exc:
-        raise PeriodUnavailable(str(exc)) from exc
+        raise PeriodUnavailable(f"{exc}: give the x-period with --period") from exc
 
 
 def _cmd_classify(args) -> int:
@@ -117,8 +122,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import os
-
     from .profile import sample_profile
 
     point = ModuliPoint(args.c0, args.c, args.d)

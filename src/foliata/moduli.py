@@ -11,6 +11,7 @@ exist iff delta >= 0 and the larger roots X+, Y+ are nonnegative; for c0 > 0
 this reduces to c <= 0 and d <= 0, and flat space (c0 = 0, c = d) also needs
 c <= 0.  The root sums obey X- + Y+ = X+ + Y- =
 -c0, which for the hyperbolic plane is the classical "sum to one" identity.
+The roots are computed once, by ``_roots``, and every profile reads them.
 
 The algebra and the label rules are written once, in ``_derive`` and
 ``_classify``, over primitives taken from a namespace passed in: ``_SCALAR``,
@@ -79,9 +80,9 @@ class DerivedParams(namedtuple("DerivedParams", "a cbar dbar delta xminus xplus 
                                                 "c_const d_const c0")):
     """Separation constant, quadratic coefficients and roots at one point.
 
-    Every field is a float, except that the roots are None when delta < 0.
-    Root labels are ordered xminus <= xplus and yminus <= yplus, with ties
-    at delta = 0.  ``c_const`` and ``d_const`` are the first-integral
+    Every field is a float, except that the roots are None where they do
+    not exist.  Root labels are ordered xminus <= xplus and yminus <= yplus,
+    with ties at delta = 0.  ``c_const`` and ``d_const`` are the first-integral
     constants of the x- and y-profiles and ``c0`` the curvature: the point's
     own c, d and c0, so a zero constant stays exactly zero and a field holds
     the c0 it was given.
@@ -112,7 +113,8 @@ _SCALAR = SimpleNamespace(
     errstate=lambda **_: contextlib.nullcontext(),  # float arithmetic overflows to inf silently
     maximum=_nan_maximum,
     isfinite=math.isfinite,
-    sqrt=math.sqrt,
+    sqrt=lambda v: math.sqrt(v) if v >= 0 else math.nan,  # as np.sqrt, NaN below 0
+    copysign=math.copysign,
     where=lambda cond, x, y: x if cond else y,
     logical_not=operator.not_,  # ~ on a bool gives -1 or -2
     all=all,
@@ -133,6 +135,7 @@ def _array_namespace() -> SimpleNamespace:
         maximum=np.maximum,
         isfinite=np.isfinite,
         sqrt=np.sqrt,
+        copysign=np.copysign,
         where=np.where,
         logical_not=np.logical_not,
         all=np.logical_and.reduce,
@@ -141,8 +144,8 @@ def _array_namespace() -> SimpleNamespace:
 
 
 def _derive(c0: float, c, d, a: float | None, xp: SimpleNamespace):
-    """derive_params over (c, d) at one c0, NaN roots where delta < 0, in the
-    primitives of ``xp``: Python floats with _SCALAR, arrays with numpy's.
+    """derive_params over (c, d) at one c0, NaN roots where they do not exist,
+    in the primitives of ``xp``: Python floats with _SCALAR, arrays with numpy's.
 
     Also returns the mirror form dbar^2 - 4d of delta and where both forms
     are finite and agree to DISCRIMINANT_RTOL.
@@ -157,9 +160,24 @@ def _derive(c0: float, c, d, a: float | None, xp: SimpleNamespace):
         mirror = dbar * dbar - 4.0 * d
         scale = xp.maximum(1.0, xp.maximum(abs(delta), abs(mirror)))  # NaN if either is
         ok = xp.isfinite(scale) & (abs(delta - mirror) <= DISCRIMINANT_RTOL * scale)
-        sq = xp.sqrt(xp.where(delta >= 0, delta, math.nan))
-        roots = (-cbar - sq) / 2.0, (-cbar + sq) / 2.0, (-dbar - sq) / 2.0, (-dbar + sq) / 2.0
+        sq = xp.sqrt(delta)
+        roots = *_roots(cbar, c, sq, xp), *_roots(dbar, d, sq, xp)
     return DerivedParams(a, cbar, dbar, delta, *roots, c, d, c0), mirror, ok
+
+
+def _roots(coef, const, sq, xp: SimpleNamespace):
+    """The roots r- <= r+ of X^2 + coef X + const, sq the square root of its
+    discriminant, NaN where they do not exist: the larger in magnitude by the
+    textbook formula, the other as const / (the first), which does not cancel
+    (Higham, Accuracy and Stability of Numerical Algorithms, 1.8), so a zero
+    constant gives a root of exactly 0.0."""
+    big = -0.5 * (coef + xp.copysign(sq, coef))
+    # big = 0 only at coef = delta = 0, where R = X^2 + const: Q's d need not be 0 there
+    flat = big == 0
+    pair = xp.sqrt(-const)
+    small = xp.where(flat, pair, const / (big + flat))  # big + flat is never 0
+    big = xp.where(flat, -pair, big)
+    return -xp.maximum(-big, -small) + 0.0, xp.maximum(big, small) + 0.0
 
 
 def _point_params(dp: DerivedParams, mirror, ok) -> DerivedParams:
@@ -203,9 +221,9 @@ class RegionReport(namedtuple("RegionReport", "label certificate derived")):
     """Classification outcome: label, inequality certificate, derived data.
 
     ``label`` is a RegionLabel and ``derived`` the DerivedParams.
-    ``certificate`` lists every membership inequality in evaluation order as
-    (name, lhs value, satisfied); the label is OutsideModuli exactly when one
-    of them fails.
+    ``certificate`` lists the membership inequalities in evaluation order as
+    (name, lhs value, satisfied), without those on roots that do not exist;
+    the label is OutsideModuli exactly when one of them fails or is left out.
     """
 
     __slots__ = ()
@@ -230,7 +248,7 @@ def _classify(c0: float, c, d, a: float | None, xp: SimpleNamespace):
     L = RegionLabel
     if c0 > 0:
         member = [("c <= 0", c, c <= 0), ("d <= 0", d, d <= 0)]
-    else:  # the roots are NaN where delta < 0, which fails their inequalities
+    else:  # the roots are NaN where they do not exist, which fails their inequalities
         member = [(f"{name} >= 0", v, v >= 0)
                   for name, v in (("delta", dp.delta), ("x_plus", dp.xplus), ("y_plus", dp.yplus))]
         if c0 == 0:  # flat space carries no surface at c > 0
@@ -278,7 +296,7 @@ def classify(p: ModuliPoint, a: float | None = None) -> RegionReport:
     p.validate()
     *derived, member, label = _classify(p.c0, float(p.c), float(p.d), a, _SCALAR)
     dp = _point_params(*derived)
-    # inequalities on roots that do not exist (delta < 0) are left out
+    # inequalities on roots that do not exist are left out
     cert = tuple((name, float(v), bool(sat)) for name, v, sat in member if not math.isnan(v))
     return RegionReport(label, cert, dp)
 

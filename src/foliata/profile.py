@@ -5,14 +5,15 @@ Both profiles solve the same pendulum-with-quartic-potential equation
     w'' = -(2 w^3 + k w),        w'^2 + w^4 + k w^2 + m0 = 0,
 
 with (k, m0) = (cbar, c) for f and (dbar, d) for g.  w^2 ranges over
-[max(0, r-), r+] where r-+ are the roots of R(s) = s^2 + k s + m0, and the
-solutions are Jacobi elliptic functions (DLMF 22): profiles and their
-periods are evaluated in closed form through the arithmetic-geometric mean
-of DLMF 22.20(ii), also on the uniform grids of ``foliata profile``.  A
-classical fixed-step fourth-order integration of the second-order form is
-the independent oracle for the closed form; the first integral is never
-used for stepping (its square root is branch-ambiguous at turning points)
-and instead serves as the conservation oracle.
+[max(0, r-), r+] where r-+ are the roots of R(s) = s^2 + k s + m0 that
+DerivedParams carries, and the solutions are Jacobi elliptic functions
+(DLMF 22): profiles and their periods are evaluated in closed form through
+the arithmetic-geometric mean of DLMF 22.20(ii), also on the uniform grids
+of ``foliata profile``.  A classical fixed-step fourth-order integration of
+the second-order form is the independent oracle for the closed form; the
+first integral is never used for stepping (its square root is
+branch-ambiguous at turning points) and instead serves as the conservation
+oracle.
 """
 
 from __future__ import annotations
@@ -69,60 +70,30 @@ def _sn_cn_dn(u, m: float, m1: float, ladder) -> tuple[np.ndarray, np.ndarray, n
     return np.sin(phi), cn, np.sqrt(m1 + m * cn * cn)
 
 
-def _kind_params(dp: DerivedParams, kind: str) -> tuple[float, float]:
-    """(coef, const) of R(X) = X^2 + coef X + const for the requested profile."""
+def _kind_params(dp: DerivedParams, kind: str) -> tuple[float, float, float | None, float | None]:
+    """(coef, const, r-, r+) of R(X) = X^2 + coef X + const for the requested
+    profile: the roots are those of ``dp``, None where they do not exist."""
     kind = kind.upper()
     if kind == "F":
-        return dp.cbar, dp.c_const
+        return dp.cbar, dp.c_const, dp.xminus, dp.xplus
     if kind == "G":
-        return dp.dbar, dp.d_const
+        return dp.dbar, dp.d_const, dp.yminus, dp.yplus
     raise InvalidParams(f"kind must be 'F' or 'G', got {kind!r}")
-
-
-def _roots(dp: DerivedParams, kind: str) -> tuple[float, float]:
-    """The roots r- <= r+ of R for the requested profile.
-
-    The root of larger magnitude comes from the textbook formula and the
-    other from Vieta, const / (the first): the textbook formula for it
-    cancels near the homoclinic edge m -> 1, and a zero constant gives a
-    root at exactly 0, where the rounded roots of ``dp`` may read +-1 ulp.
-    """
-    coef, const = _kind_params(dp, kind)
-    big = -0.5 * (coef + math.copysign(math.sqrt(dp.delta), coef))
-    if big == 0:
-        # coef = delta = 0, so R = X^2 + const.  The constant of g is the
-        # point's own d, which the rounded delta does not pin to 0.
-        if const > 0:
-            raise NoRealSolution(f"X^2 + {const} of the {kind} quadratic has no real root")
-        root = math.sqrt(abs(const))
-        return -root, root
-    lo, hi = sorted((big, const / big))
-    return lo, hi
 
 
 def admissible_interval(dp: DerivedParams, kind: str) -> tuple[float, float]:
     """Range [m, M] of attainable squared profile values.
 
-    Raises NoRealSolution when the discriminant is negative or when both
-    roots of the profile's quadratic are: w'^2 = -R(w^2) is then negative
-    everywhere, even where the rounded upper root of ``dp`` reads 0.
+    Raises NoRealSolution when the profile's quadratic has no real root, or
+    when both its roots are negative: w'^2 = -R(w^2) is then negative
+    everywhere.
     """
-    if dp.delta < 0 or dp.xplus is None:
-        raise NoRealSolution(f"discriminant {dp.delta} < 0")
-    lo, hi = _roots(dp, kind)
+    *_, lo, hi = _kind_params(dp, kind)
+    if hi is None:
+        raise NoRealSolution(f"the {kind} quadratic has no real root (discriminant {dp.delta})")
     if hi < 0:
         raise NoRealSolution(f"both roots {lo}, {hi} of the {kind} quadratic are negative")
     return max(0.0, lo), hi
-
-
-def _jacobi_form(dp: DerivedParams, kind: str) -> tuple[bool, float, float, float, float]:
-    """(sign-changing, sqrt(r+), rate, m, 1 - m) of the Jacobi form of a
-    profile that :func:`admissible_interval` admits."""
-    lo, hi = _roots(dp, kind)
-    if lo <= 0:
-        lam2 = hi - lo
-        return True, math.sqrt(hi), math.sqrt(lam2), hi / lam2, -lo / lam2
-    return False, math.sqrt(hi), math.sqrt(hi), (hi - lo) / hi, lo / hi
 
 
 def _accel(w: float, coef: float) -> float:
@@ -152,10 +123,9 @@ class ProfileFunction:
 
     Canonical initial data: w(0) = 0, w'(0) = sqrt(-m0) when the admissible
     interval starts at 0 (sign-changing branch), else w(0) = sqrt(r-) =
-    sqrt(m0 / r+), w'(0) = 0 (oscillation between positive roots; Vieta
-    gives r- without the cancellation of the textbook formula).  ``trivial``
-    selects the constant zero branch that exists when m0 = 0.  With roots
-    r- <= r+ the solutions are
+    sqrt(m0 / r+), w'(0) = 0 (oscillation between positive roots).
+    ``trivial`` selects the constant zero branch that exists when m0 = 0.
+    With the roots r- <= r+ of ``dp`` the solutions are
 
         w = (w'(0) / lam) sd(lam x | m),   lam^2 = r+ - r-,  m = r+ / lam^2
         w = w(0) / dn(sqrt(r+) x | m),     m = 1 - r- / r+
@@ -164,16 +134,18 @@ class ProfileFunction:
     and sqrt(r+) dn(sqrt(r+) x - K | m), the same functions shifted by the
     quarter period K: near m -> 1 the unshifted quotients divide by dn ~
     sqrt(1 - m) and lose that factor in accuracy.  Every abscissa is
-    evaluated independently of the others.  ``_march`` is the fixed-step
+    evaluated independently of the others.  ``period`` comes from the same
+    AGM ladder, None where there is none.  ``_march`` is the fixed-step
     RK4 integration of the same initial-value problem, kept as the oracle.
     """
 
     def __init__(self, dp: DerivedParams, kind: str, trivial: bool = False):
         self.dp = dp
         self.kind = kind.upper()
-        self.coef, self.const = _kind_params(dp, self.kind)
+        self.coef, self.const, lo, hi = _kind_params(dp, self.kind)
         self.trivial = trivial
         self.w0 = self.dw0 = 0.0
+        self.period = None
         if trivial:
             if self.const != 0.0:
                 raise InvalidParams(
@@ -183,15 +155,20 @@ class ProfileFunction:
         admissible_interval(dp, self.kind)
         if self.const == 0.0:
             return  # a root at 0: the profile rests at the equilibrium w = 0
-        self._crossing, self._amp, self._rate, self._m, self._m1 = _jacobi_form(
-            dp, self.kind
-        )
+        self._crossing = lo <= 0
+        lam2 = hi - lo if self._crossing else hi
+        self._amp, self._rate = math.sqrt(hi), math.sqrt(lam2)
         if self._crossing:
+            self._m, self._m1 = hi / lam2, -lo / lam2
             self.dw0 = math.sqrt(-self.const)
         else:
+            self._m, self._m1 = (hi - lo) / hi, lo / hi
             self.w0 = math.sqrt(self.const) / self._amp
         self._ladder = _agm(self._m, self._m1)
-        self._quarter = math.pi / (2.0 * self._ladder[0][-1])
+        a_n = self._ladder[0][-1]
+        self._quarter = math.pi / (2.0 * a_n)
+        if dp.delta != 0 and lo != hi:  # a double root is a constant profile
+            self.period = (2.0 if self._crossing else 1.0) * math.pi / (a_n * self._rate)
 
     def _march(self, targets: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
         """RK4 values and derivatives at ``targets``, marched from 0 outward
@@ -276,22 +253,20 @@ def _sampled_profile(sample, dp, kind, x_range, step, trivial):
     gaps = (x1 - x0) / step
     if not gaps < MAX_SAMPLES:  # an infinite width as well
         raise InvalidParams(f"{gaps:.3g} samples at step {step}, more than {MAX_SAMPLES}")
-    fn = ProfileFunction(dp, kind, trivial=trivial)
     # round the count up so the samples always cover [x0, x1]
     n = max(2, math.ceil(gaps - 1e-9)) + 1
+    if not math.isfinite(x0 + step * (n - 1)):  # an infinite step as well
+        raise InvalidParams(f"the last of {n} samples at step {step} from {x0} is not finite")
+    fn = ProfileFunction(dp, kind, trivial=trivial)
     grid = x0 + step * np.arange(n)
     values, derivs = (np.zeros(n), np.zeros(n)) if trivial else sample(fn, grid)
     # the exact initial data, which the closed form rounds (cn(-K) ~ 6e-17)
     start = grid == 0.0
     values[start], derivs[start] = fn.w0, fn.dw0
     drift = float(np.max(np.abs(fn.first_integral(values, derivs))))
-    if drift > 100.0 * DRIFT_TOL:
+    if not drift <= 100.0 * DRIFT_TOL:  # a NaN drift as well
         raise DriftExceeded(f"first-integral drift {drift:.3e} exceeds 100 x {DRIFT_TOL:.1e}")
-    try:
-        period = profile_period(dp, kind) if not trivial else None
-    except (NonOscillatory, NoRealSolution):
-        period = None
-    return ProfileSolution(kind.upper(), grid, values, derivs, dp, drift, period, fn)
+    return ProfileSolution(kind.upper(), grid, values, derivs, dp, drift, fn.period, fn)
 
 
 def sample_profile(
@@ -322,21 +297,17 @@ def integrate_profile(
 
 
 def profile_period(dp: DerivedParams, kind: str) -> float:
-    """Exact period of the oscillating profile: 4K / lam on the sign-changing
-    branch (w = sd), 2K / sqrt(r+) on the one-signed one (w = 1/dn), with the
-    complete elliptic integral K = pi / (2 AGM(1, sqrt(1 - m))).
+    """Exact period of the oscillating profile, ``ProfileFunction.period``:
+    4K / lam on the sign-changing branch (w = sd), 2K / sqrt(r+) on the
+    one-signed one (w = 1/dn), with the complete elliptic integral
+    K = pi / (2 AGM(1, sqrt(1 - m))) from the profile's own AGM ladder.
+    Raises NonOscillatory for a constant profile: a double root, or the rest
+    at w = 0 of a zero constant, where the crossing branch is homoclinic.
     """
-    admissible_interval(dp, kind)
-    rlo, rhi = _roots(dp, kind)
-    if dp.delta == 0 or rhi == rlo:
-        raise NonOscillatory("double root: profile is constant")
-    if rhi <= 0:
-        raise NonOscillatory("degenerate admissible interval")
-    crossing, _, rate, m, m1 = _jacobi_form(dp, kind)
-    if crossing and m1 == 0:
-        raise NonOscillatory("homoclinic branch has infinite period")
-    a, _ = _agm(m, m1)
-    return (2.0 if crossing else 1.0) * math.pi / (a[-1] * rate)
+    period = ProfileFunction(dp, kind).period
+    if period is None:
+        raise NonOscillatory(f"{kind.lower()} is constant, so it has no period")
+    return period
 
 
 def _hermite_root(x0, h, w0, dw0, w1, dw1) -> float:
@@ -372,13 +343,10 @@ def period_from_ode(dp: DerivedParams, kind: str) -> float:
     6 periods is returned.
     """
     n_periods, step, x_max = 6, 1e-3, 1000.0
-    m, bigm = admissible_interval(dp, kind)
-    if dp.delta == 0 or bigm == m:
-        raise NonOscillatory("constant profile has no period")
     fn = ProfileFunction(dp, kind)
-    if fn.w0 == 0.0 and fn.dw0 == 0.0:
-        raise NonOscillatory("profile sits at an equilibrium")
-    use_deriv = m > 0.0
+    if fn.period is None:
+        raise NonOscillatory("constant profile has no period")
+    use_deriv = fn.w0 > 0.0  # the one-signed branch
     crossings: list[float] = []
     w, dw = fn.w0, fn.dw0
     x = 0.0

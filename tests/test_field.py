@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from foliata import field as field_module
 from foliata._jsonfmt import dumps
@@ -590,7 +590,6 @@ NODES = st.lists(st.tuples(st.sampled_from(sorted(BRANCHES)), st.floats(-1, 1), 
                            st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=6)
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(NODES)
 @example([(branch, 0.3, 0.7, 1.9, -0.4) for branch in sorted(BRANCHES)])
 def test_reconstructed_sinh_keeps_its_bits(nodes):

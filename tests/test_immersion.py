@@ -715,7 +715,7 @@ def test_holonomy_far_hyperbolic_row_residual_is_a_length():
     assert report.residual <= longest
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=30)
 @given(st.sampled_from([-1.0, 1.0]), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
 def test_holonomy_over_natural_period_is_identity(c0, c_size, d_size):
     # AnnulusFamily (c0 = -1, c < 0 < d) and RiemannTypeS2 (c0 = 1, c, d < 0):
@@ -845,7 +845,7 @@ def _regular_field(c0, c_size, d_size, a, nx=33, ny=33):
     return field_from_source(source, GridSpec(x0 - 0.25, x0 + 0.25, y0 - 0.25, y0 + 0.25, nx, ny))
 
 
-@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@settings(max_examples=12)
 @given(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
        st.floats(-1.0, 1.0), st.floats(0.5, 3.0), st.floats(0.1, 0.5), st.floats(-0.5, -0.1))
 def test_magnus_column_matches_rk4_column(c0, c_size, d_size, a, psi0, u1, u2):
@@ -886,7 +886,7 @@ def test_magnus_column_matches_rk4_column(c0, c_size, d_size, a, psi0, u1, u2):
     assert np.abs(gram - seed_gram).max() <= 1e-12
 
 
-@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@settings(max_examples=12)
 @given(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
        st.floats(-1.0, 1.0))
 def test_closed_form_rows_match_rk4_rows(c0, c_size, d_size, a):

@@ -204,6 +204,13 @@ def test_moduli_scan_spec_cells():
     assert grid3[1][1] is RegionLabel.OUTSIDE_MODULI
 
 
+def test_moduli_scan_d_axis_row_is_inside():
+    # g's quadratic has a root at exactly 0 on d = 0; the textbook formula
+    # read it as -8e-17 in 88 of these 200 cells, which fell outside
+    row = moduli_scan(-1, (1, 3, -1.5, 1.5), 200, 3)[1]  # cell centers d = -1, 0, 1
+    assert set(row) == {RegionLabel.HORIZONTAL_GEODESIC_FOLIATION}
+
+
 def test_moduli_scan_matches_transposed_evaluation():
     rect = (-1.5, 1.5, -1.5, 1.5)
     nx, ny = 5, 7
@@ -241,7 +248,7 @@ def _scan_label(c0, c, d):
         return RegionLabel.OUTSIDE_MODULI
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40)
 @given(
     c0=st.sampled_from([-4.0, -1.0, 0.0, 1.0, 9.0]),
     k=st.integers(1, 4),
@@ -281,7 +288,7 @@ def test_moduli_scan_matches_classify_on_boundary_loci(c0, k, on_curve, q, nx, n
         assert derive_params(ModuliPoint(c0, cs[i0], ds[j0])).delta == 0.0
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(
     c0=st.sampled_from([-4.0, -1.0, 1.0]),
     c=st.floats(-4, 4).filter(lambda v: v == 0 or abs(v) >= 1e-290),
@@ -377,7 +384,7 @@ def _assert_same_derived(scalar, array):
     assert _same(mirror_s, mirror_a) and ok_s is bool(ok_a[0])
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(c0=CURVATURE, c=FINITE, d=FINITE, a=st.one_of(st.none(), FINITE))
 @example(c0=-1.0, c=-0.0, d=0.0, a=None)
 @example(c0=1.0, c=5e-324, d=-5e-324, a=None)

@@ -319,7 +319,7 @@ def drawn_field(kind, nx, ny, c0, rng, edge_rows):
     return OmegaField(grid=grid, c0=c0, omega=omega, provenance="Synthetic"), grid
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=100)
 @given(
     st.sampled_from(["synthetic", "degenerate", "reconstructed"]),
     st.integers(3, 6),  # rows per block
