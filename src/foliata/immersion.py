@@ -26,7 +26,9 @@ model frame at its Gauss-Legendre arclength; the chart only writes psi and
 u.  The leaf's curvature and arclength alone give the holonomy of a
 horizontal period; an RK4 row march stays as the oracle.  Off-grid omega
 data comes from the field's closed form (profile functions re-evaluated),
-never from grid interpolation.
+never from grid interpolation.  A mesh writes each node once, as its model
+lift plus the height y; the node's chart point is a closed function of that
+record.
 """
 
 from __future__ import annotations
@@ -588,16 +590,17 @@ def harmonic_residual(frame: FrameField) -> ResidualStats:
 
 @dataclass(frozen=True)
 class SurfaceMesh:
-    """Immersion samples in chart and ambient-model coordinates: what
+    """Immersion samples in ambient-model coordinates: what
     :func:`obj_chunks` writes, and nothing more.
 
-    ``chart_vertices[j, i] = (u1, u2)`` is the ``vt`` record of a node.
     ``ambient_rows(rows)``, for a row index or a slice of rows, gives those
     rows' ``v`` records: the model lift plus the height (3 components for
     the flat case, 4 for the hyperboloid x R and sphere x R models).  The
     frame route lifts the rows' chart points when asked, so no ambient array
     of the whole grid is held; :func:`obj_chunks` lifts each row as it
     writes it, and ``ambient_vertices`` is the same function over all rows.
+    A mesh keeps no chart points: that of a node is the closed function
+    u = sigma (X_a, X_b) / (1 + q X_w) of its lift (:meth:`ChartSpace.chart_state`).
     The coordinates of a node that is not ``valid`` carry no meaning.  A
     mesh holds no topology: its quads, over the grid cells whose four
     corners are valid, and its foliation polylines, the runs of at least two
@@ -606,14 +609,12 @@ class SurfaceMesh:
     applies as it writes.
     """
 
-    chart_vertices: np.ndarray
     ambient_rows: Callable[[int | slice], np.ndarray]
     valid: np.ndarray
     metadata: dict
 
     def __post_init__(self):
-        for arr in (self.chart_vertices, self.valid):
-            arr.setflags(write=False)
+        self.valid.setflags(write=False)
 
     @property
     def ambient_vertices(self) -> np.ndarray:
@@ -636,8 +637,8 @@ def _leaf_runs(row: np.ndarray):
 
 
 def build_mesh(frame: FrameField, metadata: dict | None = None) -> SurfaceMesh:
-    """Mesh the immersion: the frame's chart points (u1, u2), not copied,
-    and the rows' model lifts plus the height y, made when asked for."""
+    """Mesh the immersion: the rows' model lifts of the frame's chart points
+    plus the height y, made when asked for."""
     grid, space, u, ys = frame.grid, frame.space, frame.u, frame.grid.ys
     width = 2 if space.c0 == 0 else 3  # the plane's homogeneous coordinate is not written
 
@@ -648,12 +649,7 @@ def build_mesh(frame: FrameField, metadata: dict | None = None) -> SurfaceMesh:
 
     meta = {"c0": space.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny}
     meta.update(metadata or {})
-    return SurfaceMesh(
-        chart_vertices=u,
-        ambient_rows=ambient_rows,
-        valid=frame.valid,
-        metadata=meta,
-    )
+    return SurfaceMesh(ambient_rows=ambient_rows, valid=frame.valid, metadata=meta)
 
 
 def _column_tokens(col: np.ndarray) -> list[str]:
@@ -664,23 +660,15 @@ def _column_tokens(col: np.ndarray) -> list[str]:
     return list(map(repr, col.tolist()))
 
 
-def _records(tag: str, cols) -> str:
-    """One OBJ line per node: the tag, then the node's token in each column."""
-    if not cols[0]:
-        return ""
-    return tag + " " + f"\n{tag} ".join(map(" ".join, zip(*cols))) + "\n"
-
-
 def obj_chunks(mesh: SurfaceMesh):
-    """OBJ text in pieces: the header, one per grid row of ``v`` and of
-    ``vt`` records, one per pair of rows of faces and one per row of ``l``
-    lines.  ``v`` = ambient coordinates (4 values when the model lift has
-    three components plus height), asked of the mesh one row at a time,
-    ``vt`` = chart coordinates, faces as quads and foliation rows as ``l``
-    polylines, both derived from ``valid`` row by row
-    (:func:`_quad_columns`, :func:`_leaf_runs`).  Only valid nodes are
-    written, in row order, so the faces and polylines number the valid
-    nodes from 1."""
+    """OBJ text in pieces: the header, one per grid row of ``v`` records,
+    one per pair of rows of faces and one per row of ``l`` lines.  ``v`` =
+    ambient coordinates (4 values when the model lift has three components
+    plus height), asked of the mesh one row at a time, faces as ``f a b c d``
+    quads and foliation rows as ``l`` polylines, both derived from ``valid``
+    row by row (:func:`_quad_columns`, :func:`_leaf_runs`).  Only valid
+    nodes are written, in row order, so the faces and polylines number the
+    valid nodes from 1."""
     valid = mesh.valid
     ny = len(valid)
     before = [0, *np.cumsum(valid.sum(axis=1)).tolist()]
@@ -692,27 +680,15 @@ def obj_chunks(mesh: SurfaceMesh):
     yield "# foliata surface mesh\n" + "".join(
         f"# {key} = {mesh.metadata[key]}\n" for key in sorted(mesh.metadata)
     )
-    # a chart column bitwise equal to an ambient one (the plane, where
-    # vt = (X1, X2)) reuses its text, kept until the vt records
-    vt_rows = []
     for j in range(ny):
-        amb, chart = mesh.ambient_rows(j)[valid[j]], mesh.chart_vertices[j][valid[j]]
-        cols = [_column_tokens(col) for col in amb.T]
-        yield _records("v", cols)
-        shared = {col.tobytes(): tokens for col, tokens in zip(amb.T, cols)}
-        pair = [shared.get(col.tobytes()) for col in chart.T]
-        vt_rows.append(None if None in pair else _records("vt", pair))
-    for j, text in enumerate(vt_rows):
-        if text is None:
-            chart = mesh.chart_vertices[j][valid[j]]
-            text = _records("vt", [_column_tokens(col) for col in chart.T])
-        yield text
-    f_line = "f %d/%d %d/%d %d/%d %d/%d\n"
+        cols = [_column_tokens(col) for col in mesh.ambient_rows(j)[valid[j]].T]
+        yield "v " + "\nv ".join(map(" ".join, zip(*cols))) + "\n" if cols[0] else ""
+    f_line = "f %d %d %d %d\n"
     hi = numbers(0)
     for j in range(ny - 1):
         lo, hi, i = hi, numbers(j + 1), _quad_columns(valid, j)
         quads = np.stack([lo[i], lo[i + 1], hi[i + 1], hi[i]], axis=-1)
-        yield (f_line * len(i)) % tuple(np.repeat(quads, 2, axis=1).ravel().tolist())
+        yield (f_line * len(i)) % tuple(quads.ravel().tolist())
     for j in range(ny):
         starts, stops = _leaf_runs(valid[j])
         yield "".join(
@@ -828,7 +804,9 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
     paths are the frame's tree: the seed column, then every row out from
     it, integrated ROW_BLOCK rows at a time into the vertex array, so the
     one-form is never held on the whole grid.  The Cauchy-Riemann residual
-    of log G in the header needs at least 3x3 nodes.
+    of log G in the header needs at least 3x3 nodes.  The mesh's ``v``
+    records are X itself: its first two coordinates are the node's point
+    in the plane.
     """
     field, grid, psi = frame.field, frame.grid, frame.psi
     if field.c0 != 0:
@@ -874,12 +852,7 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
         "ny": grid.ny,
         "cauchy_riemann_linf": cr,
     }
-    return SurfaceMesh(
-        chart_vertices=x_vec[..., :2],
-        ambient_rows=x_vec.__getitem__,
-        valid=valid,
-        metadata=meta,
-    )
+    return SurfaceMesh(ambient_rows=x_vec.__getitem__, valid=valid, metadata=meta)
 
 
 def flat_route_gap(frame: FrameField) -> float:
@@ -893,7 +866,8 @@ def flat_route_gap(frame: FrameField) -> float:
     """
     mesh = weierstrass_flat(frame)
     i0, j0 = frame.seed
-    w = mesh.chart_vertices[..., 0] + 1j * mesh.chart_vertices[..., 1]
+    x_vec = mesh.ambient_vertices
+    w = x_vec[..., 0] + 1j * x_vec[..., 1]
     u = frame.u[..., 0] + 1j * frame.u[..., 1]
     lo, hi = max(i0 - 1, 0), min(i0 + 1, frame.grid.nx - 1)
     w_dir, u_dir = w[j0, hi] - w[j0, lo], u[j0, hi] - u[j0, lo]

@@ -170,12 +170,14 @@ def _roots(coef, const, sq, xp: SimpleNamespace):
     discriminant, NaN where they do not exist: the larger in magnitude by the
     textbook formula, the other as const / (the first), which does not cancel
     (Higham, Accuracy and Stability of Numerical Algorithms, 1.8), so a zero
-    constant gives a root of exactly 0.0."""
+    constant gives a root of exactly 0.0, and an underflowed quotient of a
+    nonzero constant keeps its sign as the least subnormal."""
     big = -0.5 * (coef + xp.copysign(sq, coef))
     # big = 0 only at coef = delta = 0, where R = X^2 + const: Q's d need not be 0 there
     flat = big == 0
     pair = xp.sqrt(-const)
     small = xp.where(flat, pair, const / (big + flat))  # big + flat is never 0
+    small = xp.where((small == 0) & (const != 0), xp.copysign(5e-324, const * big), small)
     big = xp.where(flat, -pair, big)
     return -xp.maximum(-big, -small) + 0.0, xp.maximum(big, small) + 0.0
 

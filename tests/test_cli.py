@@ -87,6 +87,24 @@ def test_domain_error_exits_one(capsys):
     assert "c = d" in err
 
 
+UNDERFLOWED_ROOT = ["--c0", "1", "--c", "5e-324", "--d", "-5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", *UNDERFLOWED_ROOT, "--kind", "F", "--range", "0", "1"],
+    ["field", *UNDERFLOWED_ROOT, "--domain", "0", "1", "0", "1", "--nx", "11", "--ny", "11"],
+], ids=["profile", "field"])
+def test_underflowed_quotient_root_keeps_its_sign(capsys, argv):
+    # c / (the larger root) underflows, but the smaller root of a quadratic
+    # with both roots negative is still below 0: no profile, one error line
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == "error: both roots -6.0, -5e-324 of the F quadratic are negative\n"
+    assert main(["classify", "--c0", "-1", "--c", "5e-324", "--d", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["label"] == "OutsideModuli"
+
+
 def test_classify_overflowing_discriminant_exits_one(capsys):
     # a = -2e300 overflows (c0 + a)^2, so there is no finite delta to certify
     code = main(["classify", "--c0", "-1", "--c", "1e300", "--d=-1e300"])

@@ -9,7 +9,14 @@ from hypothesis import example, given, strategies as st
 
 from foliata import field as field_module
 from foliata._jsonfmt import dumps
-from foliata.errors import AllSingular, GridMismatch, InvalidParams, NonConverged, TooFewNodes
+from foliata.errors import (
+    AllSingular,
+    FoliataError,
+    GridMismatch,
+    InvalidParams,
+    NonConverged,
+    TooFewNodes,
+)
 from foliata.field import (
     EPS_DEN,
     OVERFLOW_GUARD,
@@ -134,6 +141,47 @@ def test_compatibility_constants_vanish_flat():
     field = assemble_omega(fsol, gsol, grid)
     assert compatibility_residual(field.source, grid) <= 1e-10
     assert quartic_identity_residual(field.source, grid) <= 1e-8
+
+
+def _source_field(c0, c, d, a, grid):
+    dp = derive_params(ModuliPoint(c0, c, d), a)
+    return field_from_source(ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G")),
+                             grid)
+
+
+def test_conjugate_involution_transposes_omega():
+    # (c0, c, d, a) -> (c0, d, c, -a) exchanges f and g, so the swapped
+    # point's field on the transposed box is omega transposed, NaN nodes
+    # included; draws whose profiles or fields do not exist are refused
+    # alike on both sides
+    rng = np.random.default_rng(18)
+    built = refused = 0
+    worst = 0.0
+    for _ in range(400):
+        c0 = float(rng.choice([0.0, 0.25, -0.25, 1.0, -1.0, 4.0, -4.0]))
+        c, d = rng.uniform(-3, 3, size=2)
+        a = None
+        if c0 == 0:
+            d, a = c, rng.uniform(-1, 1)
+        x0, y0 = rng.uniform(-2, 2, size=2)
+        x1, y1 = x0 + rng.uniform(0.25, 2), y0 + rng.uniform(0.25, 2)
+        swap = (c0, d, c, None if a is None else -a, GridSpec(y0, y1, x0, x1, 17, 21))
+        try:
+            omega = _source_field(c0, c, d, a, GridSpec(x0, x1, y0, y1, 21, 17)).omega
+        except FoliataError:
+            refused += 1
+            with pytest.raises(FoliataError):
+                _source_field(*swap)
+            continue
+        swapped = _source_field(*swap).omega.T
+        assert (np.isnan(omega) == np.isnan(swapped)).all()
+        gap = np.abs(omega - swapped) / np.cosh(omega)
+        assert np.nanmax(gap, initial=0.0) <= 1e-11
+        worst = max(worst, np.nanmax(gap, initial=0.0))
+        built += 1
+    print(f"conjugate involution: {built} field pairs, {refused} draws refused, "
+          f"worst gap {worst:.1e} cosh(omega)")
+    assert built > 100
 
 
 def test_assemble_rejects_mismatched_profiles():

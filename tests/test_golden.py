@@ -205,17 +205,14 @@ def _ref_obj(mesh: SurfaceMesh) -> str:
     lines = ["# foliata surface mesh"]
     lines += [f"# {key} = {mesh.metadata[key]}" for key in sorted(mesh.metadata)]
     ambient = mesh.ambient_vertices.reshape(-1, mesh.ambient_vertices.shape[-1])
-    chart = mesh.chart_vertices.reshape(-1, 2)
     number = {}  # grid node -> 1-based OBJ index
     for node, ok in enumerate(mesh.valid.ravel().tolist()):
         if ok:
             number[node] = len(number) + 1
     for node in number:
         lines.append("v " + " ".join(repr(float(v)) for v in ambient[node]))
-    for node in number:
-        lines.append(f"vt {float(chart[node, 0])!r} {float(chart[node, 1])!r}")
     for face in _ref_quads(mesh.valid):
-        lines.append("f " + " ".join(f"{number[v]}/{number[v]}" for v in face))
+        lines.append("f " + " ".join(str(number[v]) for v in face))
     lines += ["l " + " ".join(str(number[v]) for v in run) for run in _reference_runs(mesh.valid)]
     return "\n".join(lines) + "\n"
 
@@ -224,23 +221,21 @@ def test_write_obj_matches_reference():
     rng = np.random.default_rng(7)
     ny, nx = 4, 5
     special = [0.0, -0.0, 5e-324, -1e-300, 1e16, 0.1, math.nan, math.inf, -math.inf]
-    chart = rng.normal(size=(ny, nx, 2))
     ambient = rng.normal(size=(ny, nx, 4)) * 10.0 ** rng.integers(-20, 20, size=(ny, nx, 4))
-    chart.reshape(-1)[: len(special)] = special
+    ambient.reshape(-1)[: len(special)] = special
     ambient.reshape(-1)[-len(special):] = special
-    valid = np.isfinite(chart).all(axis=-1) & np.isfinite(ambient).all(axis=-1)
+    valid = np.isfinite(ambient).all(axis=-1)
     valid[2, 1] = False
-    mesh = SurfaceMesh(chart, ambient.__getitem__, valid, {"nx": nx, "c0": -1.0})
+    mesh = SurfaceMesh(ambient.__getitem__, valid, {"nx": nx, "c0": -1.0})
     text = "".join(obj_chunks(mesh))
     assert text.splitlines() == _ref_obj(mesh).splitlines()
     assert text == _ref_obj(mesh)
 
 
 def test_write_obj_keeps_each_value_text():
-    # the writer formats a bitwise-constant column once and lets a chart
-    # column reuse a bitwise-equal ambient column: 0.0 and -0.0 compare
-    # equal but must keep their own text; row 0, with no valid node, writes
-    # nothing
+    # the writer formats a bitwise-constant column once: 0.0 and -0.0
+    # compare equal but must keep their own text; row 0, with no valid node,
+    # writes nothing
     ny, nx = 4, 6
     rng = np.random.default_rng(5)
     ambient = rng.normal(size=(ny, nx, 3))
@@ -252,18 +247,15 @@ def test_write_obj_keeps_each_value_text():
     ambient[0, 2, 1] = math.nan
     ambient[2, 3, 0] = -math.inf
     ambient[:, 0, 1] = 0.0
-    chart = ambient[..., :2].copy()
-    chart[1, 0, 1] = -0.0  # equal to the ambient column but for one -0.0
-    chart[3, :, 0] = rng.normal(size=nx)
     valid = np.isfinite(ambient).all(axis=-1)
-    mesh = SurfaceMesh(chart, ambient.__getitem__, valid, {"nx": nx})
+    mesh = SurfaceMesh(ambient.__getitem__, valid, {"nx": nx})
     text = "".join(obj_chunks(mesh))
     assert text == _ref_obj(mesh)
     v = [line.split() for line in text.splitlines() if line.startswith("v ")]
-    vt = [line.split() for line in text.splitlines() if line.startswith("vt ")]
-    assert len(v) == len(vt) == int(valid.sum()) == 3 * nx - 5
+    assert len(v) == int(valid.sum()) == 3 * nx - 5
     assert [row[3] for row in v[:nx]] == ["0.0", "-0.0", "0.0", "0.0", "-0.0", "0.0"]
-    assert (v[0][2], vt[0][2]) == ("0.0", "-0.0")
+    # row 2's height column is the constant -0.0, formatted once with its sign
+    assert [row[3] for row in v[nx:2 * nx - 1]] == ["-0.0"] * (nx - 1)
 
 
 @pytest.mark.parametrize("point, grid, trivial_f, seed, n_valid", [
@@ -301,9 +293,8 @@ def test_obj_chunks_match_reference_on_any_valid_mask(rows):
     valid = np.array(rows, dtype=bool)
     ny, nx = valid.shape
     rng = np.random.default_rng(valid.size)
-    chart = rng.normal(size=(ny, nx, 2))
     ambient = rng.normal(size=(ny, nx, 4))
-    mesh = SurfaceMesh(chart, ambient.__getitem__, valid, {"nx": nx, "ny": ny})
+    mesh = SurfaceMesh(ambient.__getitem__, valid, {"nx": nx, "ny": ny})
     assert "".join(obj_chunks(mesh)) == _ref_obj(mesh)
 
 
@@ -322,16 +313,17 @@ def test_cli_obj_rendering(tmp_path, name, argv, n_valid):
     text = _read(_run(tmp_path, argv, name), tmp_path)
     lines = text.splitlines()
     n_vertices = sum(line.startswith("v ") for line in lines)
-    assert n_vertices == sum(line.startswith("vt ") for line in lines) == n_valid
+    assert n_vertices == n_valid
     for line in lines:
         tag, *tokens = line.split(" ")
-        if tag in ("v", "vt"):
+        if tag == "v":
             # a coordinate is its own shortest repr, which is never a bare 0
             assert tokens == [repr(float(t)) for t in tokens], line
-            assert len(tokens) == (4 if tag == "v" else 2)
+            assert len(tokens) == 4
         elif tag == "f":
-            ends = [t.split("/") for t in tokens]
-            assert len(ends) == 4 and all(a == b and 1 <= int(a) <= n_vertices for a, b in ends)
+            # four plain indices: no vt records, so no a/b corners
+            assert len(tokens) == 4 and all(t.isdigit() and 1 <= int(t) <= n_vertices
+                                            for t in tokens), line
         else:
             assert tag in ("#", "l"), line
     assert text.endswith("\n") and not text.endswith("\n\n")

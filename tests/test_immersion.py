@@ -350,7 +350,7 @@ def test_region_one_mesh_clips_at_disk_boundary():
 
     assert on_hyperboloid(pts)
     assert not on_hyperboloid(pts * np.array([1.0 + 1e-12, 1.0, 1.0, 1.0]))
-    r = np.hypot(*mesh.chart_vertices[mesh.valid][:, :2].T)
+    r = np.hypot(*frame.u[mesh.valid].T)
     assert r.max() < 1.0
 
 
@@ -360,15 +360,14 @@ def test_write_obj_structure(flat_trivial_frame):
     lines = "".join(obj_chunks(mesh)).splitlines()
     assert lines[0].startswith("#")
     n_v = sum(1 for ln in lines if ln.startswith("v "))
-    n_vt = sum(1 for ln in lines if ln.startswith("vt "))
     n_f = sum(1 for ln in lines if ln.startswith("f "))
     n_l = sum(1 for ln in lines if ln.startswith("l "))
-    assert n_v == 21 * 21 and n_vt == 21 * 21
+    assert n_v == 21 * 21 and not any(ln.startswith("vt ") for ln in lines)
     assert n_f == 20 * 20 and n_l == 21
     assert any("# c = 0.0" == ln for ln in lines)
     # quad indices are 1-based and in range
     first_face = next(ln for ln in lines if ln.startswith("f "))
-    idx = [int(tok.split("/")[0]) for tok in first_face.split()[1:]]
+    idx = [int(tok) for tok in first_face.split()[1:]]
     assert min(idx) >= 1 and max(idx) <= n_v
 
 
@@ -488,9 +487,9 @@ def test_cauchy_riemann_residual_is_the_whole_grid_gradient(grid):
 
 def test_weierstrass_mesh_holds_its_vertices_alone():
     # the one-form is integrated a row block at a time into the vertex
-    # array, and the writer derives quads and leaves from valid as it goes:
-    # 2.24x the vertex bytes at the mesh's peak and 3.06x while writing,
-    # where the plane's vt text is kept until the vt records
+    # array, and the writer derives quads and leaves from valid as it goes
+    # and keeps no text from one row to the next: 2.24x the vertex bytes at
+    # the mesh's peak and 1.19x while writing
     dp = derive_params(ModuliPoint(0, -0.25, -0.25), a=0.0)
     source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
     frame = integrate_frame(field_from_source(source, GridSpec(0.5, 2.5, 0.5, 2.5, 201, 201)))
@@ -498,17 +497,17 @@ def test_weierstrass_mesh_holds_its_vertices_alone():
     tracemalloc.start()
     try:
         mesh = weierstrass_flat(frame)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         for _ in obj_chunks(mesh):
             pass
-        peak = tracemalloc.get_traced_memory()[1]
+        writer_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the chart (x1, x2) is a view of the vertices
-    assert np.shares_memory(mesh.chart_vertices, mesh.ambient_vertices)
     x_bytes = mesh.ambient_vertices.nbytes
     assert held <= 1.1 * x_bytes
     assert peak <= 3.5 * x_bytes
+    assert writer_peak <= 1.5 * x_bytes
 
 
 def test_onduloid_mesh_and_writer_store_no_quads():
@@ -538,19 +537,37 @@ def test_onduloid_mesh_and_writer_store_no_quads():
     assert peak - held <= 0.25 * quad_bytes
 
 
-def test_mesh_chart_vertices_are_the_frame_chart_points(flat_trivial_frame):
-    # a mesh keeps what the OBJ writes: build_mesh shares the frame's u
-    # rather than copying it, and the vt records are u on the valid nodes;
-    # the disk frame has invalid nodes near the chart edge
-    disk = integrate_frame(reconstructed(-1, -1, 1, GridSpec(-2, 2, -2, 2, 21, 21)))
-    assert not disk.valid.all()
-    for frame in (flat_trivial_frame[1], disk):
-        mesh = build_mesh(frame)
-        assert np.shares_memory(mesh.chart_vertices, frame.u)
-        assert mesh.chart_vertices.shape == frame.u.shape
-        vt = [line.split()[1:] for line in "".join(obj_chunks(mesh)).splitlines()
-              if line.startswith("vt ")]
-        assert np.array(vt, dtype=float).tobytes() == frame.u[frame.valid].tobytes()
+#: (c0, c, d), grid, trivial F, seed: one mesh at each kind of chart scale
+CHART_CASES = [
+    ((-4.0, -4.0, -4.0), GridSpec(0, 0.5, 0, 0.5, 41, 41), False, None),
+    ((-1.0, -1.0, 1.0), GridSpec(-2, 2, -2, 2, 81, 81), False, None),  # the disk edge
+    ((0.0, -0.25, -0.25), GridSpec(0.5, 2.5, 0.5, 2.5, 41, 41), False, None),
+    ((0.25, -0.0625, -0.0625), GridSpec(0, 4, 0, 4, 41, 41), False, None),
+    ((1.0, 0.0, -0.25), GridSpec(0, 3, 0, 2, 31, 21), True, (0, 1.48)),  # the onduloid
+]
+
+
+@pytest.mark.parametrize("point, grid, trivial_f, seed", CHART_CASES,
+                         ids=["c0=-4", "disk-edge", "plane", "c0=1/4", "sphere-onduloid"])
+def test_chart_point_is_a_closed_function_of_v(point, grid, trivial_f, seed):
+    # the OBJ writes no chart point: u = sigma (X_a, X_b) / (1 + q X_w), with
+    # w the model's axis, recovers it from each v record, bit for bit on the
+    # plane, where v = (u1, u2, y), and to the rounding of the lift elsewhere
+    frame = integrate_frame(reconstructed(*point, grid, trivial_f=trivial_f), seed=seed)
+    text = "".join(obj_chunks(build_mesh(frame)))
+    assert not any(line.startswith("vt ") for line in text.splitlines())
+    x = np.array([line.split()[1:-1] for line in text.splitlines() if line.startswith("v ")],
+                 dtype=float)
+    u, c0 = frame.u[frame.valid], point[0]
+    if c0 == 0:
+        assert x.tobytes() == u.tobytes()
+        return
+    q = math.sqrt(abs(c0))
+    w, a, b = (0, 1, 2) if c0 < 0 else (2, 0, 1)
+    got = x[:, [a, b]] / (1.0 + q * x[:, w])[:, None]
+    unit = (np.finfo(float).eps * (1.0 + q * np.abs(x).max(axis=1))
+            * np.fmax(1.0, np.hypot(*u.T)))
+    assert (np.abs(got - u).max(axis=1) <= 16.0 * unit).all()
 
 
 def test_march_stops_a_nan_start_lane_alone():
