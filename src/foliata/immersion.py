@@ -726,67 +726,34 @@ def mesh_row_curvature(frame: FrameField, row: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _weierstrass_forms(w, psi, data):
-    """(phi, dphi): the three components of the Weierstrass one-form at
+    """(phi, dphi): the first two components of the Weierstrass one-form at
     nodes of omega ``w`` and frame angle ``psi``, along a new last axis, and
     their z-derivatives, from the closed form of omega's gradient in the
-    source's ``data`` at the same nodes; arrays of any one shape."""
+    source's ``data`` at the same nodes; arrays of any one shape.  The third
+    component, eta, has the closed-form integral y - y_seed."""
     g = np.exp(w + 1j * psi)
     ginv = np.exp(-(w + 1j * psi))
     eta = -1j
-    phi = np.stack(
-        [0.5 * (ginv - g) * eta, 0.5j * (ginv + g) * eta, np.full_like(g, eta)],
-        axis=-1,
-    )
+    phi = np.stack([0.5 * (ginv - g) * eta, 0.5j * (ginv + g) * eta], axis=-1)
     zeta_z = data.wx - 1j * data.wy
-    dphi = np.stack(
-        [
-            0.5 * (-ginv - g) * eta * zeta_z,
-            0.5j * (-ginv + g) * eta * zeta_z,
-            np.zeros_like(g),
-        ],
-        axis=-1,
-    )
+    dphi = np.stack([0.5 * (-ginv - g) * eta * zeta_z, 0.5j * (-ginv + g) * eta * zeta_z], axis=-1)
     return phi, dphi
-
-
-def _centred_differences(t: np.ndarray):
-    """``diff(f, lo)``: np.gradient's second-order differences along axis 0
-    at the interior nodes of the lattice ``t``, for f on the run of nodes
-    from ``lo``, at all but the run's first and last node.  numpy uses
-    (f[k+1] - f[k-1]) / 2h when the coordinates it is given are evenly
-    spaced, and weighs the three nodes by their two spacings otherwise.
-    Deciding that once for the whole lattice gives a block of rows the bits
-    of the whole grid; the block's own coordinates can be evenly spaced
-    where the lattice's are not."""
-    d = np.diff(t)
-    if (d == d[0]).all():
-        two_h = 2.0 * d[0]
-        return lambda f, lo: (f[2:] - f[:-2]) / two_h
-    d1, d2 = d[:-1, None], d[1:, None]
-    a, b, c = -d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2))
-
-    def diff(f, lo):
-        k = slice(lo, lo + len(f) - 2)
-        return a[k] * f[:-2] + b[k] * f[1:-1] + c[k] * f[2:]
-
-    return diff
 
 
 def _cauchy_riemann_linf(frame: FrameField) -> float:
     """Largest |omega_x - psi_y| or |omega_y + psi_x| over the interior
     nodes: the Cauchy-Riemann residual of log G = omega + i psi, by
-    np.gradient's second-order differences over the whole grid, taken one
-    row block at a time with the sums and magnitudes in place."""
+    np.gradient's centred differences at the grid's spacing, taken one row
+    block at a time with the sums and magnitudes in place."""
     grid, omega, psi = frame.grid, frame.field.omega, frame.psi
-    dy, dx = _centred_differences(grid.ys), _centred_differences(grid.xs)
     worst = np.nan
     for _, slab, _ in row_blocks(grid, 1):
         w, p = omega[slab], psi[slab]
-        wx = dx(w[1:-1].T, 0).T
-        wx -= dy(p[:, 1:-1], slab.start)
-        wy = dy(w[:, 1:-1], slab.start)
-        wy += dx(p[1:-1].T, 0).T
-        both = np.fmax(np.abs(wx, out=wx), np.abs(wy, out=wy), out=wx)
+        a = np.gradient(w[1:-1], grid.hx, axis=1)
+        a -= np.gradient(p, grid.hy, axis=0)[1:-1]
+        b = np.gradient(w, grid.hy, axis=0)[1:-1]
+        b += np.gradient(p[1:-1], grid.hx, axis=1)
+        both = np.fmax(np.abs(a, out=a), np.abs(b, out=b), out=a)[:, 1:-1]
         worst = np.fmax(worst, np.fmax.reduce(both, axis=None))
     return float(worst)
 
@@ -799,14 +766,15 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
 
         2 X = Re Int( (G^-1 - G) eta, i (G^-1 + G) eta, 2 eta ),  eta = -i dz.
 
-    Panels use the derivative-corrected trapezoid rule (the integrand's
-    z-derivative is closed form), giving fourth-order path accuracy.  The
-    paths are the frame's tree: the seed column, then every row out from
-    it, integrated ROW_BLOCK rows at a time into the vertex array, so the
-    one-form is never held on the whole grid.  The Cauchy-Riemann residual
-    of log G in the header needs at least 3x3 nodes.  The mesh's ``v``
-    records are X itself: its first two coordinates are the node's point
-    in the plane.
+    The third coordinate is Re Int -i dz = y - y_seed, written in closed
+    form.  The first two are integrated by the derivative-corrected
+    trapezoid rule (the integrand's z-derivative is closed form), giving
+    fourth-order path accuracy.  The paths are the frame's tree: the seed
+    column, then every row out from it, integrated ROW_BLOCK rows at a time
+    into the vertex array, so the one-form is never held on the whole grid.
+    The Cauchy-Riemann residual of log G in the header needs at least 3x3
+    nodes.  The mesh's ``v`` records are X itself: its first two
+    coordinates are the node's point in the plane.
     """
     field, grid, psi = frame.field, frame.grid, frame.psi
     if field.c0 != 0:
@@ -834,14 +802,15 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
     cr = _cauchy_riemann_linf(frame)  # before the vertices, to bound the peak
     i0, j0 = frame.seed
     phi, dphi = _weierstrass_forms(omega[:, i0], psi[:, i0], source.eval_bc(xs[i0], ys))
-    column = np.empty((grid.ny, 3))
-    outward(column, np.zeros(3), steps(phi, dphi, 1j * grid.hy), j0)
+    column = np.empty((grid.ny, 2))
+    outward(column, np.zeros(2), steps(phi, dphi, 1j * grid.hy), j0)
     x_vec = np.empty((grid.ny, grid.nx, 3))
     for start in range(0, grid.ny, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         phi, dphi = _weierstrass_forms(omega[rows], psi[rows], source.eval_bc(xs, ys[rows, None]))
         incs = steps(phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2), grid.hx)
-        outward(x_vec[rows].transpose(1, 0, 2), column[rows], incs, i0)
+        outward(x_vec[rows, :, :2].transpose(1, 0, 2), column[rows], incs, i0)
+    x_vec[..., 2] = (ys - ys[j0])[:, None]
 
     valid = frame.valid & np.isfinite(x_vec).all(axis=-1)
     x_vec.setflags(write=False)
@@ -860,16 +829,21 @@ def flat_route_gap(frame: FrameField) -> float:
 
     The Weierstrass immersion equals the frame's chart map up to a rigid
     motion of the plane; this aligns position at the seed node and direction
-    along the seed row's chord between the seed's neighbours in the grid (the
-    seed itself on the first or last column), and reports the worst
-    remaining distance.
+    along the seed row's chord between the seed's neighbours in the grid
+    (the seed itself in place of a neighbour that is off the grid or not
+    valid), and reports the worst remaining distance.  A seed with neither
+    neighbour valid raises SingularCrossing.
     """
     mesh = weierstrass_flat(frame)
     i0, j0 = frame.seed
     x_vec = mesh.ambient_vertices
     w = x_vec[..., 0] + 1j * x_vec[..., 1]
     u = frame.u[..., 0] + 1j * frame.u[..., 1]
-    lo, hi = max(i0 - 1, 0), min(i0 + 1, frame.grid.nx - 1)
+    row = mesh.valid[j0]
+    lo = i0 - 1 if i0 > 0 and row[i0 - 1] else i0
+    hi = i0 + 1 if i0 + 1 < len(row) and row[i0 + 1] else i0
+    if lo == hi:
+        raise SingularCrossing(f"no valid neighbour of the seed node {frame.seed} on its row")
     w_dir, u_dir = w[j0, hi] - w[j0, lo], u[j0, hi] - u[j0, lo]
     rot = (u_dir / abs(u_dir)) / (w_dir / abs(w_dir))
     aligned = rot * (w - w[j0, i0]) + u[j0, i0]

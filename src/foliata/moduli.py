@@ -19,7 +19,7 @@ built on ``math``, runs them on Python floats for ``classify`` and
 ``derive_params``, and the numpy namespace of ``moduli_scan`` runs them over
 arrays of cell centers at one c0.  The two give bit-identical results, and a
 one-point lookup imports no numpy.  Scan cells that carry no surface (c != d
-at c0 = 0, a failed discriminant check, a non-finite c0) are labelled
+at c0 = 0, a discriminant that overflows, a non-finite c0) are labelled
 OutsideModuli.
 
 This is the layer that ``classify`` loads, so it must load light, like
@@ -41,8 +41,6 @@ from types import SimpleNamespace
 from ._jsonfmt import BLOCK_VALUES
 from .errors import InvalidParams
 
-#: Relative tolerance for the shared-discriminant cross-check.
-DISCRIMINANT_RTOL = 1e-12
 #: Most cells of a scan.  A larger scan is refused before its cell centers
 #: are built.
 MAX_CELLS = 10**7
@@ -147,8 +145,8 @@ def _derive(c0: float, c, d, a: float | None, xp: SimpleNamespace):
     """derive_params over (c, d) at one c0, NaN roots where they do not exist,
     in the primitives of ``xp``: Python floats with _SCALAR, arrays with numpy's.
 
-    Also returns the mirror form dbar^2 - 4d of delta and where both forms
-    are finite and agree to DISCRIMINANT_RTOL.
+    delta is cbar^2 - 4c alone: the mirror form dbar^2 - 4d is the same
+    rational, since cbar^2 - dbar^2 = 4 c0 a = 4 (c - d).
     """
     if c0 == 0 and a is not None and not math.isfinite(a):
         raise InvalidParams(f"separation constant must be finite, got {a}")
@@ -157,12 +155,9 @@ def _derive(c0: float, c, d, a: float | None, xp: SimpleNamespace):
         cbar = c0 + a
         dbar = c0 - a
         delta = cbar * cbar - 4.0 * c
-        mirror = dbar * dbar - 4.0 * d
-        scale = xp.maximum(1.0, xp.maximum(abs(delta), abs(mirror)))  # NaN if either is
-        ok = xp.isfinite(scale) & (abs(delta - mirror) <= DISCRIMINANT_RTOL * scale)
         sq = xp.sqrt(delta)
         roots = *_roots(cbar, c, sq, xp), *_roots(dbar, d, sq, xp)
-    return DerivedParams(a, cbar, dbar, delta, *roots, c, d, c0), mirror, ok
+    return DerivedParams(a, cbar, dbar, delta, *roots, c, d, c0)
 
 
 def _roots(coef, const, sq, xp: SimpleNamespace):
@@ -182,10 +177,11 @@ def _roots(coef, const, sq, xp: SimpleNamespace):
     return -xp.maximum(-big, -small) + 0.0, xp.maximum(big, small) + 0.0
 
 
-def _point_params(dp: DerivedParams, mirror, ok) -> DerivedParams:
-    # the scalar case, None for the roots that do not exist
-    if not ok:
-        raise InvalidParams(f"discriminants disagree or overflow: {dp.delta} vs {mirror}")
+def _point_params(dp: DerivedParams) -> DerivedParams:
+    """The scalar case, None for the roots that do not exist; a discriminant
+    that overflows is refused."""
+    if not math.isfinite(dp.delta):
+        raise InvalidParams(f"discriminant overflows: {dp.delta}")
     return DerivedParams(*(None if math.isnan(v) else float(v) for v in dp))
 
 
@@ -196,7 +192,7 @@ def derive_params(p: ModuliPoint, a: float | None = None) -> DerivedParams:
     ``a`` is ignored; for c0 = 0 it is a free third parameter defaulting to 0.
     """
     p.validate()
-    return _point_params(*_derive(p.c0, float(p.c), float(p.d), a, _SCALAR))
+    return _point_params(_derive(p.c0, float(p.c), float(p.d), a, _SCALAR))
 
 
 class RegionLabel(str, enum.Enum):
@@ -235,7 +231,7 @@ def _classify(c0: float, c, d, a: float | None, xp: SimpleNamespace):
     """Derived values, membership inequalities and labels over (c, d) at one
     c0, in the primitives of ``xp`` as for _derive.
 
-    Returns the _derive triple, the inequalities as (name, lhs, satisfied) and
+    Returns the DerivedParams of _derive, the inequalities as (name, lhs, satisfied) and
     the RegionLabel (an object array of them with numpy).  Each label comes
     from the first rule that holds: points with no surface first, then the
     boundary loci, then the open regions they bound.
@@ -245,8 +241,10 @@ def _classify(c0: float, c, d, a: float | None, xp: SimpleNamespace):
         # s^4 = c0^2 underflows to 0 below |c0| ~ 1.5e-154; s^2 ~ |c0| never does
         c0, s2 = float(sign), scale * scale
         with xp.errstate(all="ignore"):
-            c, d = c / s2 / s2, d / s2 / s2
-    dp, mirror, ok = _derive(c0, c, d, a, xp)
+            # a nonzero constant that underflows keeps its sign, as in _roots
+            c, d = (xp.where((q == 0) & (v != 0), xp.copysign(5e-324, v), q)
+                    for v, q in ((c, c / s2 / s2), (d, d / s2 / s2)))
+    dp = _derive(c0, c, d, a, xp)
     L = RegionLabel
     if c0 > 0:
         member = [("c <= 0", c, c <= 0), ("d <= 0", d, d <= 0)]
@@ -255,7 +253,7 @@ def _classify(c0: float, c, d, a: float | None, xp: SimpleNamespace):
                   for name, v in (("delta", dp.delta), ("x_plus", dp.xplus), ("y_plus", dp.yplus))]
         if c0 == 0:  # flat space carries no surface at c > 0
             member.append(("c <= 0", c, c <= 0))
-    inside = xp.all([ok] + [sat for _, _, sat in member])
+    inside = xp.all([xp.isfinite(dp.delta)] + [sat for _, _, sat in member])
     rules = [(xp.logical_not(inside), L.OUTSIDE_MODULI)]
     if c0 > 0:
         rules += [
@@ -284,7 +282,7 @@ def _classify(c0: float, c, d, a: float | None, xp: SimpleNamespace):
             ((c > 0) & (d > 0), L.BLOWED_HELICOID),
             (True, L.RIEMANN_FAMILY_H2),
         ]
-    return dp, mirror, ok, member, xp.select(*zip(*rules))
+    return dp, member, xp.select(*zip(*rules))
 
 
 def classify(p: ModuliPoint, a: float | None = None) -> RegionReport:
@@ -296,8 +294,8 @@ def classify(p: ModuliPoint, a: float | None = None) -> RegionReport:
     labels and count as inside the moduli.
     """
     p.validate()
-    *derived, member, label = _classify(p.c0, float(p.c), float(p.d), a, _SCALAR)
-    dp = _point_params(*derived)
+    dp, member, label = _classify(p.c0, float(p.c), float(p.d), a, _SCALAR)
+    dp = _point_params(dp)
     # inequalities on roots that do not exist are left out
     cert = tuple((name, float(v), bool(sat)) for name, v, sat in member if not math.isnan(v))
     return RegionReport(label, cert, dp)

@@ -105,6 +105,17 @@ def test_underflowed_quotient_root_keeps_its_sign(capsys, argv):
     assert json.loads(capsys.readouterr().out)["label"] == "OutsideModuli"
 
 
+@pytest.mark.parametrize("argv, code, label", [
+    (["--c0", "1e100", "--c", "1e-300", "--d", "-1"], 1, "OutsideModuli"),
+    (["--c0", "-1e100", "--c", "1e-300", "--d", "3e-300"], 0, "BlowedHelicoid"),
+], ids=["positive-c0", "negative-c0"])
+def test_classify_underflowed_dilated_constant_keeps_its_sign(capsys, argv, code, label):
+    # c / c0^2 underflows; a constant read as 0 would give OnduloidRotational
+    # and VerticalGeodesicPlane
+    assert main(["classify", *argv]) == code
+    assert json.loads(capsys.readouterr().out)["label"] == label
+
+
 def test_classify_overflowing_discriminant_exits_one(capsys):
     # a = -2e300 overflows (c0 + a)^2, so there is no finite delta to certify
     code = main(["classify", "--c0", "-1", "--c", "1e300", "--d=-1e300"])

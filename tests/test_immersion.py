@@ -379,9 +379,8 @@ def test_weierstrass_flat_matches_frame_route():
     field = assemble_omega(fsol, gsol, grid)
     frame = integrate_frame(field)
     mesh = weierstrass_flat(frame)
-    # third coordinate equals y up to one additive constant
-    t = mesh.ambient_vertices[..., 2] - grid.ys[:, None]
-    assert np.nanmax(t) - np.nanmin(t) <= 1e-12
+    # the third coordinate is y - y_seed, in closed form
+    assert (mesh.ambient_vertices[..., 2] == (grid.ys - grid.ys[frame.seed[1]])[:, None]).all()
     assert mesh.metadata["cauchy_riemann_linf"] <= 1e-2
     assert flat_route_gap(frame) <= 1e-6
 
@@ -398,9 +397,37 @@ def test_flat_route_gap_on_an_edge_seed_column(seed):
     assert flat_route_gap(frame) <= 1e-5
 
 
+def _pole_beside_the_seed_frame():
+    """(0, -0.5, -0.5) with a = 0.3 on [0, 1] x [0, 2] at 31 x 57: the node
+    (0, 0) is singular, and the default seed moves to its neighbour (1, 0)."""
+    dp = derive_params(ModuliPoint(0, -0.5, -0.5), a=0.3)
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    frame = integrate_frame(field_from_source(source, GridSpec(0.0, 1.0, 0.0, 2.0, 31, 57)))
+    assert frame.seed == (1, 0) and not frame.valid[0, 0]
+    return frame
+
+
+@pytest.mark.filterwarnings("error")
+def test_flat_route_gap_aligns_along_the_valid_chord():
+    # the chord to the singular node would read NaN: the seed and its other
+    # neighbour align instead.  The gap itself is the pole's (ROADMAP item 2)
+    gap = flat_route_gap(_pole_beside_the_seed_frame())
+    assert math.isfinite(gap) and gap > 1.0
+
+
+def test_flat_route_gap_refuses_a_seed_with_no_valid_row_neighbour():
+    frame = _pole_beside_the_seed_frame()
+    i0, j0 = frame.seed
+    psi = frame.psi.copy()
+    psi[j0, i0 - 1:i0 + 2:2] = np.nan
+    with pytest.raises(SingularCrossing, match="no valid neighbour"):
+        flat_route_gap(replace(frame, psi=psi))
+
+
 def weierstrass_loop_reference(field, frame):
     """Weierstrass vertices summed by one Python loop per direction out from
-    the seed: the reference of weierstrass_flat's running sums."""
+    the seed: the reference of weierstrass_flat's running sums of the first
+    two components.  The third is y - y_seed."""
     grid = frame.grid
     phi, dphi = immersion._weierstrass_forms(field.omega, frame.psi,
                                              field.source.eval_grid(grid.xs, grid.ys))
@@ -409,7 +436,7 @@ def weierstrass_loop_reference(field, frame):
         return np.real(0.5 * dz * (a + b) + dz * dz / 12.0 * (da - db))
 
     i0, j0 = frame.seed
-    x = np.zeros((grid.ny, grid.nx, 3))
+    x = np.zeros((grid.ny, grid.nx, 2))
     for j in range(j0 + 1, grid.ny):
         x[j, i0] = x[j - 1, i0] + panel(phi[j - 1, i0], dphi[j - 1, i0], phi[j, i0], dphi[j, i0],
                                         1j * grid.hy)
@@ -420,7 +447,8 @@ def weierstrass_loop_reference(field, frame):
         x[:, i] = x[:, i - 1] + panel(phi[:, i - 1], dphi[:, i - 1], phi[:, i], dphi[:, i], grid.hx)
     for i in range(i0 - 1, -1, -1):
         x[:, i] = x[:, i + 1] + panel(phi[:, i + 1], dphi[:, i + 1], phi[:, i], dphi[:, i], -grid.hx)
-    return x
+    height = np.broadcast_to((grid.ys - grid.ys[j0])[:, None, None], (grid.ny, grid.nx, 1))
+    return np.concatenate([x, height], axis=-1)
 
 
 @pytest.mark.parametrize("domain, seed", [
@@ -464,25 +492,24 @@ def test_weierstrass_route_needs_three_nodes_per_axis(nx, ny):
 
 @pytest.mark.parametrize("grid", [
     # the lattice of 261 rows over [-2, -0.79...] is unevenly spaced in its
-    # last bits, yet the coordinates of its last row block are evenly spaced
+    # last bits: the residual takes the grid's spacing, not the lattice's
     GridSpec(0.5, 2.5, -2.0, -0.7932398007551105, 1001, 261),
     GridSpec(0.0, 1.0, 0.0, 1.0, 33, 33),  # evenly spaced, h = 1/32
 ], ids=["uneven", "even"])
 def test_cauchy_riemann_residual_is_the_whole_grid_gradient(grid):
     # the header's residual is taken one row block at a time, with the bits
-    # of np.gradient over the whole grid; the residual peaks in the last block
+    # of np.gradient over the whole grid at its spacing; the residual peaks
+    # in the last block
     xs, ys = grid.xs, grid.ys
     *_, (_, slab, _) = row_blocks(grid, 1)
     bump = np.exp(-(((ys - ys[(slab.start + slab.stop) // 2]) / (3.0 * grid.hy)) ** 2))[:, None]
     omega, psi = bump * np.sin(3.0 * ys)[:, None] + 0.0 * xs, bump * np.cos(xs)
     field = OmegaField(grid=grid, c0=0.0, omega=omega, provenance="test")
     frame = FrameField(psi=psi, u=np.zeros((grid.ny, grid.nx, 2)), seed=(0, 0), field=field)
-    wy, wx = np.gradient(omega, ys, xs, edge_order=2)
-    py, px = np.gradient(psi, ys, xs, edge_order=2)
+    wy, wx = np.gradient(omega, grid.hy, grid.hx)
+    py, px = np.gradient(psi, grid.hy, grid.hx)
     want = np.nanmax(np.fmax(np.abs(wx - py), np.abs(wy + px))[1:-1, 1:-1])
     assert immersion._cauchy_riemann_linf(frame) == want
-    even = [bool((np.diff(t) == np.diff(t)[0]).all()) for t in (ys, ys[slab])]
-    assert even == ([False, True] if grid.ny == 261 else [True, True])
 
 
 def test_weierstrass_mesh_holds_its_vertices_alone():

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from foliata.errors import InvalidParams
 from foliata.moduli import (
     _SCALAR,
-    DISCRIMINANT_RTOL,
     ModuliPoint,
     RegionLabel,
     _array_namespace,
@@ -178,7 +177,38 @@ def test_shared_discriminant_bulk():
         dp = derive_params(ModuliPoint(c0, c, d))
         other = dp.dbar**2 - 4 * dp.d_const
         scale = max(1.0, abs(dp.delta), abs(other))
-        assert abs(dp.delta - other) <= DISCRIMINANT_RTOL * scale
+        assert abs(dp.delta - other) <= 1e-12 * scale
+
+
+def _conjugate_label(label: RegionLabel, c0: float, c: float) -> RegionLabel:
+    """sigma: the label of (c0, d, c), given the label of (c0, c, d)."""
+    L = RegionLabel
+    if label is L.HORIZONTAL_GEODESIC_FOLIATION:  # d = 0 < c goes to c' = 0 < d'
+        return L.CATENOID_ROTATIONAL if c > c0 * c0 else L.CATENOID_EQUIDISTANT
+    pairs = {L.ANNULUS_FAMILY: L.ONDULATED_HELICOID, L.GRAPH_EQUIDISTANT: L.OBLIQUE_PLANE,
+             L.HELICOID_S2: L.ONDULOID_ROTATIONAL}
+    pairs.update({v: k for k, v in pairs.items()})
+    pairs[L.CATENOID_ROTATIONAL] = pairs[L.CATENOID_EQUIDISTANT] = L.HORIZONTAL_GEODESIC_FOLIATION
+    return pairs.get(label, label)
+
+
+def test_swapped_profiles_take_the_conjugate_label():
+    # (c0, c, d) -> (c0, d, c) swaps the x- and y-profiles, which gives the
+    # conjugate surface: its label is sigma of the label, and delta, one
+    # rational in both forms, agrees to rounding.  The curve delta = 0 is left
+    # out: each side rounds its own delta, so a point on it may fall on either
+    # side of the curve until the labels are exact (ROADMAP item 13)
+    rng = np.random.default_rng(18)
+    xp, n = _array_namespace(), 5000
+    for c0 in (-1.0, 1.0, -4.0, 0.25):
+        c, d = rng.uniform(-3, 3, size=(2, n))
+        c[rng.random(n) < 0.15] = 0.0
+        d[rng.random(n) < 0.15] = 0.0
+        dp, _, labels = _classify(c0, c, d, None, xp)
+        dp_swapped, _, swapped = _classify(c0, d, c, None, xp)
+        for point, label, label_swapped in zip(zip(c.tolist(), d.tolist()), labels, swapped):
+            assert label_swapped is _conjugate_label(label, c0, point[0]), (c0, point)
+        assert (abs(dp_swapped.delta - dp.delta) <= 1e-12 * np.maximum(1.0, abs(dp.delta))).all()
 
 
 def test_membership_matches_region_complement_description():
@@ -376,12 +406,10 @@ def _same(x, y) -> bool:
     return (math.isnan(x) and math.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
-def _assert_same_derived(scalar, array):
-    """The _derive triples of one point, on floats and on 1-element arrays."""
-    (dp_s, mirror_s, ok_s), (dp_a, mirror_a, ok_a) = scalar, array
+def _assert_same_derived(dp_s, dp_a):
+    """The DerivedParams of one point, on floats and on 1-element arrays."""
     for field in dp_s._fields:
         assert _same(getattr(dp_s, field), getattr(dp_a, field)), field
-    assert _same(mirror_s, mirror_a) and ok_s is bool(ok_a[0])
 
 
 @settings(max_examples=300)
@@ -398,8 +426,8 @@ def test_scalar_and_array_namespaces_agree_bit_for_bit(c0, c, d, a):
     # arrays: the one rule table must give the same doubles and labels
     arrays, cs, ds = _array_namespace(), np.array([c]), np.array([d])
     _assert_same_derived(_derive(c0, c, d, a, _SCALAR), _derive(c0, cs, ds, a, arrays))
-    *derived_s, member_s, label_s = _classify(c0, c, d, a, _SCALAR)
-    *derived_a, member_a, label_a = _classify(c0, cs, ds, a, arrays)
+    derived_s, member_s, label_s = _classify(c0, c, d, a, _SCALAR)
+    derived_a, member_a, label_a = _classify(c0, cs, ds, a, arrays)
     _assert_same_derived(derived_s, derived_a)
     assert [name for name, _, _ in member_s] == [name for name, _, _ in member_a]
     for (_, lhs_s, sat_s), (_, lhs_a, sat_a) in zip(member_s, member_a):

@@ -82,9 +82,11 @@ CONSTANT = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-1
 @example(c0=-1.0, c=1.3779326785796648, d=0.0)  # the textbook y_plus read -8.3e-17
 @example(c0=-1.0, c=1.0, d=6.25e-18)  # dbar = delta = 0 and d > 0: Y^2 + d has no root
 @example(c0=1.0, c=5e-324, d=-5.0)  # c / big underflows: x_plus read 0.0, not -5e-324
+@example(c0=1e100, c=1e-300, d=-1.0)  # c / s^4 underflows: c read 0.0, not 5e-324
 def test_outside_moduli_exactly_where_a_profile_has_no_solution(c0, c, d):
-    # classify and the profiles read the same roots; at these c0 the
-    # dilatation to sign(c0) scales c and d by a power of 2, exactly
+    # classify and the profiles read the same roots; at the sampled c0 the
+    # dilatation to sign(c0) scales c and d by a power of 2, exactly, and
+    # where it underflows a nonzero constant keeps its sign
     point = ModuliPoint(c0, c, c if c0 == 0 else d)
     try:
         params = derive_params(point)
