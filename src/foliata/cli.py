@@ -216,7 +216,8 @@ def _rebuild_args(cfg, field: OmegaField) -> argparse.Namespace:
     if cfg.get("c") is None:
         raise FoliataError("field file lacks the generating parameters needed for "
                            "frame integration (no config.c/config.d)")
-    args = argparse.Namespace(c0=field.c0, domain=field.domain, nx=field.nx, ny=field.ny)
+    grid = field.grid
+    args = argparse.Namespace(c0=field.c0, domain=grid.domain, nx=grid.nx, ny=grid.ny)
     for key, default in _REBUILD_FIELDS.items():
         value, flag = cfg.get(key, default), isinstance(default, bool)
         if isinstance(value, bool) != flag or not isinstance(value, (int, float)):
@@ -240,7 +241,7 @@ def _rebuilt_field(cfg, field: OmegaField) -> OmegaField:
     gap = np.abs(live.omega - field.omega) > REBUILD_RTOL * np.maximum(1.0, np.abs(field.omega))
     differ = np.flatnonzero(gap | (live.mask != field.mask))
     if differ.size:
-        j, i = divmod(int(differ[0]), field.nx)
+        j, i = divmod(int(differ[0]), field.grid.nx)
         raise FoliataError(
             f"field file omega differs from the field its config rebuilds, first at node "
             f"(i={i}, j={j}): {field.omega[j, i]} in the file, {live.omega[j, i]} rebuilt"

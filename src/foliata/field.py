@@ -141,15 +141,17 @@ def stats_from(residual: np.ndarray, grid_h: float) -> ResidualStats:
 
 class FieldData:
     """Pointwise field data: sinh/cosh of omega and its gradient, all NaN on
-    D; from sinh(omega), NaN on D, and the gradient's factors
+    D, and g, the leaves' geodesic curvature k = -omega_y / cosh(omega), also
+    on D; from sinh(omega), NaN on D, and the gradient's factors
     omega_x = -f cosh(omega), omega_y = -g cosh(omega)."""
 
-    __slots__ = ("sinh", "cosh", "wx", "wy")
+    __slots__ = ("sinh", "cosh", "wx", "wy", "g")
 
     def __init__(self, sinh, f, g):
         self.sinh = sinh
         self.cosh = np.sqrt(1.0 + sinh * sinh)
         self.wx, self.wy = -f * self.cosh, -g * self.cosh
+        self.g = g
 
     @property
     def omega(self):
@@ -290,18 +292,6 @@ class OmegaField:
         mask.setflags(write=False)
         return mask
 
-    @property
-    def nx(self) -> int:
-        return self.grid.nx
-
-    @property
-    def ny(self) -> int:
-        return self.grid.ny
-
-    @property
-    def domain(self) -> tuple[float, float, float, float]:
-        return self.grid.domain
-
 
 def row_blocks(grid: GridSpec, reach: int):
     """(rows, slab, out) per block of about ``BLOCK_NODES`` nodes: its rows,
@@ -356,12 +346,18 @@ def assemble_omega_degenerate(alpha: float, beta: float, grid: GridSpec, c0: flo
     return field_from_source(DegenerateSource(alpha, beta, c0), grid)
 
 
-def _interior_laplacian(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    lap = np.full_like(w, np.nan)
-    lap[1:-1, 1:-1] = (
+def _laplacian(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """Five-point Laplacian of w at its interior nodes, which
+    :func:`_interior_laplacian` pads with a ring of NaN."""
+    return (
         (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / (hx * hx)
         + (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / (hy * hy)
     )
+
+
+def _interior_laplacian(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    lap = np.full_like(w, np.nan)
+    lap[1:-1, 1:-1] = _laplacian(w, hx, hy)
     return lap
 
 
@@ -392,9 +388,9 @@ def sinh_gordon_residual(field: OmegaField) -> ResidualStats:
     Evaluated at interior nodes whose full five-point stencil avoids the
     (dilated) singular mask.
     """
-    if field.nx < 5 or field.ny < 5:
-        raise TooFewNodes(f"need at least 5x5 nodes, got {field.nx}x{field.ny}")
     grid = field.grid
+    if grid.nx < 5 or grid.ny < 5:
+        raise TooFewNodes(f"need at least 5x5 nodes, got {grid.nx}x{grid.ny}")
     res = np.empty(field.omega.shape)
     for rows, slab, out in row_blocks(grid, 1):
         w, mask = field.omega[slab], field.mask[slab]
@@ -438,22 +434,15 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
                             f"arcsinh(OVERFLOW_GUARD) = {bound}")
 
     hx, hy = grid.hx, grid.hy
-    ax, ay = 1.0 / (hx * hx), 1.0 / (hy * hy)
     inv_lap = _dirichlet_inverse(ny - 2, nx - 2, hx, hy)
     padded = np.zeros((ny, nx))
 
-    def lap(arr: np.ndarray) -> np.ndarray:
-        return (
-            (arr[1:-1, 2:] - 2.0 * arr[1:-1, 1:-1] + arr[1:-1, :-2]) * ax
-            + (arr[2:, 1:-1] - 2.0 * arr[1:-1, 1:-1] + arr[:-2, 1:-1]) * ay
-        )
-
     def residual(arr: np.ndarray) -> np.ndarray:
-        return lap(arr) + c0 * np.sinh(arr[1:-1, 1:-1]) * np.cosh(arr[1:-1, 1:-1])
+        return _laplacian(arr, hx, hy) + c0 * np.sinh(arr[1:-1, 1:-1]) * np.cosh(arr[1:-1, 1:-1])
 
     def neg_jacobian(p: np.ndarray) -> np.ndarray:
         padded[1:-1, 1:-1] = p
-        return -lap(padded) - diag * p
+        return -_laplacian(padded, hx, hy) - diag * p
 
     lam = float("nan")  # step factor of the last iteration, reported on failure
     for _ in range(NEWTON_MAX_ITER):
@@ -461,7 +450,7 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
         diag = c0 * np.cosh(2.0 * w[1:-1, 1:-1])
         # symmetric scaling of the Laplacian inverse: exact where the
         # Laplacian dominates, Jacobi-like where -diag outweighs the stencil
-        scale = 1.0 / np.sqrt(1.0 + np.maximum(-diag, 0.0) / (2.0 * ax + 2.0 * ay))
+        scale = 1.0 / np.sqrt(1.0 + np.maximum(-diag, 0.0) / (2.0 / (hx * hx) + 2.0 / (hy * hy)))
         delta = _pcg(neg_jacobian, fv, lambda r: scale * inv_lap(scale * r))
         step = np.max(np.abs(delta))
         if step < NEWTON_TOL:
@@ -627,9 +616,9 @@ def field_document(field: OmegaField) -> dict:
     exactly where the mask is true, so the singular nodes write as null."""
     return {
         "c0": field.c0,
-        "domain": list(field.domain),
-        "nx": field.nx,
-        "ny": field.ny,
+        "domain": list(field.grid.domain),
+        "nx": field.grid.nx,
+        "ny": field.grid.ny,
         "provenance": field.provenance,
         "omega": field.omega.ravel(),
         "mask": field.mask.ravel(),

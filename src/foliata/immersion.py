@@ -55,6 +55,7 @@ from .field import (
     row_blocks,
     stats_from,
 )
+from .profile import admissible_interval
 
 DISK_EDGE = 1.0 - 1e-12
 STEREO_GUARD = 1e8
@@ -150,12 +151,6 @@ GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 #: the rounding level of the O(1) curvatures the fields produce.  The
 #: holonomy scales it by |c0|, as a dilatation scales k^2 + c0.
 HOROCYCLE_TOL = 1e-12
-
-
-def _leaf_curvatures(source, x, ys):
-    """Geodesic curvature k = -omega_y / cosh(omega) of the leaves through (x, ys)."""
-    data = source.eval_bc(x, ys)
-    return -data.wy / data.cosh
 
 
 def _row_lengths(source, lo, hi, ys):
@@ -383,7 +378,7 @@ def _seed_node(field: OmegaField, point: tuple[float, float] | None) -> tuple[in
 
 def _seed_column(source, space: ChartSpace, x: float, ys: np.ndarray, j0: int, m0: np.ndarray):
     """(M, (u1, u2, psi), k): model frames on the column x from m0 at
-    ys[j0], their chart state and the leaf curvatures.
+    ys[j0], their chart state and the leaf curvatures k = g(y), NaN on D.
     M' = M B with B[1, 0] = -B[0, 1] = omega_x, B[1, 2] = sinh(omega),
     B[2, 1] = -c0 sinh(omega); each cell takes the fourth-order Magnus step
     Omega = h/2 (B1 + B2) + sqrt(3)/12 h^2 [B1, B2] from its two Gauss nodes
@@ -397,7 +392,7 @@ def _seed_column(source, space: ChartSpace, x: float, ys: np.ndarray, j0: int, m
     mid = ys[:-1] + 0.5 * h
     data = source.eval_bc(x, np.concatenate([ys, mid - h * math.sqrt(3) / 6, mid + h * math.sqrt(3) / 6]))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        k = -data.wy[: n + 1] / data.cosh[: n + 1]
+        k = np.where(np.isnan(data.cosh), np.nan, data.g)[: n + 1]
         wx, sh, b = data.wx[n + 1:], data.sinh[n + 1:], np.zeros((2 * n, 3, 3))
         b[:, 1, 0], b[:, 0, 1], b[:, 1, 2], b[:, 2, 1] = wx, -wx, sh, -space.c0 * sh
         b1, b2 = b[:n], b[n:]
@@ -449,7 +444,7 @@ def integrate_frame(field: OmegaField, seed: tuple[float, float] | None = None) 
     fourth-order Magnus step per grid cell in the isometry group of the
     model (:func:`_seed_column`).  Every row is then placed in closed form
     from the column's state: row y is a leaf of geodesic curvature
-    k = -omega_y / cosh(omega) traced at speed cosh(omega), so its frame at
+    k = -omega_y / cosh(omega) = g(y) traced at speed cosh(omega), so its frame at
     arclength s from the column is M E(s), with M the column's frame and E
     the leaf motion.  Arclengths come from
     Gauss-Legendre quadrature on the row's grid cells; psi is unwrapped
@@ -872,6 +867,25 @@ class HolonomyReport:
         }
 
 
+def _refuse_poles(source, x0: float, x1: float, q: float, y: float) -> None:
+    """Raise SingularCrossing where c0 + f^2 + g^2 vanishes on the row y
+    over [x0, x1], that is where f^2 = q = -c0 - g(y)^2 there.  f^2 is
+    monotone between consecutive multiples of a quarter F-period, its zeros
+    and extremes, so its range over [x0, x1] is spanned by its values at
+    the ends and at those multiples; over a whole period it is the
+    admissible interval, and a constant f has its one value."""
+    fn, t = source.ffn, source.ffn.period
+    if t is not None and x1 - x0 >= t:
+        lo, hi = admissible_interval(fn.dp, "F")
+    else:
+        quarters = np.arange(math.ceil(4.0 * x0 / t), 4.0 * x1 / t) * (t / 4.0) if t else []
+        f2 = fn.eval_many(np.r_[x0, x1, quarters])[0] ** 2
+        lo, hi = float(f2.min()), float(f2.max())
+    if lo <= q <= hi:
+        raise SingularCrossing(f"the seed row y = {y} meets a pole of omega: -c0 - g^2 = {q} "
+                               f"lies in [{lo}, {hi}], the range of f^2 on [{x0}, {x1}]")
+
+
 def holonomy(
     field: OmegaField,
     period: float,
@@ -880,9 +894,9 @@ def holonomy(
     """Ambient isometry relating the seed row to its translate by one x-period.
 
     The seed row is a leaf of constant geodesic curvature k = -omega_y /
-    cosh(omega) traced at speed cosh(omega), so the isometry is conjugate to
-    the leaf motion over the period's arclength S and depends only on
-    kappa^2 = k^2 + c0 and S: a rotation by |kappa S| mod 2 pi, in [0, pi],
+    cosh(omega) = g(y) traced at speed cosh(omega), so the isometry is
+    conjugate to the leaf motion over the period's arclength S and depends on
+    kappa^2 = k^2 + c0 and S alone: a rotation by |kappa S| mod 2 pi, in [0, pi],
     for a circle (kappa^2 > HOROCYCLE_TOL |c0|); a translation by
     sqrt(-kappa^2) S for a hypercycle (kappa^2 < -HOROCYCLE_TOL |c0|); in
     between ``parabolic`` with the horocyclic arclength S, or on the plane,
@@ -890,8 +904,10 @@ def holonomy(
     S.  Arclengths come from Gauss-Legendre quadrature on the row's grid
     cells.  Base nodes x are sampled among those where x and x + period are
     reachable from the seed through no singular grid or quadrature node; S
-    is the first base's arclength and k is read there, so every seed on a
-    row with no singular cell gives the same report.  The residual is the
+    is the first base's arclength and k = g(y0) of the seed row, so every
+    seed on a row with no singular cell gives the same report.  A row that
+    meets a pole of omega, where c0 + f^2 + g^2 = 0 (:func:`_refuse_poles`),
+    raises SingularCrossing: the arclength diverges there.  The residual is the
     largest gap between a base's arclength and S, a length along the leaf.
     ``closed`` flags an identity holonomy: value and residual below 1e-6,
     and the displacement f1 of the seed point (:func:`_leaf_functions`) as
@@ -907,6 +923,9 @@ def holonomy(
     source = _require_source(field)
     i0, j0 = _seed_node(field, seed)
     xs, y0 = grid.xs, grid.ys[j0]
+    k = float(source.eval_bc(xs[i0], y0).g)
+    if hasattr(source, "ffn") and not source.flat_trivial:
+        _refuse_poles(source, grid.x0, grid.x1, -field.c0 - k * k, y0)
     bases = np.flatnonzero(xs + period <= grid.x1 + 1e-12)
     targets = xs[bases] + period
     ends = np.searchsorted(xs, targets, side="right") - 1
@@ -925,7 +944,7 @@ def holonomy(
     span = arc[ends[picked]] - arc[bases[picked]] + length[cells + picked]
     s = float(span[0])
     residual = float(np.max(np.abs(span - s)))
-    kappa2 = float(_leaf_curvatures(source, xs[bases[picked[0]]], y0)) ** 2 + field.c0
+    kappa2 = k * k + field.c0
 
     # a dilatation by r scales kappa^2 and c0 by r^2 and lengths by 1/r, and
     # keeps the angle and the rapidity sqrt(-kappa^2) S

@@ -31,7 +31,7 @@ from .field import (
 def _check_nodes(field: OmegaField, nodes: int) -> None:
     """``nodes`` is the grid size the caller's stencils need, 3 (cross) or 5 (Jacobi)."""
     for need, stencil in ((3, "cross"), (5, "Jacobi")):
-        if need <= nodes and (field.nx < need or field.ny < need):
+        if need <= nodes and (field.grid.nx < need or field.grid.ny < need):
             raise TooFewNodes(f"need at least {need}x{need} nodes for the {stencil} stencil")
 
 

@@ -403,6 +403,35 @@ def test_field_verify_round_trip(tmp_path, capsys):
     assert doc["compat_linf"] < 1e-6
 
 
+@pytest.mark.parametrize("c0, c, d, a, domain", [
+    (1, -0.3, -0.7, 0.0, (0.25, 1.25, 0.25, 1.5)),
+    (-1, -0.5, -0.3, 0.0, (-0.3, 0.7, -0.4, 0.85)),
+    (0, -0.5, -0.5, 0.3, (0.25, 1.25, 0.25, 1.5)),
+    (1, -1.02, -0.97, 0.0, (0.25, 1.25, 0.25, 1.5)),
+])
+def test_verify_commutes_with_the_conjugate_involution(tmp_path, capsys, c0, c, d, a, domain):
+    # (c0, c, d, a) -> (c0, d, c, -a) exchanges f and g, so the swapped
+    # point's field on the transposed grid is omega transposed: verify and
+    # verify --shiffman read the same numbers to rounding
+    x0, x1, y0, y1 = domain
+    reports = []
+    for point, box, nx, ny in [((c, d, a), (x0, x1, y0, y1), 41, 51),
+                               ((d, c, -a), (y0, y1, x0, x1), 51, 41)]:
+        path = str(tmp_path / "field.json")
+        assert main(["field", "--c0", repr(float(c0)), "--c", repr(point[0]), "--d", repr(point[1]),
+                     "--a", repr(point[2]), "--domain", *map(repr, box), "--nx", str(nx),
+                     "--ny", str(ny), "--out", path]) == 0
+        for mode in ([], ["--shiffman"]):
+            assert main(["verify", "--input", path, *mode]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+    stats, shiffman, swapped, swapped_shiffman = reports
+    assert stats["count"] == swapped["count"] > 0
+    assert swapped["linf"] == pytest.approx(stats["linf"], rel=1e-8)
+    for read in (lambda doc: doc["max_u"], lambda doc: doc["gauss_dual_route_linf"],
+                 lambda doc: doc["jacobi_residual"]["linf"]):
+        assert read(swapped_shiffman) == pytest.approx(read(shiffman), rel=1e-7)
+
+
 def test_field_auto_degenerate(tmp_path):
     out = tmp_path / "gamma.json"
     code = main(["field", "--c0", "-1", "--c", "0", "--d", "1",
@@ -557,6 +586,22 @@ def test_holonomy_constant_f_asks_for_period(capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "f is constant" in err and "--period" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # c0 + f^2 + g^2 = 0 on the seed row y = 0, where -c0 - g^2 = 1 lies in
+    # the range [0, 1.2124] of f^2: the arclength diverges at the poles
+    ["--c0", "-1", "--c", "-0.5", "--d", "-0.3", "--domain", "0", "6.7459516637333214",
+     "-0.3", "0.3", "--nx", "81", "--ny", "41", "--seed", "0", "0"],
+    ["--c0=-1", "--c=-0.5", "--d", "0.5", "--domain", "0", "4", "-0.4", "0.4",
+     "--nx", "81", "--ny", "41", "--period", "0.7", "--seed", "0.5", "0.1"],
+], ids=["natural-period", "far-row"])
+def test_holonomy_on_a_pole_row_exits_one(tmp_path, capsys, argv):
+    assert main(["holonomy", *argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the seed row y = ") and err.count("\n") == 1
+    assert "meets a pole of omega" in err
+    assert not (tmp_path / "out").exists()
 
 
 FAR_ROW = ["--c0=-1", "--c=-0.5", "--d", "0.5", "--domain", "0", "4", "-0.4", "0.4",

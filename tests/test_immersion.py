@@ -736,15 +736,19 @@ def test_holonomy_does_not_depend_on_the_seed_column(c0, c, d, domain, nx, ny, p
 
 
 def test_holonomy_far_hyperbolic_row_residual_is_a_length():
-    # cosh(omega) peaks near 1e5 on this row, which the grid's quadrature
-    # does not resolve: the residual is still a spread of the period
-    # arclengths, never larger than the longest of them
+    # every row of (-1, -0.5, 0.5) over [-0.4, 0.4] meets a pole of omega,
+    # where f^2 = -c0 - g^2 and the arclength diverges: it is refused
     dp = derive_params(ModuliPoint(-1, -0.5, 0.5))
     source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
-    field = field_from_source(source, GridSpec(0, 4, -0.4, 0.4, 81, 41))
-    report = holonomy(field, 0.7, seed=(0.5, 0.1))
-    assert report.kind == "translation"
-    _, j0 = immersion._seed_node(field, (0.5, 0.1))
+    with pytest.raises(SingularCrossing, match="meets a pole"):
+        holonomy(field_from_source(source, GridSpec(0, 4, -0.4, 0.4, 81, 41)), 0.7, seed=(0.5, 0.1))
+    # on a steep pole-free row (g^2 ~ 1.003) cosh(omega) peaks near 470,
+    # which the grid's quadrature does not resolve: the residual is still a
+    # spread of the period arclengths, never larger than the longest of them
+    field = field_from_source(source, GridSpec(0, 4, 1.0, 1.2, 81, 41))
+    report = holonomy(field, 0.7, seed=(0.5, 1.1246))
+    assert report.kind == "rotation"
+    _, j0 = immersion._seed_node(field, (0.5, 1.1246))
     assert not field.mask[j0].any()
     xs, y = field.grid.xs, field.grid.ys[j0]
     bases = np.flatnonzero(xs + 0.7 <= xs[-1] + 1e-12)
@@ -946,9 +950,54 @@ def test_closed_form_rows_match_rk4_rows(c0, c_size, d_size, a):
         xs, ys = field.grid.xs, field.grid.ys
         lengths, _ = immersion._row_lengths(field.source, xs[:-1], xs[1:], ys)
         arc = np.concatenate([np.zeros((len(ys), 1)), np.cumsum(lengths, axis=1)], axis=1)
-        k = immersion._leaf_curvatures(field.source, xs[i0], ys)
+        k = field.source.eval_bc(xs[i0], ys).g
         turned = frame.psi[:, i0:i0 + 1] + k[:, None] * (arc - arc[:, i0:i0 + 1])
         assert np.abs(frame.psi - turned).max() <= 1e-13
+
+
+def _flatness(points, c0):
+    """Smallest singular value of a curve's model points relative to the
+    largest: 0 on a plane through the origin.  On the plane (c0 = 0) the
+    chart points are centred, so it is 0 on a line."""
+    pts = points[:, :2] - points[:, :2].mean(axis=0) if c0 == 0 else points[:, :3]
+    sv = np.linalg.svd(pts, compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+@pytest.mark.parametrize("c0, c, d, a, domain", [
+    (1, -1, -1, None, (-1, 3, -1, 3)),
+    (1, -0.3, -0.7, None, (-1, 3, -1, 3)),
+    (-1, -1, 1, None, (-0.5, 0.5, -0.5, 0.5)),
+    (0, -0.5, -0.5, 0.3, (-1, 3, 0.5, 2.5)),
+])
+def test_symmetry_curves_are_planar(c0, c, d, a, domain):
+    # where f(x0) = 0 the column x0 lies in a vertical plane (gamma x R, gamma
+    # a geodesic): planar at order 4, with the seed off the column; where
+    # g(y0) = 0 the row y0 is a horizontal geodesic, exactly (k = g(y0) = 0).
+    # A column and a row off the zeros are the controls
+    dp = derive_params(ModuliPoint(c0, c, d), a)
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    x0, x1, y0, y1 = domain
+    column, controls = [], []
+    for n in (41, 81):
+        field = field_from_source(source, GridSpec(*domain, n, n))
+        xs, ys = field.grid.xs, field.grid.ys
+        frame = integrate_frame(field, seed=(x0 + 0.75 * (x1 - x0), 0.5 * (y0 + y1)))
+        v = build_mesh(frame).ambient_vertices
+        i, j = int(np.argmin(np.abs(xs))), int(np.argmin(np.abs(ys)))
+        ic = int(np.argmin(np.abs(xs - x0 - 0.425 * (x1 - x0))))
+        jc = int(np.argmin(np.abs(ys - y0 - 0.425 * (y1 - y0))))
+        assert xs[i] == 0 and frame.valid[:, [i, ic]].all() and frame.valid[jc].all()
+        column.append(_flatness(v[:, i], c0))
+        controls.append([_flatness(v[:, ic], c0), _flatness(v[jc], c0)])
+        if c0 == 1:  # g(0) = 0: the row y = 0, seeded off it and on it (the default)
+            assert ys[j] == 0
+            assert _flatness(v[j], c0) <= 1e-14
+            assert _flatness(build_mesh(integrate_frame(field)).ambient_vertices[j], c0) <= 1e-14
+    assert column[0] >= 12 * column[1]
+    assert column[0] <= 1e-7
+    assert np.min(controls) >= 1e-3
+    assert np.all(np.array(controls[1]) >= 0.5 * np.array(controls[0]))
 
 
 def _reference_runs(valid):
