@@ -55,7 +55,6 @@ from .field import (
     row_blocks,
     stats_from,
 )
-from .profile import admissible_interval
 
 DISK_EDGE = 1.0 - 1e-12
 STEREO_GUARD = 1e8
@@ -867,23 +866,31 @@ class HolonomyReport:
         }
 
 
-def _refuse_poles(source, x0: float, x1: float, q: float, y: float) -> None:
-    """Raise SingularCrossing where c0 + f^2 + g^2 vanishes on the row y
-    over [x0, x1], that is where f^2 = q = -c0 - g(y)^2 there.  f^2 is
-    monotone between consecutive multiples of a quarter F-period, its zeros
-    and extremes, so its range over [x0, x1] is spanned by its values at
-    the ends and at those multiples; over a whole period it is the
-    admissible interval, and a constant f has its one value."""
+def _refuse_poles(source, x0: float, x1: float, y: float) -> None:
+    """Raise SingularCrossing where omega has a pole on the row y over
+    [x0, x1].  c0 + f^2 + g^2 vanishes where f^2 = q = -c0 - g(y)^2, and
+    there f'^2 = g'^2 (the identity behind the field's continuity
+    extension): a zero with f' = -g' != 0 is removable, every other one is
+    a pole.  Between consecutive multiples of a quarter F-period f^2 is
+    monotone and f' keeps one sign, so such a piece of [x0, x1] meets a
+    pole iff q lies between f^2 at its ends and f' in its middle is not of
+    the sign opposite to g'(y).  One period holds every piece; a constant
+    f is one piece with f' = 0."""
     fn, t = source.ffn, source.ffn.period
-    if t is not None and x1 - x0 >= t:
-        lo, hi = admissible_interval(fn.dp, "F")
-    else:
-        quarters = np.arange(math.ceil(4.0 * x0 / t), 4.0 * x1 / t) * (t / 4.0) if t else []
-        f2 = fn.eval_many(np.r_[x0, x1, quarters])[0] ** 2
-        lo, hi = float(f2.min()), float(f2.max())
-    if lo <= q <= hi:
-        raise SingularCrossing(f"the seed row y = {y} meets a pole of omega: -c0 - g^2 = {q} "
-                               f"lies in [{lo}, {hi}], the range of f^2 on [{x0}, {x1}]")
+    g, gy = (float(v) for v in source.gfn.eval_many(y))
+    q = -source.c0 - g * g
+    if t is not None:
+        x1 = min(x1, x0 + t)
+    quarters = np.arange(math.ceil(4.0 * x0 / t), 4.0 * x1 / t) * (t / 4.0) if t else []
+    cuts = np.r_[x0, quarters, x1]
+    f2 = fn.eval_many(cuts)[0] ** 2
+    fx = fn.eval_many(0.5 * (cuts[:-1] + cuts[1:]))[1]
+    lo, hi = np.minimum(f2[:-1], f2[1:]), np.maximum(f2[:-1], f2[1:])
+    poles = np.flatnonzero((lo <= q) & (q <= hi) & (np.sign(fx) * np.sign(gy) >= 0))
+    if poles.size:
+        j = poles[0]
+        raise SingularCrossing(f"the seed row y = {y} meets a pole of omega on [{cuts[j]}, {cuts[j + 1]}]: "
+                               f"f^2 = -c0 - g^2 = {q} there with f' = g' = {gy}")
 
 
 def holonomy(
@@ -906,9 +913,10 @@ def holonomy(
     reachable from the seed through no singular grid or quadrature node; S
     is the first base's arclength and k = g(y0) of the seed row, so every
     seed on a row with no singular cell gives the same report.  A row that
-    meets a pole of omega, where c0 + f^2 + g^2 = 0 (:func:`_refuse_poles`),
-    raises SingularCrossing: the arclength diverges there.  The residual is the
-    largest gap between a base's arclength and S, a length along the leaf.
+    meets a pole of omega, a zero of c0 + f^2 + g^2 where f' = g'
+    (:func:`_refuse_poles`), raises SingularCrossing: the arclength diverges
+    there.  The residual is the largest gap between a base's arclength and
+    S, a length along the leaf.
     ``closed`` flags an identity holonomy: value and residual below 1e-6,
     and the displacement f1 of the seed point (:func:`_leaf_functions`) as
     well, lengths in the unit 1/sqrt|c0| (1 on the plane), so that a dilate
@@ -925,7 +933,7 @@ def holonomy(
     xs, y0 = grid.xs, grid.ys[j0]
     k = float(source.eval_bc(xs[i0], y0).g)
     if hasattr(source, "ffn") and not source.flat_trivial:
-        _refuse_poles(source, grid.x0, grid.x1, -field.c0 - k * k, y0)
+        _refuse_poles(source, grid.x0, grid.x1, y0)
     bases = np.flatnonzero(xs + period <= grid.x1 + 1e-12)
     targets = xs[bases] + period
     ends = np.searchsorted(xs, targets, side="right") - 1

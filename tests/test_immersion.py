@@ -763,6 +763,28 @@ def test_holonomy_far_hyperbolic_row_residual_is_a_length():
     assert report.residual <= longest
 
 
+def test_holonomy_refuses_poles_but_not_removable_zeros():
+    # at (-1, -0.5, -0.3) the row y = 0 has c0 + f^2 + g^2 = 0 where f^2 = 1,
+    # and there f' = +-g'(0) with g'(0) > 0.  Over [1.7, 5.0], inside
+    # (T/4, 3T/4) of the f-period T, f' < 0 at every zero: each is removable
+    # and omega stays bounded.  Over [5.1, 8.2] f' > 0 at the zeros: poles.
+    dp = derive_params(ModuliPoint(-1, -0.5, -0.3))
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    t = source.ffn.period
+    assert t / 4 < 1.7 and 5.0 < 3 * t / 4
+    assert source.gfn.eval_many(0.0)[1] > 0
+    removable = field_from_source(source, GridSpec(1.7, 5.0, -0.3, 0.3, 81, 41))
+    sinh = source.eval_bc(np.linspace(1.7, 5.0, 100001), 0.0).sinh
+    assert np.all(np.abs(sinh) < 3)
+    report = holonomy(removable, 3.0, seed=(3.0, 0.0))
+    assert report.kind == "translation" and math.isfinite(report.residual)
+    sinh = source.eval_bc(np.linspace(5.1, 8.2, 100001), 0.0).sinh
+    assert np.nanmax(np.abs(sinh)) > 1e4
+    with pytest.raises(SingularCrossing, match="meets a pole"):
+        holonomy(field_from_source(source, GridSpec(5.1, 8.2, -0.3, 0.3, 81, 41)), 3.0,
+                 seed=(6.0, 0.0))
+
+
 @settings(max_examples=30)
 @given(st.sampled_from([-1.0, 1.0]), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
 def test_holonomy_over_natural_period_is_identity(c0, c_size, d_size):
