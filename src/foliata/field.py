@@ -43,9 +43,12 @@ OVERFLOW_GUARD = 1e8
 NEWTON_TOL = 1e-12
 #: Newton iterations allowed before the solve raises ``NonConverged``.
 NEWTON_MAX_ITER = 100
-#: Relative residual at which the inner conjugate-gradient solve of a Newton
-#: step stops.
+#: Smallest relative residual to which the inner conjugate-gradient solve of
+#: a Newton step is taken: the floor of the forcing term.
 CG_RTOL = 1e-12
+#: Largest forcing term: the relative residual to which the first Newton
+#: step is solved, and the cap of every later one.
+CG_FORCING_MAX = 0.1
 #: Conjugate-gradient iterations allowed per Newton step.
 CG_MAX_ITER = 1000
 #: Largest |c0| whose square is finite.  Past it the discriminants of
@@ -114,7 +117,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ResidualStats:
-    """Max and RMS residual over the evaluated nodes."""
+    """Max and RMS residual over the evaluated nodes.  ``l2`` sums the
+    squares of each row block pairwise and the blocks' sums in row order
+    (:class:`ResidualAccumulator`)."""
 
     linf: float
     l2: float
@@ -122,21 +127,51 @@ class ResidualStats:
     count: int
 
 
+class ResidualAccumulator:
+    """linf, node count and sum of squares of the finite values of a
+    residual, taken one row block at a time, so no full-grid copy is made.
+
+    Each block is scaled by an exact power of two to below 2 before it is
+    squared, so no square overflows (a residual below 2 is not scaled at
+    all).  Its squares are summed by numpy's pairwise ``np.add.reduce``, not
+    by BLAS, so the sum does not depend on a thread count.  The running sum
+    is kept at the scale of the largest block so far; rescaling it by a
+    power of two is exact.
+    """
+
+    def __init__(self):
+        self.linf = 0.0
+        self.count = 0
+        self.exp = 0  # the running sum is of (r / 2^exp)^2
+        self.sumsq = 0.0
+
+    def add(self, block: np.ndarray) -> None:
+        vals = block[np.isfinite(block)]  # a copy of one block, reused in place below
+        if vals.size == 0:
+            return
+        top = float(np.max(np.abs(vals, out=vals)))
+        exp = max(math.frexp(top)[1] - 1, 0)
+        np.divide(vals, math.ldexp(1.0, exp), out=vals)
+        sumsq = float(np.add.reduce(np.multiply(vals, vals, out=vals)))
+        if exp > self.exp:
+            self.sumsq = math.ldexp(self.sumsq, 2 * (self.exp - exp))
+            self.exp = exp
+        self.sumsq += math.ldexp(sumsq, 2 * (exp - self.exp))
+        self.linf = max(self.linf, top)
+        self.count += vals.size
+
+    def stats(self, grid_h: float) -> ResidualStats:
+        if self.count == 0:
+            raise TooFewNodes("no nodes with a full non-singular stencil")
+        l2 = math.ldexp(math.sqrt(self.sumsq / self.count), self.exp)
+        return ResidualStats(linf=self.linf, l2=l2, grid_h=grid_h, count=self.count)
+
+
 def stats_from(residual: np.ndarray, grid_h: float) -> ResidualStats:
-    vals = residual[np.isfinite(residual)]  # a copy, reused in place below
-    if vals.size == 0:
-        raise TooFewNodes("no nodes with a full non-singular stencil")
-    linf = float(np.max(np.abs(vals, out=vals)))
-    # squared after an exact power-of-two scaling to below 2, so the squares
-    # cannot overflow and the l2 of a residual below 2 keeps every bit
-    scale = math.ldexp(1.0, max(math.frexp(linf)[1] - 1, 0))
-    np.divide(vals, scale, out=vals)
-    return ResidualStats(
-        linf=linf,
-        l2=scale * float(np.sqrt(np.mean(np.multiply(vals, vals, out=vals)))),
-        grid_h=grid_h,
-        count=int(vals.size),
-    )
+    """The statistics of one array taken as a single block."""
+    acc = ResidualAccumulator()
+    acc.add(residual)
+    return acc.stats(grid_h)
 
 
 class FieldData:
@@ -346,19 +381,32 @@ def assemble_omega_degenerate(alpha: float, beta: float, grid: GridSpec, c0: flo
     return field_from_source(DegenerateSource(alpha, beta, c0), grid)
 
 
-def _laplacian(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Five-point Laplacian of w at its interior nodes, which
-    :func:`_interior_laplacian` pads with a ring of NaN."""
-    return (
-        (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / (hx * hx)
-        + (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / (hy * hy)
-    )
-
-
 def _interior_laplacian(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    lap = np.full_like(w, np.nan)
-    lap[1:-1, 1:-1] = _laplacian(w, hx, hy)
+    """Five-point Laplacian of w, (w_E - 2 w + w_W) / hx^2 + (w_N - 2 w +
+    w_S) / hy^2, at its interior nodes, and NaN on its boundary ring.
+
+    Taken on w flattened row-major, where the neighbours of node k are
+    k -+ 1 and k -+ nx: every operation runs in place over one contiguous
+    range, which also holds the ring's side nodes, overwritten with NaN."""
+    n = w.shape[1]
+    flat = w.reshape(-1)
+    lap = np.empty_like(w)
+    out = lap.reshape(-1)[n + 1:-n - 1]
+    centre = np.multiply(flat[n + 1:-n - 1], 2.0)
+    np.subtract(flat[n + 2:-n], centre, out=out)
+    out += flat[n:-n - 2]
+    out /= hx * hx
+    np.subtract(flat[2 * n + 1:-1], centre, out=centre)
+    centre += flat[1:-2 * n - 1]
+    centre /= hy * hy
+    out += centre
+    _blank_ring(lap)
     return lap
+
+
+def _blank_ring(a: np.ndarray) -> None:
+    a[0] = a[-1] = np.nan
+    a[:, 0] = a[:, -1] = np.nan
 
 
 def dilate_mask(mask: np.ndarray) -> np.ndarray:
@@ -368,16 +416,6 @@ def dilate_mask(mask: np.ndarray) -> np.ndarray:
     out[:-1, :] |= mask[1:, :]
     out[:, 1:] |= out[:, :-1].copy()
     out[:, :-1] |= out[:, 1:].copy()
-    return out
-
-
-def _margin_blank(res: np.ndarray, grid: GridSpec, margin: float) -> np.ndarray:
-    if margin <= 0:
-        return res
-    xs, ys = grid.xs, grid.ys
-    keep_x = (xs >= grid.x0 + margin) & (xs <= grid.x1 - margin)
-    keep_y = (ys >= grid.y0 + margin) & (ys <= grid.y1 - margin)
-    out = np.where(keep_y[:, None] & keep_x[None, :], res, np.nan)
     return out
 
 
@@ -391,14 +429,17 @@ def sinh_gordon_residual(field: OmegaField) -> ResidualStats:
     grid = field.grid
     if grid.nx < 5 or grid.ny < 5:
         raise TooFewNodes(f"need at least 5x5 nodes, got {grid.nx}x{grid.ny}")
-    res = np.empty(field.omega.shape)
-    for rows, slab, out in row_blocks(grid, 1):
-        w, mask = field.omega[slab], field.mask[slab]
-        block = _interior_laplacian(w, grid.hx, grid.hy)
-        block += 0.5 * field.c0 * np.sinh(2.0 * w)
-        block[dilate_mask(mask)] = np.nan
-        res[rows] = block[out]
-    return stats_from(res, max(grid.hx, grid.hy))
+    acc = ResidualAccumulator()
+    for _, slab, out in row_blocks(grid, 1):
+        w = field.omega[slab]
+        block = _interior_laplacian(w, grid.hx, grid.hy)[out]
+        source = np.multiply(w[out], 2.0)
+        np.sinh(source, out=source)
+        source *= 0.5 * field.c0
+        block += source
+        block[dilate_mask(field.mask[slab])[out]] = np.nan
+        acc.add(block)
+    return acc.stats(max(grid.hx, grid.hy))
 
 
 def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaField:
@@ -411,7 +452,11 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
     step factor below 2^-10 raises ``NonConverged``.  Each Newton
     system is solved matrix-free by conjugate gradients, preconditioned by
     the exact inverse of the Dirichlet Laplacian in its sine basis; an inner
-    solve that fails raises ``NonConverged`` as well.
+    solve that fails raises ``NonConverged`` as well.  The inner solve stops
+    at a forcing term (Eisenstat and Walker, SIAM J. Sci. Comput. 17 (1996),
+    choice 2): the first step at relative residual ``CG_FORCING_MAX``, step
+    k at 0.9 (|F_k| / |F_k-1|)^2, never below ``CG_RTOL`` nor above
+    ``CG_FORCING_MAX``.  The residual of the accepted trial is the next F.
 
     Every field keeps |omega| <= arcsinh(OVERFLOW_GUARD), where its stencils
     cannot overflow: boundary data beyond it or not finite raises
@@ -438,44 +483,50 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
     padded = np.zeros((ny, nx))
 
     def residual(arr: np.ndarray) -> np.ndarray:
-        return _laplacian(arr, hx, hy) + c0 * np.sinh(arr[1:-1, 1:-1]) * np.cosh(arr[1:-1, 1:-1])
+        lap = _interior_laplacian(arr, hx, hy)[1:-1, 1:-1]
+        return lap + c0 * np.sinh(arr[1:-1, 1:-1]) * np.cosh(arr[1:-1, 1:-1])
 
     def neg_jacobian(p: np.ndarray) -> np.ndarray:
         padded[1:-1, 1:-1] = p
-        return -_laplacian(padded, hx, hy) - diag * p
+        return -_interior_laplacian(padded, hx, hy)[1:-1, 1:-1] - diag * p
 
+    fv = residual(w)
+    norm = np.linalg.norm(fv)
+    eta = CG_FORCING_MAX
     lam = float("nan")  # step factor of the last iteration, reported on failure
     for _ in range(NEWTON_MAX_ITER):
-        fv = residual(w)
         diag = c0 * np.cosh(2.0 * w[1:-1, 1:-1])
         # symmetric scaling of the Laplacian inverse: exact where the
         # Laplacian dominates, Jacobi-like where -diag outweighs the stencil
         scale = 1.0 / np.sqrt(1.0 + np.maximum(-diag, 0.0) / (2.0 / (hx * hx) + 2.0 / (hy * hy)))
-        delta = _pcg(neg_jacobian, fv, lambda r: scale * inv_lap(scale * r))
+        delta = _pcg(neg_jacobian, fv, lambda r: scale * inv_lap(scale * r), eta)
         step = np.max(np.abs(delta))
         if step < NEWTON_TOL:
             w[1:-1, 1:-1] += delta
             return OmegaField(grid=grid, c0=float(c0), omega=w, provenance="Relaxation")
-        norm0 = np.linalg.norm(fv)
         lam = 1.0
         while True:
             trial = w.copy()
             trial[1:-1, 1:-1] += lam * delta
             with np.errstate(over="ignore", invalid="ignore"):
                 # an overflowing trial has a non-finite norm and is halved
-                trial_norm = np.linalg.norm(residual(trial))
-            if trial_norm < norm0:
+                trial_fv = residual(trial)
+                trial_norm = np.linalg.norm(trial_fv)
+            if trial_norm < norm:
                 break
             lam *= 0.5
             if lam < 2.0 ** -10:
                 raise NonConverged(
                     f"no Newton step factor down to 2^-10 decreases the residual norm "
-                    f"{norm0:.6e} (max |delta| {step:.6e})"
+                    f"{norm:.6e} (max |delta| {step:.6e})"
                 )
-        w = trial
+        # Eisenstat-Walker choice 2 (gamma = 0.9, alpha = 2): the next step
+        # is solved as far as the last one reduced the residual norm
+        eta = min(CG_FORCING_MAX, max(CG_RTOL, 0.9 * (trial_norm / norm) ** 2))
+        w, fv, norm = trial, trial_fv, trial_norm
     raise NonConverged(
         f"no convergence within {NEWTON_MAX_ITER} Newton iterations "
-        f"(last residual norm {np.linalg.norm(residual(w)):.6e}, last step factor {lam})"
+        f"(last residual norm {norm:.6e}, last step factor {lam})"
     )
 
 
@@ -499,10 +550,10 @@ def _dirichlet_inverse(m: int, n: int, hx: float, hy: float):
     return lambda r: sy @ ((sy @ r @ sx) * weight) @ sx
 
 
-def _pcg(apply_a, b: np.ndarray, apply_m) -> np.ndarray:
+def _pcg(apply_a, b: np.ndarray, apply_m, rtol: float) -> np.ndarray:
     """Preconditioned conjugate gradients for a x = b, started from zero.
 
-    Stops when the recurrence residual falls to ``CG_RTOL`` times |b|;
+    Stops when the recurrence residual falls to ``rtol`` times |b|;
     raises ``NonConverged`` after ``CG_MAX_ITER`` iterations or on a
     breakdown (zero or non-finite curvature p.Ap), never returning NaN.
     """
@@ -523,7 +574,7 @@ def _pcg(apply_a, b: np.ndarray, apply_m) -> np.ndarray:
         x += alpha * p
         r -= alpha * q
         rnorm = np.linalg.norm(r)
-        if rnorm <= CG_RTOL * bnorm:
+        if rnorm <= rtol * bnorm:
             return x
         z = apply_m(r)
         rz_next = np.vdot(r, z)
@@ -536,8 +587,9 @@ def _pcg(apply_a, b: np.ndarray, apply_m) -> np.ndarray:
 
 
 def _finite_max(values: np.ndarray) -> float:
-    vals = values[np.isfinite(values)]
-    return float(np.max(vals)) if vals.size else float("nan")
+    """Largest finite value, NaN if there is none, without copying them out."""
+    top = float(np.max(values, initial=-math.inf, where=np.isfinite(values)))
+    return top if top > -math.inf else math.nan
 
 
 class _Derivatives:
@@ -554,19 +606,44 @@ class _Derivatives:
         self.w = field.omega[slab]
         self.wy, self.wx = np.gradient(self.w, grid.hy, grid.hx, edge_order=2)
         self.cosh = np.cosh(self.w)
-        self.grad2 = self.wx * self.wx + self.wy * self.wy
+
+    @cached_property
+    def tanh(self) -> np.ndarray:
+        return np.tanh(self.w)
+
+    @cached_property
+    def grad2(self) -> np.ndarray:
+        grad2 = np.multiply(self.wx, self.wx)
+        grad2 += self.wy * self.wy
+        return grad2
 
     def shiffman(self) -> np.ndarray:
-        w = self.w
-        wxy = np.full_like(w, np.nan)  # NaN on the boundary ring, and so is u
-        wxy[1:-1, 1:-1] = w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]
-        u = wxy / (4.0 * self.hx * self.hy) - np.tanh(w) * self.wx * self.wy
+        # the cross difference w_NE - w_NW - w_SE + w_SW on w flattened, as
+        # in _interior_laplacian: NE is k + nx + 1
+        n = self.w.shape[1]
+        flat = self.w.reshape(-1)
+        u = np.empty_like(self.w)
+        wxy = u.reshape(-1)[n + 1:-n - 1]
+        np.subtract(flat[2 * n + 2:], flat[2 * n:-2], out=wxy)
+        wxy -= flat[2:-2 * n]
+        wxy += flat[:-2 * n - 2]
+        _blank_ring(u)  # NaN on the boundary ring, and so is u
+        u /= 4.0 * self.hx * self.hy
+        product = np.multiply(self.tanh, self.wx)
+        product *= self.wy
+        u -= product
         u[dilate_mask(self.mask)] = np.nan
         return u
 
-    def jacobi(self, u: np.ndarray) -> np.ndarray:
-        res = _interior_laplacian(u, self.hx, self.hy)
-        res += (self.c0 + 2.0 * self.grad2 / (self.cosh * self.cosh)) * u
+    def jacobi(self, u: np.ndarray, out: slice) -> np.ndarray:
+        """lap(u) + (c0 + 2 |grad omega|^2 / cosh^2) u on the rows ``out``."""
+        res = _interior_laplacian(u, self.hx, self.hy)[out]
+        cosh = self.cosh[out]
+        coef = np.multiply(self.grad2[out], 2.0)
+        coef /= cosh * cosh
+        coef += self.c0
+        coef *= u[out]
+        res += coef
         return res
 
     def potential_identity(self, out: slice) -> float:
@@ -574,19 +651,33 @@ class _Derivatives:
         rows ``out``, with the second-variation potential
         c0 / cosh^2 + 2 |grad omega|^2 / cosh^4."""
         cosh2 = self.cosh[out] ** 2
-        grad2 = self.grad2[out]
-        potential = self.c0 / cosh2 + 2.0 * grad2 / (cosh2 * cosh2)
-        rhs = self.c0 + 2.0 * grad2 / cosh2
-        return _finite_max(np.abs(cosh2 * potential - rhs))
+        twice = np.multiply(self.grad2[out], 2.0)
+        potential = np.divide(self.c0, cosh2)
+        quartic = np.multiply(cosh2, cosh2)
+        potential += np.divide(twice, quartic, out=quartic)
+        rhs = np.divide(twice, cosh2, out=twice)
+        rhs += self.c0
+        gap = np.multiply(cosh2, potential, out=potential)
+        gap -= rhs
+        return _finite_max(np.abs(gap, out=gap))
 
     def gauss_dual_route(self, out: slice) -> float:
         """Max gap on the rows ``out`` between K = c0 tanh^2(omega) -
         |grad omega|^2 / cosh^4(omega) and -(1 / 2 cosh^2) lap(log cosh^2)."""
-        gauss = self.c0 * np.tanh(self.w[out]) ** 2 - self.grad2[out] / self.cosh[out] ** 4
+        cosh = self.cosh[out]
+        gauss = self.tanh[out] ** 2
+        gauss *= self.c0
+        quartic = cosh ** 4
+        gauss -= np.divide(self.grad2[out], quartic, out=quartic)
         # independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2
-        lap = _interior_laplacian(2.0 * np.log(self.cosh), self.hx, self.hy)[out]
-        route = -lap / (2.0 * self.cosh[out] ** 2)
-        return _finite_max(np.abs(gauss - route))
+        log = np.log(self.cosh)
+        log *= 2.0
+        route = np.negative(_interior_laplacian(log, self.hx, self.hy)[out])
+        denom = cosh ** 2
+        denom *= 2.0
+        route /= denom
+        gauss -= route
+        return _finite_max(np.abs(gauss, out=gauss))
 
 
 def level_curvatures(field: OmegaField) -> tuple[np.ndarray, np.ndarray]:
@@ -599,10 +690,10 @@ def level_curvatures(field: OmegaField) -> tuple[np.ndarray, np.ndarray]:
     k_v = np.empty_like(k_h)
     for rows, slab, out in row_blocks(field.grid, 1):
         d = _Derivatives(field, slab)
-        w, wx = d.w[out], d.wx[out]
-        k_h[rows] = -d.wy[out] / d.cosh[out]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k_v[rows] = np.where(np.abs(w) >= EPS_DEN, wx / np.sinh(w), np.nan)
+        w = d.w[out]
+        np.divide(np.negative(d.wy[out]), d.cosh[out], out=k_h[rows])
+        k_v[rows] = np.nan
+        np.divide(d.wx[out], np.sinh(w), out=k_v[rows], where=np.abs(w) >= EPS_DEN)
     return k_h, k_v
 
 

@@ -439,8 +439,10 @@ def test_newton_step_matches_dense_solve_on_non_square_grid(monkeypatch):
     lap = ((w0[1:-1, 2:] - 2.0 * inner + w0[1:-1, :-2]) * ax
            + (w0[2:, 1:-1] - 2.0 * inner + w0[:-2, 1:-1]) * ay)
     expect = np.linalg.solve(jac, -(lap + c0 * np.sinh(inner) * np.cosh(inner)).ravel())
-    # an infinite tolerance stops after the first, undamped, Newton step
+    # an infinite tolerance stops after the first, undamped, Newton step,
+    # here solved exactly: the forcing cap at CG_RTOL
     monkeypatch.setattr(field_module, "NEWTON_TOL", math.inf)
+    monkeypatch.setattr(field_module, "CG_FORCING_MAX", field_module.CG_RTOL)
     step = solve_sinh_gordon(c0, grid, w0).omega - w0
     assert np.linalg.norm(step[1:-1, 1:-1].ravel() - expect) <= 1e-12 * np.linalg.norm(expect)
     assert not step[[0, -1], :].any() and not step[:, [0, -1]].any()
@@ -474,9 +476,50 @@ def test_newton_overflowing_trial_steps_are_halved_quietly(monkeypatch):
         return value
 
     monkeypatch.setattr(np.linalg, "norm", counted)
+    # exact Newton steps: the forcing cap at CG_RTOL
+    monkeypatch.setattr(field_module, "CG_FORCING_MAX", field_module.CG_RTOL)
     with pytest.raises(NonConverged, match="no Newton step factor"):
         solve_sinh_gordon(1.0, GridSpec(0, 1, 0, 1, 9, 9), np.full((9, 9), 19.0))
     assert any(overflowed)
+
+
+def bump_start(n):
+    """The criterion-6 Dirichlet data: the (-1, -0.25, -0.25) field on [0, 1]^2
+    with a bump on its top row, whose interior is the first iterate."""
+    fsol, gsol = profiles(-1, -0.25, -0.25)
+    grid = GridSpec(0, 1, 0, 1, n, n)
+    start = assemble_omega(fsol, gsol, grid).omega.copy()
+    start[-1, :] += 0.1 * np.sin(np.pi * grid.xs) ** 3
+    return grid, start
+
+
+def test_newton_steps_are_solved_to_the_forcing_term(monkeypatch):
+    grid, start = bump_start(101)
+    applied = []
+    inverse = field_module._dirichlet_inverse
+
+    def counted(*args):
+        apply = inverse(*args)
+        return lambda r: applied.append(1) or apply(r)
+
+    monkeypatch.setattr(field_module, "_dirichlet_inverse", counted)
+    inexact = solve_sinh_gordon(-1.0, grid, start).omega
+    assert len(applied) <= 24
+    # every step solved to CG_RTOL: the same solution
+    with monkeypatch.context() as mp:
+        mp.setattr(field_module, "CG_FORCING_MAX", field_module.CG_RTOL)
+        exact = solve_sinh_gordon(-1.0, grid, start).omega
+    assert np.abs(inexact - exact).max() <= 1e-12
+    # an infinite tolerance stops after the first, undamped, step: its linear
+    # residual F + J delta is at most the first forcing term times |F|
+    monkeypatch.setattr(field_module, "NEWTON_TOL", math.inf)
+    delta = solve_sinh_gordon(-1.0, grid, start).omega - start
+    inner = start[1:-1, 1:-1]
+    lap = lambda a: field_module._interior_laplacian(a, grid.hx, grid.hy)[1:-1, 1:-1]
+    fv = lap(start) - np.sinh(inner) * np.cosh(inner)
+    linear = fv + lap(delta) - np.cosh(2.0 * inner) * delta[1:-1, 1:-1]
+    ratio = np.linalg.norm(linear) / np.linalg.norm(fv)
+    assert 1e3 * field_module.CG_RTOL < ratio <= field_module.CG_FORCING_MAX
 
 
 def test_level_curvature_matches_g_profile():

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from foliata import field as field_module, shiffman as shiffman_module
-from foliata.errors import InvalidParams, TooFewNodes
+from foliata.errors import GridMismatch, InvalidParams, TooFewNodes
 from foliata.field import (
     C0_BOUND,
     H_MIN,
@@ -14,8 +15,8 @@ from foliata.field import (
     GridSpec,
     OmegaField,
     ReconstructedSource,
+    ResidualAccumulator,
     _interior_laplacian,
-    _margin_blank,
     assemble_omega,
     assemble_omega_degenerate,
     dilate_mask,
@@ -24,7 +25,6 @@ from foliata.field import (
     row_blocks,
     sinh_gordon_residual,
     solve_sinh_gordon,
-    stats_from,
 )
 from foliata.moduli import ModuliPoint, derive_params
 from foliata.profile import ProfileFunction, integrate_profile
@@ -55,7 +55,7 @@ class FullGrid:
         grid = self.field.grid
         res = _interior_laplacian(np.asarray(u, dtype=float), grid.hx, grid.hy)
         res += (self.field.c0 + 2.0 * self.grad2 / (self.cosh * self.cosh)) * u
-        return _margin_blank(res, grid, margin)
+        return margin_blank(res, grid, margin)
 
     def potential(self):
         cosh2 = self.cosh ** 2
@@ -87,6 +87,16 @@ class FullGrid:
         with np.errstate(divide="ignore", invalid="ignore"):
             k_v = np.where(np.abs(self.w) >= field_module.EPS_DEN, self.wx / np.sinh(self.w), np.nan)
         return k_h, k_v
+
+
+def margin_blank(res, grid, margin):
+    """res with NaN at the nodes closer than ``margin`` to the domain's edge."""
+    if margin <= 0:
+        return res
+    xs, ys = grid.xs, grid.ys
+    keep_x = (xs >= grid.x0 + margin) & (xs <= grid.x1 - margin)
+    keep_y = (ys >= grid.y0 + margin) & (ys <= grid.y1 - margin)
+    return np.where(keep_y[:, None] & keep_x[None, :], res, np.nan)
 
 
 def finite_max(values):
@@ -207,6 +217,31 @@ def test_jacobi_negative_control():
     assert stats.linf > 1.0
 
 
+def test_jacobi_residual_refuses_a_u_off_the_grid():
+    grid = GridSpec(0, 1, 0, 1, 21, 17)
+    field = synthetic(np.zeros((17, 21)), grid)
+    with pytest.raises(GridMismatch, match=r"\(17, 22\)"):
+        jacobi_residual(field, np.zeros((17, 22)))
+
+
+def test_residual_diagnostics_hold_one_row_block_at_a_time():
+    # an 801^2 field: 4.9 MB of omega, each diagnostic's traced peak a
+    # fraction of it (2.2-2.8 times it with full-grid residual arrays)
+    field = reconstructed(1, -1, -1, 801)
+    field.mask  # the field's own, built once
+    u = shiffman_field(field)
+    for run in (lambda: sinh_gordon_residual(field),
+                lambda: jacobi_residual(field, u, margin=0.1),
+                lambda: shiffman_document(field)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * field.omega.nbytes
+
+
 def test_potential_constant_for_zero_field():
     grid = GridSpec(0, 1, 0, 1, 9, 9)
     for c0 in (-1.0, 0.0, 2.5):
@@ -290,9 +325,26 @@ def assert_bits(actual, expected):
 
 
 def full_grid_stats(residual):
-    """Oracle of stats_from: (linf, l2, count) over the finite nodes."""
+    """(linf, l2, count) over the finite nodes of the whole grid at once."""
     vals = residual[np.isfinite(residual)]
     return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals * vals))), vals.size
+
+
+def block_stats(residual, grid):
+    """Oracle of the residual accumulator: (linf, l2, count) over the finite
+    nodes, each row block's squares summed pairwise after scaling the block
+    by a power of two to below 2, and the block sums added in row order at
+    the largest block's scale."""
+    parts = []
+    for rows, _, _ in row_blocks(grid, 0):
+        vals = np.abs(residual[rows][np.isfinite(residual[rows])])
+        if vals.size:
+            exp = max(math.frexp(vals.max())[1] - 1, 0)
+            parts.append((vals.max(), exp, np.add.reduce((vals / 2.0 ** exp) ** 2), vals.size))
+    top = max(exp for _, exp, _, _ in parts)
+    total = sum(math.ldexp(s, 2 * (exp - top)) for _, exp, s, _ in parts)
+    count = sum(n for *_, n in parts)
+    return float(max(p[0] for p in parts)), math.ldexp(math.sqrt(total / count), top), count
 
 
 def assert_same_max(actual, expected):
@@ -360,15 +412,15 @@ def test_row_blocks_match_the_full_grid(kind, size, blocks, tail, nx, c0, margin
         assert_bits(k_h, want_h)
         assert_bits(k_v, want_v)
 
-        # the residual arrays as they reach the statistics
+        # each row block's residual as it reaches the accumulator
         seen = []
+        add = ResidualAccumulator.add
 
-        def recorded(residual, grid_h):
-            seen.append(residual.copy())
-            return stats_from(residual, grid_h)
+        def recorded(acc, block):
+            seen.append(block.copy())
+            add(acc, block)
 
-        mp.setattr(field_module, "stats_from", recorded)
-        mp.setattr(shiffman_module, "stats_from", recorded)
+        mp.setattr(ResidualAccumulator, "add", recorded)
         checks = [
             (lambda: sinh_gordon_residual(field), oracle.sinh_gordon_residual()),
             (lambda: jacobi_residual(field, u, margin), oracle.jacobi_residual(u, margin)),
@@ -381,14 +433,17 @@ def test_row_blocks_match_the_full_grid(kind, size, blocks, tail, nx, c0, margin
                 continue
             seen.clear()
             result = run()
-            assert len(seen) == 1
-            assert_bits(seen[0], expected)
+            assert len(seen) == blocks
+            assert_bits(np.concatenate(seen), expected)
+            want = block_stats(expected, grid)
+            # the blocks' sum is the whole grid's at rounding level
+            assert want[1] == pytest.approx(full_grid_stats(expected)[1], rel=1e-13)
             if isinstance(result, dict):
                 max_u = math.nan if result["max_u"] is None else result["max_u"]
                 assert_same_max(max_u, finite_max(np.abs(u)))
                 assert_same_max(result["potential_identity_linf"], oracle.potential_identity())
                 assert_same_max(result["gauss_dual_route_linf"], oracle.gauss_dual_route())
                 result = result["jacobi_residual"]
-                assert (result["linf"], result["l2"]) == full_grid_stats(expected)[:2]
+                assert (result["linf"], result["l2"]) == want[:2]
             else:
-                assert (result.linf, result.l2, result.count) == full_grid_stats(expected)
+                assert (result.linf, result.l2, result.count) == want
