@@ -167,13 +167,6 @@ class ResidualAccumulator:
         return ResidualStats(linf=self.linf, l2=l2, grid_h=grid_h, count=self.count)
 
 
-def stats_from(residual: np.ndarray, grid_h: float) -> ResidualStats:
-    """The statistics of one array taken as a single block."""
-    acc = ResidualAccumulator()
-    acc.add(residual)
-    return acc.stats(grid_h)
-
-
 class FieldData:
     """Pointwise field data: sinh/cosh of omega and its gradient, all NaN on
     D, and g, the leaves' geodesic curvature k = -omega_y / cosh(omega), also

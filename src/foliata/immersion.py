@@ -50,10 +50,11 @@ from .errors import (
 from .field import (
     GridSpec,
     OmegaField,
+    ResidualAccumulator,
     ResidualStats,
+    _finite_max,
     _interior_laplacian,
     row_blocks,
-    stats_from,
 )
 
 DISK_EDGE = 1.0 - 1e-12
@@ -506,8 +507,8 @@ def rk4_row_gap(frame: FrameField) -> float:
     """Largest (psi, u) gap between the frame's closed-form rows and RK4.
 
     The oracle marches every row from the frame's seed column, one
-    fourth-order step per grid cell, and is compared on the nodes where
-    both psi values are finite.
+    fourth-order step per grid cell, and is compared one row block at a
+    time on the nodes where both psi values are finite.
     """
     i0 = frame.seed[0]
     grid = frame.grid
@@ -515,67 +516,71 @@ def rk4_row_gap(frame: FrameField) -> float:
         frame.field.source, frame.space, "x", grid.ys, grid.xs, i0,
         frame.psi[:, i0], frame.u[:, i0, 0], frame.u[:, i0, 1],
     )
-    both = np.isfinite(psi.T) & frame.valid
-    dpsi = np.abs(psi.T[both] - frame.psi[both])
-    du = np.hypot(u1.T[both] - frame.u[..., 0][both], u2.T[both] - frame.u[..., 1][both])
-    return float(max(dpsi.max(initial=0.0), du.max(initial=0.0)))
+    # psi and u are NaN together in both, and fmax skips a NaN gap
+    worst = 0.0
+    for rows, _, _ in row_blocks(grid, 0):
+        gap = np.abs(psi.T[rows] - frame.psi[rows])
+        np.fmax(gap, np.hypot(u1.T[rows] - frame.u[rows, :, 0], u2.T[rows] - frame.u[rows, :, 1]), out=gap)
+        worst = float(np.fmax.reduce(gap, axis=None, initial=worst))
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # conformality, Hopf quantity, harmonicity
 # ---------------------------------------------------------------------------
 
-def _metric_terms(frame: FrameField, what: str):
-    """(rho |F_x|^2, rho |F_y|^2, rho <F_x, F_y>) of the frame's chart map,
-    by centered differences; ``what`` names the check that needs them."""
-    if frame.grid.nx < 5 or frame.grid.ny < 5:
-        raise TooFewNodes(f"{what} needs at least 5x5 nodes")
-    hx, hy = frame.grid.hx, frame.grid.hy
-    fy1, fx1 = np.gradient(frame.u[..., 0], hy, hx, edge_order=2)
-    fy2, fx2 = np.gradient(frame.u[..., 1], hy, hx, edge_order=2)
-    rho, _, _ = frame.space.factor_many(frame.u[..., 0], frame.u[..., 1])
-    return rho * (fx1 * fx1 + fx2 * fx2), rho * (fy1 * fy1 + fy2 * fy2), rho * (fx1 * fy1 + fx2 * fy2)
+def _frame_residuals(frame: FrameField):
+    """(isometry, max |Re Q - 1/4|, max |Im Q|, harmonic) of the frame's chart
+    map F, with Q the Hopf quantity and the residuals in accumulators, in one
+    pass that differentiates F once per row block, at the interior nodes of
+    the block's slab: its rows off the grid's boundary ring, inner columns."""
+    grid, omega = frame.grid, frame.field.omega
+    if grid.nx < 5 or grid.ny < 5:
+        raise TooFewNodes(f"the frame's residuals need at least 5x5 nodes, got {grid.nx}x{grid.ny}")
+    iso, harm, hopf = ResidualAccumulator(), ResidualAccumulator(), []
+    for _, slab, _ in row_blocks(grid, 1):
+        u, w = frame.u[slab], omega[slab][1:-1, 1:-1]
+        rho, l1, l2 = frame.space.factor_many(u[1:-1, 1:-1, 0], u[1:-1, 1:-1, 1])
+        dy, dx = (d[1:-1, 1:-1] for d in np.gradient(u, grid.hy, grid.hx, axis=(0, 1)))
+        # rho |F_x|^2, rho |F_y|^2 and rho <F_x, F_y>
+        metric = rho * np.stack([(dx * dx).sum(axis=-1), (dy * dy).sum(axis=-1), (dx * dy).sum(axis=-1)])
+        del dx, dy  # each array goes once used, so the pass holds about one block
+        xx, yy, xy = metric
+        hopf.append([_finite_max(np.abs(0.25 * (xx - yy) - 0.25)), _finite_max(np.abs(0.5 * xy))])
+        xx -= np.cosh(w) ** 2
+        yy -= np.sinh(w) ** 2
+        iso.add(metric)
+        del metric, xx, yy, xy
+        # 0.25 lap(F) + (log rho)_u F_z F_z~, with F = u1 + i u2
+        f = u[..., 0] + 1j * u[..., 1]
+        fy, fx = (d[1:-1, 1:-1] for d in np.gradient(f, grid.hy, grid.hx))
+        lap = _interior_laplacian(f, grid.hx, grid.hy)[1:-1, 1:-1]
+        harm.add(np.abs(0.25 * lap + 0.5 * (l1 - 1j * l2) * (0.5 * (fx - 1j * fy)) * (0.5 * (fx + 1j * fy))))
+        del f, fx, fy, lap
+    re_err, im_err = (_finite_max(column) for column in np.array(hopf).T)
+    return iso, re_err, im_err, harm
 
 
 def isometry_check(frame: FrameField) -> ResidualStats:
     """Conformality residuals of the integrated frame.
 
     Checks rho |F_x|^2 = cosh^2(omega), rho |F_y|^2 = sinh^2(omega) and
-    rho <F_x, F_y> = 0 with centered differences on the chart-point grid.
+    rho <F_x, F_y> = 0 with centered differences on the chart-point grid,
+    at its interior nodes, from the pass of :func:`_frame_residuals`.
     """
-    xx, yy, xy = _metric_terms(frame, "isometry check")
-    omega = frame.field.omega
-    res = np.stack([xx - np.cosh(omega) ** 2, yy - np.sinh(omega) ** 2, xy])
-    res[:, [0, -1], :] = np.nan
-    res[:, :, [0, -1]] = np.nan
-    return stats_from(res, max(frame.grid.hx, frame.grid.hy))
+    return _frame_residuals(frame)[0].stats(max(frame.grid.hx, frame.grid.hy))
 
 
 def hopf_deviation(frame: FrameField) -> tuple[float, float]:
-    """(max |Re Q - 1/4|, max |Im Q|) of the Hopf quantity of the frame."""
-    xx, yy, xy = _metric_terms(frame, "Hopf deviation")
-    re_err = np.abs(0.25 * (xx - yy) - 0.25)[1:-1, 1:-1]
-    im_err = np.abs(0.5 * xy)[1:-1, 1:-1]
-    return (
-        float(np.nanmax(re_err)) if np.isfinite(re_err).any() else float("nan"),
-        float(np.nanmax(im_err)) if np.isfinite(im_err).any() else float("nan"),
-    )
+    """(max |Re Q - 1/4|, max |Im Q|) of the Hopf quantity of the frame at its
+    interior nodes (:func:`_frame_residuals`), NaN where none is finite."""
+    return _frame_residuals(frame)[1:3]
 
 
 def harmonic_residual(frame: FrameField) -> ResidualStats:
-    """Residual of F_zz~ + (log rho)_u F_z F_z~ = 0 on the chart-point grid."""
-    if frame.grid.nx < 5 or frame.grid.ny < 5:
-        raise TooFewNodes("harmonic residual needs at least 5x5 nodes")
-    hx, hy = frame.grid.hx, frame.grid.hy
-    f = frame.u[..., 0] + 1j * frame.u[..., 1]
-    lap = _interior_laplacian(f, hx, hy)
-    fy, fx = np.gradient(f, hy, hx, edge_order=2)
-    fz = 0.5 * (fx - 1j * fy)
-    fzb = 0.5 * (fx + 1j * fy)
-    rho, l1, l2 = frame.space.factor_many(frame.u[..., 0], frame.u[..., 1])
-    logrho_u = 0.5 * (l1 - 1j * l2)
-    res = np.abs(0.25 * lap + logrho_u * fz * fzb)
-    return stats_from(res, max(hx, hy))
+    """Residual of F_zz~ + (log rho)_u F_z F_z~ = 0 on the chart-point grid,
+    at its interior nodes, from the pass of :func:`_frame_residuals`."""
+    return _frame_residuals(frame)[3].stats(max(frame.grid.hx, frame.grid.hy))
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +635,9 @@ def _leaf_runs(row: np.ndarray):
     return starts[long], stops[long]
 
 
-def build_mesh(frame: FrameField, metadata: dict | None = None) -> SurfaceMesh:
+def build_mesh(frame: FrameField) -> SurfaceMesh:
     """Mesh the immersion: the rows' model lifts of the frame's chart points
-    plus the height y, made when asked for."""
+    plus the height y, made when asked for.  Its metadata is the grid's."""
     grid, space, u, ys = frame.grid, frame.space, frame.u, frame.grid.ys
     width = 2 if space.c0 == 0 else 3  # the plane's homogeneous coordinate is not written
 
@@ -642,7 +647,6 @@ def build_mesh(frame: FrameField, metadata: dict | None = None) -> SurfaceMesh:
         return np.concatenate([lift, t[..., None]], axis=-1)
 
     meta = {"c0": space.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny}
-    meta.update(metadata or {})
     return SurfaceMesh(ambient_rows=ambient_rows, valid=frame.valid, metadata=meta)
 
 
@@ -655,7 +659,9 @@ def _column_tokens(col: np.ndarray) -> list[str]:
 
 
 def obj_chunks(mesh: SurfaceMesh):
-    """OBJ text in pieces: the header, one per grid row of ``v`` records,
+    """OBJ text in pieces: the header, a ``# key = value`` line per key of
+    the mesh's metadata in sorted order (the ``mesh`` subcommand adds the
+    surface's c, d and a on both routes), one per grid row of ``v`` records,
     one per pair of rows of faces and one per row of ``l`` lines.  ``v`` =
     ambient coordinates (4 values when the model lift has three components
     plus height), asked of the mesh one row at a time, faces as ``f a b c d``
@@ -841,9 +847,7 @@ def flat_route_gap(frame: FrameField) -> float:
     w_dir, u_dir = w[j0, hi] - w[j0, lo], u[j0, hi] - u[j0, lo]
     rot = (u_dir / abs(u_dir)) / (w_dir / abs(w_dir))
     aligned = rot * (w - w[j0, i0]) + u[j0, i0]
-    gap = np.abs(aligned - u)
-    vals = gap[np.isfinite(gap)]
-    return float(np.max(vals)) if vals.size else float("nan")
+    return _finite_max(np.abs(aligned - u))
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,24 @@ def test_mesh_obj(tmp_path):
     assert sum(1 for ln in text.splitlines() if ln.startswith("f ")) == 400
 
 
+@pytest.mark.parametrize("route", [[], ["--weierstrass"]], ids=["frame", "weierstrass"])
+def test_mesh_header_names_the_surface(tmp_path, route):
+    # two separation constants a at the flat point (0, -0.5, -0.5) give two
+    # surfaces, and the header, which carries c, d and a, tells them apart
+    def written(a):
+        out = tmp_path / f"a{a}.obj"
+        assert main(["mesh", "--c0", "0", "--c", "-0.5", "--d", "-0.5", "--a", str(a),
+                     "--domain", "0", "1", "0", "2", "--nx", "11", "--ny", "11",
+                     *route, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        return [ln for ln in lines if ln.startswith("# ")], [ln for ln in lines if ln.startswith("v ")]
+
+    (header3, v3), (header5, v5) = written(0.3), written(0.5)
+    assert v3 != v5 and header3 != header5
+    for a, header in ((0.3, header3), (0.5, header5)):
+        assert {"# c = -0.5", "# d = -0.5", f"# a = {a}"} <= set(header)
+
+
 def test_holonomy_subcommand(tmp_path, capsys):
     code = main(["holonomy", "--c0", "1", "--c", "0", "--d", "-0.25", "--trivial-f",
                  "--domain", "0", "3", "0", "2", "--nx", "76", "--ny", "51",

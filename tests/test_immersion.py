@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from foliata.cli import main
 from foliata.errors import InvalidParams, NotFlat, PeriodUnavailable, SingularCrossing, TooFewNodes
+from foliata import field as field_module
 from foliata.field import (
     GridSpec,
     OmegaField,
     ReconstructedSource,
+    ResidualAccumulator,
+    _interior_laplacian,
     assemble_omega,
     assemble_omega_degenerate,
     field_from_source,
@@ -280,6 +283,86 @@ def test_harmonic_residual_negative_control(sphere_pair):
     assert harmonic_residual(replace(frame, u=noisy)).linf > 1.0
 
 
+def full_grid_frame_residuals(frame):
+    """The oracle of the row-block pass, on whole-grid arrays: the three
+    isometry residuals stacked, the two Hopf errors and the harmonic
+    residual, at the grid's interior nodes."""
+    grid, omega = frame.grid, frame.field.omega
+    u1, u2 = frame.u[..., 0], frame.u[..., 1]
+    fy1, fx1 = np.gradient(u1, grid.hy, grid.hx)
+    fy2, fx2 = np.gradient(u2, grid.hy, grid.hx)
+    rho, l1, l2 = frame.space.factor_many(u1, u2)
+    xx = rho * (fx1 * fx1 + fx2 * fx2)
+    yy = rho * (fy1 * fy1 + fy2 * fy2)
+    xy = rho * (fx1 * fy1 + fx2 * fy2)
+    f = u1 + 1j * u2
+    fy, fx = np.gradient(f, grid.hy, grid.hx)
+    fz, fzb = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+    harm = np.abs(0.25 * _interior_laplacian(f, grid.hx, grid.hy) + 0.5 * (l1 - 1j * l2) * fz * fzb)
+    inner = (slice(1, -1), slice(1, -1))
+    iso = np.stack([xx - np.cosh(omega) ** 2, yy - np.sinh(omega) ** 2, xy])[:, 1:-1, 1:-1]
+    hopf = (np.nanmax(np.abs(0.25 * (xx - yy) - 0.25)[inner]), np.nanmax(np.abs(0.5 * xy)[inner]))
+    return iso, hopf, harm[inner]
+
+
+@pytest.mark.parametrize("rows", [None, 5], ids=["one_block", "blocks_of_5_rows"])
+def test_frame_residuals_match_the_full_grid(monkeypatch, rows):
+    # the disk edge, where the frame leaves nodes unplaced: every value is
+    # the whole-grid one, and l2 keeps its bits when the grid is one block
+    grid = GridSpec(-2, 2, -2, 2, 41, 41)
+    frame = integrate_frame(reconstructed(-1, -1, 1, grid))
+    assert not frame.valid.all()
+    if rows:
+        monkeypatch.setattr(field_module, "BLOCK_NODES", rows * grid.nx)
+        assert len(list(row_blocks(grid, 1))) == 8
+    iso, hopf, harm = full_grid_frame_residuals(frame)
+    assert hopf_deviation(frame) == hopf
+    for got, residual in ((isometry_check(frame), iso), (harmonic_residual(frame), harm)):
+        acc = ResidualAccumulator()
+        acc.add(residual)
+        want = acc.stats(max(grid.hx, grid.hy))
+        assert (got.linf, got.count, got.grid_h) == (want.linf, want.count, want.grid_h)
+        assert got.l2 == (want.l2 if rows is None else pytest.approx(want.l2, rel=1e-13))
+
+
+def test_frame_residuals_hold_one_row_block_at_a_time():
+    # at 801^2 the pass behind the three diagnostics holds one row block
+    # (0.99x omega's bytes, against 10-21x through whole-grid arrays), and
+    # the RK4 gap the march's three arrays and one block (3.2x, against 7.25x)
+    dp = derive_params(ModuliPoint(1, -1, -1))
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    frame = integrate_frame(field_from_source(source, GridSpec(0, 1, 0, 1, 801, 801)))
+    peaks = []
+    for run in (immersion._frame_residuals, rk4_row_gap):
+        tracemalloc.start()
+        try:
+            run(frame)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    omega_bytes = frame.field.omega.nbytes
+    assert peaks[0] < 1.5 * omega_bytes
+    assert peaks[1] < 4.0 * omega_bytes
+
+
+def test_verify_immersion_differentiates_the_chart_map_once(tmp_path, monkeypatch):
+    # 101^2 nodes are one row block, which the three diagnostics share:
+    # five np.gradient calls in three whole-grid passes became one pass
+    grid_args = ["--domain", "0", "1", "0", "1", "--nx", "101", "--ny", "101"]
+    path = tmp_path / "field.json"
+    assert main(["field", "--c0", "1", "--c", "-1", "--d", "-1", *grid_args, "--out", str(path)]) == 0
+    assert len(list(row_blocks(GridSpec(0, 1, 0, 1, 101, 101), 1))) == 1
+    calls, gradient = [], np.gradient
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", counted)
+    assert main(["verify", "--input", str(path), "--immersion", "--out", str(tmp_path / "v.json")]) == 0
+    assert 0 < len(calls) <= 3
+
+
 def test_rotational_columns_project_to_geodesics():
     grid = GridSpec(0, 2, 0, 2, 81, 81)
     field = reconstructed(1, 0, -0.25, grid, trivial_f=True)
@@ -356,7 +439,8 @@ def test_region_one_mesh_clips_at_disk_boundary():
 
 def test_write_obj_structure(flat_trivial_frame):
     field, frame = flat_trivial_frame
-    mesh = build_mesh(frame, metadata={"c": 0.0, "d": 0.0})
+    mesh = build_mesh(frame)
+    mesh.metadata.update(c=0.0, d=0.0)
     lines = "".join(obj_chunks(mesh)).splitlines()
     assert lines[0].startswith("#")
     n_v = sum(1 for ln in lines if ln.startswith("v "))
