@@ -288,8 +288,10 @@ def _cmd_mesh(args) -> int:
 
     frame = integrate_frame(_build_field(args), seed=args.seed)
     mesh = weierstrass_flat(frame) if args.weierstrass else build_mesh(frame)
-    # the header names the surface on both routes, as a JSON output echoes its config
-    mesh.metadata.update(c=args.c, d=args.d, a=args.a)
+    # the header names the whole run on both routes, as a JSON output echoes its config
+    mesh.metadata.update({"c": args.c, "d": args.d, "a": args.a, "seed": args.seed,
+                          "trivial-f": args.trivial_f, "trivial-g": args.trivial_g,
+                          "weierstrass": args.weierstrass})
     _emit(obj_chunks(mesh), args.out)
     return 0
 

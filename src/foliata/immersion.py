@@ -661,12 +661,13 @@ def _column_tokens(col: np.ndarray) -> list[str]:
 def obj_chunks(mesh: SurfaceMesh):
     """OBJ text in pieces: the header, a ``# key = value`` line per key of
     the mesh's metadata in sorted order (the ``mesh`` subcommand adds the
-    surface's c, d and a on both routes), one per grid row of ``v`` records,
-    one per pair of rows of faces and one per row of ``l`` lines.  ``v`` =
-    ambient coordinates (4 values when the model lift has three components
-    plus height), asked of the mesh one row at a time, faces as ``f a b c d``
-    quads and foliation rows as ``l`` polylines, both derived from ``valid``
-    row by row (:func:`_quad_columns`, :func:`_leaf_runs`).  Only valid
+    surface's c, d and a, the seed and the three flags on both routes), one
+    per grid row of ``v`` records, one per pair of rows of faces and one per
+    row of ``l`` lines.  ``v`` = ambient coordinates (4 values when the model
+    lift has three components plus height), asked of the mesh one row at a
+    time, faces as ``f a b c d`` quads and foliation rows as ``l``
+    polylines, both derived from ``valid`` row by row
+    (:func:`_quad_columns`, :func:`_leaf_runs`).  Only valid
     nodes are written, in row order, so the faces and polylines number the
     valid nodes from 1."""
     valid = mesh.valid

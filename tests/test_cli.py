@@ -560,6 +560,24 @@ def test_mesh_header_names_the_surface(tmp_path, route):
     assert v3 != v5 and header3 != header5
     for a, header in ((0.3, header3), (0.5, header5)):
         assert {"# c = -0.5", "# d = -0.5", f"# a = {a}"} <= set(header)
+        assert {"# seed = None", f"# weierstrass = {bool(route)}"} <= set(header)
+
+
+def test_mesh_header_names_the_seed_and_the_flags(tmp_path):
+    # two seeds give two placements of the surface, and the header, which
+    # carries the seed as given, tells them apart
+    def written(seed):
+        out = tmp_path / "m.obj"
+        assert main(["mesh", *GRID_ARGS, "--nx", "5", "--ny", "5", "--seed", *seed,
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        return [ln for ln in lines if ln.startswith("# ")], [ln for ln in lines if ln.startswith("v ")]
+
+    (header0, v0), (header5, v5) = written(["0", "0"]), written(["0.5", "0.5"])
+    assert v0 != v5 and header0 != header5
+    assert {"# seed = [0.0, 0.0]", "# trivial-f = False", "# trivial-g = False",
+            "# weierstrass = False"} <= set(header0)
+    assert "# seed = [0.5, 0.5]" in header5
 
 
 def test_holonomy_subcommand(tmp_path, capsys):
@@ -988,6 +1006,22 @@ def test_verify_immersion_checks_the_rebuilt_field(tmp_path, capsys, edit, node)
     if node is not None:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"differs from the field its config rebuilds, first at node {node}" in err
+
+
+@pytest.mark.parametrize("rel, code", [(1e-10, 0), (1e-8, 1)])
+def test_verify_immersion_rebuild_tolerance(tmp_path, capsys, rel, code):
+    # REBUILD_RTOL = 1e-9: omega = 1.44 at node 0 of the 21^2 field, moved
+    # by 1e-10 relative, is still the field its config rebuilds, and moved
+    # by 1e-8 is not
+    path = tmp_path / "field.json"
+    assert main(["field", *GRID_ARGS, "--nx", "21", "--ny", "21", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["omega"][0] *= 1.0 + rel
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--immersion"]) == code
+    err = capsys.readouterr().err
+    assert (err == "") if code == 0 else ("rebuilds, first at node (i=0, j=0)" in err)
 
 
 @pytest.mark.parametrize(

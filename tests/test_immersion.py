@@ -1183,3 +1183,29 @@ def test_dilatation_moves_no_figure(tmp_path, dilatation_bases, base, k):
     # every vertex lies on the model quadric <p, p> = 1/c0
     form = MODEL_FORMS[c0]
     assert len(v) and np.abs(c0 * s * s * np.einsum("ni,ij,nj->n", v, form, v) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["sphere", "hyperboloid"])
+def test_plane_is_the_two_sided_limit_of_the_curved_charts(sign):
+    # (eps, d + a eps, d) has the separation constant a and tends to the
+    # flat point (0, d, d) with that a, from S^2 x R (eps > 0) and from
+    # H^2 x R (eps < 0): omega converges at O(eps), and the chart point as
+    # 2u -> u(0), since sigma is 1 off the plane and 2 on it
+    grid, d, a = GridSpec(0.2, 2.2, 0.3, 2.3, 81, 81), -0.25, 0.3
+
+    def frame(c0):
+        dp = derive_params(ModuliPoint(c0, d + a * c0, d), a)
+        source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+        return integrate_frame(field_from_source(source, grid), seed=(1.2, 1.3))
+
+    flat = frame(0.0)
+    gaps = []
+    for eps in (1e-3, 1e-4):
+        curved = frame(sign * eps)
+        assert curved.valid.all() and flat.valid.all()
+        gaps.append([np.abs(curved.field.omega - flat.field.omega).max(),
+                     np.abs(2.0 * curved.u - flat.u).max()])
+    (omega3, u3), (omega4, u4) = gaps
+    # 3.0e-2 -> 3.1e-3 in omega and 4.8e-2 -> 4.8e-3 in 2u, from both sides
+    assert 8.0 <= omega3 / omega4 <= 12.0 and 8.0 <= u3 / u4 <= 12.0
+    assert omega4 <= 4e-3 and u4 <= 6e-3

@@ -128,6 +128,15 @@ def test_drift_exceeded_for_absurd_step():
         integrate_profile(dp(1, -1, 0), "F", (0, 50), 0.5)
 
 
+def test_drift_bound_lies_between_two_steps():
+    # over [0, 20] the drift is 2.86e-8 at step 0.02 and 9.1e-7 at 0.04,
+    # either side of 100 x DRIFT_TOL = 1e-7: the bound moved 100x either way
+    # fails one of the two
+    integrate_profile(dp(1, -1, 0), "F", (0, 20), 0.02)
+    with pytest.raises(DriftExceeded):
+        integrate_profile(dp(1, -1, 0), "F", (0, 20), 0.04)
+
+
 def test_range_confinement():
     d = dp(-1, -1, 1)
     lo, hi = admissible_interval(d, "G")
