@@ -85,7 +85,6 @@ def _build_field(args) -> OmegaField:
     from .profile import DEGENERATE_DELTA, ProfileFunction, degenerate_constants
 
     point = ModuliPoint(args.c0, args.c, args.d)
-    point.validate()
     dp = derive_params(point, args.a)
     grid = GridSpec(*args.domain, nx=args.nx, ny=args.ny)
     if args.c0 < 0 and abs(dp.delta) <= DEGENERATE_DELTA * (args.c0 * args.c0):
@@ -124,15 +123,13 @@ def _cmd_scan(args) -> int:
 def _cmd_profile(args) -> int:
     from .profile import sample_profile
 
-    point = ModuliPoint(args.c0, args.c, args.d)
-    point.validate()
-    dp = derive_params(point, args.a)
+    dp = derive_params(ModuliPoint(args.c0, args.c, args.d), args.a)
     trivial = args.trivial_f if args.kind == "F" else args.trivial_g
     sol = sample_profile(dp, args.kind, tuple(args.range), args.step, trivial=trivial)
     sidecar = {
-        "kind": sol.kind,
+        "kind": sol.fn.kind,
         "params": dp.document(),
-        "period": sol.period,
+        "period": sol.fn.period,
         "first_integral_drift": sol.first_integral_drift,
         "config": _config(args),
     }
@@ -260,13 +257,12 @@ def _cmd_verify(args) -> int:
 
         frame = integrate_frame(_rebuilt_field(cfg, field), seed=args.seed)
         iso, hre, him, harm = _frame_residuals(frame)
-        h = max(frame.grid.hx, frame.grid.hy)
         out = {
             "compat_linf": rk4_row_gap(frame),
-            "isometry_linf": iso.stats(h).linf,
+            "isometry_linf": iso.stats().linf,
             "hopf_real_err": hre,
             "hopf_imag_err": him,
-            "harmonic_linf": harm.stats(h).linf,
+            "harmonic_linf": harm.stats().linf,
         }
     else:
         from .field import sinh_gordon_residual
@@ -275,7 +271,7 @@ def _cmd_verify(args) -> int:
         out = {
             "linf": stats.linf,
             "l2": stats.l2,
-            "grid_h": stats.grid_h,
+            "grid_h": max(field.grid.hx, field.grid.hy),
             "count": stats.count,
         }
     out["config"] = _config(args)

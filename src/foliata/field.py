@@ -123,7 +123,6 @@ class ResidualStats:
 
     linf: float
     l2: float
-    grid_h: float
     count: int
 
 
@@ -160,11 +159,11 @@ class ResidualAccumulator:
         self.linf = max(self.linf, top)
         self.count += vals.size
 
-    def stats(self, grid_h: float) -> ResidualStats:
+    def stats(self) -> ResidualStats:
         if self.count == 0:
             raise TooFewNodes("no nodes with a full non-singular stencil")
         l2 = math.ldexp(math.sqrt(self.sumsq / self.count), self.exp)
-        return ResidualStats(linf=self.linf, l2=l2, grid_h=grid_h, count=self.count)
+        return ResidualStats(linf=self.linf, l2=l2, count=self.count)
 
 
 class FieldData:
@@ -321,6 +320,13 @@ class OmegaField:
         return mask
 
 
+def require_nodes(grid: GridSpec, need: int, what: str) -> None:
+    """Raise TooFewNodes unless the grid has ``need`` nodes on each axis,
+    the size that ``what``'s stencils read."""
+    if grid.nx < need or grid.ny < need:
+        raise TooFewNodes(f"{what} needs at least {need}x{need} nodes, got {grid.nx}x{grid.ny}")
+
+
 def row_blocks(grid: GridSpec, reach: int):
     """(rows, slab, out) per block of about ``BLOCK_NODES`` nodes: its rows,
     those a stencil of ``reach`` rows reads around them, and where the rows
@@ -420,8 +426,7 @@ def sinh_gordon_residual(field: OmegaField) -> ResidualStats:
     (dilated) singular mask.
     """
     grid = field.grid
-    if grid.nx < 5 or grid.ny < 5:
-        raise TooFewNodes(f"need at least 5x5 nodes, got {grid.nx}x{grid.ny}")
+    require_nodes(grid, 5, "the sinh-Gordon residual")
     acc = ResidualAccumulator()
     for _, slab, out in row_blocks(grid, 1):
         w = field.omega[slab]
@@ -432,7 +437,7 @@ def sinh_gordon_residual(field: OmegaField) -> ResidualStats:
         block += source
         block[dilate_mask(field.mask[slab])[out]] = np.nan
         acc.add(block)
-    return acc.stats(max(grid.hx, grid.hy))
+    return acc.stats()
 
 
 def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaField:
@@ -456,9 +461,8 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
     ``InvalidParams``, and so does the field record of a converged omega
     beyond it (possible for c0 > 0, which has no maximum principle).
     """
+    require_nodes(grid, 5, "the Newton solve")
     nx, ny = grid.nx, grid.ny
-    if nx < 5 or ny < 5:
-        raise TooFewNodes(f"need at least a 5x5 grid, got {nx}x{ny}")
     w = np.array(start, dtype=float)
     if w.shape != (ny, nx):
         raise GridMismatch(f"start array must be shaped {(ny, nx)}")

@@ -45,7 +45,6 @@ from .errors import (
     NotFlat,
     PeriodUnavailable,
     SingularCrossing,
-    TooFewNodes,
 )
 from .field import (
     GridSpec,
@@ -54,6 +53,7 @@ from .field import (
     ResidualStats,
     _finite_max,
     _interior_laplacian,
+    require_nodes,
     row_blocks,
 )
 
@@ -535,8 +535,7 @@ def _frame_residuals(frame: FrameField):
     pass that differentiates F once per row block, at the interior nodes of
     the block's slab: its rows off the grid's boundary ring, inner columns."""
     grid, omega = frame.grid, frame.field.omega
-    if grid.nx < 5 or grid.ny < 5:
-        raise TooFewNodes(f"the frame's residuals need at least 5x5 nodes, got {grid.nx}x{grid.ny}")
+    require_nodes(grid, 5, "the frame's residuals")
     iso, harm, hopf = ResidualAccumulator(), ResidualAccumulator(), []
     for _, slab, _ in row_blocks(grid, 1):
         u, w = frame.u[slab], omega[slab][1:-1, 1:-1]
@@ -568,7 +567,7 @@ def isometry_check(frame: FrameField) -> ResidualStats:
     rho <F_x, F_y> = 0 with centered differences on the chart-point grid,
     at its interior nodes, from the pass of :func:`_frame_residuals`.
     """
-    return _frame_residuals(frame)[0].stats(max(frame.grid.hx, frame.grid.hy))
+    return _frame_residuals(frame)[0].stats()
 
 
 def hopf_deviation(frame: FrameField) -> tuple[float, float]:
@@ -580,7 +579,7 @@ def hopf_deviation(frame: FrameField) -> tuple[float, float]:
 def harmonic_residual(frame: FrameField) -> ResidualStats:
     """Residual of F_zz~ + (log rho)_u F_z F_z~ = 0 on the chart-point grid,
     at its interior nodes, from the pass of :func:`_frame_residuals`."""
-    return _frame_residuals(frame)[3].stats(max(frame.grid.hx, frame.grid.hy))
+    return _frame_residuals(frame)[3].stats()
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +779,7 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
     field, grid, psi = frame.field, frame.grid, frame.psi
     if field.c0 != 0:
         raise NotFlat(f"Weierstrass route needs c0 = 0, got {field.c0}")
-    if grid.nx < 3 or grid.ny < 3:
-        raise TooFewNodes(f"Weierstrass route needs at least 3x3 nodes, got {grid.nx}x{grid.ny}")
+    require_nodes(grid, 3, "Weierstrass route")
 
     def steps(p, dp, dz):
         """Real parts of the panels from each node to the next along axis 0,
@@ -860,14 +858,12 @@ class HolonomyReport:
     kind: str
     angle_or_length: float
     residual: float
-    closed: bool
 
     def document(self) -> dict:
         return {
             "type": self.kind,
             "angle_or_length": self.angle_or_length,
             "residual": self.residual,
-            "closed": self.closed,
         }
 
 
@@ -922,10 +918,10 @@ def holonomy(
     (:func:`_refuse_poles`), raises SingularCrossing: the arclength diverges
     there.  The residual is the largest gap between a base's arclength and
     S, a length along the leaf.
-    ``closed`` flags an identity holonomy: value and residual below 1e-6,
-    and the displacement f1 of the seed point (:func:`_leaf_functions`) as
+    The type is ``identity`` when value and residual are below 1e-6, and
+    the displacement f1 of the seed point (:func:`_leaf_functions`) as
     well, lengths in the unit 1/sqrt|c0| (1 on the plane), so that a dilate
-    of the surface keeps the type and the flag.  ``seed`` is a point (x, y)
+    of the surface keeps the type.  ``seed`` is a point (x, y)
     whose nearest grid node picks the row (:func:`_seed_node`).
     """
     if period is None or not math.isfinite(period) or period <= 0:
@@ -971,10 +967,6 @@ def holonomy(
         kind, value, tol = ("translation" if field.c0 == 0 else "parabolic"), s, length_tol
     # near a horocycle a small angle or rapidity still moves the seed by ~S
     f1 = float(_leaf_functions(np.array([kappa2]), np.array([[s]]))[0][0, 0])
-    closed = bool(value < tol and residual < length_tol and abs(f1) < length_tol)
-    return HolonomyReport(
-        kind="identity" if closed else kind,
-        angle_or_length=value,
-        residual=residual,
-        closed=closed,
-    )
+    if value < tol and residual < length_tol and abs(f1) < length_tol:
+        kind = "identity"
+    return HolonomyReport(kind=kind, angle_or_length=value, residual=residual)

@@ -19,7 +19,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,16 +227,14 @@ class ProfileFunction:
 
 @dataclass(frozen=True)
 class ProfileSolution:
-    """Sampled profile on a uniform grid plus conservation diagnostics."""
+    """Sampled profile on a uniform grid plus conservation diagnostics.  The
+    profile's kind, parameters and period are those of ``fn``."""
 
-    kind: str
     grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
-    params: DerivedParams
     first_integral_drift: float
-    period: float | None
-    fn: ProfileFunction = field(repr=False, compare=False)
+    fn: ProfileFunction
 
     def __post_init__(self):
         for arr in (self.grid, self.values, self.derivs):
@@ -266,7 +264,7 @@ def _sampled_profile(sample, dp, kind, x_range, step, trivial):
     drift = float(np.max(np.abs(fn.first_integral(values, derivs))))
     if not drift <= 100.0 * DRIFT_TOL:  # a NaN drift as well
         raise DriftExceeded(f"first-integral drift {drift:.3e} exceeds 100 x {DRIFT_TOL:.1e}")
-    return ProfileSolution(kind.upper(), grid, values, derivs, dp, drift, fn.period, fn)
+    return ProfileSolution(grid, values, derivs, drift, fn)
 
 
 def sample_profile(

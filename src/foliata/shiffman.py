@@ -16,22 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatch, TooFewNodes
+from .errors import GridMismatch
 from .field import (
     OmegaField,
     ResidualAccumulator,
     ResidualStats,
     _Derivatives,
     _finite_max,
+    require_nodes,
     row_blocks,
 )
-
-
-def _check_nodes(field: OmegaField, nodes: int) -> None:
-    """``nodes`` is the grid size the caller's stencils need, 3 (cross) or 5 (Jacobi)."""
-    for need, stencil in ((3, "cross"), (5, "Jacobi")):
-        if need <= nodes and (field.grid.nx < need or field.grid.ny < need):
-            raise TooFewNodes(f"need at least {need}x{need} nodes for the {stencil} stencil")
 
 
 def shiffman_field(field: OmegaField) -> np.ndarray:
@@ -40,7 +34,7 @@ def shiffman_field(field: OmegaField) -> np.ndarray:
     Defined on interior nodes clear of the dilated singular mask; NaN on the
     boundary ring and near the singular set.
     """
-    _check_nodes(field, 3)
+    require_nodes(field.grid, 3, "the cross stencil")
     u = np.empty(field.omega.shape)
     for rows, slab, out in row_blocks(field.grid, 1):
         u[rows] = _Derivatives(field, slab).shiffman()[out]
@@ -55,8 +49,8 @@ def jacobi_residual(field: OmegaField, u: np.ndarray, margin: float = 0.0) -> Re
     structure-equation solution; for an arbitrary u it has no reason to be
     small (that non-example is part of the test suite).
     """
-    _check_nodes(field, 5)
     grid = field.grid
+    require_nodes(grid, 5, "the Jacobi stencil")
     u = np.asarray(u, dtype=float)
     if u.shape != field.omega.shape:
         raise GridMismatch(f"u is shaped {u.shape}, the field's grid {field.omega.shape}")
@@ -69,26 +63,27 @@ def jacobi_residual(field: OmegaField, u: np.ndarray, margin: float = 0.0) -> Re
         res[drop_y[rows]] = np.nan
         res[:, drop_x] = np.nan
         acc.add(res)
-    return acc.stats(max(grid.hx, grid.hy))
+    return acc.stats()
 
 
 def shiffman_document(field: OmegaField) -> dict:
     """JSON-ready summary used by the verification CLI, in row blocks that
     reach two rows out (lap u needs u one row out, u needs omega one more)."""
-    _check_nodes(field, 5)
+    grid = field.grid
+    require_nodes(grid, 5, "the Jacobi stencil")
     acc = ResidualAccumulator()
     maxima = []
-    for _, slab, out in row_blocks(field.grid, 2):
+    for _, slab, out in row_blocks(grid, 2):
         d = _Derivatives(field, slab)
         u = d.shiffman()
         acc.add(d.jacobi(u, out))
         top_u = _finite_max(np.abs(u[out]))
         maxima.append([top_u, d.potential_identity(out), d.gauss_dual_route(out)])
     max_u, potential, gauss = (_finite_max(column) for column in np.array(maxima).T)
-    residual = acc.stats(max(field.grid.hx, field.grid.hy))
+    residual = acc.stats()
     return {
         "max_u": max_u if np.isfinite(max_u) else None,
-        "jacobi_residual": {"linf": residual.linf, "l2": residual.l2, "h": residual.grid_h},
+        "jacobi_residual": {"linf": residual.linf, "l2": residual.l2, "h": max(grid.hx, grid.hy)},
         "potential_identity_linf": potential,
         "gauss_dual_route_linf": gauss,
     }

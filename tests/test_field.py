@@ -573,7 +573,7 @@ def test_residual_l2_never_overflows():
     def stats(residual):
         acc = ResidualAccumulator()
         acc.add(residual)
-        return acc.stats(1.0)
+        return acc.stats()
 
     # squares past the largest double once gave l2 = inf, written as null
     big = stats(np.array([1e200, -1e200, np.nan, 3e307]))
@@ -703,6 +703,47 @@ def test_reconstructed_sinh_keeps_its_bits(nodes):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+
+
+def test_eps_den_parts_the_quotient_from_its_continuity_extension():
+    # on the row y = 0 of (-1, -0.5, -0.3), c0 + f^2 + g^2 vanishes where
+    # f^2 = 1 - g(0)^2: removably near x = 2.03, where f' = -g', and at a
+    # pole near x = 5.41, where f' = g'.  EPS_DEN = 1e-9 must lie between the
+    # two nodes below, each with |c0 + f^2 + g^2| in (1e-11, 1e-7)
+    dp = derive_params(ModuliPoint(-1, -0.5, -0.3))
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    g, gy = (float(v) for v in source.gfn.eval_many(0.0))
+
+    def den(x):
+        f, fx = source.ffn.eval_many(x)
+        return -1.0 + f * f + g * g, 2.0 * f * fx
+
+    def node(lo, hi, target):
+        """x where the denominator is about ``target``, off its zero in [lo, hi]."""
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if (den(mid)[0] > 0) == (den(lo)[0] > 0) else (lo, mid)
+        return lo + target / den(lo)[1]
+
+    def sinh(x):
+        return float(source.eval_bc(x, 0.0).sinh)
+
+    # removable: the primary quotient divides two rounding-level numbers and
+    # keeps about 1e-6 of sinh, the extension all of it.  The reference is the
+    # cubic through the four nodes where the denominator is +-1e-4, +-2e-4,
+    # on which the primary quotient is accurate
+    for target in (1e-10, -1e-10, 5e-10, -5e-10):
+        x = node(1.9, 2.2, target)
+        offsets = np.array([-2e-4, -1e-4, 1e-4, 2e-4]) / den(x)[1]
+        cubic = np.polynomial.Polynomial.fit(offsets, [sinh(x + t) for t in offsets], 3)
+        f, fx = source.ffn.eval_many(x)
+        assert abs(float((fx + gy) / den(x)[0]) - cubic(0.0)) > 1e-8  # the routes part
+        assert sinh(x) == pytest.approx(cubic(0.0), rel=1e-10, abs=0)
+    # pole: at |c0 + f^2 + g^2| = 3e-8, f' - g' is about 3.3e-8 as well, and
+    # |sinh| = 2 g' / 3e-8 = 3.7e7 lies below OVERFLOW_GUARD: the node is off D
+    for target in (3e-8, -3e-8):
+        x = node(5.3, 5.5, target)
+        assert sinh(x) == pytest.approx(2.0 * gy / target, rel=1e-6)
 
 def test_grid_spec_refuses_more_than_max_nodes():
     # refused at construction, before any array of the grid is allocated

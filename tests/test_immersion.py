@@ -320,8 +320,8 @@ def test_frame_residuals_match_the_full_grid(monkeypatch, rows):
     for got, residual in ((isometry_check(frame), iso), (harmonic_residual(frame), harm)):
         acc = ResidualAccumulator()
         acc.add(residual)
-        want = acc.stats(max(grid.hx, grid.hy))
-        assert (got.linf, got.count, got.grid_h) == (want.linf, want.count, want.grid_h)
+        want = acc.stats()
+        assert (got.linf, got.count) == (want.linf, want.count)
         assert got.l2 == (want.l2 if rows is None else pytest.approx(want.l2, rel=1e-13))
 
 
@@ -720,7 +720,7 @@ def test_holonomy_rotation_for_onduloid():
     frame = integrate_frame(field, seed=seed)
     rep1 = holonomy(field, 1.0, seed=seed)
     rep2 = holonomy(field, 2.0, seed=seed)
-    assert rep1.kind == "rotation" and not rep1.closed
+    assert rep1.kind == "rotation"
     assert rep1.residual <= 1e-6
     assert rep2.angle_or_length == pytest.approx(2 * rep1.angle_or_length, rel=1e-6)
     # independent oracle: meridian columns project onto great circles whose
@@ -748,7 +748,7 @@ def test_holonomy_closes_region_one_annulus():
     grid = GridSpec(0, t_f + 1.5, y0, y1, 161, 81)
     field = reconstructed(-1, -1, 1, grid)
     report = holonomy(field, t_f)
-    assert report.closed and report.kind == "identity"
+    assert report.kind == "identity"
     assert report.residual <= 1e-6
 
 
@@ -884,7 +884,7 @@ def test_holonomy_over_natural_period_is_identity(c0, c_size, d_size):
     field = field_from_source(source, GridSpec(0.0, 1.25 * t_f, y0 - 0.01, y0 + 0.01, 81, 3))
     assert not field.mask[1].any()
     report = holonomy(field, t_f, seed=(0.0, y0))
-    assert report.kind == "identity" and report.closed
+    assert report.kind == "identity"
     assert report.residual <= 1e-9
 
 
@@ -892,7 +892,7 @@ def test_holonomy_over_natural_period_is_identity(c0, c_size, d_size):
 def test_holonomy_near_a_horocycle_keeps_its_type_under_dilatation(period, kind):
     # k^2 + c0 = -5e-13 at c0 = -1, within HOROCYCLE_TOL of a horocycle; the
     # dilatation by s to c0 = -s^2 scales k^2 + c0 by s^2 and the period
-    # arclength by 1/s, and moves neither the type nor the closed flag
+    # arclength by 1/s, and does not move the type
     beta = math.sqrt(1.0 - 5e-13)
     alpha = math.sqrt(1.0 - beta * beta)
     for k in (-2, -1, 0, 1, 2):
@@ -900,7 +900,7 @@ def test_holonomy_near_a_horocycle_keeps_its_type_under_dilatation(period, kind)
         grid = GridSpec(-0.5 / s, 0.5 / s, -0.5 / s, 0.5 / s, 41, 41)
         field = assemble_omega_degenerate(alpha * s, beta * s, grid, -s * s)
         report = holonomy(field, period / s, seed=(0.0, 0.0))
-        assert (report.kind, report.closed) == (kind, kind == "identity"), s
+        assert report.kind == kind, s
         assert report.angle_or_length * s == pytest.approx(period, rel=1e-9)
         assert report.residual * s <= 1e-12
 
@@ -915,7 +915,38 @@ def test_holonomy_near_a_horocycle_that_moves_the_seed_is_not_closed(alpha2):
     field = assemble_omega_degenerate(alpha, beta, GridSpec(-0.5, 0.5, -0.5, 0.5, 41, 41), -1.0)
     report = holonomy(field, 0.3, seed=(0.0, 0.0))
     assert report.angle_or_length < 1e-6 and report.residual < 1e-6
-    assert report.kind == "translation" and not report.closed
+    assert report.kind == "translation"
+
+
+#: (key, defect, (period in T_F, seed row in T_G) of the reference run and of
+#: the defective one, least change): each key of the holonomy document moves
+#: under a named defect of its input.  On (-1, -1, 1) every circle row closes
+#: over T_F: the reference with the natural period reads (identity, 0, 9e-16).
+HOLONOMY_DEFECTS = [
+    ("type", "a period 10% short", (1.0, 0.5), (0.9, 0.5), None),
+    ("angle_or_length", "a period 10% short", (1.0, 0.5), (0.9, 0.5), 0.5),
+    ("angle_or_length", "the seed on another row", (0.9, 0.5), (0.9, 0.35), 0.3),
+    ("residual", "a period 10% short", (1.0, 0.5), (0.9, 0.5), 0.05),
+    ("residual", "the seed on another row", (0.9, 0.5), (0.9, 0.35), 0.5),
+]
+
+
+@pytest.mark.parametrize("key, defect, reference, defective, change", HOLONOMY_DEFECTS,
+                         ids=[f"{key}-{defect}" for key, defect, *_ in HOLONOMY_DEFECTS])
+def test_each_holonomy_key_moves_under_a_defect(key, defect, reference, defective, change):
+    # the type, the value and the residual can each fail, so each stays in the
+    # document; no key there only repeats another
+    dp = derive_params(ModuliPoint(-1, -1, 1))
+    t_f, t_g = profile_period(dp, "F"), profile_period(dp, "G")
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    field = field_from_source(source, GridSpec(0.0, 1.5 * t_f, 0.3 * t_g, 0.7 * t_g, 121, 41))
+    good, bad = (holonomy(field, period * t_f, seed=(0.0, row * t_g)).document()
+                 for period, row in (reference, defective))
+    assert set(good) == set(bad) == {"type", "angle_or_length", "residual"}
+    if change is None:
+        assert (good[key], bad[key]) == ("identity", "rotation")
+    else:
+        assert abs(bad[key] - good[key]) > change
 
 
 def test_holonomy_requires_period(flat_trivial_frame):
@@ -1209,3 +1240,67 @@ def test_plane_is_the_two_sided_limit_of_the_curved_charts(sign):
     # 3.0e-2 -> 3.1e-3 in omega and 4.8e-2 -> 4.8e-3 in 2u, from both sides
     assert 8.0 <= omega3 / omega4 <= 12.0 and 8.0 <= u3 / u4 <= 12.0
     assert omega4 <= 4e-3 and u4 <= 6e-3
+
+
+def _circle_centres(v):
+    """Centre of the circle fitted to each row of points (x, y, ...) by
+    algebraic least squares: x^2 + y^2 + D x + E y + F = 0."""
+    x, y = v[..., 0], v[..., 1]
+    rows = np.stack([x, y, np.ones_like(x)], axis=-1)
+    coef = [np.linalg.lstsq(a, -(xx * xx + yy * yy), rcond=None)[0] for a, xx, yy in zip(rows, x, y)]
+    return -0.5 * np.array(coef)[:, :2]
+
+
+@pytest.mark.parametrize("c, a", [(-0.25, 0.3), (-0.5, 0.3), (-0.25, 0.6)])
+def test_riemann_examples_drift_at_sqrt_minus_c_r_squared(c, a):
+    # Riemann's law for the minimal surfaces of R^3 foliated by circles in
+    # parallel planes: the centres move in one fixed direction at speed
+    # lambda r^2 per unit height, here lambda = sqrt(-c) whatever a is.
+    # Between two rows the centre steps by sqrt(-c) times the integral of
+    # r^2 = 1 / g^2, taken by 8-point Gauss-Legendre on the G profile's
+    # closed form; the law and the quadrature are nowhere in the frame code.
+    # The gap is the Magnus column's error: order 4 from 81^2 to 161^2
+    dp = derive_params(ModuliPoint(0, c, c), a)
+    t_f, t_g = profile_period(dp, "F"), profile_period(dp, "G")
+    source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    gaps = []
+    for n in (81, 161):
+        grid = GridSpec(0.0, t_f, 0.05 * t_g, 0.45 * t_g, n, n)
+        mesh = build_mesh(integrate_frame(field_from_source(source, grid), seed=(0.3 * t_f, 0.25 * t_g)))
+        assert mesh.valid.all()
+        steps = np.diff(_circle_centres(mesh.ambient_vertices), axis=0) @ [1.0, 1j]
+        half, mid = 0.5 * np.diff(grid.ys), 0.5 * (grid.ys[1:] + grid.ys[:-1])
+        r2 = half * (source.gfn.eval_many(mid[:, None] + half[:, None] * nodes)[0] ** -2.0 @ weights)
+        speed_gap = np.abs(np.abs(steps) / r2 - math.sqrt(-c)).max()
+        turn = np.abs(np.angle(steps / steps[0])).max()
+        gaps.append((speed_gap, turn))
+    # (c, a) = (-0.25, 0.3): 8.1e-10 -> 5.1e-11 in speed, 3.3e-9 -> 2.1e-10 in direction
+    (speed81, turn81), (speed161, turn161) = gaps
+    assert speed81 <= 2e-9 and turn81 <= 1e-8
+    assert 12.0 <= speed81 / speed161 <= 20.0 and 12.0 <= turn81 / turn161 <= 20.0
+
+
+@pytest.mark.parametrize("c0", [1.0, 4.0])
+@pytest.mark.parametrize("reach, placed", [(1e7, True), (1e9, False)])
+def test_sphere_row_stops_where_the_chart_loses_its_digits(c0, reach, placed):
+    # (c0, 0, -c0^2 / 4) with f = 0: the row y = 0 has k = g(0) = 0 and
+    # sinh(omega) = 1/2, so it is a great circle through the seed at the chart
+    # origin, whose arclength s = sqrt(5/4) x reaches the antipode at
+    # q s = pi, and |u| q = tan(q s / 2).  The last node sits at |u| q =
+    # ``reach``.  chart_state divides by 1 + q p_w, about 2 / (|u| q)^2: at
+    # 1e7 that is 2e-14, some 200 rounding units of p_w, and the node is
+    # placed, its model point right to 1e-9 / q; at 1e9 it is below one and
+    # the row stops.  STEREO_GUARD = 1e8 lies between: below 1e7 it would
+    # drop good nodes
+    q, cosh = math.sqrt(c0), math.sqrt(1.25)
+    dp = derive_params(ModuliPoint(c0, 0.0, -c0 * c0 / 4.0))
+    source = ReconstructedSource(ProfileFunction(dp, "F", trivial=True), ProfileFunction(dp, "G"))
+    x1 = 2.0 * math.atan(reach) / (q * cosh)
+    frame = integrate_frame(field_from_source(source, GridSpec(0.0, x1, -0.1, 0.1, 9, 3)), seed=(0.0, 0.0))
+    assert frame.valid[1, :-1].all() and frame.valid[1, -1] == placed
+    if placed:
+        assert np.hypot(*frame.u[1, -1]) * q == pytest.approx(reach, rel=1e-2)
+        angle = q * cosh * x1
+        exact = np.array([math.sin(angle), 0.0, math.cos(angle)]) / q
+        assert np.abs(build_mesh(frame).ambient_vertices[1, -1, :3] - exact).max() <= 1e-9 / q

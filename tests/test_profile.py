@@ -149,7 +149,7 @@ def test_range_confinement():
 def test_periodicity_and_antisymmetry():
     d = dp(1, -1, 0)
     sol = integrate_profile(d, "F", (0, 12), 1e-3)
-    t = sol.period
+    t = sol.fn.period
     assert t is not None
     xs = np.array([0.3, 1.1, 2.7])
     f0, _ = sol.fn.eval_many(xs)
@@ -163,7 +163,7 @@ def test_periodicity_and_antisymmetry():
 def test_trivial_branch():
     sol = integrate_profile(dp(-1, 0, 0), "F", (0, 2), 1e-3, trivial=True)
     assert not sol.values.any() and not sol.derivs.any()
-    assert sol.period is None
+    assert sol.fn.period is None
     with pytest.raises(InvalidParams):
         integrate_profile(dp(1, -1, 0), "F", (0, 2), 1e-3, trivial=True)
 
