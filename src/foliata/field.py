@@ -542,7 +542,7 @@ def _dirichlet_inverse(m: int, n: int, hx: float, hy: float):
         return sines, 4.0 / (h * h) * np.sin(np.pi * k / (2 * (size + 1))) ** 2
 
     sy, ey = basis(m, hy)
-    sx, ex = basis(n, hx)
+    sx, ex = (sy, ey) if (n, hx) == (m, hy) else basis(n, hx)
     weight = 4.0 / ((m + 1) * (n + 1)) / (ey[:, None] + ex[None, :])
     return lambda r: sy @ ((sy @ r @ sx) * weight) @ sx
 

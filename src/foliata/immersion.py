@@ -40,6 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import field as field_module
 from .errors import (
     InvalidParams,
     NotFlat,
@@ -252,21 +253,18 @@ class FrameField:
         return ChartSpace(self.field.c0)
 
 
-def _rhs(direction: str, fd, psi, u1, u2, space: ChartSpace):
-    rho, l1, l2 = space.factor_many(u1, u2)
+def _rhs(direction: str, row, state: np.ndarray, space: ChartSpace) -> np.ndarray:
+    """d(psi, u1, u2)/dt of a (3, lanes) state, from row k of the field data
+    of a lattice, ``row`` = (data, k)."""
+    fd, k = row
+    rho, l1, l2 = space.factor_many(state[1], state[2])
     sq = np.sqrt(rho)
-    c, s = np.cos(psi), np.sin(psi)
+    c, s = np.cos(state[0]), np.sin(state[0])
     if direction == "x":
-        dpsi = -fd.wy + fd.cosh / (2.0 * sq) * (c * l2 - s * l1)
-        return dpsi, fd.cosh / sq * c, fd.cosh / sq * s
-    dpsi = fd.wx - fd.sinh / (2.0 * sq) * (c * l1 + s * l2)
-    return dpsi, -fd.sinh / sq * s, fd.sinh / sq * c
-
-
-def _eval_data(source, direction, t, lane_coords):
-    if direction == "x":
-        return source.eval_bc(t, lane_coords)
-    return source.eval_bc(lane_coords, t)
+        ch = fd.cosh[k]
+        return np.stack([-fd.wy[k] + ch / (2.0 * sq) * (c * l2 - s * l1), ch / sq * c, ch / sq * s])
+    sh = fd.sinh[k]
+    return np.stack([fd.wx[k] - sh / (2.0 * sq) * (c * l1 + s * l2), -sh / sq * s, sh / sq * c])
 
 
 def _march(
@@ -282,45 +280,46 @@ def _march(
 ):
     """RK4 march of (psi, u) along one direction, vectorized over lanes.
 
-    Returns (psi, u1, u2) arrays shaped (len(t_nodes), n_lanes).  A lane
-    stops (NaN onward) where a step is not finite, so after a NaN start or
-    singular field data (NaN, which makes the step NaN), or where the chart
-    point leaves the chart domain.  Each step evaluates the source at its
-    midpoint and end node only: its start node is the previous step's end
-    node.
+    Returns (psi, u1, u2) arrays shaped (len(t_nodes), n_lanes), marched as
+    one (3, lanes) state from i_start forward, then back.  A lane stops (NaN
+    onward) where a step is not finite, so after a NaN start or singular
+    field data (NaN, which makes the step NaN), or where the chart point
+    leaves the chart domain.  Like the seed column, the rows and the
+    Weierstrass route, the march reads the closed-form field one lattice
+    block at a time: the half-step abscissae of both sweeps (each sweep's
+    nodes, its steps' midpoints between them) times the lanes, about
+    ``BLOCK_NODES`` nodes per ``eval_bc`` call.
     """
     n, lanes = t_nodes.size, lane_coords.size
-    psi = np.full((n, lanes), np.nan)
-    u1 = np.full((n, lanes), np.nan)
-    u2 = np.full((n, lanes), np.nan)
-    psi[i_start], u1[i_start], u2[i_start] = psi_start, u1_start, u2_start
-    fd_start = _eval_data(source, direction, t_nodes[i_start], lane_coords)
+    out = np.full((3, n, lanes), np.nan)
+    out[:, i_start] = psi_start, u1_start, u2_start
+    sweeps = [np.arange(i_start, n), np.arange(i_start, -1, -1)]
+    ts = np.concatenate([np.insert(t, np.arange(1, t.size), t[:-1] + 0.5 * np.diff(t))
+                         for t in (t_nodes[nodes] for nodes in sweeps)])
 
-    def sweep(indices):
-        fd0 = fd_start
-        for prev, nxt in zip(indices[:-1], indices[1:]):
+    def lattice_rows():
+        size = max(field_module.BLOCK_NODES // lanes, 1)
+        for lo in range(0, ts.size, size):
+            t = ts[lo:lo + size, None]
+            data = source.eval_bc(t, lane_coords) if direction == "x" else source.eval_bc(lane_coords, t)
+            yield from ((data, k) for k in range(len(t)))
+
+    rows = lattice_rows()
+    for nodes in sweeps:
+        row0 = next(rows)
+        for prev, nxt in zip(nodes[:-1], nodes[1:]):
             h = t_nodes[nxt] - t_nodes[prev]
-            tm = t_nodes[prev] + 0.5 * h
-            fdm = _eval_data(source, direction, tm, lane_coords)
-            fd1 = _eval_data(source, direction, t_nodes[nxt], lane_coords)
-            p, a, b = psi[prev], u1[prev], u2[prev]
+            mid, row1, state = next(rows), next(rows), out[:, prev]
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                k1 = _rhs(direction, fd0, p, a, b, space)
-                k2 = _rhs(direction, fdm, p + 0.5 * h * k1[0], a + 0.5 * h * k1[1], b + 0.5 * h * k1[2], space)
-                k3 = _rhs(direction, fdm, p + 0.5 * h * k2[0], a + 0.5 * h * k2[1], b + 0.5 * h * k2[2], space)
-                k4 = _rhs(direction, fd1, p + h * k3[0], a + h * k3[1], b + h * k3[2], space)
-                pn = p + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-                an = a + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-                bn = b + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-                ok = np.isfinite(pn) & np.isfinite(an) & np.isfinite(bn) & space.in_domain(an, bn)
-            psi[nxt] = np.where(ok, pn, np.nan)
-            u1[nxt] = np.where(ok, an, np.nan)
-            u2[nxt] = np.where(ok, bn, np.nan)
-            fd0 = fd1
-
-    sweep(list(range(i_start, n)))
-    sweep(list(range(i_start, -1, -1)))
-    return psi, u1, u2
+                k1 = _rhs(direction, row0, state, space)
+                k2 = _rhs(direction, mid, state + 0.5 * h * k1, space)
+                k3 = _rhs(direction, mid, state + 0.5 * h * k2, space)
+                k4 = _rhs(direction, row1, state + h * k3, space)
+                state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                ok = np.isfinite(state).all(axis=0) & space.in_domain(state[1], state[2])
+            out[:, nxt] = np.where(ok, state, np.nan)
+            row0 = row1
+    return out[0], out[1], out[2]
 
 
 def _require_source(field: OmegaField):

@@ -479,10 +479,12 @@ def test_zero_branch_needs_an_exact_zero(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("c,d", [(0.010000000000000002, 0.81), (0.09, 0.48999999999999994)])
+@pytest.mark.parametrize("c,d", [(0.010000000000000002, 0.81), (0.09, 0.48999999999999994),
+                                 (0.25, 0.25 - 2.5e-13)])
 def test_field_takes_the_closed_form_within_the_delta_band(tmp_path, c, d):
-    # delta is -2.8e-17 and 1.1e-16 here: rounding off the curve delta = 0,
-    # which the constant-profile closed form covers up to |delta| = 1e-12
+    # delta is -2.8e-17 and 1.1e-16 at the first two: rounding off the curve
+    # delta = 0, which the constant-profile closed form covers up to
+    # |delta| = 1e-12; 5.0e-13 at the third, outside DEGENERATE_DELTA / 100
     point = ModuliPoint(-1.0, c, d)
     assert 0 < abs(derive_params(point).delta) <= DEGENERATE_DELTA
     out = tmp_path / "gamma.json"
@@ -494,6 +496,24 @@ def test_field_takes_the_closed_form_within_the_delta_band(tmp_path, c, d):
                                      GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11))
     assert doc["provenance"] == "Degenerate"
     assert doc["omega"] == want.omega.ravel().tolist()
+
+
+def test_field_reconstructs_just_beyond_the_delta_band(tmp_path):
+    # delta = 2.0e-12 at d = 0.25 - 1e-12, beyond DEGENERATE_DELTA but inside
+    # DEGENERATE_DELTA x 100: the profiles reconstruct the field, and its
+    # omega is within sqrt(delta) (reads 6.0e-7) of the closed form's at
+    # d = 0.25 - 2.5e-13, inside the band
+    delta = derive_params(ModuliPoint(-1.0, 0.25, 0.25 - 1e-12)).delta
+    assert DEGENERATE_DELTA < delta < 100 * DEGENERATE_DELTA
+    docs = []
+    for d in (0.25 - 1e-12, 0.25 - 2.5e-13):
+        out = tmp_path / f"field{len(docs)}.json"
+        assert main(["field", "--c0", "-1", "--c", "0.25", "--d", repr(d),
+                     "--domain", "-0.5", "0.5", "-0.5", "0.5",
+                     "--nx", "21", "--ny", "21", "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert [doc["provenance"] for doc in docs] == ["Reconstructed", "Degenerate"]
+    assert np.abs(np.subtract(docs[0]["omega"], docs[1]["omega"])).max() <= math.sqrt(delta)
 
 
 REMOVED_OPTIONS = [

@@ -494,6 +494,17 @@ def bump_start(n):
     return grid, start
 
 
+def test_newton_tol_takes_the_bump_solve_to_its_fifth_step(monkeypatch):
+    # one Newton step is one _pcg call; the updates of the criterion-6 solve
+    # fall 7.6e-2, 4.9e-3, 3.3e-6, 1.4e-12, 1.1e-16, so NEWTON_TOL = 1e-12
+    # takes the fifth, at rounding level (NEWTON_TOL x 100 stops after four)
+    grid, start = bump_start(21)
+    pcg, calls = field_module._pcg, []
+    monkeypatch.setattr(field_module, "_pcg", lambda *args: calls.append(1) or pcg(*args))
+    solve_sinh_gordon(-1.0, grid, start)
+    assert len(calls) == 5
+
+
 def test_newton_steps_are_solved_to_the_forcing_term(monkeypatch):
     grid, start = bump_start(101)
     applied = []

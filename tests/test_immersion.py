@@ -328,7 +328,8 @@ def test_frame_residuals_match_the_full_grid(monkeypatch, rows):
 def test_frame_residuals_hold_one_row_block_at_a_time():
     # at 801^2 the pass behind the three diagnostics holds one row block
     # (0.99x omega's bytes, against 10-21x through whole-grid arrays), and
-    # the RK4 gap the march's three arrays and one block (3.2x, against 7.25x)
+    # the RK4 gap the march's state array, one lattice block of field data
+    # and one row block (3.4x, against 7.25x)
     dp = derive_params(ModuliPoint(1, -1, -1))
     source = ReconstructedSource(ProfileFunction(dp, "F"), ProfileFunction(dp, "G"))
     frame = integrate_frame(field_from_source(source, GridSpec(0, 1, 0, 1, 801, 801)))
@@ -1001,7 +1002,7 @@ def test_only_the_row_oracle_marches(monkeypatch, tmp_path):
     monkeypatch.setattr(immersion, "_march", counted)
     field = reconstructed(1, -1, -1, GridSpec(0, 1, 0, 1, 21, 15))
     source = CountingSource(field.source)
-    integrate_frame(replace(field, source=source))
+    frame = integrate_frame(replace(field, source=source))
     assert marches == []
     # the column: one evaluation at its grid and Gauss nodes; the rows: one
     # quadrature evaluation per row block
@@ -1016,6 +1017,27 @@ def test_only_the_row_oracle_marches(monkeypatch, tmp_path):
     assert main(["verify", "--input", str(tmp_path / "f.json"), "--immersion",
                  "--out", str(tmp_path / "v.json")]) == 0
     assert marches == [("x", 15, 20)]
+    # the oracle reads its field data as one lattice: one call, not one per
+    # half step (41)
+    source.calls = 0
+    rk4_row_gap(frame)
+    assert source.calls == 1
+
+
+@pytest.mark.parametrize("c0, c, d, domain", [(1, -1, -1, (0, 1, 0, 1)), (-1, -1, 1, (-2, 2, -2, 2))],
+                         ids=["sphere", "disk_edge"])
+def test_row_oracle_keeps_its_bits_over_lattice_blocks(monkeypatch, c0, c, d, domain):
+    # blocks of three half-step abscissae split steps between lattices, and
+    # the gap keeps the bits of the one-block march, also where lanes stop
+    field = reconstructed(c0, c, d, GridSpec(*domain, 41, 41))
+    frame = integrate_frame(field)
+    assert frame.valid.all() == (c0 == 1)
+    one_block = rk4_row_gap(frame)
+    source = CountingSource(field.source)
+    monkeypatch.setattr(field_module, "BLOCK_NODES", 3 * 41)
+    assert rk4_row_gap(replace(frame, field=replace(field, source=source))) == one_block
+    # one call per block of the two sweeps' 2 x 41 abscissae
+    assert source.calls == math.ceil(2 * 41 / 3)
 
 
 def _regular_field(c0, c_size, d_size, a, nx=33, ny=33):
