@@ -330,11 +330,13 @@ def _add_seed_point(sp):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative float token, such as the repr ``-1e-05``, as a value."""
+    """Reads as a value each token that float() reads after a minus, as ``-1e-05`` or ``-NaN``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf)$")
+        d = r"\d(_?\d)*"
+        self._negative_number_matcher = re.compile(
+            rf"^-((({d})?\.{d}|{d}\.?)([eE][+-]?{d})?|(?i:inf(inity)?|nan))$")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -481,7 +481,7 @@ def solve_sinh_gordon(c0: float, grid: GridSpec, start: np.ndarray) -> OmegaFiel
 
     def residual(arr: np.ndarray) -> np.ndarray:
         lap = _interior_laplacian(arr, hx, hy)[1:-1, 1:-1]
-        return lap + c0 * np.sinh(arr[1:-1, 1:-1]) * np.cosh(arr[1:-1, 1:-1])
+        return lap + 0.5 * c0 * np.sinh(2.0 * arr[1:-1, 1:-1])
 
     def neg_jacobian(p: np.ndarray) -> np.ndarray:
         padded[1:-1, 1:-1] = p
@@ -590,11 +590,12 @@ def _finite_max(values: np.ndarray) -> float:
 
 
 class _Derivatives:
-    """omega on one row slab of a field, its gradient from one np.gradient
-    pass and cosh(omega): the derivative kernel of one row block, for the
-    level curvatures and the Shiffman diagnostics.  A slab edge inside the
-    grid gets one-sided differences, so callers keep only the rows their
-    stencil reaches from inside the slab."""
+    """The derivative kernel of one row block, for the level curvatures and
+    the Shiffman diagnostics: omega on a row slab, its gradient from one
+    np.gradient pass, and cosh, tanh, |grad omega|^2, cosh^2, cosh^4 =
+    (cosh^2)^2 and the Jacobi potential V, each formed once per block.  A
+    slab edge inside the grid gets one-sided differences, so callers keep
+    only the rows their stencil reaches from inside the slab."""
 
     def __init__(self, field: OmegaField, slab: slice):
         grid = field.grid
@@ -610,9 +611,20 @@ class _Derivatives:
 
     @cached_property
     def grad2(self) -> np.ndarray:
-        grad2 = np.multiply(self.wx, self.wx)
-        grad2 += self.wy * self.wy
-        return grad2
+        return self.wx * self.wx + self.wy * self.wy
+
+    @cached_property
+    def cosh2(self) -> np.ndarray:
+        return self.cosh * self.cosh
+
+    @cached_property
+    def cosh4(self) -> np.ndarray:
+        return self.cosh2 * self.cosh2
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """V = c0 + 2 |grad omega|^2 / cosh^2, the potential of lap + V."""
+        return self.grad2 * 2.0 / self.cosh2 + self.c0
 
     def shiffman(self) -> np.ndarray:
         # the cross difference w_NE - w_NW - w_SE + w_SW on w flattened, as
@@ -633,48 +645,25 @@ class _Derivatives:
         return u
 
     def jacobi(self, u: np.ndarray, out: slice) -> np.ndarray:
-        """lap(u) + (c0 + 2 |grad omega|^2 / cosh^2) u on the rows ``out``."""
+        """lap(u) + V u on the rows ``out``."""
         res = _interior_laplacian(u, self.hx, self.hy)[out]
-        cosh = self.cosh[out]
-        coef = np.multiply(self.grad2[out], 2.0)
-        coef /= cosh * cosh
-        coef += self.c0
-        coef *= u[out]
-        res += coef
+        res += self.v[out] * u[out]
         return res
 
     def potential_identity(self, out: slice) -> float:
-        """Max of |cosh^2 potential - c0 - 2 |grad omega|^2 / cosh^2| on the
-        rows ``out``, with the second-variation potential
-        c0 / cosh^2 + 2 |grad omega|^2 / cosh^4."""
-        cosh2 = self.cosh[out] ** 2
-        twice = np.multiply(self.grad2[out], 2.0)
-        potential = np.divide(self.c0, cosh2)
-        quartic = np.multiply(cosh2, cosh2)
-        potential += np.divide(twice, quartic, out=quartic)
-        rhs = np.divide(twice, cosh2, out=twice)
-        rhs += self.c0
-        gap = np.multiply(cosh2, potential, out=potential)
-        gap -= rhs
-        return _finite_max(np.abs(gap, out=gap))
+        """Max of |cosh^2 P - V| on the rows ``out``, with P the
+        second-variation potential c0 / cosh^2 + 2 |grad omega|^2 / cosh^4."""
+        p = self.c0 / self.cosh2[out] + self.grad2[out] * 2.0 / self.cosh4[out]
+        return _finite_max(np.abs(self.cosh2[out] * p - self.v[out]))
 
     def gauss_dual_route(self, out: slice) -> float:
         """Max gap on the rows ``out`` between K = c0 tanh^2(omega) -
         |grad omega|^2 / cosh^4(omega) and -(1 / 2 cosh^2) lap(log cosh^2)."""
-        cosh = self.cosh[out]
-        gauss = self.tanh[out] ** 2
-        gauss *= self.c0
-        quartic = cosh ** 4
-        gauss -= np.divide(self.grad2[out], quartic, out=quartic)
+        gauss = self.c0 * self.tanh[out] ** 2 - self.grad2[out] / self.cosh4[out]
         # independent route K = -(1 / 2 lambda) lap(log lambda), lambda = cosh^2
-        log = np.log(self.cosh)
-        log *= 2.0
-        route = np.negative(_interior_laplacian(log, self.hx, self.hy)[out])
-        denom = cosh ** 2
-        denom *= 2.0
-        route /= denom
-        gauss -= route
-        return _finite_max(np.abs(gauss, out=gauss))
+        route = _interior_laplacian(2.0 * np.log(self.cosh), self.hx, self.hy)[out]
+        route /= -2.0 * self.cosh2[out]
+        return _finite_max(np.abs(gauss - route))
 
 
 def level_curvatures(field: OmegaField) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import field as field_module
+from . import __version__, field as field_module
 from .errors import (
     InvalidParams,
     NotFlat,
@@ -542,6 +542,8 @@ def _frame_residuals(frame: FrameField):
         dy, dx = (d[1:-1, 1:-1] for d in np.gradient(u, grid.hy, grid.hx, axis=(0, 1)))
         # rho |F_x|^2, rho |F_y|^2 and rho <F_x, F_y>
         metric = rho * np.stack([(dx * dx).sum(axis=-1), (dy * dy).sum(axis=-1), (dx * dy).sum(axis=-1)])
+        # F_x and F_y of F = u1 + i u2
+        fx, fy = dx[..., 0] + 1j * dx[..., 1], dy[..., 0] + 1j * dy[..., 1]
         del dx, dy  # each array goes once used, so the pass holds about one block
         xx, yy, xy = metric
         hopf.append([_finite_max(np.abs(0.25 * (xx - yy) - 0.25)), _finite_max(np.abs(0.5 * xy))])
@@ -549,9 +551,8 @@ def _frame_residuals(frame: FrameField):
         yy -= np.sinh(w) ** 2
         iso.add(metric)
         del metric, xx, yy, xy
-        # 0.25 lap(F) + (log rho)_u F_z F_z~, with F = u1 + i u2
+        # 0.25 lap(F) + (log rho)_u F_z F_z~
         f = u[..., 0] + 1j * u[..., 1]
-        fy, fx = (d[1:-1, 1:-1] for d in np.gradient(f, grid.hy, grid.hx))
         lap = _interior_laplacian(f, grid.hx, grid.hy)[1:-1, 1:-1]
         harm.add(np.abs(0.25 * lap + 0.5 * (l1 - 1j * l2) * (0.5 * (fx - 1j * fy)) * (0.5 * (fx + 1j * fy))))
         del f, fx, fy, lap
@@ -635,7 +636,8 @@ def _leaf_runs(row: np.ndarray):
 
 def build_mesh(frame: FrameField) -> SurfaceMesh:
     """Mesh the immersion: the rows' model lifts of the frame's chart points
-    plus the height y, made when asked for.  Its metadata is the grid's."""
+    plus the height y, made when asked for.  Its metadata is the grid's and
+    what a ``v`` record holds."""
     grid, space, u, ys = frame.grid, frame.space, frame.u, frame.grid.ys
     width = 2 if space.c0 == 0 else 3  # the plane's homogeneous coordinate is not written
 
@@ -644,7 +646,10 @@ def build_mesh(frame: FrameField) -> SurfaceMesh:
         t = np.broadcast_to(ys[rows, None], lift.shape[:-1])
         return np.concatenate([lift, t[..., None]], axis=-1)
 
-    meta = {"c0": space.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny}
+    model = ("u1 u2 in the plane" if space.c0 == 0 else "X0 X1 X2 on the sphere |X|^2 = 1/c0"
+             if space.c0 > 0 else "X0 X1 X2 on the hyperboloid -X0^2 + X1^2 + X2^2 = 1/c0")
+    meta = {"c0": space.c0, "domain": list(grid.domain), "nx": grid.nx, "ny": grid.ny,
+            "v": f"{model}, then the height y, not an OBJ weight w"}
     return SurfaceMesh(ambient_rows=ambient_rows, valid=frame.valid, metadata=meta)
 
 
@@ -657,17 +662,17 @@ def _column_tokens(col: np.ndarray) -> list[str]:
 
 
 def obj_chunks(mesh: SurfaceMesh):
-    """OBJ text in pieces: the header, a ``# key = value`` line per key of
-    the mesh's metadata in sorted order (the ``mesh`` subcommand adds the
-    surface's c, d and a, the seed and the three flags on both routes), one
-    per grid row of ``v`` records, one per pair of rows of faces and one per
-    row of ``l`` lines.  ``v`` = ambient coordinates (4 values when the model
-    lift has three components plus height), asked of the mesh one row at a
-    time, faces as ``f a b c d`` quads and foliation rows as ``l``
-    polylines, both derived from ``valid`` row by row
-    (:func:`_quad_columns`, :func:`_leaf_runs`).  Only valid
-    nodes are written, in row order, so the faces and polylines number the
-    valid nodes from 1."""
+    """OBJ text in pieces: the header, the package version and a ``# key =
+    value`` line per key of the mesh's metadata in sorted order (the ``mesh``
+    subcommand adds the surface's c, d and a, the seed and the three flags
+    on both routes), one per grid row of ``v`` records, one per pair of rows
+    of faces and one per row of ``l`` lines.  ``v`` = ambient coordinates
+    (4 values when the model lift has three components plus height; the
+    metadata's ``v`` says which), asked of the mesh one row at a time, faces
+    as ``f a b c d`` quads and foliation rows as ``l`` polylines, both
+    derived from ``valid`` row by row (:func:`_quad_columns`,
+    :func:`_leaf_runs`).  Only valid nodes are written, in row order, so the
+    faces and polylines number the valid nodes from 1."""
     valid = mesh.valid
     ny = len(valid)
     before = [0, *np.cumsum(valid.sum(axis=1)).tolist()]
@@ -676,7 +681,7 @@ def obj_chunks(mesh: SurfaceMesh):
         """The 1-based OBJ index of each node of row j, where it is valid."""
         return before[j] + np.cumsum(valid[j])
 
-    yield "# foliata surface mesh\n" + "".join(
+    yield f"# foliata surface mesh\n# version = {__version__}\n" + "".join(
         f"# {key} = {mesh.metadata[key]}\n" for key in sorted(mesh.metadata)
     )
     for j in range(ny):
@@ -703,20 +708,14 @@ def mesh_row_curvature(frame: FrameField, row: int) -> np.ndarray:
     on the row polyline, with the Euclidean curvature from centered
     differences in the conformal parameter.
     """
-    u1 = frame.u[row, :, 0].astype(float)
-    u2 = frame.u[row, :, 1].astype(float)
-    hx = frame.grid.hx
-    d1 = np.gradient(u1, hx, edge_order=2)
-    d2 = np.gradient(u2, hx, edge_order=2)
-    dd1 = np.full_like(u1, np.nan)
-    dd2 = np.full_like(u2, np.nan)
-    dd1[1:-1] = (u1[2:] - 2.0 * u1[1:-1] + u1[:-2]) / (hx * hx)
-    dd2[1:-1] = (u2[2:] - 2.0 * u2[1:-1] + u2[:-2]) / (hx * hx)
-    speed = np.hypot(d1, d2)
-    k_e = (d1 * dd2 - d2 * dd1) / speed**3
-    t1, t2 = d1 / speed, d2 / speed
-    n1, n2 = -t2, t1
-    rho, l1, l2 = frame.space.factor_many(u1, u2)
+    u, hx = frame.u[row], frame.grid.hx
+    d = np.gradient(u, hx, axis=0, edge_order=2)
+    dd = np.full_like(u, np.nan)
+    dd[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (hx * hx)
+    speed = np.hypot(d[:, 0], d[:, 1])
+    k_e = (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speed**3
+    n1, n2 = -d[:, 1] / speed, d[:, 0] / speed
+    rho, l1, l2 = frame.space.factor_many(u[:, 0], u[:, 1])
     return (k_e - 0.5 * (l1 * n1 + l2 * n2)) / np.sqrt(rho)
 
 
@@ -818,6 +817,7 @@ def weierstrass_flat(frame: FrameField) -> SurfaceMesh:
         "nx": grid.nx,
         "ny": grid.ny,
         "cauchy_riemann_linf": cr,
+        "v": "X1 X2 in the plane, then the height y - y_seed, not an OBJ weight w",
     }
     return SurfaceMesh(ambient_rows=x_vec.__getitem__, valid=valid, metadata=meta)
 
@@ -922,6 +922,14 @@ def holonomy(
     well, lengths in the unit 1/sqrt|c0| (1 on the plane), so that a dilate
     of the surface keeps the type.  ``seed`` is a point (x, y)
     whose nearest grid node picks the row (:func:`_seed_node`).
+
+    Over the x-period of a periodic f that is not constant, the isometry
+    maps every leaf to itself; a rotation other than the identity would
+    then fix the centre of every circle leaf, making the surface rotational
+    and f constant.  So it is the identity on every S^2 x R row and on every
+    R^3 or H^2 x R row whose leaf is a circle.  Only in H^2 x R, with every
+    leaf a hypercycle about one geodesic or a horocycle about one ideal
+    point, can it be a translation or parabolic, with the same rapidity on every row.
     """
     if period is None or not math.isfinite(period) or period <= 0:
         raise PeriodUnavailable(f"no usable period (got {period})")

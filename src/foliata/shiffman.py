@@ -4,12 +4,12 @@ For any solution omega of the structure equation, the field
 
     u = omega_xy - tanh(omega) omega_x omega_y = -cosh(omega) d/dx k_h
 
-is a Jacobi field:  lap(u) + (c0 + 2 |grad omega|^2 / cosh^2 omega) u = 0.
+is a Jacobi field:  lap(u) + V u = 0, V = c0 + 2 |grad omega|^2 / cosh^2 omega.
 Its vanishing characterizes the fields whose horizontal level curves have
 constant curvature.  Everything here is computed from omega alone on the
-grid, with centered second-order stencils, in row blocks from one pass
-per block of the derivative kernel that the level curvatures share
-(``field._Derivatives``).
+grid, with centered second-order stencils, in row blocks from the
+derivative kernel that the level curvatures share (``field._Derivatives``),
+which forms cosh^2, cosh^4 and V once per block.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def shiffman_field(field: OmegaField) -> np.ndarray:
 
 
 def jacobi_residual(field: OmegaField, u: np.ndarray, margin: float = 0.0) -> ResidualStats:
-    """Residual of lap(u) + (c0 + 2 |grad omega|^2 / cosh^2) u, over the
+    """Residual of lap(u) + V u, V = c0 + 2 |grad omega|^2 / cosh^2, over the
     nodes at least ``margin`` inside the domain.
 
     The identity holds in the continuum for the Shiffman field of any

@@ -80,6 +80,23 @@ def test_negative_reprs_are_values(tmp_path, value):
             assert json.loads(side.read_text())["config"][key] == echoed
 
 
+@pytest.mark.parametrize("tok", ["-Infinity", "-INF", "-Inf", "-inf", "-nan", "-NaN",
+                                 "-1_000", "-1_0.2_5e-0_1", "-.5_5", "-1e1_0"])
+def test_every_negative_float_token_is_a_value(capsys, tok):
+    # whatever float() reads after a minus is a value of --c, never an
+    # unknown option: a finite one is echoed in the config, a non-finite
+    # one in the one-line refusal
+    code = main(["classify", "--c0", "1", "--c", tok, "--d", "-1"])
+    out, err = capsys.readouterr()
+    value = float(tok)
+    if math.isfinite(value):
+        assert code == 0
+        assert json.loads(out)["config"]["c"] == value
+    else:
+        assert code == 1
+        assert err == f"error: c must be finite, got {value!r}\n"
+
+
 def test_domain_error_exits_one(capsys):
     code = main(["classify", "--c0", "0", "--c", "1", "--d", "2"])
     err = capsys.readouterr().err
@@ -598,6 +615,26 @@ def test_mesh_header_names_the_seed_and_the_flags(tmp_path):
     assert {"# seed = [0.0, 0.0]", "# trivial-f = False", "# trivial-g = False",
             "# weierstrass = False"} <= set(header0)
     assert "# seed = [0.5, 0.5]" in header5
+    # the version, and what a v record holds: its last value is the height,
+    # not the OBJ weight w
+    assert header0[:2] == ["# foliata surface mesh", f"# version = {foliata.__version__}"]
+    assert ("# v = X0 X1 X2 on the sphere |X|^2 = 1/c0, then the height y, "
+            "not an OBJ weight w") in header0
+    assert all(len(v.split()) == 5 for v in v0)
+
+
+@pytest.mark.parametrize("c0, route, record, tokens", [
+    ("-1", [], "X0 X1 X2 on the hyperboloid -X0^2 + X1^2 + X2^2 = 1/c0, then the height y", 5),
+    ("0", [], "u1 u2 in the plane, then the height y", 4),
+    ("0", ["--weierstrass"], "X1 X2 in the plane, then the height y - y_seed", 4),
+], ids=["hyperboloid", "plane", "weierstrass"])
+def test_mesh_header_says_what_a_v_record_holds(tmp_path, c0, route, record, tokens):
+    out = tmp_path / "m.obj"
+    assert main(["mesh", "--c0", c0, "--c", "-0.5", "--d", "-0.5", "--domain", "0", "0.5", "0", "0.5",
+                 "--nx", "5", "--ny", "5", *route, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert f"# v = {record}, not an OBJ weight w" in lines
+    assert {len(ln.split()) for ln in lines if ln.startswith("v ")} == {tokens}
 
 
 def test_holonomy_subcommand(tmp_path, capsys):

@@ -534,6 +534,26 @@ def test_newton_steps_are_solved_to_the_forcing_term(monkeypatch):
     assert 1e3 * field_module.CG_RTOL < ratio <= field_module.CG_FORCING_MAX
 
 
+def test_cg_forcing_max_sets_the_preconditioner_count(monkeypatch):
+    # a solve whose count sees CG_FORCING_MAX: on c0 = -1 over [0, 4]^2 from
+    # a zero start with top row 2 sin(pi x / 4), the six Newton steps take
+    # 30 preconditioner applications at 0.1, 35 at 0.02 (the constant / 5)
+    # and 30 at 0.5 and above, where a looser first step only costs
+    grid = GridSpec(0, 4, 0, 4, 81, 81)
+    start = np.zeros((81, 81))
+    start[-1] = 2.0 * np.sin(np.pi * grid.xs / 4.0)
+    applied = []
+    inverse = field_module._dirichlet_inverse
+
+    def counted(*args):
+        apply = inverse(*args)
+        return lambda r: applied.append(1) or apply(r)
+
+    monkeypatch.setattr(field_module, "_dirichlet_inverse", counted)
+    solve_sinh_gordon(-1.0, grid, start)
+    assert len(applied) == 30
+
+
 def test_level_curvature_matches_g_profile():
     fsol, gsol = profiles(1, 0, -0.25, trivial_f=True)
     grid = GridSpec(0, 1, 0, 1, 101, 101)

@@ -23,6 +23,7 @@ from hypothesis import example, given, strategies as st
 
 from test_immersion import _reference_runs, reconstructed
 
+import foliata
 from foliata._jsonfmt import dumps
 from foliata import immersion
 from foliata.cli import main
@@ -202,7 +203,7 @@ def _ref_quads(valid):
 
 
 def _ref_obj(mesh: SurfaceMesh) -> str:
-    lines = ["# foliata surface mesh"]
+    lines = ["# foliata surface mesh", f"# version = {foliata.__version__}"]
     lines += [f"# {key} = {mesh.metadata[key]}" for key in sorted(mesh.metadata)]
     ambient = mesh.ambient_vertices.reshape(-1, mesh.ambient_vertices.shape[-1])
     number = {}  # grid node -> 1-based OBJ index

@@ -296,7 +296,7 @@ def full_grid_frame_residuals(frame):
     yy = rho * (fy1 * fy1 + fy2 * fy2)
     xy = rho * (fx1 * fy1 + fx2 * fy2)
     f = u1 + 1j * u2
-    fy, fx = np.gradient(f, grid.hy, grid.hx)
+    fy, fx = fy1 + 1j * fy2, fx1 + 1j * fx2
     fz, fzb = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
     harm = np.abs(0.25 * _interior_laplacian(f, grid.hx, grid.hy) + 0.5 * (l1 - 1j * l2) * fz * fzb)
     inner = (slice(1, -1), slice(1, -1))

@@ -67,7 +67,7 @@ class FullGrid:
         return finite_max(np.abs(cosh2 * self.potential() - rhs))
 
     def gauss(self):
-        return self.field.c0 * np.tanh(self.w) ** 2 - self.grad2 / self.cosh ** 4
+        return self.field.c0 * np.tanh(self.w) ** 2 - self.grad2 / (self.cosh ** 2 * self.cosh ** 2)
 
     def gauss_dual_route(self):
         grid = self.field.grid
